@@ -4,7 +4,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p clove-bench --bin figures -- [fig4b|fig4c|fig5|fig6|fig7|fig8a|fig8b|fig9|resilience|feedback|recovery|headline|all] [--quick] [--jobs N] [--strict] [--resume] [--queue wheel|heap]
+//! cargo run --release -p clove-bench --bin figures -- [fig4b|fig4c|fig5|fig6|fig7|fig8a|fig8b|fig9|resilience|feedback|recovery|headline|all] [--quick] [--jobs N] [--strict] [--resume]
 //! ```
 //!
 //! `--quick` uses the small experiment configuration (fast, noisier);
@@ -12,9 +12,7 @@
 //! recorded in EXPERIMENTS.md). `--jobs N` fans the experiment matrix out
 //! over N worker threads; the tables are byte-identical at any N.
 //! `--strict` runs every cell under the invariant monitor and aborts on
-//! any violation. `--queue heap` swaps the timing-wheel event queue for
-//! the legacy binary heap (differential oracle; tables are byte-identical
-//! under either backend).
+//! any violation.
 //!
 //! Every completed cell is checkpointed to `results/.journal/figures/`.
 //! `--resume` serves cells finished by an earlier (interrupted) invocation
@@ -34,6 +32,7 @@
 //! byte-identical.
 
 use clove_harness::experiments::{self, ExpConfig, PointCache};
+use clove_harness::report::FaultTable;
 use clove_harness::scenario::TopologyKind;
 use clove_harness::{write_atomic, Scheme};
 use std::path::Path;
@@ -86,32 +85,16 @@ fn parse_jobs(args: &[String]) -> usize {
     1
 }
 
-/// Parse `--queue wheel|heap` / `--queue=...` (default: timing wheel).
-fn parse_queue(args: &[String]) -> clove_sim::QueueBackend {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == "--queue" { it.next().map(String::as_str) } else { a.strip_prefix("--queue=") };
-        if let Some(v) = v {
-            return v.parse().unwrap_or_else(|e| {
-                eprintln!("figures: {e}");
-                std::process::exit(2);
-            });
-        }
-    }
-    clove_sim::QueueBackend::default()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let strict = args.iter().any(|a| a == "--strict");
     let resume = args.iter().any(|a| a == "--resume");
     let jobs = parse_jobs(&args);
-    let queue = parse_queue(&args);
     let which = args
         .iter()
         .enumerate()
-        .filter(|&(i, a)| !(a.starts_with("--") || i > 0 && (args[i - 1] == "--jobs" || args[i - 1] == "--queue")))
+        .filter(|&(i, a)| !(a.starts_with("--") || i > 0 && args[i - 1] == "--jobs"))
         .map(|(_, a)| a.clone())
         .next()
         .unwrap_or_else(|| "all".into());
@@ -122,7 +105,7 @@ fn main() {
             None
         }
     };
-    let cfg = (if quick { ExpConfig::quick() } else { ExpConfig::full() }).with_jobs(jobs).with_strict(strict).with_journal(journal.clone()).with_queue(queue);
+    let cfg = (if quick { ExpConfig::quick() } else { ExpConfig::full() }).with_jobs(jobs).with_strict(strict).with_journal(journal.clone());
 
     // The paper sweeps 20–90%; the reproduction reports a representative
     // subset to bound wall-clock time.
@@ -182,29 +165,18 @@ fn main() {
             println!();
         });
     }
-    if run_fig("resilience") {
-        timed("resilience", || {
-            let table = experiments::resilience(&experiments::resilience_schemes(), &cfg);
-            println!("{}", table.render());
-            note_quarantine(&table.quarantined);
-            save_csv("resilience", &table.to_csv());
-        });
-    }
-    if run_fig("feedback") {
-        timed("feedback", || {
-            let table = experiments::feedback_degradation(&experiments::resilience_schemes(), &cfg);
-            println!("{}", table.render());
-            note_quarantine(&table.quarantined);
-            save_csv("feedback", &table.to_csv());
-        });
-    }
-    if run_fig("recovery") {
-        timed("recovery", || {
-            let table = experiments::recovery(&experiments::resilience_schemes(), &cfg);
-            println!("{}", table.render());
-            note_quarantine(&table.quarantined);
-            save_csv("recovery", &table.to_csv());
-        });
+    type FaultSweep = fn(&[Scheme], &ExpConfig) -> FaultTable;
+    let sweeps: [(&str, FaultSweep); 3] =
+        [("resilience", experiments::resilience), ("feedback", experiments::feedback_degradation), ("recovery", experiments::recovery)];
+    for (name, sweep) in sweeps {
+        if run_fig(name) {
+            timed(name, || {
+                let table = sweep(&experiments::resilience_schemes(), &cfg);
+                println!("{}", table.render());
+                note_quarantine(&table.quarantined);
+                save_csv(name, &table.to_csv());
+            });
+        }
     }
     if run_fig("headline") {
         timed("headline", || headline(&cfg));

@@ -3,8 +3,8 @@
 //! Run a Clove experiment described by a JSON file, or a chaos-fuzz campaign.
 //!
 //! ```text
-//! clove-run <spec.json> [--jobs N] [--strict] [--resume] [--queue wheel|heap]
-//!           [--trace FILE]           # prints a RunReport as JSON on stdout
+//! clove-run <spec.json> [--jobs N] [--strict] [--resume] [--trace FILE]
+//!                                    # prints a RunReport as JSON on stdout
 //! clove-run chaos [--runs N] [--seed S] [--jobs N] [--shrink-budget B] [--out FILE]
 //!                                    # fuzz fault timelines against the invariants
 //! clove-run trace-check <trace.jsonl>  # validate a --trace dump's schema
@@ -19,10 +19,6 @@
 //! `--resume` re-serves seeds already completed by an earlier interrupted
 //! invocation from the checkpoint journal at `results/.journal/clove-run/`;
 //! without it the journal is wiped and every seed re-executes.
-//!
-//! `--queue heap` swaps the timing-wheel event queue for the legacy
-//! binary heap (differential oracle; reports are byte-identical under
-//! either backend).
 //!
 //! `--trace FILE` additionally captures the structured decision trace
 //! (flowlet lifecycle, weight updates, ECN marks, ladder transitions,
@@ -109,7 +105,7 @@ fn trace_check_main(args: &[String]) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_jobs(&args);
-    let value_flags = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--queue", "--trace"];
+    let value_flags = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
     let arg = args
         .iter()
         .enumerate()
@@ -158,15 +154,6 @@ fn main() {
     };
     if args.iter().any(|a| a == "--strict") {
         spec.strict = true;
-    }
-    if let Some(v) = parse_flag(&args, "--queue") {
-        spec.queue = match v.parse() {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("clove-run: {e}");
-                std::process::exit(2);
-            }
-        };
     }
     if let Some(trace_path) = parse_flag(&args, "--trace") {
         // Trace runs bypass the journal: a resumed seed has no trace buffer

@@ -12,7 +12,7 @@ use crate::orchestrator::{self, CellOutcome, ExecPolicy};
 use crate::profile::Profile;
 use crate::scenario::{Scenario, TopologyKind};
 use crate::scheme::Scheme;
-use clove_sim::{Duration, QueueBackend, Time};
+use clove_sim::{Duration, Time};
 use clove_workload::{data_mining, enterprise, web_search, FlowSizeDist};
 use std::sync::Arc;
 
@@ -313,12 +313,8 @@ pub struct ScenarioSpec {
     /// Run under the invariant monitor and fail the run on any violation
     /// (`clove-run --strict` forces this on).
     pub strict: bool,
-    /// Event-queue backend (`clove-run --queue heap` selects the legacy
-    /// binary-heap oracle). Deliberately *not* part of the spec JSON or
-    /// journal keys: the report is byte-identical under either backend.
-    pub queue: QueueBackend,
-    /// Capture structured decision traces (`clove-run --trace FILE`). Like
-    /// `queue`, CLI-only and *not* part of the spec JSON or journal keys:
+    /// Capture structured decision traces (`clove-run --trace FILE`).
+    /// CLI-only and *not* part of the spec JSON or journal keys:
     /// tracing must never change the report, and trace runs bypass the
     /// checkpoint journal (a resumed seed has no buffer to replay).
     pub trace: bool,
@@ -375,7 +371,6 @@ impl ScenarioSpec {
                 None | Some(Json::Null) => false,
                 Some(x) => x.as_bool().ok_or_else(|| "'strict' must be a boolean".to_string())?,
             },
-            queue: QueueBackend::default(),
             trace: false,
         })
     }
@@ -433,7 +428,6 @@ impl ScenarioSpec {
             s.control_faults = clove_net::fault::ControlFaultPlan::lossy_control(Time::from_millis(self.control_loss_at_ms.unwrap_or(0)), rate);
         }
         s.strict = self.strict;
-        s.queue = self.queue;
         s.trace = self.trace;
         let mut profile = Profile::default();
         if let Some(us) = self.flowlet_gap_us {
@@ -719,7 +713,6 @@ mod tests {
             control_loss: Some(0.2),
             control_loss_at_ms: Some(20),
             strict: true,
-            queue: QueueBackend::default(),
             trace: false,
         };
         let json = spec.to_json().render_pretty();

@@ -1,47 +1,56 @@
 //! One function per paper figure, plus the parallel experiment engine.
 //!
-//! Every function returns a [`FigureTable`] whose series reproduce the
-//! corresponding plot. The `scale` knob trades fidelity for wall-clock
-//! time: it multiplies the job count per connection (the paper runs 50 K
-//! jobs per connection on the testbed and 20 K in NS2; full-fidelity runs
-//! of this reproduction use hundreds to thousands — enough for the
-//! qualitative ordering, as EXPERIMENTS.md documents). Benches use tiny
-//! scales.
+//! Every function returns a [`FigureTable`] (a [`FaultTable`] for the fault
+//! sweeps) whose series reproduce the corresponding plot. [`ExpConfig`]
+//! sizes the runs: the paper uses 50 K jobs per connection on the testbed
+//! and 20 K in NS2, [`ExpConfig::full`] uses 80 — enough for the
+//! qualitative ordering, as EXPERIMENTS.md documents — and benches and
+//! smoke tests use [`ExpConfig::quick`].
+//!
+//! ## One seeded matrix, many reduces
+//!
+//! The evaluation is a grid of independent cells: a *point* (scheme × load,
+//! fan-in or fault case) run once per seed. `run_seeded` is the one place
+//! that builds the `(point, seed)` cells and sends them through
+//! `run_cells`; it hands each point back as all of its seeds' results in
+//! seed order, or as quarantine footer lines (`fold_point`).
+//! [`PointCache::prefetch`] (every FCT-vs-load figure, and [`rpc_point`]),
+//! [`fig6`], [`fig7`] and `fault_sweep` (behind [`resilience`],
+//! [`recovery`] and [`feedback_degradation`]) add only their own reduce;
+//! `pool_fct` is the one seed-pooling loop.
 //!
 //! ## Parallelism and determinism
 //!
-//! Each `(scheme, load/fanout/case, seed)` cell is an independent
-//! simulation: the determinism contract in `clove-sim` is *per run*, so
-//! cells can execute on any worker in any order. All figure drivers funnel
-//! through [`run_matrix`] (directly, or via the fault-tolerant
-//! [`orchestrator`](crate::orchestrator) wrappers), which hands back
-//! results **in cell order** regardless of completion order, and every
-//! fold below consumes them in that order (seed merges, goodput sums,
-//! fault-stat absorbs). Output is therefore byte-identical at any
-//! [`ExpConfig::jobs`] setting — the regression test
+//! Each cell is an independent simulation: the determinism contract in
+//! `clove-sim` is *per run*, so cells can execute on any worker in any
+//! order. [`run_matrix`] hands results back **in cell order** regardless of
+//! completion order, and every fold consumes them in that order (seed
+//! merges, goodput sums, fault-stat absorbs). Output is therefore
+//! byte-identical at any [`ExpConfig::jobs`] setting — the regression test
 //! `determinism_parallel.rs` pins this.
 //!
 //! ## Fault tolerance and resume
 //!
-//! Figure drivers execute through [`run_cells`], which adds the
-//! orchestrator's fault model on top of the fan-out: panicking cells are
-//! retried then quarantined ([`ExpConfig::exec`]), stalled cells are
-//! cancelled by the watchdog, and — when [`ExpConfig::journal`] is set —
-//! completed cells are checkpointed so an interrupted run resumes without
-//! re-executing them. Quarantined cells surface as `NaN` data points plus
-//! an explicit per-cell line in the table's `quarantined` list; they are
-//! never silently dropped. Journal values round-trip losslessly (see
-//! [`crate::journal`]), so a resumed run's CSVs are byte-identical to an
-//! uninterrupted one at any `--jobs` width.
+//! `run_cells` adds the [`orchestrator`](crate::orchestrator)'s fault
+//! model on top of the fan-out: panicking cells are retried then
+//! quarantined ([`ExpConfig::exec`]), stalled cells are cancelled by the
+//! watchdog, and — when [`ExpConfig::journal`] is set — completed cells are
+//! checkpointed so an interrupted run resumes without re-executing them.
+//! A point with any quarantined seed has no trustworthy value (a partial
+//! seed pool would silently shift the statistics): it surfaces as `NaN`
+//! plus one footer line per bad seed, never silently dropped. Journal
+//! values round-trip losslessly (see [`crate::journal`]), so a resumed
+//! run's CSVs are byte-identical to an uninterrupted one at any `--jobs`
+//! width; an entry that no longer decodes is a miss and re-executes.
 
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
 use crate::orchestrator::{self, CellOutcome, ExecPolicy, MatrixStats};
-use crate::report::{FeedbackRow, FeedbackTable, FigureTable, ResilienceRow, ResilienceTable};
+use crate::report::{FaultColumn, FaultRow, FaultTable, FigureTable, DAMAGE_COLUMNS, FEEDBACK_COLUMNS};
 use crate::scenario::{RpcOutcome, Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector, NodeState};
-use clove_sim::{Duration, QueueBackend, RunControl, Time};
+use clove_sim::{Duration, RunControl, Time};
 use clove_workload::{web_search, FctSummary, FlowSizeDist};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -69,42 +78,17 @@ pub struct ExpConfig {
     /// Completed-cell journal for checkpoint/resume; `None` disables
     /// journaling (cells always execute).
     pub journal: Option<Arc<crate::journal::Journal>>,
-    /// Event-queue backend every cell runs on: the timing wheel (default)
-    /// or the legacy binary heap (`--queue heap`), kept as a
-    /// differential-testing oracle. Results are backend-independent, so
-    /// the backend is *not* part of the journal key.
-    pub queue: QueueBackend,
 }
 
 impl ExpConfig {
     /// A configuration suitable for generating the committed figures.
     pub fn full() -> ExpConfig {
-        ExpConfig {
-            jobs_per_conn: 80,
-            conns_per_client: 2,
-            seeds: 2,
-            horizon_secs: 60,
-            jobs: 1,
-            strict: false,
-            exec: ExecPolicy::default(),
-            journal: None,
-            queue: QueueBackend::default(),
-        }
+        ExpConfig { jobs_per_conn: 80, conns_per_client: 2, seeds: 2, horizon_secs: 60, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
 
     /// A tiny configuration for benches and CI smoke tests.
     pub fn quick() -> ExpConfig {
-        ExpConfig {
-            jobs_per_conn: 8,
-            conns_per_client: 1,
-            seeds: 1,
-            horizon_secs: 10,
-            jobs: 1,
-            strict: false,
-            exec: ExecPolicy::default(),
-            journal: None,
-            queue: QueueBackend::default(),
-        }
+        ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 1, horizon_secs: 10, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
 
     /// The same configuration with a different worker count.
@@ -131,12 +115,6 @@ impl ExpConfig {
         self
     }
 
-    /// The same configuration on a different event-queue backend.
-    pub fn with_queue(mut self, queue: QueueBackend) -> ExpConfig {
-        self.queue = queue;
-        self
-    }
-
     /// The journal-key fragment for the shared sizing knobs: everything
     /// that changes a cell's *result* except the per-cell parameters.
     /// `jobs` is deliberately excluded — results are jobs-independent, so
@@ -151,9 +129,8 @@ impl ExpConfig {
 /// return the results **in cell order** (never completion order).
 ///
 /// This is the raw fan-out primitive: no panic isolation, no journal — a
-/// panicking cell aborts the matrix. Figure drivers use [`run_cells`] on
-/// top of it; benches and other hot paths that want zero overhead use it
-/// directly. Each cell must be an independent simulation run — the per-run
+/// panicking cell aborts the matrix. Figure drivers add panic isolation and the journal
+/// on top of it; the orchestrator and the chaos fuzzer use it directly. Each cell must be an independent simulation run — the per-run
 /// determinism contract makes that safe — and because results come back in
 /// input order, any fold written against the serial runner produces
 /// identical bytes against the parallel one.
@@ -221,7 +198,6 @@ fn scenario(scheme: Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &
     s.horizon = Time::from_secs(cfg.horizon_secs);
     s.strict = cfg.strict;
     s.control = control.map(Arc::clone);
-    s.queue = cfg.queue;
     s
 }
 
@@ -347,55 +323,126 @@ fn quarantine_snapshot(scope: &str, cell: &str, seed: u64, reason: &str, spec: O
     }
 }
 
-/// Run one (scheme, topology, load) point over the configured seeds and
-/// pool the FCT samples.
-pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> FctSummary {
-    rpc_point_detailed(scheme, topology, load, cfg).0
-}
+/// One point of a seeded sweep after the fold: every seed's result in seed
+/// order, or — if any seed was quarantined — one footer line per bad seed.
+type PointResult<R> = Result<Vec<R>, Vec<String>>;
 
-/// [`rpc_point`] also reporting the total simulation events processed
-/// across the seeds (the denominator for events/sec benchmarks).
-///
-/// Seeds run as parallel cells at `cfg.jobs > 1`; the FCT merge happens
-/// in seed order either way. This is the *loud* path — no isolation, no
-/// journal — used by benches (where orchestration overhead would pollute
-/// timings) and headline runs that want a panic to propagate.
-pub fn rpc_point_detailed(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> (FctSummary, u64) {
-    let dist = web_search();
-    let seeds: Vec<u64> = (0..cfg.seeds).map(|s| 1000 + s as u64).collect();
-    let outs = run_matrix(&seeds, cfg.jobs, |&seed| {
-        let s = scenario(scheme.clone(), topology, load, seed, cfg, None);
-        let out = run_rpc_checked(&s, &dist);
-        (out.fct, out.events)
-    });
-    let mut pooled: Option<FctSummary> = None;
-    let mut events = 0u64;
-    for (fct, ev) in outs {
-        events += ev;
-        match pooled.as_mut() {
-            None => pooled = Some(fct),
-            Some(p) => p.merge(&fct),
+/// The shared point fold: one point's per-seed outcomes, in seed order
+/// starting at `seed_base`, become a [`PointResult`]. Pure: `snapshot`
+/// is handed each bad `(seed, reason)` and returns the footer suffix
+/// naming whatever it persisted.
+fn fold_point<R>(outcomes: Vec<CellOutcome<R>>, seed_base: u64, label: &str, mut snapshot: impl FnMut(u64, &str) -> String) -> PointResult<R> {
+    let mut ok = Vec::with_capacity(outcomes.len());
+    let mut bad = Vec::new();
+    for (off, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            CellOutcome::Ok(r) => ok.push(r),
+            other => {
+                let (seed, reason) = (seed_base + off as u64, other.describe());
+                bad.push(format!("{label} seed {seed}: {reason}{}", snapshot(seed, &reason)));
+            }
         }
     }
-    (pooled.expect("at least one seed"), events)
+    if bad.is_empty() {
+        Ok(ok)
+    } else {
+        Err(bad)
+    }
 }
 
-type PointKey = (String, bool, u64);
+/// What a seeded sweep says about its points, besides how to run them.
+struct Sweep<'a, P> {
+    /// Journal scope, snapshot prefix and first segment of every cell key.
+    scope: &'a str,
+    /// Seed of each point's first run; run `s` uses `seed_base + s`.
+    seed_base: u64,
+    /// Relative wall-time estimate of one run of the point (see
+    /// [`run_cells`]).
+    cost: &'a dyn Fn(&P) -> f64,
+    /// The point's journal-key segment: cell keys are
+    /// `scope|tag|seed<seed>|<ExpConfig::key_fragment>`.
+    tag: &'a (dyn Fn(&P) -> String + Sync),
+    /// The point's name in quarantine footers and snapshot file names.
+    label: &'a dyn Fn(&P) -> String,
+    /// The `clove-run` spec replaying one seed of the point, embedded in
+    /// its quarantine snapshot when expressible (see [`rpc_cell_spec`]).
+    replay: &'a dyn Fn(&P, u64) -> Option<Json>,
+}
+
+/// The seeded-matrix driver every figure and sweep goes through: fan
+/// `points × cfg.seeds` out as flat `(point, seed)` cells — so parallelism
+/// spans the whole matrix, not just the seeds of one point — and fold them
+/// back into one [`PointResult`] per point, in point order. Quarantined
+/// seeds have their telemetry snapshot written on the way.
+fn run_seeded<P, R>(sweep: &Sweep<'_, P>, points: &[P], cfg: &ExpConfig, run: impl Fn(&P, u64, &Arc<RunControl>) -> R + Send + Sync) -> Vec<PointResult<R>>
+where
+    P: Sync,
+    R: Send + JournalValue,
+{
+    let (scope, tag) = (sweep.scope, sweep.tag);
+    let cells: Vec<(usize, u64)> = (0..points.len()).flat_map(|pi| (0..cfg.seeds).map(move |s| (pi, sweep.seed_base + s as u64))).collect();
+    let (outcomes, _) = run_cells(
+        scope,
+        &cells,
+        cfg,
+        |&(pi, _)| (sweep.cost)(&points[pi]),
+        |&(pi, seed)| format!("{scope}|{}|seed{seed}|{}", tag(&points[pi]), cfg.key_fragment()),
+        |&(pi, seed), control| run(&points[pi], seed, control),
+    );
+    let mut outcomes = outcomes.into_iter();
+    points
+        .iter()
+        .map(|point| {
+            let label = (sweep.label)(point);
+            let seeds = outcomes.by_ref().take(cfg.seeds as usize).collect();
+            fold_point(seeds, sweep.seed_base, &label, |seed, reason| quarantine_snapshot(scope, &label, seed, reason, (sweep.replay)(point, seed)))
+        })
+        .collect()
+}
+
+/// Pool per-seed FCT summaries, in the order given. Seed order is part of
+/// the byte-identity contract: the pooled Welford state depends on it.
+fn pool_fct(seeds: impl IntoIterator<Item = FctSummary>) -> FctSummary {
+    let mut seeds = seeds.into_iter();
+    let mut pooled = seeds.next().expect("at least one seed");
+    for fct in seeds {
+        pooled.merge(&fct);
+    }
+    pooled
+}
+
+/// A load as the integer per-mille used in journal keys and cache keys.
+fn per_mille(load: f64) -> u64 {
+    (load * 1000.0).round() as u64
+}
+
+/// First seed of every RPC point (figures 4, 5, 8, 9 and the headline).
+const RPC_SEED_BASE: u64 = 1000;
+
+/// Run one (scheme, topology, load) point over the configured seeds and
+/// pool the FCT samples. This is the *loud* path — no isolation, no
+/// journal — used by benches and headline runs that want a panic to
+/// propagate rather than quarantine the point.
+pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> FctSummary {
+    let loud = cfg.clone().with_exec(ExecPolicy { isolate: false, retries: 0, stall_timeout: None }).with_journal(None);
+    PointCache::new().point(scheme, topology, load, &loud).expect("an un-isolated cell panics instead of quarantining")
+}
+
+type PointKey = (String, String, u64);
 
 /// Memoizes RPC point results so figures sharing the same underlying
 /// runs (4c with 5a/5b/5c, 8b with 9) pay for them once.
 ///
-/// A `None` entry is a *quarantined* point: at least one of its seed runs
-/// panicked or stalled, so the point has no trustworthy value. The
-/// per-seed reasons are kept in `quarantined` and surface in figure
-/// footers.
+/// An `Err` entry is a *quarantined* point: at least one of its seed runs
+/// panicked or stalled, so the point has no trustworthy value, only the
+/// per-seed reasons that surface in figure footers.
 #[derive(Default)]
 pub struct PointCache {
-    entries: rustc_hash::FxHashMap<PointKey, Option<FctSummary>>,
-    quarantined: rustc_hash::FxHashMap<PointKey, Vec<String>>,
-    /// Total simulation events processed by runs charged to this cache
-    /// (cache hits and journal hits add nothing — the run already
-    /// happened).
+    entries: rustc_hash::FxHashMap<PointKey, Result<FctSummary, Vec<String>>>,
+    /// Total simulation events processed by the runs pooled into this
+    /// cache (cache hits and journal hits add nothing — the run already
+    /// happened — and neither do the surviving seeds of a quarantined
+    /// point).
     pub events: u64,
 }
 
@@ -405,41 +452,43 @@ impl PointCache {
         PointCache::default()
     }
 
+    /// Keyed like the journal: two topologies share an entry only if they
+    /// share a [`topology_tag`].
     fn key(scheme: &Scheme, topology: TopologyKind, load: f64) -> PointKey {
-        (scheme.label().to_string(), topology == TopologyKind::Asymmetric, (load * 1000.0).round() as u64)
+        (scheme.label().to_string(), topology_tag(topology), per_mille(load))
     }
 
     /// Fetch or compute a point; `None` means the point is quarantined
     /// (see [`PointCache::quarantine_lines`] for why).
     pub fn point(&mut self, scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> Option<FctSummary> {
         self.prefetch(std::slice::from_ref(scheme), topology, &[load], cfg);
-        self.entries.get(&Self::key(scheme, topology, load)).cloned().flatten()
+        self.entries[&Self::key(scheme, topology, load)].clone().ok()
     }
 
     /// The per-seed quarantine reasons for a point (empty when the point
     /// completed cleanly).
     pub fn quarantine_lines(&self, scheme: &Scheme, topology: TopologyKind, load: f64) -> &[String] {
-        self.quarantined.get(&Self::key(scheme, topology, load)).map(Vec::as_slice).unwrap_or(&[])
+        match self.entries.get(&Self::key(scheme, topology, load)) {
+            Some(Err(lines)) => lines,
+            _ => &[],
+        }
     }
 
-    /// Compute every missing `(scheme, load)` point of a figure in one flat
-    /// `(scheme, load, seed)` fan-out, so parallelism spans the whole
-    /// matrix rather than just the seeds of one point.
+    /// Compute every missing `(scheme, load)` point of a figure in one
+    /// `run_seeded` fan-out.
     ///
-    /// Results are folded grouped in cell order (scheme-major, then load,
-    /// then seed) — exactly the order the serial [`point`] path merges in,
-    /// so a prefetched cache is indistinguishable from a serially filled
-    /// one. A point with any quarantined seed becomes a `None` entry: a
-    /// partial seed pool would silently shift the statistics.
+    /// Points are pooled scheme-major, then load, then seed — exactly the
+    /// order the serial [`point`] path merges in, so a prefetched cache is
+    /// indistinguishable from a serially filled one.
     ///
     /// [`point`]: PointCache::point
     pub fn prefetch(&mut self, schemes: &[Scheme], topology: TopologyKind, loads: &[f64], cfg: &ExpConfig) {
-        let mut missing: Vec<(usize, f64)> = Vec::new();
-        for (si, scheme) in schemes.iter().enumerate() {
+        let mut missing: Vec<(&Scheme, f64)> = Vec::new();
+        for scheme in schemes {
             for &load in loads {
                 let key = Self::key(scheme, topology, load);
-                if !self.entries.contains_key(&key) && !missing.iter().any(|&(mi, ml)| Self::key(&schemes[mi], topology, ml) == key) {
-                    missing.push((si, load));
+                if !self.entries.contains_key(&key) && !missing.iter().any(|&(s, l)| Self::key(s, topology, l) == key) {
+                    missing.push((scheme, load));
                 }
             }
         }
@@ -447,52 +496,27 @@ impl PointCache {
             return;
         }
         let dist = web_search();
-        let cells: Vec<(usize, f64, u64)> = missing.iter().flat_map(|&(si, load)| (0..cfg.seeds).map(move |s| (si, load, 1000 + s as u64))).collect();
-        let (outcomes, _) = run_cells(
-            "rpc",
-            &cells,
-            cfg,
+        let sweep: Sweep<'_, (&Scheme, f64)> = Sweep {
+            scope: "rpc",
+            seed_base: RPC_SEED_BASE,
             // Heavier schemes at higher load run longest (fig8b/fig9's
             // CONGA @ 90% cell dominates the matrix) — start them first.
-            |&(si, load, _)| schemes[si].cost_weight() * (1.0 + load),
-            |&(si, load, seed)| {
-                format!("rpc|{}|{}|load{}|seed{}|{}", schemes[si].label(), topology_tag(topology), (load * 1000.0).round() as u64, seed, cfg.key_fragment())
-            },
-            |&(si, load, seed), control| {
-                let s = scenario(schemes[si].clone(), topology, load, seed, cfg, Some(control));
-                let out = run_rpc_checked(&s, &dist);
-                (out.fct, out.events)
-            },
-        );
-        let per_point = cfg.seeds as usize;
-        for (pi, &(si, load)) in missing.iter().enumerate() {
-            let mut pooled: Option<FctSummary> = None;
-            let mut bad = Vec::new();
-            for (off, outcome) in outcomes[pi * per_point..(pi + 1) * per_point].iter().enumerate() {
-                match outcome {
-                    CellOutcome::Ok((fct, events)) => {
-                        self.events += events;
-                        match pooled.as_mut() {
-                            None => pooled = Some(fct.clone()),
-                            Some(p) => p.merge(fct),
-                        }
-                    }
-                    other => {
-                        let cell = format!("{} @ {:.0}% load ({})", schemes[si].label(), load * 100.0, topology_tag(topology));
-                        let seed = 1000 + off as u64;
-                        let spec = rpc_cell_spec(&schemes[si], topology, load, seed, cfg);
-                        let snap = quarantine_snapshot("rpc", &cell, seed, &other.describe(), spec);
-                        bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
-                    }
-                }
-            }
-            let key = Self::key(&schemes[si], topology, load);
-            if bad.is_empty() {
-                self.entries.insert(key, Some(pooled.expect("at least one seed")));
-            } else {
-                self.quarantined.insert(key.clone(), bad);
-                self.entries.insert(key, None);
-            }
+            cost: &|&(scheme, load)| scheme.cost_weight() * (1.0 + load),
+            tag: &|&(scheme, load)| format!("{}|{}|load{}", scheme.label(), topology_tag(topology), per_mille(load)),
+            label: &|&(scheme, load)| format!("{} @ {:.0}% load ({})", scheme.label(), load * 100.0, topology_tag(topology)),
+            replay: &|&(scheme, load), seed| rpc_cell_spec(scheme, topology, load, seed, cfg),
+        };
+        let results = run_seeded(&sweep, &missing, cfg, |&(scheme, load), seed, control| {
+            let s = scenario(scheme.clone(), topology, load, seed, cfg, Some(control));
+            let out = run_rpc_checked(&s, &dist);
+            (out.fct, out.events)
+        });
+        for (&(scheme, load), result) in missing.iter().zip(results) {
+            let pooled = result.map(|seeds| {
+                self.events += seeds.iter().map(|(_, events)| events).sum::<u64>();
+                pool_fct(seeds.into_iter().map(|(fct, _)| fct))
+            });
+            self.entries.insert(Self::key(scheme, topology, load), pooled);
         }
     }
 }
@@ -575,60 +599,25 @@ pub fn fig5c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
     rpc_figure("Fig 5c — asymmetric, p99 FCT (s)", TopologyKind::Asymmetric, &testbed_schemes(TopologyKind::Asymmetric), loads, cfg, cache, |s| s.p99())
 }
 
-/// Figure 6: Clove-ECN parameter sensitivity on the asymmetric topology.
-/// Series: (flowlet-gap multiplier × RTT, ECN threshold in packets).
-pub fn fig6(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    let variants: [(&str, f64, u32); 4] =
-        [("Clove-best (1*RTT, 20pkts)", 1.0, 20), ("Clove (0.2*RTT, 20pkts)", 0.2, 20), ("Clove (5*RTT, 20pkts)", 5.0, 20), ("Clove (1*RTT, 40pkts)", 1.0, 40)];
-    let dist = web_search();
-    // Flat (variant, load, seed) cells, folded variant-major in cell order.
-    let cells: Vec<(usize, f64, u64)> =
-        (0..variants.len()).flat_map(|vi| loads.iter().flat_map(move |&load| (0..cfg.seeds).map(move |s| (vi, load, 2000 + s as u64)))).collect();
-    let (outcomes, _) = run_cells(
-        "fig6",
-        &cells,
-        cfg,
-        // Same scheme everywhere: cost scales with offered load alone.
-        |&(_, load, _)| 1.0 + load,
-        |&(vi, load, seed)| format!("fig6|{}|load{}|seed{}|{}", variants[vi].0, (load * 1000.0).round() as u64, seed, cfg.key_fragment()),
-        |&(vi, load, seed), control| {
-            let (_, gap_mult, ecn_pkts) = variants[vi];
-            let mut s = scenario(Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg, Some(control));
-            // Multipliers are relative to the default gap (≈ the loaded RTT,
-            // the paper's "1×RTT best" operating point).
-            s.profile.flowlet_gap = Duration::from_secs_f64(s.profile.flowlet_gap.as_secs_f64() * gap_mult);
-            s.profile.ecn_threshold_pkts = ecn_pkts;
-            run_rpc_checked(&s, &dist).fct
-        },
-    );
-    let mut table = FigureTable::new("Fig 6 — Clove-ECN parameter sensitivity, asymmetric, avg FCT (s)", "load %", loads.iter().map(|l| l * 100.0).collect());
-    let per_point = cfg.seeds as usize;
-    let mut chunks = outcomes.chunks(per_point);
-    for (name, _, _) in variants {
-        let mut ys = Vec::new();
-        for &load in loads {
-            let chunk = chunks.next().expect("cell count matches variants × loads");
-            let mut pooled: Option<FctSummary> = None;
-            let mut bad = Vec::new();
-            for (off, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    CellOutcome::Ok(fct) => match pooled.as_mut() {
-                        None => pooled = Some(fct.clone()),
-                        Some(p) => p.merge(fct),
-                    },
-                    other => {
-                        let cell = format!("{name} @ {:.0}% load", load * 100.0);
-                        let seed = 2000 + off as u64;
-                        let snap = quarantine_snapshot("fig6", &cell, seed, &other.describe(), None);
-                        bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
-                    }
+/// Assemble a series-major figure from its `series × table.xs` points:
+/// each point goes through `reduce`; a quarantined point becomes `NaN`
+/// plus its footer lines.
+fn series_table<T>(
+    mut table: FigureTable,
+    series: &[&str],
+    points: impl IntoIterator<Item = Result<T, Vec<String>>>,
+    reduce: impl Fn(T) -> f64,
+) -> FigureTable {
+    let mut points = points.into_iter();
+    for &name in series {
+        let mut ys = Vec::with_capacity(table.xs.len());
+        for _ in 0..table.xs.len() {
+            match points.next().expect("one point per (series, x)") {
+                Ok(point) => ys.push(reduce(point)),
+                Err(bad) => {
+                    ys.push(f64::NAN);
+                    table.quarantined.extend(bad);
                 }
-            }
-            if bad.is_empty() {
-                ys.push(pooled.expect("seed ran").avg());
-            } else {
-                ys.push(f64::NAN);
-                table.quarantined.extend(bad);
             }
         }
         table.push_series(name, ys);
@@ -636,56 +625,55 @@ pub fn fig6(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
     table
 }
 
+/// Figure 6: Clove-ECN parameter sensitivity on the asymmetric topology.
+/// Series: (flowlet-gap multiplier × RTT, ECN threshold in packets).
+pub fn fig6(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
+    let variants: [(&str, f64, u32); 4] =
+        [("Clove-best (1*RTT, 20pkts)", 1.0, 20), ("Clove (0.2*RTT, 20pkts)", 0.2, 20), ("Clove (5*RTT, 20pkts)", 5.0, 20), ("Clove (1*RTT, 40pkts)", 1.0, 40)];
+    let dist = web_search();
+    let points: Vec<((&str, f64, u32), f64)> = variants.iter().flat_map(|&v| loads.iter().map(move |&load| (v, load))).collect();
+    let sweep = Sweep {
+        scope: "fig6",
+        seed_base: 2000,
+        // Same scheme everywhere: cost scales with offered load alone.
+        cost: &|&(_, load)| 1.0 + load,
+        tag: &|&((name, _, _), load)| format!("{name}|load{}", per_mille(load)),
+        label: &|&((name, _, _), load)| format!("{name} @ {:.0}% load", load * 100.0),
+        replay: &|_, _| None,
+    };
+    let results = run_seeded(&sweep, &points, cfg, |&((_, gap_mult, ecn_pkts), load), seed, control| {
+        let mut s = scenario(Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg, Some(control));
+        // Multipliers are relative to the default gap (≈ the loaded RTT,
+        // the paper's "1×RTT best" operating point).
+        s.profile.flowlet_gap = Duration::from_secs_f64(s.profile.flowlet_gap.as_secs_f64() * gap_mult);
+        s.profile.ecn_threshold_pkts = ecn_pkts;
+        run_rpc_checked(&s, &dist).fct
+    });
+    let table = FigureTable::new("Fig 6 — Clove-ECN parameter sensitivity, asymmetric, avg FCT (s)", "load %", loads.iter().map(|l| l * 100.0).collect());
+    series_table(table, &variants.map(|(name, _, _)| name), results, |fcts| pool_fct(fcts).avg())
+}
+
 /// Figure 7: incast — client goodput (Gbps) vs request fan-in.
 pub fn fig7(fanouts: &[u32], requests: u32, cfg: &ExpConfig) -> FigureTable {
     let schemes = [Scheme::CloveEcn, Scheme::EdgeFlowlet, Scheme::Mptcp { subflows: 4 }];
-    // Flat (scheme, fanout, seed) cells, folded scheme-major in cell order.
-    let cells: Vec<(usize, u32, u64)> =
-        (0..schemes.len()).flat_map(|si| fanouts.iter().flat_map(move |&fanout| (0..cfg.seeds).map(move |s| (si, fanout, 3000 + s as u64)))).collect();
-    let (outcomes, _) = run_cells(
-        "fig7",
-        &cells,
-        cfg,
+    let points: Vec<(&Scheme, u32)> = schemes.iter().flat_map(|scheme| fanouts.iter().map(move |&fanout| (scheme, fanout))).collect();
+    let sweep: Sweep<'_, (&Scheme, u32)> = Sweep {
+        scope: "fig7",
+        seed_base: 3000,
         // Incast cost grows with fan-in (more servers, more packets).
-        |&(si, fanout, _)| schemes[si].cost_weight() * fanout as f64,
-        |&(si, fanout, seed)| format!("fig7|{}|fanout{fanout}|req{requests}|seed{seed}|{}", schemes[si].label(), cfg.key_fragment()),
-        |&(si, fanout, seed), control| {
-            let s = scenario(schemes[si].clone(), TopologyKind::Symmetric, 0.5, seed, cfg, Some(control));
-            let out = s.run_incast(fanout, requests, 10_000_000);
-            assert!(out.invariant_violations == 0, "{} invariant violations in incast {} (seed {})", out.invariant_violations, schemes[si].label(), seed);
-            out.goodput_bps / 1e9
-        },
-    );
-    let mut table = FigureTable::new("Fig 7 — incast: client goodput (Gbps) vs request fan-in", "fan-in", fanouts.iter().map(|&f| f as f64).collect());
-    let per_point = cfg.seeds as usize;
-    let mut chunks = outcomes.chunks(per_point);
-    for scheme in &schemes {
-        let mut ys = Vec::new();
-        for &fanout in fanouts {
-            let chunk = chunks.next().expect("cell count matches schemes × fanouts");
-            let mut sum = 0.0;
-            let mut bad = Vec::new();
-            for (off, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    CellOutcome::Ok(gbps) => sum += gbps,
-                    other => {
-                        let cell = format!("{} @ fan-in {fanout}", scheme.label());
-                        let seed = 3000 + off as u64;
-                        let snap = quarantine_snapshot("fig7", &cell, seed, &other.describe(), None);
-                        bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
-                    }
-                }
-            }
-            if bad.is_empty() {
-                ys.push(sum / cfg.seeds as f64);
-            } else {
-                ys.push(f64::NAN);
-                table.quarantined.extend(bad);
-            }
-        }
-        table.push_series(scheme.label(), ys);
-    }
-    table
+        cost: &|&(scheme, fanout)| scheme.cost_weight() * fanout as f64,
+        tag: &|&(scheme, fanout)| format!("{}|fanout{fanout}|req{requests}", scheme.label()),
+        label: &|&(scheme, fanout)| format!("{} @ fan-in {fanout}", scheme.label()),
+        replay: &|_, _| None,
+    };
+    let results = run_seeded(&sweep, &points, cfg, |&(scheme, fanout), seed, control| {
+        let s = scenario(scheme.clone(), TopologyKind::Symmetric, 0.5, seed, cfg, Some(control));
+        let out = s.run_incast(fanout, requests, 10_000_000);
+        assert!(out.invariant_violations == 0, "{} invariant violations in incast {} (seed {})", out.invariant_violations, scheme.label(), seed);
+        out.goodput_bps / 1e9
+    });
+    let table = FigureTable::new("Fig 7 — incast: client goodput (Gbps) vs request fan-in", "fan-in", fanouts.iter().map(|&f| f as f64).collect());
+    series_table(table, &schemes.each_ref().map(Scheme::label), results, |gbps| gbps.iter().fold(0.0, |sum, g| sum + g) / cfg.seeds as f64)
 }
 
 /// Figure 8a: simulation scheme set, symmetric topology, avg FCT vs load.
@@ -730,57 +718,6 @@ pub fn fig9_cached(cfg: &ExpConfig, cache: &mut PointCache) -> Vec<(String, Vec<
             }
         })
         .collect()
-}
-
-/// One fault case of the resilience sweep. Every case hits the paper's
-/// S2–L2 cable ([`CableSelector::S2_L2`]) mid-run on the otherwise
-/// symmetric testbed topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultCase {
-    /// No fault — the per-scheme baseline the others are normalized to.
-    Clean,
-    /// One announced cut, never restored (the paper's asymmetry, but
-    /// arriving mid-run).
-    SingleCut,
-    /// A silent flap: repeated down/up cycles the control plane never
-    /// sees — the gray failure edge probing exists for.
-    Flapping,
-    /// Line rate silently halved.
-    Degraded,
-    /// 1% silent stochastic packet loss.
-    RandomLoss,
-}
-
-impl FaultCase {
-    /// Every case, clean first (the sweep relies on that ordering to have
-    /// the baseline before computing degradations).
-    pub const ALL: [FaultCase; 5] = [FaultCase::Clean, FaultCase::SingleCut, FaultCase::Flapping, FaultCase::Degraded, FaultCase::RandomLoss];
-
-    /// Stable report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultCase::Clean => "clean",
-            FaultCase::SingleCut => "single-cut",
-            FaultCase::Flapping => "flapping",
-            FaultCase::Degraded => "50%-degraded",
-            FaultCase::RandomLoss => "1%-loss",
-        }
-    }
-
-    /// The fault timeline for this case, anchored at `at`. Flap cycles are
-    /// sized in probe intervals so the detection race (blackhole_rounds
-    /// consecutive truncated rounds vs. the down span) scales with the
-    /// profile: down for 4 intervals, up for 2, twice.
-    pub fn plan(self, at: Time, probe_interval: Duration) -> FaultPlan {
-        let cable = CableSelector::S2_L2;
-        match self {
-            FaultCase::Clean => FaultPlan::none(),
-            FaultCase::SingleCut => FaultPlan::cut(at, cable),
-            FaultCase::Flapping => FaultPlan::flap(at, cable, probe_interval * 6, 2.0 / 3.0, 2),
-            FaultCase::Degraded => FaultPlan::degrade(at, cable, 0.5),
-            FaultCase::RandomLoss => FaultPlan::loss(at, cable, 0.01),
-        }
-    }
 }
 
 /// The schemes the resilience sweep covers: the union of the testbed and
@@ -847,143 +784,181 @@ fn control_stats_from_json(v: &Json) -> Result<ControlFaultStats, String> {
     })
 }
 
-/// Per-run payload of one resilience cell, pre-fold.
-struct ResilienceRun {
+/// Per-run payload of one fault-sweep cell, pre-fold.
+struct FaultRun {
     fct: FctSummary,
     evictions: u64,
     fault_stats: FaultStats,
+    control: ControlFaultStats,
     recovery: Option<Duration>,
 }
 
-impl JournalValue for ResilienceRun {
+impl JournalValue for FaultRun {
     fn to_journal(&self) -> Json {
         Json::Obj(vec![
             ("fct".into(), self.fct.to_journal()),
             ("evictions".into(), self.evictions.to_journal()),
             ("fault_stats".into(), fault_stats_to_json(&self.fault_stats)),
+            ("control".into(), control_stats_to_json(&self.control)),
             ("recovery".into(), journal::opt_duration_to_json(self.recovery)),
         ])
     }
-    fn from_journal(v: &Json) -> Result<ResilienceRun, String> {
-        Ok(ResilienceRun {
+    fn from_journal(v: &Json) -> Result<FaultRun, String> {
+        Ok(FaultRun {
             fct: FctSummary::from_journal(journal::field(v, "fct")?)?,
             evictions: journal::deu64(journal::field(v, "evictions")?)?,
             fault_stats: fault_stats_from_json(journal::field(v, "fault_stats")?)?,
+            control: control_stats_from_json(journal::field(v, "control")?)?,
             recovery: journal::opt_duration_from_json(journal::field(v, "recovery")?)?,
         })
     }
 }
 
-/// The resilience sweep: `{clean, single-cut, flapping, 50%-degraded,
-/// 1%-loss}` × `schemes` at 60% load on the symmetric testbed topology,
-/// reporting average FCT, degradation vs. the scheme's clean run, recovery
-/// time and the fabric's fault damage. Probing is tightened to 5 ms rounds
-/// so detection happens on the timescale of the faults.
-///
-/// A quarantined `(scheme, case)` cell renders as a row of `NaN`s plus a
-/// footer line; when the *clean* baseline of a scheme is quarantined, the
-/// degradation column of its other cases is `NaN` as well (there is
-/// nothing sound to normalize against).
-pub fn resilience(schemes: &[Scheme], cfg: &ExpConfig) -> ResilienceTable {
+/// One case of a fault sweep. The first case of every sweep is the clean
+/// baseline the others are normalized to.
+struct SweepCase {
+    /// The row's `case` cell and the case's name in quarantine footers.
+    label: String,
+    /// The case's journal-key segment.
+    tag: String,
+    /// Inject the case into an otherwise clean scenario.
+    apply: Box<dyn Fn(&mut Scenario) + Send + Sync>,
+}
+
+/// What tells the three fault sweeps apart.
+struct FaultSweep {
+    /// Journal scope (`figures -- <scope>`).
+    scope: &'static str,
+    seed_base: u64,
+    /// Caption up to the fault time, e.g. "Resilience — S2-L2 faults at".
+    title: &'static str,
+    columns: &'static [FaultColumn],
+    /// A `(scheme, case)` cell's name in quarantine footers.
+    cell_label: fn(&str, &str) -> String,
+    /// Clean baseline first.
+    cases: Vec<SweepCase>,
+}
+
+/// Load every fault sweep runs at, on the symmetric testbed topology.
+const FAULT_SWEEP_LOAD: f64 = 0.6;
+
+/// The one fault sweep: `sweep.cases × schemes` at 60% load on the
+/// symmetric testbed topology, every case injected at
+/// [`RESILIENCE_FAULT_AT`]. Probing is tightened to 5 ms rounds so
+/// detection, re-discovery and staleness horizons are all crossed on the
+/// timescale of the faults.
+fn fault_sweep(sweep: FaultSweep, schemes: &[Scheme], cfg: &ExpConfig) -> FaultTable {
     let dist = web_search();
-    let load = 0.6;
-    // Flat (scheme, case, seed) cells, folded scheme-major (cases in
-    // FaultCase::ALL order so `clean` arrives first) in cell order.
-    let cells: Vec<(usize, usize, u64)> =
-        (0..schemes.len()).flat_map(|si| (0..FaultCase::ALL.len()).flat_map(move |ci| (0..cfg.seeds).map(move |s| (si, ci, 4000 + s as u64)))).collect();
-    let (outcomes, _) = run_cells(
-        "resilience",
-        &cells,
-        cfg,
+    // Scheme-major, cases in list order so the clean baseline folds first.
+    let points: Vec<(&Scheme, &SweepCase)> = schemes.iter().flat_map(|scheme| sweep.cases.iter().map(move |case| (scheme, case))).collect();
+    let seeded: Sweep<'_, (&Scheme, &SweepCase)> = Sweep {
+        scope: sweep.scope,
+        seed_base: sweep.seed_base,
         // All cells share one load; scheme weight dominates wall time.
-        |&(si, _, _)| schemes[si].cost_weight(),
-        |&(si, ci, seed)| format!("resilience|{}|{}|seed{seed}|{}", schemes[si].label(), FaultCase::ALL[ci].label(), cfg.key_fragment()),
-        |&(si, ci, seed), control| {
-            let mut s = scenario(schemes[si].clone(), TopologyKind::Symmetric, load, seed, cfg, Some(control));
-            s.profile.probe_interval = Duration::from_millis(5);
-            s.faults = FaultCase::ALL[ci].plan(RESILIENCE_FAULT_AT, s.profile.probe_interval);
-            let out = run_rpc_checked(&s, &dist);
-            ResilienceRun { fct: out.fct, evictions: out.path_evictions, fault_stats: out.fault_stats, recovery: out.recovery }
-        },
-    );
-    let mut table =
-        ResilienceTable::new(format!("Resilience — S2-L2 faults at {} ms, symmetric, {:.0}% load", RESILIENCE_FAULT_AT.0 / 1_000_000, load * 100.0));
-    let cases: Vec<&'static str> = FaultCase::ALL.iter().map(|c| c.label()).collect();
-    fold_damage_rows(&mut table, "resilience", schemes, &cases, &outcomes, cfg.seeds as usize, 4000);
+        cost: &|&(scheme, _)| scheme.cost_weight(),
+        tag: &|&(scheme, case)| format!("{}|{}", scheme.label(), case.tag),
+        label: &|&(scheme, case)| (sweep.cell_label)(scheme.label(), &case.label),
+        replay: &|_, _| None,
+    };
+    let results = run_seeded(&seeded, &points, cfg, |&(scheme, case), seed, control| {
+        let mut s = scenario(scheme.clone(), TopologyKind::Symmetric, FAULT_SWEEP_LOAD, seed, cfg, Some(control));
+        s.profile.probe_interval = Duration::from_millis(5);
+        (case.apply)(&mut s);
+        let out = run_rpc_checked(&s, &dist);
+        FaultRun { fct: out.fct, evictions: out.path_evictions, fault_stats: out.fault_stats, control: out.control_stats, recovery: out.recovery }
+    });
+    let title = format!("{} {} ms, symmetric, {:.0}% load", sweep.title, RESILIENCE_FAULT_AT.0 / 1_000_000, FAULT_SWEEP_LOAD * 100.0);
+    let mut table = FaultTable::new(title, sweep.columns);
+    let cases: Vec<&str> = sweep.cases.iter().map(|c| c.label.as_str()).collect();
+    (table.rows, table.quarantined) = fold_fault_rows(schemes, &cases, results);
     table
 }
 
-/// Fold the `(scheme, case, seed)` outcomes of a damage sweep into table
-/// rows, scheme-major with the clean baseline first in each scheme's case
-/// list. Shared by [`resilience`] and [`recovery`]; the fold consumes
-/// outcomes in cell order, so the resulting table is byte-identical at any
-/// `--jobs` width.
-fn fold_damage_rows(
-    table: &mut ResilienceTable,
-    scope: &str,
-    schemes: &[Scheme],
-    cases: &[&'static str],
-    outcomes: &[CellOutcome<ResilienceRun>],
-    per_point: usize,
-    seed_base: u64,
-) {
-    let mut chunks = outcomes.chunks(per_point);
+/// `v` relative to the scheme's clean `base`; `NaN` if either is missing.
+fn ratio_to_clean(v: f64, base: f64) -> f64 {
+    if v.is_nan() || base.is_nan() {
+        f64::NAN
+    } else if base > 0.0 {
+        v / base
+    } else {
+        1.0
+    }
+}
+
+/// Fold a fault sweep's `schemes × cases` points (scheme-major, each
+/// scheme's clean case first) into rows plus quarantine footer lines.
+///
+/// A quarantined `(scheme, case)` point renders as `NaN` FCTs with zeroed
+/// damage counters; when the *clean* baseline of a scheme is quarantined,
+/// the ratio columns of its other cases are `NaN` as well (there is
+/// nothing sound to normalize against).
+fn fold_fault_rows(schemes: &[Scheme], cases: &[&str], results: Vec<PointResult<FaultRun>>) -> (Vec<FaultRow>, Vec<String>) {
+    let (mut rows, mut quarantined) = (Vec::new(), Vec::new());
+    let mut results = results.into_iter();
     for scheme in schemes {
-        let mut clean_avg = None;
+        let mut clean: Option<(f64, f64)> = None;
         for &case in cases {
-            let chunk = chunks.next().expect("cell count matches schemes × cases");
-            let mut pooled: Option<FctSummary> = None;
-            let mut evictions = 0u64;
-            let mut stats = FaultStats::default();
-            let mut recovered_ms = Vec::new();
-            let mut bad = Vec::new();
-            for (off, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    CellOutcome::Ok(run) => {
-                        evictions += run.evictions;
-                        stats.absorb(&run.fault_stats);
-                        if let Some(r) = run.recovery {
-                            recovered_ms.push(r.as_secs_f64() * 1e3);
-                        }
-                        match pooled.as_mut() {
-                            None => pooled = Some(run.fct.clone()),
-                            Some(p) => p.merge(&run.fct),
-                        }
+            let mut row =
+                FaultRow { case: case.to_string(), scheme: scheme.label().to_string(), avg_fct_s: f64::NAN, p99_fct_s: f64::NAN, ..FaultRow::default() };
+            match results.next().expect("one result per (scheme, case) point") {
+                Ok(runs) => {
+                    for run in &runs {
+                        row.path_evictions += run.evictions;
+                        row.stats.absorb(&run.fault_stats);
+                        row.control.absorb(&run.control);
                     }
-                    other => {
-                        let cell = format!("{} / {}", scheme.label(), case);
-                        let seed = seed_base + off as u64;
-                        let snap = quarantine_snapshot(scope, &cell, seed, &other.describe(), None);
-                        bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
+                    let recovered_ms: Vec<f64> = runs.iter().filter_map(|run| run.recovery).map(|r| r.as_secs_f64() * 1e3).collect();
+                    if !recovered_ms.is_empty() {
+                        row.recovery_ms = Some(recovered_ms.iter().sum::<f64>() / recovered_ms.len() as f64);
                     }
+                    let mut fct = pool_fct(runs.into_iter().map(|run| run.fct));
+                    (row.avg_fct_s, row.p99_fct_s) = (fct.avg(), fct.p99());
                 }
+                Err(bad) => quarantined.extend(bad),
             }
-            let avg = if bad.is_empty() { pooled.expect("at least one seed").avg() } else { f64::NAN };
-            if !bad.is_empty() {
-                table.quarantined.extend(bad);
-                evictions = 0;
-                stats = FaultStats::default();
-                recovered_ms.clear();
-            }
-            let clean = *clean_avg.get_or_insert(avg);
-            let degradation = if avg.is_nan() || clean.is_nan() {
-                f64::NAN
-            } else if clean > 0.0 {
-                avg / clean
-            } else {
-                1.0
-            };
-            table.rows.push(ResilienceRow {
-                case: case.into(),
-                scheme: scheme.label().to_string(),
-                avg_fct_s: avg,
-                degradation,
-                recovery_ms: if recovered_ms.is_empty() { None } else { Some(recovered_ms.iter().sum::<f64>() / recovered_ms.len() as f64) },
-                path_evictions: evictions,
-                stats,
-            });
+            let (clean_avg, clean_p99) = *clean.get_or_insert((row.avg_fct_s, row.p99_fct_s));
+            row.avg_ratio = ratio_to_clean(row.avg_fct_s, clean_avg);
+            row.p99_ratio = ratio_to_clean(row.p99_fct_s, clean_p99);
+            rows.push(row);
         }
     }
+    (rows, quarantined)
+}
+
+/// The resilience sweep: `{clean, single-cut, flapping, 50%-degraded,
+/// 1%-loss}` × `schemes` (`fault_sweep`), reporting average FCT,
+/// degradation vs. the scheme's clean run, recovery time and the fabric's
+/// fault damage. Every case hits the paper's S2–L2 cable
+/// ([`CableSelector::S2_L2`]) mid-run.
+pub fn resilience(schemes: &[Scheme], cfg: &ExpConfig) -> FaultTable {
+    const AT: Time = RESILIENCE_FAULT_AT;
+    const CABLE: CableSelector = CableSelector::S2_L2;
+    /// A case's fault timeline, given the scenario's probe interval.
+    type Plan = fn(Duration) -> FaultPlan;
+    let cases: [(&str, Plan); 5] = [
+        ("clean", |_| FaultPlan::none()),
+        // One announced cut, never restored (the paper's asymmetry, but
+        // arriving mid-run).
+        ("single-cut", |_| FaultPlan::cut(AT, CABLE)),
+        // A silent flap — the gray failure edge probing exists for. Cycles
+        // are sized in probe intervals so the detection race
+        // (blackhole_rounds consecutive truncated rounds vs. the down span)
+        // scales with the profile: down for 4 intervals, up for 2, twice.
+        ("flapping", |probe_interval| FaultPlan::flap(AT, CABLE, probe_interval * 6, 2.0 / 3.0, 2)),
+        ("50%-degraded", |_| FaultPlan::degrade(AT, CABLE, 0.5)),
+        ("1%-loss", |_| FaultPlan::loss(AT, CABLE, 0.01)),
+    ];
+    let cases =
+        cases.map(|(label, plan)| SweepCase { label: label.into(), tag: label.into(), apply: Box::new(move |s| s.faults = plan(s.profile.probe_interval)) });
+    let sweep = FaultSweep {
+        scope: "resilience",
+        seed_base: 4000,
+        title: "Resilience — S2-L2 faults at",
+        columns: DAMAGE_COLUMNS,
+        cell_label: |scheme, case| format!("{scheme} / {case}"),
+        cases: cases.into(),
+    };
+    fault_sweep(sweep, schemes, cfg)
 }
 
 /// One node-fault case of the recovery matrix. Every case crashes whole
@@ -1057,41 +1032,28 @@ impl RecoveryCase {
 }
 
 /// The recovery-conformance matrix: `{clean, tor-reboot, spine-reboot,
-/// host-crash-warm, host-crash-cold, rolling-tor}` × `schemes` at 60% load
-/// on the symmetric testbed topology, reporting time-to-recover and the
-/// SLO damage ledger (FCT degradation vs. the scheme's clean run, drops,
-/// down time, evictions). Node faults lower to their incident cable sets
-/// plus the restart-semantics events (`clove_net::fault` module docs);
-/// cold restarts additionally flush switch LB tables or the whole vswitch
-/// (flowlets, WRR weights, discovery selections). Probing is tightened to
-/// 5 ms rounds so re-discovery happens on the timescale of the reboots.
-pub fn recovery(schemes: &[Scheme], cfg: &ExpConfig) -> ResilienceTable {
-    let dist = web_search();
-    let load = 0.6;
-    // Flat (scheme, case, seed) cells, folded scheme-major (cases in
-    // RecoveryCase::ALL order so `clean` arrives first) in cell order.
-    let cells: Vec<(usize, usize, u64)> =
-        (0..schemes.len()).flat_map(|si| (0..RecoveryCase::ALL.len()).flat_map(move |ci| (0..cfg.seeds).map(move |s| (si, ci, 6000 + s as u64)))).collect();
-    let (outcomes, _) = run_cells(
-        "recovery",
-        &cells,
-        cfg,
-        // All cells share one load; scheme weight dominates wall time.
-        |&(si, _, _)| schemes[si].cost_weight(),
-        |&(si, ci, seed)| format!("recovery|{}|{}|seed{seed}|{}", schemes[si].label(), RecoveryCase::ALL[ci].label(), cfg.key_fragment()),
-        |&(si, ci, seed), control| {
-            let mut s = scenario(schemes[si].clone(), TopologyKind::Symmetric, load, seed, cfg, Some(control));
-            s.profile.probe_interval = Duration::from_millis(5);
-            s.faults = RecoveryCase::ALL[ci].plan(RESILIENCE_FAULT_AT);
-            let out = run_rpc_checked(&s, &dist);
-            ResilienceRun { fct: out.fct, evictions: out.path_evictions, fault_stats: out.fault_stats, recovery: out.recovery }
-        },
-    );
-    let mut table =
-        ResilienceTable::new(format!("Recovery — node crash-restarts at {} ms, symmetric, {:.0}% load", RESILIENCE_FAULT_AT.0 / 1_000_000, load * 100.0));
-    let cases: Vec<&'static str> = RecoveryCase::ALL.iter().map(|c| c.label()).collect();
-    fold_damage_rows(&mut table, "recovery", schemes, &cases, &outcomes, cfg.seeds as usize, 6000);
-    table
+/// host-crash-warm, host-crash-cold, rolling-tor}` × `schemes`
+/// (`fault_sweep`), reporting time-to-recover and the SLO damage ledger
+/// (FCT degradation vs. the scheme's clean run, drops, down time,
+/// evictions). Node faults lower to their incident cable sets plus the
+/// restart-semantics events (`clove_net::fault` module docs); cold restarts
+/// additionally flush switch LB tables or the whole vswitch (flowlets, WRR
+/// weights, discovery selections).
+pub fn recovery(schemes: &[Scheme], cfg: &ExpConfig) -> FaultTable {
+    let cases = RecoveryCase::ALL.iter().map(|&case| SweepCase {
+        label: case.label().into(),
+        tag: case.label().into(),
+        apply: Box::new(move |s| s.faults = case.plan(RESILIENCE_FAULT_AT)),
+    });
+    let sweep = FaultSweep {
+        scope: "recovery",
+        seed_base: 6000,
+        title: "Recovery — node crash-restarts at",
+        columns: DAMAGE_COLUMNS,
+        cell_label: |scheme, case| format!("{scheme} / {case}"),
+        cases: cases.collect(),
+    };
+    fault_sweep(sweep, schemes, cfg)
 }
 
 /// The control-loop loss rates the feedback-degradation sweep covers,
@@ -1099,142 +1061,39 @@ pub fn recovery(schemes: &[Scheme], cfg: &ExpConfig) -> ResilienceTable {
 /// before computing slowdowns).
 pub const FEEDBACK_LOSS_RATES: [f64; 5] = [0.0, 0.01, 0.05, 0.20, 0.50];
 
-/// Per-run payload of one feedback-degradation cell, pre-fold.
-struct FeedbackRun {
-    fct: FctSummary,
-    control: ControlFaultStats,
-    recovery: Option<Duration>,
-}
-
-impl JournalValue for FeedbackRun {
-    fn to_journal(&self) -> Json {
-        Json::Obj(vec![
-            ("fct".into(), self.fct.to_journal()),
-            ("control".into(), control_stats_to_json(&self.control)),
-            ("recovery".into(), journal::opt_duration_to_json(self.recovery)),
-        ])
-    }
-    fn from_journal(v: &Json) -> Result<FeedbackRun, String> {
-        Ok(FeedbackRun {
-            fct: FctSummary::from_journal(journal::field(v, "fct")?)?,
-            control: control_stats_from_json(journal::field(v, "control")?)?,
-            recovery: journal::opt_duration_from_json(journal::field(v, "recovery")?)?,
-        })
-    }
-}
-
 /// The feedback-degradation sweep: `{0, 1, 5, 20, 50}%` control-loop loss
 /// (probes, probe replies *and* congestion feedback all dropped at the
-/// rate, via [`ControlFaultPlan::lossy_control`]) × `schemes` at 60% load
-/// on the symmetric testbed topology. Reports average and p99 FCT slowdown
-/// vs. the scheme's clean run plus time-to-recover — the degradation
-/// ladder's report card: schemes that *depend* on feedback (Clove-ECN/INT)
-/// should degrade toward Edge-Flowlet, not below it.
+/// rate, via [`ControlFaultPlan::lossy_control`]) × `schemes`
+/// (`fault_sweep`). Reports average and p99 FCT slowdown vs. the scheme's
+/// clean run plus time-to-recover — the degradation ladder's report card:
+/// schemes that *depend* on feedback (Clove-ECN/INT) should degrade toward
+/// Edge-Flowlet, not below it.
 ///
 /// The data plane is untouched: only the control loop is damaged, so any
-/// slowdown is pure feedback starvation. Probing is tightened to 5 ms
-/// rounds, as in [`resilience`], so staleness horizons are crossed within
-/// the run.
-pub fn feedback_degradation(schemes: &[Scheme], cfg: &ExpConfig) -> FeedbackTable {
-    let dist = web_search();
-    let load = 0.6;
-    // Flat (scheme, rate, seed) cells, folded scheme-major (rates in
-    // FEEDBACK_LOSS_RATES order so the clean baseline arrives first) in
-    // cell order.
-    let cells: Vec<(usize, usize, u64)> =
-        (0..schemes.len()).flat_map(|si| (0..FEEDBACK_LOSS_RATES.len()).flat_map(move |ri| (0..cfg.seeds).map(move |s| (si, ri, 5000 + s as u64)))).collect();
-    let (outcomes, _) = run_cells(
-        "feedback",
-        &cells,
-        cfg,
-        // All cells share one load; scheme weight dominates wall time.
-        |&(si, _, _)| schemes[si].cost_weight(),
-        |&(si, ri, seed)| {
-            format!("feedback|{}|rate{}|seed{seed}|{}", schemes[si].label(), (FEEDBACK_LOSS_RATES[ri] * 1000.0).round() as u64, cfg.key_fragment())
-        },
-        |&(si, ri, seed), control| {
-            let mut s = scenario(schemes[si].clone(), TopologyKind::Symmetric, load, seed, cfg, Some(control));
-            s.profile.probe_interval = Duration::from_millis(5);
-            let rate = FEEDBACK_LOSS_RATES[ri];
+/// slowdown is pure feedback starvation.
+pub fn feedback_degradation(schemes: &[Scheme], cfg: &ExpConfig) -> FaultTable {
+    let cases = FEEDBACK_LOSS_RATES.iter().map(|&rate| SweepCase {
+        label: (rate * 100.0).to_string(),
+        tag: format!("rate{}", per_mille(rate)),
+        apply: Box::new(move |s| {
             if rate > 0.0 {
                 s.control_faults = ControlFaultPlan::lossy_control(RESILIENCE_FAULT_AT, rate);
             }
-            let out = run_rpc_checked(&s, &dist);
-            FeedbackRun { fct: out.fct, control: out.control_stats, recovery: out.recovery }
-        },
-    );
-    let mut table = FeedbackTable::new(format!(
-        "Feedback degradation — lossy control loop from {} ms, symmetric, {:.0}% load",
-        RESILIENCE_FAULT_AT.0 / 1_000_000,
-        load * 100.0
-    ));
-    let per_point = cfg.seeds as usize;
-    let mut chunks = outcomes.chunks(per_point);
-    for scheme in schemes {
-        let mut clean: Option<(f64, f64)> = None;
-        for rate in FEEDBACK_LOSS_RATES {
-            let chunk = chunks.next().expect("cell count matches schemes × rates");
-            let mut pooled: Option<FctSummary> = None;
-            let mut control = ControlFaultStats::default();
-            let mut recovered_ms = Vec::new();
-            let mut bad = Vec::new();
-            for (off, outcome) in chunk.iter().enumerate() {
-                match outcome {
-                    CellOutcome::Ok(run) => {
-                        control.absorb(&run.control);
-                        if let Some(r) = run.recovery {
-                            recovered_ms.push(r.as_secs_f64() * 1e3);
-                        }
-                        match pooled.as_mut() {
-                            None => pooled = Some(run.fct.clone()),
-                            Some(p) => p.merge(&run.fct),
-                        }
-                    }
-                    other => {
-                        let cell = format!("{} @ {:.0}% control loss", scheme.label(), rate * 100.0);
-                        let seed = 5000 + off as u64;
-                        let snap = quarantine_snapshot("feedback", &cell, seed, &other.describe(), None);
-                        bad.push(format!("{cell} seed {seed}: {}{snap}", other.describe()));
-                    }
-                }
-            }
-            let (avg, p99) = if bad.is_empty() {
-                let mut fct = pooled.expect("at least one seed");
-                (fct.avg(), fct.p99())
-            } else {
-                table.quarantined.extend(bad);
-                control = ControlFaultStats::default();
-                recovered_ms.clear();
-                (f64::NAN, f64::NAN)
-            };
-            let (clean_avg, clean_p99) = *clean.get_or_insert((avg, p99));
-            let slowdown = |v: f64, base: f64| {
-                if v.is_nan() || base.is_nan() {
-                    f64::NAN
-                } else if base > 0.0 {
-                    v / base
-                } else {
-                    1.0
-                }
-            };
-            table.rows.push(FeedbackRow {
-                rate_pct: rate * 100.0,
-                scheme: scheme.label().to_string(),
-                avg_fct_s: avg,
-                avg_slowdown: slowdown(avg, clean_avg),
-                p99_fct_s: p99,
-                p99_slowdown: slowdown(p99, clean_p99),
-                recovery_ms: if recovered_ms.is_empty() { None } else { Some(recovered_ms.iter().sum::<f64>() / recovered_ms.len() as f64) },
-                control,
-            });
-        }
-    }
-    table
+        }),
+    });
+    let sweep = FaultSweep {
+        scope: "feedback",
+        seed_base: 5000,
+        title: "Feedback degradation — lossy control loop from",
+        columns: FEEDBACK_COLUMNS,
+        cell_label: |scheme, pct| format!("{scheme} @ {pct}% control loss"),
+        cases: cases.collect(),
+    };
+    fault_sweep(sweep, schemes, cfg)
 }
 
 /// Shared driver for FCT-vs-load figures: prefetch the whole scheme × load
 /// matrix as one parallel fan-out, then assemble from cache hits.
-/// Quarantined points render as `NaN` with a footer line per failed seed.
 fn rpc_figure(
     title: &str,
     topology: TopologyKind,
@@ -1245,21 +1104,10 @@ fn rpc_figure(
     metric: impl Fn(&mut FctSummary) -> f64,
 ) -> FigureTable {
     cache.prefetch(schemes, topology, loads, cfg);
-    let mut table = FigureTable::new(title, "load %", loads.iter().map(|l| l * 100.0).collect());
-    for scheme in schemes {
-        let mut ys = Vec::new();
-        for &load in loads {
-            match cache.point(scheme, topology, load, cfg) {
-                Some(mut s) => ys.push(metric(&mut s)),
-                None => {
-                    ys.push(f64::NAN);
-                    table.quarantined.extend(cache.quarantine_lines(scheme, topology, load).iter().cloned());
-                }
-            }
-        }
-        table.push_series(scheme.label(), ys);
-    }
-    table
+    let table = FigureTable::new(title, "load %", loads.iter().map(|l| l * 100.0).collect());
+    let names: Vec<&str> = schemes.iter().map(Scheme::label).collect();
+    let points = schemes.iter().flat_map(|scheme| loads.iter().map(|&load| cache.entries[&PointCache::key(scheme, topology, load)].clone()));
+    series_table(table, &names, points, |mut fct| metric(&mut fct))
 }
 
 #[cfg(test)]
@@ -1271,6 +1119,85 @@ mod tests {
         assert_eq!(path_slug("Clove-ECN @ 70% load (asym)"), "Clove-ECN-70-load-asym");
         assert_eq!(path_slug("MPTCP/4 / single-cut"), "MPTCP-4-single-cut");
         assert_eq!(path_slug("---"), "");
+    }
+
+    #[test]
+    fn point_cache_keys_follow_the_journal_topology_tag() {
+        // Symmetric and fat-tree points have distinct journal keys; a cache
+        // that has seen one must not serve it for the other.
+        let key = |topology| PointCache::key(&Scheme::Ecmp, topology, 0.5);
+        assert_ne!(key(TopologyKind::Symmetric), key(TopologyKind::FatTree { k: 4 }));
+        assert_ne!(key(TopologyKind::FatTree { k: 4 }), key(TopologyKind::FatTree { k: 8 }));
+        assert_ne!(key(TopologyKind::Symmetric), key(TopologyKind::Asymmetric));
+        assert_eq!(key(TopologyKind::Asymmetric), PointCache::key(&Scheme::Ecmp, TopologyKind::Asymmetric, 0.5004));
+    }
+
+    #[test]
+    fn fold_point_keeps_seed_order_or_names_every_bad_seed() {
+        let no_snapshot = |_: u64, _: &str| -> String { panic!("an all-Ok point persists nothing") };
+        assert_eq!(fold_point(vec![CellOutcome::Ok(7), CellOutcome::Ok(3), CellOutcome::Ok(5)], 2000, "p", no_snapshot), Ok(vec![7, 3, 5]));
+
+        let mut persisted = Vec::new();
+        let outcomes =
+            vec![CellOutcome::Ok(1), CellOutcome::Panicked { msg: "boom".into(), attempts: 2 }, CellOutcome::Ok(2), CellOutcome::TimedOut { attempts: 1 }];
+        let folded = fold_point(outcomes, 4000, "ECMP / clean", |seed, reason| {
+            persisted.push((seed, reason.to_string()));
+            format!(" (snapshot: s{seed})")
+        });
+        assert_eq!(
+            folded,
+            Err(vec![
+                "ECMP / clean seed 4001: panicked after 2 attempt(s): boom (snapshot: s4001)".to_string(),
+                "ECMP / clean seed 4003: timed out (no progress past stall deadline) (snapshot: s4003)".to_string(),
+            ])
+        );
+        assert_eq!(persisted.iter().map(|(seed, _)| *seed).collect::<Vec<_>>(), [4001, 4003]);
+        assert!(persisted[0].1.contains("boom"));
+    }
+
+    /// A one-flow run whose FCT is `fct_s`, with one of every damage counter.
+    fn fault_run(fct_s: f64) -> FaultRun {
+        let mut fct = FctSummary { all: Default::default(), mice: Default::default(), elephants: Default::default(), incomplete: 0 };
+        fct.all.add(fct_s);
+        FaultRun {
+            fct,
+            evictions: 1,
+            fault_stats: FaultStats { drops_down: 1, faults_applied: 1, ..FaultStats::default() },
+            control: ControlFaultStats { probes_dropped: 1, ..ControlFaultStats::default() },
+            recovery: Some(Duration::from_millis(4)),
+        }
+    }
+
+    #[test]
+    fn fault_fold_quarantine_poisons_ratios_only_through_the_clean_case() {
+        let schemes = [Scheme::Ecmp, Scheme::CloveEcn];
+        let results = vec![
+            // ECMP: the clean baseline is quarantined.
+            Err(vec!["ECMP / clean seed 4000: boom".to_string()]),
+            Ok(vec![fault_run(0.2), fault_run(0.4)]),
+            // Clove-ECN: a non-clean case is quarantined.
+            Ok(vec![fault_run(0.1), fault_run(0.1)]),
+            Err(vec!["Clove-ECN / cut seed 4001: boom".to_string()]),
+        ];
+        let (rows, quarantined) = fold_fault_rows(&schemes, &["clean", "cut"], results);
+        assert_eq!(quarantined, ["ECMP / clean seed 4000: boom", "Clove-ECN / cut seed 4001: boom"]);
+        let [ecmp_clean, ecmp_cut, clove_clean, clove_cut] = &rows[..] else { panic!("one row per (scheme, case)") };
+
+        // No baseline: every ratio of the scheme is NaN, its own data stays.
+        assert!(ecmp_clean.avg_fct_s.is_nan() && ecmp_clean.avg_ratio.is_nan() && ecmp_clean.p99_ratio.is_nan());
+        assert!(ecmp_cut.avg_ratio.is_nan() && ecmp_cut.p99_ratio.is_nan());
+        assert!((ecmp_cut.avg_fct_s - 0.3).abs() < 1e-12);
+        assert_eq!((ecmp_cut.path_evictions, ecmp_cut.stats.drops_down, ecmp_cut.control.probes_dropped), (2, 2, 2));
+        assert_eq!(ecmp_cut.recovery_ms, Some(4.0));
+
+        // A quarantined non-clean case: NaN FCTs and ratios, zeroed damage,
+        // and the clean neighbour is untouched.
+        assert_eq!((clove_clean.avg_ratio, clove_clean.p99_ratio), (1.0, 1.0));
+        assert_eq!((clove_clean.path_evictions, clove_clean.stats.faults_applied), (2, 2));
+        assert!(clove_cut.avg_fct_s.is_nan() && clove_cut.p99_fct_s.is_nan() && clove_cut.avg_ratio.is_nan() && clove_cut.p99_ratio.is_nan());
+        assert_eq!((clove_cut.path_evictions, clove_cut.recovery_ms), (0, None));
+        assert_eq!((clove_cut.stats, clove_cut.control), (FaultStats::default(), ControlFaultStats::default()));
+        assert_eq!((clove_cut.case.as_str(), clove_cut.scheme.as_str()), ("cut", "Clove-ECN"));
     }
 
     #[test]

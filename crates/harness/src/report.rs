@@ -100,18 +100,24 @@ fn csv_quarantine(out: &mut String, quarantined: &[String]) {
     }
 }
 
-/// One (fault case, scheme) row of the resilience report.
-#[derive(Debug, Clone)]
-pub struct ResilienceRow {
-    /// Fault case label, e.g. "single-cut".
+/// One (case, scheme) row of a fault sweep: FCT level and ratios to the
+/// scheme's clean case, recovery, and both damage ledgers. Every sweep
+/// fills every field; its column list picks what it prints.
+#[derive(Debug, Clone, Default)]
+pub struct FaultRow {
+    /// Case label, e.g. "single-cut", or the loss rate in percent ("50").
     pub case: String,
     /// Scheme label, e.g. "Clove-ECN".
     pub scheme: String,
-    /// Pooled average FCT in seconds.
+    /// Pooled average FCT in seconds (`NaN` when quarantined).
     pub avg_fct_s: f64,
-    /// Average FCT relative to the same scheme's clean run (1.0 = no
+    /// Average FCT relative to the same scheme's clean case (1.0 = no
     /// degradation).
-    pub degradation: f64,
+    pub avg_ratio: f64,
+    /// Pooled 99th-percentile FCT in seconds (`NaN` when quarantined).
+    pub p99_fct_s: f64,
+    /// p99 FCT relative to the same scheme's clean case.
+    pub p99_ratio: f64,
     /// Mean recovery time in milliseconds over the seeds that recovered;
     /// `None` when no mid-run fault was injected or no seed recovered.
     pub recovery_ms: Option<f64>,
@@ -119,168 +125,146 @@ pub struct ResilienceRow {
     pub path_evictions: u64,
     /// Fabric fault damage (summed over seeds).
     pub stats: FaultStats,
-}
-
-/// The resilience sweep as a flat `case × scheme` table.
-#[derive(Debug, Clone)]
-pub struct ResilienceTable {
-    /// Caption, e.g. "Resilience — S2–L2 faults at 20 ms".
-    pub title: String,
-    /// One row per (fault case, scheme) pair.
-    pub rows: Vec<ResilienceRow>,
-    /// One line per quarantined cell (see [`FigureTable::quarantined`]).
-    pub quarantined: Vec<String>,
-}
-
-impl ResilienceTable {
-    /// A new empty table.
-    pub fn new(title: impl Into<String>) -> ResilienceTable {
-        ResilienceTable { title: title.into(), rows: Vec::new(), quarantined: Vec::new() }
-    }
-
-    /// The row for `(case, scheme)`, if present.
-    pub fn row(&self, case: &str, scheme: &str) -> Option<&ResilienceRow> {
-        self.rows.iter().find(|r| r.case == case && r.scheme == scheme)
-    }
-
-    /// Render as an aligned text table (FCT, degradation, recovery and the
-    /// per-cause fault damage side by side).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "## {}", self.title);
-        let case_w = self.rows.iter().map(|r| r.case.len()).max().unwrap_or(4).max("case".len());
-        let scheme_w = self.rows.iter().map(|r| r.scheme.len()).max().unwrap_or(6).max("scheme".len());
-        let _ = writeln!(
-            out,
-            "{:<case_w$} {:<scheme_w$} {:>10} {:>8} {:>9} {:>6} {:>8} {:>8} {:>8} {:>9} {:>6}",
-            "case", "scheme", "avgFCT(s)", "degr(x)", "recov(ms)", "evict", "dDown", "dLoss", "down(ms)", "degrd(ms)", "faults",
-        );
-        for r in &self.rows {
-            let recov = r.recovery_ms.map_or("-".to_string(), |ms| format!("{ms:.1}"));
-            let _ = writeln!(
-                out,
-                "{:<case_w$} {:<scheme_w$} {:>10} {:>8} {:>9} {:>6} {:>8} {:>8} {:>8} {:>9} {:>6}",
-                r.case,
-                r.scheme,
-                format_num(r.avg_fct_s),
-                format!("{:.2}", r.degradation),
-                recov,
-                r.path_evictions,
-                r.stats.drops_down,
-                r.stats.drops_loss,
-                format!("{:.1}", r.stats.down_time.as_secs_f64() * 1e3),
-                format!("{:.1}", r.stats.degraded_time.as_secs_f64() * 1e3),
-                r.stats.faults_applied,
-            );
-        }
-        render_quarantine(&mut out, &self.quarantined);
-        out
-    }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "case,scheme,avg_fct_s,degradation,recovery_ms,path_evictions,\
-             drops_down,drops_loss,drops_overflow,drops_no_route,\
-             down_time_ms,degraded_time_ms,faults_applied\n",
-        );
-        for r in &self.rows {
-            let recov = r.recovery_ms.map_or(String::new(), |ms| format!("{ms}"));
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.case,
-                r.scheme,
-                r.avg_fct_s,
-                r.degradation,
-                recov,
-                r.path_evictions,
-                r.stats.drops_down,
-                r.stats.drops_loss,
-                r.stats.drops_overflow,
-                r.stats.drops_no_route,
-                r.stats.down_time.as_secs_f64() * 1e3,
-                r.stats.degraded_time.as_secs_f64() * 1e3,
-                r.stats.faults_applied,
-            );
-        }
-        csv_quarantine(&mut out, &self.quarantined);
-        out
-    }
-}
-
-/// One (feedback-loss rate, scheme) row of the feedback-degradation
-/// report.
-#[derive(Debug, Clone)]
-pub struct FeedbackRow {
-    /// Injected control-loop loss rate in percent (0 = clean baseline).
-    pub rate_pct: f64,
-    /// Scheme label, e.g. "Clove-ECN".
-    pub scheme: String,
-    /// Pooled average FCT in seconds.
-    pub avg_fct_s: f64,
-    /// Average FCT relative to the same scheme's clean run (1.0 = no
-    /// slowdown).
-    pub avg_slowdown: f64,
-    /// Pooled 99th-percentile FCT in seconds.
-    pub p99_fct_s: f64,
-    /// p99 FCT relative to the same scheme's clean run.
-    pub p99_slowdown: f64,
-    /// Mean time-to-recover in milliseconds over the seeds that recovered;
-    /// `None` when nothing was injected or no seed recovered.
-    pub recovery_ms: Option<f64>,
     /// Control-plane damage counters (summed over seeds).
     pub control: ControlFaultStats,
 }
 
-/// The feedback-degradation sweep as a flat `rate × scheme` table.
-#[derive(Debug, Clone)]
-pub struct FeedbackTable {
-    /// Caption, e.g. "Feedback degradation — lossy control loop at 20 ms".
+/// One cell of a [`FaultRow`], typed by how it prints: the text table
+/// rounds for reading, the CSV keeps every digit.
+pub(crate) enum Cell<'a> {
+    /// A label, verbatim in both renders.
+    Name(&'a str),
+    /// Seconds: `format_num` in text.
+    Secs(f64),
+    /// A ratio: two decimals in text.
+    Ratio(f64),
+    /// Milliseconds: one decimal in text.
+    Ms(f64),
+    /// Optional milliseconds: `-` in text and empty in CSV when absent.
+    OptMs(Option<f64>),
+    /// A counter, verbatim in both renders.
+    Count(u64),
+}
+
+impl Cell<'_> {
+    fn text(&self) -> String {
+        match *self {
+            Cell::Name(s) => s.to_string(),
+            Cell::Secs(v) => format_num(v),
+            Cell::Ratio(v) => format!("{v:.2}"),
+            Cell::Ms(v) => format!("{v:.1}"),
+            Cell::OptMs(v) => v.map_or("-".to_string(), |ms| format!("{ms:.1}")),
+            Cell::Count(n) => n.to_string(),
+        }
+    }
+
+    fn csv(&self) -> String {
+        match *self {
+            Cell::Name(s) => s.to_string(),
+            Cell::Secs(v) | Cell::Ratio(v) | Cell::Ms(v) => v.to_string(),
+            Cell::OptMs(v) => v.map_or(String::new(), |ms| ms.to_string()),
+            Cell::Count(n) => n.to_string(),
+        }
+    }
+}
+
+/// One column of a fault-sweep layout.
+pub(crate) struct FaultColumn {
+    /// CSV header.
+    csv: &'static str,
+    /// Text header and right-aligned width; width 0 means left-aligned and
+    /// fitted to the longest cell. `None` keeps the column out of the text
+    /// table (CSV only).
+    text: Option<(&'static str, usize)>,
+    /// The row's value in this column.
+    cell: fn(&FaultRow) -> Cell<'_>,
+}
+
+const fn col(csv: &'static str, text: Option<(&'static str, usize)>, cell: fn(&FaultRow) -> Cell<'_>) -> FaultColumn {
+    FaultColumn { csv, text, cell }
+}
+
+fn ms(d: clove_sim::Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Layout of the data-plane damage sweeps (`resilience`, `recovery`).
+pub(crate) const DAMAGE_COLUMNS: &[FaultColumn] = &[
+    col("case", Some(("case", 0)), |r| Cell::Name(&r.case)),
+    col("scheme", Some(("scheme", 0)), |r| Cell::Name(&r.scheme)),
+    col("avg_fct_s", Some(("avgFCT(s)", 10)), |r| Cell::Secs(r.avg_fct_s)),
+    col("degradation", Some(("degr(x)", 8)), |r| Cell::Ratio(r.avg_ratio)),
+    col("recovery_ms", Some(("recov(ms)", 9)), |r| Cell::OptMs(r.recovery_ms)),
+    col("path_evictions", Some(("evict", 6)), |r| Cell::Count(r.path_evictions)),
+    col("drops_down", Some(("dDown", 8)), |r| Cell::Count(r.stats.drops_down)),
+    col("drops_loss", Some(("dLoss", 8)), |r| Cell::Count(r.stats.drops_loss)),
+    col("drops_overflow", None, |r| Cell::Count(r.stats.drops_overflow)),
+    col("drops_no_route", None, |r| Cell::Count(r.stats.drops_no_route)),
+    col("down_time_ms", Some(("down(ms)", 8)), |r| Cell::Ms(ms(r.stats.down_time))),
+    col("degraded_time_ms", Some(("degrd(ms)", 9)), |r| Cell::Ms(ms(r.stats.degraded_time))),
+    col("faults_applied", Some(("faults", 6)), |r| Cell::Count(r.stats.faults_applied)),
+];
+
+/// Layout of the control-plane sweep (`feedback`).
+pub(crate) const FEEDBACK_COLUMNS: &[FaultColumn] = &[
+    col("rate_pct", Some(("loss%", 7)), |r| Cell::Name(&r.case)),
+    col("scheme", Some(("scheme", 0)), |r| Cell::Name(&r.scheme)),
+    col("avg_fct_s", Some(("avgFCT(s)", 10)), |r| Cell::Secs(r.avg_fct_s)),
+    col("avg_slowdown", Some(("avg(x)", 8)), |r| Cell::Ratio(r.avg_ratio)),
+    col("p99_fct_s", Some(("p99FCT(s)", 10)), |r| Cell::Secs(r.p99_fct_s)),
+    col("p99_slowdown", Some(("p99(x)", 8)), |r| Cell::Ratio(r.p99_ratio)),
+    col("recovery_ms", Some(("recov(ms)", 9)), |r| Cell::OptMs(r.recovery_ms)),
+    col("probes_dropped", Some(("prbDrop", 8)), |r| Cell::Count(r.control.probes_dropped)),
+    col("replies_dropped", Some(("rplDrop", 8)), |r| Cell::Count(r.control.replies_dropped)),
+    col("feedback_dropped", Some(("fbDrop", 8)), |r| Cell::Count(r.control.feedback_dropped)),
+    col("feedback_delayed", None, |r| Cell::Count(r.control.feedback_delayed)),
+    col("feedback_corrupted", None, |r| Cell::Count(r.control.feedback_corrupted)),
+    col("control_faults_applied", None, |r| Cell::Count(r.control.control_faults_applied)),
+];
+
+/// A fault sweep as a flat `case × scheme` table, printed through a static
+/// column list.
+pub struct FaultTable {
+    /// Caption, e.g. "Resilience — S2-L2 faults at 20 ms".
     pub title: String,
-    /// One row per (loss rate, scheme) pair.
-    pub rows: Vec<FeedbackRow>,
+    /// What to print of each row, in order.
+    columns: &'static [FaultColumn],
+    /// One row per (case, scheme) pair.
+    pub rows: Vec<FaultRow>,
     /// One line per quarantined cell (see [`FigureTable::quarantined`]).
     pub quarantined: Vec<String>,
 }
 
-impl FeedbackTable {
-    /// A new empty table.
-    pub fn new(title: impl Into<String>) -> FeedbackTable {
-        FeedbackTable { title: title.into(), rows: Vec::new(), quarantined: Vec::new() }
+impl FaultTable {
+    /// A new empty table laid out by `columns`.
+    pub(crate) fn new(title: impl Into<String>, columns: &'static [FaultColumn]) -> FaultTable {
+        FaultTable { title: title.into(), columns, rows: Vec::new(), quarantined: Vec::new() }
     }
 
-    /// The row for `(rate_pct, scheme)`, if present.
-    pub fn row(&self, rate_pct: f64, scheme: &str) -> Option<&FeedbackRow> {
-        self.rows.iter().find(|r| (r.rate_pct - rate_pct).abs() < 1e-9 && r.scheme == scheme)
+    /// The row for `(case, scheme)`, if present.
+    pub fn row(&self, case: &str, scheme: &str) -> Option<&FaultRow> {
+        self.rows.iter().find(|r| r.case == case && r.scheme == scheme)
     }
 
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "## {}", self.title);
-        let scheme_w = self.rows.iter().map(|r| r.scheme.len()).max().unwrap_or(6).max("scheme".len());
-        let _ = writeln!(
-            out,
-            "{:>7} {:<scheme_w$} {:>10} {:>8} {:>10} {:>8} {:>9} {:>8} {:>8} {:>8}",
-            "loss%", "scheme", "avgFCT(s)", "avg(x)", "p99FCT(s)", "p99(x)", "recov(ms)", "prbDrop", "rplDrop", "fbDrop",
-        );
-        for r in &self.rows {
-            let recov = r.recovery_ms.map_or("-".to_string(), |ms| format!("{ms:.1}"));
-            let _ = writeln!(
-                out,
-                "{:>7} {:<scheme_w$} {:>10} {:>8} {:>10} {:>8} {:>9} {:>8} {:>8} {:>8}",
-                format!("{:.0}", r.rate_pct),
-                r.scheme,
-                format_num(r.avg_fct_s),
-                format!("{:.2}", r.avg_slowdown),
-                format_num(r.p99_fct_s),
-                format!("{:.2}", r.p99_slowdown),
-                recov,
-                r.control.probes_dropped,
-                r.control.replies_dropped,
-                r.control.feedback_dropped,
-            );
+        let columns: Vec<(&FaultColumn, &str, usize)> = self.columns.iter().filter_map(|c| c.text.map(|(header, width)| (c, header, width))).collect();
+        // The header is line 0, so fitted widths cover it too.
+        let mut lines: Vec<Vec<String>> = vec![columns.iter().map(|&(_, header, _)| header.to_string()).collect()];
+        lines.extend(self.rows.iter().map(|r| columns.iter().map(|&(c, _, _)| (c.cell)(r).text()).collect()));
+        let fitted: Vec<usize> = (0..columns.len()).map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0)).collect();
+        for line in &lines {
+            let padded: Vec<String> = line
+                .iter()
+                .enumerate()
+                .map(|(i, cell)| match columns[i].2 {
+                    0 => format!("{cell:<fit$}", fit = fitted[i]),
+                    width => format!("{cell:>width$}"),
+                })
+                .collect();
+            let _ = writeln!(out, "{}", padded.join(" "));
         }
         render_quarantine(&mut out, &self.quarantined);
         out
@@ -288,30 +272,9 @@ impl FeedbackTable {
 
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "rate_pct,scheme,avg_fct_s,avg_slowdown,p99_fct_s,p99_slowdown,recovery_ms,\
-             probes_dropped,replies_dropped,feedback_dropped,feedback_delayed,\
-             feedback_corrupted,control_faults_applied\n",
-        );
+        let mut out = self.columns.iter().map(|c| c.csv).collect::<Vec<_>>().join(",") + "\n";
         for r in &self.rows {
-            let recov = r.recovery_ms.map_or(String::new(), |ms| format!("{ms}"));
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.rate_pct,
-                r.scheme,
-                r.avg_fct_s,
-                r.avg_slowdown,
-                r.p99_fct_s,
-                r.p99_slowdown,
-                recov,
-                r.control.probes_dropped,
-                r.control.replies_dropped,
-                r.control.feedback_dropped,
-                r.control.feedback_delayed,
-                r.control.feedback_corrupted,
-                r.control.control_faults_applied,
-            );
+            let _ = writeln!(out, "{}", self.columns.iter().map(|c| (c.cell)(r).csv()).collect::<Vec<_>>().join(","));
         }
         csv_quarantine(&mut out, &self.quarantined);
         out
@@ -398,25 +361,20 @@ mod tests {
         assert!(!t.to_csv().contains('#'));
     }
 
-    fn resilience_table() -> ResilienceTable {
-        let mut t = ResilienceTable::new("Resilience");
-        t.rows.push(ResilienceRow {
-            case: "clean".into(),
-            scheme: "ECMP".into(),
-            avg_fct_s: 0.1,
-            degradation: 1.0,
-            recovery_ms: None,
-            path_evictions: 0,
-            stats: FaultStats::default(),
-        });
-        t.rows.push(ResilienceRow {
-            case: "single-cut".into(),
-            scheme: "ECMP".into(),
+    fn row(case: &str, scheme: &str) -> FaultRow {
+        FaultRow { case: case.into(), scheme: scheme.into(), avg_fct_s: 0.1, avg_ratio: 1.0, p99_fct_s: 0.4, p99_ratio: 1.0, ..FaultRow::default() }
+    }
+
+    fn resilience_table() -> FaultTable {
+        let mut t = FaultTable::new("Resilience", DAMAGE_COLUMNS);
+        t.rows.push(row("clean", "ECMP"));
+        t.rows.push(FaultRow {
             avg_fct_s: 0.3,
-            degradation: 3.0,
+            avg_ratio: 3.0,
             recovery_ms: Some(12.5),
             path_evictions: 2,
             stats: FaultStats { drops_down: 9, faults_applied: 2, ..FaultStats::default() },
+            ..row("single-cut", "ECMP")
         });
         t
     }
@@ -433,27 +391,17 @@ mod tests {
         assert!(t.row("flapping", "ECMP").is_none());
     }
 
-    fn feedback_table() -> FeedbackTable {
-        let mut t = FeedbackTable::new("Feedback degradation");
-        t.rows.push(FeedbackRow {
-            rate_pct: 0.0,
-            scheme: "Clove-ECN".into(),
-            avg_fct_s: 0.1,
-            avg_slowdown: 1.0,
-            p99_fct_s: 0.4,
-            p99_slowdown: 1.0,
-            recovery_ms: None,
-            control: ControlFaultStats::default(),
-        });
-        t.rows.push(FeedbackRow {
-            rate_pct: 50.0,
-            scheme: "Clove-ECN".into(),
+    fn feedback_table() -> FaultTable {
+        let mut t = FaultTable::new("Feedback degradation", FEEDBACK_COLUMNS);
+        t.rows.push(row("0", "Clove-ECN"));
+        t.rows.push(FaultRow {
             avg_fct_s: 0.12,
-            avg_slowdown: 1.2,
+            avg_ratio: 1.2,
             p99_fct_s: 0.6,
-            p99_slowdown: 1.5,
+            p99_ratio: 1.5,
             recovery_ms: Some(7.5),
             control: ControlFaultStats { probes_dropped: 11, feedback_dropped: 42, control_faults_applied: 3, ..ControlFaultStats::default() },
+            ..row("50", "Clove-ECN")
         });
         t
     }
@@ -466,9 +414,14 @@ mod tests {
         assert!(s.contains("recov(ms)"));
         assert!(s.contains("7.5"));
         assert!(s.contains("42"));
-        assert_eq!(t.row(50.0, "Clove-ECN").unwrap().control.probes_dropped, 11);
-        assert!(t.row(5.0, "Clove-ECN").is_none());
-        assert!(t.row(50.0, "ECMP").is_none());
+        assert_eq!(t.row("50", "Clove-ECN").unwrap().control.probes_dropped, 11);
+        assert!(t.row("5", "Clove-ECN").is_none());
+        assert!(t.row("50", "ECMP").is_none());
+    }
+
+    /// Line 1 of a committed CSV: the header a sweep's layout must emit.
+    fn committed_header(csv: &str) -> &str {
+        csv.lines().next().expect("committed CSV has a header")
     }
 
     #[test]
@@ -476,7 +429,7 @@ mod tests {
         let csv = feedback_table().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("rate_pct,scheme,avg_fct_s"));
+        assert_eq!(lines[0], committed_header(include_str!("../../../results/feedback.csv")));
         // The clean baseline leaves the recovery cell empty.
         assert!(lines[1].contains(",,"));
         assert!(lines[2].starts_with("50,Clove-ECN,0.12,1.2,0.6,1.5,7.5,11,"));
@@ -487,7 +440,9 @@ mod tests {
         let csv = resilience_table().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("case,scheme,avg_fct_s"));
+        // `resilience` and `recovery` share one layout.
+        assert_eq!(lines[0], committed_header(include_str!("../../../results/resilience.csv")));
+        assert_eq!(lines[0], committed_header(include_str!("../../../results/recovery.csv")));
         // A never-recovered row leaves the recovery cell empty.
         assert!(lines[1].contains(",,"));
         assert!(lines[2].starts_with("single-cut,ECMP,0.3,3,12.5,2,9,"));

@@ -68,7 +68,8 @@ pub struct Scenario {
     /// report its violations in the outcome (`clove-run --strict`).
     pub strict: bool,
     /// Event-queue backend: the timing wheel (default) or the legacy
-    /// binary heap, kept as a differential-testing oracle (`--queue heap`).
+    /// binary heap. Only `backend_identity.rs` sets it — this field is the
+    /// single seam through which the heap oracle reaches a full scenario.
     pub queue: QueueBackend,
     /// Shared progress/cancellation handle. When set, the run loop
     /// publishes events-processed and simulated time through it and honors

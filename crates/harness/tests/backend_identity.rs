@@ -1,25 +1,35 @@
 //! The event-queue backend must be invisible in the output: a figure cell
 //! run on the timing wheel and on the legacy binary-heap oracle must
-//! render byte-identical tables. Together with the differential proptest
-//! in `clove-sim` (identical pop sequences) this pins `--queue heap` as a
-//! true differential-testing oracle for the wheel.
+//! produce bit-identical results. Together with the differential proptest
+//! in `clove-sim` (identical pop sequences) this pins the heap as a true
+//! differential-testing oracle for the wheel. `Scenario::queue` is the one
+//! seam the oracle reaches a full run through; no binary exposes it.
 
-use clove_harness::experiments::{self, ExpConfig};
+use clove_harness::experiments::testbed_schemes;
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::Scheme;
 use clove_sim::QueueBackend;
 use clove_workload::web_search;
 
-fn smoke() -> ExpConfig {
-    ExpConfig { jobs_per_conn: 4, conns_per_client: 1, seeds: 2, horizon_secs: 10, jobs: 1, strict: false, ..ExpConfig::quick() }
-}
-
 #[test]
-fn fig4c_csv_identical_wheel_vs_heap() {
-    let loads = [0.5];
-    let wheel = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Wheel));
-    let heap = experiments::fig4c(&loads, &smoke().with_queue(QueueBackend::Heap));
-    assert_eq!(wheel.to_csv(), heap.to_csv());
+fn fig4c_cells_identical_wheel_vs_heap() {
+    // Fig 4c's smoke cells (testbed schemes, asymmetric, 50% load, the
+    // figure's seeds): the number the table prints must not move a bit.
+    let dist = web_search();
+    for scheme in testbed_schemes(TopologyKind::Asymmetric) {
+        for seed in [1000, 1001] {
+            let run = |backend| {
+                let mut s = Scenario::new(scheme.clone(), TopologyKind::Asymmetric, 0.5, seed);
+                s.jobs_per_conn = 4;
+                s.conns_per_client = 1;
+                s.queue = backend;
+                s.run_rpc(&dist)
+            };
+            let (wheel, heap) = (run(QueueBackend::Wheel), run(QueueBackend::Heap));
+            assert_eq!(wheel.events, heap.events, "{} seed {seed}", scheme.label());
+            assert_eq!(wheel.fct.avg().to_bits(), heap.fct.avg().to_bits(), "{} seed {seed}", scheme.label());
+        }
+    }
 }
 
 #[test]

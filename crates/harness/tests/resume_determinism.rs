@@ -6,6 +6,7 @@
 
 use clove_harness::config::{ScenarioSpec, SchemeSpec, TopologySpec};
 use clove_harness::experiments::{self, ExpConfig};
+use clove_harness::report::FaultTable;
 use clove_harness::{Journal, Scheme};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -44,25 +45,32 @@ fn forget_half_the_entries(root: &PathBuf) -> usize {
 
 #[test]
 fn resilience_resume_is_byte_identical_at_a_different_jobs_width() {
-    let root = tmp_root("resilience");
-    let schemes = [Scheme::Ecmp, Scheme::CloveEcn];
+    // Two sweeps through the one resume path: data-plane faults
+    // (`resilience`) and control-plane loss (`feedback`).
+    type Sweep = fn(&[Scheme], &ExpConfig) -> FaultTable;
+    let sweeps: [(&str, Sweep, &[Scheme]); 2] =
+        [("resilience", experiments::resilience, &[Scheme::Ecmp, Scheme::CloveEcn]), ("feedback", experiments::feedback_degradation, &[Scheme::CloveEcn])];
+    for (tag, sweep, schemes) in sweeps {
+        let root = tmp_root(tag);
 
-    let journal = Arc::new(Journal::open(&root, false).expect("journal opens"));
-    let full = experiments::resilience(&schemes, &smoke().with_journal(Some(Arc::clone(&journal))));
-    assert!(journal.stores() > 0, "a journaled run must checkpoint its cells");
+        let journal = Arc::new(Journal::open(&root, false).expect("journal opens"));
+        let full = sweep(schemes, &smoke().with_journal(Some(Arc::clone(&journal))));
+        assert!(journal.stores() > 0, "{tag}: a journaled run must checkpoint its cells");
 
-    let deleted = forget_half_the_entries(&root);
-    assert!(deleted > 0, "the interruption must actually lose entries");
+        let deleted = forget_half_the_entries(&root);
+        assert!(deleted > 0, "{tag}: the interruption must actually lose entries");
 
-    // Resume at a different worker count: surviving cells come from disk,
-    // the "lost" ones re-execute, and the render must not budge a byte.
-    let resumed_journal = Arc::new(Journal::open(&root, true).expect("journal reopens"));
-    let resumed = experiments::resilience(&schemes, &smoke().with_jobs(8).with_journal(Some(Arc::clone(&resumed_journal))));
-    assert!(resumed_journal.hits() > 0, "resume must serve the surviving cells from disk");
-    assert_eq!(full.render(), resumed.render());
-    assert_eq!(full.to_csv(), resumed.to_csv());
+        // Resume at a different worker count: surviving cells come from
+        // disk, the "lost" ones re-execute, and the render must not budge
+        // a byte.
+        let resumed_journal = Arc::new(Journal::open(&root, true).expect("journal reopens"));
+        let resumed = sweep(schemes, &smoke().with_jobs(8).with_journal(Some(Arc::clone(&resumed_journal))));
+        assert!(resumed_journal.hits() > 0, "{tag}: resume must serve the surviving cells from disk");
+        assert_eq!(full.render(), resumed.render(), "{tag}");
+        assert_eq!(full.to_csv(), resumed.to_csv(), "{tag}");
 
-    let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]
@@ -101,7 +109,6 @@ fn clove_run_spec_resume_reproduces_the_report_exactly() {
         flowlet_gap_us: None,
         ecn_threshold_pkts: None,
         strict: false,
-        queue: clove_sim::QueueBackend::default(),
         trace: false,
     };
 

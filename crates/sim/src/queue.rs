@@ -17,9 +17,9 @@
 //!   near-constant link-latency offsets that dominate the simulator's event
 //!   mix.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap` implementation, kept
-//!   as a differential-testing oracle (`--queue heap` on the experiment
-//!   bins). Both backends pop byte-identical `(time, seq, event)` sequences;
-//!   `tests` and the differential proptest in this module pin that.
+//!   as a differential-testing oracle (tests and the `micro` bench only; no
+//!   binary selects it). Both backends pop byte-identical `(time, seq, event)`
+//!   sequences; `tests` and the differential proptest in this module pin that.
 //!
 //! The wheel keeps the earliest run of events eagerly staged in a `current`
 //! buffer (non-empty whenever the queue is non-empty), which is what makes
@@ -73,22 +73,11 @@ pub enum QueueBackend {
 }
 
 impl QueueBackend {
-    /// The CLI name (`--queue <name>`).
+    /// A stable lowercase label (bench row names).
     pub fn name(self) -> &'static str {
         match self {
             QueueBackend::Wheel => "wheel",
             QueueBackend::Heap => "heap",
-        }
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "wheel" => Ok(QueueBackend::Wheel),
-            "heap" => Ok(QueueBackend::Heap),
-            other => Err(format!("unknown queue backend {other:?} (expected \"wheel\" or \"heap\")")),
         }
     }
 }
@@ -890,10 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_and_name() {
-        assert_eq!("wheel".parse::<QueueBackend>().unwrap(), QueueBackend::Wheel);
-        assert_eq!("heap".parse::<QueueBackend>().unwrap(), QueueBackend::Heap);
-        assert!("btree".parse::<QueueBackend>().is_err());
+    fn backend_default_and_name() {
         assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
         assert_eq!(QueueBackend::Wheel.name(), "wheel");
         assert_eq!(QueueBackend::Heap.name(), "heap");

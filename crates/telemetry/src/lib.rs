@@ -5,8 +5,6 @@
 //! * [`Histogram`] — HDR-style log-linear streaming histogram with bounded
 //!   memory, exact merge semantics, and an exact log2 aggregation view
 //!   (replaces per-flow sample vectors and the ad-hoc queue-delay profile);
-//! * [`Registry`] — named counters/gauges/histograms with name-ordered,
-//!   deterministic snapshots;
 //! * [`Trace`] / [`TraceEvent`] — sim-time-stamped structured decision
 //!   tracing into a bounded ring buffer, rendered as JSONL with a stable,
 //!   versioned schema;
@@ -27,10 +25,8 @@
 
 mod hist;
 mod profile;
-mod registry;
 mod trace;
 
 pub use hist::{bucket_high, bucket_index, Histogram, NUM_BUCKETS, SUBS, SUB_BITS};
 pub use profile::{KindStat, LoopProfile};
-pub use registry::Registry;
 pub use trace::{render_jsonl, LadderRung, Trace, TraceBuf, TraceEvent, DEFAULT_TRACE_CAPACITY, TRACE_SCHEMA_VERSION};
