@@ -22,6 +22,24 @@
 //! * `HostTimer` → handed to [`HostLogic::on_timer`].
 //! * `LinkAdmin` → link state flips and routes are recomputed — this is
 //!   how experiments inject mid-run failures.
+//!
+//! ## Copy contract
+//!
+//! The event loop lends each event in place ([`World::handle_mut`]), and
+//! the switch path — [`Fabric::switch_receive`], egress choice, the
+//! enqueue on the chosen link, [`Link::offer`] — passes that `&mut Packet`
+//! down, so TTL, CONGA tag, CE and INT marks are written into the
+//! scheduler's batch slot, which is discarded after the run. A packet is
+//! cloned only where it comes to rest: into the egress link's FIFO, or into
+//! the `Event::Arrive` pushed for it (see the [`crate::link`] docs), plus
+//! once at host delivery because [`HostLogic::on_packet`] owns what it
+//! receives. Deliveries are pushed in the order the link commits them
+//! (settled backlog in FIFO order, then the offered packet); every seq
+//! number, and so every run digest, depends on that order. The by-value
+//! entry points — [`Fabric::host_transmit`], [`HostCtx::send`] and the
+//! provided `World::handle` — exist for callers that own what they hand
+//! over (host logic building a packet; a hand-written loop that pops
+//! events out of the batch) and immediately borrow it into the same path.
 
 use crate::fault::{ControlAction, ControlFaultStats, FaultStats, LinkAction, NodeSelector};
 use crate::hash::ecmp_select;
@@ -112,6 +130,13 @@ pub enum Event {
     },
 }
 
+// Every hop copies one `Packet` into the next `Arrive` event and the wheel
+// moves whole `ScheduledEvent`s, so these sizes are hot-path costs: growing
+// one is a decision, not a side effect of adding a field.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 128);
+const _: () = assert!(std::mem::size_of::<Event>() <= 144);
+const _: () = assert!(std::mem::size_of::<clove_sim::ScheduledEvent<Event>>() <= 160);
+
 /// Event kind names in [`Event::kind_index`] order — the registration list
 /// for the event loop's [`LoopProfile`].
 pub const EVENT_KIND_NAMES: &[&str] = &["arrive", "host_timer", "hula_tick", "link_admin", "fault", "control_fault", "node_fault"];
@@ -197,18 +222,11 @@ pub struct Fabric {
     trace: Trace,
     /// Packet uid source for switch-originated packets (probe replies).
     next_uid: u64,
-    /// Scratch for link settle/enqueue commits, drained into `Arrive`
-    /// events immediately after each call; pre-sized so the deepest
-    /// single-link backlog in the topology settles without reallocating.
-    commit_scratch: Vec<(Time, Packet)>,
 }
 
 impl Fabric {
     /// Assemble a fabric from parts (normally done by `topology` builders).
     pub fn new(switches: Vec<Switch>, links: Vec<Link>, hosts: Vec<HostAttachment>, scheme: FabricScheme, seed: u64) -> Fabric {
-        // A settle commits at most one full buffer of MTU-ish packets in
-        // one call; size the scratch for the deepest buffer in the fabric.
-        let scratch = links.iter().map(|l| (l.cfg.buffer_bytes / 1000 + 2) as usize).max().unwrap_or(16);
         Fabric {
             switches,
             links,
@@ -220,7 +238,6 @@ impl Fabric {
             trace: Trace::disabled(),
             // High bit set: never collides with host-assigned uids.
             next_uid: 1 << 63,
-            commit_scratch: Vec::with_capacity(scratch),
         }
     }
 
@@ -255,7 +272,7 @@ impl Fabric {
             return;
         }
         let uplink = self.hosts[host.0 as usize].uplink;
-        self.enqueue_on(now, uplink, pkt, q);
+        self.enqueue_on(now, uplink, &mut pkt, q);
     }
 
     /// Apply active control-plane faults to one outbound packet. Returns
@@ -337,7 +354,7 @@ impl Fabric {
     /// Enqueue on a specific link, scheduling an `Arrive` for every packet
     /// the link commits (the offered packet if the transmitter was idle,
     /// plus any backlog the pre-admission settle drained).
-    fn enqueue_on(&mut self, now: Time, link: LinkId, pkt: Packet, q: &mut EventQueue<Event>) {
+    fn enqueue_on(&mut self, now: Time, link: LinkId, pkt: &mut Packet, q: &mut EventQueue<Event>) {
         // Injected stochastic loss (fault injection): the coin is flipped
         // here rather than in `Link` so the link stays deterministic and the
         // fabric's seeded RNG governs all randomness.
@@ -347,20 +364,16 @@ impl Fabric {
             return;
         }
         let to = l.to;
-        debug_assert!(self.commit_scratch.is_empty());
-        // Marks are counted in `Link::enqueue`; the before/after delta tells
+        // Marks are counted in `Link::offer`; the before/after delta tells
         // the trace how many CE marks this admission applied without adding
         // any state to the link hot path.
-        let marks_before = if self.trace.is_enabled() { self.links[link.0 as usize].stats.ecn_marks } else { 0 };
-        let _ = self.links[link.0 as usize].enqueue(now, pkt, &mut self.commit_scratch);
+        let marks_before = l.stats.ecn_marks;
+        let _ = l.offer(now, pkt, &mut arrivals(q, to, link));
         if self.trace.is_enabled() {
-            let delta = self.links[link.0 as usize].stats.ecn_marks - marks_before;
+            let delta = l.stats.ecn_marks - marks_before;
             if delta > 0 {
                 self.trace.ecn_mark(now.0, link.0, delta);
             }
-        }
-        for (at, pkt) in self.commit_scratch.drain(..) {
-            q.push(at, Event::Arrive { node: to, via: link, pkt });
         }
     }
 
@@ -376,11 +389,7 @@ impl Fabric {
             return;
         }
         let to = l.to;
-        debug_assert!(self.commit_scratch.is_empty());
-        l.settle(now, &mut self.commit_scratch);
-        for (at, pkt) in self.commit_scratch.drain(..) {
-            q.push(at, Event::Arrive { node: to, via: link, pkt });
-        }
+        l.settle_into(now, &mut arrivals(q, to, link));
     }
 
     /// Settle every link. Run this at end of run (or before reading
@@ -393,7 +402,7 @@ impl Fabric {
     }
 
     /// A packet arrives at a switch: forward it.
-    pub fn switch_receive(&mut self, now: Time, sw: SwitchId, via: LinkId, mut pkt: Packet, q: &mut EventQueue<Event>) {
+    pub fn switch_receive(&mut self, now: Time, sw: SwitchId, via: LinkId, pkt: &mut Packet, q: &mut EventQueue<Event>) {
         if let PacketKind::HulaProbe { tor, util_pm } = pkt.kind {
             if let FabricScheme::Hula(cfg) = self.scheme {
                 self.hula_probe(now, sw, via, tor, util_pm, cfg, q);
@@ -422,7 +431,7 @@ impl Fabric {
                     reply_kind,
                 );
                 reply.sent_at = now;
-                self.forward_from_switch(now, sw, reply, q);
+                self.forward_from_switch(now, sw, &mut reply, q);
             }
             // Expired packets (probe or not) are dropped.
             return;
@@ -434,62 +443,60 @@ impl Fabric {
         self.forward_from_switch(now, sw, pkt, q);
     }
 
-    /// Core egress selection + enqueue at a switch.
-    fn forward_from_switch(&mut self, now: Time, sw: SwitchId, mut pkt: Packet, q: &mut EventQueue<Event>) {
-        let dst = pkt.routed_dst();
+    /// The egress link behind member `i` of switch `swi`'s ECMP group toward
+    /// host index `dst`.
+    fn group_link(&self, swi: usize, dst: usize, i: usize) -> LinkId {
+        let sw = &self.switches[swi];
+        sw.ports[sw.routes[dst][i]]
+    }
+
+    /// Core egress selection + enqueue at a switch. The ECMP group is read
+    /// in place from the route table (never copied), so a group may have any
+    /// number of members.
+    fn forward_from_switch(&mut self, now: Time, sw: SwitchId, pkt: &mut Packet, q: &mut EventQueue<Event>) {
+        let dst_host = pkt.routed_dst();
+        let dst = dst_host.0 as usize;
         let swi = sw.0 as usize;
-        // Copy the ECMP group into a stack buffer (groups are tiny; this
-        // keeps the per-packet path allocation-free).
-        let mut group_buf = [0usize; 16];
-        let group_len = match self.switches[swi].routes.get(dst.0 as usize) {
-            Some(g) if !g.is_empty() => {
-                let n = g.len().min(16);
-                group_buf[..n].copy_from_slice(&g[..n]);
-                n
-            }
-            _ => {
-                self.stats.no_route_drops += 1;
-                return;
-            }
-        };
-        let group = &group_buf[..group_len];
+        let n = self.switches[swi].routes.get(dst).map_or(0, Vec::len);
+        if n == 0 {
+            self.stats.no_route_drops += 1;
+            return;
+        }
 
         // CONGA reads every member's DRE at choice time (and folds the
         // chosen egress DRE into the tag): bring those transmitters up to
         // date first so the estimates include all traffic up to `now`.
         if matches!(self.scheme, FabricScheme::Conga(_)) {
-            for &p in group {
-                let member = self.switches[swi].ports[p];
+            for i in 0..n {
+                let member = self.group_link(swi, dst, i);
                 self.settle_link(now, member, q);
             }
         }
 
         // Is the next hop the destination host itself? (last-hop delivery)
-        let last_hop = {
-            let first_link = self.switches[swi].ports[group[0]];
-            matches!(self.links[first_link.0 as usize].to, NodeId::Host(h) if h == dst)
-        };
+        let first_link = self.group_link(swi, dst, 0);
+        let last_hop = matches!(self.links[first_link.0 as usize].to, NodeId::Host(h) if h == dst_host);
 
         let choice = if last_hop {
             // Access links never ECMP (single downlink per host).
             0
         } else {
             match self.scheme {
-                FabricScheme::Ecmp => ecmp_select(&pkt.routed_key(), self.switches[swi].seed, group.len()),
-                FabricScheme::LetFlow(cfg) => self.letflow_choice(now, swi, &pkt, group.len(), cfg.flowlet_gap),
-                FabricScheme::Conga(cfg) => self.conga_choice(now, swi, &mut pkt, group, cfg),
-                FabricScheme::Hula(cfg) => self.hula_choice(now, swi, &pkt, group, cfg),
+                FabricScheme::Ecmp => ecmp_select(&pkt.routed_key(), self.switches[swi].seed, n),
+                FabricScheme::LetFlow(cfg) => self.letflow_choice(now, swi, pkt, n, cfg.flowlet_gap),
+                FabricScheme::Conga(cfg) => self.conga_choice(now, swi, dst, pkt, cfg),
+                FabricScheme::Hula(cfg) => self.hula_choice(now, swi, dst, pkt, cfg),
             }
         };
 
         // CONGA: processing at the destination leaf (packet exits fabric).
         if last_hop {
             if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga) {
-                self.conga_dest_leaf(now, swi, &pkt, tag, cfg);
+                self.conga_dest_leaf(now, swi, pkt, tag, cfg);
             }
         }
 
-        let egress = self.switches[swi].ports[group[choice % group.len()]];
+        let egress = self.group_link(swi, dst, choice % n);
         // CONGA: every hop folds its chosen egress DRE into the metric.
         if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga.as_mut()) {
             let qz = self.links[egress.0 as usize].dre.quantized(now, cfg.quant_bits);
@@ -510,8 +517,10 @@ impl Fabric {
         entry.port_choice % n
     }
 
-    /// CONGA source-leaf / spine egress choice.
-    fn conga_choice(&mut self, now: Time, swi: usize, pkt: &mut Packet, group: &[usize], cfg: CongaConfig) -> usize {
+    /// CONGA source-leaf / spine egress choice among the group toward host
+    /// index `dst`.
+    fn conga_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &mut Packet, cfg: CongaConfig) -> usize {
+        let n = self.switches[swi].routes[dst].len();
         let is_leaf = self.switches[swi].is_leaf;
         if !is_leaf || pkt.conga.is_some() {
             // Spine (or transit leaf): local decision among parallel trunk
@@ -522,11 +531,8 @@ impl Fabric {
                 Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
                 None => true,
             };
-            let choice = if need_new {
-                self.least_loaded_member(now, swi, group, cfg.quant_bits)
-            } else {
-                self.switches[swi].letflow_table[&key].port_choice % group.len()
-            };
+            let choice =
+                if need_new { self.least_loaded_member(now, swi, dst, cfg.quant_bits) } else { self.switches[swi].letflow_table[&key].port_choice % n };
             self.switches[swi].letflow_table.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
             return choice;
         }
@@ -537,7 +543,7 @@ impl Fabric {
             Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
             None => true,
         };
-        let choice = if need_new { self.conga_best_uplink(now, swi, dst_leaf, group, cfg) } else { self.switches[swi].conga.flowlets[&key].port_choice };
+        let choice = if need_new { self.conga_best_uplink(now, swi, dst, dst_leaf, cfg) } else { self.switches[swi].conga.flowlets[&key].port_choice };
         let sw = &mut self.switches[swi];
         sw.conga.flowlets.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
         // Stamp the forward tag; attach pending feedback for the reverse
@@ -550,53 +556,25 @@ impl Fabric {
     /// Least-loaded member with *random* tie-breaking — CONGA picks
     /// uniformly among minima; a deterministic tie-break would herd every
     /// flowlet in a DRE period onto one member and oscillate.
-    fn least_loaded_member(&mut self, now: Time, swi: usize, group: &[usize], bits: u8) -> usize {
-        let mut best_q = u8::MAX;
-        let mut minima = [0usize; 16];
-        let mut n_min = 0usize;
-        for (i, &p) in group.iter().enumerate() {
-            let link = self.switches[swi].ports[p];
-            let qz = self.links[link.0 as usize].dre.quantized(now, bits);
-            if qz < best_q {
-                best_q = qz;
-                minima[0] = i;
-                n_min = 1;
-            } else if qz == best_q && n_min < minima.len() {
-                minima[n_min] = i;
-                n_min += 1;
-            }
-        }
-        minima[self.rng.below(n_min as u64) as usize]
+    fn least_loaded_member(&mut self, now: Time, swi: usize, dst: usize, bits: u8) -> usize {
+        let sw = &self.switches[swi];
+        let group = &sw.routes[dst];
+        let links = &mut self.links;
+        random_argmin(&mut self.rng, group.len(), |i| links[sw.ports[group[i]].0 as usize].dre.quantized(now, bits) as u16)
     }
 
     /// CONGA's argmin over uplinks of max(local DRE, remote metric), with
     /// random tie-breaking among minima (as in the CONGA paper).
-    fn conga_best_uplink(&mut self, now: Time, swi: usize, dst_leaf: u32, group: &[usize], cfg: CongaConfig) -> usize {
-        let mut best_m = u16::MAX;
-        let mut minima = [0usize; 16];
-        let mut n_min = 0usize;
-        for (i, &p) in group.iter().enumerate() {
-            let link = self.switches[swi].ports[p];
-            let local = self.links[link.0 as usize].dre.quantized(now, cfg.quant_bits);
-            let remote = self.switches[swi]
-                .conga
-                .to_leaf
-                .get(&dst_leaf)
-                .and_then(|v| v.get(i))
-                .filter(|(_, t)| now.saturating_since(*t) < cfg.metric_age)
-                .map(|&(m, _)| m)
-                .unwrap_or(0);
-            let metric = local.max(remote) as u16;
-            if metric < best_m {
-                best_m = metric;
-                minima[0] = i;
-                n_min = 1;
-            } else if metric == best_m && n_min < minima.len() {
-                minima[n_min] = i;
-                n_min += 1;
-            }
-        }
-        minima[self.rng.below(n_min as u64) as usize]
+    fn conga_best_uplink(&mut self, now: Time, swi: usize, dst: usize, dst_leaf: u32, cfg: CongaConfig) -> usize {
+        let sw = &self.switches[swi];
+        let group = &sw.routes[dst];
+        let remote = sw.conga.to_leaf.get(&dst_leaf);
+        let links = &mut self.links;
+        random_argmin(&mut self.rng, group.len(), |i| {
+            let local = links[sw.ports[group[i]].0 as usize].dre.quantized(now, cfg.quant_bits);
+            let remote = remote.and_then(|v| v.get(i)).filter(|(_, t)| now.saturating_since(*t) < cfg.metric_age).map_or(0, |&(m, _)| m);
+            local.max(remote) as u16
+        })
     }
 
     /// Pop one (lbtag, metric) pair owed to `dst_leaf`, round-robin.
@@ -637,24 +615,25 @@ impl Fabric {
 
     /// HULA data plane: route the flowlet on the best next hop toward the
     /// destination's ToR; fall back to ECMP when no fresh entry exists.
-    fn hula_choice(&mut self, now: Time, swi: usize, pkt: &Packet, group: &[usize], cfg: crate::switch::HulaConfig) -> usize {
+    fn hula_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &Packet, cfg: crate::switch::HulaConfig) -> usize {
         let key = pkt.routed_key();
-        let need_new = match self.switches[swi].letflow_table.get(&key) {
+        let sw = &self.switches[swi];
+        let group = &sw.routes[dst];
+        let need_new = match sw.letflow_table.get(&key) {
             Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
             None => true,
         };
         let choice = if need_new {
             let tor = self.leaf_of(pkt.routed_dst()).0;
-            match self.switches[swi].hula_best.get(&tor) {
-                Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => {
-                    // The best hop is a port index; map into the ECMP
-                    // group if present, else fall back.
-                    group.iter().position(|&g| g == port).unwrap_or_else(|| ecmp_select(&key, self.switches[swi].seed, group.len()))
-                }
-                _ => ecmp_select(&key, self.switches[swi].seed, group.len()),
-            }
+            // The best hop is a port index; map into the ECMP group if it
+            // is fresh and present there, else fall back.
+            let best = match sw.hula_best.get(&tor) {
+                Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => group.iter().position(|&g| g == port),
+                _ => None,
+            };
+            best.unwrap_or_else(|| ecmp_select(&key, sw.seed, group.len()))
         } else {
-            self.switches[swi].letflow_table[&key].port_choice % group.len()
+            sw.letflow_table[&key].port_choice % group.len()
         };
         self.switches[swi].letflow_table.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
         choice
@@ -706,7 +685,7 @@ impl Fabric {
                 PacketKind::HulaProbe { tor, util_pm: path_util },
             );
             probe.sent_at = now;
-            self.enqueue_on(now, l, probe, q);
+            self.enqueue_on(now, l, &mut probe, q);
         }
     }
 
@@ -732,7 +711,7 @@ impl Fabric {
                     PacketKind::HulaProbe { tor, util_pm: 0 },
                 );
                 probe.sent_at = now;
-                self.enqueue_on(now, l, probe, q);
+                self.enqueue_on(now, l, &mut probe, q);
             }
         }
         q.push(now + cfg.probe_interval, Event::HulaTick);
@@ -807,6 +786,32 @@ impl Fabric {
         }
         out
     }
+}
+
+/// The commit sink the fabric hands a link: each committed packet is cloned
+/// — the one clone of its hop — into the `Arrive` event for the link's far
+/// end.
+fn arrivals(q: &mut EventQueue<Event>, node: NodeId, via: LinkId) -> impl FnMut(Time, &Packet) + '_ {
+    move |at, pkt| q.push(at, Event::Arrive { node, via, pkt: pkt.clone() })
+}
+
+/// Index of one of the minima of `metric` over `0..n`, picked uniformly with
+/// a single draw. Two passes instead of a list of minima, so `n` is
+/// unbounded; `metric` must return the same value both times.
+fn random_argmin(rng: &mut SimRng, n: usize, mut metric: impl FnMut(usize) -> u16) -> usize {
+    let mut best = u16::MAX;
+    let mut n_min = 0u64;
+    for i in 0..n {
+        let m = metric(i);
+        if m < best {
+            best = m;
+            n_min = 1;
+        } else if m == best {
+            n_min += 1;
+        }
+    }
+    let pick = rng.below(n_min) as usize;
+    (0..n).filter(|&i| metric(i) == best).nth(pick).expect("one of the counted minima")
 }
 
 /// The host-side of the simulation: hypervisor vswitch, transports, apps.
@@ -893,10 +898,10 @@ impl<H: HostLogic> Network<H> {
 impl<H: HostLogic> World for Network<H> {
     type Event = Event;
 
-    fn handle(&mut self, now: Time, event: Event, queue: &mut EventQueue<Event>) {
+    fn handle_mut(&mut self, now: Time, event: &mut Event, queue: &mut EventQueue<Event>) {
         self.profile.record(event.kind_index(), now.0);
-        match event {
-            Event::Arrive { node, via, pkt } => {
+        match *event {
+            Event::Arrive { node, via, ref mut pkt } => {
                 // A delivery on `via` means its transmitter finished one
                 // propagation delay ago: settle it, which also commits the
                 // next queued packet(s) and schedules their arrivals —
@@ -906,7 +911,9 @@ impl<H: HostLogic> World for Network<H> {
                     NodeId::Switch(sw) => self.fabric.switch_receive(now, sw, via, pkt, queue),
                     NodeId::Host(h) => {
                         let mut ctx = HostCtx { now, host: h, fabric: &mut self.fabric, queue };
-                        self.hosts.on_packet(h, pkt, &mut ctx);
+                        // The one clone of host delivery: host logic owns
+                        // what it receives (it may hold or re-send it).
+                        self.hosts.on_packet(h, pkt.clone(), &mut ctx);
                     }
                 }
             }

@@ -7,10 +7,10 @@
 //! relies on, paper §3.2), and a [`Dre`] utilization estimator (CONGA / INT).
 //!
 //! The link itself schedules no events — [`crate::fabric`] drives it with
-//! `enqueue` / `settle` calls and owns the event queue. Transmission is
+//! `offer` / `settle_into` calls and owns the event queue. Transmission is
 //! *arrive-driven*: when a packet's serialization starts, its delivery event
 //! (`done + prop_delay`) is emitted immediately, and the rest of the queue is
-//! committed lazily by [`Link::settle`], which drains every packet whose
+//! committed lazily by [`Link::settle_into`], which drains every packet whose
 //! serialization has started by `now` in one back-to-back batch. No per-packet
 //! `TxDone` event exists; a queue of N packets costs N arrival events total
 //! rather than 2N scheduler round-trips. Because every state change that can
@@ -18,6 +18,22 @@
 //! link first, each packet is committed under exactly the link state that was
 //! in force when its serialization started, so the lazy schedule is
 //! byte-identical to the eager one.
+//!
+//! ## Copy contract
+//!
+//! A packet is 128 bytes and crosses a link on every hop, so the link never
+//! takes one by value on the hot path. [`Link::offer`] borrows the caller's
+//! packet (marks land in the caller's copy) and [`Link::settle_into`] lends
+//! each committed packet to a `FnMut(Time, &Packet)` sink straight out of the
+//! FIFO. Every place a packet comes to rest is therefore reached by exactly
+//! one clone and no by-value stop in between: caller's copy → FIFO when the
+//! transmitter is busy, caller's copy → sink when it is idle, FIFO slot →
+//! sink when a settle commits it (the fabric's sink builds the
+//! `Event::Arrive` it pushes around that clone). There is one admission and
+//! one settle implementation; [`Link::enqueue`] and
+//! [`Link::settle`] are the same routines with a `Vec`-collecting sink, kept
+//! for callers that own their packets (unit tests, the benchmark's link
+//! kernel).
 
 use crate::dre::Dre;
 use crate::packet::Packet;
@@ -132,6 +148,9 @@ pub struct Link {
     /// Fraction of nominal line rate available (fault injection; 1.0 =
     /// healthy).
     rate_fraction: f64,
+    /// `cfg.rate_bps × rate_fraction`, recomputed only when the fraction
+    /// changes so the per-packet serialization time is integer-only.
+    effective_rate_bps: u64,
     /// Stochastic per-packet drop probability (fault injection; applied by
     /// the fabric, which owns the RNG — the link just stores the rate).
     loss_rate: f64,
@@ -156,6 +175,7 @@ impl Link {
             queue_bytes: 0,
             in_flight: None,
             rate_fraction: 1.0,
+            effective_rate_bps: scaled_rate(cfg.rate_bps, 1.0),
             loss_rate: 0.0,
             down_since: None,
             degraded_since: None,
@@ -183,12 +203,12 @@ impl Link {
 
     /// The line rate currently available, after any injected degradation.
     pub fn effective_rate_bps(&self) -> u64 {
-        ((self.cfg.rate_bps as f64 * self.rate_fraction) as u64).max(1)
+        self.effective_rate_bps
     }
 
     /// Time to serialize `bytes` on this link at its *effective* rate.
     pub fn ser_time(&self, bytes: u32) -> Duration {
-        Duration::for_bytes_at(bytes as u64, self.effective_rate_bps())
+        Duration::for_bytes_at(bytes as u64, self.effective_rate_bps)
     }
 
     /// Current injected stochastic loss rate (0.0 when healthy).
@@ -201,11 +221,11 @@ impl Link {
         self.rate_fraction
     }
 
-    /// True if [`settle`] at `now` would change state — the in-flight
+    /// True if [`settle_into`] at `now` would change state — the in-flight
     /// packet's serialization has completed. Lets callers skip the call on
     /// idle or still-busy links without touching the queue.
     ///
-    /// [`settle`]: Link::settle
+    /// [`settle_into`]: Link::settle_into
     pub fn needs_settle(&self, now: Time) -> bool {
         self.in_flight.is_some_and(|(done, _)| done <= now)
     }
@@ -213,15 +233,17 @@ impl Link {
     /// Bring the transmitter up to date with the simulated clock: retire
     /// every in-flight packet whose serialization completed by `now` and
     /// commit the queued packets whose serialization therefore started, in
-    /// one back-to-back batch. Each committed packet's delivery is appended
-    /// to `out` as `(arrival_time, packet)` — always `≥ now`, because the
-    /// predecessor's delivery (which triggers this settle) lands exactly one
-    /// propagation delay after its serialization finished.
+    /// one back-to-back batch. Each committed packet's delivery is handed to
+    /// `commit` as `(arrival_time, &packet)` in FIFO order — always `≥ now`,
+    /// because the predecessor's delivery (which triggers this settle) lands
+    /// exactly one propagation delay after its serialization finished. The
+    /// packet is lent out of the FIFO slot it is about to leave; the sink
+    /// clones it into wherever it goes next.
     ///
     /// Called before any read or mutation that depends on transmitter
-    /// state: enqueue admission, DRE reads at path choice, fault
-    /// application, and final stats collection.
-    pub fn settle(&mut self, now: Time, out: &mut Vec<(Time, Packet)>) {
+    /// state: admission, DRE reads at path choice, fault application, and
+    /// final stats collection.
+    pub fn settle_into(&mut self, now: Time, commit: &mut impl FnMut(Time, &Packet)) {
         while let Some((done, size)) = self.in_flight {
             if done > now {
                 break;
@@ -229,28 +251,36 @@ impl Link {
             self.in_flight = None;
             self.stats.tx_packets += 1;
             self.stats.tx_bytes += size as u64;
-            let Some(next) = self.queue.pop_front() else { break };
+            let Some(next) = self.queue.front() else { break };
             // The next packet's serialization started the instant the
             // previous one finished — commit it under the current link
             // state (every rate change settles first, so that state is the
             // one in force at `done`).
-            self.queue_bytes -= next.size;
             let next_done = done + self.ser_time(next.size);
+            self.queue_bytes -= next.size;
             self.dre.on_transmit(done, next.size);
             self.in_flight = Some((next_done, next.size));
-            out.push((next_done + self.cfg.prop_delay, next));
+            commit(next_done + self.cfg.prop_delay, next);
+            self.queue.pop_front();
         }
+    }
+
+    /// [`Link::settle_into`] collecting the deliveries into `out` as
+    /// `(arrival_time, packet)`.
+    pub fn settle(&mut self, now: Time, out: &mut Vec<(Time, Packet)>) {
+        self.settle_into(now, &mut |at, pkt| out.push((at, pkt.clone())));
     }
 
     /// Offer a packet to this egress port at `now`.
     ///
     /// Settles first, then applies admission (drop-tail), ECN marking, and
-    /// INT stamping. If the transmitter is idle the packet starts
-    /// serializing immediately and its delivery `(arrival_time, packet)` is
-    /// appended to `out`; otherwise it waits in the queue for a later
-    /// settle to commit it.
-    pub fn enqueue(&mut self, now: Time, mut pkt: Packet, out: &mut Vec<(Time, Packet)>) -> EnqueueOutcome {
-        self.settle(now, out);
+    /// INT stamping — the marks are written to the caller's packet. If the
+    /// transmitter is idle the packet starts serializing immediately and its
+    /// delivery is handed to `commit` (after any backlog the settle
+    /// committed); otherwise a copy waits in the queue for a later settle to
+    /// commit it.
+    pub fn offer(&mut self, now: Time, pkt: &mut Packet, commit: &mut impl FnMut(Time, &Packet)) -> EnqueueOutcome {
+        self.settle_into(now, commit);
         if !self.up {
             self.stats.drops_down += 1;
             return EnqueueOutcome::Dropped;
@@ -277,14 +307,20 @@ impl Link {
             let done_at = now + self.ser_time(pkt.size);
             self.dre.on_transmit(now, pkt.size);
             self.in_flight = Some((done_at, pkt.size));
-            out.push((done_at + self.cfg.prop_delay, pkt));
+            commit(done_at + self.cfg.prop_delay, pkt);
             EnqueueOutcome::StartedTx { done_at }
         } else {
             self.queue_bytes += pkt.size;
             self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
-            self.queue.push_back(pkt);
+            self.queue.push_back(pkt.clone());
             EnqueueOutcome::Queued
         }
+    }
+
+    /// [`Link::offer`] for a caller that owns the packet, collecting the
+    /// deliveries into `out` as `(arrival_time, packet)`.
+    pub fn enqueue(&mut self, now: Time, mut pkt: Packet, out: &mut Vec<(Time, Packet)>) -> EnqueueOutcome {
+        self.offer(now, &mut pkt, &mut |at, pkt| out.push((at, pkt.clone())))
     }
 
     /// Administratively set link state. Taking the link down flushes the
@@ -322,6 +358,7 @@ impl Link {
     pub fn set_rate_fraction(&mut self, now: Time, fraction: f64) {
         assert!(fraction > 0.0 && fraction <= 1.0, "rate fraction must be in (0, 1], got {fraction}");
         self.rate_fraction = fraction;
+        self.effective_rate_bps = scaled_rate(self.cfg.rate_bps, fraction);
         self.update_degraded(now);
     }
 
@@ -352,6 +389,11 @@ impl Link {
     pub fn degraded_time_as_of(&self, now: Time) -> Duration {
         self.stats.degraded_time + self.degraded_since.map_or(Duration::ZERO, |s| now.saturating_since(s))
     }
+}
+
+/// `fraction` of a nominal line rate, never below 1 bit/s.
+fn scaled_rate(rate_bps: u64, fraction: f64) -> u64 {
+    ((rate_bps as f64 * fraction) as u64).max(1)
 }
 
 #[cfg(test)]
@@ -570,6 +612,44 @@ mod tests {
             EnqueueOutcome::StartedTx { done_at } => assert_eq!(done_at, Time::from_micros(72)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn ser_time_follows_the_cached_effective_rate() {
+        let mut l = link();
+        let nominal = l.ser_time(1500);
+        assert_eq!(l.effective_rate_bps(), 1_000_000_000);
+        assert_eq!(nominal, Duration::from_micros(12));
+        l.set_rate_fraction(Time::from_micros(1), 0.3);
+        assert_eq!(l.effective_rate_bps(), (1e9 * 0.3) as u64);
+        for bytes in [0, 64, 1500, 9000, u32::MAX] {
+            assert_eq!(l.ser_time(bytes), Duration::for_bytes_at(bytes as u64, l.effective_rate_bps()));
+        }
+        assert!(l.ser_time(1500) > nominal * 3);
+        l.set_rate_fraction(Time::from_micros(2), 1.0);
+        assert_eq!(l.effective_rate_bps(), 1_000_000_000);
+        assert_eq!(l.ser_time(1500), nominal);
+    }
+
+    #[test]
+    fn offer_marks_the_callers_packet_and_settle_lends_in_fifo_order() {
+        let mut l = link();
+        let mut delivered = Vec::new();
+        let mut sink = |at: Time, p: &Packet| delivered.push((at, p.uid, p.ce));
+        // One on the wire, two queued: the standing queue reaches the ECN
+        // threshold, so the fourth offer is marked — in the caller's copy.
+        for uid in 0..3 {
+            l.offer(Time::ZERO, &mut pkt(uid, 1500), &mut sink);
+        }
+        let mut fourth = pkt(3, 1500);
+        assert_eq!(l.offer(Time::ZERO, &mut fourth, &mut sink), EnqueueOutcome::Queued);
+        assert!(fourth.ce);
+        assert_eq!(l.queue_len(), 3);
+        // Settling lends each queued packet to the sink in FIFO order.
+        l.settle_into(Time::from_millis(1), &mut sink);
+        assert_eq!(l.queue_len(), 0);
+        let us = Time::from_micros;
+        assert_eq!(delivered, vec![(us(14), 0, false), (us(26), 1, false), (us(38), 2, false), (us(50), 3, true)]);
     }
 
     #[test]

@@ -345,3 +345,137 @@ fn no_route_packets_counted_not_panicking() {
     assert!(net.hosts.delivered.is_empty());
     assert!(net.fabric.stats.no_route_drops >= 1);
 }
+
+/// Sends one data packet per timer (the token is the destination and outer
+/// source port) and acknowledges every data packet it receives, so a run
+/// exercises host timers, `HostCtx::send` from inside a handler and both
+/// traffic directions.
+#[derive(Default)]
+struct Chatter {
+    next_uid: u64,
+    delivered: Vec<(HostId, Packet)>,
+}
+
+impl HostLogic for Chatter {
+    fn on_packet(&mut self, host: HostId, pkt: Packet, ctx: &mut HostCtx<'_>) {
+        if pkt.is_data() {
+            let peer = pkt.flow.src;
+            self.next_uid += 1;
+            let mut ack =
+                Packet::new(self.next_uid, 64, FlowKey::tcp(host, peer, 80, 1000), PacketKind::Ack { ackno: pkt.uid, dack: pkt.uid, ece: pkt.ce, dup: None });
+            ack.outer = Some(Encap { src: host, dst: peer, sport: pkt.outer.map_or(0, |o| o.sport) });
+            ctx.send(ack);
+        }
+        self.delivered.push((host, pkt));
+    }
+    fn on_timer(&mut self, host: HostId, token: u64, ctx: &mut HostCtx<'_>) {
+        self.next_uid += 1;
+        let mut p = data_packet(self.next_uid, host, HostId((token >> 16) as u32), token as u16);
+        p.ect = true;
+        ctx.send(p);
+    }
+}
+
+/// Eight senders on leaf 0 burst at two receivers on leaf 1 over many outer
+/// source ports: standing queues, CE marks and tail drops on the two
+/// downlinks, several flowlets per switch.
+fn chatter_world(scheme: FabricScheme) -> (Network<Chatter>, EventQueue<Event>) {
+    let mut spec = LeafSpine::paper_testbed(1.0, 77);
+    spec.scheme = scheme;
+    let net = Network::new(spec.build().fabric, Chatter::default());
+    let mut q = EventQueue::new();
+    if matches!(scheme, FabricScheme::Hula(_)) {
+        q.push(Time::ZERO, Event::HulaTick);
+    }
+    for i in 0..400u64 {
+        for src in 0..8u32 {
+            let dst = 16 + (src + i as u32) % 2;
+            let token = (dst as u64) << 16 | (20_000 + (i % 7) * 8 + src as u64);
+            q.push(Time::from_micros(100) + Duration::from_nanos(i * 1250), Event::HostTimer { host: HostId(src), token });
+        }
+    }
+    (net, q)
+}
+
+/// Everything observable about a finished run, as text.
+fn chatter_fingerprint(net: &Network<Chatter>) -> Vec<String> {
+    let mut out = vec![format!("{:?}", net.fabric.stats)];
+    out.extend(net.fabric.links.iter().map(|l| format!("{:?} {:?}", l.id, l.stats)));
+    out.extend(net.hosts.delivered.iter().map(|(h, p)| format!("{h:?} {p:?}")));
+    out
+}
+
+#[test]
+fn by_value_handle_wrapper_is_the_same_simulation() {
+    use clove_sim::World;
+    let horizon = Time::from_millis(3);
+    let schemes = [
+        FabricScheme::Ecmp,
+        FabricScheme::LetFlow(LetFlowConfig { flowlet_gap: Duration::from_micros(50) }),
+        FabricScheme::Conga(CongaConfig { flowlet_gap: Duration::from_micros(50), quant_bits: 3, metric_age: Duration::from_millis(10) }),
+        FabricScheme::Hula(HulaConfig::default()),
+    ];
+    for scheme in schemes {
+        // The engine's loop: events handled in place in the popped batch.
+        let (mut by_ref, mut q) = chatter_world(scheme);
+        let summary = clove_sim::run(&mut by_ref, &mut q, horizon);
+        by_ref.fabric.settle_all(summary.end_time, &mut q);
+
+        // The hand-written loop (the benchmark's traced replica has one):
+        // each event moved out of the batch and handed over by value.
+        let (mut by_val, mut q) = chatter_world(scheme);
+        let mut batch = std::collections::VecDeque::new();
+        let (mut events, mut end_time) = (0u64, Time::ZERO);
+        while q.peek_time().is_some_and(|at| at <= horizon) {
+            let now = q.pop_run(&mut batch).unwrap();
+            end_time = now;
+            while let Some(ev) = batch.pop_front() {
+                events += 1;
+                by_val.handle(now, ev.event, &mut q);
+            }
+        }
+        by_val.fabric.settle_all(end_time, &mut q);
+
+        assert_eq!(events, summary.events, "{scheme:?}");
+        assert_eq!(end_time, summary.end_time, "{scheme:?}");
+        let (a, b) = (chatter_fingerprint(&by_ref), chatter_fingerprint(&by_val));
+        assert_eq!(a, b, "{scheme:?}");
+        // The scenario is not vacuous: congestion marked and dropped.
+        let marks: u64 = by_ref.fabric.links.iter().map(|l| l.stats.ecn_marks).sum();
+        let drops: u64 = by_ref.fabric.links.iter().map(|l| l.stats.drops_overflow).sum();
+        assert!(
+            marks > 0 && drops > 0 && by_ref.hosts.delivered.len() > 2000,
+            "{scheme:?}: {marks} marks, {drops} drops, {} delivered",
+            by_ref.hosts.delivered.len()
+        );
+    }
+}
+
+#[test]
+fn ecmp_groups_wider_than_16_use_every_member() {
+    // 20 spines × trunk 1: leaf 0 has 20 equal-cost uplinks toward leaf 1.
+    for scheme in
+        [FabricScheme::Ecmp, FabricScheme::Conga(CongaConfig { flowlet_gap: Duration::from_micros(100), quant_bits: 3, metric_age: Duration::from_millis(10) })]
+    {
+        let mut spec = LeafSpine::paper_testbed(1.0, 77);
+        spec.spines = 20;
+        spec.trunk = 1;
+        spec.hosts_per_leaf = 2;
+        spec.scheme = scheme;
+        let mut net = Network::new(spec.build().fabric, Recorder::default());
+        let dst = HostId(2);
+        assert_eq!(net.fabric.switches[0].group(dst).unwrap().len(), 20);
+        let mut q = EventQueue::new();
+        for i in 0..2000u64 {
+            net.fabric.host_transmit(Time::from_nanos(i * 1300), HostId(0), data_packet(i, HostId(0), dst, 10_000 + i as u16), &mut q);
+        }
+        run_all(&mut net, &mut q);
+        assert_eq!(net.hosts.delivered.len(), 2000, "{scheme:?}");
+        let used = net.fabric.switches[0]
+            .ports
+            .iter()
+            .filter(|&&l| matches!(net.fabric.link(l).to, NodeId::Switch(_)) && net.fabric.link(l).stats.tx_packets > 0)
+            .count();
+        assert_eq!(used, 20, "{scheme:?}: every equal-cost uplink must carry traffic");
+    }
+}

@@ -39,16 +39,27 @@ pub use time::{Duration, Time};
 
 /// A simulated world: owns all state and reacts to one event at a time.
 ///
-/// The event loop ([`run`]) pops the earliest event and hands it to
-/// [`World::handle`], which may push further events onto the queue. The loop
-/// ends when the queue drains or the horizon is reached.
+/// The event loop ([`run`]) pops the earliest run of events and hands each,
+/// in place, to [`World::handle_mut`], which may push further events onto the
+/// queue. The loop ends when the queue drains or the horizon is reached.
 pub trait World {
     /// The event payload type this world understands.
     type Event;
 
     /// Handle a single event occurring at `now`. New events may be scheduled
     /// through `queue`; they must not be scheduled in the past.
-    fn handle(&mut self, now: Time, event: Self::Event, queue: &mut EventQueue<Self::Event>);
+    ///
+    /// The event is lent, not given: it stays in the scheduler's popped
+    /// batch, which is discarded after the run, so the handler may scribble
+    /// on it (a switch decrements the TTL and sets CE right there) and copies
+    /// out only what it keeps.
+    fn handle_mut(&mut self, now: Time, event: &mut Self::Event, queue: &mut EventQueue<Self::Event>);
+
+    /// [`World::handle_mut`] for a caller that owns the event (hand-written
+    /// loops that `pop_front` each event out of the batch).
+    fn handle(&mut self, now: Time, mut event: Self::Event, queue: &mut EventQueue<Self::Event>) {
+        self.handle_mut(now, &mut event, queue);
+    }
 }
 
 /// Outcome of driving a simulation with [`run`].
@@ -87,7 +98,8 @@ pub fn run_controlled<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>,
     let mut end_time = Time::ZERO;
     let mut flushed = 0u64;
     // The whole earliest run (every event sharing one timestamp) is taken in
-    // a single scheduler pop and drained here; on the wheel backend the two
+    // a single scheduler pop and walked in place — no event is moved out of
+    // the batch; the next `pop_run` discards it. On the wheel backend the two
     // buffers just trade allocations back and forth. Handlers observing one
     // batch may push same-instant events — those land in the *next* run, in
     // seq order, exactly as the one-pop-per-event loop delivered them.
@@ -108,21 +120,27 @@ pub fn run_controlled<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>,
         let now = queue.pop_run(&mut batch).expect("peeked queue must pop a run");
         debug_assert_eq!(now, at);
         end_time = now;
-        while let Some(ev) = batch.pop_front() {
+        let mut stop_after = None;
+        for (i, ev) in batch.iter_mut().enumerate() {
             events += 1;
-            world.handle(now, ev.event, queue);
+            world.handle_mut(now, &mut ev.event, queue);
             if let Some(c) = control {
                 if events.is_multiple_of(progress::PROGRESS_STRIDE) {
                     c.advance(events - flushed, end_time);
                     flushed = events;
                     if c.stop_requested() {
-                        // Hand the unprocessed tail of the run back so the
-                        // queue still holds everything not yet handled.
-                        queue.unpop_run(&mut batch);
-                        return RunSummary { events, end_time, hit_horizon: false, stopped: true };
+                        stop_after = Some(i + 1);
+                        break;
                     }
                 }
             }
+        }
+        if let Some(handled) = stop_after {
+            // Drop the handled prefix and hand the unprocessed tail of the
+            // run back, so the queue still holds everything not yet handled.
+            batch.drain(..handled);
+            queue.unpop_run(&mut batch);
+            return RunSummary { events, end_time, hit_horizon: false, stopped: true };
         }
     }
 }
@@ -140,7 +158,7 @@ mod tests {
 
     impl World for Ticker {
         type Event = ();
-        fn handle(&mut self, now: Time, _: (), queue: &mut EventQueue<()>) {
+        fn handle_mut(&mut self, now: Time, _: &mut (), queue: &mut EventQueue<()>) {
             self.seen.push(now);
             if self.remaining > 0 {
                 self.remaining -= 1;
@@ -212,6 +230,48 @@ mod tests {
         assert_eq!(summary.events, progress::PROGRESS_STRIDE);
         // The cancelled run leaves its pending events queued.
         assert_eq!(q.len(), 1);
+    }
+
+    /// Events carry an id; every original (`id < FOLLOW_UP`) schedules one
+    /// same-instant follow-up.
+    struct Echo;
+    const FOLLOW_UP: u64 = 1 << 32;
+
+    impl World for Echo {
+        type Event = u64;
+        fn handle_mut(&mut self, now: Time, id: &mut u64, queue: &mut EventQueue<u64>) {
+            if *id < FOLLOW_UP {
+                queue.push(now, *id + FOLLOW_UP);
+            }
+        }
+    }
+
+    #[test]
+    fn mid_batch_stop_hands_back_exactly_the_unprocessed_tail() {
+        let stride = progress::PROGRESS_STRIDE;
+        let at = Time::from_micros(3);
+        let mut q = EventQueue::new();
+        for id in 0..stride + 5 {
+            q.push(at, id);
+        }
+        let control = RunControl::new();
+        control.request_stop();
+        let summary = run_controlled(&mut Echo, &mut q, Time::MAX, Some(&control));
+        assert!(summary.stopped);
+        assert_eq!(summary.events, stride);
+        assert_eq!(summary.end_time, at);
+        // Five unhandled originals plus one follow-up per handled event.
+        assert_eq!(q.len() as u64, 5 + stride);
+        // The tail keeps its original (time, seq) identity: it pops before
+        // every follow-up, in seq order, and none of it is lost or repeated.
+        for id in stride..stride + 5 {
+            let ev = q.pop().unwrap();
+            assert_eq!((ev.at, ev.seq, ev.event), (at, id, id));
+        }
+        for id in 0..stride {
+            assert_eq!(q.pop().unwrap().event, id + FOLLOW_UP);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -109,10 +109,17 @@ impl Duration {
     /// This is the single most common duration computation in the simulator,
     /// so it lives here and is computed in integer arithmetic:
     /// `bytes * 8 * 1e9 / rate_bps` nanoseconds.
+    #[inline]
     pub fn for_bytes_at(bytes: u64, rate_bps: u64) -> Duration {
         assert!(rate_bps > 0, "link rate must be positive");
-        // bytes * 8 * 1e9 can overflow u64 for multi-GB frames; use u128.
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / rate_bps as u128;
+        // bits per byte × nanoseconds per second
+        const SCALE: u64 = 8 * 1_000_000_000;
+        // Every real frame (anything up to ~2.3 GB) fits one 64-bit divide;
+        // the 128-bit one is a libcall (`__udivti3`) paid once per packet.
+        if bytes <= u64::MAX / SCALE {
+            return Duration(bytes * SCALE / rate_bps);
+        }
+        let ns = (bytes as u128 * SCALE as u128) / rate_bps as u128;
         Duration(ns.min(u64::MAX as u128) as u64)
     }
 }
@@ -230,6 +237,17 @@ mod tests {
         // A pathological 100 GB "frame" must not overflow.
         let d = Duration::for_bytes_at(100_000_000_000, 1_000_000_000);
         assert_eq!(d, Duration::from_secs(800));
+    }
+
+    #[test]
+    fn serialization_delay_fast_path_equals_wide_formula() {
+        let edge = u64::MAX / 8_000_000_000;
+        for bytes in [0, 1, 1500, edge, edge + 1, 100_000_000_000] {
+            for rate in [1, 1_000_000_000, 40_000_000_000, u64::MAX] {
+                let wide = (bytes as u128 * 8 * 1_000_000_000 / rate as u128).min(u64::MAX as u128) as u64;
+                assert_eq!(Duration::for_bytes_at(bytes, rate), Duration(wide), "{bytes} B at {rate} bit/s");
+            }
+        }
     }
 
     #[test]
