@@ -16,8 +16,8 @@
 //! 3. **Per-packet relaying** (`relay_interval ≈ 0`) — the paper's §3.2
 //!    warning about "unnecessarily aggressive manipulation of path
 //!    weights" when ECN is relayed on every packet.
-//! 4. **Discovery off** (fallback hash ports) — what Clove loses without
-//!    its traceroute component (ports no longer map to disjoint paths).
+//! 4. **Flowlet gap 10×** (1 ms) — elephants stay pinned to one path for
+//!    longer, so two of them colliding on a path stay collided.
 //!
 //! The ablations are independent runs, so `--jobs N` executes them
 //! concurrently; results print in ablation order regardless. Completed
@@ -27,7 +27,7 @@
 
 use clove_harness::orchestrator::{self, CellOutcome, ExecPolicy};
 use clove_harness::scenario::{Scenario, TopologyKind};
-use clove_harness::{Journal, Scheme};
+use clove_harness::{cli, Scheme};
 use clove_sim::{Duration, RunControl, Time};
 use clove_workload::web_search;
 use std::sync::Arc;
@@ -61,33 +61,15 @@ fn run(cell: &Ablation, jobs_per_conn: u32, control: &Arc<RunControl>) -> String
     )
 }
 
-/// Parse `--jobs N` / `--jobs=N` (default 1 = serial).
-fn parse_jobs(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or(1);
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok().filter(|&n| n >= 1).unwrap_or(1);
-        }
-    }
-    1
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
-    let jobs = parse_jobs(&args);
-    let jobs_per_conn = if quick { 20 } else { 100 };
-    let journal = match Journal::open("results/.journal/ablations", resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("ablations: warning: no checkpoint journal ({e}); running without one");
-            None
-        }
-    };
+    if let Err(e) = cli::check_flags(&args, &["--quick", "--resume"], &["--jobs"]) {
+        eprintln!("ablations: {e}\nusage: ablations [--quick] [--jobs N] [--resume]");
+        std::process::exit(2);
+    }
+    let jobs = cli::parse_jobs(&args).unwrap_or(1);
+    let jobs_per_conn = if cli::has_flag(&args, "--quick") { 20 } else { 100 };
+    let journal = cli::open_journal("ablations", cli::has_flag(&args, "--resume"));
     println!("Clove-ECN ablations — asymmetric testbed, 60% load, {jobs_per_conn} jobs/conn\n");
 
     let cells = [

@@ -33,7 +33,7 @@
 use clove_harness::experiments::{self, ExpConfig, PointCache};
 use clove_harness::json::Json;
 use clove_harness::scenario::{Scenario, TopologyKind};
-use clove_harness::{write_atomic, Journal, Scheme};
+use clove_harness::{cli, write_atomic, Scheme};
 use clove_net::EVENT_KIND_NAMES;
 use clove_sim::{QueueProfile, Time};
 use clove_telemetry::LoopProfile;
@@ -199,33 +199,17 @@ fn event_mix() -> Json {
     ])
 }
 
-fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().map(|s| s.as_str());
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v);
-        }
-    }
-    None
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = cli::check_flags(&args, &["--resume"], &["--jobs", "--out", "--check"]) {
+        eprintln!("bench_baseline: {e}\nusage: bench_baseline [--jobs N] [--out FILE] [--check FILE] [--resume]");
+        std::process::exit(2);
+    }
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let jobs = parse_flag(&args, "--jobs").and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| cpus.max(2));
-    let out_path = parse_flag(&args, "--out").unwrap_or("BENCH_baseline.json").to_string();
-    let check_path = parse_flag(&args, "--check").map(str::to_string);
-    let resume = args.iter().any(|a| a == "--resume");
-    let journal = match Journal::open("results/.journal/bench", resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("bench_baseline: warning: no checkpoint journal ({e}); running without one");
-            None
-        }
-    };
+    let jobs = cli::parse_jobs(&args).unwrap_or_else(|| cpus.max(2));
+    let out_path = cli::parse_flag(&args, "--out").unwrap_or("BENCH_baseline.json").to_string();
+    let check_path = cli::parse_flag(&args, "--check").map(str::to_string);
+    let journal = cli::open_journal("bench", cli::has_flag(&args, "--resume"));
 
     eprintln!("bench_baseline: {cpus} cpu(s), comparing --jobs 1 vs --jobs {jobs}");
     // An oversubscribed `--jobs` pass times thread contention, not scaling.

@@ -34,7 +34,7 @@
 use clove_harness::experiments::{self, ExpConfig, PointCache};
 use clove_harness::report::FaultTable;
 use clove_harness::scenario::TopologyKind;
-use clove_harness::{write_atomic, Scheme};
+use clove_harness::{cli, write_atomic, Scheme};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -71,40 +71,21 @@ fn emit(table: clove_harness::report::FigureTable, csv_name: &str) {
     save_csv(csv_name, &table.to_csv());
 }
 
-/// Parse `--jobs N` / `--jobs=N` (default 1 = serial).
-fn parse_jobs(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or(1);
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok().filter(|&n| n >= 1).unwrap_or(1);
-        }
-    }
-    1
-}
+/// The usage line (also printed when a flag is not one of these).
+const USAGE: &str =
+    "usage: figures [fig4b|fig4c|fig5|fig6|fig7|fig8a|fig8b|fig9|resilience|feedback|recovery|headline|all] [--quick] [--jobs N] [--strict] [--resume]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let strict = args.iter().any(|a| a == "--strict");
-    let resume = args.iter().any(|a| a == "--resume");
-    let jobs = parse_jobs(&args);
-    let which = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !(a.starts_with("--") || i > 0 && args[i - 1] == "--jobs"))
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "all".into());
-    let journal = match clove_harness::Journal::open("results/.journal/figures", resume) {
-        Ok(j) => Some(std::sync::Arc::new(j)),
-        Err(e) => {
-            eprintln!("figures: warning: no checkpoint journal ({e}); running without one");
-            None
-        }
-    };
+    if let Err(e) = cli::check_flags(&args, &["--quick", "--strict", "--resume"], &["--jobs"]) {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
+    let quick = cli::has_flag(&args, "--quick");
+    let strict = cli::has_flag(&args, "--strict");
+    let jobs = cli::parse_jobs(&args).unwrap_or(1);
+    let which = cli::positional(&args, &["--jobs"]).unwrap_or("all");
+    let journal = cli::open_journal("figures", cli::has_flag(&args, "--resume")).map(std::sync::Arc::new);
     let cfg = (if quick { ExpConfig::quick() } else { ExpConfig::full() }).with_jobs(jobs).with_strict(strict).with_journal(journal.clone());
 
     // The paper sweeps 20–90%; the reproduction reports a representative
@@ -121,7 +102,7 @@ fn main() {
     let mut sim_cache = PointCache::new();
 
     if run_fig("fig4b") {
-        timed("fig4b", || emit(experiments::fig4b(loads, &cfg), "fig4b"));
+        timed("fig4b", || emit(experiments::fig4b_cached(loads, &cfg, &mut PointCache::new()), "fig4b"));
     }
     if run_fig("fig4c") {
         timed("fig4c", || emit(experiments::fig4c_cached(loads_a, &cfg, &mut testbed_cache), "fig4c"));
@@ -145,7 +126,7 @@ fn main() {
         timed("fig7", || emit(experiments::fig7(&fanouts, requests, &cfg), "fig7"));
     }
     if run_fig("fig8a") {
-        timed("fig8a", || emit(experiments::fig8a(loads, &cfg), "fig8a"));
+        timed("fig8a", || emit(experiments::fig8a_cached(loads, &cfg, &mut PointCache::new()), "fig8a"));
     }
     if run_fig("fig8b") {
         timed("fig8b", || emit(experiments::fig8b_cached(loads_a, &cfg, &mut sim_cache), "fig8b"));

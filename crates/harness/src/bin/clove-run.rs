@@ -33,34 +33,21 @@
 //! anything was found (0 when clean). Fully determined by `--seed`.
 
 use clove_harness::chaos::{run_chaos, ChaosConfig};
+use clove_harness::cli::{self, parse_flag};
 use clove_harness::config::ScenarioSpec;
-use clove_harness::{check_trace_jsonl, write_atomic, Journal};
+use clove_harness::{check_trace_jsonl, write_atomic, Scheme, TopologyKind};
 use std::path::Path;
 
-/// Parse `--flag N` / `--flag=N`.
-fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().map(|s| s.as_str());
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v);
-        }
-    }
-    None
-}
+const USAGE: &str = "usage: clove-run <spec.json> [--jobs N] [--strict] [--resume] [--trace FILE] | chaos [--runs N] [--seed S] [--jobs N] [--shrink-budget B] [--out FILE] | trace-check <trace.jsonl> | --example";
 
-/// Parse `--jobs N` / `--jobs=N` (default 1 = serial).
-fn parse_jobs(args: &[String]) -> usize {
-    parse_flag(args, "--jobs").and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or(1)
-}
+/// Flags that take a value.
+const VALUED: [&str; 6] = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
 
 fn chaos_main(args: &[String]) -> ! {
     let cfg = ChaosConfig {
         runs: parse_flag(args, "--runs").and_then(|v| v.parse().ok()).unwrap_or(20),
         seed: parse_flag(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1),
-        jobs: parse_jobs(args),
+        jobs: cli::parse_jobs(args).unwrap_or(1),
         shrink_budget: parse_flag(args, "--shrink-budget").and_then(|v| v.parse().ok()).unwrap_or(64),
     };
     eprintln!("clove-run chaos: {} run(s), seed {}, {} job(s), shrink budget {}", cfg.runs, cfg.seed, cfg.jobs, cfg.shrink_budget);
@@ -78,8 +65,9 @@ fn chaos_main(args: &[String]) -> ! {
     std::process::exit(if report.clean() { 0 } else { 2 });
 }
 
+/// `args` are what follows the `trace-check` word.
 fn trace_check_main(args: &[String]) -> ! {
-    let Some(path) = args.iter().skip(1).find(|a| !a.starts_with("--")) else {
+    let Some(path) = cli::positional(args, &VALUED) else {
         eprintln!("usage: clove-run trace-check <trace.jsonl>");
         std::process::exit(2);
     };
@@ -104,100 +92,71 @@ fn trace_check_main(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = parse_jobs(&args);
-    let value_flags = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
-    let arg = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !(a.starts_with("--") || i > 0 && value_flags.contains(&args[i - 1].as_str())))
-        .map(|(_, a)| a.clone())
-        .next()
-        .or_else(|| args.iter().find(|a| *a == "--example").cloned())
-        .unwrap_or_default();
+    if let Err(e) = cli::check_flags(&args, &["--strict", "--resume", "--example"], &VALUED) {
+        eprintln!("clove-run: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
+    if cli::has_flag(&args, "--example") {
+        // Rendered through the spec codec, so the example always parses.
+        let example = ScenarioSpec { jobs_per_conn: 100, seed: 42, ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7) };
+        println!("{}", example.to_json().render_pretty());
+        return;
+    }
+    let Some(arg) = cli::positional(&args, &VALUED) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     if arg == "chaos" {
         chaos_main(&args);
     }
     if arg == "trace-check" {
-        let rest: Vec<String> = args.iter().skip_while(|a| *a != "trace-check").cloned().collect();
-        trace_check_main(&rest);
+        let word = args.iter().position(|a| a == arg).expect("the positional is one of the arguments");
+        trace_check_main(&args[word + 1..]);
     }
-    if arg == "--example" || arg.is_empty() {
-        eprintln!("usage: clove-run <spec.json> | chaos | trace-check <trace.jsonl> | --example");
-        println!(
-            "{{
-  \"scheme\": {{ \"name\": \"clove-ecn\" }},
-  \"topology\": {{ \"kind\": \"asymmetric\" }},
-  \"load\": 0.7,
-  \"workload\": \"web-search\",
-  \"jobs_per_conn\": 100,
-  \"conns_per_client\": 2,
-  \"seed\": 42,
-  \"seeds\": 1,
-  \"horizon_secs\": 30
-}}"
-        );
-        std::process::exit(if arg.is_empty() { 2 } else { 0 });
-    }
-    let text = match std::fs::read_to_string(&arg) {
+    let text = match std::fs::read_to_string(arg) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("clove-run: cannot read {arg}: {e}");
             std::process::exit(1);
         }
     };
-    let mut spec: ScenarioSpec = match ScenarioSpec::from_json_str(&text) {
-        Ok(s) => s,
+    let trace_path = parse_flag(&args, "--trace");
+    let spec = ScenarioSpec::from_json_str(&text).map(|spec| ScenarioSpec {
+        strict: spec.strict || cli::has_flag(&args, "--strict"),
+        trace: trace_path.is_some(),
+        ..spec
+    });
+    // One gate before any worker starts: a bad spec is one line, not a
+    // panic retried and quarantined per seed.
+    let spec = match spec.and_then(|spec| spec.validate().map(|()| spec)) {
+        Ok(spec) => spec,
         Err(e) => {
             eprintln!("clove-run: bad spec: {e}");
             std::process::exit(1);
         }
     };
-    if args.iter().any(|a| a == "--strict") {
-        spec.strict = true;
-    }
-    if let Some(trace_path) = parse_flag(&args, "--trace") {
-        // Trace runs bypass the journal: a resumed seed has no trace buffer
-        // to replay, and a partial dump would silently lose events.
-        match spec.run_jobs_traced(jobs) {
-            Ok((report, jsonl, dropped)) => {
-                if let Err(e) = write_atomic(Path::new(trace_path), &jsonl) {
-                    eprintln!("clove-run: cannot write trace {trace_path}: {e}");
-                    std::process::exit(1);
-                }
-                let lines = jsonl.lines().count();
-                eprintln!("clove-run: wrote {lines} trace event(s) to {trace_path}");
-                if dropped > 0 {
-                    eprintln!("clove-run: warning: {dropped} trace event(s) dropped at buffer capacity");
-                }
-                println!("{}", report.to_json().render_pretty());
-                return;
-            }
-            Err(e) => {
-                eprintln!("clove-run: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let resume = args.iter().any(|a| a == "--resume");
-    let journal = match Journal::open("results/.journal/clove-run", resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("clove-run: warning: no checkpoint journal ({e}); running without one");
-            None
-        }
-    };
-    match spec.run_jobs_journaled(jobs, journal.as_ref()) {
-        Ok(report) => {
-            if let Some(j) = &journal {
-                if j.hits() > 0 {
-                    eprintln!("clove-run: resumed {} seed(s) from the journal", j.hits());
-                }
-            }
-            println!("{}", report.to_json().render_pretty());
-        }
+    // Trace runs bypass the journal (see `ScenarioSpec::run`), so they do
+    // not open — and thereby wipe — it either.
+    let journal = if spec.trace { None } else { cli::open_journal("clove-run", cli::has_flag(&args, "--resume")) };
+    let (report, jsonl, dropped) = match spec.run(cli::parse_jobs(&args).unwrap_or(1), journal.as_ref()) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("clove-run: {e}");
             std::process::exit(1);
         }
+    };
+    if let Some(trace_path) = trace_path {
+        if let Err(e) = write_atomic(Path::new(trace_path), &jsonl) {
+            eprintln!("clove-run: cannot write trace {trace_path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("clove-run: wrote {} trace event(s) to {trace_path}", jsonl.lines().count());
+        if dropped > 0 {
+            eprintln!("clove-run: warning: {dropped} trace event(s) dropped at buffer capacity");
+        }
     }
+    if let Some(hits) = journal.as_ref().map(|j| j.hits()).filter(|&hits| hits > 0) {
+        eprintln!("clove-run: resumed {hits} seed(s) from the journal");
+    }
+    println!("{}", report.to_json().render_pretty());
 }

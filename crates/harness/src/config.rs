@@ -2,200 +2,22 @@
 //!
 //! [`ScenarioSpec`] is the on-disk form of a [`Scenario`]: a JSON file a
 //! user can write without touching Rust, consumed by the `clove-run`
-//! binary. [`RunReport`] is its JSON output (summary numbers only; full
-//! CDFs via the `cdf_points` knob). Parsing and rendering go through the
-//! in-tree [`crate::json`] module so the workspace builds fully offline.
+//! binary, and a thin one — its `scheme` and `topology` are the real
+//! [`Scheme`] and [`TopologyKind`], each with its own codec beside the
+//! enum. [`RunReport`] is its JSON output (summary numbers only). Parsing
+//! and rendering go through the in-tree [`crate::json`] module so the
+//! workspace builds fully offline.
 
+use crate::experiments::{fold_point, pool_fct};
 use crate::journal::{Journal, JournalValue};
 use crate::json::Json;
-use crate::orchestrator::{self, CellOutcome, ExecPolicy};
+use crate::orchestrator::{self, ExecPolicy};
 use crate::profile::Profile;
 use crate::scenario::{Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_sim::{Duration, Time};
 use clove_workload::{data_mining, enterprise, web_search, FlowSizeDist};
 use std::sync::Arc;
-
-/// JSON-facing scheme name (`{"name": "clove-ecn", ...}`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchemeSpec {
-    /// Static flow hashing.
-    Ecmp,
-    /// Random port per flowlet.
-    EdgeFlowlet,
-    /// Clove with ECN feedback.
-    CloveEcn,
-    /// Clove with INT feedback.
-    CloveInt,
-    /// Clove with latency feedback.
-    CloveLatency {
-        /// Enable the adaptive flowlet gap.
-        adaptive_gap: bool,
-    },
-    /// Presto with optional static path weights.
-    Presto {
-        /// Oracle weights per discovered path.
-        weights: Option<Vec<f64>>,
-    },
-    /// MPTCP with k subflows.
-    Mptcp {
-        /// Subflow count (paper: 4).
-        subflows: usize,
-    },
-    /// CONGA in the switches.
-    Conga,
-    /// LetFlow in the switches.
-    LetFlow,
-    /// HULA in the switches.
-    Hula,
-    /// Partial Clove deployment.
-    Incremental {
-        /// Number of Clove-enabled hypervisors.
-        clove_hosts: u32,
-    },
-}
-
-impl SchemeSpec {
-    /// Parse from the tagged-object form, e.g. `{"name":"mptcp","subflows":4}`.
-    pub fn from_json(v: &Json) -> Result<SchemeSpec, String> {
-        let name = v.get("name").and_then(Json::as_str).ok_or_else(|| "scheme: missing string field 'name'".to_string())?;
-        match name {
-            "ecmp" => Ok(SchemeSpec::Ecmp),
-            "edge-flowlet" => Ok(SchemeSpec::EdgeFlowlet),
-            "clove-ecn" => Ok(SchemeSpec::CloveEcn),
-            "clove-int" => Ok(SchemeSpec::CloveInt),
-            "clove-latency" => Ok(SchemeSpec::CloveLatency { adaptive_gap: v.get("adaptive_gap").and_then(Json::as_bool).unwrap_or(false) }),
-            "presto" => {
-                let weights = match v.get("weights") {
-                    None | Some(Json::Null) => None,
-                    Some(w) => Some(
-                        w.as_array()
-                            .ok_or_else(|| "presto: 'weights' must be an array".to_string())?
-                            .iter()
-                            .map(|x| x.as_f64().ok_or_else(|| "presto: weights must be numbers".to_string()))
-                            .collect::<Result<Vec<f64>, String>>()?,
-                    ),
-                };
-                Ok(SchemeSpec::Presto { weights })
-            }
-            "mptcp" => Ok(SchemeSpec::Mptcp {
-                subflows: v.get("subflows").and_then(Json::as_u64).ok_or_else(|| "mptcp: missing integer field 'subflows'".to_string())? as usize,
-            }),
-            "conga" => Ok(SchemeSpec::Conga),
-            "let-flow" => Ok(SchemeSpec::LetFlow),
-            "hula" => Ok(SchemeSpec::Hula),
-            "incremental" => Ok(SchemeSpec::Incremental {
-                clove_hosts: v.get("clove_hosts").and_then(Json::as_u64).ok_or_else(|| "incremental: missing integer field 'clove_hosts'".to_string())? as u32,
-            }),
-            other => Err(format!("unknown scheme name '{other}'")),
-        }
-    }
-
-    /// Render back to the tagged-object form.
-    pub fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        let name = match self {
-            SchemeSpec::Ecmp => "ecmp",
-            SchemeSpec::EdgeFlowlet => "edge-flowlet",
-            SchemeSpec::CloveEcn => "clove-ecn",
-            SchemeSpec::CloveInt => "clove-int",
-            SchemeSpec::CloveLatency { .. } => "clove-latency",
-            SchemeSpec::Presto { .. } => "presto",
-            SchemeSpec::Mptcp { .. } => "mptcp",
-            SchemeSpec::Conga => "conga",
-            SchemeSpec::LetFlow => "let-flow",
-            SchemeSpec::Hula => "hula",
-            SchemeSpec::Incremental { .. } => "incremental",
-        };
-        fields.push(("name".to_string(), Json::Str(name.to_string())));
-        match self {
-            SchemeSpec::CloveLatency { adaptive_gap } => {
-                fields.push(("adaptive_gap".to_string(), Json::Bool(*adaptive_gap)));
-            }
-            SchemeSpec::Presto { weights } => {
-                let w = match weights {
-                    Some(ws) => Json::Arr(ws.iter().map(|&x| Json::Num(x)).collect()),
-                    None => Json::Null,
-                };
-                fields.push(("weights".to_string(), w));
-            }
-            SchemeSpec::Mptcp { subflows } => {
-                fields.push(("subflows".to_string(), Json::Num(*subflows as f64)));
-            }
-            SchemeSpec::Incremental { clove_hosts } => {
-                fields.push(("clove_hosts".to_string(), Json::Num(*clove_hosts as f64)));
-            }
-            _ => {}
-        }
-        Json::Obj(fields)
-    }
-}
-
-impl From<SchemeSpec> for Scheme {
-    fn from(s: SchemeSpec) -> Scheme {
-        match s {
-            SchemeSpec::Ecmp => Scheme::Ecmp,
-            SchemeSpec::EdgeFlowlet => Scheme::EdgeFlowlet,
-            SchemeSpec::CloveEcn => Scheme::CloveEcn,
-            SchemeSpec::CloveInt => Scheme::CloveInt,
-            SchemeSpec::CloveLatency { adaptive_gap } => Scheme::CloveLatency { adaptive_gap },
-            SchemeSpec::Presto { weights } => Scheme::Presto { oracle_weights: weights },
-            SchemeSpec::Mptcp { subflows } => Scheme::Mptcp { subflows },
-            SchemeSpec::Conga => Scheme::Conga,
-            SchemeSpec::LetFlow => Scheme::LetFlow,
-            SchemeSpec::Hula => Scheme::Hula,
-            SchemeSpec::Incremental { clove_hosts } => Scheme::Incremental { clove_hosts },
-        }
-    }
-}
-
-/// JSON-facing topology (`{"kind": "asymmetric"}`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopologySpec {
-    /// Healthy 2×2×16 leaf-spine.
-    Symmetric,
-    /// Leaf-spine with the S2–L2 cable down from t = 0.
-    Asymmetric,
-    /// k-ary fat-tree.
-    FatTree {
-        /// Pod arity (even, ≥ 4).
-        k: u32,
-    },
-}
-
-impl TopologySpec {
-    /// Parse from the tagged-object form, e.g. `{"kind":"fat-tree","k":4}`.
-    pub fn from_json(v: &Json) -> Result<TopologySpec, String> {
-        let kind = v.get("kind").and_then(Json::as_str).ok_or_else(|| "topology: missing string field 'kind'".to_string())?;
-        match kind {
-            "symmetric" => Ok(TopologySpec::Symmetric),
-            "asymmetric" => Ok(TopologySpec::Asymmetric),
-            "fat-tree" => {
-                Ok(TopologySpec::FatTree { k: v.get("k").and_then(Json::as_u64).ok_or_else(|| "fat-tree: missing integer field 'k'".to_string())? as u32 })
-            }
-            other => Err(format!("unknown topology kind '{other}'")),
-        }
-    }
-
-    /// Render back to the tagged-object form.
-    pub fn to_json(&self) -> Json {
-        match self {
-            TopologySpec::Symmetric => Json::Obj(vec![("kind".to_string(), Json::Str("symmetric".to_string()))]),
-            TopologySpec::Asymmetric => Json::Obj(vec![("kind".to_string(), Json::Str("asymmetric".to_string()))]),
-            TopologySpec::FatTree { k } => Json::Obj(vec![("kind".to_string(), Json::Str("fat-tree".to_string())), ("k".to_string(), Json::Num(*k as f64))]),
-        }
-    }
-}
-
-impl From<TopologySpec> for TopologyKind {
-    fn from(t: TopologySpec) -> TopologyKind {
-        match t {
-            TopologySpec::Symmetric => TopologyKind::Symmetric,
-            TopologySpec::Asymmetric => TopologyKind::Asymmetric,
-            TopologySpec::FatTree { k } => TopologyKind::FatTree { k },
-        }
-    }
-}
 
 /// JSON-facing node crash-restart
 /// (`{"node":"leaf1","at_ms":20,"down_ms":15,"state":"cold"}`): the named
@@ -220,7 +42,7 @@ impl NodeCrashSpec {
     pub fn from_json(v: &Json) -> Result<NodeCrashSpec, String> {
         let name = v.get("node").and_then(Json::as_str).ok_or_else(|| "node_crash: missing string field 'node'".to_string())?;
         let node = parse_node(name)?;
-        let num = |key: &str| v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("node_crash: missing integer field '{key}'"));
+        let num = |key: &str| time_field(v, key)?.ok_or_else(|| format!("node_crash: missing integer field '{key}'"));
         let down_ms = num("down_ms")?;
         if down_ms == 0 {
             return Err("node_crash: 'down_ms' must be positive".to_string());
@@ -258,6 +80,12 @@ impl NodeCrashSpec {
     }
 }
 
+/// A spec time field (`*_secs`, `*_ms`, `*_us`): decoded through `u32`, so
+/// scaling it to the simulator's `u64` nanoseconds cannot overflow.
+fn time_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    Ok(v.uint_field::<u32>(key)?.map(u64::from))
+}
+
 /// Parse a node name like `leaf0`, `spine1` or `host12`.
 fn parse_node(name: &str) -> Result<clove_net::fault::NodeSelector, String> {
     use clove_net::fault::NodeSelector;
@@ -276,9 +104,9 @@ fn parse_node(name: &str) -> Result<clove_net::fault::NodeSelector, String> {
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Load balancer under test.
-    pub scheme: SchemeSpec,
+    pub scheme: Scheme,
     /// Topology variant.
-    pub topology: TopologySpec,
+    pub topology: TopologyKind,
     /// Offered load as a fraction of bisection bandwidth.
     pub load: f64,
     /// Flow-size distribution: "web-search", "enterprise", "data-mining".
@@ -313,49 +141,68 @@ pub struct ScenarioSpec {
     /// Run under the invariant monitor and fail the run on any violation
     /// (`clove-run --strict` forces this on).
     pub strict: bool,
-    /// Capture structured decision traces (`clove-run --trace FILE`).
-    /// CLI-only and *not* part of the spec JSON or journal keys:
+    /// Capture structured decision traces (`clove-run --trace FILE`):
+    /// [`ScenarioSpec::run`] then returns the pooled JSONL next to the
+    /// report. CLI-only and *not* part of the spec JSON or journal keys:
     /// tracing must never change the report, and trace runs bypass the
     /// checkpoint journal (a resumed seed has no buffer to replay).
     pub trace: bool,
 }
 
 impl ScenarioSpec {
+    /// A spec with every field but the three required ones at its default —
+    /// the values an omitted JSON key takes.
+    pub fn new(scheme: Scheme, topology: TopologyKind, load: f64) -> ScenarioSpec {
+        ScenarioSpec {
+            scheme,
+            topology,
+            load,
+            workload: "web-search".to_string(),
+            jobs_per_conn: 60,
+            conns_per_client: 2,
+            seed: 0,
+            seeds: 1,
+            horizon_secs: 30,
+            fail_at_ms: None,
+            node_crash: None,
+            flowlet_gap_us: None,
+            ecn_threshold_pkts: None,
+            control_loss: None,
+            control_loss_at_ms: None,
+            strict: false,
+            trace: false,
+        }
+    }
+
     /// Parse a spec from JSON text, applying defaults for omitted fields.
+    /// Integers are range-checked into their field's type; whether the
+    /// values describe a runnable scenario is [`Scenario::validate`]'s call.
     pub fn from_json_str(text: &str) -> Result<ScenarioSpec, String> {
         let v = Json::parse(text)?;
         if !matches!(v, Json::Obj(_)) {
             return Err("spec must be a JSON object".to_string());
         }
-        let scheme = SchemeSpec::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
-        let topology = TopologySpec::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
+        let scheme = Scheme::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
+        let topology = TopologyKind::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
         let load = v.get("load").and_then(Json::as_f64).ok_or_else(|| "missing numeric field 'load'".to_string())?;
-        let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(x) => x.as_u64().map(Some).ok_or_else(|| format!("'{key}' must be a non-negative integer")),
-            }
-        };
+        let d = ScenarioSpec::new(scheme, topology, load);
         Ok(ScenarioSpec {
-            scheme,
-            topology,
-            load,
             workload: match v.get("workload") {
-                None => "web-search".to_string(),
+                None => d.workload,
                 Some(w) => w.as_str().ok_or_else(|| "'workload' must be a string".to_string())?.to_string(),
             },
-            jobs_per_conn: opt_u64("jobs_per_conn")?.unwrap_or(60) as u32,
-            conns_per_client: opt_u64("conns_per_client")?.unwrap_or(2) as u32,
-            seed: opt_u64("seed")?.unwrap_or(0),
-            seeds: opt_u64("seeds")?.unwrap_or(1).max(1) as u32,
-            horizon_secs: opt_u64("horizon_secs")?.unwrap_or(30),
-            fail_at_ms: opt_u64("fail_at_ms")?,
+            jobs_per_conn: v.uint_field("jobs_per_conn")?.unwrap_or(d.jobs_per_conn),
+            conns_per_client: v.uint_field("conns_per_client")?.unwrap_or(d.conns_per_client),
+            seed: v.uint_field("seed")?.unwrap_or(d.seed),
+            seeds: v.uint_field("seeds")?.unwrap_or(d.seeds).max(1),
+            horizon_secs: time_field(&v, "horizon_secs")?.unwrap_or(d.horizon_secs),
+            fail_at_ms: time_field(&v, "fail_at_ms")?,
             node_crash: match v.get("node_crash") {
                 None | Some(Json::Null) => None,
                 Some(x) => Some(NodeCrashSpec::from_json(x)?),
             },
-            flowlet_gap_us: opt_u64("flowlet_gap_us")?,
-            ecn_threshold_pkts: opt_u64("ecn_threshold_pkts")?.map(|x| x as u32),
+            flowlet_gap_us: time_field(&v, "flowlet_gap_us")?,
+            ecn_threshold_pkts: v.uint_field("ecn_threshold_pkts")?,
             control_loss: match v.get("control_loss") {
                 None | Some(Json::Null) => None,
                 Some(x) => {
@@ -366,12 +213,12 @@ impl ScenarioSpec {
                     Some(rate)
                 }
             },
-            control_loss_at_ms: opt_u64("control_loss_at_ms")?,
+            control_loss_at_ms: time_field(&v, "control_loss_at_ms")?,
             strict: match v.get("strict") {
-                None | Some(Json::Null) => false,
+                None | Some(Json::Null) => d.strict,
                 Some(x) => x.as_bool().ok_or_else(|| "'strict' must be a boolean".to_string())?,
             },
-            trace: false,
+            ..d
         })
     }
 
@@ -404,17 +251,13 @@ impl ScenarioSpec {
             "web-search" => Ok(web_search()),
             "enterprise" => Ok(enterprise()),
             "data-mining" => Ok(data_mining()),
-            other => Err(format!("unknown workload '{other}' (want web-search | enterprise | data-mining)")),
+            other => Err(format!("workload: unknown '{other}' (want web-search | enterprise | data-mining)")),
         }
     }
 
-    /// Build the runnable [`Scenario`].
+    /// Build the runnable [`Scenario`] (for the spec's first seed).
     pub fn to_scenario(&self) -> Scenario {
-        self.to_scenario_seeded(self.seed)
-    }
-
-    fn to_scenario_seeded(&self, seed: u64) -> Scenario {
-        let mut s = Scenario::new(self.scheme.clone().into(), self.topology.into(), self.load, seed);
+        let mut s = Scenario::new(self.scheme.clone(), self.topology, self.load, self.seed);
         s.jobs_per_conn = self.jobs_per_conn;
         s.conns_per_client = self.conns_per_client;
         s.horizon = Time::from_secs(self.horizon_secs);
@@ -440,95 +283,62 @@ impl ScenarioSpec {
         s
     }
 
-    /// Run the RPC workload described by this spec (serial).
-    pub fn run(&self) -> Result<RunReport, String> {
-        self.run_jobs(1)
+    /// Check the whole run description — workload name plus everything
+    /// [`Scenario::validate`] gates — before any worker starts. Errors lead
+    /// with the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.distribution()?;
+        self.to_scenario().validate()
     }
 
-    /// Run the RPC workload, fanning the spec's seeds out over `jobs`
-    /// worker threads. Samples are pooled in seed order, so the report is
-    /// identical at any `jobs` value.
-    pub fn run_jobs(&self, jobs: usize) -> Result<RunReport, String> {
-        self.run_jobs_journaled(jobs, None)
-    }
-
-    /// Run with decision tracing on: returns the report plus the pooled
-    /// JSONL trace (seed order — deterministic at any `jobs`) and the count
-    /// of events dropped at buffer capacity. The report itself is
-    /// byte-identical to an untraced run.
-    pub fn run_jobs_traced(&self, jobs: usize) -> Result<(RunReport, String, u64), String> {
-        let mut spec = self.clone();
-        spec.trace = true;
-        spec.run_jobs_inner(jobs, None)
-    }
-
-    /// [`ScenarioSpec::run_jobs`] with panic isolation and an optional
-    /// checkpoint journal: completed seeds are recorded under the journal's
-    /// `clove-run` scope (keyed by the full spec JSON plus the seed), so an
-    /// interrupted invocation re-run with `--resume` serves finished seeds
-    /// from disk and only executes the remainder. The report is byte-identical
-    /// with or without a resume, at any `jobs` value.
-    pub fn run_jobs_journaled(&self, jobs: usize, journal: Option<&Journal>) -> Result<RunReport, String> {
-        self.run_jobs_inner(jobs, journal).map(|(report, _, _)| report)
-    }
-
-    fn run_jobs_inner(&self, jobs: usize, journal: Option<&Journal>) -> Result<(RunReport, String, u64), String> {
+    /// Run the RPC workload described by this spec, fanning its seeds out
+    /// over `jobs` worker threads under panic isolation, and return the
+    /// report plus — when [`ScenarioSpec::trace`] is set — the pooled JSONL
+    /// decision trace and the count of events dropped at buffer capacity.
+    /// Samples and traces are pooled in seed order, so report and dump are
+    /// byte-identical at any `jobs` value, and the report is byte-identical
+    /// with tracing on or off.
+    ///
+    /// With a `journal`, completed seeds are recorded under its `clove-run`
+    /// scope (keyed by the full spec JSON plus the seed), so an interrupted
+    /// invocation re-run with `--resume` serves finished seeds from disk and
+    /// only executes the remainder; the report does not change. Trace runs
+    /// ignore the journal: a resumed seed has no trace buffer to replay.
+    pub fn run(&self, jobs: usize, journal: Option<&Journal>) -> Result<(RunReport, String, u64), String> {
+        self.validate()?;
         let dist = self.distribution()?;
-        self.to_scenario().profile.discovery_config().validate().map_err(|e| format!("invalid discovery configuration: {e}"))?;
-        let seeds: Vec<u64> = (0..self.seeds.max(1) as u64).map(|i| self.seed + i).collect();
+        let seeds: Vec<u64> = (0..u64::from(self.seeds.max(1))).map(|i| self.seed.wrapping_add(i)).collect();
         let spec_key = self.to_json().render();
         let (outcomes, _stats) = orchestrator::run_journaled(
             &seeds,
             jobs,
             ExecPolicy::default(),
             None, // seeds of one spec are uniform-cost
-            journal.map(|j| (j, "clove-run")),
+            journal.filter(|_| !self.trace).map(|j| (j, "clove-run")),
             |&seed| format!("{spec_key}|seed{seed}"),
             |&seed, control| {
-                let mut s = self.to_scenario_seeded(seed);
-                s.control = Some(Arc::clone(control));
+                let s = Scenario { seed, control: Some(Arc::clone(control)), ..self.to_scenario() };
                 SeedRun::from_outcome(s.run_rpc(&dist))
             },
         );
-        let mut fct: Option<clove_workload::FctSummary> = None;
-        let (mut sim_time, mut events, mut drops, mut ecn_marks, mut timeouts, mut retransmits) = (0.0f64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut violations: Vec<String> = Vec::new();
-        let mut quarantined: Vec<String> = Vec::new();
-        let mut trace_jsonl = String::new();
-        let mut trace_dropped = 0u64;
-        for (seed, outcome) in seeds.iter().zip(outcomes) {
-            let out = match outcome {
-                CellOutcome::Ok(run) => run,
-                bad => {
-                    quarantined.push(format!("seed {seed}: {}", bad.describe()));
-                    continue;
-                }
-            };
-            match fct.as_mut() {
-                None => fct = Some(out.fct),
-                Some(f) => f.merge(&out.fct),
-            }
-            sim_time = sim_time.max(out.sim_time_s);
-            events += out.events;
-            drops += out.drops;
-            ecn_marks += out.ecn_marks;
-            timeouts += out.timeouts;
-            retransmits += out.retransmits;
-            violations.extend(out.violations);
-            trace_jsonl.push_str(&out.trace_jsonl);
-            trace_dropped += out.trace_dropped;
-        }
-        if !quarantined.is_empty() {
-            return Err(format!("{} seed(s) quarantined: {}", quarantined.len(), quarantined.join("; ")));
-        }
+        let runs = fold_point(outcomes, self.seed, self.scheme.label(), |_, _| String::new())
+            .map_err(|bad| format!("{} seed(s) quarantined: {}", bad.len(), bad.join("; ")))?;
+        let violations: Vec<&str> = runs.iter().flat_map(|run| run.violations.iter().map(String::as_str)).collect();
         if !violations.is_empty() {
             return Err(format!("strict mode: {} invariant violation(s): {}", violations.len(), violations.join("; ")));
         }
-        let mut fct = fct.expect("at least one seed");
+        let sum = |field: fn(&SeedRun) -> u64| runs.iter().map(field).sum::<u64>();
+        let (events, drops, ecn_marks, timeouts, retransmits) =
+            (sum(|run| run.events), sum(|run| run.drops), sum(|run| run.ecn_marks), sum(|run| run.timeouts), sum(|run| run.retransmits));
+        let trace_dropped = sum(|run| run.trace_dropped);
+        let trace_jsonl: String = runs.iter().map(|run| run.trace_jsonl.as_str()).collect();
+        let sim_time_s = runs.iter().map(|run| run.sim_time_s).fold(0.0, f64::max);
+        let seeds = runs.len() as u64;
+        let mut fct = pool_fct(runs.into_iter().map(|run| run.fct));
         let report = RunReport {
-            scheme: format!("{:?}", self.scheme),
+            scheme: self.scheme.label().to_string(),
             load: self.load,
-            seeds: self.seeds.max(1) as u64,
+            seeds,
             flows_completed: fct.all.count() as u64,
             flows_incomplete: fct.incomplete as u64,
             avg_fct_s: fct.avg(),
@@ -536,7 +346,7 @@ impl ScenarioSpec {
             p99_fct_s: fct.p99(),
             mice_avg_fct_s: fct.mice.mean(),
             elephant_avg_fct_s: fct.elephants.mean(),
-            sim_time_s: sim_time,
+            sim_time_s,
             events,
             drops,
             ecn_marks,
@@ -549,7 +359,7 @@ impl ScenarioSpec {
 }
 
 /// The per-seed slice of an [`RpcOutcome`](crate::scenario::RpcOutcome)
-/// that [`ScenarioSpec::run_jobs_journaled`] folds into a [`RunReport`] —
+/// that [`ScenarioSpec::run`] folds into a [`RunReport`] —
 /// exactly what gets checkpointed, so a resumed seed reproduces the fold
 /// bit-for-bit.
 #[derive(Debug, Clone)]
@@ -694,17 +504,21 @@ impl RunReport {
 mod tests {
     use super::*;
 
+    /// The smallest spec around `fields` (extra top-level JSON members).
+    fn spec_json(scheme: &str, topology: &str, fields: &str) -> String {
+        format!(r#"{{"scheme":{scheme},"topology":{topology},"load":0.5{fields}}}"#)
+    }
+
+    fn ecmp_spec(fields: &str) -> String {
+        spec_json(r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#, fields)
+    }
+
     #[test]
     fn spec_round_trips_through_json() {
         let spec = ScenarioSpec {
-            scheme: SchemeSpec::CloveEcn,
-            topology: TopologySpec::Asymmetric,
-            load: 0.7,
-            workload: "web-search".into(),
             jobs_per_conn: 10,
             conns_per_client: 1,
             seed: 42,
-            seeds: 1,
             horizon_secs: 10,
             fail_at_ms: Some(100),
             node_crash: Some(NodeCrashSpec { node: clove_net::fault::NodeSelector::Leaf(1), at_ms: 20, down_ms: 15, cold: true }),
@@ -713,12 +527,12 @@ mod tests {
             control_loss: Some(0.2),
             control_loss_at_ms: Some(20),
             strict: true,
-            trace: false,
+            ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7)
         };
         let json = spec.to_json().render_pretty();
         let back = ScenarioSpec::from_json_str(&json).unwrap();
         assert_eq!(back.load, 0.7);
-        assert_eq!(back.scheme, SchemeSpec::CloveEcn);
+        assert_eq!(back.scheme, Scheme::CloveEcn);
         assert_eq!(back.fail_at_ms, Some(100));
         assert_eq!(back.node_crash, spec.node_crash);
         assert_eq!(back.control_loss, Some(0.2));
@@ -730,10 +544,23 @@ mod tests {
     }
 
     #[test]
+    fn spec_round_trips_with_every_scheme_and_topology() {
+        for scheme in Scheme::all() {
+            for topology in TopologyKind::all() {
+                let spec = ScenarioSpec::new(scheme.clone(), topology, 0.6);
+                let text = spec.to_json().render();
+                let back = ScenarioSpec::from_json_str(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                assert_eq!((&back.scheme, back.topology), (&scheme, topology));
+                assert_eq!(back.to_json().render(), text, "decode then encode is the identity");
+                back.validate().unwrap_or_else(|e| panic!("{text}: {e}"));
+            }
+        }
+    }
+
+    #[test]
     fn node_crash_spec_parses_and_builds_the_plan() {
-        let json = r#"{"scheme":{"name":"clove-ecn"},"topology":{"kind":"symmetric"},"load":0.5,
-                       "node_crash":{"node":"host3","at_ms":20,"down_ms":10,"state":"warm"}}"#;
-        let spec = ScenarioSpec::from_json_str(json).unwrap();
+        let json = spec_json(r#"{"name":"clove-ecn"}"#, r#"{"kind":"symmetric"}"#, r#","node_crash":{"node":"host3","at_ms":20,"down_ms":10,"state":"warm"}"#);
+        let spec = ScenarioSpec::from_json_str(&json).unwrap();
         let crash = spec.node_crash.expect("node crash parsed");
         assert_eq!(crash.node, clove_net::fault::NodeSelector::Host(3));
         assert!(!crash.cold);
@@ -742,9 +569,8 @@ mod tests {
         assert_eq!(s.faults.node_specs[0].window(), (Time::from_millis(20), Time::from_millis(30)));
         assert!(!s.faults.node_specs[0].is_cold());
         // State defaults to cold.
-        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":0.5,
-                       "node_crash":{"node":"spine1","at_ms":5,"down_ms":5}}"#;
-        assert!(ScenarioSpec::from_json_str(json).unwrap().node_crash.unwrap().cold);
+        let json = ecmp_spec(r#","node_crash":{"node":"spine1","at_ms":5,"down_ms":5}"#);
+        assert!(ScenarioSpec::from_json_str(&json).unwrap().node_crash.unwrap().cold);
     }
 
     #[test]
@@ -756,17 +582,54 @@ mod tests {
             r#"{"node":"leaf0","down_ms":1}"#,                         // missing at_ms
             r#"{"node":"leaf0","at_ms":1,"down_ms":1,"state":"hot"}"#, // bad state
         ] {
-            let json = format!(r#"{{"scheme":{{"name":"ecmp"}},"topology":{{"kind":"symmetric"}},"load":0.5,"node_crash":{bad}}}"#);
-            assert!(ScenarioSpec::from_json_str(&json).is_err(), "should reject {bad}");
+            assert!(ScenarioSpec::from_json_str(&ecmp_spec(&format!(r#","node_crash":{bad}"#))).is_err(), "should reject {bad}");
         }
     }
 
     #[test]
     fn control_loss_rate_is_validated() {
-        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":0.5,"control_loss":1.5}"#;
-        assert!(ScenarioSpec::from_json_str(json).is_err());
-        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":0.5,"strict":"yes"}"#;
-        assert!(ScenarioSpec::from_json_str(json).is_err());
+        assert!(ScenarioSpec::from_json_str(&ecmp_spec(r#","control_loss":1.5"#)).is_err());
+        assert!(ScenarioSpec::from_json_str(&ecmp_spec(r#","strict":"yes""#)).is_err());
+    }
+
+    /// Decode and validate, as `clove-run` does before fanning out.
+    fn gate(json: &str) -> Result<(), String> {
+        ScenarioSpec::from_json_str(json)?.validate()
+    }
+
+    #[test]
+    fn out_of_range_specs_are_rejected_naming_the_field() {
+        let mptcp = |subflows: &str| spec_json(&format!(r#"{{"name":"mptcp","subflows":{subflows}}}"#), r#"{"kind":"symmetric"}"#, "");
+        let fat_tree = |k: &str| spec_json(r#"{"name":"ecmp"}"#, &format!(r#"{{"kind":"fat-tree","k":{k}}}"#), "");
+        let load = |load: &str| format!(r#"{{"scheme":{{"name":"ecmp"}},"topology":{{"kind":"symmetric"}},"load":{load}}}"#);
+        for (json, field) in [
+            (load("0"), "load"),
+            (load("-0.5"), "load"),
+            (load("1.6"), "load"),
+            (ecmp_spec(r#","conns_per_client":0"#), "conns_per_client"),
+            (ecmp_spec(r#","conns_per_client":65"#), "conns_per_client"),
+            (ecmp_spec(r#","jobs_per_conn":0"#), "jobs_per_conn"),
+            (ecmp_spec(r#","jobs_per_conn":4294967298"#), "jobs_per_conn"),
+            (ecmp_spec(r#","ecn_threshold_pkts":4294967296"#), "ecn_threshold_pkts"),
+            (ecmp_spec(r#","horizon_secs":18446744073"#), "horizon_secs"),
+            (fat_tree("3"), "topology.k"),
+            (fat_tree("2"), "topology.k"),
+            (fat_tree("20"), "topology.k"),
+            (fat_tree("4294967298"), "'k'"),
+            (mptcp("0"), "scheme.subflows"),
+            (mptcp("17"), "scheme.subflows"),
+            (mptcp("4294967297"), "'subflows'"),
+            (spec_json(r#"{"name":"incremental","clove_hosts":33}"#, r#"{"kind":"symmetric"}"#, ""), "scheme.clove_hosts"),
+        ] {
+            let err = gate(&json).expect_err(&json);
+            assert!(err.contains(field), "{json}: error must name {field}: {err}");
+        }
+        // The oversized subflow count never reaches a run: it fails at decode.
+        assert!(ScenarioSpec::from_json_str(&mptcp("4294967297")).is_err());
+        // The edges of each range are accepted.
+        for json in [load("1.5"), ecmp_spec(r#","conns_per_client":64"#), fat_tree("4"), mptcp("16")] {
+            gate(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        }
     }
 
     #[test]
@@ -775,7 +638,7 @@ mod tests {
                        "load":0.3,"jobs_per_conn":2,"conns_per_client":1,"horizon_secs":10,
                        "control_loss":0.5,"control_loss_at_ms":5,"strict":true}"#;
         let spec = ScenarioSpec::from_json_str(json).unwrap();
-        let report = spec.run().unwrap();
+        let (report, _, _) = spec.run(1, None).unwrap();
         assert!(report.strict);
         assert!(report.flows_completed > 0);
         assert!(report.to_json().render().contains("\"strict\":true"));
@@ -783,8 +646,7 @@ mod tests {
 
     #[test]
     fn minimal_json_uses_defaults() {
-        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":0.5}"#;
-        let spec = ScenarioSpec::from_json_str(json).unwrap();
+        let spec = ScenarioSpec::from_json_str(&ecmp_spec("")).unwrap();
         assert_eq!(spec.jobs_per_conn, 60);
         assert_eq!(spec.workload, "web-search");
         assert!(spec.fail_at_ms.is_none());
@@ -794,27 +656,27 @@ mod tests {
 
     #[test]
     fn scheme_specs_map_to_schemes() {
-        assert_eq!(Scheme::from(SchemeSpec::Mptcp { subflows: 4 }).label(), "MPTCP");
-        assert_eq!(Scheme::from(SchemeSpec::Hula).label(), "HULA");
-        assert_eq!(Scheme::from(SchemeSpec::Presto { weights: None }).label(), "Presto");
-        assert_eq!(Scheme::from(SchemeSpec::Incremental { clove_hosts: 8 }).label(), "Clove-ECN (partial)");
+        let label = |json: &str| Scheme::from_json(&Json::parse(json).unwrap()).unwrap().label();
+        assert_eq!(label(r#"{"name":"mptcp","subflows":4}"#), "MPTCP");
+        assert_eq!(label(r#"{"name":"hula"}"#), "HULA");
+        assert_eq!(label(r#"{"name":"presto"}"#), "Presto");
+        assert_eq!(label(r#"{"name":"incremental","clove_hosts":8}"#), "Clove-ECN (partial)");
     }
 
     #[test]
     fn tagged_scheme_variants_parse() {
-        let m = SchemeSpec::from_json(&Json::parse(r#"{"name":"mptcp","subflows":4}"#).unwrap());
-        assert_eq!(m.unwrap(), SchemeSpec::Mptcp { subflows: 4 });
-        let p = SchemeSpec::from_json(&Json::parse(r#"{"name":"presto","weights":[0.5,0.5]}"#).unwrap());
-        assert_eq!(p.unwrap(), SchemeSpec::Presto { weights: Some(vec![0.5, 0.5]) });
-        assert!(SchemeSpec::from_json(&Json::parse(r#"{"name":"nope"}"#).unwrap()).is_err());
-        assert!(SchemeSpec::from_json(&Json::parse(r#"{"name":"mptcp"}"#).unwrap()).is_err());
+        let parse = |json: &str| Scheme::from_json(&Json::parse(json).unwrap());
+        assert_eq!(parse(r#"{"name":"mptcp","subflows":4}"#).unwrap(), Scheme::Mptcp { subflows: 4 });
+        assert_eq!(parse(r#"{"name":"presto","weights":[0.5,0.5]}"#).unwrap(), Scheme::Presto { oracle_weights: Some(vec![0.5, 0.5]) });
+        assert!(parse(r#"{"name":"nope"}"#).unwrap_err().contains("want ecmp | edge-flowlet"), "an unknown name lists the accepted ones");
+        assert!(parse(r#"{"name":"mptcp"}"#).is_err());
     }
 
     #[test]
     fn unknown_workload_is_an_error() {
-        let json = r#"{"scheme":{"name":"ecmp"},"topology":{"kind":"symmetric"},"load":0.5,"workload":"nope"}"#;
-        let spec = ScenarioSpec::from_json_str(json).unwrap();
+        let spec = ScenarioSpec::from_json_str(&ecmp_spec(r#","workload":"nope""#)).unwrap();
         assert!(spec.distribution().is_err());
+        assert!(spec.validate().unwrap_err().starts_with("workload:"));
     }
 
     #[test]
@@ -822,10 +684,24 @@ mod tests {
         let json = r#"{"scheme":{"name":"clove-ecn"},"topology":{"kind":"asymmetric"},
                        "load":0.3,"jobs_per_conn":2,"conns_per_client":1,"horizon_secs":10}"#;
         let spec = ScenarioSpec::from_json_str(json).unwrap();
-        let report = spec.run().unwrap();
+        let (report, trace, dropped) = spec.run(1, None).unwrap();
         assert!(report.flows_completed > 0);
+        assert!(trace.is_empty() && dropped == 0, "no trace unless the spec asks for one");
         let out_json = report.to_json().render();
         assert!(out_json.contains("avg_fct_s"));
+    }
+
+    #[test]
+    fn report_names_the_scheme_by_its_table_label() {
+        // One tiny run per variant: the `scheme` value is `Scheme::label()`
+        // — the string every table and CSV keys on — never a `Debug` dump.
+        for scheme in Scheme::all() {
+            let spec =
+                ScenarioSpec { jobs_per_conn: 1, conns_per_client: 1, horizon_secs: 5, ..ScenarioSpec::new(scheme.clone(), TopologyKind::Symmetric, 0.2) };
+            let (report, _, _) = spec.run(1, None).unwrap_or_else(|e| panic!("{}: {e}", scheme.label()));
+            assert_eq!(report.scheme, scheme.label());
+            assert_eq!(report.to_json().get("scheme").and_then(Json::as_str), Some(scheme.label()));
+        }
     }
 
     #[test]
@@ -834,8 +710,8 @@ mod tests {
                        "load":0.3,"jobs_per_conn":2,"conns_per_client":1,"horizon_secs":10,
                        "seed":7,"seeds":3}"#;
         let spec = ScenarioSpec::from_json_str(json).unwrap();
-        let serial = spec.run_jobs(1).unwrap();
-        let parallel = spec.run_jobs(4).unwrap();
+        let (serial, _, _) = spec.run(1, None).unwrap();
+        let (parallel, _, _) = spec.run(4, None).unwrap();
         assert_eq!(serial.to_json().render(), parallel.to_json().render());
         assert_eq!(serial.seeds, 3);
     }

@@ -43,6 +43,7 @@
 //! run's CSVs are byte-identical to an uninterrupted one at any `--jobs`
 //! width; an entry that no longer decodes is a miss and re-executes.
 
+use crate::config::ScenarioSpec;
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
 use crate::orchestrator::{self, CellOutcome, ExecPolicy, MatrixStats};
@@ -191,13 +192,23 @@ pub fn presto_oracle_weights(topology: TopologyKind) -> Option<Vec<f64>> {
     }
 }
 
-fn scenario(scheme: Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig, control: Option<&Arc<RunControl>>) -> Scenario {
-    let mut s = Scenario::new(scheme, topology, load, seed);
-    s.jobs_per_conn = cfg.jobs_per_conn;
-    s.conns_per_client = cfg.conns_per_client;
-    s.horizon = Time::from_secs(cfg.horizon_secs);
-    s.strict = cfg.strict;
-    s.control = control.map(Arc::clone);
+/// One figure cell as a run description: what [`scenario`] runs, and what a
+/// quarantine snapshot embeds so `clove-run` can replay the failed cell
+/// under `--trace`.
+fn cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig) -> ScenarioSpec {
+    ScenarioSpec {
+        jobs_per_conn: cfg.jobs_per_conn,
+        conns_per_client: cfg.conns_per_client,
+        seed,
+        horizon_secs: cfg.horizon_secs,
+        strict: cfg.strict,
+        ..ScenarioSpec::new(scheme.clone(), topology, load)
+    }
+}
+
+fn scenario(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig, control: &Arc<RunControl>) -> Scenario {
+    let mut s = cell_spec(scheme, topology, load, seed, cfg).to_scenario();
+    s.control = Some(Arc::clone(control));
     s
 }
 
@@ -236,52 +247,6 @@ fn path_slug(s: &str) -> String {
         }
     }
     out.trim_matches('-').to_string()
-}
-
-/// The `clove-run` spec for one RPC cell: the replay payload embedded in
-/// quarantine snapshots so the failed cell can be re-run under `--trace`.
-/// `None` for ablation-only schemes the spec format cannot express (their
-/// snapshots fall back to a `figures` repro command).
-fn rpc_cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig) -> Option<Json> {
-    let scheme_json = match scheme {
-        Scheme::Ecmp => Json::Obj(vec![("name".to_string(), Json::Str("ecmp".to_string()))]),
-        Scheme::EdgeFlowlet => Json::Obj(vec![("name".to_string(), Json::Str("edge-flowlet".to_string()))]),
-        Scheme::CloveEcn => Json::Obj(vec![("name".to_string(), Json::Str("clove-ecn".to_string()))]),
-        Scheme::CloveInt => Json::Obj(vec![("name".to_string(), Json::Str("clove-int".to_string()))]),
-        Scheme::CloveLatency { adaptive_gap } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("clove-latency".to_string())), ("adaptive_gap".to_string(), Json::Bool(*adaptive_gap))])
-        }
-        Scheme::Presto { oracle_weights } => Json::Obj(vec![
-            ("name".to_string(), Json::Str("presto".to_string())),
-            ("weights".to_string(), oracle_weights.as_ref().map(|w| Json::Arr(w.iter().map(|&x| Json::Num(x)).collect())).unwrap_or(Json::Null)),
-        ]),
-        Scheme::Mptcp { subflows } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("mptcp".to_string())), ("subflows".to_string(), Json::Num(*subflows as f64))])
-        }
-        Scheme::Conga => Json::Obj(vec![("name".to_string(), Json::Str("conga".to_string()))]),
-        Scheme::LetFlow => Json::Obj(vec![("name".to_string(), Json::Str("let-flow".to_string()))]),
-        Scheme::Hula => Json::Obj(vec![("name".to_string(), Json::Str("hula".to_string()))]),
-        Scheme::Incremental { clove_hosts } => {
-            Json::Obj(vec![("name".to_string(), Json::Str("incremental".to_string())), ("clove_hosts".to_string(), Json::Num(*clove_hosts as f64))])
-        }
-        _ => return None,
-    };
-    let topology_json = match topology {
-        TopologyKind::Symmetric => Json::Obj(vec![("kind".to_string(), Json::Str("symmetric".to_string()))]),
-        TopologyKind::Asymmetric => Json::Obj(vec![("kind".to_string(), Json::Str("asymmetric".to_string()))]),
-        TopologyKind::FatTree { k } => Json::Obj(vec![("kind".to_string(), Json::Str("fat-tree".to_string())), ("k".to_string(), Json::Num(k as f64))]),
-    };
-    Some(Json::Obj(vec![
-        ("scheme".to_string(), scheme_json),
-        ("topology".to_string(), topology_json),
-        ("load".to_string(), Json::Num(load)),
-        ("jobs_per_conn".to_string(), Json::Num(cfg.jobs_per_conn as f64)),
-        ("conns_per_client".to_string(), Json::Num(cfg.conns_per_client as f64)),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        ("seeds".to_string(), Json::Num(1.0)),
-        ("horizon_secs".to_string(), Json::Num(cfg.horizon_secs as f64)),
-        ("strict".to_string(), Json::Bool(cfg.strict)),
-    ]))
 }
 
 /// Persist a telemetry snapshot for a quarantined cell under
@@ -325,20 +290,20 @@ fn quarantine_snapshot(scope: &str, cell: &str, seed: u64, reason: &str, spec: O
 
 /// One point of a seeded sweep after the fold: every seed's result in seed
 /// order, or — if any seed was quarantined — one footer line per bad seed.
-type PointResult<R> = Result<Vec<R>, Vec<String>>;
+pub(crate) type PointResult<R> = Result<Vec<R>, Vec<String>>;
 
 /// The shared point fold: one point's per-seed outcomes, in seed order
 /// starting at `seed_base`, become a [`PointResult`]. Pure: `snapshot`
 /// is handed each bad `(seed, reason)` and returns the footer suffix
 /// naming whatever it persisted.
-fn fold_point<R>(outcomes: Vec<CellOutcome<R>>, seed_base: u64, label: &str, mut snapshot: impl FnMut(u64, &str) -> String) -> PointResult<R> {
+pub(crate) fn fold_point<R>(outcomes: Vec<CellOutcome<R>>, seed_base: u64, label: &str, mut snapshot: impl FnMut(u64, &str) -> String) -> PointResult<R> {
     let mut ok = Vec::with_capacity(outcomes.len());
     let mut bad = Vec::new();
     for (off, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             CellOutcome::Ok(r) => ok.push(r),
             other => {
-                let (seed, reason) = (seed_base + off as u64, other.describe());
+                let (seed, reason) = (seed_base.wrapping_add(off as u64), other.describe());
                 bad.push(format!("{label} seed {seed}: {reason}{}", snapshot(seed, &reason)));
             }
         }
@@ -364,8 +329,10 @@ struct Sweep<'a, P> {
     tag: &'a (dyn Fn(&P) -> String + Sync),
     /// The point's name in quarantine footers and snapshot file names.
     label: &'a dyn Fn(&P) -> String,
-    /// The `clove-run` spec replaying one seed of the point, embedded in
-    /// its quarantine snapshot when expressible (see [`rpc_cell_spec`]).
+    /// The `clove-run` spec replaying one seed of the point ([`cell_spec`]),
+    /// embedded in its quarantine snapshot; `None` for sweeps whose cells a
+    /// spec cannot express (their snapshots fall back to a `figures` repro
+    /// command).
     replay: &'a dyn Fn(&P, u64) -> Option<Json>,
 }
 
@@ -402,7 +369,7 @@ where
 
 /// Pool per-seed FCT summaries, in the order given. Seed order is part of
 /// the byte-identity contract: the pooled Welford state depends on it.
-fn pool_fct(seeds: impl IntoIterator<Item = FctSummary>) -> FctSummary {
+pub(crate) fn pool_fct(seeds: impl IntoIterator<Item = FctSummary>) -> FctSummary {
     let mut seeds = seeds.into_iter();
     let mut pooled = seeds.next().expect("at least one seed");
     for fct in seeds {
@@ -431,7 +398,8 @@ pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpCo
 type PointKey = (String, String, u64);
 
 /// Memoizes RPC point results so figures sharing the same underlying
-/// runs (4c with 5a/5b/5c, 8b with 9) pay for them once.
+/// runs (4c with 5a/5b/5c, 8b with 9) pay for them once; a figure run on
+/// its own takes `&mut PointCache::new()`.
 ///
 /// An `Err` entry is a *quarantined* point: at least one of its seed runs
 /// panicked or stalled, so the point has no trustworthy value, only the
@@ -504,10 +472,10 @@ impl PointCache {
             cost: &|&(scheme, load)| scheme.cost_weight() * (1.0 + load),
             tag: &|&(scheme, load)| format!("{}|{}|load{}", scheme.label(), topology_tag(topology), per_mille(load)),
             label: &|&(scheme, load)| format!("{} @ {:.0}% load ({})", scheme.label(), load * 100.0, topology_tag(topology)),
-            replay: &|&(scheme, load), seed| rpc_cell_spec(scheme, topology, load, seed, cfg),
+            replay: &|&(scheme, load), seed| Some(cell_spec(scheme, topology, load, seed, cfg).to_json()),
         };
         let results = run_seeded(&sweep, &missing, cfg, |&(scheme, load), seed, control| {
-            let s = scenario(scheme.clone(), topology, load, seed, cfg, Some(control));
+            let s = scenario(scheme, topology, load, seed, cfg, control);
             let out = run_rpc_checked(&s, &dist);
             (out.fct, out.events)
         });
@@ -532,21 +500,11 @@ pub fn sim_schemes() -> Vec<Scheme> {
 }
 
 /// Figure 4b: symmetric topology, average FCT vs load.
-pub fn fig4b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig4b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig4b`] reusing a shared run cache.
 pub fn fig4b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 4b — testbed symmetric, avg FCT (s)", TopologyKind::Symmetric, &testbed_schemes(TopologyKind::Symmetric), loads, cfg, cache, |s| s.avg())
 }
 
 /// Figure 4c: asymmetric topology, average FCT vs load.
-pub fn fig4c(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig4c_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig4c`] reusing a shared run cache.
 pub fn fig4c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 4c — testbed asymmetric, avg FCT (s)", TopologyKind::Asymmetric, &testbed_schemes(TopologyKind::Asymmetric), loads, cfg, cache, |s| {
         s.avg()
@@ -554,11 +512,6 @@ pub fn fig4c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 }
 
 /// Figure 5a: asymmetric, average FCT of mice (<100 KB) vs load.
-pub fn fig5a(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5a_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5a`] reusing a shared run cache.
 pub fn fig5a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure(
         "Fig 5a — asymmetric, mice (<100KB) avg FCT (s)",
@@ -572,11 +525,6 @@ pub fn fig5a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 }
 
 /// Figure 5b: asymmetric, average FCT of elephants (>10 MB) vs load.
-pub fn fig5b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5b`] reusing a shared run cache.
 pub fn fig5b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure(
         "Fig 5b — asymmetric, elephants (>10MB) avg FCT (s)",
@@ -590,11 +538,6 @@ pub fn fig5b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 }
 
 /// Figure 5c: asymmetric, 99th-percentile FCT vs load.
-pub fn fig5c(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig5c_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig5c`] reusing a shared run cache.
 pub fn fig5c_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 5c — asymmetric, p99 FCT (s)", TopologyKind::Asymmetric, &testbed_schemes(TopologyKind::Asymmetric), loads, cfg, cache, |s| s.p99())
 }
@@ -642,7 +585,7 @@ pub fn fig6(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
         replay: &|_, _| None,
     };
     let results = run_seeded(&sweep, &points, cfg, |&((_, gap_mult, ecn_pkts), load), seed, control| {
-        let mut s = scenario(Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg, Some(control));
+        let mut s = scenario(&Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg, control);
         // Multipliers are relative to the default gap (≈ the loaded RTT,
         // the paper's "1×RTT best" operating point).
         s.profile.flowlet_gap = Duration::from_secs_f64(s.profile.flowlet_gap.as_secs_f64() * gap_mult);
@@ -667,7 +610,7 @@ pub fn fig7(fanouts: &[u32], requests: u32, cfg: &ExpConfig) -> FigureTable {
         replay: &|_, _| None,
     };
     let results = run_seeded(&sweep, &points, cfg, |&(scheme, fanout), seed, control| {
-        let s = scenario(scheme.clone(), TopologyKind::Symmetric, 0.5, seed, cfg, Some(control));
+        let s = scenario(scheme, TopologyKind::Symmetric, 0.5, seed, cfg, control);
         let out = s.run_incast(fanout, requests, 10_000_000);
         assert!(out.invariant_violations == 0, "{} invariant violations in incast {} (seed {})", out.invariant_violations, scheme.label(), seed);
         out.goodput_bps / 1e9
@@ -677,21 +620,11 @@ pub fn fig7(fanouts: &[u32], requests: u32, cfg: &ExpConfig) -> FigureTable {
 }
 
 /// Figure 8a: simulation scheme set, symmetric topology, avg FCT vs load.
-pub fn fig8a(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig8a_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig8a`] reusing a shared run cache.
 pub fn fig8a_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 8a — sim symmetric, avg FCT (s)", TopologyKind::Symmetric, &sim_schemes(), loads, cfg, cache, |s| s.avg())
 }
 
 /// Figure 8b: simulation scheme set, asymmetric topology, avg FCT vs load.
-pub fn fig8b(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
-    fig8b_cached(loads, cfg, &mut PointCache::new())
-}
-
-/// [`fig8b`] reusing a shared run cache.
 pub fn fig8b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> FigureTable {
     rpc_figure("Fig 8b — sim asymmetric, avg FCT (s)", TopologyKind::Asymmetric, &sim_schemes(), loads, cfg, cache, |s| s.avg())
 }
@@ -700,11 +633,6 @@ pub fn fig8b_cached(loads: &[f64], cfg: &ExpConfig, cache: &mut PointCache) -> F
 /// ECMP, Clove-ECN, CONGA. Returns `(scheme, cdf points)` triples; a
 /// quarantined scheme yields an empty point list and a `[quarantined]`
 /// label suffix rather than aborting the figure.
-pub fn fig9(cfg: &ExpConfig) -> Vec<(String, Vec<(f64, f64)>)> {
-    fig9_cached(cfg, &mut PointCache::new())
-}
-
-/// [`fig9`] reusing a shared run cache.
 pub fn fig9_cached(cfg: &ExpConfig, cache: &mut PointCache) -> Vec<(String, Vec<(f64, f64)>)> {
     let schemes = [Scheme::Ecmp, Scheme::CloveEcn, Scheme::Conga];
     cache.prefetch(&schemes, TopologyKind::Asymmetric, &[0.7], cfg);
@@ -861,7 +789,7 @@ fn fault_sweep(sweep: FaultSweep, schemes: &[Scheme], cfg: &ExpConfig) -> FaultT
         replay: &|_, _| None,
     };
     let results = run_seeded(&seeded, &points, cfg, |&(scheme, case), seed, control| {
-        let mut s = scenario(scheme.clone(), TopologyKind::Symmetric, FAULT_SWEEP_LOAD, seed, cfg, Some(control));
+        let mut s = scenario(scheme, TopologyKind::Symmetric, FAULT_SWEEP_LOAD, seed, cfg, control);
         s.profile.probe_interval = Duration::from_millis(5);
         (case.apply)(&mut s);
         let out = run_rpc_checked(&s, &dist);
@@ -1225,18 +1153,20 @@ mod tests {
         // The snapshot's repro command feeds the snapshot file straight to
         // clove-run, so the embedded spec (plus the extra `quarantine`
         // object, which the parser must ignore) has to parse back into a
-        // single-seed ScenarioSpec for the failed cell.
+        // single-seed ScenarioSpec for the failed cell — for figure and
+        // ablation schemes alike.
         let cfg = ExpConfig::quick();
-        for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, Scheme::Presto { oracle_weights: presto_oracle_weights(TopologyKind::Asymmetric) }] {
-            let spec = rpc_cell_spec(&scheme, TopologyKind::Asymmetric, 0.7, 1001, &cfg).expect("figure schemes are spec-expressible");
-            let Json::Obj(mut fields) = spec else { panic!("spec must be an object") };
+        let presto = Scheme::Presto { oracle_weights: presto_oracle_weights(TopologyKind::Asymmetric) };
+        for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, presto, Scheme::EcmpDctcp] {
+            let Json::Obj(mut fields) = cell_spec(&scheme, TopologyKind::Asymmetric, 0.7, 1001, &cfg).to_json() else { panic!("spec must be an object") };
             fields.push(("quarantine".to_string(), Json::Obj(vec![("reason".to_string(), Json::Str("panicked".to_string()))])));
-            let parsed = crate::config::ScenarioSpec::from_json_str(&Json::Obj(fields).render()).expect("snapshot parses as a clove-run spec");
+            let parsed = ScenarioSpec::from_json_str(&Json::Obj(fields).render()).expect("snapshot parses as a clove-run spec");
+            assert_eq!((&parsed.scheme, parsed.topology), (&scheme, TopologyKind::Asymmetric));
             assert_eq!(parsed.load, 0.7);
             assert_eq!(parsed.seed, 1001);
             assert_eq!(parsed.seeds, 1, "replay exactly the failed seed");
-            assert_eq!(parsed.jobs_per_conn, cfg.jobs_per_conn);
+            assert_eq!((parsed.jobs_per_conn, parsed.conns_per_client, parsed.horizon_secs), (cfg.jobs_per_conn, cfg.conns_per_client, cfg.horizon_secs));
+            parsed.validate().expect("a cell the figures ran is a valid spec");
         }
-        assert!(rpc_cell_spec(&Scheme::EcmpDctcp, TopologyKind::Symmetric, 0.5, 1000, &cfg).is_none(), "ablation schemes fall back to a figures repro");
     }
 }

@@ -1,8 +1,8 @@
 //! Checkpoint/resume journal for experiment matrices, plus atomic file
 //! writes for every artifact the harness produces.
 //!
-//! Long seed-swept matrices (ROADMAP items 1–2 head toward 1024-host runs
-//! that take hours) must survive being killed half-way. The journal records
+//! A full-scale figure pass is minutes to hours of independent cells, and
+//! it must survive being killed half-way. The journal records
 //! each completed cell under `results/.journal/<scope>/<hash>.json`, keyed by
 //! a content string covering everything that determines the cell's result
 //! (scenario parameters, seed, the relevant [`ExpConfig`] knobs). A resumed

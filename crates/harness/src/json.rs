@@ -58,6 +58,19 @@ impl Json {
         }
     }
 
+    /// Unsigned-integer field `key` of an object, range-checked into `T`
+    /// (a checked conversion, never a wrapping `as`); `Ok(None)` when the
+    /// field is absent or `null`.
+    pub fn uint_field<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(x) => {
+                let n = x.as_u64().ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
+                T::try_from(n).map(Some).map_err(|_| format!("'{key}': {n} is out of range"))
+            }
+        }
+    }
+
     /// Boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

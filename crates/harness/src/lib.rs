@@ -25,10 +25,13 @@
 //! * [`journal`] — the completed-cell checkpoint journal behind `--resume`,
 //!   plus atomic artifact writes.
 //! * [`chaos`] — the seeded fault-plan fuzzer behind `clove-run chaos`.
+//! * [`cli`] — the one flag parser the binaries share (unknown flags are
+//!   errors) and the "open journal or warn" helper.
 //! * [`trace_check`] — schema validation for `--trace` JSONL dumps
 //!   (`clove-run trace-check`).
 
 pub mod chaos;
+pub mod cli;
 pub mod config;
 pub mod experiments;
 pub mod invariants;

@@ -8,13 +8,14 @@
 //! workload and returns client goodput.
 
 use crate::invariants::InvariantMonitor;
+use crate::json::Json;
 use crate::profile::Profile;
 use crate::scheme::Scheme;
 use crate::stack::HostStack;
 use clove_net::fabric::Event;
-use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats};
+use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultAction, FaultPlan, FaultStats};
 use clove_net::topology::{LeafSpine, Topology};
-use clove_net::types::{HostId, NodeId};
+use clove_net::types::{HostId, LinkId, NodeId};
 use clove_net::Network;
 use clove_sim::{Duration, EventQueue, QueueBackend, QueueProfile, SimRng, Time};
 use clove_telemetry::{LoopProfile, Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
@@ -37,6 +38,66 @@ pub enum TopologyKind {
         k: u32,
     },
 }
+
+impl TopologyKind {
+    /// One value of every variant (see [`Scheme::all`]).
+    pub fn all() -> [TopologyKind; 3] {
+        [TopologyKind::Symmetric, TopologyKind::Asymmetric, TopologyKind::FatTree { k: 4 }]
+    }
+
+    /// The variant's kind in spec JSON (the `"kind"` of the tagged object):
+    /// the one name table behind [`TopologyKind::to_json`] and
+    /// [`TopologyKind::from_json`], with no wildcard arm.
+    pub fn spec_kind(&self) -> &'static str {
+        match self {
+            TopologyKind::Symmetric => "symmetric",
+            TopologyKind::Asymmetric => "asymmetric",
+            TopologyKind::FatTree { .. } => "fat-tree",
+        }
+    }
+
+    /// Render to the tagged-object form: `"kind"`, plus `"k"` for a fat-tree.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("kind".to_string(), Json::Str(self.spec_kind().to_string()))];
+        if let TopologyKind::FatTree { k } = self {
+            fields.push(("k".to_string(), Json::Num(f64::from(*k))));
+        }
+        Json::Obj(fields)
+    }
+
+    /// Parse the tagged-object form; whether `k` is a buildable arity is
+    /// [`Scenario::validate`]'s call.
+    pub fn from_json(v: &Json) -> Result<TopologyKind, String> {
+        let kind = v.get("kind").and_then(Json::as_str).ok_or_else(|| "topology: missing string field 'kind'".to_string())?;
+        let all = TopologyKind::all();
+        let Some(topology) = all.iter().find(|t| t.spec_kind() == kind) else {
+            return Err(format!("topology: unknown kind '{kind}' (want {})", all.map(|t| t.spec_kind()).join(" | ")));
+        };
+        Ok(match topology {
+            TopologyKind::FatTree { .. } => {
+                TopologyKind::FatTree { k: v.uint_field("k")?.ok_or_else(|| format!("topology: {kind}: missing integer field 'k'"))? }
+            }
+            plain => *plain,
+        })
+    }
+}
+
+/// Source ports the RPC planner reserves per client
+/// (`RpcModel::plan_connections`: `10_000 + client·64 + conn`), which bounds
+/// the connections one client can open.
+const RPC_SPORTS_PER_CLIENT: u32 = 64;
+
+/// Widest MPTCP connection the planned source ports carry: subflow `i`
+/// sends from `sport + i`, and incast pipes sit 16 ports apart.
+const MAX_MPTCP_SUBFLOWS: usize = 16;
+
+/// Largest fat-tree arity: the RPC source-port plan above fits a `u16` for
+/// up to 868 clients, and k = 18 has 729 (k = 20 has 1000).
+const MAX_FAT_TREE_K: u32 = 18;
+
+/// One cable action of a scenario's fault plan, resolved to the cable's two
+/// directed links.
+type ResolvedFault = (FaultAction, [LinkId; 2]);
 
 /// One experiment run.
 #[derive(Debug, Clone)]
@@ -122,51 +183,74 @@ impl Scenario {
         plan
     }
 
-    /// Validate the scenario's fault plans: spec parameters must be in
-    /// range (flap duty cycles, loss rates), every named node must lower
-    /// onto an incident cable set, and every named cable must resolve in
-    /// the topology this scenario builds. The error names the offending
-    /// selector and lists the valid selectors for the topology, so a
-    /// mis-written plan is a diagnosis rather than a panic deep inside a
-    /// run.
+    /// The single gate between a run description and a run: scalar ranges
+    /// the model otherwise asserts deep inside a run (load, connection and
+    /// job counts, fat-tree arity, MPTCP subflows, partial-deployment
+    /// size), fault-plan, control-plan and discovery parameters (flap duty
+    /// cycles, loss rates, probe counts), and — against the topology this
+    /// scenario builds — every named node lowering onto an incident cable
+    /// set and every named cable resolving. Errors lead with the offending
+    /// field (`load: …`, `topology.k: …`) or selector, the latter with the
+    /// valid selectors for the topology, so a mis-written scenario is a
+    /// diagnosis rather than a panic deep inside a run.
     pub fn validate(&self) -> Result<(), String> {
+        self.checked_topology().map(|_| ())
+    }
+
+    /// [`Scenario::validate`], handing back what it had to build: the
+    /// topology and the cable actions of the fault plan resolved onto it.
+    fn checked_topology(&self) -> Result<(Topology, Vec<ResolvedFault>), String> {
+        // Scalars first: they bound what building the topology allocates.
+        let check = |ok: bool, field: &str, why: String| if ok { Ok(()) } else { Err(format!("{field}: {why}")) };
+        check(self.load > 0.0 && self.load <= 1.5, "load", format!("{} is outside (0, 1.5]", self.load))?;
+        let conns = self.conns_per_client;
+        check((1..=RPC_SPORTS_PER_CLIENT).contains(&conns), "conns_per_client", format!("{conns} is outside 1..={RPC_SPORTS_PER_CLIENT}"))?;
+        check(self.jobs_per_conn >= 1, "jobs_per_conn", "must be at least 1".to_string())?;
+        if let TopologyKind::FatTree { k } = self.topology {
+            check(k % 2 == 0 && (4..=MAX_FAT_TREE_K).contains(&k), "topology.k", format!("fat-tree arity {k} must be even and in 4..={MAX_FAT_TREE_K}"))?;
+        }
+        if let Scheme::Mptcp { subflows } = self.scheme {
+            check((1..=MAX_MPTCP_SUBFLOWS).contains(&subflows), "scheme.subflows", format!("{subflows} is outside 1..={MAX_MPTCP_SUBFLOWS}"))?;
+        }
         self.faults.validate().map_err(|e| format!("fault plan: {e}"))?;
         self.control_faults.validate().map_err(|e| format!("control fault plan: {e}"))?;
+        self.profile.discovery_config().validate().map_err(|e| format!("discovery configuration: {e}"))?;
         let topo = self.build_topology();
+        if let Scheme::Incremental { clove_hosts } = self.scheme {
+            check(
+                clove_hosts <= topo.num_hosts,
+                "scheme.clove_hosts",
+                format!("{clove_hosts} exceeds the {} hosts of topology '{}'", topo.num_hosts, topo.name),
+            )?;
+        }
         let lowered = self
             .effective_faults()
             .lower_nodes(|n| topo.incident_cables(n))
             .map_err(|e| format!("fault plan: {e} (topology '{}'; {})", topo.name, topo.node_catalog()))?;
-        for action in lowered.expand() {
-            if topo.resolve_cable(action.cable).is_none() {
-                return Err(format!("fault plan names cable {:?}, which does not resolve in topology '{}'; {}", action.cable, topo.name, topo.cable_catalog()));
-            }
-        }
-        Ok(())
-    }
-
-    /// Schedule every expanded fault action against both directions of its
-    /// resolved cable — node faults lowered onto their incident cable sets
-    /// first — plus the node lifecycle events carrying warm/cold state
-    /// semantics, plus every control-plane fault (fabric-wide, no cable to
-    /// resolve). Cable flips are pushed before node lifecycle events, so
-    /// at a restart instant links are restored and routes recomputed
-    /// before any cold-state flush runs. Errors (with the offending
-    /// selector and the topology's valid names) when the plan names a
-    /// cable or node the topology cannot resolve.
-    fn schedule_faults(&self, topo: &Topology, queue: &mut EventQueue<Event>) -> Result<(), String> {
-        let effective = self.effective_faults();
-        let lowered =
-            effective.lower_nodes(|n| topo.incident_cables(n)).map_err(|e| format!("fault plan: {e} (topology '{}'; {})", topo.name, topo.node_catalog()))?;
+        let mut resolved = Vec::new();
         for action in lowered.expand() {
             let (a, b) = topo.resolve_cable(action.cable).ok_or_else(|| {
                 format!("fault plan names cable {:?}, which does not resolve in topology '{}'; {}", action.cable, topo.name, topo.cable_catalog())
             })?;
-            for link in [a, b] {
+            resolved.push((action, [a, b]));
+        }
+        Ok((topo, resolved))
+    }
+
+    /// Schedule every resolved cable action against both directions of its
+    /// cable (node faults arrive already lowered onto their incident cable
+    /// sets), plus the node lifecycle events carrying warm/cold state
+    /// semantics, plus every control-plane fault (fabric-wide, no cable to
+    /// resolve). Cable flips are pushed before node lifecycle events, so
+    /// at a restart instant links are restored and routes recomputed
+    /// before any cold-state flush runs.
+    fn schedule_faults(&self, topo: &Topology, resolved: Vec<ResolvedFault>, queue: &mut EventQueue<Event>) {
+        for (action, links) in resolved {
+            for link in links {
                 queue.push(action.at, Event::Fault { link, action: action.action, announced: action.announced });
             }
         }
-        for action in effective.node_actions() {
+        for action in self.effective_faults().node_actions() {
             // The switch is resolved here — only the topology knows the
             // tier layout; `None` means a host/hypervisor node.
             let switch = topo.resolve_switch(action.node);
@@ -175,7 +259,6 @@ impl Scenario {
         for action in self.control_faults.expand() {
             queue.push(action.at, Event::ControlFault { action: action.action });
         }
-        Ok(())
     }
 
     /// Pre-size the event queue from the scenario's scale: every in-flight
@@ -212,39 +295,16 @@ impl Scenario {
         spec.build()
     }
 
-    /// Run the web-search RPC workload, panicking on an invalid scenario
-    /// (unknown cable in a fault plan, out-of-range fault rates). Drivers
-    /// that construct plans programmatically should prefer
-    /// [`Scenario::try_run_rpc`].
-    pub fn run_rpc(&self, dist: &FlowSizeDist) -> RpcOutcome {
-        self.try_run_rpc(dist).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-    }
-
-    /// Run the web-search RPC workload, returning a validation error for a
-    /// mis-written scenario instead of panicking.
-    pub fn try_run_rpc(&self, dist: &FlowSizeDist) -> Result<RpcOutcome, String> {
-        self.faults.validate().map_err(|e| format!("fault plan: {e}"))?;
-        self.control_faults.validate().map_err(|e| format!("control fault plan: {e}"))?;
-        let topo = self.build_topology();
-        let num_hosts = topo.num_hosts;
-        let bisection = topo.bisection_bps;
-        let mut stack = HostStack::new(num_hosts, &self.scheme, self.profile, self.seed);
-
-        // Plan the workload.
-        let hosts: Vec<HostId> = (0..num_hosts).map(HostId).collect();
-        let model = RpcModel::half_and_half(&hosts, self.conns_per_client, dist.clone());
-        let mut rng = SimRng::new(self.seed ^ 0x0C0FFEE);
-        let plans = model.plan_connections(&mut rng);
-        let mean_bytes = model.mean_flow_bytes();
-        let rate = load_to_rate(self.load, bisection, model.total_connections(), mean_bytes);
-        let mean_gap = Duration::from_secs_f64(1.0 / rate);
-
-        let mptcp = self.scheme.mptcp_subflows();
-        for plan in &plans {
-            let conn_idx = stack.add_connection(plan, mptcp, Time::ZERO);
-            let jobs = model.sample_jobs(&mut rng, self.jobs_per_conn, mean_gap);
-            stack.set_jobs(plan.client, conn_idx, jobs);
-        }
+    /// The world set-up and run loop both workloads share: validate, build
+    /// the topology (once per cell) and the host stack, let `populate` add
+    /// the workload's connections, then bootstrap timers, schedule faults,
+    /// attach the observers and run to completion. The order of
+    /// `queue.push` calls — host timers, HULA tick, faults — fixes every
+    /// event's sequence number, so it is part of the digest contract.
+    fn run_world(&self, populate: impl FnOnce(&mut HostStack, &Topology)) -> Result<FinishedWorld, String> {
+        let (topo, faults) = self.checked_topology()?;
+        let mut stack = HostStack::new(topo.num_hosts, &self.scheme, self.profile, self.seed);
+        populate(&mut stack, &topo);
 
         let mut queue: EventQueue<Event> = EventQueue::with_capacity_and_backend(self.event_capacity_hint(), self.queue);
         stack.bootstrap(&mut |host, tok, at| {
@@ -253,19 +313,7 @@ impl Scenario {
         if matches!(self.scheme, Scheme::Hula) {
             queue.push(Time::ZERO, Event::HulaTick);
         }
-        self.schedule_faults(&topo, &mut queue)?;
-        // Recovery is measured against the first *mid-run* fault — link,
-        // node or control-plane (a t=0 cut is a static asymmetry, not an
-        // incident to recover from).
-        let effective = self.effective_faults();
-        let first_fault = effective
-            .expand()
-            .into_iter()
-            .map(|a| a.at)
-            .chain(effective.node_actions().into_iter().map(|a| a.at))
-            .chain(self.control_faults.expand().into_iter().map(|a| a.at))
-            .filter(|&at| at > Time::ZERO)
-            .min();
+        self.schedule_faults(&topo, faults, &mut queue);
 
         let mut net = Network::new(topo.fabric, stack);
         // The trace buffer is created here, on the thread that runs the
@@ -280,13 +328,54 @@ impl Scenario {
         let summary = run_to_completion(&mut net, &mut queue, self.horizon, monitor.as_mut(), self.control.as_deref());
         let end = summary.end_time;
         // Commit every transmission that happened by the end of the run so
-        // the per-link stats below are exact under the lazy link model.
+        // per-link stats are exact under the lazy link model.
         net.fabric.settle_all(end, &mut queue);
         // Logical event count: scheduler pops plus one per transmitted
         // packet — the per-packet TxDone events the lazy link model
         // eliminated — so the metric stays comparable across backends and
         // with earlier baselines.
         let events = summary.events + net.fabric.links.iter().map(|l| l.stats.tx_packets).sum::<u64>();
+        Ok(FinishedWorld { net, queue, end, events, violations: monitor.map(|m| m.violations).unwrap_or_default(), trace })
+    }
+
+    /// Run the web-search RPC workload, panicking on an invalid scenario
+    /// (unknown cable in a fault plan, out-of-range fault rates). Drivers
+    /// that construct plans programmatically should prefer
+    /// [`Scenario::try_run_rpc`].
+    pub fn run_rpc(&self, dist: &FlowSizeDist) -> RpcOutcome {
+        self.try_run_rpc(dist).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
+    }
+
+    /// Run the web-search RPC workload, returning a validation error for a
+    /// mis-written scenario instead of panicking.
+    pub fn try_run_rpc(&self, dist: &FlowSizeDist) -> Result<RpcOutcome, String> {
+        let FinishedWorld { mut net, queue, end, events, violations, trace } = self.run_world(|stack, topo| {
+            let hosts: Vec<HostId> = (0..topo.num_hosts).map(HostId).collect();
+            let model = RpcModel::half_and_half(&hosts, self.conns_per_client, dist.clone());
+            let mut rng = SimRng::new(self.seed ^ 0x0C0FFEE);
+            let plans = model.plan_connections(&mut rng);
+            let rate = load_to_rate(self.load, topo.bisection_bps, model.total_connections(), model.mean_flow_bytes());
+            let mean_gap = Duration::from_secs_f64(1.0 / rate);
+
+            let mptcp = self.scheme.mptcp_subflows();
+            for plan in &plans {
+                let conn_idx = stack.add_connection(plan, mptcp, Time::ZERO);
+                let jobs = model.sample_jobs(&mut rng, self.jobs_per_conn, mean_gap);
+                stack.set_jobs(plan.client, conn_idx, jobs);
+            }
+        })?;
+        // Recovery is measured against the first *mid-run* fault — link,
+        // node or control-plane (a t=0 cut is a static asymmetry, not an
+        // incident to recover from).
+        let effective = self.effective_faults();
+        let first_fault = effective
+            .expand()
+            .into_iter()
+            .map(|a| a.at)
+            .chain(effective.node_actions().into_iter().map(|a| a.at))
+            .chain(self.control_faults.expand().into_iter().map(|a| a.at))
+            .filter(|&at| at > Time::ZERO)
+            .min();
 
         let drops: u64 = net.fabric.links.iter().map(|l| l.stats.drops_overflow + l.stats.drops_down).sum();
         let marks: u64 = net.fabric.links.iter().map(|l| l.stats.ecn_marks).sum();
@@ -314,7 +403,7 @@ impl Scenario {
             recovery,
             stalled: net.hosts.stalled_report(),
             link_report: link_report(&net.fabric),
-            violations: monitor.map(|m| m.violations).unwrap_or_default(),
+            violations,
             queue_profile: queue.profile().clone(),
             loop_profile: net.loop_profile().clone(),
             trace: trace_events,
@@ -331,60 +420,46 @@ impl Scenario {
     /// Run the incast workload at the given fan-in, returning a validation
     /// error for a mis-written scenario instead of panicking.
     pub fn try_run_incast(&self, fanout: u32, requests: u32, object_bytes: u64) -> Result<IncastOutcome, String> {
-        self.faults.validate().map_err(|e| format!("fault plan: {e}"))?;
-        self.control_faults.validate().map_err(|e| format!("control fault plan: {e}"))?;
-        let topo = self.build_topology();
-        let num_hosts = topo.num_hosts;
-        let mut stack = HostStack::new(num_hosts, &self.scheme, self.profile, self.seed);
-
-        // Client is host 0 (leaf 0); servers are the 16 hosts of leaf 1 —
-        // responses cross the fabric and converge on the client's access
-        // downlink, as in the paper's testbed.
-        let client = HostId(0);
-        let servers: Vec<HostId> = (16..32).map(HostId).collect();
-        let mptcp = self.scheme.mptcp_subflows();
-        let mut server_conn = FxHashMap::default();
-        for (i, &server) in servers.iter().enumerate() {
-            // Server→client data pipe.
-            let plan = clove_workload::rpc::ConnectionPlan {
-                client: server, // the sending side of the pipe
-                server: client,
-                sport: 7000 + i as u16 * 16,
-                dport: 5201,
-            };
-            let conn_idx = stack.add_connection(&plan, mptcp, Time::ZERO);
-            server_conn.insert(server, conn_idx);
-        }
-        let spec = IncastSpec { client, servers, object_bytes, fanout, requests };
-        stack.set_incast(spec, server_conn, self.seed);
-
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity_and_backend(self.event_capacity_hint(), self.queue);
-        stack.bootstrap(&mut |host, tok, at| {
-            queue.push(at, Event::HostTimer { host, token: tok });
-        });
-        if matches!(self.scheme, Scheme::Hula) {
-            queue.push(Time::ZERO, Event::HulaTick);
-        }
-        self.schedule_faults(&topo, &mut queue)?;
-
-        let mut net = Network::new(topo.fabric, stack);
-        let mut monitor = self.strict.then(InvariantMonitor::new);
-        let summary = run_to_completion(&mut net, &mut queue, self.horizon, monitor.as_mut(), self.control.as_deref());
-        net.fabric.settle_all(summary.end_time, &mut queue);
-        // Same logical event accounting as the RPC path (see above).
-        let events = summary.events + net.fabric.links.iter().map(|l| l.stats.tx_packets).sum::<u64>();
+        let FinishedWorld { net, end, events, violations, .. } = self.run_world(|stack, _| {
+            // Client is host 0 (leaf 0); servers are the 16 hosts of leaf 1 —
+            // responses cross the fabric and converge on the client's access
+            // downlink, as in the paper's testbed.
+            let client = HostId(0);
+            let servers: Vec<HostId> = (16..32).map(HostId).collect();
+            let mptcp = self.scheme.mptcp_subflows();
+            let mut server_conn = FxHashMap::default();
+            for (i, &server) in servers.iter().enumerate() {
+                // Server→client data pipe.
+                let plan = clove_workload::rpc::ConnectionPlan {
+                    client: server, // the sending side of the pipe
+                    server: client,
+                    sport: 7000 + i as u16 * 16,
+                    dport: 5201,
+                };
+                let conn_idx = stack.add_connection(&plan, mptcp, Time::ZERO);
+                server_conn.insert(server, conn_idx);
+            }
+            let spec = IncastSpec { client, servers, object_bytes, fanout, requests };
+            stack.set_incast(spec, server_conn, self.seed);
+        })?;
         let (rounds, elapsed) = net.hosts.incast_result().expect("incast configured");
         let bytes = rounds as u64 * object_bytes;
         let goodput_bps = if elapsed.is_zero() { 0.0 } else { bytes as f64 * 8.0 / elapsed.as_secs_f64() };
-        Ok(IncastOutcome {
-            goodput_bps,
-            rounds,
-            sim_time: summary.end_time,
-            events,
-            timeouts: net.hosts.stats.timeouts,
-            invariant_violations: monitor.map(|m| m.violations.len() as u64).unwrap_or(0),
-        })
+        Ok(IncastOutcome { goodput_bps, rounds, sim_time: end, events, timeouts: net.hosts.stats.timeouts, invariant_violations: violations.len() as u64 })
     }
+}
+
+/// A world after [`Scenario::run_world`]: run to completion, links settled.
+struct FinishedWorld {
+    net: Network<HostStack>,
+    queue: EventQueue<Event>,
+    /// Simulated time at the last event.
+    end: Time,
+    /// Logical event count (scheduler pops plus transmitted packets).
+    events: u64,
+    /// What the strict-mode monitor found (empty when `strict` is off).
+    violations: Vec<String>,
+    trace: Trace,
 }
 
 /// Drive the network until all jobs complete or the horizon passes. When a
@@ -577,4 +652,40 @@ pub struct IncastOutcome {
     /// Invariant violations counted by the strict-mode monitor (0 when
     /// clean or when `strict` was off).
     pub invariant_violations: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_lists_every_topology_kind_and_each_round_trips_through_json() {
+        for (i, t) in TopologyKind::all().iter().enumerate() {
+            // No wildcard arm: a new variant must be given a slot here, and
+            // `all()` must then hold it in that slot.
+            let slot = match t {
+                TopologyKind::Symmetric => 0,
+                TopologyKind::Asymmetric => 1,
+                TopologyKind::FatTree { .. } => 2,
+            };
+            assert_eq!(slot, i);
+        }
+        for t in TopologyKind::all().into_iter().chain([TopologyKind::FatTree { k: 8 }]) {
+            assert_eq!(TopologyKind::from_json(&t.to_json()), Ok(t), "{}", t.to_json().render());
+        }
+        let parse = |json: &str| TopologyKind::from_json(&Json::parse(json).expect("test JSON"));
+        assert!(parse(r#"{"kind":"torus"}"#).unwrap_err().contains("want symmetric | asymmetric | fat-tree"));
+        assert!(parse(r#"{"kind":"fat-tree"}"#).unwrap_err().contains("'k'"));
+    }
+
+    #[test]
+    fn a_bad_scalar_is_an_error_from_the_run_not_a_panic() {
+        // The gate sits in front of both workloads, so a programmatic
+        // scenario gets the same diagnosis a spec file does.
+        let mut s = Scenario::new(Scheme::Ecmp, TopologyKind::Symmetric, 0.0, 1);
+        assert!(s.try_run_rpc(&clove_workload::web_search()).unwrap_err().starts_with("load:"));
+        s.load = 0.5;
+        s.topology = TopologyKind::FatTree { k: 3 };
+        assert!(s.try_run_incast(4, 1, 1000).unwrap_err().starts_with("topology.k:"));
+    }
 }

@@ -1,5 +1,6 @@
 //! The scheme matrix: every load balancer the paper evaluates.
 
+use crate::json::Json;
 use crate::profile::Profile;
 use clove_baselines::{fabric_schemes, EcmpPolicy, PrestoConfig, PrestoPolicy};
 use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveLatencyPolicy, CloveUtilConfig, EdgeFlowletPolicy};
@@ -59,6 +60,101 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// One value of every variant, payloads at the paper's settings: what
+    /// [`Scheme::from_json`] searches by spec name and what the codec tests
+    /// and the EXPERIMENTS.md name list iterate.
+    pub fn all() -> Vec<Scheme> {
+        vec![
+            Scheme::Ecmp,
+            Scheme::EdgeFlowlet,
+            Scheme::CloveEcn,
+            Scheme::CloveInt,
+            Scheme::CloveLatency { adaptive_gap: false },
+            Scheme::Presto { oracle_weights: None },
+            Scheme::Mptcp { subflows: 4 },
+            Scheme::Conga,
+            Scheme::LetFlow,
+            Scheme::Hula,
+            Scheme::EcmpDctcp,
+            Scheme::CloveEcnDctcp,
+            Scheme::CloveEcnNonOverlay,
+            Scheme::Incremental { clove_hosts: 16 },
+        ]
+    }
+
+    /// The variant's name in spec JSON (the `"name"` of the tagged object).
+    /// This is the one name table — [`Scheme::to_json`] and
+    /// [`Scheme::from_json`] both go through it — and it has no wildcard
+    /// arm, so a new variant does not compile until it has a name.
+    pub fn spec_name(&self) -> &'static str {
+        match self {
+            Scheme::Ecmp => "ecmp",
+            Scheme::EdgeFlowlet => "edge-flowlet",
+            Scheme::CloveEcn => "clove-ecn",
+            Scheme::CloveInt => "clove-int",
+            Scheme::CloveLatency { .. } => "clove-latency",
+            Scheme::Presto { .. } => "presto",
+            Scheme::Mptcp { .. } => "mptcp",
+            Scheme::Conga => "conga",
+            Scheme::LetFlow => "let-flow",
+            Scheme::Hula => "hula",
+            Scheme::EcmpDctcp => "ecmp-dctcp",
+            Scheme::CloveEcnDctcp => "clove-ecn-dctcp",
+            Scheme::CloveEcnNonOverlay => "clove-ecn-non-overlay",
+            Scheme::Incremental { .. } => "incremental",
+        }
+    }
+
+    /// Render to the tagged-object form: `"name"`, then the variant's payload
+    /// (`"subflows"`, `"clove_hosts"`, `"weights"`, `"adaptive_gap"`).
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("name".to_string(), Json::Str(self.spec_name().to_string()))];
+        match self {
+            Scheme::CloveLatency { adaptive_gap } => fields.push(("adaptive_gap".to_string(), Json::Bool(*adaptive_gap))),
+            Scheme::Presto { oracle_weights } => {
+                let weights = oracle_weights.as_ref().map(|ws| Json::Arr(ws.iter().map(|&w| Json::Num(w)).collect()));
+                fields.push(("weights".to_string(), weights.unwrap_or(Json::Null)));
+            }
+            Scheme::Mptcp { subflows } => fields.push(("subflows".to_string(), Json::Num(*subflows as f64))),
+            Scheme::Incremental { clove_hosts } => fields.push(("clove_hosts".to_string(), Json::Num(f64::from(*clove_hosts)))),
+            _ => {}
+        }
+        Json::Obj(fields)
+    }
+
+    /// Parse the tagged-object form. Payload integers are range-checked
+    /// into their field's type here; whether they make sense for a run
+    /// (subflow count, deployed hosts) is [`crate::Scenario::validate`]'s
+    /// call.
+    pub fn from_json(v: &Json) -> Result<Scheme, String> {
+        let name = v.get("name").and_then(Json::as_str).ok_or_else(|| "scheme: missing string field 'name'".to_string())?;
+        let all = Scheme::all();
+        let Some(scheme) = all.iter().find(|s| s.spec_name() == name) else {
+            let names: Vec<&str> = all.iter().map(Scheme::spec_name).collect();
+            return Err(format!("scheme: unknown name '{name}' (want {})", names.join(" | ")));
+        };
+        let required = |key: &str| format!("scheme: {name}: missing integer field '{key}'");
+        Ok(match scheme {
+            Scheme::CloveLatency { .. } => Scheme::CloveLatency { adaptive_gap: v.get("adaptive_gap").and_then(Json::as_bool).unwrap_or(false) },
+            Scheme::Presto { .. } => Scheme::Presto {
+                oracle_weights: match v.get("weights") {
+                    None | Some(Json::Null) => None,
+                    Some(w) => Some(
+                        w.as_array()
+                            .ok_or_else(|| "scheme: presto: 'weights' must be an array".to_string())?
+                            .iter()
+                            .map(|x| x.as_f64().ok_or_else(|| "scheme: presto: 'weights' must be numbers".to_string()))
+                            .collect::<Result<Vec<f64>, String>>()?,
+                    ),
+                },
+            },
+            // Subflow `i` sends from source port `sport + i`, a `u16`.
+            Scheme::Mptcp { .. } => Scheme::Mptcp { subflows: usize::from(v.uint_field::<u16>("subflows")?.ok_or_else(|| required("subflows"))?) },
+            Scheme::Incremental { .. } => Scheme::Incremental { clove_hosts: v.uint_field("clove_hosts")?.ok_or_else(|| required("clove_hosts"))? },
+            plain => plain.clone(),
+        })
+    }
+
     /// Short label used in tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -155,11 +251,6 @@ impl Scheme {
         self.needs_discovery() && self.host_is_clove(host)
     }
 
-    /// Whether receive-side Presto polling is needed.
-    pub fn needs_presto_poll(&self) -> bool {
-        matches!(self, Scheme::Presto { .. })
-    }
-
     /// MPTCP subflow count, if the scheme is MPTCP.
     pub fn mptcp_subflows(&self) -> Option<usize> {
         match self {
@@ -230,27 +321,42 @@ impl Scheme {
 mod tests {
     use super::*;
 
-    fn all_schemes() -> Vec<Scheme> {
-        vec![
-            Scheme::Ecmp,
-            Scheme::EdgeFlowlet,
-            Scheme::CloveEcn,
-            Scheme::CloveInt,
-            Scheme::CloveLatency { adaptive_gap: true },
-            Scheme::Presto { oracle_weights: None },
-            Scheme::Mptcp { subflows: 4 },
-            Scheme::Conga,
-            Scheme::LetFlow,
-            Scheme::EcmpDctcp,
-            Scheme::CloveEcnDctcp,
-            Scheme::CloveEcnNonOverlay,
-        ]
+    #[test]
+    fn all_lists_every_variant_and_each_round_trips_through_json() {
+        let all = Scheme::all();
+        for (i, s) in all.iter().enumerate() {
+            // No wildcard arm: a new variant must be given a slot here, and
+            // `all()` must then hold it in that slot.
+            let slot = match s {
+                Scheme::Ecmp => 0,
+                Scheme::EdgeFlowlet => 1,
+                Scheme::CloveEcn => 2,
+                Scheme::CloveInt => 3,
+                Scheme::CloveLatency { .. } => 4,
+                Scheme::Presto { .. } => 5,
+                Scheme::Mptcp { .. } => 6,
+                Scheme::Conga => 7,
+                Scheme::LetFlow => 8,
+                Scheme::Hula => 9,
+                Scheme::EcmpDctcp => 10,
+                Scheme::CloveEcnDctcp => 11,
+                Scheme::CloveEcnNonOverlay => 12,
+                Scheme::Incremental { .. } => 13,
+            };
+            assert_eq!(slot, i, "{}", s.label());
+        }
+        assert_eq!(all.len(), 14);
+        let with_payloads = [Scheme::CloveLatency { adaptive_gap: true }, Scheme::Presto { oracle_weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }];
+        for s in all.iter().chain(&with_payloads) {
+            assert_eq!(Scheme::from_json(&s.to_json()).as_ref(), Ok(s), "{}", s.to_json().render());
+            assert_eq!(Json::parse(&s.to_json().render()).map(|v| Scheme::from_json(&v)), Ok(Ok(s.clone())), "through text");
+        }
     }
 
     #[test]
     fn every_scheme_builds_a_policy() {
         let p = Profile::default();
-        for s in all_schemes() {
+        for s in Scheme::all() {
             let policy = s.build_policy(&p, 1);
             assert!(!policy.name().is_empty(), "{:?}", s.label());
         }
@@ -268,7 +374,7 @@ mod tests {
 
     #[test]
     fn int_only_for_clove_int() {
-        for s in all_schemes() {
+        for s in Scheme::all() {
             assert_eq!(s.int_enabled(), s == Scheme::CloveInt, "{}", s.label());
         }
     }

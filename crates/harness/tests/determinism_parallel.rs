@@ -3,7 +3,7 @@
 //! byte-identical. These tests pin the three fold shapes (point cache,
 //! flat incast cells, resilience cells) at smoke scale.
 
-use clove_harness::experiments::{self, ExpConfig};
+use clove_harness::experiments::{self, ExpConfig, PointCache};
 use clove_harness::Scheme;
 
 fn smoke() -> ExpConfig {
@@ -14,8 +14,8 @@ fn smoke() -> ExpConfig {
 #[test]
 fn fig4_csv_identical_serial_vs_jobs8() {
     let loads = [0.3, 0.5];
-    let serial = experiments::fig4c(&loads, &smoke());
-    let parallel = experiments::fig4c(&loads, &smoke().with_jobs(8));
+    let serial = experiments::fig4c_cached(&loads, &smoke(), &mut PointCache::new());
+    let parallel = experiments::fig4c_cached(&loads, &smoke().with_jobs(8), &mut PointCache::new());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 

@@ -19,12 +19,12 @@ fn smoke() -> ExpConfig {
 /// A quick-scale strict spec with a cold host crash mid-run: hypervisor 0
 /// goes dark at 20 ms and reboots 10 ms later with its vswitch state
 /// (flowlets, WRR weights, discovery selections) flushed.
-fn host_crash_spec() -> ScenarioSpec {
+fn host_crash_spec(trace: bool) -> ScenarioSpec {
     let json = r#"{"scheme":{"name":"clove-ecn"},"topology":{"kind":"symmetric"},
                    "load":0.4,"jobs_per_conn":3,"conns_per_client":1,"horizon_secs":10,
                    "seed":11,"seeds":2,"strict":true,
                    "node_crash":{"node":"host0","at_ms":20,"down_ms":10,"state":"cold"}}"#;
-    ScenarioSpec::from_json_str(json).expect("valid spec")
+    ScenarioSpec { trace, ..ScenarioSpec::from_json_str(json).expect("valid spec") }
 }
 
 #[test]
@@ -86,18 +86,18 @@ fn host_crash_passes_strict_invariants_and_is_jobs_invariant() {
     // run() errors on any strict-mode invariant violation, so a clean
     // return pins the monitor across the crash, flush and re-discovery
     // window; guest flows opened before the crash must still conserve.
-    let spec = host_crash_spec();
-    let serial = spec.run_jobs(1).expect("strict host-crash run is violation-free");
+    let spec = host_crash_spec(false);
+    let (serial, _, _) = spec.run(1, None).expect("strict host-crash run is violation-free");
     assert!(serial.flows_completed > 0);
-    let parallel = spec.run_jobs(4).expect("strict host-crash run is violation-free");
+    let (parallel, _, _) = spec.run(4, None).expect("strict host-crash run is violation-free");
     assert_eq!(serial.to_json().render_pretty(), parallel.to_json().render_pretty());
 }
 
 #[test]
 fn traced_host_crash_report_is_identical_and_captures_recovery_kinds() {
-    let spec = host_crash_spec();
-    let plain = spec.run_jobs(1).expect("untraced run");
-    let (traced, jsonl, _) = spec.run_jobs_traced(1).expect("traced run");
+    let (plain, _, _) = host_crash_spec(false).run(1, None).expect("untraced run");
+    let spec = host_crash_spec(true);
+    let (traced, jsonl, _) = spec.run(1, None).expect("traced run");
     assert_eq!(plain.to_json().render_pretty(), traced.to_json().render_pretty(), "tracing changed the report");
     let report = clove_harness::check_trace_jsonl(&jsonl).expect("schema-valid trace");
     let count = |kind: &str| report.kinds.iter().find(|&&(k, _)| k == kind).map(|&(_, c)| c).unwrap_or(0);
@@ -105,6 +105,6 @@ fn traced_host_crash_report_is_identical_and_captures_recovery_kinds() {
     assert!(count("vswitch_restart") > 0, "host restart must trace: {:?}", report.kinds);
     assert!(count("state_flush") >= 2, "cold restart flushes vswitch and discovery: {:?}", report.kinds);
     // The dump is byte-identical at any worker count.
-    let (_, jsonl4, _) = spec.run_jobs_traced(4).expect("parallel traced run");
+    let (_, jsonl4, _) = spec.run(4, None).expect("parallel traced run");
     assert_eq!(jsonl, jsonl4);
 }

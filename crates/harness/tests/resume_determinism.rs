@@ -4,10 +4,10 @@
 //! interruption by deleting half the journal entries a complete run
 //! produced, then re-running with `resume = true`.
 
-use clove_harness::config::{ScenarioSpec, SchemeSpec, TopologySpec};
+use clove_harness::config::ScenarioSpec;
 use clove_harness::experiments::{self, ExpConfig};
 use clove_harness::report::FaultTable;
-use clove_harness::{Journal, Scheme};
+use clove_harness::{Journal, Scheme, TopologyKind};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -93,34 +93,23 @@ fn fresh_open_discards_a_previous_runs_checkpoints() {
 fn clove_run_spec_resume_reproduces_the_report_exactly() {
     let root = tmp_root("spec");
     let spec = ScenarioSpec {
-        scheme: SchemeSpec::CloveEcn,
-        topology: TopologySpec::Asymmetric,
-        load: 0.5,
-        workload: "web-search".into(),
         jobs_per_conn: 4,
         conns_per_client: 1,
         seed: 7,
         seeds: 4,
         horizon_secs: 10,
-        fail_at_ms: None,
-        node_crash: None,
-        control_loss: None,
-        control_loss_at_ms: None,
-        flowlet_gap_us: None,
-        ecn_threshold_pkts: None,
-        strict: false,
-        trace: false,
+        ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.5)
     };
 
     let journal = Journal::open(&root, false).expect("journal opens");
-    let full = spec.run_jobs_journaled(2, Some(&journal)).expect("spec runs");
+    let (full, _, _) = spec.run(2, Some(&journal)).expect("spec runs");
     assert_eq!(journal.stores(), 4, "every seed is checkpointed");
 
     let deleted = forget_half_the_entries(&root);
     assert_eq!(deleted, 2);
 
     let resumed_journal = Journal::open(&root, true).expect("journal reopens");
-    let resumed = spec.run_jobs_journaled(4, Some(&resumed_journal)).expect("spec resumes");
+    let (resumed, _, _) = spec.run(4, Some(&resumed_journal)).expect("spec resumes");
     assert_eq!(resumed_journal.hits(), 2, "surviving seeds come from disk");
     assert_eq!(full.to_json().render_pretty(), resumed.to_json().render_pretty());
 

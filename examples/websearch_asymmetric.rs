@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example websearch_asymmetric`
 //! (takes a few minutes; pass `--quick` for a fast noisy variant)
 
-use clove::harness::experiments::{fig4c, ExpConfig};
+use clove::harness::experiments::{fig4c_cached, ExpConfig, PointCache};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -15,7 +15,7 @@ fn main() {
         ExpConfig { jobs_per_conn: 150, conns_per_client: 2, seeds: 1, horizon_secs: 60, jobs: 1, strict: false, ..ExpConfig::quick() }
     };
     let loads = if quick { vec![0.5, 0.7] } else { vec![0.3, 0.5, 0.7] };
-    let table = fig4c(&loads, &cfg);
+    let table = fig4c_cached(&loads, &cfg, &mut PointCache::new());
     println!("{}", table.render());
     // The paper's qualitative claim: under asymmetry at high load, ECMP
     // collapses and Clove-ECN leads the deployable schemes.
