@@ -63,11 +63,13 @@ fn run(cell: &Ablation, jobs_per_conn: u32, control: &Arc<RunControl>) -> String
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = cli::check_flags(&args, &["--quick", "--resume"], &["--jobs"]) {
-        eprintln!("ablations: {e}\nusage: ablations [--quick] [--jobs N] [--resume]");
-        std::process::exit(2);
-    }
-    let jobs = cli::parse_jobs(&args).unwrap_or(1);
+    let jobs = match cli::check_flags(&args, &["--quick", "--resume"], &["--jobs"]).and_then(|()| cli::parse_jobs(&args)) {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("ablations: {e}\nusage: ablations [--quick] [--jobs N] [--resume]");
+            std::process::exit(2);
+        }
+    };
     let jobs_per_conn = if cli::has_flag(&args, "--quick") { 20 } else { 100 };
     let journal = cli::open_journal("ablations", cli::has_flag(&args, "--resume"));
     println!("Clove-ECN ablations — asymmetric testbed, 60% load, {jobs_per_conn} jobs/conn\n");

@@ -4,9 +4,11 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p clove-bench --bin figures -- [fig4b|fig4c|fig5|fig6|fig7|fig8a|fig8b|fig9|resilience|feedback|recovery|headline|all] [--quick] [--jobs N] [--strict] [--resume]
+//! cargo run --release -p clove-bench --bin figures -- [FIGURE] [--quick] [--jobs N] [--strict] [--resume]
 //! ```
 //!
+//! `FIGURE` is a name from the `FIGURES` table below, `fig5` (5a–5c) or
+//! `all` (the default); any other word is a usage error that lists them.
 //! `--quick` uses the small experiment configuration (fast, noisier);
 //! the default uses `ExpConfig::full()` (the settings behind the numbers
 //! recorded in EXPERIMENTS.md). `--jobs N` fans the experiment matrix out
@@ -25,11 +27,6 @@
 //! telemetry snapshot written for it under `results/telemetry/` (cell
 //! metadata, failure reason, and a `--trace` repro command) — and the
 //! process exits 3 so CI notices.
-//!
-//! Per-phase wall-clock timings go to stderr; `CLOVE_PROFILE=1` adds a
-//! per-matrix orchestrator profile line (cell counts, summed cell time,
-//! slowest cell). Neither touches stdout, so tables and CSVs stay
-//! byte-identical.
 
 use clove_harness::experiments::{self, ExpConfig, PointCache};
 use clove_harness::report::FaultTable;
@@ -47,18 +44,6 @@ fn note_quarantine(quarantined: &[String]) {
     }
 }
 
-/// Wall-clock per-phase timing for the figure run itself. Stderr only —
-/// the stdout tables/CSVs are byte-identical regardless — and bench-level,
-/// so the sim's determinism contract is untouched. Set `CLOVE_PROFILE=1`
-/// to additionally get per-matrix orchestrator profiles (cell counts,
-/// summed cell time, slowest cell) from the harness.
-fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    let start = std::time::Instant::now();
-    let out = f();
-    eprintln!("figures: phase {name} {:.3}s", start.elapsed().as_secs_f64());
-    out
-}
-
 fn save_csv(csv_name: &str, contents: &str) {
     if std::env::var_os("CLOVE_SAVE_CSV").is_some() {
         let _ = write_atomic(Path::new(&format!("results/{csv_name}.csv")), contents);
@@ -71,96 +56,108 @@ fn emit(table: clove_harness::report::FigureTable, csv_name: &str) {
     save_csv(csv_name, &table.to_csv());
 }
 
-/// The usage line (also printed when a flag is not one of these).
-const USAGE: &str =
-    "usage: figures [fig4b|fig4c|fig5|fig6|fig7|fig8a|fig8b|fig9|resilience|feedback|recovery|headline|all] [--quick] [--jobs N] [--strict] [--resume]";
+/// The three fault sweeps run the same schemes and print the same way.
+fn emit_sweep(name: &str, sweep: fn(&[Scheme], &ExpConfig) -> FaultTable, cfg: &ExpConfig) {
+    let table = sweep(&experiments::resilience_schemes(), cfg);
+    println!("{}", table.render());
+    note_quarantine(&table.quarantined);
+    save_csv(name, &table.to_csv());
+}
+
+/// What the figures of one invocation share.
+struct Shared {
+    cfg: ExpConfig,
+    quick: bool,
+    /// 4c/5a/5b/5c share testbed-asymmetric runs.
+    testbed_cache: PointCache,
+    /// 8b/9 share sim-asymmetric runs.
+    sim_cache: PointCache,
+}
+
+// The paper sweeps 20–90%; the reproduction reports a representative
+// subset to bound wall-clock time.
+impl Shared {
+    fn loads(&self) -> &'static [f64] {
+        if self.quick {
+            &[0.5]
+        } else {
+            &[0.5, 0.8]
+        }
+    }
+
+    fn loads_asym(&self) -> &'static [f64] {
+        if self.quick {
+            &[0.5, 0.7]
+        } else {
+            &[0.3, 0.5, 0.7]
+        }
+    }
+}
+
+/// Runs and prints one figure.
+type Figure = fn(&mut Shared);
+
+/// Every figure by name, in the order `all` prints them: the one list
+/// behind dispatch, acceptance of the positional argument and the usage
+/// line.
+const FIGURES: &[(&str, Figure)] = &[
+    ("fig4b", |s| emit(experiments::fig4b_cached(s.loads(), &s.cfg, &mut PointCache::new()), "fig4b")),
+    ("fig4c", |s| emit(experiments::fig4c_cached(s.loads_asym(), &s.cfg, &mut s.testbed_cache), "fig4c")),
+    ("fig5a", |s| emit(experiments::fig5a_cached(s.loads_asym(), &s.cfg, &mut s.testbed_cache), "fig5a")),
+    ("fig5b", |s| emit(experiments::fig5b_cached(s.loads_asym(), &s.cfg, &mut s.testbed_cache), "fig5b")),
+    ("fig5c", |s| emit(experiments::fig5c_cached(s.loads_asym(), &s.cfg, &mut s.testbed_cache), "fig5c")),
+    // Two loads suffice for the sensitivity story.
+    ("fig6", |s| emit(experiments::fig6(&s.loads_asym()[1..], &s.cfg), "fig6")),
+    ("fig7", |s| {
+        let (fanouts, requests): (&[u32], u32) = if s.quick { (&[4, 12], 10) } else { (&[1, 4, 8, 16], 25) };
+        emit(experiments::fig7(fanouts, requests, &s.cfg), "fig7")
+    }),
+    ("fig8a", |s| emit(experiments::fig8a_cached(s.loads(), &s.cfg, &mut PointCache::new()), "fig8a")),
+    ("fig8b", |s| emit(experiments::fig8b_cached(s.loads_asym(), &s.cfg, &mut s.sim_cache), "fig8b")),
+    ("fig9", fig9),
+    ("resilience", |s| emit_sweep("resilience", experiments::resilience, &s.cfg)),
+    ("feedback", |s| emit_sweep("feedback", experiments::feedback_degradation, &s.cfg)),
+    ("recovery", |s| emit_sweep("recovery", experiments::recovery, &s.cfg)),
+    ("headline", |s| headline(&s.cfg)),
+];
+
+/// Names that select several figures at once: every figure whose name
+/// starts with the prefix.
+const GROUPS: [(&str, &str); 2] = [("fig5", "fig5"), ("all", "")];
+
+fn selects(which: &str, name: &str) -> bool {
+    which == name || GROUPS.iter().any(|&(group, prefix)| which == group && name.starts_with(prefix))
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).chain(GROUPS.iter().map(|&(group, _)| group)).collect();
+    format!("usage: figures [{}] [--quick] [--jobs N] [--strict] [--resume]", names.join("|"))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = cli::check_flags(&args, &["--quick", "--strict", "--resume"], &["--jobs"]) {
-        eprintln!("figures: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    let quick = cli::has_flag(&args, "--quick");
-    let strict = cli::has_flag(&args, "--strict");
-    let jobs = cli::parse_jobs(&args).unwrap_or(1);
     let which = cli::positional(&args, &["--jobs"]).unwrap_or("all");
-    let journal = cli::open_journal("figures", cli::has_flag(&args, "--resume")).map(std::sync::Arc::new);
-    let cfg = (if quick { ExpConfig::quick() } else { ExpConfig::full() }).with_jobs(jobs).with_strict(strict).with_journal(journal.clone());
-
-    // The paper sweeps 20–90%; the reproduction reports a representative
-    // subset to bound wall-clock time.
-    let loads_full = [0.5, 0.8];
-    let loads_asym = [0.3, 0.5, 0.7];
-    let loads = if quick { &loads_full[..1] } else { &loads_full[..] };
-    let loads_a = if quick { &loads_asym[1..3] } else { &loads_asym[..] };
-
-    let run_fig = |name: &str| which == "all" || which == name || (which == "fig5" && name.starts_with("fig5"));
-    // Shared run caches: 4c/5a/5b/5c share testbed-asymmetric runs; 8b/9
-    // share sim-asymmetric runs.
-    let mut testbed_cache = PointCache::new();
-    let mut sim_cache = PointCache::new();
-
-    if run_fig("fig4b") {
-        timed("fig4b", || emit(experiments::fig4b_cached(loads, &cfg, &mut PointCache::new()), "fig4b"));
-    }
-    if run_fig("fig4c") {
-        timed("fig4c", || emit(experiments::fig4c_cached(loads_a, &cfg, &mut testbed_cache), "fig4c"));
-    }
-    if run_fig("fig5a") {
-        timed("fig5a", || emit(experiments::fig5a_cached(loads_a, &cfg, &mut testbed_cache), "fig5a"));
-    }
-    if run_fig("fig5b") {
-        timed("fig5b", || emit(experiments::fig5b_cached(loads_a, &cfg, &mut testbed_cache), "fig5b"));
-    }
-    if run_fig("fig5c") {
-        timed("fig5c", || emit(experiments::fig5c_cached(loads_a, &cfg, &mut testbed_cache), "fig5c"));
-    }
-    if run_fig("fig6") {
-        // Two loads suffice for the sensitivity story.
-        timed("fig6", || emit(experiments::fig6(&loads_a[1..], &cfg), "fig6"));
-    }
-    if run_fig("fig7") {
-        let fanouts: Vec<u32> = if quick { vec![4, 12] } else { vec![1, 4, 8, 16] };
-        let requests = if quick { 10 } else { 25 };
-        timed("fig7", || emit(experiments::fig7(&fanouts, requests, &cfg), "fig7"));
-    }
-    if run_fig("fig8a") {
-        timed("fig8a", || emit(experiments::fig8a_cached(loads, &cfg, &mut PointCache::new()), "fig8a"));
-    }
-    if run_fig("fig8b") {
-        timed("fig8b", || emit(experiments::fig8b_cached(loads_a, &cfg, &mut sim_cache), "fig8b"));
-    }
-    if run_fig("fig9") {
-        timed("fig9", || {
-            println!("## Fig 9 — mice FCT CDFs at 70% load, asymmetric");
-            for (scheme, cdf) in experiments::fig9_cached(&cfg, &mut sim_cache) {
-                if scheme.ends_with("[quarantined]") {
-                    SAW_QUARANTINE.store(true, Ordering::Release);
-                }
-                println!("# {scheme}");
-                for (fct, frac) in cdf {
-                    println!("{fct:.6},{frac:.4}");
-                }
-            }
-            println!();
-        });
-    }
-    type FaultSweep = fn(&[Scheme], &ExpConfig) -> FaultTable;
-    let sweeps: [(&str, FaultSweep); 3] =
-        [("resilience", experiments::resilience), ("feedback", experiments::feedback_degradation), ("recovery", experiments::recovery)];
-    for (name, sweep) in sweeps {
-        if run_fig(name) {
-            timed(name, || {
-                let table = sweep(&experiments::resilience_schemes(), &cfg);
-                println!("{}", table.render());
-                note_quarantine(&table.quarantined);
-                save_csv(name, &table.to_csv());
-            });
+    let parsed = cli::check_flags(&args, &["--quick", "--strict", "--resume"], &["--jobs"])
+        .and_then(|()| if FIGURES.iter().any(|&(name, _)| selects(which, name)) { Ok(()) } else { Err(format!("unknown figure '{which}'")) })
+        .and_then(|()| cli::parse_jobs(&args));
+    let jobs = match parsed {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("figures: {e}\n{}", usage());
+            std::process::exit(2);
         }
-    }
-    if run_fig("headline") {
-        timed("headline", || headline(&cfg));
+    };
+    let quick = cli::has_flag(&args, "--quick");
+    let journal = cli::open_journal("figures", cli::has_flag(&args, "--resume")).map(std::sync::Arc::new);
+    let cfg = (if quick { ExpConfig::quick() } else { ExpConfig::full() })
+        .with_jobs(jobs)
+        .with_strict(cli::has_flag(&args, "--strict"))
+        .with_journal(journal.clone());
+    let mut shared = Shared { cfg, quick, testbed_cache: PointCache::new(), sim_cache: PointCache::new() };
+    for &(name, run) in FIGURES {
+        if selects(which, name) {
+            run(&mut shared);
+        }
     }
     if let Some(j) = &journal {
         if j.hits() > 0 {
@@ -171,6 +168,20 @@ fn main() {
         eprintln!("figures: some cells were quarantined (see table footers); affected points render as '-'");
         std::process::exit(3);
     }
+}
+
+fn fig9(s: &mut Shared) {
+    println!("## Fig 9 — mice FCT CDFs at 70% load, asymmetric");
+    for (scheme, cdf) in experiments::fig9_cached(&s.cfg, &mut s.sim_cache) {
+        if scheme.ends_with("[quarantined]") {
+            SAW_QUARANTINE.store(true, Ordering::Release);
+        }
+        println!("# {scheme}");
+        for (fct, frac) in cdf {
+            println!("{fct:.6},{frac:.4}");
+        }
+    }
+    println!();
 }
 
 /// The paper's headline ratios (§5.1/5.2, §6): how much better Clove-ECN

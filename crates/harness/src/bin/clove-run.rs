@@ -43,11 +43,11 @@ const USAGE: &str = "usage: clove-run <spec.json> [--jobs N] [--strict] [--resum
 /// Flags that take a value.
 const VALUED: [&str; 6] = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
 
-fn chaos_main(args: &[String]) -> ! {
+fn chaos_main(args: &[String], jobs: usize) -> ! {
     let cfg = ChaosConfig {
         runs: parse_flag(args, "--runs").and_then(|v| v.parse().ok()).unwrap_or(20),
         seed: parse_flag(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1),
-        jobs: cli::parse_jobs(args).unwrap_or(1),
+        jobs,
         shrink_budget: parse_flag(args, "--shrink-budget").and_then(|v| v.parse().ok()).unwrap_or(64),
     };
     eprintln!("clove-run chaos: {} run(s), seed {}, {} job(s), shrink budget {}", cfg.runs, cfg.seed, cfg.jobs, cfg.shrink_budget);
@@ -92,10 +92,13 @@ fn trace_check_main(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = cli::check_flags(&args, &["--strict", "--resume", "--example"], &VALUED) {
-        eprintln!("clove-run: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
+    let jobs = match cli::check_flags(&args, &["--strict", "--resume", "--example"], &VALUED).and_then(|()| cli::parse_jobs(&args)) {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("clove-run: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if cli::has_flag(&args, "--example") {
         // Rendered through the spec codec, so the example always parses.
         let example = ScenarioSpec { jobs_per_conn: 100, seed: 42, ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7) };
@@ -107,7 +110,7 @@ fn main() {
         std::process::exit(2);
     };
     if arg == "chaos" {
-        chaos_main(&args);
+        chaos_main(&args, jobs);
     }
     if arg == "trace-check" {
         let word = args.iter().position(|a| a == arg).expect("the positional is one of the arguments");
@@ -138,7 +141,7 @@ fn main() {
     // Trace runs bypass the journal (see `ScenarioSpec::run`), so they do
     // not open — and thereby wipe — it either.
     let journal = if spec.trace { None } else { cli::open_journal("clove-run", cli::has_flag(&args, "--resume")) };
-    let (report, jsonl, dropped) = match spec.run(cli::parse_jobs(&args).unwrap_or(1), journal.as_ref()) {
+    let (report, jsonl, dropped) = match spec.run(jobs, journal.as_ref()) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("clove-run: {e}");

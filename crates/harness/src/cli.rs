@@ -1,5 +1,5 @@
-//! The one command-line parser behind `figures`, `ablations`,
-//! `bench_baseline` and `clove-run`.
+//! The one command-line parser behind `figures`, `ablations` and
+//! `clove-run`.
 //!
 //! Every binary declares the flags it takes — `switches` stand alone,
 //! `valued` flags take one value as `--flag N` or `--flag=N` — and
@@ -47,9 +47,14 @@ pub fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     None
 }
 
-/// `--jobs N` / `--jobs=N`: a worker count of at least 1, if given.
-pub fn parse_jobs(args: &[String]) -> Option<usize> {
-    parse_flag(args, "--jobs").and_then(|v| v.parse().ok()).filter(|&n| n >= 1)
+/// `--jobs N` / `--jobs=N`: the worker count, 1 when the flag is absent.
+/// A value that is not an integer of at least 1 is an error, not a serial
+/// run.
+pub fn parse_jobs(args: &[String]) -> Result<usize, String> {
+    match parse_flag(args, "--jobs") {
+        None => Ok(1),
+        Some(v) => v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| format!("--jobs '{v}': expected a worker count of at least 1")),
+    }
 }
 
 /// The first argument that is neither a flag nor the value of one of the
@@ -101,9 +106,10 @@ mod tests {
         assert_eq!(parse_flag(&a, "--jobs"), Some("4"));
         assert_eq!(parse_flag(&a, "--out"), Some("b.json"));
         assert_eq!(parse_flag(&a, "--seed"), None);
-        assert_eq!(parse_jobs(&a), Some(4));
-        assert_eq!(parse_jobs(&args("--jobs=0")), None);
-        assert_eq!(parse_jobs(&args("--jobs many")), None);
+        assert_eq!(parse_jobs(&a), Ok(4));
+        assert_eq!(parse_jobs(&args("fig7 --quick")), Ok(1));
+        assert_eq!(parse_jobs(&args("--jobs=0")), Err("--jobs '0': expected a worker count of at least 1".to_string()));
+        assert!(parse_jobs(&args("--jobs many")).is_err() && parse_jobs(&args("--jobs -2")).is_err());
         assert!(has_flag(&args("x --quick"), "--quick") && !has_flag(&args("x --quick=1"), "--quick"));
     }
 

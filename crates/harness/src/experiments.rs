@@ -4,8 +4,8 @@
 //! sweeps) whose series reproduce the corresponding plot. [`ExpConfig`]
 //! sizes the runs: the paper uses 50 K jobs per connection on the testbed
 //! and 20 K in NS2, [`ExpConfig::full`] uses 80 — enough for the
-//! qualitative ordering, as EXPERIMENTS.md documents — and benches and
-//! smoke tests use [`ExpConfig::quick`].
+//! qualitative ordering, as EXPERIMENTS.md documents — and `--quick` runs
+//! and smoke tests use [`ExpConfig::quick`].
 //!
 //! ## One seeded matrix, many reduces
 //!
@@ -87,7 +87,7 @@ impl ExpConfig {
         ExpConfig { jobs_per_conn: 80, conns_per_client: 2, seeds: 2, horizon_secs: 60, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
 
-    /// A tiny configuration for benches and CI smoke tests.
+    /// A tiny configuration for `--quick` runs and CI smoke tests.
     pub fn quick() -> ExpConfig {
         ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 1, horizon_secs: 10, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
     }
@@ -170,16 +170,7 @@ where
     F: Fn(&K, &Arc<RunControl>) -> R + Send + Sync,
 {
     let costs: Vec<f64> = cells.iter().map(cost).collect();
-    let (outcomes, stats) = orchestrator::run_journaled(cells, cfg.jobs, cfg.exec, Some(&costs), cfg.journal.as_deref().map(|j| (j, scope)), key, run);
-    // Orchestrator-level wall-clock profiling (`CLOVE_PROFILE=1`): stderr
-    // only, so stdout tables/CSVs stay byte-identical at any `--jobs`. The
-    // timings come from the allowlisted orchestrator; this module only
-    // formats them.
-    if stats.executed > 0 && std::env::var_os("CLOVE_PROFILE").is_some() {
-        // clove-lint: allow(stdout-in-lib): opt-in stderr profiling line; stdout reports stay byte-identical
-        eprintln!("profile: [{scope}] {}", stats.profile_line());
-    }
-    (outcomes, stats)
+    orchestrator::run_journaled(cells, cfg.jobs, cfg.exec, Some(&costs), cfg.journal.as_deref().map(|j| (j, scope)), key, run)
 }
 
 /// The oracle Presto weights for the asymmetric topology (paper §5.2:
@@ -388,7 +379,7 @@ const RPC_SEED_BASE: u64 = 1000;
 
 /// Run one (scheme, topology, load) point over the configured seeds and
 /// pool the FCT samples. This is the *loud* path — no isolation, no
-/// journal — used by benches and headline runs that want a panic to
+/// journal — used by `shape_check` and headline runs that want a panic to
 /// propagate rather than quarantine the point.
 pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> FctSummary {
     let loud = cfg.clone().with_exec(ExecPolicy { isolate: false, retries: 0, stall_timeout: None }).with_journal(None);

@@ -118,11 +118,8 @@ impl ExecPolicy {
     }
 }
 
-/// Bookkeeping from one fault-tolerant matrix run.
-///
-/// The wall-clock fields are orchestrator-level profiling only (this
-/// module is on the clove-lint wall-clock allowlist): they never feed back
-/// into simulation results, which stay byte-identical at any `--jobs`.
+/// Bookkeeping from one fault-tolerant matrix run: counts only, so the
+/// stats of one matrix are equal at any `--jobs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatrixStats {
     /// Total cells in the matrix.
@@ -137,35 +134,12 @@ pub struct MatrixStats {
     pub panicked: usize,
     /// Cells quarantined as timed out.
     pub timed_out: usize,
-    /// End-to-end wall time of the matrix fan-out.
-    pub wall: Duration,
-    /// Per-cell execution wall time summed over all attempts of all
-    /// executed cells (≥ `wall` whenever `jobs > 1` keeps workers busy).
-    pub cell_wall: Duration,
-    /// The slowest executed cell: `(cell index, its wall time)`.
-    pub slowest: Option<(usize, Duration)>,
 }
 
 impl MatrixStats {
     /// Total quarantined cells.
     pub fn quarantined(&self) -> usize {
         self.panicked + self.timed_out
-    }
-
-    /// One-line orchestrator profile for stderr reports.
-    pub fn profile_line(&self) -> String {
-        let mut line = format!(
-            "{} cell(s) in {:.3}s wall ({:.3}s summed cell time, {} executed, {} from journal)",
-            self.cells,
-            self.wall.as_secs_f64(),
-            self.cell_wall.as_secs_f64(),
-            self.executed,
-            self.journal_hits
-        );
-        if let Some((idx, wall)) = self.slowest {
-            line.push_str(&format!("; slowest cell #{idx} {:.3}s", wall.as_secs_f64()));
-        }
-        line
     }
 }
 
@@ -176,24 +150,10 @@ struct AtomicStats {
     retries: AtomicUsize,
     panicked: AtomicUsize,
     timed_out: AtomicUsize,
-    /// Summed per-cell execution wall time, in nanoseconds.
-    cell_wall_ns: std::sync::atomic::AtomicU64,
-    /// Slowest cell so far as `(wall_ns, cell index)`, packed under a lock
-    /// (contended once per cell completion — negligible).
-    slowest: Mutex<Option<(u64, usize)>>,
 }
 
 impl AtomicStats {
-    fn note_cell(&self, idx: usize, wall: Duration) {
-        let ns = wall.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.cell_wall_ns.fetch_add(ns, Ordering::Relaxed);
-        let mut slowest = self.slowest.lock().expect("slowest-cell tracker poisoned");
-        if slowest.map(|(best_ns, _)| ns > best_ns).unwrap_or(true) {
-            *slowest = Some((ns, idx));
-        }
-    }
-
-    fn into_stats(self, cells: usize, wall: Duration) -> MatrixStats {
+    fn into_stats(self, cells: usize) -> MatrixStats {
         MatrixStats {
             cells,
             executed: self.executed.into_inner(),
@@ -201,9 +161,6 @@ impl AtomicStats {
             retries: self.retries.into_inner(),
             panicked: self.panicked.into_inner(),
             timed_out: self.timed_out.into_inner(),
-            wall,
-            cell_wall: Duration::from_nanos(self.cell_wall_ns.into_inner()),
-            slowest: self.slowest.into_inner().expect("slowest-cell tracker poisoned").map(|(ns, idx)| (idx, Duration::from_nanos(ns))),
         }
     }
 }
@@ -303,19 +260,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// bounded retry, quarantine classification.
 fn execute_cell<R>(policy: ExecPolicy, watchdog: Option<&Watchdog>, idx: usize, stats: &AtomicStats, run: impl Fn(&Arc<RunControl>) -> R) -> CellOutcome<R> {
     stats.executed.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    let outcome = execute_cell_inner(policy, watchdog, idx, stats, run);
-    stats.note_cell(idx, started.elapsed());
-    outcome
-}
-
-fn execute_cell_inner<R>(
-    policy: ExecPolicy,
-    watchdog: Option<&Watchdog>,
-    idx: usize,
-    stats: &AtomicStats,
-    run: impl Fn(&Arc<RunControl>) -> R,
-) -> CellOutcome<R> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
@@ -403,11 +347,9 @@ where
     let stats = AtomicStats::default();
     let watchdog = policy.stall_timeout.map(Watchdog::new);
     let indices = schedule(costs, cells.len());
-    let started = Instant::now();
     let raw = crate::experiments::run_matrix(&indices, jobs, |&idx| execute_cell(policy, watchdog.as_ref(), idx, &stats, |control| run(&cells[idx], control)));
-    let wall = started.elapsed();
     drop(watchdog);
-    (unschedule(indices, raw), stats.into_stats(cells.len(), wall))
+    (unschedule(indices, raw), stats.into_stats(cells.len()))
 }
 
 /// [`run_isolated`] plus checkpoint/resume: completed cells are recorded in
@@ -437,7 +379,6 @@ where
     let stats = AtomicStats::default();
     let watchdog = policy.stall_timeout.map(Watchdog::new);
     let indices = schedule(costs, cells.len());
-    let started = Instant::now();
     let raw = crate::experiments::run_matrix(&indices, jobs, |&idx| {
         let cell = &cells[idx];
         let cell_key = key(cell);
@@ -451,9 +392,8 @@ where
         }
         outcome
     });
-    let wall = started.elapsed();
     drop(watchdog);
-    (unschedule(indices, raw), stats.into_stats(cells.len(), wall))
+    (unschedule(indices, raw), stats.into_stats(cells.len()))
 }
 
 #[cfg(test)]
@@ -579,6 +519,30 @@ mod tests {
             let values: Vec<f64> = outcomes.into_iter().map(|o| o.into_ok().expect("ok")).collect();
             assert_eq!(values, (0..6).map(|c| c as f64 * 1.5).collect::<Vec<_>>());
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn stats_are_equal_at_any_jobs_and_resume_moves_only_executed_to_hits() {
+        let root = std::env::temp_dir().join(format!("clove-orch-stats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cells: Vec<u64> = (0..9).collect();
+        let policy = ExecPolicy { retries: 1, ..ExecPolicy::default() };
+        // Cell 4 panics on every attempt: one retry, then quarantine.
+        let run = |&c: &u64, _: &Arc<RunControl>| if c == 4 { panic!("cell {c} exploded") } else { c as f64 };
+        let (_, serial) = run_isolated(&cells, 1, policy, None, run);
+        let (_, parallel) = run_isolated(&cells, 4, policy, None, run);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, MatrixStats { cells: 9, executed: 9, journal_hits: 0, retries: 1, panicked: 1, timed_out: 0 });
+
+        let key = |c: &u64| format!("cell-{c}");
+        let journal = Journal::open(&root, false).expect("open journal");
+        let (_, fresh) = run_journaled(&cells, 4, policy, None, Some((&journal, "t")), key, run);
+        assert_eq!(fresh, serial);
+        let journal = Journal::open(&root, true).expect("reopen journal");
+        let (_, resumed) = run_journaled(&cells, 1, policy, None, Some((&journal, "t")), key, run);
+        // Only the quarantined cell re-executes; everything else is a hit.
+        assert_eq!(resumed, MatrixStats { executed: 1, journal_hits: 8, ..fresh });
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -173,7 +173,7 @@ impl Profile {
         TcpConfig { min_rto: self.min_rto, init_rto: self.init_rto, dsack_undo: self.dsack_undo, ..TcpConfig::default() }
     }
 
-    /// A cheaper profile for CI / criterion benches: identical shape,
+    /// A cheaper profile for CI and quick-scale runs: identical shape,
     /// shorter probes and warmup.
     pub fn quick() -> Profile {
         Profile { probe_interval: Duration::from_millis(10), warmup: Duration::from_millis(2), ..Profile::default() }

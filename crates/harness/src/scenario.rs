@@ -18,7 +18,7 @@ use clove_net::topology::{LeafSpine, Topology};
 use clove_net::types::{HostId, LinkId, NodeId};
 use clove_net::Network;
 use clove_sim::{Duration, EventQueue, QueueBackend, QueueProfile, SimRng, Time};
-use clove_telemetry::{LoopProfile, Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
+use clove_telemetry::{Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
 use clove_workload::fct::FlowRecord;
 use clove_workload::{load_to_rate, FctSummary, FlowSizeDist, IncastSpec, RpcModel};
 use rustc_hash::FxHashMap;
@@ -405,7 +405,6 @@ impl Scenario {
             link_report: link_report(&net.fabric),
             violations,
             queue_profile: queue.profile().clone(),
-            loop_profile: net.loop_profile().clone(),
             trace: trace_events,
             trace_dropped,
         })
@@ -547,9 +546,6 @@ pub struct RpcOutcome {
     /// Event-queue pressure profile (peak pending events, push-to-pop
     /// delay histogram) — the data wheel bucket sizing is tuned from.
     pub queue_profile: QueueProfile,
-    /// Event-loop profile: per-event-kind dispatch counts and sim-time
-    /// occupancy. Deterministic, so identical at any `--jobs`.
-    pub loop_profile: LoopProfile,
     /// Structured decision trace (empty unless [`Scenario::trace`] is set).
     pub trace: Vec<TraceEvent>,
     /// Events dropped because the trace buffer hit capacity.

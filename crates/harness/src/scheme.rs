@@ -178,11 +178,12 @@ impl Scheme {
     /// Relative wall-clock cost of simulating one cell under this scheme,
     /// used only to *rank* cells for the orchestrator's expensive-first
     /// schedule — it never affects results (outcomes are scattered back to
-    /// cell order). Rough calibration from bench_baseline: switch-local
-    /// schemes that track per-uplink congestion state (CONGA, HULA) run
-    /// markedly slower than stateless ECMP; MPTCP multiplies the flow count
-    /// by its subflows; the Clove variants sit in between (feedback packets
-    /// plus per-path state).
+    /// cell order). Rough calibration from measured cell times (the repo
+    /// benchmark's `scheme.*.ns_per_event` rows are the current reading):
+    /// switch-local schemes that track per-uplink congestion state (CONGA,
+    /// HULA) run markedly slower than stateless ECMP; MPTCP multiplies the
+    /// flow count by its subflows; the Clove variants sit in between
+    /// (feedback packets plus per-path state).
     pub fn cost_weight(&self) -> f64 {
         match self {
             Scheme::Ecmp => 1.0,

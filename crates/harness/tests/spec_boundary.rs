@@ -244,7 +244,7 @@ fn clove_run_example_is_a_valid_spec_and_typos_are_usage_errors() {
     spec.validate().expect("--example output validates");
     assert_eq!(stdout.trim_end(), spec.to_json().render_pretty(), "the example is the codec's own rendering");
 
-    for typo in [&["spec.json", "--job", "4"][..], &["--exmaple"], &["spec.json", "--trace"]] {
+    for typo in [&["spec.json", "--job", "4"][..], &["--exmaple"], &["spec.json", "--trace"], &["spec.json", "--jobs", "0"], &["chaos", "--jobs=many"]] {
         let (code, stdout, stderr) = clove_run(typo);
         assert_eq!(code, Some(2), "{typo:?}: {stderr}");
         assert!(stdout.is_empty() && stderr.contains("usage: clove-run"), "{typo:?}: {stderr}");

@@ -24,7 +24,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "wall-clock",
-        summary: "std::time::Instant/SystemTime read outside the harness/bench timing allowlist: simulation logic must use clove-sim virtual Time only",
+        summary: "std::time::Instant/SystemTime read outside the stall-watchdog allowlist: simulation logic must use clove-sim virtual Time only",
     },
     Rule {
         name: "os-entropy",
@@ -65,7 +65,6 @@ pub struct Allow {
 /// The audited allowlists. Keep this short: anything that can instead be a
 /// one-line inline waiver should be.
 pub const ALLOWLIST: &[Allow] = &[
-    Allow { rule: "wall-clock", path_prefix: "crates/bench/", reason: "benchmarks measure real elapsed time by definition" },
     Allow {
         rule: "wall-clock",
         path_prefix: "crates/harness/src/orchestrator.rs",
@@ -91,4 +90,20 @@ pub const ALLOWLIST: &[Allow] = &[
 /// Allowlist lookup: the audit reason when `rule` is excepted for `path`.
 pub fn allowed(rule: &str, path: &str) -> Option<&'static str> {
     ALLOWLIST.iter().find(|a| a.rule == rule && path.starts_with(a.path_prefix)).map(|a| a.reason)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stall watchdog is the one place in the workspace that may read
+    /// the host clock, so no figure-producing code can observe host time;
+    /// speed is measured from outside, by `benchmark/`. A second entry here
+    /// is a second instrument.
+    #[test]
+    fn the_stall_watchdog_is_the_only_wall_clock_exception() {
+        let wall_clock: Vec<&str> = ALLOWLIST.iter().filter(|a| a.rule == "wall-clock").map(|a| a.path_prefix).collect();
+        assert_eq!(wall_clock, ["crates/harness/src/orchestrator.rs"]);
+        assert!(allowed("wall-clock", "crates/bench/src/bin/figures.rs").is_none());
+    }
 }

@@ -12,7 +12,7 @@
 //! | rule | enforces |
 //! |------|----------|
 //! | `std-hash-collections` | no `HashMap`/`HashSet` with the seeded `RandomState` hasher — vendored `FxHashMap` or `BTreeMap` |
-//! | `wall-clock`           | no `Instant`/`SystemTime` outside the bench/watchdog allowlist |
+//! | `wall-clock`           | no `Instant`/`SystemTime` outside the stall watchdog |
 //! | `os-entropy`           | no `thread_rng`/`OsRng`/`getrandom` — randomness flows from `clove_sim::rng` seeds |
 //! | `float-partial-cmp`    | no `partial_cmp().unwrap()` float ordering — use `total_cmp` |
 //! | `stdout-in-lib`        | no `println!`/`eprintln!`/`process::exit` in library crates — output goes through the report layer |
@@ -25,7 +25,7 @@
 //! exit status 2 means unwaived findings.
 //!
 //! The analyzer is deliberately dependency-free (the build must work fully
-//! offline, like the vendored criterion/proptest facades), so it lexes Rust
+//! offline, like the vendored proptest/rayon facades), so it lexes Rust
 //! source with its own tokenizer ([`lexer`]) rather than `syn`: every rule
 //! here is a pattern over the token stream, and the lexer's only hard job —
 //! done properly, unlike grep — is skipping comments, strings, and char

@@ -5,7 +5,7 @@ use crate::lexer::{lex, Lexed, Tok};
 use crate::report::Finding;
 
 /// What kind of compilation target a file belongs to. Determines which
-/// rules apply: binaries, examples, tests, and benches own their stdout
+/// rules apply: binaries, examples and tests own their stdout
 /// and may print; library code must not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
@@ -15,7 +15,7 @@ pub enum FileClass {
     Bin,
     /// An `examples/` program.
     Example,
-    /// An integration test or bench (`tests/`, `benches/`).
+    /// An integration test (`tests/`).
     Test,
 }
 
@@ -26,7 +26,7 @@ pub fn classify(rel_path: &str) -> FileClass {
         FileClass::Bin
     } else if p.starts_with("examples/") || p.contains("/examples/") {
         FileClass::Example
-    } else if p.starts_with("tests/") || p.contains("/tests/") || p.contains("/benches/") {
+    } else if p.starts_with("tests/") || p.contains("/tests/") {
         FileClass::Test
     } else {
         FileClass::Lib
@@ -224,7 +224,7 @@ fn rule_wall_clock(l: &Lexed, out: &mut Vec<Finding>) {
             out.push(finding(
                 "wall-clock",
                 t,
-                format!("`{}` reads the host clock; simulation logic must use clove_sim::Time (allowlist: bench + orchestrator watchdog)", t.text),
+                format!("`{}` reads the host clock; simulation logic must use clove_sim::Time (allowlist: the orchestrator's stall watchdog)", t.text),
             ));
         }
     }
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn allowlist_waives_with_reason() {
-        let got = check_source("crates/bench/src/lib.rs", "fn f() { let t = Instant::now(); }\n");
+        let got = check_source("crates/harness/src/orchestrator.rs", "fn f() { let t = Instant::now(); }\n");
         assert_eq!(got.len(), 1);
         assert!(got[0].waived.as_deref().unwrap_or("").starts_with("allowlist:"), "{got:?}");
     }

@@ -1,7 +1,7 @@
 //! Workspace file discovery.
 //!
 //! Scans the crate sources the determinism guarantee covers and nothing
-//! else: `src/`, `crates/*/{src,tests,benches}`, `examples/`, `tests/`.
+//! else: `src/`, `crates/*/{src,tests}`, `examples/`, `tests/`.
 //! `vendor/` (third-party facades), `target/`, and the lint crate's own
 //! fixture corpus (intentionally violating files) are excluded. Results
 //! are sorted so reports — and therefore CI logs and `--json` artifacts —

@@ -20,8 +20,9 @@
 //!   LetFlow / CONGA), enqueue on the chosen egress link.
 //! * `Arrive` at a host → handed to [`HostLogic::on_packet`].
 //! * `HostTimer` → handed to [`HostLogic::on_timer`].
-//! * `LinkAdmin` → link state flips and routes are recomputed — this is
-//!   how experiments inject mid-run failures.
+//! * `Fault` → [`Fabric::apply_fault`]: the link's state changes, and an
+//!   announced down/up recomputes routes — this is how experiments inject
+//!   mid-run failures.
 //!
 //! ## Copy contract
 //!
@@ -48,7 +49,7 @@ use crate::packet::{CongaTag, Feedback, Packet, PacketKind};
 use crate::switch::{CongaConfig, FabricScheme, FlowletEntry, Switch};
 use crate::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove_sim::{Duration, EventQueue, SimRng, Time, World};
-use clove_telemetry::{LoopProfile, Trace};
+use clove_telemetry::Trace;
 
 /// Per-host attachment to the fabric.
 #[derive(Debug, Clone, Copy)]
@@ -84,17 +85,10 @@ pub enum Event {
     /// HULA probe round: every leaf floods fresh probes, then the tick
     /// reschedules itself at the configured interval.
     HulaTick,
-    /// Administratively flip one link direction and recompute routes.
-    LinkAdmin {
-        /// The directed link to flip.
-        link: LinkId,
-        /// New administrative state.
-        up: bool,
-    },
     /// Apply one expanded fault action to one link direction (see
-    /// [`crate::fault`]). Unlike `LinkAdmin`, routes are only recomputed
-    /// when the fault is `announced` — silent faults leave the data plane
-    /// hashing into the failure, which only edge probing can detect.
+    /// [`crate::fault`]). Routes are only recomputed when the fault is
+    /// `announced` — silent faults leave the data plane hashing into the
+    /// failure, which only edge probing can detect.
     Fault {
         /// The directed link the action applies to.
         link: LinkId,
@@ -136,30 +130,6 @@ pub enum Event {
 const _: () = assert!(std::mem::size_of::<Packet>() <= 128);
 const _: () = assert!(std::mem::size_of::<Event>() <= 144);
 const _: () = assert!(std::mem::size_of::<clove_sim::ScheduledEvent<Event>>() <= 160);
-
-/// Event kind names in [`Event::kind_index`] order — the registration list
-/// for the event loop's [`LoopProfile`].
-pub const EVENT_KIND_NAMES: &[&str] = &["arrive", "host_timer", "hula_tick", "link_admin", "fault", "control_fault", "node_fault"];
-
-impl Event {
-    /// Index into [`EVENT_KIND_NAMES`] for this event's kind.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Event::Arrive { .. } => 0,
-            Event::HostTimer { .. } => 1,
-            Event::HulaTick => 2,
-            Event::LinkAdmin { .. } => 3,
-            Event::Fault { .. } => 4,
-            Event::ControlFault { .. } => 5,
-            Event::NodeFault { .. } => 6,
-        }
-    }
-
-    /// Stable name for this event's kind.
-    pub fn kind_name(&self) -> &'static str {
-        EVENT_KIND_NAMES[self.kind_index()]
-    }
-}
 
 /// Current control-plane fault settings, mutated by
 /// [`Event::ControlFault`] and consulted on the probe/feedback hot paths.
@@ -717,21 +687,13 @@ impl Fabric {
         q.push(now + cfg.probe_interval, Event::HulaTick);
     }
 
-    /// Flip a link's administrative state and recompute all routes. The
-    /// link settles first, so a `down` flushes exactly the packets whose
-    /// serialization had not started by `now`.
-    pub fn set_link_admin(&mut self, now: Time, link: LinkId, up: bool, q: &mut EventQueue<Event>) {
-        self.settle_link(now, link, q);
-        self.links[link.0 as usize].set_up(up);
-        crate::topology::recompute_routes(self);
-    }
-
     /// Apply one expanded fault action (see [`crate::fault`]). Routes are
     /// recomputed only for `announced` up/down faults; rate and loss
     /// changes never alter routing (the link is still nominally up).
     ///
     /// The link settles first, so every packet whose serialization started
-    /// before the fault is committed under the pre-fault link state.
+    /// before the fault is committed under the pre-fault link state and a
+    /// `Down` flushes exactly the packets that had not started by `now`.
     pub fn apply_fault(&mut self, now: Time, link: LinkId, action: LinkAction, announced: bool, q: &mut EventQueue<Event>) {
         self.settle_link(now, link, q);
         let l = &mut self.links[link.0 as usize];
@@ -870,21 +832,12 @@ pub struct Network<H: HostLogic> {
     pub fabric: Fabric,
     /// All host-side state.
     pub hosts: H,
-    /// Always-on event-loop profile: per-kind dispatch counts and sim-time
-    /// occupancy (the gap each event closes). Purely derived from the
-    /// deterministic event stream, so it is identical across `--jobs`.
-    profile: LoopProfile,
 }
 
 impl<H: HostLogic> Network<H> {
     /// Pair a fabric with host logic.
     pub fn new(fabric: Fabric, hosts: H) -> Network<H> {
-        Network { fabric, hosts, profile: LoopProfile::new(EVENT_KIND_NAMES) }
-    }
-
-    /// The event-loop profile accumulated so far.
-    pub fn loop_profile(&self) -> &LoopProfile {
-        &self.profile
+        Network { fabric, hosts }
     }
 
     /// Convenience: a `HostCtx` for out-of-band initialization (e.g. apps
@@ -899,7 +852,6 @@ impl<H: HostLogic> World for Network<H> {
     type Event = Event;
 
     fn handle_mut(&mut self, now: Time, event: &mut Event, queue: &mut EventQueue<Event>) {
-        self.profile.record(event.kind_index(), now.0);
         match *event {
             Event::Arrive { node, via, ref mut pkt } => {
                 // A delivery on `via` means its transmitter finished one
@@ -922,7 +874,6 @@ impl<H: HostLogic> World for Network<H> {
                 self.hosts.on_timer(host, token, &mut ctx);
             }
             Event::HulaTick => self.fabric.hula_tick(now, queue),
-            Event::LinkAdmin { link, up } => self.fabric.set_link_admin(now, link, up, queue),
             Event::Fault { link, action, announced } => self.fabric.apply_fault(now, link, action, announced, queue),
             Event::ControlFault { action } => {
                 self.fabric.trace.control_fault(now.0, action.name());

@@ -14,7 +14,7 @@
 //!
 //! * **announced** — the network control plane notices and recomputes ECMP
 //!   routes around the fault (planned maintenance, a routing protocol
-//!   converging). This is what the pre-existing `Event::LinkAdmin` models.
+//!   converging).
 //! * **silent** — the data plane keeps hashing packets onto the dead link
 //!   (gray failure). Only the virtual edge can detect this, by probing —
 //!   the failure mode Clove's path discovery exists for (paper §3.1).

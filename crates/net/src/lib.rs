@@ -52,7 +52,7 @@ pub mod types;
 pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosSpace};
-pub use fabric::{Event, Fabric, HostCtx, HostLogic, Network, EVENT_KIND_NAMES};
+pub use fabric::{Event, Fabric, HostCtx, HostLogic, Network};
 pub use fault::{
     CableSelector, ControlAction, ControlFaultAction, ControlFaultKind, ControlFaultPlan, ControlFaultSpec, ControlFaultStats, FaultKind, FaultPlan, FaultSpec,
     FaultStats, LinkAction,

@@ -3,12 +3,14 @@
 //! administration — all against the real leaf-spine build.
 
 use clove_net::fabric::Event;
+use clove_net::fault::LinkAction;
 use clove_net::packet::{Encap, Packet, PacketKind};
 use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig, LetFlowConfig};
 use clove_net::topology::LeafSpine;
 use clove_net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId, STT_PORT};
 use clove_net::{HostCtx, HostLogic, Network};
 use clove_sim::{Duration, EventQueue, Time};
+use clove_telemetry::{Trace, TraceEvent};
 
 /// Records every packet delivered to every host.
 #[derive(Default)]
@@ -214,6 +216,8 @@ fn hula_routes_data_and_delivers_in_order() {
 #[test]
 fn link_admin_event_reroutes_traffic() {
     let mut net = build(FabricScheme::Ecmp);
+    let trace = Trace::new(16);
+    net.fabric.set_trace(trace.clone());
     let mut q = EventQueue::new();
     // Kill both directions of every S2 (switch 3) cable to leaf 1 at t=0:
     // all traffic must survive via S1 or the other S2 trunk.
@@ -228,8 +232,8 @@ fn link_admin_event_reroutes_traffic() {
         .map(|l| l.id)
         .collect();
     assert_eq!(to_kill.len(), 4);
-    for link in to_kill {
-        q.push(Time::ZERO, Event::LinkAdmin { link, up: false });
+    for &link in &to_kill {
+        q.push(Time::ZERO, Event::Fault { link, action: LinkAction::Down, announced: true });
     }
     // Send across sports that previously hashed over all four uplinks.
     for (i, sport) in (41_000u16..41_032).enumerate() {
@@ -241,11 +245,16 @@ fn link_admin_event_reroutes_traffic() {
     assert_eq!(net.hosts.delivered.len(), 32, "drops={:?}", net.fabric.stats);
     // Leaf 0 now routes to host 16 via 2 uplinks only (both to S1).
     assert_eq!(net.fabric.switches[0].group(HostId(16)).unwrap().len(), 2);
+    // The outage is on the books: four links down from t=0, and one trace
+    // event per action.
+    let stats = net.fabric.fault_stats(Time::from_millis(1));
+    assert_eq!((stats.faults_applied, stats.down_time), (4, Duration::from_millis(4)));
+    let expected: Vec<TraceEvent> = to_kill.iter().map(|l| TraceEvent::FaultActivation { t_ns: 0, link: l.0, action: "down", announced: true }).collect();
+    assert_eq!(trace.take(), (expected, 0));
 }
 
 #[test]
 fn link_down_flushes_queue_and_traffic_resumes_after_up() {
-    use clove_net::fault::LinkAction;
     let mut net = build(FabricScheme::Ecmp);
     let mut q = EventQueue::new();
     // Burst 60 packets into host 0's access uplink at t=0: at 10G they
@@ -282,7 +291,6 @@ fn link_down_flushes_queue_and_traffic_resumes_after_up() {
 
 #[test]
 fn silent_fault_black_holes_announced_fault_reroutes() {
-    use clove_net::fault::LinkAction;
     let mut net = build(FabricScheme::Ecmp);
     let mut q = EventQueue::new();
     // Both directions of both S2–L2 trunk cables (switch 3 ↔ switch 1).
@@ -338,7 +346,7 @@ fn no_route_packets_counted_not_panicking() {
         .map(|l| l.id)
         .collect();
     for link in kill {
-        net.fabric.set_link_admin(Time::ZERO, link, false, &mut q);
+        net.fabric.apply_fault(Time::ZERO, link, LinkAction::Down, true, &mut q);
     }
     net.fabric.host_transmit(Time::ZERO, HostId(0), data_packet(1, HostId(0), HostId(16), 5555), &mut q);
     run_all(&mut net, &mut q);

@@ -17,9 +17,9 @@
 //!   near-constant link-latency offsets that dominate the simulator's event
 //!   mix.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap` implementation, kept
-//!   as a differential-testing oracle (tests and the `micro` bench only; no
-//!   binary selects it). Both backends pop byte-identical `(time, seq, event)`
-//!   sequences; `tests` and the differential proptest in this module pin that.
+//!   as a differential-testing oracle (tests only; no binary selects it).
+//!   Both backends pop byte-identical `(time, seq, event)` sequences;
+//!   `tests` and the differential proptest in this module pin that.
 //!
 //! The wheel keeps the earliest run of events eagerly staged in a `current`
 //! buffer (non-empty whenever the queue is non-empty), which is what makes
@@ -73,7 +73,7 @@ pub enum QueueBackend {
 }
 
 impl QueueBackend {
-    /// A stable lowercase label (bench row names).
+    /// A stable lowercase label.
     pub fn name(self) -> &'static str {
         match self {
             QueueBackend::Wheel => "wheel",
@@ -84,8 +84,9 @@ impl QueueBackend {
 
 /// Event-mix statistics the queue gathers as it runs: how deep the pending
 /// set gets and how far ahead of "now" events are scheduled. Both feed wheel
-/// bucket sizing (recorded in `BENCH_baseline.json`) so the level geometry is
-/// tuned from measured data rather than guesses.
+/// bucket sizing (the repo benchmark reports them as `sim.peak_pending` and
+/// `sim.far_push_share`) so the level geometry is tuned from measured data
+/// rather than guesses.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueueProfile {
     /// High-water mark of pending events.
@@ -93,10 +94,9 @@ pub struct QueueProfile {
     /// Push-to-pop delay histogram over `at − last_popped_time` in ns: how
     /// far into the future of the queue's head each event was scheduled —
     /// exactly the offset distribution that decides which wheel level absorbs
-    /// the event. Stored as the shared log-linear streaming histogram; the
-    /// log2 view consumed by `BENCH_baseline.json` comes out of
-    /// [`QueueProfile::trimmed_hist`] with bit-identical counts to the old
-    /// `64 - delay.leading_zeros()` bucketing.
+    /// the event. Stored as the shared log-linear streaming histogram, whose
+    /// `log2_counts` view (bucket 0 = zero delay, bucket `k ≥ 1` = delays in
+    /// `[2^(k-1), 2^k)` ns) is the per-wheel-level reading.
     pub delay_hist: Histogram,
 }
 
@@ -105,20 +105,6 @@ impl QueueProfile {
     pub fn merge(&mut self, other: &QueueProfile) {
         self.peak_pending = self.peak_pending.max(other.peak_pending);
         self.delay_hist.merge(&other.delay_hist);
-    }
-
-    /// Log2 aggregation of the delay histogram (bucket 0 = zero-delay,
-    /// bucket `k ≥ 1` = delays in `[2^(k-1), 2^k)` ns) with trailing empty
-    /// buckets dropped.
-    pub fn trimmed_hist(&self) -> Vec<u64> {
-        let full = self.delay_hist.log2_counts();
-        let last = full.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        full[..last].to_vec()
-    }
-
-    /// Total events profiled.
-    pub fn total(&self) -> u64 {
-        self.delay_hist.count()
     }
 }
 
@@ -865,8 +851,8 @@ mod tests {
         assert_eq!(log2[0], 1);
         assert_eq!(log2[1], 1);
         assert_eq!(log2[10], 1);
-        assert_eq!(q.profile().total(), 3);
-        assert_eq!(q.profile().trimmed_hist().len(), 11);
+        assert_eq!(q.profile().delay_hist.count(), 3);
+        assert_eq!(log2.iter().rposition(|&c| c > 0), Some(10));
         let mut hist = Histogram::new();
         for _ in 0..5 {
             hist.record(0);

@@ -13,8 +13,8 @@
 //! Because sub-buckets nest exactly inside octaves, the histogram can be
 //! viewed as a plain log2 histogram (`log2_counts`) with bit-identical
 //! counts to bucketing by `64 - v.leading_zeros()` directly — the event
-//! queue's delay profile relies on this to keep `BENCH_baseline.json`
-//! byte-stable across the migration.
+//! queue's delay profile is read through that view, one slot per
+//! power-of-two of scheduling distance.
 
 /// Sub-bucket resolution: each octave `[2^m, 2^(m+1))` with `m >= SUB_BITS`
 /// is split into `2^SUB_BITS` linear sub-buckets.

@@ -7,26 +7,22 @@
 //!   (replaces per-flow sample vectors and the ad-hoc queue-delay profile);
 //! * [`Trace`] / [`TraceEvent`] — sim-time-stamped structured decision
 //!   tracing into a bounded ring buffer, rendered as JSONL with a stable,
-//!   versioned schema;
-//! * [`LoopProfile`] — per-event-kind dispatch counts and sim-time
-//!   occupancy for the event loop.
+//!   versioned schema.
 //!
 //! ## Determinism rules
 //!
 //! Everything in this crate is a pure function of the values fed to it: no
 //! wall clocks, no OS entropy, no hash-map iteration. Recording telemetry
-//! must never influence simulation state — enabling a trace or a profile
-//! has to leave every simulation output byte-identical (the harness
-//! enforces this with an identity test). Sim-time ("occupancy", event
-//! timestamps) is always deterministic; wall-clock timing is banned here
-//! and lives only at the orchestrator level, where clove-lint allows it.
+//! must never influence simulation state — enabling a trace has to leave
+//! every simulation output byte-identical (the harness enforces this with
+//! an identity test). Sim-time event timestamps are always deterministic;
+//! wall clocks are banned here — the only one in the workspace is the
+//! orchestrator's stall watchdog, where clove-lint allows it.
 
 #![deny(clippy::unwrap_used)]
 
 mod hist;
-mod profile;
 mod trace;
 
 pub use hist::{bucket_high, bucket_index, Histogram, NUM_BUCKETS, SUBS, SUB_BITS};
-pub use profile::{KindStat, LoopProfile};
 pub use trace::{render_jsonl, LadderRung, Trace, TraceBuf, TraceEvent, DEFAULT_TRACE_CAPACITY, TRACE_SCHEMA_VERSION};

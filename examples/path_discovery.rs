@@ -10,9 +10,10 @@
 
 use clove::algo::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
 use clove::net::fabric::Event;
+use clove::net::fault::LinkAction;
 use clove::net::packet::PacketKind;
 use clove::net::topology::LeafSpine;
-use clove::net::types::{HostId, NodeId, SwitchId};
+use clove::net::types::{HostId, LinkId, NodeId, SwitchId};
 use clove::net::{HostCtx, HostLogic, Network};
 use clove::sim::{EventQueue, Time};
 
@@ -71,8 +72,9 @@ fn main() {
     let cable = net.fabric.links.iter().position(|l| l.from == NodeId::Switch(SwitchId(1)) && l.to == NodeId::Switch(SwitchId(3))).expect("fabric cable");
     // The fabric is idle between rounds, so a scratch queue suffices.
     let mut admin_q: EventQueue<Event> = EventQueue::new();
-    net.fabric.set_link_admin(Time::from_millis(15), clove::net::types::LinkId(cable as u32), false, &mut admin_q);
-    net.fabric.set_link_admin(Time::from_millis(15), clove::net::types::LinkId(cable as u32 + 1), false, &mut admin_q);
+    for link in [cable, cable + 1] {
+        net.fabric.apply_fault(Time::from_millis(15), LinkId(link as u32), LinkAction::Down, true, &mut admin_q);
+    }
 
     println!("\n-- round 2: after failure (ECMP remapped) --");
     let ports = discover(&mut net, Time::from_millis(20), dst);

@@ -4,6 +4,7 @@
 
 use clove::algo::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
 use clove::net::fabric::Event;
+use clove::net::fault::LinkAction;
 use clove::net::packet::{Encap, Packet, PacketKind};
 use clove::net::topology::{FatTree, LeafSpine, Topology};
 use clove::net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
@@ -93,8 +94,9 @@ fn rediscovery_after_failure_shrinks_selection() {
     let ba = net.fabric.links.iter().position(|l| l.from == to && l.to == from).unwrap();
     // The fabric is idle between rounds, so a scratch queue suffices.
     let mut admin_q: EventQueue<Event> = EventQueue::new();
-    net.fabric.set_link_admin(Time::from_millis(40), LinkId(ab as u32), false, &mut admin_q);
-    net.fabric.set_link_admin(Time::from_millis(40), LinkId(ba as u32), false, &mut admin_q);
+    for link in [ab, ba] {
+        net.fabric.apply_fault(Time::from_millis(40), LinkId(link as u32), LinkAction::Down, true, &mut admin_q);
+    }
     let after = run_discovery(&mut net, Time::from_millis(50), HostId(16)).expect("selection");
     // L1 still has 4 uplinks, but S2's surviving downlink collapses two of
     // the old paths into overlapping ones — the greedy picker still
