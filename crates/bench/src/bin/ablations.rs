@@ -23,14 +23,13 @@
 //! concurrently; results print in ablation order regardless. Completed
 //! ablations are checkpointed to `results/.journal/ablations/`; `--resume`
 //! serves them from disk after an interrupted run. An ablation that panics
-//! or stalls is quarantined and reported in place of its result line.
+//! is quarantined and reported in place of its result line.
 
-use clove_harness::orchestrator::{self, CellOutcome, ExecPolicy};
+use clove_harness::orchestrator::{self, CellOutcome};
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::{cli, Scheme};
-use clove_sim::{Duration, RunControl, Time};
+use clove_sim::{Duration, Time};
 use clove_workload::web_search;
-use std::sync::Arc;
 
 /// One ablation: display label plus the scenario tweak it applies.
 /// Plain function pointers keep the cell type `Sync` for the orchestrator.
@@ -39,12 +38,11 @@ struct Ablation {
     tweak: fn(&mut Scenario),
 }
 
-fn run(cell: &Ablation, jobs_per_conn: u32, control: &Arc<RunControl>) -> String {
+fn run(cell: &Ablation, jobs_per_conn: u32) -> String {
     let mut s = Scenario::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.6, 4040);
     s.jobs_per_conn = jobs_per_conn;
     s.conns_per_client = 2;
     s.horizon = Time::from_secs(30);
-    s.control = Some(Arc::clone(control));
     (cell.tweak)(&mut s);
     let out = s.run_rpc(&web_search());
     format!(
@@ -104,14 +102,13 @@ fn main() {
             },
         },
     ];
-    let (outcomes, stats) = orchestrator::run_journaled(
+    let outcomes = orchestrator::run_journaled(
         &cells,
         jobs,
-        ExecPolicy::default(),
         None, // five near-identical Clove-ECN runs: uniform cost
         journal.as_ref().map(|j| (j, "ablations")),
         |cell: &Ablation| format!("ablation|{}|jpc{}", cell.label, jobs_per_conn),
-        |cell, control| run(cell, jobs_per_conn, control),
+        |cell| run(cell, jobs_per_conn),
     );
     let mut quarantined = 0u32;
     for (cell, outcome) in cells.iter().zip(outcomes) {
@@ -123,8 +120,8 @@ fn main() {
             }
         }
     }
-    if stats.journal_hits > 0 {
-        eprintln!("ablations: resumed {} ablation(s) from the journal", stats.journal_hits);
+    if let Some(hits) = journal.as_ref().map(|j| j.hits()).filter(|&hits| hits > 0) {
+        eprintln!("ablations: resumed {hits} ablation(s) from the journal");
     }
     println!("\nBaseline should win or tie every ablation; the margins quantify");
     println!("each mechanism's contribution (DESIGN.md section 7).");

@@ -22,7 +22,7 @@
 //! byte-identical to an uninterrupted run at any `--jobs` width. Without
 //! `--resume` the journal is wiped at startup.
 //!
-//! Cells that panic or stall are quarantined, not fatal: affected points
+//! Cells that panic are quarantined, not fatal: affected points
 //! render as `-` with a footer naming each quarantined cell — plus the
 //! telemetry snapshot written for it under `results/telemetry/` (cell
 //! metadata, failure reason, and a `--trace` repro command) — and the

@@ -14,7 +14,7 @@
 //!   the guest — the one case where the guest should throttle.
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
-use crate::paths::PathSet;
+use crate::paths::{Ladder, PathSet};
 use crate::wrr::Wrr;
 use clove_net::packet::{Feedback, Packet};
 use clove_net::types::{FlowKey, HostId};
@@ -77,18 +77,7 @@ impl CloveEcnConfig {
 struct DstState {
     paths: PathSet,
     wrr: Wrr,
-    /// Last time a stale-decay step ran (rate-limits the lazy decay).
-    last_stale_decay: Time,
-    /// Last data-path transmission toward this destination.
-    last_tx: Time,
-    /// Start of the current continuously-transmitting span. Silence is
-    /// only evidence of control-plane trouble while we are sending — an
-    /// idle destination owes us no feedback.
-    silence_base: Time,
-    /// Degradation-ladder rung this destination was last observed on; kept
-    /// current regardless of tracing so trace on/off cannot diverge, and
-    /// consulted only to emit rung-change events.
-    rung: LadderRung,
+    ladder: Ladder,
 }
 
 /// Policy counters.
@@ -145,33 +134,10 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let dst = self.dsts.entry(dst_hv).or_default();
         let flow = pkt.flow;
-        // Degradation ladder: judge how long the feedback loop toward this
-        // destination has been silent. Never-heard (`None`) is *not* stale —
-        // there is nothing learned to distrust yet — and silence only
-        // accumulates while we keep transmitting: a tx gap past the stale
-        // horizon restarts the clock rather than aging the learned state.
-        if now.saturating_since(dst.last_tx) > self.cfg.stale_horizon {
-            dst.silence_base = now;
-        }
-        dst.last_tx = now;
-        let age = dst.paths.feedback_age(now).map(|a| a.min(now.saturating_since(dst.silence_base)));
-        let dead = matches!(age, Some(a) if a > self.cfg.dead_horizon);
-        let rung = if dead {
-            LadderRung::Dead
-        } else if matches!(age, Some(a) if a > self.cfg.stale_horizon) {
-            LadderRung::Stale
-        } else {
-            LadderRung::Fresh
-        };
-        if rung != dst.rung {
-            self.trace.ladder_transition(now.0, dst_hv.0, dst.rung, rung);
-            dst.rung = rung;
-        }
-        if !dead && matches!(age, Some(a) if a > self.cfg.stale_horizon) && now.saturating_since(dst.last_stale_decay) >= self.cfg.stale_decay_interval {
-            // Stale rung: forget toward uniform, lazily and rate-limited so
-            // a burst of packets cannot fast-forward the decay.
+        let dead = dst.ladder.on_tx(now, &dst.paths, self.cfg.stale_horizon, self.cfg.dead_horizon, &self.trace, dst_hv) == LadderRung::Dead;
+        if dst.ladder.stale_decay_due(now, self.cfg.stale_decay_interval) {
+            // Stale rung: forget toward uniform.
             dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
-            dst.last_stale_decay = now;
             self.stats.stale_decays += 1;
         }
         let DstState { paths, wrr, .. } = dst;

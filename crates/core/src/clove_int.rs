@@ -14,7 +14,7 @@
 //! spread, reducing reorder probability when paths diverge.
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
-use crate::paths::PathSet;
+use crate::paths::{Ladder, PathSet};
 use crate::wrr::Wrr;
 use clove_net::packet::{Feedback, Packet};
 use clove_net::types::{FlowKey, HostId};
@@ -79,15 +79,7 @@ struct IntDstState {
     /// ECN-style fallback scheduler fed from utilization reports — the
     /// middle rung of the degradation ladder.
     wrr: Wrr,
-    last_stale_decay: Time,
-    /// Last data-path transmission toward this destination.
-    last_tx: Time,
-    /// Start of the current continuously-transmitting span (see Clove-ECN:
-    /// silence is only evidence while we are sending).
-    silence_base: Time,
-    /// Last observed degradation-ladder rung (updated regardless of tracing
-    /// so trace on/off cannot diverge; read only to emit rung changes).
-    rung: LadderRung,
+    ladder: Ladder,
 }
 
 /// Clove-INT: new flowlets take the least-utilized discovered path.
@@ -121,32 +113,13 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
         let dst = self.dsts.entry(dst_hv).or_default();
         let stale = self.cfg.stale_after;
         let flow = pkt.flow;
-        // Degradation ladder (never-heard counts as fresh — see Clove-ECN):
-        // fresh → least-utilized; stale → ECN-style WRR over the last-known
-        // utilizations; dead → uniform hash-spread, Edge-Flowlet behaviour.
-        // Silence only accumulates while we keep transmitting: a tx gap
-        // past the stale horizon restarts the clock.
-        if now.saturating_since(dst.last_tx) > stale {
-            dst.silence_base = now;
-        }
-        dst.last_tx = now;
-        let age = dst.paths.feedback_age(now).map(|a| a.min(now.saturating_since(dst.silence_base)));
-        let dead = matches!(age, Some(a) if a > self.cfg.dead_horizon);
-        let wrr_tier = !dead && matches!(age, Some(a) if a > stale);
-        let rung = if dead {
-            LadderRung::Dead
-        } else if wrr_tier {
-            LadderRung::Stale
-        } else {
-            LadderRung::Fresh
-        };
-        if rung != dst.rung {
-            self.trace.ladder_transition(now.0, dst_hv.0, dst.rung, rung);
-            dst.rung = rung;
-        }
-        if wrr_tier && now.saturating_since(dst.last_stale_decay) >= self.cfg.stale_decay_interval {
+        // Degradation ladder: fresh → least-utilized; stale → ECN-style WRR
+        // over the last-known utilizations; dead → uniform hash-spread,
+        // Edge-Flowlet behaviour.
+        let rung = dst.ladder.on_tx(now, &dst.paths, stale, self.cfg.dead_horizon, &self.trace, dst_hv);
+        let (dead, wrr_tier) = (rung == LadderRung::Dead, rung == LadderRung::Stale);
+        if dst.ladder.stale_decay_due(now, self.cfg.stale_decay_interval) {
             dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
-            dst.last_stale_decay = now;
             self.stats.stale_decays += 1;
         }
         let IntDstState { paths, wrr, .. } = dst;

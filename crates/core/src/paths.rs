@@ -7,7 +7,9 @@
 //! paths × `N` destinations and argues it is trivially cheap on x86 (§4
 //! "Scalability") — here it is a small `Vec` per destination.
 
+use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
+use clove_telemetry::{LadderRung, Trace};
 
 /// State for one discovered path (outer source port) to a destination.
 #[derive(Debug, Clone, Copy)]
@@ -192,6 +194,63 @@ impl PathSet {
             return None;
         }
         Some(max - min)
+    }
+}
+
+/// One destination's place on the staleness degradation ladder, and the
+/// clocks that decide it. Clove-ECN and Clove-INT both hold one beside
+/// their [`PathSet`]; they differ only in what each rung *does*.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ladder {
+    /// Last time a stale-decay step ran (rate-limits the lazy decay).
+    last_stale_decay: Time,
+    /// Last data-path transmission toward this destination.
+    last_tx: Time,
+    /// Start of the current continuously-transmitting span. Silence is
+    /// only evidence of control-plane trouble while we are sending — an
+    /// idle destination owes us no feedback.
+    silence_base: Time,
+    /// Rung this destination was last observed on; kept current regardless
+    /// of tracing so trace on/off cannot diverge.
+    rung: LadderRung,
+}
+
+impl Ladder {
+    /// Account one data-path transmission toward `dst` at `now` and judge
+    /// how long its feedback loop has been silent: past `stale_horizon` the
+    /// destination is [`LadderRung::Stale`], past `dead_horizon`
+    /// [`LadderRung::Dead`]. Never-heard is *not* stale — there is nothing
+    /// learned to distrust yet — and silence only accumulates while we keep
+    /// transmitting: a tx gap past the stale horizon restarts the clock
+    /// rather than aging the learned state. A rung change is traced.
+    pub fn on_tx(&mut self, now: Time, paths: &PathSet, stale_horizon: Duration, dead_horizon: Duration, trace: &Trace, dst: HostId) -> LadderRung {
+        if now.saturating_since(self.last_tx) > stale_horizon {
+            self.silence_base = now;
+        }
+        self.last_tx = now;
+        let age = paths.feedback_age(now).map(|a| a.min(now.saturating_since(self.silence_base)));
+        let rung = match age {
+            Some(a) if a > dead_horizon => LadderRung::Dead,
+            Some(a) if a > stale_horizon => LadderRung::Stale,
+            _ => LadderRung::Fresh,
+        };
+        if rung != self.rung {
+            trace.ladder_transition(now.0, dst.0, self.rung, rung);
+            self.rung = rung;
+        }
+        rung
+    }
+
+    /// Whether a stale-decay step is due at `now`: only on the stale rung,
+    /// and at most once per `interval` — the decay runs lazily on the data
+    /// path, so a burst of packets must not fast-forward it. A `true`
+    /// answer records the step as taken.
+    pub fn stale_decay_due(&mut self, now: Time, interval: Duration) -> bool {
+        let due = self.rung == LadderRung::Stale && now.saturating_since(self.last_stale_decay) >= interval;
+        if due {
+            self.last_stale_decay = now;
+        }
+        due
     }
 }
 

@@ -130,7 +130,7 @@ fn main() {
         ..spec
     });
     // One gate before any worker starts: a bad spec is one line, not a
-    // panic retried and quarantined per seed.
+    // panic quarantined per seed.
     let spec = match spec.and_then(|spec| spec.validate().map(|()| spec)) {
         Ok(spec) => spec,
         Err(e) => {

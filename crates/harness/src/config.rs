@@ -11,13 +11,12 @@
 use crate::experiments::{fold_point, pool_fct};
 use crate::journal::{Journal, JournalValue};
 use crate::json::Json;
-use crate::orchestrator::{self, ExecPolicy};
+use crate::orchestrator;
 use crate::profile::Profile;
 use crate::scenario::{Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_sim::{Duration, Time};
 use clove_workload::{data_mining, enterprise, web_search, FlowSizeDist};
-use std::sync::Arc;
 
 /// JSON-facing node crash-restart
 /// (`{"node":"leaf1","at_ms":20,"down_ms":15,"state":"cold"}`): the named
@@ -309,17 +308,13 @@ impl ScenarioSpec {
         let dist = self.distribution()?;
         let seeds: Vec<u64> = (0..u64::from(self.seeds.max(1))).map(|i| self.seed.wrapping_add(i)).collect();
         let spec_key = self.to_json().render();
-        let (outcomes, _stats) = orchestrator::run_journaled(
+        let outcomes = orchestrator::run_journaled(
             &seeds,
             jobs,
-            ExecPolicy::default(),
             None, // seeds of one spec are uniform-cost
             journal.filter(|_| !self.trace).map(|j| (j, "clove-run")),
             |&seed| format!("{spec_key}|seed{seed}"),
-            |&seed, control| {
-                let s = Scenario { seed, control: Some(Arc::clone(control)), ..self.to_scenario() };
-                SeedRun::from_outcome(s.run_rpc(&dist))
-            },
+            |&seed| SeedRun::from_outcome(Scenario { seed, ..self.to_scenario() }.run_rpc(&dist)),
         );
         let runs = fold_point(outcomes, self.seed, self.scheme.label(), |_, _| String::new())
             .map_err(|bad| format!("{} seed(s) quarantined: {}", bad.len(), bad.join("; ")))?;

@@ -32,10 +32,10 @@
 //! ## Fault tolerance and resume
 //!
 //! `run_cells` adds the [`orchestrator`](crate::orchestrator)'s fault
-//! model on top of the fan-out: panicking cells are retried then
-//! quarantined ([`ExpConfig::exec`]), stalled cells are cancelled by the
-//! watchdog, and — when [`ExpConfig::journal`] is set — completed cells are
-//! checkpointed so an interrupted run resumes without re-executing them.
+//! model on top of the fan-out: a panicking cell is quarantined on its
+//! first (and only) execution, and — when [`ExpConfig::journal`] is set —
+//! completed cells are checkpointed so an interrupted run resumes without
+//! re-executing them.
 //! A point with any quarantined seed has no trustworthy value (a partial
 //! seed pool would silently shift the statistics): it surfaces as `NaN`
 //! plus one footer line per bad seed, never silently dropped. Journal
@@ -46,12 +46,12 @@
 use crate::config::ScenarioSpec;
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
-use crate::orchestrator::{self, CellOutcome, ExecPolicy, MatrixStats};
+use crate::orchestrator::{self, CellOutcome};
 use crate::report::{FaultColumn, FaultRow, FaultTable, FigureTable, DAMAGE_COLUMNS, FEEDBACK_COLUMNS};
 use crate::scenario::{RpcOutcome, Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector, NodeState};
-use clove_sim::{Duration, RunControl, Time};
+use clove_sim::{Duration, Time};
 use clove_workload::{web_search, FctSummary, FlowSizeDist};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -73,9 +73,6 @@ pub struct ExpConfig {
     /// Run every cell under the [`crate::invariants::InvariantMonitor`]
     /// and panic on any violation (`figures --strict`, integration tests).
     pub strict: bool,
-    /// Cell execution policy: panic isolation, retry budget, stall
-    /// deadline (see [`crate::orchestrator`]).
-    pub exec: ExecPolicy,
     /// Completed-cell journal for checkpoint/resume; `None` disables
     /// journaling (cells always execute).
     pub journal: Option<Arc<crate::journal::Journal>>,
@@ -84,12 +81,12 @@ pub struct ExpConfig {
 impl ExpConfig {
     /// A configuration suitable for generating the committed figures.
     pub fn full() -> ExpConfig {
-        ExpConfig { jobs_per_conn: 80, conns_per_client: 2, seeds: 2, horizon_secs: 60, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
+        ExpConfig { jobs_per_conn: 80, conns_per_client: 2, seeds: 2, horizon_secs: 60, jobs: 1, strict: false, journal: None }
     }
 
     /// A tiny configuration for `--quick` runs and CI smoke tests.
     pub fn quick() -> ExpConfig {
-        ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 1, horizon_secs: 10, jobs: 1, strict: false, exec: ExecPolicy::default(), journal: None }
+        ExpConfig { jobs_per_conn: 8, conns_per_client: 1, seeds: 1, horizon_secs: 10, jobs: 1, strict: false, journal: None }
     }
 
     /// The same configuration with a different worker count.
@@ -101,12 +98,6 @@ impl ExpConfig {
     /// The same configuration with strict invariant checking toggled.
     pub fn with_strict(mut self, strict: bool) -> ExpConfig {
         self.strict = strict;
-        self
-    }
-
-    /// The same configuration with a different cell execution policy.
-    pub fn with_exec(mut self, exec: ExecPolicy) -> ExpConfig {
-        self.exec = exec;
         self
     }
 
@@ -149,9 +140,8 @@ where
 }
 
 /// The fault-tolerant fan-out every figure driver funnels through:
-/// [`run_matrix`] plus the orchestrator's panic isolation, retry,
-/// stall watchdog, and (when configured) the checkpoint journal under
-/// `scope`.
+/// [`run_matrix`] plus the orchestrator's panic isolation and (when
+/// configured) the checkpoint journal under `scope`.
 ///
 /// `cost` estimates each cell's relative wall time; the orchestrator
 /// starts the most expensive cells first so a long cell never becomes the
@@ -163,14 +153,14 @@ fn run_cells<K, R, F>(
     cost: impl Fn(&K) -> f64,
     key: impl Fn(&K) -> String + Send + Sync,
     run: F,
-) -> (Vec<CellOutcome<R>>, MatrixStats)
+) -> Vec<CellOutcome<R>>
 where
     K: Sync,
     R: Send + JournalValue,
-    F: Fn(&K, &Arc<RunControl>) -> R + Send + Sync,
+    F: Fn(&K) -> R + Send + Sync,
 {
     let costs: Vec<f64> = cells.iter().map(cost).collect();
-    orchestrator::run_journaled(cells, cfg.jobs, cfg.exec, Some(&costs), cfg.journal.as_deref().map(|j| (j, scope)), key, run)
+    orchestrator::run_journaled(cells, cfg.jobs, Some(&costs), cfg.journal.as_deref().map(|j| (j, scope)), key, run)
 }
 
 /// The oracle Presto weights for the asymmetric topology (paper §5.2:
@@ -183,8 +173,8 @@ pub fn presto_oracle_weights(topology: TopologyKind) -> Option<Vec<f64>> {
     }
 }
 
-/// One figure cell as a run description: what [`scenario`] runs, and what a
-/// quarantine snapshot embeds so `clove-run` can replay the failed cell
+/// One figure cell as a run description: what every driver runs (through
+/// `to_scenario`), and what a quarantine snapshot embeds so `clove-run` can replay the failed cell
 /// under `--trace`.
 fn cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig) -> ScenarioSpec {
     ScenarioSpec {
@@ -195,12 +185,6 @@ fn cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg:
         strict: cfg.strict,
         ..ScenarioSpec::new(scheme.clone(), topology, load)
     }
-}
-
-fn scenario(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg: &ExpConfig, control: &Arc<RunControl>) -> Scenario {
-    let mut s = cell_spec(scheme, topology, load, seed, cfg).to_scenario();
-    s.control = Some(Arc::clone(control));
-    s
 }
 
 /// Run one scenario, failing loudly on strict-mode invariant violations
@@ -332,22 +316,22 @@ struct Sweep<'a, P> {
 /// spans the whole matrix, not just the seeds of one point — and fold them
 /// back into one [`PointResult`] per point, in point order. Quarantined
 /// seeds have their telemetry snapshot written on the way.
-fn run_seeded<P, R>(sweep: &Sweep<'_, P>, points: &[P], cfg: &ExpConfig, run: impl Fn(&P, u64, &Arc<RunControl>) -> R + Send + Sync) -> Vec<PointResult<R>>
+fn run_seeded<P, R>(sweep: &Sweep<'_, P>, points: &[P], cfg: &ExpConfig, run: impl Fn(&P, u64) -> R + Send + Sync) -> Vec<PointResult<R>>
 where
     P: Sync,
     R: Send + JournalValue,
 {
     let (scope, tag) = (sweep.scope, sweep.tag);
     let cells: Vec<(usize, u64)> = (0..points.len()).flat_map(|pi| (0..cfg.seeds).map(move |s| (pi, sweep.seed_base + s as u64))).collect();
-    let (outcomes, _) = run_cells(
+    let mut outcomes = run_cells(
         scope,
         &cells,
         cfg,
         |&(pi, _)| (sweep.cost)(&points[pi]),
         |&(pi, seed)| format!("{scope}|{}|seed{seed}|{}", tag(&points[pi]), cfg.key_fragment()),
-        |&(pi, seed), control| run(&points[pi], seed, control),
-    );
-    let mut outcomes = outcomes.into_iter();
+        |&(pi, seed)| run(&points[pi], seed),
+    )
+    .into_iter();
     points
         .iter()
         .map(|point| {
@@ -378,12 +362,16 @@ fn per_mille(load: f64) -> u64 {
 const RPC_SEED_BASE: u64 = 1000;
 
 /// Run one (scheme, topology, load) point over the configured seeds and
-/// pool the FCT samples. This is the *loud* path — no isolation, no
-/// journal — used by `shape_check` and headline runs that want a panic to
-/// propagate rather than quarantine the point.
+/// pool the FCT samples. This is the *loud* path — the cache with the
+/// journal off — used by `shape_check` and headline runs that want a value
+/// or nothing: a quarantined point panics with its footer lines (seed and
+/// original message).
 pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> FctSummary {
-    let loud = cfg.clone().with_exec(ExecPolicy { isolate: false, retries: 0, stall_timeout: None }).with_journal(None);
-    PointCache::new().point(scheme, topology, load, &loud).expect("an un-isolated cell panics instead of quarantining")
+    let mut cache = PointCache::new();
+    match cache.point(scheme, topology, load, &cfg.clone().with_journal(None)) {
+        Some(fct) => fct,
+        None => panic!("{}", cache.quarantine_lines(scheme, topology, load).join("\n")),
+    }
 }
 
 type PointKey = (String, String, u64);
@@ -393,7 +381,7 @@ type PointKey = (String, String, u64);
 /// its own takes `&mut PointCache::new()`.
 ///
 /// An `Err` entry is a *quarantined* point: at least one of its seed runs
-/// panicked or stalled, so the point has no trustworthy value, only the
+/// panicked, so the point has no trustworthy value, only the
 /// per-seed reasons that surface in figure footers.
 #[derive(Default)]
 pub struct PointCache {
@@ -465,8 +453,8 @@ impl PointCache {
             label: &|&(scheme, load)| format!("{} @ {:.0}% load ({})", scheme.label(), load * 100.0, topology_tag(topology)),
             replay: &|&(scheme, load), seed| Some(cell_spec(scheme, topology, load, seed, cfg).to_json()),
         };
-        let results = run_seeded(&sweep, &missing, cfg, |&(scheme, load), seed, control| {
-            let s = scenario(scheme, topology, load, seed, cfg, control);
+        let results = run_seeded(&sweep, &missing, cfg, |&(scheme, load), seed| {
+            let s = cell_spec(scheme, topology, load, seed, cfg).to_scenario();
             let out = run_rpc_checked(&s, &dist);
             (out.fct, out.events)
         });
@@ -575,8 +563,8 @@ pub fn fig6(loads: &[f64], cfg: &ExpConfig) -> FigureTable {
         label: &|&((name, _, _), load)| format!("{name} @ {:.0}% load", load * 100.0),
         replay: &|_, _| None,
     };
-    let results = run_seeded(&sweep, &points, cfg, |&((_, gap_mult, ecn_pkts), load), seed, control| {
-        let mut s = scenario(&Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg, control);
+    let results = run_seeded(&sweep, &points, cfg, |&((_, gap_mult, ecn_pkts), load), seed| {
+        let mut s = cell_spec(&Scheme::CloveEcn, TopologyKind::Asymmetric, load, seed, cfg).to_scenario();
         // Multipliers are relative to the default gap (≈ the loaded RTT,
         // the paper's "1×RTT best" operating point).
         s.profile.flowlet_gap = Duration::from_secs_f64(s.profile.flowlet_gap.as_secs_f64() * gap_mult);
@@ -600,8 +588,8 @@ pub fn fig7(fanouts: &[u32], requests: u32, cfg: &ExpConfig) -> FigureTable {
         label: &|&(scheme, fanout)| format!("{} @ fan-in {fanout}", scheme.label()),
         replay: &|_, _| None,
     };
-    let results = run_seeded(&sweep, &points, cfg, |&(scheme, fanout), seed, control| {
-        let s = scenario(scheme, TopologyKind::Symmetric, 0.5, seed, cfg, control);
+    let results = run_seeded(&sweep, &points, cfg, |&(scheme, fanout), seed| {
+        let s = cell_spec(scheme, TopologyKind::Symmetric, 0.5, seed, cfg).to_scenario();
         let out = s.run_incast(fanout, requests, 10_000_000);
         assert!(out.invariant_violations == 0, "{} invariant violations in incast {} (seed {})", out.invariant_violations, scheme.label(), seed);
         out.goodput_bps / 1e9
@@ -779,8 +767,8 @@ fn fault_sweep(sweep: FaultSweep, schemes: &[Scheme], cfg: &ExpConfig) -> FaultT
         label: &|&(scheme, case)| (sweep.cell_label)(scheme.label(), &case.label),
         replay: &|_, _| None,
     };
-    let results = run_seeded(&seeded, &points, cfg, |&(scheme, case), seed, control| {
-        let mut s = scenario(scheme, TopologyKind::Symmetric, FAULT_SWEEP_LOAD, seed, cfg, control);
+    let results = run_seeded(&seeded, &points, cfg, |&(scheme, case), seed| {
+        let mut s = cell_spec(scheme, TopologyKind::Symmetric, FAULT_SWEEP_LOAD, seed, cfg).to_scenario();
         s.profile.probe_interval = Duration::from_millis(5);
         (case.apply)(&mut s);
         let out = run_rpc_checked(&s, &dist);
@@ -1057,8 +1045,7 @@ mod tests {
         assert_eq!(fold_point(vec![CellOutcome::Ok(7), CellOutcome::Ok(3), CellOutcome::Ok(5)], 2000, "p", no_snapshot), Ok(vec![7, 3, 5]));
 
         let mut persisted = Vec::new();
-        let outcomes =
-            vec![CellOutcome::Ok(1), CellOutcome::Panicked { msg: "boom".into(), attempts: 2 }, CellOutcome::Ok(2), CellOutcome::TimedOut { attempts: 1 }];
+        let outcomes = vec![CellOutcome::Ok(1), CellOutcome::Panicked { msg: "boom".into() }, CellOutcome::Ok(2), CellOutcome::Panicked { msg: "bang".into() }];
         let folded = fold_point(outcomes, 4000, "ECMP / clean", |seed, reason| {
             persisted.push((seed, reason.to_string()));
             format!(" (snapshot: s{seed})")
@@ -1066,12 +1053,12 @@ mod tests {
         assert_eq!(
             folded,
             Err(vec![
-                "ECMP / clean seed 4001: panicked after 2 attempt(s): boom (snapshot: s4001)".to_string(),
-                "ECMP / clean seed 4003: timed out (no progress past stall deadline) (snapshot: s4003)".to_string(),
+                "ECMP / clean seed 4001: panicked: boom (snapshot: s4001)".to_string(),
+                "ECMP / clean seed 4003: panicked: bang (snapshot: s4003)".to_string(),
             ])
         );
         assert_eq!(persisted.iter().map(|(seed, _)| *seed).collect::<Vec<_>>(), [4001, 4003]);
-        assert!(persisted[0].1.contains("boom"));
+        assert_eq!(persisted[0].1, "panicked: boom");
     }
 
     /// A one-flow run whose FCT is `fct_s`, with one of every damage counter.
@@ -1092,14 +1079,14 @@ mod tests {
         let schemes = [Scheme::Ecmp, Scheme::CloveEcn];
         let results = vec![
             // ECMP: the clean baseline is quarantined.
-            Err(vec!["ECMP / clean seed 4000: boom".to_string()]),
+            Err(vec!["ECMP / clean seed 4000: panicked: boom".to_string()]),
             Ok(vec![fault_run(0.2), fault_run(0.4)]),
             // Clove-ECN: a non-clean case is quarantined.
             Ok(vec![fault_run(0.1), fault_run(0.1)]),
-            Err(vec!["Clove-ECN / cut seed 4001: boom".to_string()]),
+            Err(vec!["Clove-ECN / cut seed 4001: panicked: boom".to_string()]),
         ];
         let (rows, quarantined) = fold_fault_rows(&schemes, &["clean", "cut"], results);
-        assert_eq!(quarantined, ["ECMP / clean seed 4000: boom", "Clove-ECN / cut seed 4001: boom"]);
+        assert_eq!(quarantined, ["ECMP / clean seed 4000: panicked: boom", "Clove-ECN / cut seed 4001: panicked: boom"]);
         let [ecmp_clean, ecmp_cut, clove_clean, clove_cut] = &rows[..] else { panic!("one row per (scheme, case)") };
 
         // No baseline: every ratio of the scheme is NaN, its own data stays.
@@ -1117,6 +1104,26 @@ mod tests {
         assert_eq!((clove_cut.path_evictions, clove_cut.recovery_ms), (0, None));
         assert_eq!((clove_cut.stats, clove_cut.control), (FaultStats::default(), ControlFaultStats::default()));
         assert_eq!((clove_cut.case.as_str(), clove_cut.scheme.as_str()), ("cut", "Clove-ECN"));
+    }
+
+    #[test]
+    fn rpc_point_panics_with_the_seed_and_the_original_message() {
+        // `conns_per_client: 0` fails `Scenario::validate`, so the point's
+        // one cell panics inside `run_rpc`, deterministically.
+        let cfg = ExpConfig { conns_per_client: 0, ..ExpConfig::quick() };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rpc_point(&Scheme::Ecmp, TopologyKind::Symmetric, 0.5, &cfg)))
+            .expect_err("a quarantined point has no value to return");
+        // The quarantine wrote its replay snapshot under the test's working
+        // directory; take it away again before asserting anything.
+        let snapshot = format!("{TELEMETRY_SNAPSHOT_DIR}/rpc-ECMP-50-load-sym-seed1000.json");
+        let written = std::fs::remove_file(&snapshot).is_ok();
+        let _ = std::fs::remove_dir(TELEMETRY_SNAPSHOT_DIR);
+        let _ = std::fs::remove_dir("results");
+        assert_eq!(
+            orchestrator::panic_message(payload),
+            format!("ECMP @ 50% load (sym) seed 1000: panicked: invalid scenario: conns_per_client: 0 is outside 1..=64 (snapshot: {snapshot})")
+        );
+        assert!(written, "the quarantined cell's snapshot must have been written");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`experiments`] — one function per paper figure, returning tables.
 //! * [`report`] — plain-text table rendering for figures/EXPERIMENTS.md.
 //! * [`invariants`] — the strict-mode runtime invariant monitor.
-//! * [`orchestrator`] — fault-tolerant matrix execution: panic isolation,
-//!   bounded retry/quarantine, and the stall watchdog.
+//! * [`orchestrator`] — fault-tolerant matrix execution: per-cell panic
+//!   isolation with quarantine on the first panic.
 //! * [`journal`] — the completed-cell checkpoint journal behind `--resume`,
 //!   plus atomic artifact writes.
 //! * [`chaos`] — the seeded fault-plan fuzzer behind `clove-run chaos`.
@@ -47,7 +47,7 @@ pub mod trace_check;
 
 pub use invariants::InvariantMonitor;
 pub use journal::{write_atomic, Journal};
-pub use orchestrator::{CellOutcome, ExecPolicy};
+pub use orchestrator::CellOutcome;
 pub use profile::Profile;
 pub use scenario::{IncastOutcome, RpcOutcome, Scenario, TopologyKind};
 pub use scheme::Scheme;

@@ -16,9 +16,9 @@ pub struct FigureTable {
     /// Quarantined cells carry `f64::NAN` (rendered `-`, written `NaN` in
     /// CSV) and are itemized in [`FigureTable::quarantined`].
     pub series: Vec<(String, Vec<f64>)>,
-    /// One line per quarantined cell (panicked or stalled runs the
-    /// orchestrator excluded). Rendered as a footer; binaries exit non-zero
-    /// when non-empty.
+    /// One line per quarantined cell (panicked runs the orchestrator
+    /// excluded). Rendered as a footer; binaries exit non-zero when
+    /// non-empty.
     pub quarantined: Vec<String>,
 }
 
@@ -344,14 +344,14 @@ mod tests {
     fn quarantined_cells_render_as_dash_with_footer() {
         let mut t = FigureTable::new("Fig Q", "load %", vec![30.0, 50.0]);
         t.push_series("ECMP", vec![0.1, f64::NAN]);
-        t.quarantined.push("ECMP @ 50% load: panicked after 2 attempt(s): boom".into());
+        t.quarantined.push("ECMP @ 50% load seed 1000: panicked: boom".into());
         let text = t.render();
         assert!(text.contains(" -"), "NaN cells render as '-': {text}");
         assert!(text.contains("QUARANTINED cells"));
-        assert!(text.contains("boom"));
+        assert!(text.contains("ECMP @ 50% load seed 1000: panicked: boom"));
         let csv = t.to_csv();
         assert!(csv.contains("NaN"), "NaN survives into CSV: {csv}");
-        assert!(csv.lines().last().unwrap().starts_with("# quarantined:"));
+        assert_eq!(csv.lines().last().unwrap(), "# quarantined: ECMP @ 50% load seed 1000: panicked: boom");
     }
 
     #[test]

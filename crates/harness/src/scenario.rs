@@ -132,10 +132,6 @@ pub struct Scenario {
     /// binary heap. Only `backend_identity.rs` sets it — this field is the
     /// single seam through which the heap oracle reaches a full scenario.
     pub queue: QueueBackend,
-    /// Shared progress/cancellation handle. When set, the run loop
-    /// publishes events-processed and simulated time through it and honors
-    /// cooperative stop requests (the orchestrator's stall watchdog).
-    pub control: Option<std::sync::Arc<clove_sim::RunControl>>,
     /// Capture a structured decision trace during the run. The buffer is
     /// created on the worker thread (the trace handle is `!Send`) and the
     /// recorded events come back in [`RpcOutcome::trace`]. Tracing must not
@@ -159,7 +155,6 @@ impl Scenario {
             control_faults: ControlFaultPlan::none(),
             strict: false,
             queue: QueueBackend::default(),
-            control: None,
             trace: false,
         }
     }
@@ -273,11 +268,15 @@ impl Scenario {
     }
 
     fn build_topology(&self) -> Topology {
+        let access_cfg = self.profile.access_link(self.scheme.int_enabled());
+        let fabric_cfg = self.profile.fabric_link(self.scheme.int_enabled());
         if let TopologyKind::FatTree { k } = self.topology {
             return clove_net::topology::FatTree {
                 k,
                 access_bps: self.profile.access_bps,
                 fabric_bps: self.profile.access_bps, // uniform rates, as usual for fat-trees
+                access_cfg,
+                fabric_cfg,
                 scheme: self.scheme.fabric_scheme(&self.profile),
                 seed: self.seed,
             }
@@ -286,8 +285,8 @@ impl Scenario {
         let mut spec = LeafSpine::paper_testbed(1.0, self.seed);
         spec.access_bps = self.profile.access_bps;
         spec.fabric_bps = self.profile.fabric_bps;
-        spec.access_cfg = self.profile.access_link(self.scheme.int_enabled());
-        spec.fabric_cfg = self.profile.fabric_link(self.scheme.int_enabled());
+        spec.access_cfg = access_cfg;
+        spec.fabric_cfg = fabric_cfg;
         spec.scheme = self.scheme.fabric_scheme(&self.profile);
         // The Asymmetric variant is no longer special-cased here: it is an
         // announced S2–L2 cut at t=0 in `effective_faults`, scheduled like
@@ -325,7 +324,7 @@ impl Scenario {
             net.fabric.set_trace(trace.clone());
         }
         let mut monitor = self.strict.then(InvariantMonitor::new);
-        let summary = run_to_completion(&mut net, &mut queue, self.horizon, monitor.as_mut(), self.control.as_deref());
+        let summary = run_to_completion(&mut net, &mut queue, self.horizon, monitor.as_mut());
         let end = summary.end_time;
         // Commit every transmission that happened by the end of the run so
         // per-link stats are exact under the lazy link model.
@@ -464,29 +463,21 @@ struct FinishedWorld {
 /// Drive the network until all jobs complete or the horizon passes. When a
 /// monitor is supplied it checks the full invariant set at every chunk
 /// boundary (including the final state), so a violation is caught within
-/// 50 ms of simulated time of its cause. When a [`clove_sim::RunControl`]
-/// is supplied the inner loop publishes progress through it and a stop
-/// request ends the run early with `stopped` set (the outcome is then
-/// partial and callers — the orchestrator — discard it as timed out).
+/// 50 ms of simulated time of its cause.
 fn run_to_completion(
     net: &mut Network<HostStack>,
     queue: &mut EventQueue<Event>,
     horizon: Time,
     mut monitor: Option<&mut InvariantMonitor>,
-    control: Option<&clove_sim::RunControl>,
 ) -> clove_sim::RunSummary {
     let chunk = Duration::from_millis(50);
     let mut upto = Time::ZERO + chunk;
-    let mut total = clove_sim::RunSummary { events: 0, end_time: Time::ZERO, hit_horizon: false, stopped: false };
+    let mut total = clove_sim::RunSummary { events: 0, end_time: Time::ZERO, hit_horizon: false };
     loop {
-        let s = clove_sim::run_controlled(net, queue, upto.min(horizon), control);
+        let s = clove_sim::run(net, queue, upto.min(horizon));
         total.events += s.events;
         total.end_time = total.end_time.max(s.end_time);
         total.hit_horizon = s.hit_horizon;
-        if s.stopped {
-            total.stopped = true;
-            return total;
-        }
         if let Some(m) = monitor.as_deref_mut() {
             m.check(total.end_time, net);
         }
@@ -683,5 +674,24 @@ mod tests {
         s.load = 0.5;
         s.topology = TopologyKind::FatTree { k: 3 };
         assert!(s.try_run_incast(4, 1, 1000).unwrap_err().starts_with("topology.k:"));
+    }
+
+    #[test]
+    fn fat_tree_links_take_the_profile_so_clove_int_sees_utilisation() {
+        let mut s = Scenario::new(Scheme::CloveInt, TopologyKind::FatTree { k: 4 }, 0.5, 7);
+        s.profile.ecn_threshold_pkts = 7;
+        let topo = s.build_topology();
+        for l in &topo.fabric.links {
+            assert!(l.cfg.int_enabled, "Clove-INT needs every link to stamp INT: {:?}", l.id);
+            assert_eq!((l.cfg.ecn_threshold_bytes, l.cfg.prop_delay), (7 * Profile::MTU, s.profile.prop_delay));
+        }
+        s.jobs_per_conn = 8;
+        s.conns_per_client = 1;
+        s.horizon = Time::from_secs(10);
+        s.trace = true;
+        let out = s.run_rpc(&clove_workload::web_search());
+        let utils: std::collections::BTreeSet<u64> =
+            out.trace.iter().filter_map(|e| if let TraceEvent::IntReading { util_pm, .. } = e { Some(*util_pm) } else { None }).collect();
+        assert!(utils.len() > 1, "a loaded fat-tree must report more than one utilisation level, got {utils:?}");
     }
 }

@@ -24,7 +24,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "wall-clock",
-        summary: "std::time::Instant/SystemTime read outside the stall-watchdog allowlist: simulation logic must use clove-sim virtual Time only",
+        summary: "std::time::Instant/SystemTime read: simulation logic must use clove-sim virtual Time only",
     },
     Rule {
         name: "os-entropy",
@@ -64,28 +64,11 @@ pub struct Allow {
 
 /// The audited allowlists. Keep this short: anything that can instead be a
 /// one-line inline waiver should be.
-pub const ALLOWLIST: &[Allow] = &[
-    Allow {
-        rule: "wall-clock",
-        path_prefix: "crates/harness/src/orchestrator.rs",
-        reason: "the stall watchdog measures real wall-clock stalls of worker threads; simulation results never observe these reads",
-    },
-    Allow {
-        rule: "relaxed-atomic",
-        path_prefix: "crates/sim/src/progress.rs",
-        reason: "events/sim_ns are monotonic telemetry counters read only by the watchdog; the stop flag itself uses Release/Acquire",
-    },
-    Allow {
-        rule: "relaxed-atomic",
-        path_prefix: "crates/harness/src/orchestrator.rs",
-        reason: "executed/timed_out/panicked/retries are statistics counters; the shutdown flag itself uses Release/Acquire",
-    },
-    Allow {
-        rule: "relaxed-atomic",
-        path_prefix: "crates/harness/src/journal.rs",
-        reason: "hit/store counters and the temp-file name nonce are monotonic and never ordered against other data",
-    },
-];
+pub const ALLOWLIST: &[Allow] = &[Allow {
+    rule: "relaxed-atomic",
+    path_prefix: "crates/harness/src/journal.rs",
+    reason: "hit/store counters and the temp-file name nonce are monotonic and never ordered against other data",
+}];
 
 /// Allowlist lookup: the audit reason when `rule` is excepted for `path`.
 pub fn allowed(rule: &str, path: &str) -> Option<&'static str> {
@@ -96,14 +79,15 @@ pub fn allowed(rule: &str, path: &str) -> Option<&'static str> {
 mod tests {
     use super::*;
 
-    /// The stall watchdog is the one place in the workspace that may read
-    /// the host clock, so no figure-producing code can observe host time;
-    /// speed is measured from outside, by `benchmark/`. A second entry here
-    /// is a second instrument.
+    /// Nothing in the workspace may read the host clock, so no
+    /// figure-producing code can observe host time; speed is measured from
+    /// outside, by `benchmark/`. A `wall-clock` entry here is a second
+    /// instrument.
     #[test]
-    fn the_stall_watchdog_is_the_only_wall_clock_exception() {
-        let wall_clock: Vec<&str> = ALLOWLIST.iter().filter(|a| a.rule == "wall-clock").map(|a| a.path_prefix).collect();
-        assert_eq!(wall_clock, ["crates/harness/src/orchestrator.rs"]);
-        assert!(allowed("wall-clock", "crates/bench/src/bin/figures.rs").is_none());
+    fn no_file_is_excepted_from_the_wall_clock_rule() {
+        assert!(ALLOWLIST.iter().all(|a| a.rule != "wall-clock"));
+        assert!(allowed("wall-clock", "crates/harness/src/orchestrator.rs").is_none());
+        let entries: Vec<(&str, &str)> = ALLOWLIST.iter().map(|a| (a.rule, a.path_prefix)).collect();
+        assert_eq!(entries, [("relaxed-atomic", "crates/harness/src/journal.rs")]);
     }
 }

@@ -12,7 +12,7 @@
 //! | rule | enforces |
 //! |------|----------|
 //! | `std-hash-collections` | no `HashMap`/`HashSet` with the seeded `RandomState` hasher — vendored `FxHashMap` or `BTreeMap` |
-//! | `wall-clock`           | no `Instant`/`SystemTime` outside the stall watchdog |
+//! | `wall-clock`           | no `Instant`/`SystemTime` — simulation logic uses `clove_sim::Time` |
 //! | `os-entropy`           | no `thread_rng`/`OsRng`/`getrandom` — randomness flows from `clove_sim::rng` seeds |
 //! | `float-partial-cmp`    | no `partial_cmp().unwrap()` float ordering — use `total_cmp` |
 //! | `stdout-in-lib`        | no `println!`/`eprintln!`/`process::exit` in library crates — output goes through the report layer |

@@ -308,6 +308,10 @@ pub struct FatTree {
     pub access_bps: u64,
     /// Switch-switch rate.
     pub fabric_bps: u64,
+    /// Link config template for access links (rate overridden).
+    pub access_cfg: LinkConfig,
+    /// Link config template for switch-switch links (rate overridden).
+    pub fabric_cfg: LinkConfig,
     /// Scheme the switches run.
     pub scheme: FabricScheme,
     /// Seed.
@@ -357,8 +361,8 @@ impl FatTree {
             (ab, ba)
         };
 
-        let fcfg = LinkConfig { rate_bps: self.fabric_bps, ..LinkConfig::for_rate(self.fabric_bps) };
-        let acfg = LinkConfig { rate_bps: self.access_bps, ..LinkConfig::for_rate(self.access_bps) };
+        let fcfg = LinkConfig { rate_bps: self.fabric_bps, ..self.fabric_cfg };
+        let acfg = LinkConfig { rate_bps: self.access_bps, ..self.access_cfg };
 
         for pod in 0..k {
             for e in 0..half {
@@ -553,9 +557,14 @@ mod tests {
         assert!(t.fabric.switches[2].group(HostId(0)).is_none());
     }
 
+    fn fat_tree_k4() -> Topology {
+        let cfg = LinkConfig::for_rate(1_000_000_000);
+        FatTree { k: 4, access_bps: cfg.rate_bps, fabric_bps: cfg.rate_bps, access_cfg: cfg, fabric_cfg: cfg, scheme: FabricScheme::Ecmp, seed: 7 }.build()
+    }
+
     #[test]
     fn fat_tree_k4_shape_and_routes() {
-        let ft = FatTree { k: 4, access_bps: 1_000_000_000, fabric_bps: 1_000_000_000, scheme: FabricScheme::Ecmp, seed: 7 }.build();
+        let ft = fat_tree_k4();
         assert_eq!(ft.num_hosts, 16);
         assert_eq!(ft.fabric.switches.len(), 8 + 8 + 4);
         // Edge switch of host 0 toward a host in another pod: 2 agg uplinks.
@@ -589,7 +598,7 @@ mod tests {
         assert!(t.resolve_cable(CableSelector::LeafSpine { leaf: 9, spine: 0, which: 0 }).is_none());
         assert!(t.resolve_cable(CableSelector::Index(10_000)).is_none());
         // Fat-trees have no named tiers.
-        let ft = FatTree { k: 4, access_bps: 1_000_000_000, fabric_bps: 1_000_000_000, scheme: FabricScheme::Ecmp, seed: 7 }.build();
+        let ft = fat_tree_k4();
         assert!(ft.resolve_cable(CableSelector::S2_L2).is_none());
         assert!(ft.resolve_cable(CableSelector::Index(0)).is_some());
     }
@@ -618,7 +627,7 @@ mod tests {
         assert!(t.incident_cables(NodeSelector::Host(32)).is_none());
         assert_eq!(t.resolve_switch(NodeSelector::Spine(1)), Some(SwitchId(3)));
         assert!(t.resolve_switch(NodeSelector::Host(0)).is_none());
-        let ft = FatTree { k: 4, access_bps: 1_000_000_000, fabric_bps: 1_000_000_000, scheme: FabricScheme::Ecmp, seed: 7 }.build();
+        let ft = fat_tree_k4();
         assert!(ft.incident_cables(NodeSelector::Leaf(0)).is_none());
         assert!(ft.incident_cables(NodeSelector::Host(0)).is_some());
         assert!(ft.node_catalog().contains("Host(0..16)"));

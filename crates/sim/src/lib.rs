@@ -26,13 +26,11 @@
 //! exact packet counts and lets experiments be compared across schemes with
 //! paired seeds.
 
-pub mod progress;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use progress::RunControl;
 pub use queue::{EventQueue, QueueBackend, QueueProfile, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{Duration, Time};
@@ -72,10 +70,6 @@ pub struct RunSummary {
     /// True if the loop stopped because the horizon was reached rather than
     /// because the queue drained.
     pub hit_horizon: bool,
-    /// True if the loop exited early because a cooperative stop was requested
-    /// through a [`RunControl`] (see [`run_controlled`]). Remaining events
-    /// stay in the queue.
-    pub stopped: bool,
 }
 
 /// Drive `world` until the queue drains or simulated time exceeds `horizon`.
@@ -83,20 +77,8 @@ pub struct RunSummary {
 /// Events scheduled exactly at the horizon are still processed; the first
 /// event strictly after it terminates the loop (and remains in the queue).
 pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: Time) -> RunSummary {
-    run_controlled(world, queue, horizon, None)
-}
-
-/// Like [`run`], but optionally publishing progress to — and honoring stop
-/// requests from — a shared [`RunControl`].
-///
-/// Progress is published and the stop flag checked once every
-/// [`progress::PROGRESS_STRIDE`] events, so the hot loop stays free of
-/// per-event atomic traffic and cancellation latency is bounded by the
-/// stride. With `control = None` this is exactly [`run`].
-pub fn run_controlled<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: Time, control: Option<&RunControl>) -> RunSummary {
     let mut events = 0u64;
     let mut end_time = Time::ZERO;
-    let mut flushed = 0u64;
     // The whole earliest run (every event sharing one timestamp) is taken in
     // a single scheduler pop and walked in place — no event is moved out of
     // the batch; the next `pop_run` discards it. On the wheel backend the two
@@ -106,41 +88,17 @@ pub fn run_controlled<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>,
     let mut batch: std::collections::VecDeque<ScheduledEvent<W::Event>> = std::collections::VecDeque::new();
     loop {
         let Some(at) = queue.peek_time() else {
-            if let Some(c) = control {
-                c.advance(events - flushed, end_time);
-            }
-            return RunSummary { events, end_time, hit_horizon: false, stopped: false };
+            return RunSummary { events, end_time, hit_horizon: false };
         };
         if at > horizon {
-            if let Some(c) = control {
-                c.advance(events - flushed, end_time);
-            }
-            return RunSummary { events, end_time, hit_horizon: true, stopped: false };
+            return RunSummary { events, end_time, hit_horizon: true };
         }
         let now = queue.pop_run(&mut batch).expect("peeked queue must pop a run");
         debug_assert_eq!(now, at);
         end_time = now;
-        let mut stop_after = None;
-        for (i, ev) in batch.iter_mut().enumerate() {
+        for ev in batch.iter_mut() {
             events += 1;
             world.handle_mut(now, &mut ev.event, queue);
-            if let Some(c) = control {
-                if events.is_multiple_of(progress::PROGRESS_STRIDE) {
-                    c.advance(events - flushed, end_time);
-                    flushed = events;
-                    if c.stop_requested() {
-                        stop_after = Some(i + 1);
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(handled) = stop_after {
-            // Drop the handled prefix and hand the unprocessed tail of the
-            // run back, so the queue still holds everything not yet handled.
-            batch.drain(..handled);
-            queue.unpop_run(&mut batch);
-            return RunSummary { events, end_time, hit_horizon: false, stopped: true };
         }
     }
 }
@@ -200,91 +158,5 @@ mod tests {
         let summary = run(&mut w, &mut q, Time::from_secs(1));
         assert_eq!(summary.events, 0);
         assert_eq!(summary.end_time, Time::ZERO);
-        assert!(!summary.stopped);
-    }
-
-    #[test]
-    fn controlled_run_publishes_progress() {
-        let mut w = Ticker { remaining: 1000, period: Duration::from_micros(1), seen: vec![] };
-        let mut q = EventQueue::new();
-        q.push(Time::ZERO, ());
-        let control = RunControl::new();
-        let summary = run_controlled(&mut w, &mut q, Time::from_secs(1), Some(&control));
-        assert_eq!(summary.events, 1001);
-        assert!(!summary.stopped);
-        let (events, sim_ns) = control.snapshot();
-        assert_eq!(events, 1001);
-        assert_eq!(sim_ns, summary.end_time.as_nanos());
-    }
-
-    #[test]
-    fn stop_request_cancels_within_one_stride() {
-        let mut w = Ticker { remaining: u32::MAX, period: Duration::from_micros(1), seen: vec![] };
-        let mut q = EventQueue::new();
-        q.push(Time::ZERO, ());
-        let control = RunControl::new();
-        control.request_stop();
-        let summary = run_controlled(&mut w, &mut q, Time::MAX, Some(&control));
-        assert!(summary.stopped);
-        assert!(!summary.hit_horizon);
-        assert_eq!(summary.events, progress::PROGRESS_STRIDE);
-        // The cancelled run leaves its pending events queued.
-        assert_eq!(q.len(), 1);
-    }
-
-    /// Events carry an id; every original (`id < FOLLOW_UP`) schedules one
-    /// same-instant follow-up.
-    struct Echo;
-    const FOLLOW_UP: u64 = 1 << 32;
-
-    impl World for Echo {
-        type Event = u64;
-        fn handle_mut(&mut self, now: Time, id: &mut u64, queue: &mut EventQueue<u64>) {
-            if *id < FOLLOW_UP {
-                queue.push(now, *id + FOLLOW_UP);
-            }
-        }
-    }
-
-    #[test]
-    fn mid_batch_stop_hands_back_exactly_the_unprocessed_tail() {
-        let stride = progress::PROGRESS_STRIDE;
-        let at = Time::from_micros(3);
-        let mut q = EventQueue::new();
-        for id in 0..stride + 5 {
-            q.push(at, id);
-        }
-        let control = RunControl::new();
-        control.request_stop();
-        let summary = run_controlled(&mut Echo, &mut q, Time::MAX, Some(&control));
-        assert!(summary.stopped);
-        assert_eq!(summary.events, stride);
-        assert_eq!(summary.end_time, at);
-        // Five unhandled originals plus one follow-up per handled event.
-        assert_eq!(q.len() as u64, 5 + stride);
-        // The tail keeps its original (time, seq) identity: it pops before
-        // every follow-up, in seq order, and none of it is lost or repeated.
-        for id in stride..stride + 5 {
-            let ev = q.pop().unwrap();
-            assert_eq!((ev.at, ev.seq, ev.event), (at, id, id));
-        }
-        for id in 0..stride {
-            assert_eq!(q.pop().unwrap().event, id + FOLLOW_UP);
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn controlled_run_without_control_matches_run() {
-        let mk = || {
-            let mut q = EventQueue::new();
-            q.push(Time::ZERO, ());
-            (Ticker { remaining: 500, period: Duration::from_micros(3), seen: vec![] }, q)
-        };
-        let (mut w1, mut q1) = mk();
-        let (mut w2, mut q2) = mk();
-        let a = run(&mut w1, &mut q1, Time::from_millis(1));
-        let b = run_controlled(&mut w2, &mut q2, Time::from_millis(1), None);
-        assert_eq!(a, b);
     }
 }

@@ -534,39 +534,6 @@ impl<E> EventQueue<E> {
         Some(t)
     }
 
-    /// Return the unprocessed tail of a run taken by [`pop_run`] to the
-    /// queue, preserving original `(time, seq)` identities. The events in
-    /// `rest` (drained by this call) must all share one instant that is
-    /// `≤` every pending event — true whenever the run loop stops mid-batch
-    /// and handlers only scheduled at or after "now".
-    ///
-    /// [`pop_run`]: EventQueue::pop_run
-    pub fn unpop_run(&mut self, rest: &mut VecDeque<ScheduledEvent<E>>) {
-        if rest.is_empty() {
-            return;
-        }
-        match &mut self.core {
-            Core::Wheel(w) => {
-                if w.current.is_empty() {
-                    // Queue fully empty (invariant 1): re-anchor on the run.
-                    debug_assert_eq!(w.pending, 0);
-                    if let Some(back) = rest.back() {
-                        w.cursor = back.at.0;
-                    }
-                }
-                debug_assert!(w.current.front().map(|f| (f.at, f.seq)) > rest.back().map(|b| (b.at, b.seq)) || w.current.is_empty());
-                while let Some(ev) = rest.pop_back() {
-                    w.current.push_front(ev);
-                }
-            }
-            Core::Heap(h) => {
-                for ev in rest.drain(..) {
-                    h.push(ev);
-                }
-            }
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.core {
@@ -800,28 +767,6 @@ mod tests {
         assert_eq!(run.iter().map(|e| e.event).collect::<Vec<_>>(), vec![2]);
         assert_eq!(q.pop_run(&mut run), None);
         assert!(run.is_empty());
-    }
-
-    #[test]
-    fn unpop_run_restores_order_before_same_instant_pushes() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time::from_nanos(10), 0u64);
-            q.push(Time::from_nanos(10), 1);
-            q.push(Time::from_nanos(10), 2);
-            q.push(Time::from_nanos(50), 9);
-            let mut run = VecDeque::new();
-            q.pop_run(&mut run);
-            // "Process" event 0, which schedules a same-instant follow-up,
-            // then stop and put the unprocessed tail (1, 2) back.
-            let _ = run.pop_front();
-            q.push(Time::from_nanos(10), 7);
-            q.unpop_run(&mut run);
-            assert!(run.is_empty());
-            assert_eq!(q.len(), 4);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-            assert_eq!(order, vec![1, 2, 7, 9], "restored tail must precede same-instant pushes ({backend:?})");
-        }
     }
 
     #[test]

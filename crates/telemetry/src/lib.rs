@@ -16,8 +16,8 @@
 //! must never influence simulation state — enabling a trace has to leave
 //! every simulation output byte-identical (the harness enforces this with
 //! an identity test). Sim-time event timestamps are always deterministic;
-//! wall clocks are banned here — the only one in the workspace is the
-//! orchestrator's stall watchdog, where clove-lint allows it.
+//! wall clocks are banned here as everywhere in the workspace (clove-lint's
+//! `wall-clock` rule has no exception).
 
 #![deny(clippy::unwrap_used)]
 

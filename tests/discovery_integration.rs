@@ -5,6 +5,7 @@
 use clove::algo::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
 use clove::net::fabric::Event;
 use clove::net::fault::LinkAction;
+use clove::net::link::LinkConfig;
 use clove::net::packet::{Encap, Packet, PacketKind};
 use clove::net::topology::{FatTree, LeafSpine, Topology};
 use clove::net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
@@ -109,7 +110,9 @@ fn rediscovery_after_failure_shrinks_selection() {
 fn discovery_works_on_fat_tree() {
     // "The path discovery mechanism can work with any topologies with
     // ECMP-based layer-3 routing" (§3.1).
-    let ft = FatTree { k: 4, access_bps: 10_000_000_000, fabric_bps: 10_000_000_000, scheme: FabricScheme::Ecmp, seed: 5 }.build();
+    let cfg = LinkConfig::for_rate(10_000_000_000);
+    let ft =
+        FatTree { k: 4, access_bps: cfg.rate_bps, fabric_bps: cfg.rate_bps, access_cfg: cfg, fabric_cfg: cfg, scheme: FabricScheme::Ecmp, seed: 5 }.build();
     // deeper fabric: raise the TTL ceiling and widen the candidate pool
     let cfg = DiscoveryConfig { max_ttl: 5, candidates: 48, ..DiscoveryConfig::default() };
     let daemon = ProbeDaemon::new(HostId(0), cfg, 13);
