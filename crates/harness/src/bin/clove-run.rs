@@ -43,13 +43,25 @@ const USAGE: &str = "usage: clove-run <spec.json> [--jobs N] [--strict] [--resum
 /// Flags that take a value.
 const VALUED: [&str; 6] = ["--jobs", "--runs", "--seed", "--shrink-budget", "--out", "--trace"];
 
-fn chaos_main(args: &[String], jobs: usize) -> ! {
-    let cfg = ChaosConfig {
-        runs: parse_flag(args, "--runs").and_then(|v| v.parse().ok()).unwrap_or(20),
-        seed: parse_flag(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1),
+/// A command line this binary does not understand: say why, show the
+/// usage line, exit 2 before anything runs.
+fn usage_error(e: &str) -> ! {
+    eprintln!("clove-run: {e}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn chaos_config(args: &[String], jobs: usize) -> Result<ChaosConfig, String> {
+    let default = ChaosConfig::default();
+    Ok(ChaosConfig {
+        runs: cli::parse_uint(args, "--runs", default.runs)?,
+        seed: cli::parse_uint(args, "--seed", default.seed)?,
         jobs,
-        shrink_budget: parse_flag(args, "--shrink-budget").and_then(|v| v.parse().ok()).unwrap_or(64),
-    };
+        shrink_budget: cli::parse_uint(args, "--shrink-budget", default.shrink_budget)?,
+    })
+}
+
+fn chaos_main(args: &[String], jobs: usize) -> ! {
+    let cfg = chaos_config(args, jobs).unwrap_or_else(|e| usage_error(&e));
     eprintln!("clove-run chaos: {} run(s), seed {}, {} job(s), shrink budget {}", cfg.runs, cfg.seed, cfg.jobs, cfg.shrink_budget);
     let report = run_chaos(&cfg);
     print!("{}", report.render());
@@ -92,13 +104,8 @@ fn trace_check_main(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match cli::check_flags(&args, &["--strict", "--resume", "--example"], &VALUED).and_then(|()| cli::parse_jobs(&args)) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("clove-run: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let jobs =
+        cli::check_flags(&args, &["--strict", "--resume", "--example"], &VALUED).and_then(|()| cli::parse_jobs(&args)).unwrap_or_else(|e| usage_error(&e));
     if cli::has_flag(&args, "--example") {
         // Rendered through the spec codec, so the example always parses.
         let example = ScenarioSpec { jobs_per_conn: 100, seed: 42, ..ScenarioSpec::new(Scheme::CloveEcn, TopologyKind::Asymmetric, 0.7) };

@@ -47,13 +47,19 @@ pub fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     None
 }
 
-/// `--jobs N` / `--jobs=N`: the worker count, 1 when the flag is absent.
-/// A value that is not an integer of at least 1 is an error, not a serial
-/// run.
+/// The value of the unsigned-integer flag `--flag N` / `--flag=N`,
+/// `default` when the flag is absent. A value that does not parse is an
+/// error, not the default.
+pub fn parse_uint<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    parse_flag(args, flag).map_or(Ok(default), |v| v.parse().map_err(|_| format!("{flag} '{v}': expected a non-negative integer")))
+}
+
+/// `--jobs N` / `--jobs=N`: the worker count, 1 when the flag is absent
+/// and never 0.
 pub fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    match parse_flag(args, "--jobs") {
-        None => Ok(1),
-        Some(v) => v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| format!("--jobs '{v}': expected a worker count of at least 1")),
+    match parse_uint(args, "--jobs", 1)? {
+        0 => Err("--jobs '0': expected a worker count of at least 1".to_string()),
+        jobs => Ok(jobs),
     }
 }
 
@@ -109,7 +115,11 @@ mod tests {
         assert_eq!(parse_jobs(&a), Ok(4));
         assert_eq!(parse_jobs(&args("fig7 --quick")), Ok(1));
         assert_eq!(parse_jobs(&args("--jobs=0")), Err("--jobs '0': expected a worker count of at least 1".to_string()));
-        assert!(parse_jobs(&args("--jobs many")).is_err() && parse_jobs(&args("--jobs -2")).is_err());
+        assert_eq!(parse_jobs(&args("--jobs many")), Err("--jobs 'many': expected a non-negative integer".to_string()));
+        assert!(parse_jobs(&args("--jobs -2")).is_err() && parse_jobs(&args("--jobs=")).is_err());
+        assert_eq!(parse_uint(&a, "--seed", 7u64), Ok(7));
+        assert_eq!(parse_uint(&args("chaos --seed=18446744073709551615"), "--seed", 1u64), Ok(u64::MAX));
+        assert_eq!(parse_uint(&args("chaos --runs 4294967296"), "--runs", 20u32), Err("--runs '4294967296': expected a non-negative integer".to_string()));
         assert!(has_flag(&args("x --quick"), "--quick") && !has_flag(&args("x --quick=1"), "--quick"));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! [`run_matrix`] hands back plain results and lets a panic in any cell
 //! poison the whole pool — acceptable for ten-second smoke runs, fatal for
-//! the hour-scale matrices the ROADMAP's 1024-host experiments need. This
+//! a full-scale figure matrix with minutes of finished cells to lose. This
 //! module wraps the same fan-out with the one fault a deterministic cell
 //! has — it panics, every time:
 //!

@@ -17,7 +17,7 @@ use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, Fault
 use clove_net::topology::{LeafSpine, Topology};
 use clove_net::types::{HostId, LinkId, NodeId};
 use clove_net::Network;
-use clove_sim::{Duration, EventQueue, QueueBackend, QueueProfile, SimRng, Time};
+use clove_sim::{Duration, EventQueue, QueueProfile, SimRng, Time};
 use clove_telemetry::{Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
 use clove_workload::fct::FlowRecord;
 use clove_workload::{load_to_rate, FctSummary, FlowSizeDist, IncastSpec, RpcModel};
@@ -128,10 +128,6 @@ pub struct Scenario {
     /// Run the [`InvariantMonitor`] at every run-loop chunk boundary and
     /// report its violations in the outcome (`clove-run --strict`).
     pub strict: bool,
-    /// Event-queue backend: the timing wheel (default) or the legacy
-    /// binary heap. Only `backend_identity.rs` sets it — this field is the
-    /// single seam through which the heap oracle reaches a full scenario.
-    pub queue: QueueBackend,
     /// Capture a structured decision trace during the run. The buffer is
     /// created on the worker thread (the trace handle is `!Send`) and the
     /// recorded events come back in [`RpcOutcome::trace`]. Tracing must not
@@ -154,7 +150,6 @@ impl Scenario {
             faults: FaultPlan::none(),
             control_faults: ControlFaultPlan::none(),
             strict: false,
-            queue: QueueBackend::default(),
             trace: false,
         }
     }
@@ -256,12 +251,11 @@ impl Scenario {
         }
     }
 
-    /// Pre-size the event queue from the scenario's scale: every in-flight
-    /// packet, timer and probe is one queued event, so the steady state is
-    /// roughly proportional to connections. The hint is deliberately
-    /// generous — over-reserving costs a few MB once, under-reserving costs
-    /// repeated growth of the queue's internal buffers mid-run (heap
-    /// storage, or wheel slot/run vectors).
+    /// Capacity hint for the event queue, scaled from the connection count.
+    /// A constant in effect: it is never below 2^16 and
+    /// [`EventQueue::with_capacity`] pre-allocates at most 1024 staged
+    /// events (wheel slots grow on demand). Kept because `benchmark/` calls
+    /// it; removing it belongs to a `benchmark` PR.
     pub fn event_capacity_hint(&self) -> usize {
         let conns = 64usize.max((self.conns_per_client as usize) * 64) * 4;
         conns.next_power_of_two().clamp(1 << 16, 1 << 20)
@@ -305,7 +299,7 @@ impl Scenario {
         let mut stack = HostStack::new(topo.num_hosts, &self.scheme, self.profile, self.seed);
         populate(&mut stack, &topo);
 
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity_and_backend(self.event_capacity_hint(), self.queue);
+        let mut queue: EventQueue<Event> = EventQueue::with_capacity(self.event_capacity_hint());
         stack.bootstrap(&mut |host, tok, at| {
             queue.push(at, Event::HostTimer { host, token: tok });
         });
@@ -331,8 +325,8 @@ impl Scenario {
         net.fabric.settle_all(end, &mut queue);
         // Logical event count: scheduler pops plus one per transmitted
         // packet — the per-packet TxDone events the lazy link model
-        // eliminated — so the metric stays comparable across backends and
-        // with earlier baselines.
+        // eliminated — so the metric stays comparable with earlier
+        // baselines.
         let events = summary.events + net.fabric.links.iter().map(|l| l.stats.tx_packets).sum::<u64>();
         Ok(FinishedWorld { net, queue, end, events, violations: monitor.map(|m| m.violations).unwrap_or_default(), trace })
     }

@@ -250,3 +250,19 @@ fn clove_run_example_is_a_valid_spec_and_typos_are_usage_errors() {
         assert!(stdout.is_empty() && stderr.contains("usage: clove-run"), "{typo:?}: {stderr}");
     }
 }
+
+/// `chaos --runs many` used to run the default 20-iteration campaign (and
+/// `--seed x` the default seed): a numeric flag whose value is not a
+/// number is a usage error before any iteration starts.
+#[test]
+fn clove_run_chaos_rejects_a_numeric_flag_that_is_not_a_number() {
+    for (args, error) in [
+        (&["chaos", "--runs", "many"][..], "--runs 'many'"),
+        (&["chaos", "--runs", "1", "--seed", "x"], "--seed 'x'"),
+        (&["chaos", "--runs", "1", "--shrink-budget=-1"], "--shrink-budget '-1'"),
+    ] {
+        let (code, stdout, stderr) = clove_run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty() && stderr.contains(error) && stderr.contains("usage: clove-run"), "{args:?}: {stderr}");
+    }
+}

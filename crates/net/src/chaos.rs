@@ -187,46 +187,31 @@ pub fn shrink<F>(plan: &ChaosPlan, mut still_fails: F, budget: usize) -> (ChaosP
 where
     F: FnMut(&ChaosPlan) -> bool,
 {
+    // The plan's three spec lists in visiting order: (length, delete one).
+    type SpecList = (fn(&ChaosPlan) -> usize, fn(&mut ChaosPlan, usize));
+    let lists: [SpecList; 3] = [
+        (|p| p.faults.specs.len(), |p, i| _ = p.faults.specs.remove(i)),
+        (|p| p.faults.node_specs.len(), |p, i| _ = p.faults.node_specs.remove(i)),
+        (|p| p.control.specs.len(), |p, i| _ = p.control.specs.remove(i)),
+    ];
     let mut best = plan.clone();
     let mut calls = 0usize;
     loop {
         let mut progressed = false;
-        // Walk indices from the back so a successful deletion does not
-        // shift the indices still to be tried this pass.
-        for i in (0..best.faults.specs.len()).rev() {
-            if calls >= budget {
-                return (best, calls);
-            }
-            let mut candidate = best.clone();
-            candidate.faults.specs.remove(i);
-            calls += 1;
-            if still_fails(&candidate) {
-                best = candidate;
-                progressed = true;
-            }
-        }
-        for i in (0..best.faults.node_specs.len()).rev() {
-            if calls >= budget {
-                return (best, calls);
-            }
-            let mut candidate = best.clone();
-            candidate.faults.node_specs.remove(i);
-            calls += 1;
-            if still_fails(&candidate) {
-                best = candidate;
-                progressed = true;
-            }
-        }
-        for i in (0..best.control.specs.len()).rev() {
-            if calls >= budget {
-                return (best, calls);
-            }
-            let mut candidate = best.clone();
-            candidate.control.specs.remove(i);
-            calls += 1;
-            if still_fails(&candidate) {
-                best = candidate;
-                progressed = true;
+        for (len, remove) in lists {
+            // Walk indices from the back so a successful deletion does not
+            // shift the indices still to be tried this pass.
+            for i in (0..len(&best)).rev() {
+                if calls >= budget {
+                    return (best, calls);
+                }
+                let mut candidate = best.clone();
+                remove(&mut candidate, i);
+                calls += 1;
+                if still_fails(&candidate) {
+                    best = candidate;
+                    progressed = true;
+                }
             }
         }
         if !progressed {

@@ -226,11 +226,6 @@ impl Fabric {
         &self.links[id.0 as usize]
     }
 
-    /// Mutably borrow a link.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.0 as usize]
-    }
-
     fn fresh_uid(&mut self) -> u64 {
         self.next_uid += 1;
         self.next_uid
@@ -838,13 +833,6 @@ impl<H: HostLogic> Network<H> {
     /// Pair a fabric with host logic.
     pub fn new(fabric: Fabric, hosts: H) -> Network<H> {
         Network { fabric, hosts }
-    }
-
-    /// Convenience: a `HostCtx` for out-of-band initialization (e.g. apps
-    /// scheduling their first arrivals before the run starts).
-    pub fn with_ctx<R>(&mut self, now: Time, host: HostId, queue: &mut EventQueue<Event>, f: impl FnOnce(&mut H, &mut HostCtx<'_>) -> R) -> R {
-        let mut ctx = HostCtx { now, host, fabric: &mut self.fabric, queue };
-        f(&mut self.hosts, &mut ctx)
     }
 }
 

@@ -17,14 +17,8 @@
 //! lengths, accessors decode fields in place, setters encode them, and a
 //! round-trip property-test suite (in `tests/`) pins the formats.
 
-/// Nominal on-wire sizes used by the simulator when accounting bytes.
-/// Ethernet(14) + outer IPv4(20) + outer TCP/STT(20+18) + inner IPv4(20) +
-/// inner TCP(20) = 112; we round the per-packet overhead to 100 bytes for
-/// arithmetic convenience (documented simplification).
-pub const HEADER_OVERHEAD: u32 = 100;
-/// Wire size of a pure-ACK packet.
-pub const ACK_SIZE: u32 = 100;
-/// Wire size of a traceroute probe.
+/// Wire size of a traceroute probe (the nominal 100-byte per-packet
+/// overhead; see `clove_tcp::config::DEFAULT_HEADER_OVERHEAD`).
 pub const PROBE_SIZE: u32 = 100;
 /// Wire size of a probe reply (ICMP time-exceeded analogue).
 pub const PROBE_REPLY_SIZE: u32 = 100;

@@ -31,7 +31,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventQueue, QueueBackend, QueueProfile, ScheduledEvent};
+pub use queue::{EventQueue, QueueProfile, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{Duration, Time};
 
@@ -81,11 +81,15 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: T
     let mut end_time = Time::ZERO;
     // The whole earliest run (every event sharing one timestamp) is taken in
     // a single scheduler pop and walked in place — no event is moved out of
-    // the batch; the next `pop_run` discards it. On the wheel backend the two
-    // buffers just trade allocations back and forth. Handlers observing one
-    // batch may push same-instant events — those land in the *next* run, in
-    // seq order, exactly as the one-pop-per-event loop delivered them.
+    // the batch; the next `pop_run` discards it, and the two buffers just
+    // trade allocations back and forth. Handlers observing one batch may
+    // push same-instant events — those land in the *next* run, in seq order,
+    // exactly as a one-pop-per-event loop would deliver them.
     let mut batch: std::collections::VecDeque<ScheduledEvent<W::Event>> = std::collections::VecDeque::new();
+    // Debug builds check the queue's contract on every handled event, so the
+    // whole test suite is an order check of every scheme, topology and fault
+    // plan it simulates; release builds compile this out.
+    let mut last: Option<(Time, u64)> = None;
     loop {
         let Some(at) = queue.peek_time() else {
             return RunSummary { events, end_time, hit_horizon: false };
@@ -97,6 +101,8 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, horizon: T
         debug_assert_eq!(now, at);
         end_time = now;
         for ev in batch.iter_mut() {
+            debug_assert!(ev.at == now && last < Some((ev.at, ev.seq)), "event ({:?}, seq {}) handled after {last:?} in the run at {now:?}", ev.at, ev.seq);
+            last = Some((ev.at, ev.seq));
             events += 1;
             world.handle_mut(now, &mut ev.event, queue);
         }

@@ -5,32 +5,35 @@
 //! same instant pop in insertion order regardless of payload — this is the
 //! determinism anchor of the whole simulator.
 //!
-//! Two backends implement that contract behind one API:
+//! The queue is a hierarchical timing wheel: [`LEVELS`] cascading levels of
+//! [`SLOTS`] slots each, with level-0 slots one nanosecond wide (the [`Time`]
+//! resolution). A level-0 slot therefore holds exactly one timestamp, so
+//! appending in push order keeps it seq-sorted for free; higher levels
+//! cascade down as the cursor reaches their window, and events beyond the
+//! wheel horizon (2^48 ns ≈ 78 h) wait in an overflow heap. Push and pop are
+//! O(1) amortized for the near-constant link-latency offsets that dominate
+//! the simulator's event mix.
 //!
-//! * [`QueueBackend::Wheel`] (the default) — a hierarchical timing wheel:
-//!   [`LEVELS`] cascading levels of [`SLOTS`] slots each, with level-0 slots
-//!   one nanosecond wide (the [`Time`] resolution). A level-0 slot therefore
-//!   holds exactly one timestamp, so appending in push order keeps it
-//!   seq-sorted for free; higher levels cascade down as the cursor reaches
-//!   their window, and events beyond the wheel horizon (2^48 ns ≈ 78 h) wait
-//!   in an overflow heap. Push and pop are O(1) amortized for the
-//!   near-constant link-latency offsets that dominate the simulator's event
-//!   mix.
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap` implementation, kept
-//!   as a differential-testing oracle (tests only; no binary selects it).
-//!   Both backends pop byte-identical `(time, seq, event)` sequences;
-//!   `tests` and the differential proptest in this module pin that.
-//!
-//! The wheel keeps the earliest run of events eagerly staged in a `current`
-//! buffer (non-empty whenever the queue is non-empty), which is what makes
-//! `peek(&self)` O(1) and lets [`EventQueue::pop_run`] hand a whole
+//! The earliest run of events is kept eagerly staged in a `current` buffer
+//! (non-empty whenever the queue is non-empty), which is what makes
+//! `peek_time(&self)` O(1) and lets [`EventQueue::pop_run`] hand a whole
 //! same-timestamp batch to the run loop as one allocation swap.
+//!
+//! The contract is pinned from outside: the unit tests here, the proptest in
+//! `tests/proptest_queue_differential.rs` and the harness's
+//! `backend_identity.rs` all compare the wheel's pop stream against a plain
+//! `BinaryHeap` model (`tests/support/heap_model.rs`, test code only), and
+//! debug builds of [`crate::run`] assert the order on every handled event.
 
 use crate::time::Time;
 use clove_telemetry::Histogram;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
+
+#[cfg(test)]
+#[path = "../tests/support/heap_model.rs"]
+mod heap_model;
 
 /// An event plus the instant it fires at.
 #[derive(Debug, Clone)]
@@ -43,7 +46,8 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-// Ordering is inverted (earliest first) because BinaryHeap is a max-heap.
+// Ordering is inverted (earliest first) because the overflow `BinaryHeap` is
+// a max-heap.
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -59,26 +63,6 @@ impl<E> Ord for ScheduledEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: smaller (time, seq) is "greater" so it pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel (the fast default).
-    #[default]
-    Wheel,
-    /// The original binary heap — the differential-testing oracle.
-    Heap,
-}
-
-impl QueueBackend {
-    /// A stable lowercase label.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        }
     }
 }
 
@@ -118,8 +102,8 @@ const LEVELS: usize = 6;
 /// 64-bit occupancy-bitmap words per level.
 const WORDS: usize = SLOTS / 64;
 
-/// The hierarchical timing wheel. See the module docs for the geometry; the
-/// structural invariants are:
+/// A future-event set with deterministic ordering. See the module docs for
+/// the wheel geometry; the structural invariants are:
 ///
 /// 1. `current` is sorted by `(at, seq)` and is non-empty whenever the queue
 ///    is non-empty (events are staged eagerly at pop/refill time).
@@ -131,7 +115,7 @@ const WORDS: usize = SLOTS / 64;
 /// 4. The cursor never rewinds while events are pending, so slot indices
 ///    computed against it stay valid until drained.
 #[derive(Debug)]
-struct Wheel<E> {
+pub struct EventQueue<E> {
     /// The staged head of the queue, in pop order.
     current: VecDeque<ScheduledEvent<E>>,
     /// Scan anchor: the instant of `current.back()` (see invariant 2).
@@ -144,19 +128,172 @@ struct Wheel<E> {
     overflow: BinaryHeap<ScheduledEvent<E>>,
     /// Events in `slots` + `overflow` (excludes `current`).
     pending: usize,
-    /// Advisory capacity so `capacity()`/`reserve()` keep their contract.
-    cap: usize,
+    /// The next push's sequence number, which is also the lifetime push
+    /// count: it survives [`EventQueue::clear`].
+    next_seq: u64,
+    /// Instant of the most recent pop — the "now" each push's scheduling
+    /// delay is measured against for the profile histogram.
+    last_pop: u64,
+    profile: QueueProfile,
 }
 
-impl<E> Wheel<E> {
-    fn new(cap: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
-        Wheel { current: VecDeque::with_capacity(cap.min(1024)), cursor: 0, slots, occ: [[0; WORDS]; LEVELS], overflow: BinaryHeap::new(), pending: 0, cap }
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
     }
 
-    fn len(&self) -> usize {
+    /// An empty queue whose staged-run buffer is pre-allocated for `cap`
+    /// events (at most 1024: a run is one timestamp's worth of events, and
+    /// slot storage grows per slot).
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut slots = Vec::new();
+        slots.resize_with(LEVELS * SLOTS, Vec::new);
+        EventQueue {
+            current: VecDeque::with_capacity(cap.min(1024)),
+            cursor: 0,
+            slots,
+            occ: [[0; WORDS]; LEVELS],
+            overflow: BinaryHeap::new(),
+            pending: 0,
+            next_seq: 0,
+            last_pop: 0,
+            profile: QueueProfile::default(),
+        }
+    }
+
+    /// Schedule `event` to fire at `at`.
+    pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.profile.delay_hist.record(at.0.saturating_sub(self.last_pop));
+        let ev = ScheduledEvent { at, seq, event };
+        if self.current.is_empty() {
+            // Empty queue (invariant 1 ⇒ nothing pending): re-anchor.
+            debug_assert_eq!(self.pending, 0);
+            self.cursor = at.0;
+            self.current.push_back(ev);
+        } else if at.0 >= self.cursor {
+            if at.0 == self.cursor {
+                // Same instant as the staged tail: the fresh seq is the
+                // largest, so this is a plain O(1) append.
+                self.current.push_back(ev);
+            } else {
+                self.place_future(ev);
+            }
+        } else {
+            // Earlier than the staged tail — insert into `current` keeping
+            // (at, seq) order. The fresh seq is larger than every staged
+            // one, so the slot is right after the last event with at ≤ t.
+            let pos = self.current.partition_point(|e| e.at <= at);
+            self.current.insert(pos, ev);
+        }
+        let len = self.len() as u64;
+        if len > self.profile.peak_pending {
+            self.profile.peak_pending = len;
+        }
+    }
+
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        let ev = self.current.pop_front()?;
+        if self.current.is_empty() {
+            self.refill();
+        }
+        self.last_pop = ev.at.0;
+        Some(ev)
+    }
+
+    /// The instant the earliest event fires at, if any.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.current.front().map(|e| e.at)
+    }
+
+    /// Move the entire earliest run — every pending event sharing the
+    /// earliest timestamp, in seq order — into `out` (which is cleared
+    /// first), returning that timestamp. This is usually one allocation
+    /// swap: the staged `current` buffer trades places with `out`, so a run
+    /// loop that alternates `pop_run`/drain never copies events or allocates
+    /// in steady state.
+    pub fn pop_run(&mut self, out: &mut VecDeque<ScheduledEvent<E>>) -> Option<Time> {
+        out.clear();
+        let t = self.current.front()?.at;
+        if self.current.back().is_some_and(|e| e.at == t) {
+            // The whole staged buffer is one run: swap it out.
+            mem::swap(&mut self.current, out);
+            self.refill();
+        } else {
+            // `current` spans several instants (same-instant pushes landed
+            // ahead of a later staged run): peel the head run in one bulk
+            // drain (`current` is sorted by time).
+            let n = self.current.partition_point(|e| e.at <= t);
+            out.extend(self.current.drain(..n));
+        }
+        self.last_pop = t.0;
+        Some(t)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.current.len() + self.pending
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total events ever pushed over the queue's whole lifetime (for run
+    /// statistics). This counter deliberately survives [`clear`]: a cleared
+    /// queue is the *same* queue being reused, and run accounting wants the
+    /// grand total, not a per-epoch count. Callers that need per-epoch
+    /// deltas should snapshot `total_pushed()` before the epoch.
+    ///
+    /// [`clear`]: EventQueue::clear
+    pub fn total_pushed(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The event-mix profile accumulated over the queue's lifetime.
+    pub fn profile(&self) -> &QueueProfile {
+        &self.profile
+    }
+
+    /// Drop all pending events, keeping allocations for reuse.
+    ///
+    /// The sequence counter survives on purpose: events pushed after a
+    /// `clear` still tie-break deterministically against each other (a
+    /// post-clear push can never collide with a stale `(time, seq)` pair
+    /// from before the clear), and [`total_pushed`] keeps counting lifetime
+    /// pushes; see its docs.
+    ///
+    /// The backing allocations (staged buffer, slot vectors, overflow heap)
+    /// are retained, so clear-and-refill cycles do not reallocate.
+    ///
+    /// [`total_pushed`]: EventQueue::total_pushed
+    pub fn clear(&mut self) {
+        self.current.clear();
+        for (level, bitmap) in self.occ.iter_mut().enumerate() {
+            for (w, word) in bitmap.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let idx = w * 64 + bits.trailing_zeros() as usize;
+                    self.slots[level * SLOTS + idx].clear();
+                    bits &= bits - 1;
+                }
+                *word = 0;
+            }
+        }
+        self.overflow.clear();
+        self.pending = 0;
+        self.cursor = 0;
+        self.last_pop = 0;
     }
 
     /// Schedule an event that fires strictly after the cursor.
@@ -173,37 +310,6 @@ impl<E> Wheel<E> {
             self.occ[level][idx / 64] |= 1u64 << (idx % 64);
         }
         self.pending += 1;
-    }
-
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        if self.current.is_empty() {
-            // Empty queue (invariant 1 ⇒ nothing pending): re-anchor.
-            debug_assert_eq!(self.pending, 0);
-            self.cursor = ev.at.0;
-            self.current.push_back(ev);
-        } else if ev.at.0 >= self.cursor {
-            if ev.at.0 == self.cursor {
-                // Same instant as the staged tail: the fresh seq is the
-                // largest, so this is a plain O(1) append.
-                self.current.push_back(ev);
-            } else {
-                self.place_future(ev);
-            }
-        } else {
-            // Earlier than the staged tail — insert into `current` keeping
-            // (at, seq) order. The fresh seq is larger than every staged
-            // one, so the slot is right after the last event with at ≤ t.
-            let pos = self.current.partition_point(|e| e.at <= ev.at);
-            self.current.insert(pos, ev);
-        }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.current.pop_front()?;
-        if self.current.is_empty() {
-            self.refill();
-        }
-        Some(ev)
     }
 
     /// First occupied slot at/after the cursor, if any: level 0 scans from
@@ -354,24 +460,6 @@ impl<E> Wheel<E> {
         drop(a);
         self.slots[idx] = v;
     }
-
-    fn clear(&mut self) {
-        self.current.clear();
-        for (level, bitmap) in self.occ.iter_mut().enumerate() {
-            for (w, word) in bitmap.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let idx = w * 64 + bits.trailing_zeros() as usize;
-                    self.slots[level * SLOTS + idx].clear();
-                    bits &= bits - 1;
-                }
-                *word = 0;
-            }
-        }
-        self.overflow.clear();
-        self.pending = 0;
-        self.cursor = 0;
-    }
 }
 
 /// First set bit at/after `from` in a 256-bit occupancy bitmap.
@@ -390,229 +478,9 @@ fn scan_level(occ: &[u64; WORDS], from: usize) -> Option<usize> {
     }
 }
 
-// One `Core` exists per `EventQueue` (one per simulation), so the size gap
-// between the inline wheel and the heap pointer is irrelevant — while boxing
-// the wheel would put a pointer chase on every push/pop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Core<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<ScheduledEvent<E>>),
-}
-
-/// A future-event set with deterministic ordering.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    core: Core<E>,
-    next_seq: u64,
-    pushed: u64,
-    /// Instant of the most recent pop — the "now" each push's scheduling
-    /// delay is measured against for the profile histogram.
-    last_pop: u64,
-    profile: QueueProfile,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue on the default (wheel) backend.
-    pub fn new() -> Self {
-        Self::with_capacity_and_backend(0, QueueBackend::Wheel)
-    }
-
-    /// An empty queue with pre-allocated capacity on the default backend.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_backend(cap, QueueBackend::Wheel)
-    }
-
-    /// An empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        Self::with_capacity_and_backend(0, backend)
-    }
-
-    /// An empty queue with pre-allocated capacity on an explicit backend.
-    pub fn with_capacity_and_backend(cap: usize, backend: QueueBackend) -> Self {
-        let core = match backend {
-            QueueBackend::Wheel => Core::Wheel(Wheel::new(cap)),
-            QueueBackend::Heap => Core::Heap(BinaryHeap::with_capacity(cap)),
-        };
-        EventQueue { core, next_seq: 0, pushed: 0, last_pop: 0, profile: QueueProfile::default() }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.core {
-            Core::Wheel(_) => QueueBackend::Wheel,
-            Core::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
-    /// Schedule `event` to fire at `at`.
-    pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        let delay = at.0.saturating_sub(self.last_pop);
-        self.profile.delay_hist.record(delay);
-        let ev = ScheduledEvent { at, seq, event };
-        match &mut self.core {
-            Core::Wheel(w) => w.push(ev),
-            Core::Heap(h) => h.push(ev),
-        }
-        let len = self.len() as u64;
-        if len > self.profile.peak_pending {
-            self.profile.peak_pending = len;
-        }
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = match &mut self.core {
-            Core::Wheel(w) => w.pop(),
-            Core::Heap(h) => h.pop(),
-        };
-        if let Some(ev) = &ev {
-            self.last_pop = ev.at.0;
-        }
-        ev
-    }
-
-    /// Peek at the earliest event without removing it.
-    pub fn peek(&self) -> Option<&ScheduledEvent<E>> {
-        match &self.core {
-            Core::Wheel(w) => w.current.front(),
-            Core::Heap(h) => h.peek(),
-        }
-    }
-
-    /// The instant the earliest event fires at, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.peek().map(|e| e.at)
-    }
-
-    /// Move the entire earliest run — every pending event sharing the
-    /// earliest timestamp, in seq order — into `out` (which is cleared
-    /// first), returning that timestamp. On the wheel this is usually one
-    /// allocation swap: the staged `current` buffer trades places with
-    /// `out`, so a run loop that alternates `pop_run`/drain never copies
-    /// events or allocates in steady state.
-    pub fn pop_run(&mut self, out: &mut VecDeque<ScheduledEvent<E>>) -> Option<Time> {
-        out.clear();
-        let t = match &mut self.core {
-            Core::Wheel(w) => {
-                let t = w.current.front()?.at;
-                if w.current.back().is_some_and(|e| e.at == t) {
-                    // The whole staged buffer is one run: swap it out.
-                    mem::swap(&mut w.current, out);
-                    w.refill();
-                } else {
-                    // `current` spans several instants (same-instant pushes
-                    // landed ahead of a later staged run): peel the head run
-                    // in one bulk drain (`current` is sorted by time).
-                    let n = w.current.partition_point(|e| e.at <= t);
-                    out.extend(w.current.drain(..n));
-                }
-                t
-            }
-            Core::Heap(h) => {
-                let first = h.pop()?;
-                let t = first.at;
-                out.push_back(first);
-                while h.peek().is_some_and(|e| e.at == t) {
-                    if let Some(ev) = h.pop() {
-                        out.push_back(ev);
-                    }
-                }
-                t
-            }
-        };
-        self.last_pop = t.0;
-        Some(t)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Wheel(w) => w.len(),
-            Core::Heap(h) => h.len(),
-        }
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever pushed over the queue's whole lifetime (for run
-    /// statistics). This counter deliberately survives [`clear`]: a cleared
-    /// queue is the *same* queue being reused, and run accounting wants the
-    /// grand total, not a per-epoch count. Callers that need per-epoch
-    /// deltas should snapshot `total_pushed()` before the epoch.
-    ///
-    /// [`clear`]: EventQueue::clear
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// The event-mix profile accumulated over the queue's lifetime.
-    pub fn profile(&self) -> &QueueProfile {
-        &self.profile
-    }
-
-    /// Number of events the queue can hold without reallocating. For the
-    /// wheel backend this is advisory (slot storage grows per slot); it is
-    /// kept monotone under [`reserve`] and stable across [`clear`] so
-    /// pre-sizing callers can verify their hint took.
-    ///
-    /// [`reserve`]: EventQueue::reserve
-    /// [`clear`]: EventQueue::clear
-    pub fn capacity(&self) -> usize {
-        match &self.core {
-            Core::Wheel(w) => w.cap.max(w.current.capacity()),
-            Core::Heap(h) => h.capacity(),
-        }
-    }
-
-    /// Reserve capacity for at least `additional` more events beyond the
-    /// current pending count. Used to pre-size the queue from a scenario's
-    /// scale so the steady state never reallocates mid-run.
-    pub fn reserve(&mut self, additional: usize) {
-        match &mut self.core {
-            Core::Wheel(w) => w.cap = w.cap.max(w.len() + additional),
-            Core::Heap(h) => h.reserve(additional),
-        }
-    }
-
-    /// Drop all pending events, keeping allocations for reuse.
-    ///
-    /// Reuse semantics — both counters survive on purpose:
-    ///
-    /// * `next_seq` keeps counting, so events pushed after a `clear` still
-    ///   tie-break deterministically against each other (and a post-clear
-    ///   push can never collide with a stale `(time, seq)` pair from before
-    ///   the clear).
-    /// * [`total_pushed`] keeps counting lifetime pushes; see its docs.
-    ///
-    /// The backing allocations (heap, staged buffer, slot vectors) are
-    /// retained, so clear-and-refill cycles (e.g. chunked horizon runs) do
-    /// not reallocate.
-    ///
-    /// [`total_pushed`]: EventQueue::total_pushed
-    pub fn clear(&mut self) {
-        match &mut self.core {
-            Core::Wheel(w) => w.clear(),
-            Core::Heap(h) => h.clear(),
-        }
-        self.last_pop = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::heap_model::{HeapModel, Popped};
     use super::*;
 
     #[test]
@@ -663,32 +531,20 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reuse_keeps_counters_and_capacity() {
+    fn clear_and_reuse_keeps_counters() {
         let mut q = EventQueue::with_capacity(64);
-        let cap = q.capacity();
-        assert!(cap >= 64);
         q.push(Time::from_micros(1), 0);
         q.push(Time::from_micros(1), 1);
         q.clear();
-        // Counters survive the clear...
         assert_eq!(q.total_pushed(), 2);
         assert!(q.is_empty());
-        // ...and so does the allocation.
-        assert_eq!(q.capacity(), cap);
         // seq keeps counting: post-clear same-instant pushes still pop in
         // insertion order.
         q.push(Time::from_micros(1), 10);
         q.push(Time::from_micros(1), 11);
-        assert_eq!(q.pop().unwrap().event, 10);
-        assert_eq!(q.pop().unwrap().event, 11);
+        assert_eq!(q.pop().map(|e| (e.seq, e.event)), Some((2, 10)));
+        assert_eq!(q.pop().map(|e| (e.seq, e.event)), Some((3, 11)));
         assert_eq!(q.total_pushed(), 4);
-    }
-
-    #[test]
-    fn reserve_grows_capacity() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.reserve(1000);
-        assert!(q.capacity() >= 1000);
     }
 
     #[test]
@@ -700,25 +556,12 @@ mod tests {
         assert_eq!(ev.event, 42);
     }
 
-    /// Every (backend, workload) pair below must agree with this reference.
-    type Popped = Vec<(u64, u64, u64)>;
-
-    fn drain(q: &mut EventQueue<u64>) -> Popped {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push((e.at.0, e.seq, e.event));
-        }
-        out
+    fn popped(e: ScheduledEvent<u64>) -> Popped {
+        (e.at.0, e.seq, e.event)
     }
 
-    fn both_backends(pushes: &[u64]) -> (Popped, Popped) {
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        for (i, &t) in pushes.iter().enumerate() {
-            wheel.push(Time::from_nanos(t), i as u64);
-            heap.push(Time::from_nanos(t), i as u64);
-        }
-        (drain(&mut wheel), drain(&mut heap))
+    fn drain(q: &mut EventQueue<u64>) -> Vec<Popped> {
+        std::iter::from_fn(|| q.pop().map(popped)).collect()
     }
 
     #[test]
@@ -726,8 +569,14 @@ mod tests {
         // Times straddling every wheel level, including duplicates and the
         // overflow horizon (≥ 2^48 ns from the anchor).
         let times = [0u64, 1, 255, 256, 257, 255, 65_535, 65_536, 1 << 24, (1 << 24) + 1, 1 << 40, (1 << 48) + 7, (1 << 48) + 7, 1 << 50, 3, 0];
-        let (w, h) = both_backends(&times);
-        assert_eq!(w, h);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapModel::default();
+        for (i, &t) in times.iter().enumerate() {
+            wheel.push(Time::from_nanos(t), i as u64);
+            heap.push(t, i as u64);
+        }
+        let w = drain(&mut wheel);
+        assert_eq!(w, std::iter::from_fn(|| heap.pop()).collect::<Vec<_>>());
         assert_eq!(w.len(), times.len());
     }
 
@@ -738,7 +587,7 @@ mod tests {
         // *same* instant lands in a level-0 slot. The refill must merge the
         // two sources in pure seq order.
         let t = (1u64 << 49) + 100;
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         q.push(Time::ZERO, 0u64); // anchors the cursor at 0
         q.push(Time::from_nanos(t), 1); // 2^49 ns ahead → overflow
         q.push(Time::from_nanos(t - 50), 2); // also overflow
@@ -771,18 +620,19 @@ mod tests {
 
     #[test]
     fn pop_run_peels_partial_head_after_past_insert() {
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         q.push(Time::from_nanos(10), 0u64);
         q.push(Time::from_nanos(20), 1);
         let mut run = VecDeque::new();
         q.pop_run(&mut run); // takes the run at 10; stages the run at 20
         q.push(Time::from_nanos(10), 2); // same-instant push lands ahead of the staged 20
         q.push(Time::from_nanos(15), 3);
+        q.push(Time::from_nanos(10), 4); // joins event 2's run, behind it
         let mut order = Vec::new();
         while let Some(t) = q.pop_run(&mut run) {
             order.push((t.0, run.iter().map(|e| e.event).collect::<Vec<_>>()));
         }
-        assert_eq!(order, vec![(10, vec![2]), (15, vec![3]), (20, vec![1])]);
+        assert_eq!(order, vec![(10, vec![2, 4]), (15, vec![3]), (20, vec![1])]);
     }
 
     #[test]
@@ -810,26 +660,19 @@ mod tests {
     }
 
     #[test]
-    fn backend_default_and_name() {
-        assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
-        assert_eq!(QueueBackend::Wheel.name(), "wheel");
-        assert_eq!(QueueBackend::Heap.name(), "heap");
-    }
-
-    #[test]
     fn randomish_workload_matches_heap_exactly() {
-        // A deterministic LCG drives interleaved push/pop/clear on both
-        // backends; the pop streams must be identical. (The proptest in
-        // clove-sim/tests covers the randomized version of this.)
+        // A deterministic LCG drives interleaved push/pop/pop_run/clear on
+        // the wheel and the heap model; the pop streams must be identical.
+        // (The proptest in clove-sim/tests covers the randomized version of
+        // this.)
         let mut state = 0x243F_6A88_85A3_08D3u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut wheel_log = Vec::new();
-        let mut heap_log = Vec::new();
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapModel::default();
+        let mut run = VecDeque::new();
         for i in 0..10_000u64 {
             let r = next();
             match r % 10 {
@@ -841,27 +684,21 @@ mod tests {
                         _ => next() % (1 << 45),
                     };
                     wheel.push(Time::from_nanos(t), i);
-                    heap.push(Time::from_nanos(t), i);
+                    heap.push(t, i);
                 }
-                7 | 8 => {
-                    let a = wheel.pop().map(|e| (e.at, e.seq, e.event));
-                    let b = heap.pop().map(|e| (e.at, e.seq, e.event));
-                    assert_eq!(a, b, "step {i}");
-                    wheel_log.push(a);
-                    heap_log.push(b);
+                7 | 8 => assert_eq!(wheel.pop().map(popped), heap.pop(), "step {i}"),
+                _ if r % 97 == 0 => {
+                    wheel.clear();
+                    heap.clear();
                 }
                 _ => {
-                    if r % 97 == 0 {
-                        wheel.clear();
-                        heap.clear();
-                    }
+                    wheel.pop_run(&mut run);
+                    assert_eq!(run.drain(..).map(popped).collect::<Vec<_>>(), heap.pop_run(), "step {i}");
                 }
             }
             assert_eq!(wheel.len(), heap.len(), "step {i}");
+            assert_eq!(wheel.peek_time().map(|t| t.0), heap.peek_time(), "step {i}");
         }
-        let a = drain(&mut wheel);
-        let b = drain(&mut heap);
-        assert_eq!(a, b);
-        assert_eq!(wheel.total_pushed(), heap.total_pushed());
+        assert_eq!(drain(&mut wheel), std::iter::from_fn(|| heap.pop()).collect::<Vec<_>>());
     }
 }

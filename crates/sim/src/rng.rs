@@ -30,13 +30,6 @@ impl SimRng {
         SimRng { s: [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)] }
     }
 
-    /// Derive an independent stream: useful to give each host or flow its
-    /// own generator so that adding events in one place does not perturb
-    /// sampling elsewhere.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::new(self.u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn u64(&mut self) -> u64 {
@@ -84,12 +77,6 @@ impl SimRng {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
         lo + self.below(hi - lo)
-    }
-
-    /// Uniform choice from a slice. Panics on an empty slice.
-    #[inline]
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len() as u64) as usize]
     }
 
     /// Exponentially distributed value with the given mean.
@@ -175,18 +162,6 @@ mod tests {
         }
         for &b in &buckets {
             assert!((3700..4500).contains(&b), "bucket count {b} out of range");
-        }
-    }
-
-    #[test]
-    fn forked_streams_are_independent_of_parent_consumption() {
-        // Forking consumes exactly one parent draw; verify children replay.
-        let mut p1 = SimRng::new(5);
-        let mut c1 = p1.fork(1);
-        let mut p2 = SimRng::new(5);
-        let mut c2 = p2.fork(1);
-        for _ in 0..100 {
-            assert_eq!(c1.u64(), c2.u64());
         }
     }
 

@@ -274,42 +274,6 @@ impl Summary {
     }
 }
 
-/// An exponentially weighted moving average, used by utilization estimators.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: f64,
-    primed: bool,
-}
-
-impl Ewma {
-    /// `alpha` is the weight of each new observation, in `(0, 1]`.
-    pub fn new(alpha: f64) -> Ewma {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma { alpha, value: 0.0, primed: false }
-    }
-
-    /// Fold in an observation.
-    pub fn update(&mut self, x: f64) {
-        if self.primed {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.primed = true;
-        }
-    }
-
-    /// Current smoothed value (0 before the first observation).
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-
-    /// Whether at least one observation has been folded in.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,24 +376,6 @@ mod tests {
         s.add(3.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 3.0);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert!(!e.is_primed());
-        e.update(10.0);
-        assert_eq!(e.get(), 10.0);
-        for _ in 0..50 {
-            e.update(2.0);
-        }
-        assert!((e.get() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

@@ -42,11 +42,6 @@ pub struct TcpConfig {
     /// DSACK-style spurious-retransmission undo (DESIGN.md §7.1). On by
     /// default — real Linux guests have it; off for ablation runs.
     pub dsack_undo: bool,
-    /// Delayed ACKs: acknowledge every second in-order segment (RFC 1122)
-    /// with no delayed-ack timer modeled (the next segment always arrives
-    /// well within 40 ms at datacenter rates). Out-of-order segments are
-    /// always acked immediately, as required for fast retransmit.
-    pub delayed_acks: bool,
 }
 
 impl Default for TcpConfig {
@@ -62,12 +57,14 @@ impl Default for TcpConfig {
             cc: CongestionControl::NewReno,
             rwnd_bytes: None,
             dsack_undo: true,
-            delayed_acks: false,
         }
     }
 }
 
-/// Default wire overhead per segment (matches `clove_net::wire`).
+/// Default wire overhead per segment, which is also the size of a pure ACK.
+/// Ethernet(14) + outer IPv4(20) + outer TCP/STT(20+18) + inner IPv4(20) +
+/// inner TCP(20) = 112; rounded to 100 bytes for arithmetic convenience
+/// (documented simplification).
 pub const DEFAULT_HEADER_OVERHEAD: u32 = 100;
 
 impl TcpConfig {

@@ -35,8 +35,6 @@ pub struct TcpReceiver {
     cfg: TcpConfig,
     rcv_nxt: u64,
     ooo: BTreeMap<u64, u32>, // seq -> len of buffered segments
-    /// Delayed-ack state: an in-order segment pending acknowledgement.
-    ack_pending: bool,
     uid_base: u64,
     uid_counter: u64,
     /// Counters.
@@ -51,7 +49,6 @@ impl TcpReceiver {
             cfg,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            ack_pending: false,
             uid_base: clove_net::hash::hash_tuple(&key, 0xACE) << 20,
             uid_counter: 0,
             stats: ReceiverStats::default(),
@@ -66,28 +63,6 @@ impl TcpReceiver {
     /// Number of segments currently buffered out of order.
     pub fn ooo_segments(&self) -> usize {
         self.ooo.len()
-    }
-
-    /// Accept a data segment; returns the ACK to send back, or `None`
-    /// when a delayed ack is being withheld (only with
-    /// `TcpConfig::delayed_acks`; the immediate-ack default always
-    /// returns `Some`). See [`TcpReceiver::on_data`] for the common path.
-    pub fn on_data_delayed(&mut self, now: Time, seq: u64, len: u32, ce_visible: bool) -> Option<Packet> {
-        let end = seq + len as u64;
-        let in_order = seq <= self.rcv_nxt && end > self.rcv_nxt && self.ooo.is_empty();
-        if self.cfg.delayed_acks && in_order && !ce_visible && !self.ack_pending {
-            // Hold the ack for the next in-order segment (RFC 1122 allows
-            // one unacked full-size segment). State advances immediately.
-            self.absorb(seq, len);
-            if self.ooo.is_empty() {
-                self.ack_pending = true;
-                return None;
-            }
-            // Draining the hole changed ordering state: ack now.
-            return Some(self.make_ack(now, ce_visible, None));
-        }
-        self.ack_pending = false;
-        Some(self.on_data(now, seq, len, ce_visible))
     }
 
     /// Accept a data segment; returns the ACK to send back.
@@ -107,7 +82,6 @@ impl TcpReceiver {
         } else {
             self.absorb(seq, len);
         }
-        self.ack_pending = false;
         self.make_ack(now, ce_visible, dup)
     }
 
@@ -231,29 +205,6 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(r.stats.ce_seen, 1);
-    }
-
-    #[test]
-    fn delayed_acks_coalesce_in_order_segments() {
-        let cfg = TcpConfig { delayed_acks: true, ..TcpConfig::default() };
-        let mut r = TcpReceiver::new(FlowKey::tcp(HostId(0), HostId(1), 10, 80), cfg);
-        // First in-order segment: withheld.
-        assert!(r.on_data_delayed(Time::ZERO, 0, 1400, false).is_none());
-        // Second: acked, covering both.
-        let a = r.on_data_delayed(Time::ZERO, 1400, 1400, false).unwrap();
-        assert_eq!(ackno(&a), 2800);
-        // Out-of-order data is always acked immediately (dupack needed).
-        let d = r.on_data_delayed(Time::ZERO, 5600, 1400, false).unwrap();
-        assert_eq!(ackno(&d), 2800);
-        // And once a hole exists, nothing is withheld.
-        let f = r.on_data_delayed(Time::ZERO, 2800, 1400, false).unwrap();
-        assert_eq!(ackno(&f), 4200);
-    }
-
-    #[test]
-    fn delayed_acks_off_is_immediate() {
-        let mut r = rx();
-        assert!(r.on_data_delayed(Time::ZERO, 0, 1400, false).is_some());
     }
 
     #[test]

@@ -208,11 +208,6 @@ impl Histogram {
         self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (bucket_high(i), c)).collect()
     }
 
-    /// Raw count of the bucket containing `v` (test/diagnostic helper).
-    pub fn count_at(&self, v: u64) -> u64 {
-        self.counts[bucket_index(v)]
-    }
-
     /// Non-empty buckets as `(bucket_index, count)` pairs — the exact
     /// internal representation, for lossless serialization (bucket indices
     /// are small integers, so they survive number encodings that `u64`

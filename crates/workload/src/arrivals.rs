@@ -8,8 +8,6 @@
 //! `S` bytes at rate `λ` per second, the offered load is `C · λ · 8S`
 //! bits/s; solving for λ gives the per-connection rate.
 
-use clove_sim::Duration;
-
 /// The per-connection job arrival rate (jobs/second) that offers
 /// `load_fraction` of `bisection_bps`, given `connections` persistent
 /// connections and `mean_flow_bytes` mean job size.
@@ -18,12 +16,6 @@ pub fn load_to_rate(load_fraction: f64, bisection_bps: u64, connections: u32, me
     assert!(connections > 0 && mean_flow_bytes > 0.0);
     let offered_bps = load_fraction * bisection_bps as f64;
     offered_bps / (connections as f64 * mean_flow_bytes * 8.0)
-}
-
-/// Mean inter-arrival time corresponding to [`load_to_rate`].
-pub fn mean_interarrival(load_fraction: f64, bisection_bps: u64, connections: u32, mean_flow_bytes: f64) -> Duration {
-    let rate = load_to_rate(load_fraction, bisection_bps, connections, mean_flow_bytes);
-    Duration::from_secs_f64(1.0 / rate)
 }
 
 #[cfg(test)]
@@ -36,8 +28,6 @@ mod tests {
         // 8e9 bps / (64 * 8e6 bits) = 15.625 jobs/s/conn.
         let r = load_to_rate(0.5, 16_000_000_000, 64, 1_000_000.0);
         assert!((r - 15.625).abs() < 1e-9, "rate {r}");
-        let ia = mean_interarrival(0.5, 16_000_000_000, 64, 1_000_000.0);
-        assert_eq!(ia, Duration::from_secs_f64(1.0 / 15.625));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The prose docs may only name targets and files that exist: a `--bin`,
-//! `--example` or `--bench` name, any `cargo bench`, or a path under
-//! `crates/`, `tests/`, `examples/`, `vendor/` or `.github/` that is not in
-//! the checkout fails here, so deleting or renaming code without updating
+//! `--example` or `--bench` name, a back-ticked name the next word calls a
+//! bench, bin or binary, any `cargo bench`, or a path under `crates/`,
+//! `tests/`, `examples/`, `vendor/` or `.github/` that is not in the
+//! checkout fails here, so deleting or renaming code without updating
 //! README / DESIGN / EXPERIMENTS / the verify skill is a tier-1 failure.
 
 use std::path::Path;
@@ -43,6 +44,22 @@ fn names_after<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// Each back-ticked target name the prose labels with its next word —
+/// "the `micro` bench", "the `figures` binary" — as `(name, label)`.
+fn labelled_targets(text: &str) -> Vec<(&str, &str)> {
+    // Splitting on back-ticks puts code spans at the odd indices.
+    let parts: Vec<&str> = text.split('`').collect();
+    (1..parts.len().saturating_sub(1))
+        .step_by(2)
+        .filter(|&i| !parts[i].is_empty() && parts[i].chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+        .filter_map(|i| {
+            let rest = parts[i + 1].strip_prefix(char::is_whitespace)?.trim_start();
+            let label = &rest[..rest.find(|c: char| !c.is_ascii_alphabetic()).unwrap_or(rest.len())];
+            ["bench", "bin", "binary"].contains(&label).then_some((parts[i], label))
+        })
+        .collect()
+}
+
 /// Whether some workspace crate has the target file `<crate>/<dir>/<name>.rs`.
 fn crate_target_exists(root: &Path, dir: &str, name: &str) -> bool {
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
@@ -67,6 +84,11 @@ fn docs_name_only_targets_and_paths_that_exist() {
                 }
             }
         }
+        for (name, label) in labelled_targets(&text) {
+            if !crate_target_exists(root, if label == "bench" { "benches" } else { "src/bin" }, name) {
+                stale.push(format!("{doc}: `{name}` {label}"));
+            }
+        }
         // `clove-run --example` is that binary's own flag, not cargo's.
         for name in names_after(&text.replace("clove-run --example", ""), "--example ") {
             if !root.join("examples").join(format!("{name}.rs")).is_file() {
@@ -88,4 +110,6 @@ fn the_scanner_finds_what_it_should() {
     assert_eq!(paths_in(text), ["crates/net/src/fabric.rs", "tests/smoke_rpc.rs"]);
     assert_eq!(names_after(text, "--bin "), ["figures"]);
     assert_eq!(names_after(text, "--example "), ["quickstart"]);
+    let prose = "the `micro` bench and the `clove-run`\nbinary, not `cargo test` bin, `x` benchmarks, `y`bin or a bare bench.";
+    assert_eq!(labelled_targets(prose), [("micro", "bench"), ("clove-run", "binary")]);
 }
