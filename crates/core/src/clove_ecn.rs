@@ -512,6 +512,56 @@ mod tests {
         assert_eq!(p.stats.weight_cuts, cuts);
     }
 
+    /// Drive a fresh policy with one batch of ECN feedback per relay
+    /// interval (50 us) for 200 steps; returns the weight vector (ports
+    /// 10/20/30/40) after every step.
+    fn weight_trajectory(feedback: impl Fn(u64) -> Vec<(u16, bool)>) -> Vec<[f64; 4]> {
+        let mut p = policy();
+        (0..200)
+            .map(|step| {
+                for (port, congested) in feedback(step) {
+                    p.on_feedback(Time::from_micros(step * 50), HostId(1), &Feedback::Ecn { sport: port, congested });
+                }
+                [10, 20, 30, 40].map(|port| p.weight(HostId(1), port).expect("discovered port"))
+            })
+            .collect()
+    }
+
+    /// Mean absolute per-step change of the weight vector over `steps`.
+    fn flap(steps: &[[f64; 4]]) -> f64 {
+        let moved: f64 = steps.windows(2).map(|w| w[0].iter().zip(&w[1]).map(|(a, b)| (a - b).abs()).sum::<f64>()).sum();
+        moved / (steps.len() - 1) as f64
+    }
+
+    /// Paper section 7 argues, without an experiment, that weight adaptation on
+    /// dataplane-timescale feedback is stable. Three synthetic regimes:
+    #[test]
+    fn control_loop_is_stable_under_persistent_alternating_and_total_congestion() {
+        // 1. One persistently congested path converges to the weight floor
+        //    and stays there: a stable fixed point, the rest share evenly.
+        let steps = weight_trajectory(|_| vec![(10, true), (20, false), (30, false), (40, false)]);
+        let tail = &steps[40..];
+        assert!(tail.iter().all(|w| w[0] < 0.05), "the congested path is pinned at the floor: {:?}", tail[0]);
+        assert!(tail.iter().all(|w| (w[1] - w[3]).abs() < 1e-9 && (w[2] - w[3]).abs() < 1e-9), "clean paths share evenly");
+        assert!(flap(tail) < 1e-3, "converged, not oscillating: flap {}", flap(tail));
+
+        // 2. Congestion alternating between two paths at the relay
+        //    timescale, the worst case for flapping: both end up parked at
+        //    the floor, traffic rides the clean pair, oscillation is bounded.
+        let steps = weight_trajectory(|step| if step % 2 == 0 { vec![(10, true), (20, false)] } else { vec![(10, false), (20, true)] });
+        let tail = &steps[40..];
+        assert!(tail.iter().all(|w| w[0] < 0.05 && w[1] < 0.05), "both flapping paths are parked: {:?}", tail[0]);
+        assert!(tail.iter().all(|w| w[2] > 0.45 && (w[2] - w[3]).abs() < 1e-9), "the clean pair carries the traffic: {:?}", tail[0]);
+        assert!(flap(&steps) < 0.05 && flap(tail) < 0.02, "bounded, not divergent: flap {} overall, {} in the tail", flap(&steps), flap(tail));
+
+        // 3. Every path congested: nowhere better to shift traffic, so the
+        //    policy stops steering (section 3.2) and drifts to uniform.
+        let steps = weight_trajectory(|_| [10, 20, 30, 40].iter().map(|&port| (port, true)).collect());
+        let off_uniform = |w: &[f64; 4]| w.iter().fold(0.0f64, |m, x| m.max((x - 0.25).abs()));
+        assert!(off_uniform(&steps[0]) > 0.1, "the first round of cuts skews the weights: {:?}", steps[0]);
+        assert!(off_uniform(&steps[199]) < 0.01, "uniform at the end: {:?}", steps[199]);
+    }
+
     #[test]
     fn non_ecn_feedback_ignored() {
         let mut p = policy();

@@ -17,8 +17,8 @@
 //! the same findings (and the same shrunk plans) on every machine, at any
 //! `--jobs` width — CI pins a seed and diffs nothing but the exit code.
 
-use crate::experiments::run_matrix;
 use crate::json::Json;
+use crate::orchestrator::run_matrix;
 use crate::scenario::{Scenario, TopologyKind};
 use crate::scheme::Scheme;
 use clove_net::chaos::{shrink, ChaosPlan, ChaosSpace};

@@ -99,6 +99,11 @@ fn parse_node(name: &str) -> Result<clove_net::fault::NodeSelector, String> {
     }
 }
 
+/// The one top-level key a spec file may carry besides the spec's own
+/// fields: the object a quarantine snapshot adds beside the failed cell's
+/// spec, so the snapshot file is itself a `clove-run` input.
+pub(crate) const QUARANTINE_KEY: &str = "quarantine";
+
 /// A complete experiment specification.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
@@ -173,18 +178,26 @@ impl ScenarioSpec {
         }
     }
 
-    /// Parse a spec from JSON text, applying defaults for omitted fields.
+    /// Parse a spec from JSON text, applying defaults for omitted fields and
+    /// rejecting top-level keys that are not spec fields.
     /// Integers are range-checked into their field's type; whether the
     /// values describe a runnable scenario is [`Scenario::validate`]'s call.
     pub fn from_json_str(text: &str) -> Result<ScenarioSpec, String> {
         let v = Json::parse(text)?;
-        if !matches!(v, Json::Obj(_)) {
+        let Json::Obj(members) = &v else {
             return Err("spec must be a JSON object".to_string());
-        }
+        };
         let scheme = Scheme::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
         let topology = TopologyKind::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
         let load = v.get("load").and_then(Json::as_f64).ok_or_else(|| "missing numeric field 'load'".to_string())?;
         let d = ScenarioSpec::new(scheme, topology, load);
+        // A misspelt key must not run the default in its place. The accepted
+        // keys are the ones `to_json` renders, so the two cannot drift.
+        let Json::Obj(known) = d.to_json() else { unreachable!("a spec renders as an object") };
+        if let Some((key, _)) = members.iter().find(|(key, _)| key != QUARANTINE_KEY && known.iter().all(|(name, _)| name != key)) {
+            let want: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
+            return Err(format!("unknown key '{key}' (want {})", want.join(" | ")));
+        }
         Ok(ScenarioSpec {
             workload: match v.get("workload") {
                 None => d.workload,

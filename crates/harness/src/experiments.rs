@@ -1,4 +1,4 @@
-//! One function per paper figure, plus the parallel experiment engine.
+//! One function per paper figure, over one seeded-matrix driver.
 //!
 //! Every function returns a [`FigureTable`] (a [`FaultTable`] for the fault
 //! sweeps) whose series reproduce the corresponding plot. [`ExpConfig`]
@@ -12,8 +12,9 @@
 //! The evaluation is a grid of independent cells: a *point* (scheme × load,
 //! fan-in or fault case) run once per seed. `run_seeded` is the one place
 //! that builds the `(point, seed)` cells and sends them through
-//! `run_cells`; it hands each point back as all of its seeds' results in
-//! seed order, or as quarantine footer lines (`fold_point`).
+//! [`orchestrator::run_journaled`]; it hands each point back as all of its
+//! seeds' results in seed order, or as quarantine footer lines
+//! (`fold_point`).
 //! [`PointCache::prefetch`] (every FCT-vs-load figure, and [`rpc_point`]),
 //! [`fig6`], [`fig7`] and `fault_sweep` (behind [`resilience`],
 //! [`recovery`] and [`feedback_degradation`]) add only their own reduce;
@@ -23,19 +24,18 @@
 //!
 //! Each cell is an independent simulation: the determinism contract in
 //! `clove-sim` is *per run*, so cells can execute on any worker in any
-//! order. [`run_matrix`] hands results back **in cell order** regardless of
-//! completion order, and every fold consumes them in that order (seed
-//! merges, goodput sums, fault-stat absorbs). Output is therefore
-//! byte-identical at any [`ExpConfig::jobs`] setting — the regression test
-//! `determinism_parallel.rs` pins this.
+//! order. [`orchestrator::run_matrix`] hands results back **in cell order**
+//! regardless of completion order, and every fold consumes them in that
+//! order (seed merges, goodput sums, fault-stat absorbs). Output is
+//! therefore byte-identical at any [`ExpConfig::jobs`] setting — the
+//! regression test `determinism_parallel.rs` pins this.
 //!
 //! ## Fault tolerance and resume
 //!
-//! `run_cells` adds the [`orchestrator`](crate::orchestrator)'s fault
-//! model on top of the fan-out: a panicking cell is quarantined on its
-//! first (and only) execution, and — when [`ExpConfig::journal`] is set —
-//! completed cells are checkpointed so an interrupted run resumes without
-//! re-executing them.
+//! The [`orchestrator`] adds its fault model on top of the fan-out: a
+//! panicking cell is quarantined on its first (and only) execution, and —
+//! when [`ExpConfig::journal`] is set — completed cells are checkpointed so
+//! an interrupted run resumes without re-executing them.
 //! A point with any quarantined seed has no trustworthy value (a partial
 //! seed pool would silently shift the statistics): it surfaces as `NaN`
 //! plus one footer line per bad seed, never silently dropped. Journal
@@ -43,7 +43,7 @@
 //! run's CSVs are byte-identical to an uninterrupted one at any `--jobs`
 //! width; an entry that no longer decodes is a miss and re-executes.
 
-use crate::config::ScenarioSpec;
+use crate::config::{ScenarioSpec, QUARANTINE_KEY};
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
 use crate::orchestrator::{self, CellOutcome};
@@ -53,7 +53,6 @@ use crate::scheme::Scheme;
 use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector, NodeState};
 use clove_sim::{Duration, Time};
 use clove_workload::{web_search, FctSummary, FlowSizeDist};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Shared experiment sizing.
@@ -117,52 +116,6 @@ impl ExpConfig {
     }
 }
 
-/// Run every cell of an experiment matrix, on `jobs` worker threads, and
-/// return the results **in cell order** (never completion order).
-///
-/// This is the raw fan-out primitive: no panic isolation, no journal — a
-/// panicking cell aborts the matrix. Figure drivers add panic isolation and the journal
-/// on top of it; the orchestrator and the chaos fuzzer use it directly. Each cell must be an independent simulation run — the per-run
-/// determinism contract makes that safe — and because results come back in
-/// input order, any fold written against the serial runner produces
-/// identical bytes against the parallel one.
-pub fn run_matrix<K, R, F>(cells: &[K], jobs: usize, run: F) -> Vec<R>
-where
-    K: Sync,
-    R: Send,
-    F: Fn(&K) -> R + Send + Sync,
-{
-    if jobs <= 1 || cells.len() <= 1 {
-        return cells.iter().map(run).collect();
-    }
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("build worker pool");
-    pool.install(|| cells.par_iter().map(run).collect())
-}
-
-/// The fault-tolerant fan-out every figure driver funnels through:
-/// [`run_matrix`] plus the orchestrator's panic isolation and (when
-/// configured) the checkpoint journal under `scope`.
-///
-/// `cost` estimates each cell's relative wall time; the orchestrator
-/// starts the most expensive cells first so a long cell never becomes the
-/// matrix tail at `jobs > 1` (outcomes stay in cell order regardless).
-fn run_cells<K, R, F>(
-    scope: &str,
-    cells: &[K],
-    cfg: &ExpConfig,
-    cost: impl Fn(&K) -> f64,
-    key: impl Fn(&K) -> String + Send + Sync,
-    run: F,
-) -> Vec<CellOutcome<R>>
-where
-    K: Sync,
-    R: Send + JournalValue,
-    F: Fn(&K) -> R + Send + Sync,
-{
-    let costs: Vec<f64> = cells.iter().map(cost).collect();
-    orchestrator::run_journaled(cells, cfg.jobs, Some(&costs), cfg.journal.as_deref().map(|j| (j, scope)), key, run)
-}
-
 /// The oracle Presto weights for the asymmetric topology (paper §5.2:
 /// 0.33/0.33/0.17/0.17 — full weight on the two healthy S1 paths, half on
 /// the S2 paths that share the surviving S2–L2 cable).
@@ -190,7 +143,7 @@ fn cell_spec(scheme: &Scheme, topology: TopologyKind, load: f64, seed: u64, cfg:
 /// Run one scenario, failing loudly on strict-mode invariant violations
 /// (the outcome carries them only when the scenario ran strict). Every
 /// figure/ablation driver funnels its RPC runs through here so `--strict`
-/// covers the whole experiment surface. Under [`run_cells`] the panic is
+/// covers the whole experiment surface. Under `run_seeded` the panic is
 /// caught and the cell quarantined with this message.
 fn run_rpc_checked(s: &Scenario, dist: &FlowSizeDist) -> RpcOutcome {
     let out = s.run_rpc(dist);
@@ -231,7 +184,7 @@ fn path_slug(s: &str) -> String {
 /// Snapshots are written only when a cell is quarantined, so clean runs
 /// create no files and figure output stays byte-identical. When the cell
 /// is a plain RPC point its spec is embedded at the snapshot's top level;
-/// `ScenarioSpec` parsing ignores the extra `quarantine` object, so the
+/// `ScenarioSpec` parsing accepts the extra `quarantine` object, so the
 /// snapshot file itself is a valid `clove-run` input and the recorded
 /// repro command replays exactly the failed seed with `--trace` on.
 fn quarantine_snapshot(scope: &str, cell: &str, seed: u64, reason: &str, spec: Option<Json>) -> String {
@@ -252,7 +205,7 @@ fn quarantine_snapshot(scope: &str, cell: &str, seed: u64, reason: &str, spec: O
         Some(Json::Obj(fields)) => fields,
         _ => Vec::new(),
     };
-    fields.push(("quarantine".to_string(), meta));
+    fields.push((QUARANTINE_KEY.to_string(), meta));
     match journal::write_atomic(std::path::Path::new(&path), &(Json::Obj(fields).render_pretty() + "\n")) {
         Ok(()) => format!(" (snapshot: {path})"),
         Err(e) => {
@@ -296,8 +249,9 @@ struct Sweep<'a, P> {
     scope: &'a str,
     /// Seed of each point's first run; run `s` uses `seed_base + s`.
     seed_base: u64,
-    /// Relative wall-time estimate of one run of the point (see
-    /// [`run_cells`]).
+    /// Relative wall-time estimate of one run of the point: the
+    /// orchestrator starts the most expensive cells first, so a long cell
+    /// never becomes the matrix tail at `jobs > 1`.
     cost: &'a dyn Fn(&P) -> f64,
     /// The point's journal-key segment: cell keys are
     /// `scope|tag|seed<seed>|<ExpConfig::key_fragment>`.
@@ -323,11 +277,12 @@ where
 {
     let (scope, tag) = (sweep.scope, sweep.tag);
     let cells: Vec<(usize, u64)> = (0..points.len()).flat_map(|pi| (0..cfg.seeds).map(move |s| (pi, sweep.seed_base + s as u64))).collect();
-    let mut outcomes = run_cells(
-        scope,
+    let costs: Vec<f64> = cells.iter().map(|&(pi, _)| (sweep.cost)(&points[pi])).collect();
+    let mut outcomes = orchestrator::run_journaled(
         &cells,
-        cfg,
-        |&(pi, _)| (sweep.cost)(&points[pi]),
+        cfg.jobs,
+        Some(&costs),
+        cfg.journal.as_deref().map(|journal| (journal, scope)),
         |&(pi, seed)| format!("{scope}|{}|seed{seed}|{}", tag(&points[pi]), cfg.key_fragment()),
         |&(pi, seed)| run(&points[pi], seed),
     )
@@ -1150,9 +1105,9 @@ mod tests {
     fn quarantine_spec_round_trips_through_clove_run_parsing() {
         // The snapshot's repro command feeds the snapshot file straight to
         // clove-run, so the embedded spec (plus the extra `quarantine`
-        // object, which the parser must ignore) has to parse back into a
-        // single-seed ScenarioSpec for the failed cell — for figure and
-        // ablation schemes alike.
+        // object, the one non-field key the parser accepts) has to parse
+        // back into a single-seed ScenarioSpec for the failed cell — for
+        // figure and ablation schemes alike.
         let cfg = ExpConfig::quick();
         let presto = Scheme::Presto { oracle_weights: presto_oracle_weights(TopologyKind::Asymmetric) };
         for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, presto, Scheme::EcmpDctcp] {

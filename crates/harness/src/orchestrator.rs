@@ -1,19 +1,21 @@
-//! Fault-tolerant execution of experiment matrices.
+//! The one fan-out, and fault-tolerant execution of experiment matrices.
 //!
-//! [`run_matrix`] hands back plain results and lets a panic in any cell
-//! poison the whole pool — acceptable for ten-second smoke runs, fatal for
-//! a full-scale figure matrix with minutes of finished cells to lose. This
-//! module wraps the same fan-out with the one fault a deterministic cell
-//! has — it panics, every time:
+//! [`run_matrix`] runs N independent cells on J scoped threads and hands
+//! plain results back in cell order; a panic in any cell aborts the whole
+//! matrix — acceptable for ten-second smoke runs and the chaos fuzzer (which
+//! classifies its own panics), fatal for a full-scale figure matrix with
+//! minutes of finished cells to lose. The rest of this module wraps that
+//! fan-out with the one fault a deterministic cell has — it panics, every
+//! time:
 //!
 //! * **Panic isolation, then quarantine.** Each cell runs once under
 //!   `catch_unwind`; a panicking cell yields [`CellOutcome::Panicked`] and
 //!   the rest of the matrix keeps going. The catch happens *inside* the
-//!   worker closure — the vendored rayon facade (like real rayon) otherwise
-//!   propagates worker panics at scope join, which is exactly the abort
-//!   this module exists to prevent. There is no retry (a cell is a pure
-//!   function of its description, so a second attempt panics the same way)
-//!   and no wall-clock deadline (tables must not depend on host time).
+//!   worker closure — [`run_matrix`] otherwise re-raises a worker's panic
+//!   once its threads are joined, which is exactly the abort this module
+//!   exists to prevent. There is no retry (a cell is a pure function of its
+//!   description, so a second attempt panics the same way) and no
+//!   wall-clock deadline (tables must not depend on host time).
 //! * **Checkpoint/resume.** [`run_journaled`] consults a
 //!   [`Journal`](crate::journal::Journal) before executing a cell and
 //!   records each completed cell after, so an interrupted matrix re-executes
@@ -23,10 +25,13 @@
 //! their tables and binaries exit non-zero, because a figure silently missing
 //! a cell is worse than a run that fails loudly.
 //!
-//! [`run_matrix`]: crate::experiments::run_matrix
+//! This is the only module in the workspace that spawns a thread, and it
+//! sits below every driver: `experiments` / `config` / `chaos` →
+//! `orchestrator` → `journal`.
 
 use crate::journal::{Journal, JournalValue};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// How one cell of a fault-tolerant matrix ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +86,49 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run every cell of an experiment matrix, on `jobs` worker threads, and
+/// return the results **in cell order** (never completion order).
+///
+/// This is the raw fan-out primitive: no panic isolation, no journal — a
+/// panicking cell aborts the matrix with its own panic payload, once the
+/// other workers have drained the remaining cells. Each cell must be an
+/// independent simulation run — the per-run determinism contract makes that
+/// safe — and because results come back in input order, any fold written
+/// against the serial runner produces identical bytes against the parallel
+/// one. Threads are spawned per call: cells are whole simulation runs
+/// (milliseconds to minutes), so spawn cost is noise.
+pub fn run_matrix<K, R, F>(cells: &[K], jobs: usize, run: F) -> Vec<R>
+where
+    K: Sync,
+    R: Send,
+    F: Fn(&K) -> R + Sync,
+{
+    if jobs <= 1 || cells.len() < 2 {
+        return cells.iter().map(run).collect();
+    }
+    // The lock covers only the claim, never a cell, so no panic poisons it.
+    let next = Mutex::new(0usize);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let i = {
+                let mut next = next.lock().expect("claim counter is never held across a cell");
+                *next += 1;
+                *next - 1
+            };
+            let Some(cell) = cells.get(i) else { return local };
+            local.push((i, run(cell)));
+        }
+    };
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(cells.len())).map(|_| scope.spawn(worker)).collect();
+        workers.into_iter().flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload))).collect()
+    });
+    results.sort_by_key(|&(i, _)| i);
+    debug_assert_eq!(results.len(), cells.len());
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Execution schedule for a matrix: cell indices sorted most-expensive
 /// first (descending estimated cost; ties keep cell order, and `None`
 /// preserves cell order exactly). Workers claim cells in schedule order, so
@@ -123,7 +171,7 @@ where
     // AssertUnwindSafe: each cell builds its own simulation world from
     // scratch, so no shared state survives a panic in a form other cells
     // can observe.
-    let raw = crate::experiments::run_matrix(&indices, jobs, |&idx| match catch_unwind(AssertUnwindSafe(|| run(&cells[idx]))) {
+    let raw = run_matrix(&indices, jobs, |&idx| match catch_unwind(AssertUnwindSafe(|| run(&cells[idx]))) {
         Ok(r) => CellOutcome::Ok(r),
         Err(payload) => CellOutcome::Panicked { msg: panic_message(payload) },
     });
@@ -167,6 +215,58 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn run_matrix_keeps_input_order_at_any_width() {
+        let cells: Vec<u64> = (0..1000).collect();
+        let doubled: Vec<u64> = cells.iter().map(|&c| c * 2).collect();
+        for jobs in [0, 1, 2, 8] {
+            assert_eq!(run_matrix(&cells, jobs, |&c| c * 2), doubled, "jobs = {jobs}");
+        }
+        // More workers than cells, and the degenerate matrices.
+        assert_eq!(run_matrix(&[1u8, 2], 16, |&c| c), vec![1, 2]);
+        assert_eq!(run_matrix(&[7u8], 4, |&c| c), vec![7]);
+        assert_eq!(run_matrix(&[] as &[u8], 4, |&c| c), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn run_matrix_claims_each_cell_once_on_at_most_jobs_workers() {
+        let cells: Vec<usize> = (0..64).collect();
+        let claimed: Vec<AtomicUsize> = cells.iter().map(|_| AtomicUsize::new(0)).collect();
+        let me = std::thread::current().id();
+        let ran_on = run_matrix(&cells, 4, |&c| {
+            claimed[c].fetch_add(1, Ordering::SeqCst);
+            std::thread::current().id()
+        });
+        assert!(claimed.iter().all(|n| n.load(Ordering::SeqCst) == 1), "every cell runs exactly once");
+        assert!(!ran_on.contains(&me), "at jobs > 1 cells run on the scoped workers");
+        let mut workers = Vec::new();
+        for id in ran_on {
+            if !workers.contains(&id) {
+                workers.push(id);
+            }
+        }
+        assert!(workers.len() <= 4, "at most `jobs` workers, got {}", workers.len());
+        assert!(run_matrix(&cells, 1, |_| std::thread::current().id()).iter().all(|&id| id == me), "jobs = 1 spawns nothing");
+    }
+
+    #[test]
+    fn run_matrix_resurfaces_a_cells_own_panic() {
+        let cells: Vec<u32> = (0..64).collect();
+        let finished = AtomicUsize::new(0);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_matrix(&cells, 4, |&c| {
+                if c == 13 {
+                    panic!("cell {c} exploded");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                c
+            })
+        }))
+        .expect_err("a panicking cell aborts the raw fan-out");
+        assert_eq!(panic_message(payload), "cell 13 exploded", "the caller sees the cell's payload, not the scope's");
+        assert_eq!(finished.load(Ordering::SeqCst), 63, "the other workers drain the matrix before the panic resurfaces");
+    }
 
     #[test]
     fn all_ok_cells_pass_through_in_order() {

@@ -183,7 +183,34 @@ fn every_committed_spec_file_parses_and_validates() {
             seen += 1;
         }
     }
-    assert!(seen >= 2, "the two CI smoke specs live in {}", dir.display());
+    assert!(seen >= 3, "the two CI smoke specs and the failure-recovery demo live in {}", dir.display());
+}
+
+/// A misspelt key used to run the default in its place (`"seedz": 7` ran
+/// seed 0, `"job_per_conn": 200` ran 60 jobs): every top-level key is a
+/// spec field or the `quarantine` object a snapshot carries.
+#[test]
+fn an_unknown_top_level_key_is_rejected_by_name() {
+    let spec = |rest: &str| format!(r#"{{"scheme":{{"name":"ecmp"}},"topology":{{"kind":"symmetric"}},"load":0.5{rest}}}"#);
+    for (typo, key) in [
+        (r#","seedz":7"#, "seedz"),
+        (r#","job_per_conn":200"#, "job_per_conn"),
+        (r#","fail_at":100"#, "fail_at"),
+        (r#","Strict":true"#, "Strict"),
+        (r#","trace":true"#, "trace"), // CLI-only (`--trace FILE`), never a spec key
+        (r#","quarantine":{},"quarantined":{}"#, "quarantined"),
+    ] {
+        let err = ScenarioSpec::from_json_str(&spec(typo)).expect_err(typo);
+        assert!(err.starts_with(&format!("unknown key '{key}' (want scheme | topology | load | ")), "{typo}: {err}");
+        assert!(err.ends_with(" | strict)"), "the accepted list is every key `to_json` renders: {err}");
+    }
+    // Every key the codec renders is accepted, with or without the object a
+    // quarantine snapshot adds beside them.
+    let rendered = ScenarioSpec::from_json_str(&spec("")).expect("minimal spec").to_json().render();
+    ScenarioSpec::from_json_str(&rendered).expect("a rendered spec parses");
+    let snapshot = format!(r#"{},"quarantine":{{"scope":"fig4c","seed":1001,"reason":"panicked: boom"}}}}"#, rendered.trim_end_matches('}'));
+    let replay = ScenarioSpec::from_json_str(&snapshot).unwrap_or_else(|e| panic!("{snapshot}: {e}"));
+    assert_eq!(replay.to_json().render(), rendered, "the quarantine object changes nothing about the run");
 }
 
 #[test]
@@ -220,6 +247,7 @@ fn clove_run_rejects_a_bad_spec_with_one_line_and_no_worker() {
         (spec(ecmp, r#"{"kind":"fat-tree","k":3}"#, r#""load":0.5"#), "topology.k"),
         (spec(r#"{"name":"mptcp","subflows":4294967297}"#, sym, r#""load":0.5"#), "subflows"),
         (spec(ecmp, sym, r#""load":0.5,"jobs_per_conn":4294967298"#), "jobs_per_conn"),
+        (spec(ecmp, sym, r#""load":0.5,"seedz":7"#), "unknown key 'seedz'"),
     ]
     .into_iter()
     .enumerate()

@@ -25,7 +25,7 @@
 //! exit status 2 means unwaived findings.
 //!
 //! The analyzer is deliberately dependency-free (the build must work fully
-//! offline, like the vendored proptest/rayon facades), so it lexes Rust
+//! offline, like the vendored proptest/rustc-hash facades), so it lexes Rust
 //! source with its own tokenizer ([`lexer`]) rather than `syn`: every rule
 //! here is a pattern over the token stream, and the lexer's only hard job —
 //! done properly, unlike grep — is skipping comments, strings, and char

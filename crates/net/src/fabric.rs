@@ -51,6 +51,9 @@ use crate::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove_sim::{Duration, EventQueue, SimRng, Time, World};
 use clove_telemetry::Trace;
 
+/// A switch's flowlet table, keyed by the routed five-tuple.
+type FlowletTable = rustc_hash::FxHashMap<FlowKey, FlowletEntry>;
+
 /// Per-host attachment to the fabric.
 #[derive(Debug, Clone, Copy)]
 pub struct HostAttachment {
@@ -471,15 +474,15 @@ impl Fabric {
     }
 
     /// LetFlow: per-switch flowlet table; random member per new flowlet.
+    /// (`fresh` is drawn for every packet, pinned or not: the RNG stream is
+    /// part of every digest.)
     fn letflow_choice(&mut self, now: Time, swi: usize, pkt: &Packet, n: usize, gap: Duration) -> usize {
         let key = pkt.routed_key();
         let fresh = self.rng.below(n as u64) as usize;
-        let entry = self.switches[swi].letflow_table.entry(key).or_insert(FlowletEntry { port_choice: fresh, last_seen: now });
-        if now.saturating_since(entry.last_seen) > gap {
-            entry.port_choice = fresh;
-        }
-        entry.last_seen = now;
-        entry.port_choice % n
+        let table = &mut self.switches[swi].letflow_table;
+        let choice = pinned_choice(table, &key, now, gap).unwrap_or(fresh);
+        pin(table, key, choice, now);
+        choice % n
     }
 
     /// CONGA source-leaf / spine egress choice among the group toward host
@@ -492,25 +495,21 @@ impl Fabric {
             // members — least-loaded by local DRE, but pinned per flowlet
             // so parallel cables don't reorder a flowlet's packets.
             let key = pkt.routed_key();
-            let need_new = match self.switches[swi].letflow_table.get(&key) {
-                Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
-                None => true,
+            let choice = match pinned_choice(&self.switches[swi].letflow_table, &key, now, cfg.flowlet_gap) {
+                Some(pinned) => pinned % n,
+                None => self.least_loaded_member(now, swi, dst, cfg.quant_bits),
             };
-            let choice =
-                if need_new { self.least_loaded_member(now, swi, dst, cfg.quant_bits) } else { self.switches[swi].letflow_table[&key].port_choice % n };
-            self.switches[swi].letflow_table.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
+            pin(&mut self.switches[swi].letflow_table, key, choice, now);
             return choice;
         }
         // Source leaf: flowlet table + congestion-to-leaf table.
         let dst_leaf = self.leaf_of(pkt.routed_dst()).0;
         let key = pkt.routed_key();
-        let need_new = match self.switches[swi].conga.flowlets.get(&key) {
-            Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
-            None => true,
+        let choice = match pinned_choice(&self.switches[swi].conga.flowlets, &key, now, cfg.flowlet_gap) {
+            Some(pinned) => pinned,
+            None => self.conga_best_uplink(now, swi, dst, dst_leaf, cfg),
         };
-        let choice = if need_new { self.conga_best_uplink(now, swi, dst, dst_leaf, cfg) } else { self.switches[swi].conga.flowlets[&key].port_choice };
-        let sw = &mut self.switches[swi];
-        sw.conga.flowlets.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
+        pin(&mut self.switches[swi].conga.flowlets, key, choice, now);
         // Stamp the forward tag; attach pending feedback for the reverse
         // direction (dest leaf of *this* packet = the leaf we owe metrics).
         let fb = Self::conga_take_feedback(&mut self.switches[swi], dst_leaf);
@@ -584,23 +583,20 @@ impl Fabric {
         let key = pkt.routed_key();
         let sw = &self.switches[swi];
         let group = &sw.routes[dst];
-        let need_new = match sw.letflow_table.get(&key) {
-            Some(e) => now.saturating_since(e.last_seen) > cfg.flowlet_gap,
-            None => true,
+        let choice = match pinned_choice(&sw.letflow_table, &key, now, cfg.flowlet_gap) {
+            Some(pinned) => pinned % group.len(),
+            None => {
+                let tor = self.leaf_of(pkt.routed_dst()).0;
+                // The best hop is a port index; map into the ECMP group if
+                // it is fresh and present there, else fall back.
+                let best = match sw.hula_best.get(&tor) {
+                    Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => group.iter().position(|&g| g == port),
+                    _ => None,
+                };
+                best.unwrap_or_else(|| ecmp_select(&key, sw.seed, group.len()))
+            }
         };
-        let choice = if need_new {
-            let tor = self.leaf_of(pkt.routed_dst()).0;
-            // The best hop is a port index; map into the ECMP group if it
-            // is fresh and present there, else fall back.
-            let best = match sw.hula_best.get(&tor) {
-                Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => group.iter().position(|&g| g == port),
-                _ => None,
-            };
-            best.unwrap_or_else(|| ecmp_select(&key, sw.seed, group.len()))
-        } else {
-            sw.letflow_table[&key].port_choice % group.len()
-        };
-        self.switches[swi].letflow_table.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
+        pin(&mut self.switches[swi].letflow_table, key, choice, now);
         choice
     }
 
@@ -750,6 +746,19 @@ impl Fabric {
 /// end.
 fn arrivals(q: &mut EventQueue<Event>, node: NodeId, via: LinkId) -> impl FnMut(Time, &Packet) + '_ {
     move |at, pkt| q.push(at, Event::Arrive { node, via, pkt: pkt.clone() })
+}
+
+/// The switch-flowlet rule LetFlow, CONGA and HULA share: a flow whose table
+/// entry has been idle for at most `gap` stays on the egress it is pinned
+/// to; with no entry, or once a new flowlet starts, the caller picks afresh.
+fn pinned_choice(table: &FlowletTable, key: &FlowKey, now: Time, gap: Duration) -> Option<usize> {
+    table.get(key).filter(|e| now.saturating_since(e.last_seen) <= gap).map(|e| e.port_choice)
+}
+
+/// Record the packet just forwarded: the flow is pinned to `choice` and was
+/// last seen `now`.
+fn pin(table: &mut FlowletTable, key: FlowKey, choice: usize, now: Time) {
+    table.insert(key, FlowletEntry { port_choice: choice, last_seen: now });
 }
 
 /// Index of one of the minima of `metric` over `0..n`, picked uniformly with

@@ -323,23 +323,12 @@ impl Link {
         self.offer(now, &mut pkt, &mut |at, pkt| out.push((at, pkt.clone())))
     }
 
-    /// Administratively set link state. Taking the link down flushes the
-    /// uncommitted queue (packets are lost, as with a real cable pull); the
-    /// packet currently on the wire is allowed to arrive. Callers settle
-    /// first so "uncommitted" means exactly the packets whose serialization
-    /// had not started.
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-        if !up {
-            self.stats.drops_down += self.queue.len() as u64;
-            self.queue.clear();
-            self.queue_bytes = 0;
-        }
-    }
-
-    /// [`Link::set_up`] with down-time accounting against the simulated
-    /// clock — fault injection uses this so reports can show how long each
-    /// link was dark.
+    /// Administratively set link state, with down-time accounting against
+    /// the simulated clock so reports can show how long each link was dark.
+    /// Taking the link down flushes the uncommitted queue (packets are lost,
+    /// as with a real cable pull); the packet currently on the wire is
+    /// allowed to arrive. Callers settle first so "uncommitted" means
+    /// exactly the packets whose serialization had not started.
     pub fn set_up_at(&mut self, now: Time, up: bool) {
         if up {
             if let Some(since) = self.down_since.take() {
@@ -348,7 +337,12 @@ impl Link {
         } else if self.up && self.down_since.is_none() {
             self.down_since = Some(now);
         }
-        self.set_up(up);
+        self.up = up;
+        if !up {
+            self.stats.drops_down += self.queue.len() as u64;
+            self.queue.clear();
+            self.queue_bytes = 0;
+        }
     }
 
     /// Degrade (or restore, with 1.0) the line rate. Affects packets whose
@@ -537,7 +531,7 @@ mod tests {
         let mut out = Vec::new();
         l.enqueue(Time::ZERO, pkt(1, 1500), &mut out);
         l.enqueue(Time::ZERO, pkt(2, 1500), &mut out);
-        l.set_up(false);
+        l.set_up_at(Time::ZERO, false);
         assert_eq!(l.queue_len(), 0);
         assert_eq!(l.enqueue(Time::ZERO, pkt(3, 1500), &mut out), EnqueueOutcome::Dropped);
         assert_eq!(l.stats.drops_down, 2);

@@ -153,20 +153,6 @@ impl Topology {
         }
         format!("valid node selectors: {}", forms.join(", "))
     }
-
-    /// Administratively fail a cable (both directions) and recompute routes.
-    pub fn fail_cable(&mut self, cable: (LinkId, LinkId)) {
-        self.fabric.links[cable.0 .0 as usize].set_up(false);
-        self.fabric.links[cable.1 .0 as usize].set_up(false);
-        recompute_routes(&mut self.fabric);
-    }
-
-    /// Restore a failed cable and recompute routes.
-    pub fn restore_cable(&mut self, cable: (LinkId, LinkId)) {
-        self.fabric.links[cable.0 .0 as usize].set_up(true);
-        self.fabric.links[cable.1 .0 as usize].set_up(true);
-        recompute_routes(&mut self.fabric);
-    }
 }
 
 /// Builder for 2-tier leaf-spine fabrics (the paper's testbed shape).
@@ -489,9 +475,20 @@ pub fn recompute_routes(fabric: &mut Fabric) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::LinkAction;
+    use clove_sim::{EventQueue, Time};
 
     fn testbed() -> Topology {
         LeafSpine::paper_testbed(0.1, 42).build()
+    }
+
+    /// An announced fault on both directions of `cable`, the way a run's
+    /// fault plan takes a cable down or brings it back.
+    fn set_cable(t: &mut Topology, cable: (LinkId, LinkId), action: LinkAction) {
+        let mut q = EventQueue::new();
+        for link in [cable.0, cable.1] {
+            t.fabric.apply_fault(Time::ZERO, link, action, true, &mut q);
+        }
     }
 
     #[test]
@@ -534,7 +531,7 @@ mod tests {
         let mut t = testbed();
         // Find a cable between spine 3 (S2) and leaf 1 (L2).
         let cable = t.cable_between(NodeId::Switch(SwitchId(1)), NodeId::Switch(SwitchId(3))).expect("fabric cable exists");
-        t.fail_cable(cable);
+        set_cable(&mut t, cable, LinkAction::Down);
         // Spine 3 now has 1 downlink to leaf 1.
         let spine = &t.fabric.switches[3];
         assert_eq!(spine.group(HostId(16)).unwrap().len(), 1);
@@ -543,7 +540,7 @@ mod tests {
         // Leaf 1's uplinks toward leaf-0 hosts drop to 3.
         assert_eq!(t.fabric.switches[1].group(HostId(0)).unwrap().len(), 3);
         // Restore brings it back.
-        t.restore_cable(cable);
+        set_cable(&mut t, cable, LinkAction::Up);
         assert_eq!(t.fabric.switches[1].group(HostId(0)).unwrap().len(), 4);
     }
 
@@ -552,7 +549,7 @@ mod tests {
         let mut t = testbed();
         let att = t.fabric.hosts[0];
         let cable = t.cable_between(NodeId::Host(HostId(0)), NodeId::Switch(att.leaf)).expect("access cable");
-        t.fail_cable(cable);
+        set_cable(&mut t, cable, LinkAction::Down);
         assert!(t.fabric.switches[0].group(HostId(0)).is_none());
         assert!(t.fabric.switches[2].group(HostId(0)).is_none());
     }

@@ -13,7 +13,7 @@
 //! * **ECT marking**: the source vswitch sets ECT on the *outer* header so
 //!   fabric switches will CE-mark under congestion, without the guest VM
 //!   ever negotiating ECN (paper §3.2).
-//! * **Feedback interception and relay** ([`VSwitch::decap`]): the
+//! * **Feedback interception and relay** ([`VSwitch::decap_into`]): the
 //!   destination hypervisor records CE marks / INT utilization / one-way
 //!   latency per (source hypervisor, outer source port), and piggybacks
 //!   them onto reverse traffic in the STT context bits, rate-limited to one
@@ -31,4 +31,4 @@ pub mod presto_rx;
 pub mod vswitch;
 
 pub use feedback::{FeedbackCollector, FeedbackMode};
-pub use vswitch::{DeliverOutcome, EdgePolicy, VSwitch, VSwitchConfig};
+pub use vswitch::{EdgePolicy, VSwitch, VSwitchConfig};

@@ -6,7 +6,7 @@
 //!   the configured [`EdgePolicy`] for an outer source port, wraps the
 //!   packet in the STT-like encapsulation, sets ECT, stamps the send time,
 //!   and piggybacks any feedback owed to the destination hypervisor;
-//! * inbound packets pass through [`VSwitch::decap`], which strips the
+//! * inbound packets pass through [`VSwitch::decap_into`], which strips the
 //!   encapsulation, hands relayed feedback to the policy, records this
 //!   packet's own observations for the reverse relay, and (for Presto)
 //!   runs flowcell reassembly before delivering to the guest.
@@ -137,17 +137,6 @@ impl VSwitchConfig {
     }
 }
 
-/// What `decap` produced for one inbound packet.
-#[derive(Debug)]
-pub struct DeliverOutcome {
-    /// Inner packets now deliverable to the guest, in order (may be empty
-    /// while Presto holds segments, or >1 when a hole just filled).
-    pub deliver: Vec<Packet>,
-    /// Whether the guest should see a CE mark on this delivery (Clove
-    /// masks outer CE unless all paths are congested).
-    pub ce_visible: bool,
-}
-
 /// vswitch counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VSwitchStats {
@@ -238,21 +227,11 @@ impl VSwitch {
         pkt
     }
 
-    /// Decapsulate an inbound packet from the fabric.
-    ///
-    /// Allocates a fresh delivery `Vec` per call; the per-packet hot path
-    /// should prefer [`decap_into`] with a reused scratch buffer.
-    ///
-    /// [`decap_into`]: VSwitch::decap_into
-    pub fn decap(&mut self, now: Time, pkt: Packet) -> DeliverOutcome {
-        let mut deliver = Vec::new();
-        let ce_visible = self.decap_into(now, pkt, &mut deliver);
-        DeliverOutcome { deliver, ce_visible }
-    }
-
-    /// Decapsulate an inbound packet, appending any guest-deliverable inner
-    /// packets to `out` (in order). Returns whether the guest should see a
-    /// CE mark on this delivery.
+    /// Decapsulate an inbound packet from the fabric, appending any
+    /// guest-deliverable inner packets to `out` in order (none while Presto
+    /// holds segments, more than one when a hole just filled). Returns
+    /// whether the guest should see a CE mark on this delivery (Clove masks
+    /// outer CE unless all paths are congested).
     ///
     /// `out` is a caller-owned scratch buffer: it is *not* cleared here, so
     /// the caller controls reuse and the common one-packet delivery costs no
@@ -369,6 +348,13 @@ mod tests {
         Packet::new(seq, 1500, FlowKey::tcp(src, dst, 1000, 80), PacketKind::Data { seq, len: 1400, dsn: seq })
     }
 
+    /// `decap_into` a fresh buffer: `(guest deliveries, CE visible to the guest)`.
+    fn decap(vs: &mut VSwitch, now: Time, pkt: Packet) -> (Vec<Packet>, bool) {
+        let mut deliver = Vec::new();
+        let ce_visible = vs.decap_into(now, pkt, &mut deliver);
+        (deliver, ce_visible)
+    }
+
     fn vswitch(host: HostId, cfg: VSwitchConfig) -> VSwitch {
         VSwitch::new(host, cfg, Box::new(FixedPolicy { port: 5555, feedback: vec![] }))
     }
@@ -392,13 +378,13 @@ mod tests {
         let mut receiver = vswitch(HostId(1), VSwitchConfig::clove_ecn(Duration::from_micros(50)));
         let mut p = sender.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         p.ce = true; // marked in the fabric
-        let out = receiver.decap(Time::from_micros(40), p);
-        assert_eq!(out.deliver.len(), 1);
-        let inner = &out.deliver[0];
+        let (deliver, ce_visible) = decap(&mut receiver, Time::from_micros(40), p);
+        assert_eq!(deliver.len(), 1);
+        let inner = &deliver[0];
         assert!(inner.outer.is_none());
         assert!(!inner.ce);
         // Clove masks CE from the guest.
-        assert!(!out.ce_visible);
+        assert!(!ce_visible);
         assert_eq!(receiver.stats.ce_intercepted, 1);
     }
 
@@ -410,13 +396,13 @@ mod tests {
         // A → B data gets CE-marked.
         let mut p = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         p.ce = true;
-        b.decap(Time::from_micros(40), p);
+        decap(&mut b, Time::from_micros(40), p);
         // B → A reverse packet picks up the feedback.
         let rev = b.encap(Time::from_micros(45), HostId(0), data_pkt(HostId(1), HostId(0), 0));
         let fb = rev.feedback.expect("feedback piggybacked");
         assert_eq!(fb, Feedback::Ecn { sport: 5555, congested: true });
         // A's policy hears about it on decap.
-        a.decap(Time::from_micros(90), rev);
+        decap(&mut a, Time::from_micros(90), rev);
         assert_eq!(a.stats.feedback_received, 1);
     }
 
@@ -428,7 +414,7 @@ mod tests {
         for i in 0..5 {
             let mut p = a.encap(Time::from_micros(i), HostId(1), data_pkt(HostId(0), HostId(1), i));
             p.ce = true;
-            b.decap(Time::from_micros(i + 1), p);
+            decap(&mut b, Time::from_micros(i + 1), p);
         }
         // Two immediate reverse packets: only the first carries feedback.
         let r1 = b.encap(Time::from_micros(10), HostId(0), data_pkt(HostId(1), HostId(0), 0));
@@ -445,12 +431,12 @@ mod tests {
         let mut b = vswitch(HostId(1), VSwitchConfig::clove_int(relay));
         let mut p = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         p.int_util_pm = Some(912);
-        b.decap(Time::from_micros(40), p);
+        decap(&mut b, Time::from_micros(40), p);
         let rev = b.encap(Time::from_micros(60), HostId(0), data_pkt(HostId(1), HostId(0), 0));
         assert_eq!(rev.feedback, Some(Feedback::Util { sport: 5555, util_pm: 912 }));
         // INT stamp is stripped before guest delivery.
-        let out = b.decap(Time::from_micros(80), a.encap(Time::from_micros(70), HostId(1), data_pkt(HostId(0), HostId(1), 1)));
-        assert!(out.deliver[0].int_util_pm.is_none());
+        let (deliver, _) = decap(&mut b, Time::from_micros(80), a.encap(Time::from_micros(70), HostId(1), data_pkt(HostId(0), HostId(1), 1)));
+        assert!(deliver[0].int_util_pm.is_none());
     }
 
     #[test]
@@ -459,7 +445,7 @@ mod tests {
         let mut a = vswitch(HostId(0), VSwitchConfig::clove_latency(relay));
         let mut b = vswitch(HostId(1), VSwitchConfig::clove_latency(relay));
         let p = a.encap(Time::from_micros(100), HostId(1), data_pkt(HostId(0), HostId(1), 0));
-        b.decap(Time::from_micros(180), p);
+        decap(&mut b, Time::from_micros(180), p);
         let rev = b.encap(Time::from_micros(200), HostId(0), data_pkt(HostId(1), HostId(0), 0));
         assert_eq!(rev.feedback, Some(Feedback::Latency { sport: 5555, one_way: Duration::from_micros(80) }));
     }
@@ -473,9 +459,9 @@ mod tests {
         assert!(p.outer.is_none());
         assert_eq!(p.flow.sport, 5555, "rewritten for ECMP steering");
         assert_eq!(p.orig_sport, Some(1000));
-        let out = b.decap(Time::from_micros(10), p);
-        assert_eq!(out.deliver[0].flow.sport, 1000, "restored for the guest");
-        assert_eq!(out.deliver[0].orig_sport, None);
+        let (deliver, _) = decap(&mut b, Time::from_micros(10), p);
+        assert_eq!(deliver[0].flow.sport, 1000, "restored for the guest");
+        assert_eq!(deliver[0].orig_sport, None);
     }
 
     #[test]
@@ -485,10 +471,9 @@ mod tests {
         let p1 = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 1400));
         let p0 = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         // Out-of-order arrival: held.
-        assert!(b.decap(Time::from_micros(10), p1).deliver.is_empty());
+        assert!(decap(&mut b, Time::from_micros(10), p1).0.is_empty());
         // Hole filled: both released in order.
-        let out = b.decap(Time::from_micros(11), p0);
-        assert_eq!(out.deliver.len(), 2);
+        assert_eq!(decap(&mut b, Time::from_micros(11), p0).0.len(), 2);
     }
 
     #[test]
@@ -500,7 +485,6 @@ mod tests {
         let mut b = vswitch(HostId(1), cfg);
         let mut p = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         p.ce = true;
-        let out = b.decap(Time::from_micros(10), p);
-        assert!(out.ce_visible);
+        assert!(decap(&mut b, Time::from_micros(10), p).1);
     }
 }
