@@ -20,9 +20,8 @@
 //! `probe_interval`, so topology changes are re-learned automatically —
 //! the reaction time the paper ties to the probing frequency (§4).
 
-use clove_net::packet::{Encap, Packet, PacketKind};
+use clove_net::packet::{Encap, Packet, PacketKind, PROBE_SIZE};
 use clove_net::types::{FlowKey, HostId, LinkId, SwitchId};
-use clove_net::wire::PROBE_SIZE;
 use clove_sim::{Duration, SimRng, Time};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 //! scheme, and runs a quick-scale strict RPC scenario under the
 //! [`InvariantMonitor`](crate::InvariantMonitor).
 //! A *finding* is any plan whose run panics or trips an invariant; the
-//! plan is then minimized with the greedy [`shrink`](clove_net::chaos::shrink)
+//! plan is then minimized with the greedy [`shrink`]
 //! loop (same scheme, same seed — the simulator's determinism makes the
 //! oracle exact) so the report shows the smallest timeline that still
 //! reproduces the violation.

@@ -5,6 +5,12 @@
 //! tree, a recursive-descent parser, and a renderer. Object key order is
 //! preserved so reports print in a stable, readable order.
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Everything the
+/// tree writes (spec, report, journal entry, chaos JSON) nests under 10
+/// levels; the cap turns hostile input into an error instead of a stack
+/// overflow in the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -26,7 +32,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
@@ -217,15 +223,17 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// One value, inside `depth` already-open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -294,7 +302,7 @@ impl Parser<'_> {
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number '{text}' at byte {start}"))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -303,7 +311,7 @@ impl Parser<'_> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -316,7 +324,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -329,7 +337,7 @@ impl Parser<'_> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -392,6 +400,17 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd".into());
         assert_eq!(v.render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays: fn(usize) -> String = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects: fn(usize) -> String = |n| format!("{}0{}", "{\"k\":".repeat(n), "}".repeat(n));
+        for doc in [arrays, objects] {
+            assert!(Json::parse(&doc(MAX_DEPTH)).is_ok(), "{}", doc(2));
+            let err = Json::parse(&doc(MAX_DEPTH + 1)).expect_err("one level too deep");
+            assert!(err.starts_with(&format!("nesting deeper than {MAX_DEPTH} at byte ")), "{err}");
+        }
     }
 
     #[test]

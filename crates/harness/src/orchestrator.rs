@@ -17,7 +17,7 @@
 //!   description, so a second attempt panics the same way) and no
 //!   wall-clock deadline (tables must not depend on host time).
 //! * **Checkpoint/resume.** [`run_journaled`] consults a
-//!   [`Journal`](crate::journal::Journal) before executing a cell and
+//!   [`Journal`] before executing a cell and
 //!   records each completed cell after, so an interrupted matrix re-executes
 //!   only what is missing.
 //!
@@ -158,7 +158,7 @@ fn unschedule<R>(order: Vec<usize>, raw: Vec<CellOutcome<R>>) -> Vec<CellOutcome
 /// outcomes **in cell order**.
 ///
 /// `costs`, when given, holds one wall-time estimate per cell; execution is
-/// scheduled most-expensive-first (see [`schedule`]) while results are
+/// scheduled most-expensive-first (see `schedule`) while results are
 /// scattered back into cell order, so outputs are byte-identical whether or
 /// not estimates are supplied.
 pub fn run_isolated<K, R, F>(cells: &[K], jobs: usize, costs: Option<&[f64]>, run: F) -> Vec<CellOutcome<R>>

@@ -5,7 +5,7 @@
 //! single-threaded, so a flat store is simpler and faster than one object
 //! per host). Each host has:
 //!
-//! * a [`VSwitch`] with the scheme's [`EdgePolicy`];
+//! * a [`VSwitch`] with the scheme's [`EdgePolicy`](clove_overlay::EdgePolicy);
 //! * optionally a [`ProbeDaemon`] (schemes that discover paths);
 //! * TCP senders/receivers or MPTCP connections (the guest VM);
 //! * the application model: RPC job arrivals or the incast coordinator.

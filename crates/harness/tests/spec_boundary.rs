@@ -5,6 +5,7 @@
 //! codec.
 
 use clove_harness::config::ScenarioSpec;
+use clove_harness::json::Json;
 use clove_harness::{Scheme, TopologyKind};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -163,6 +164,48 @@ proptest! {
     }
 }
 
+/// Tokens whose soup stresses every branch of the JSON parser: nesting,
+/// separators in the wrong place, broken strings and escapes, partial
+/// literals and numbers, multi-byte characters.
+const SOUP: [&str; 20] = ["[", "]", "{", "}", "\"", "\"k\":", ",", ":", "\\", "\\u00", "\\u", "0", "-", "1e", "true", "nul", " ", "\n", "é", "☃"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// `Json::parse` is the first parser every spec, journal entry, chaos
+    /// file and trace line meets: on any text it returns, never panics.
+    #[test]
+    fn json_parse_of_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn json_parse_of_bracket_brace_quote_soup_never_panics(tokens in prop::collection::vec(prop::sample::select(SOUP.to_vec()), 0..2048)) {
+        let _ = Json::parse(&tokens.concat());
+    }
+}
+
+/// The parser is one left-to-right pass, so megabyte documents of every
+/// shape — deep, wide, long strings, many keys, soup — finish at once. The
+/// workspace reads no clock, so the time is not measured: a parser that
+/// rescanned its input would turn these into a hang instead of a failure.
+#[test]
+fn json_parse_is_one_pass_over_megabyte_documents() {
+    const N: usize = 1 << 18;
+    let mut rng = TestRng::new(7);
+    let soup: String = (0..N).map(|_| pick(&mut rng, &SOUP)).collect();
+    for (doc, ok) in [
+        ("[".repeat(4 * N), false),
+        (format!("[{}0]", "\"a\",".repeat(N)), true),
+        (format!("\"{}\"", "\\u00e9".repeat(N)), true),
+        (format!("{{{}\"k\":0}}", "\"k\":[],".repeat(N)), true),
+        (format!("{}{}{}", "[".repeat(128), "0,".repeat(N), "]".repeat(128)).replacen(",]", "]", 1), true),
+        (soup, false),
+    ] {
+        assert_eq!(Json::parse(&doc).is_ok(), ok, "{}…", doc.chars().take(40).collect::<String>());
+    }
+}
+
 #[test]
 fn the_generator_reaches_both_sides_of_the_gate() {
     let verdicts: Vec<Option<bool>> = (0..1000).map(|seed| ScenarioSpec::from_json_str(&spec_text(seed)).ok().map(|spec| spec.validate().is_ok())).collect();
@@ -260,6 +303,29 @@ fn clove_run_rejects_a_bad_spec_with_one_line_and_no_worker() {
         let lines: Vec<&str> = stderr.lines().collect();
         assert_eq!(lines.len(), 1, "{text}: one line, no backtrace: {stderr}");
         assert!(lines[0].starts_with("clove-run: bad spec: ") && lines[0].contains(field), "{text}: must name {field}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nesting 100,000 deep used to overflow the parser's stack and abort
+/// (exit 134) in both commands that read outside JSON.
+#[test]
+fn clove_run_rejects_a_deeply_nested_spec_or_trace_line_with_one_line() {
+    let dir = std::env::temp_dir().join(format!("clove-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (spec, trace) = (dir.join("deep.json"), dir.join("deep.jsonl"));
+    std::fs::write(&spec, "{\"scheme\":".repeat(100_000)).expect("spec written");
+    std::fs::write(&trace, format!("{}\n", "[".repeat(100_000))).expect("trace written");
+    for (args, prefix) in [
+        (vec![spec.to_str().expect("utf-8 temp path")], "clove-run: bad spec: "),
+        (vec!["trace-check", trace.to_str().expect("utf-8 temp path")], "clove-run trace-check: "),
+    ] {
+        let (code, stdout, stderr) = clove_run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stdout, "", "{args:?}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "{args:?}: one line, no abort: {stderr}");
+        assert!(lines[0].starts_with(prefix) && lines[0].contains("nesting deeper than 128"), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

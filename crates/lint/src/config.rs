@@ -2,10 +2,9 @@
 //!
 //! Allowlists are path-prefix matches against workspace-relative paths
 //! (always forward-slash separated). Every entry carries the audit reason;
-//! `clove-lint rules` prints the catalog and `--json` reports embed it, so
-//! the exception surface is greppable in one place. One-off exceptions in
-//! arbitrary files use inline waivers instead
-//! (`// clove-lint: allow(<rule>): <reason>`).
+//! `clove-lint rules` prints the catalog, so the exception surface is
+//! greppable in one place. One-off exceptions in arbitrary files use inline
+//! waivers instead (`// clove-lint: allow(<rule>): <reason>`).
 
 /// One lint rule: stable name plus a one-line description.
 #[derive(Debug, Clone, Copy)]

@@ -21,8 +21,8 @@
 //!
 //! Violations are waived inline with `// clove-lint: allow(<rule>): <reason>`
 //! so every exception is greppable and justified. Run with
-//! `cargo run -p clove-lint -- check` (`--json` for the machine report);
-//! exit status 2 means unwaived findings.
+//! `cargo run -p clove-lint -- check`; exit status 2 means unwaived
+//! findings.
 //!
 //! The analyzer is deliberately dependency-free (the build must work fully
 //! offline, like the vendored proptest/rustc-hash facades), so it lexes Rust

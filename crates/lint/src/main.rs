@@ -1,7 +1,7 @@
 //! CLI for the workspace determinism analyzer.
 //!
 //! ```text
-//! cargo run -p clove-lint -- check [--json] [--root DIR]
+//! cargo run -p clove-lint -- check [--root DIR]
 //! cargo run -p clove-lint -- rules
 //! ```
 //!
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: clove-lint check [--json] [--root DIR]");
+    eprintln!("usage: clove-lint check [--root DIR]");
     eprintln!("       clove-lint rules");
     ExitCode::from(1)
 }
@@ -28,12 +28,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("check") => {
-            let mut json = false;
             let mut root: Option<PathBuf> = None;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--json" => json = true,
                     "--root" => match it.next() {
                         Some(dir) => root = Some(PathBuf::from(dir)),
                         None => return usage(),
@@ -44,7 +42,7 @@ fn main() -> ExitCode {
             let root = root.unwrap_or_else(default_root);
             match clove_lint::run_check(&root) {
                 Ok(report) => {
-                    print!("{}", if json { report.render_json() } else { report.render_table() });
+                    print!("{}", report.render_table());
                     if report.unwaived().count() == 0 {
                         ExitCode::SUCCESS
                     } else {

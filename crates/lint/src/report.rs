@@ -1,6 +1,5 @@
-//! Findings and the two output surfaces: a human table and `--json`.
+//! Findings and their one output surface, a human table.
 
-use crate::config::RULES;
 use std::fmt::Write as _;
 
 /// One rule violation (or waived violation) at a source location.
@@ -55,60 +54,6 @@ impl Report {
         let _ = writeln!(out, "\nclove-lint: {} unwaived finding(s) in {} files scanned ({waived} waived). Rules: see `clove-lint rules`; waive inline with `// clove-lint: allow(<rule>): <reason>`.", active.len(), self.files_scanned);
         out
     }
-
-    /// Machine-readable JSON report (dependency-free serializer).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"waived\": {}}}",
-                json_str(f.rule),
-                json_str(&f.path),
-                f.line,
-                f.col,
-                json_str(&f.message),
-                f.waived.as_deref().map(json_str).unwrap_or_else(|| "null".to_string()),
-            );
-        }
-        let unwaived = self.unwaived().count();
-        let _ = write!(
-            out,
-            "\n  ],\n  \"summary\": {{\"files_scanned\": {}, \"total\": {}, \"unwaived\": {}, \"waived\": {}}},\n  \"rules\": [",
-            self.files_scanned,
-            self.findings.len(),
-            unwaived,
-            self.findings.len() - unwaived
-        );
-        for (i, r) in RULES.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {{\"name\": {}, \"summary\": {}}}", json_str(r.name), json_str(r.summary));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -141,13 +86,5 @@ mod tests {
         let t = one(Some("waiver: test")).render_table();
         assert!(t.contains("clean"));
         assert!(t.contains("1 waived"));
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let j = one(None).render_json();
-        assert!(j.contains("\\\"clock\\\""));
-        assert!(j.contains("\"unwaived\": 1"));
-        assert!(j.contains("\"rules\": ["));
     }
 }

@@ -4,8 +4,8 @@
 //! else: `src/`, `crates/*/{src,tests}`, `examples/`, `tests/`.
 //! `vendor/` (third-party facades), `target/`, and the lint crate's own
 //! fixture corpus (intentionally violating files) are excluded. Results
-//! are sorted so reports — and therefore CI logs and `--json` artifacts —
-//! are byte-identical run to run.
+//! are sorted so reports — and therefore CI logs — are byte-identical run
+//! to run.
 
 use std::path::{Path, PathBuf};
 

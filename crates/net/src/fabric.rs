@@ -45,7 +45,7 @@
 use crate::fault::{ControlAction, ControlFaultStats, FaultStats, LinkAction, NodeSelector};
 use crate::hash::ecmp_select;
 use crate::link::Link;
-use crate::packet::{CongaTag, Feedback, Packet, PacketKind};
+use crate::packet::{CongaTag, Feedback, Packet, PacketKind, PROBE_REPLY_SIZE, PROBE_SIZE};
 use crate::switch::{CongaConfig, FabricScheme, FlowletEntry, Switch};
 use crate::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove_sim::{Duration, EventQueue, SimRng, Time, World};
@@ -284,8 +284,7 @@ impl Fabric {
     /// source hypervisor.
     fn feedback_carrier(&mut self, now: Time, orig: &Packet, fb: Feedback) -> Packet {
         let key = orig.routed_key();
-        let mut carrier =
-            Packet::new(self.fresh_uid(), crate::wire::PROBE_REPLY_SIZE, FlowKey::tcp(key.src, key.dst, key.sport, key.dport), PacketKind::FeedbackOnly);
+        let mut carrier = Packet::new(self.fresh_uid(), PROBE_REPLY_SIZE, FlowKey::tcp(key.src, key.dst, key.sport, key.dport), PacketKind::FeedbackOnly);
         carrier.outer = orig.outer;
         carrier.feedback = Some(fb);
         carrier.sent_at = now;
@@ -393,7 +392,7 @@ impl Fabric {
                 let reply_kind = PacketKind::ProbeReply { probe_id, ttl_sent, switch: sw, ingress: Some(via) };
                 let mut reply = Packet::new(
                     self.fresh_uid(),
-                    crate::wire::PROBE_REPLY_SIZE,
+                    PROBE_REPLY_SIZE,
                     // Replies are routed on their own (switch→prober) key.
                     FlowKey::tcp(HostId(u32::MAX - sw.0), src, 0, 0),
                     reply_kind,
@@ -641,7 +640,7 @@ impl Fabric {
             }
             let mut probe = Packet::new(
                 self.fresh_uid(),
-                crate::wire::PROBE_SIZE,
+                PROBE_SIZE,
                 FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
                 PacketKind::HulaProbe { tor, util_pm: path_util },
             );
@@ -667,7 +666,7 @@ impl Fabric {
                 }
                 let mut probe = Packet::new(
                     self.fresh_uid(),
-                    crate::wire::PROBE_SIZE,
+                    PROBE_SIZE,
                     FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
                     PacketKind::HulaProbe { tor, util_pm: 0 },
                 );

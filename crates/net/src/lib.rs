@@ -27,19 +27,13 @@
 //! * [`topology`] — builders for the paper's 2-tier leaf-spine testbed and
 //!   for k-ary fat-trees ("works on any topology"), link-failure helpers,
 //!   and shortest-path ECMP route computation.
-//! * [`codec`] — full-packet structured ⇄ bytes conversion built from the
-//!   wire views (round-trip property tested).
-//! * [`wire`] — real on-the-wire encodings (Ethernet/IPv4/TCP/STT-like and
-//!   the probe payload) in the smoltcp style; exercised by the probe codec
-//!   and round-trip property tests.
 //!
-//! The fast path uses the structured [`packet::Packet`] rather than byte
-//! buffers — a deliberate simulator trade-off documented in DESIGN.md. The
-//! [`wire`] module demonstrates (and tests) that every header field the
-//! algorithms manipulate has a concrete wire representation.
+//! Packets are the structured [`packet::Packet`], never byte buffers — a
+//! deliberate simulator trade-off documented in DESIGN.md: sizes are
+//! counted, and every header field the algorithms manipulate is a typed
+//! field.
 
 pub mod chaos;
-pub mod codec;
 pub mod dre;
 pub mod fabric;
 pub mod fault;
@@ -49,7 +43,6 @@ pub mod packet;
 pub mod switch;
 pub mod topology;
 pub mod types;
-pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosSpace};
 pub use fabric::{Event, Fabric, HostCtx, HostLogic, Network};

@@ -1,9 +1,8 @@
 //! The simulated packet.
 //!
 //! A [`Packet`] is a metadata record, not a byte buffer: payload bytes are
-//! counted, never materialized (the [`crate::wire`] module shows the real
-//! encodings). Fields map one-to-one onto what Clove manipulates on the
-//! wire:
+//! counted, never materialized. Fields map one-to-one onto what Clove
+//! manipulates on the wire:
 //!
 //! * `flow` — the inner (guest VM) five-tuple.
 //! * `outer` — the STT-like encapsulation header added by the source
@@ -194,6 +193,12 @@ pub struct Packet {
 /// Default IP TTL for data traffic — large enough to never expire in a
 /// datacenter fabric.
 pub const DATA_TTL: u8 = 64;
+
+/// Wire size of a traceroute probe (the nominal 100-byte per-packet
+/// overhead; see `clove_tcp::config::DEFAULT_HEADER_OVERHEAD`).
+pub const PROBE_SIZE: u32 = 100;
+/// Wire size of a probe reply (ICMP time-exceeded analogue).
+pub const PROBE_REPLY_SIZE: u32 = 100;
 
 impl Packet {
     /// Build a packet with the common defaults; callers adjust fields.

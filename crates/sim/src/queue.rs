@@ -5,8 +5,8 @@
 //! same instant pop in insertion order regardless of payload — this is the
 //! determinism anchor of the whole simulator.
 //!
-//! The queue is a hierarchical timing wheel: [`LEVELS`] cascading levels of
-//! [`SLOTS`] slots each, with level-0 slots one nanosecond wide (the [`Time`]
+//! The queue is a hierarchical timing wheel: `LEVELS` cascading levels of
+//! `SLOTS` slots each, with level-0 slots one nanosecond wide (the [`Time`]
 //! resolution). A level-0 slot therefore holds exactly one timestamp, so
 //! appending in push order keeps it seq-sorted for free; higher levels
 //! cascade down as the cursor reaches their window, and events beyond the

@@ -1,9 +1,11 @@
-//! The prose docs may only name targets and files that exist: a `--bin`,
-//! `--example` or `--bench` name, a back-ticked name the next word calls a
-//! bench, bin or binary, any `cargo bench`, or a path under `crates/`,
+//! The prose docs may only name targets, files and modules that exist: a
+//! `--bin`, `--example` or `--bench` name, a back-ticked name the next word
+//! calls a bench, bin or binary, any `cargo bench`, a path under `crates/`,
 //! `tests/`, `examples/`, `vendor/` or `.github/` that is not in the
-//! checkout fails here, so deleting or renaming code without updating
-//! README / DESIGN / EXPERIMENTS / the verify skill is a tier-1 failure.
+//! checkout, or a `clove-<crate>::<name>` / `clove_<crate>::<name>` whose
+//! crate has no such module or root item fails here, so deleting or
+//! renaming code without updating README / DESIGN / EXPERIMENTS / the
+//! verify skill is a tier-1 failure.
 
 use std::path::Path;
 
@@ -60,6 +62,69 @@ fn labelled_targets(text: &str) -> Vec<(&str, &str)> {
         .collect()
 }
 
+/// Every `clove-<crate>::<name>` or `clove_<crate>::<name>` in `text` that
+/// starts a word, as `(crate, name)`; `crate` is the `crates/` directory.
+fn crate_paths_in(text: &str) -> Vec<(&str, &str)> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("clove") {
+        if text[..at].chars().next_back().is_some_and(|c| ident(c) || c == ':' || c == '-') {
+            continue;
+        }
+        let Some(rest) = text[at + "clove".len()..].strip_prefix(['-', '_']) else { continue };
+        let (krate, rest) = rest.split_at(rest.find(|c: char| !c.is_ascii_alphanumeric()).unwrap_or(rest.len()));
+        let Some(rest) = rest.strip_prefix("::") else { continue };
+        let name = &rest[..rest.find(|c: char| !ident(c)).unwrap_or(rest.len())];
+        if !krate.is_empty() && !name.is_empty() {
+            found.push((krate, name));
+        }
+    }
+    found
+}
+
+/// The crate root without comments and with every `{…}` body blanked out
+/// except `use` groups (`::{…}`), so only its top-level items remain.
+fn top_level(lib: &str) -> String {
+    let mut out = String::new();
+    // One entry per open brace: whether it is a `use` group (kept).
+    let mut open: Vec<bool> = Vec::new();
+    for line in lib.lines() {
+        let code = line.split("//").next().unwrap_or("");
+        for (i, c) in code.char_indices() {
+            out.push(if open.iter().all(|&group| group) { c } else { ' ' });
+            match c {
+                '{' => open.push(code[..i].trim_end().ends_with("::")),
+                '}' => drop(open.pop()),
+                _ => {}
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// What a top-level crate root names: items it declares `pub` (`fn`,
+/// `struct`, `mod`, …) and every word of its `pub use` statements.
+fn root_names(top: &str) -> Vec<&str> {
+    fn words(s: &str) -> impl Iterator<Item = &str> {
+        s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
+    }
+    let mut names: Vec<&str> = top.split(';').filter_map(|stmt| stmt.split_once("pub use ")).flat_map(|(_, used)| words(used)).collect();
+    let all: Vec<&str> = words(top).collect();
+    let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+    names.extend(all.windows(3).filter(|w| w[0] == "pub" && kinds.contains(&w[1])).map(|w| w[2]));
+    names
+}
+
+/// Whether `name` is a module of the crate in `crates/<dir>` (a file or an
+/// inline `pub mod`) or an item its root declares or re-exports.
+fn crate_has(root: &Path, dir: &str, name: &str) -> bool {
+    let src = root.join("crates").join(dir).join("src");
+    src.join(format!("{name}.rs")).is_file()
+        || src.join(name).join("mod.rs").is_file()
+        || std::fs::read_to_string(src.join("lib.rs")).is_ok_and(|lib| root_names(&top_level(&lib)).contains(&name))
+}
+
 /// Whether some workspace crate has the target file `<crate>/<dir>/<name>.rs`.
 fn crate_target_exists(root: &Path, dir: &str, name: &str) -> bool {
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
@@ -89,6 +154,11 @@ fn docs_name_only_targets_and_paths_that_exist() {
                 stale.push(format!("{doc}: `{name}` {label}"));
             }
         }
+        for (krate, name) in crate_paths_in(&text) {
+            if !crate_has(root, krate, name) {
+                stale.push(format!("{doc}: `clove-{krate}::{name}`"));
+            }
+        }
         // `clove-run --example` is that binary's own flag, not cargo's.
         for name in names_after(&text.replace("clove-run --example", ""), "--example ") {
             if !root.join("examples").join(format!("{name}.rs")).is_file() {
@@ -112,4 +182,22 @@ fn the_scanner_finds_what_it_should() {
     assert_eq!(names_after(text, "--example "), ["quickstart"]);
     let prose = "the `micro` bench and the `clove-run`\nbinary, not `cargo test` bin, `x` benchmarks, `y`bin or a bare bench.";
     assert_eq!(labelled_targets(prose), [("micro", "bench"), ("clove-run", "binary")]);
+    let code = "`clove-net::gone`, clove_sim::Time, (`clove_core::clove_ecn::on_path_dead`), clove-run, clove-lint: x, my_clove_x::y, clove::net";
+    assert_eq!(crate_paths_in(code), [("net", "gone"), ("sim", "Time"), ("core", "clove_ecn")]);
+    let lib = "//! pub fn doc() {\npub mod a;\nmod hidden;\npub use x::{B, c::{D as E}};\npub fn f<T>() { pub fn body() {} }\npub(crate) fn g() {}\npub mod inline {\n    pub fn inner() {}\n}\npub struct S;";
+    let top = top_level(lib);
+    for name in ["a", "B", "D", "E", "f", "inline", "S"] {
+        assert!(root_names(&top).contains(&name), "{name}: {top}");
+    }
+    for name in ["doc", "hidden", "body", "g", "inner"] {
+        assert!(!root_names(&top).contains(&name), "{name}: {top}");
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (krate, name) in [("net", "fault"), ("sim", "Time"), ("sim", "run"), ("workload", "web_search"), ("baselines", "fabric_schemes"), ("core", "clove_ecn")]
+    {
+        assert!(crate_has(root, krate, name), "clove-{krate}::{name}");
+    }
+    for (krate, name) in [("net", "wire"), ("net", "codec"), ("workload", "websearch"), ("baselines", "conga"), ("ecn", "on_path_dead")] {
+        assert!(!crate_has(root, krate, name), "clove-{krate}::{name}");
+    }
 }
