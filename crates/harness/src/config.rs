@@ -9,7 +9,7 @@
 //! workspace builds fully offline.
 
 use crate::experiments::{fold_point, pool_fct};
-use crate::journal::{Journal, JournalValue};
+use crate::journal::{self, Journal, JournalValue};
 use crate::json::Json;
 use crate::orchestrator;
 use crate::profile::Profile;
@@ -37,7 +37,8 @@ pub struct NodeCrashSpec {
 
 impl NodeCrashSpec {
     /// Parse from the object form. The node is named `leaf<N>`, `spine<N>`
-    /// or `host<N>`; `state` is `"cold"` (default) or `"warm"`.
+    /// or `host<N>`; `state` is `"cold"` (default) or `"warm"`; any other
+    /// key is an error.
     pub fn from_json(v: &Json) -> Result<NodeCrashSpec, String> {
         let name = v.get("node").and_then(Json::as_str).ok_or_else(|| "node_crash: missing string field 'node'".to_string())?;
         let node = parse_node(name)?;
@@ -54,7 +55,9 @@ impl NodeCrashSpec {
                 _ => return Err("node_crash: 'state' must be \"cold\" or \"warm\"".to_string()),
             },
         };
-        Ok(NodeCrashSpec { node, at_ms: num("at_ms")?, down_ms, cold })
+        let spec = NodeCrashSpec { node, at_ms: num("at_ms")?, down_ms, cold };
+        v.reject_unknown_keys(&spec.to_json(), &[]).map_err(|e| format!("node_crash: {e}"))?;
+        Ok(spec)
     }
 
     /// Render back to the object form.
@@ -69,13 +72,7 @@ impl NodeCrashSpec {
 
     /// The one-spec fault plan this crash describes.
     pub fn plan(&self) -> clove_net::fault::FaultPlan {
-        use clove_net::fault::{FaultPlan, NodeState};
-        FaultPlan::node_crash(
-            Time::from_millis(self.at_ms),
-            self.node,
-            Duration::from_millis(self.down_ms),
-            if self.cold { NodeState::Cold } else { NodeState::Warm },
-        )
+        clove_net::fault::FaultPlan::node_crash(Time::from_millis(self.at_ms), self.node, Duration::from_millis(self.down_ms), self.cold)
     }
 }
 
@@ -184,20 +181,14 @@ impl ScenarioSpec {
     /// values describe a runnable scenario is [`Scenario::validate`]'s call.
     pub fn from_json_str(text: &str) -> Result<ScenarioSpec, String> {
         let v = Json::parse(text)?;
-        let Json::Obj(members) = &v else {
+        if !matches!(v, Json::Obj(_)) {
             return Err("spec must be a JSON object".to_string());
-        };
+        }
         let scheme = Scheme::from_json(v.get("scheme").ok_or_else(|| "missing field 'scheme'".to_string())?)?;
         let topology = TopologyKind::from_json(v.get("topology").ok_or_else(|| "missing field 'topology'".to_string())?)?;
         let load = v.get("load").and_then(Json::as_f64).ok_or_else(|| "missing numeric field 'load'".to_string())?;
         let d = ScenarioSpec::new(scheme, topology, load);
-        // A misspelt key must not run the default in its place. The accepted
-        // keys are the ones `to_json` renders, so the two cannot drift.
-        let Json::Obj(known) = d.to_json() else { unreachable!("a spec renders as an object") };
-        if let Some((key, _)) = members.iter().find(|(key, _)| key != QUARANTINE_KEY && known.iter().all(|(name, _)| name != key)) {
-            let want: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
-            return Err(format!("unknown key '{key}' (want {})", want.join(" | ")));
-        }
+        v.reject_unknown_keys(&d.to_json(), &[QUARANTINE_KEY])?;
         Ok(ScenarioSpec {
             workload: match v.get("workload") {
                 None => d.workload,
@@ -426,15 +417,15 @@ impl JournalValue for SeedRun {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("missing 'violations' array".into()),
         };
-        let scalar = |key: &str| v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing numeric '{key}'"));
+        let count = |key: &str| journal::deu64(journal::field(v, key)?);
         Ok(SeedRun {
             fct: clove_workload::FctSummary::from_journal(v.get("fct").ok_or("missing 'fct'")?)?,
-            sim_time_s: scalar("sim_time_s")?,
-            events: scalar("events")? as u64,
-            drops: scalar("drops")? as u64,
-            ecn_marks: scalar("ecn_marks")? as u64,
-            timeouts: scalar("timeouts")? as u64,
-            retransmits: scalar("retransmits")? as u64,
+            sim_time_s: v.get("sim_time_s").and_then(Json::as_f64).ok_or("missing numeric 'sim_time_s'")?,
+            events: count("events")?,
+            drops: count("drops")?,
+            ecn_marks: count("ecn_marks")?,
+            timeouts: count("timeouts")?,
+            retransmits: count("retransmits")?,
             violations,
             trace_jsonl: String::new(),
             trace_dropped: 0,
@@ -575,7 +566,7 @@ mod tests {
         let s = spec.to_scenario();
         assert_eq!(s.faults.node_specs.len(), 1);
         assert_eq!(s.faults.node_specs[0].window(), (Time::from_millis(20), Time::from_millis(30)));
-        assert!(!s.faults.node_specs[0].is_cold());
+        assert!(!s.faults.node_specs[0].cold);
         // State defaults to cold.
         let json = ecmp_spec(r#","node_crash":{"node":"spine1","at_ms":5,"down_ms":5}"#);
         assert!(ScenarioSpec::from_json_str(&json).unwrap().node_crash.unwrap().cold);
@@ -591,6 +582,33 @@ mod tests {
             r#"{"node":"leaf0","at_ms":1,"down_ms":1,"state":"hot"}"#, // bad state
         ] {
             assert!(ScenarioSpec::from_json_str(&ecmp_spec(&format!(r#","node_crash":{bad}"#))).is_err(), "should reject {bad}");
+        }
+    }
+
+    #[test]
+    fn seed_run_counters_decode_only_from_unsigned_integers() {
+        let mut fct = clove_workload::FctSummary { all: Default::default(), mice: Default::default(), elephants: Default::default(), incomplete: 0 };
+        fct.all.add(0.5);
+        let run = SeedRun {
+            fct,
+            sim_time_s: 0.25,
+            events: 10,
+            drops: 1,
+            ecn_marks: 2,
+            timeouts: 0,
+            retransmits: 3,
+            violations: vec!["queue bound".into()],
+            trace_jsonl: String::new(),
+            trace_dropped: 0,
+        };
+        crate::journal::tests::assert_corruptions_decode_or_miss(&run);
+        // A negative or fractional counter used to decode as 0 or truncated.
+        let Json::Obj(fields) = run.to_journal() else { panic!("an entry is an object") };
+        for key in ["events", "drops", "ecn_marks", "timeouts", "retransmits"] {
+            for bad in [-1.0, 2.5] {
+                let entry = Json::Obj(fields.iter().map(|(k, v)| (k.clone(), if k == key { Json::Num(bad) } else { v.clone() })).collect());
+                assert!(SeedRun::from_journal(&entry).is_err(), "{key}: {bad}");
+            }
         }
     }
 

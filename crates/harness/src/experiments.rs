@@ -50,7 +50,7 @@ use crate::orchestrator::{self, CellOutcome};
 use crate::report::{FaultColumn, FaultRow, FaultTable, FigureTable, DAMAGE_COLUMNS, FEEDBACK_COLUMNS};
 use crate::scenario::{RpcOutcome, Scenario, TopologyKind};
 use crate::scheme::Scheme;
-use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector, NodeState};
+use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultPlan, FaultStats, NodeSelector};
 use clove_sim::{Duration, Time};
 use clove_workload::{web_search, FctSummary, FlowSizeDist};
 use std::sync::Arc;
@@ -880,13 +880,13 @@ impl RecoveryCase {
         let host_boot = Duration::from_millis(10);
         match self {
             RecoveryCase::Clean => FaultPlan::none(),
-            RecoveryCase::TorReboot => FaultPlan::node_crash(at, NodeSelector::Leaf(1), switch_boot, NodeState::Cold),
-            RecoveryCase::SpineReboot => FaultPlan::node_crash(at, NodeSelector::Spine(1), switch_boot, NodeState::Cold),
-            RecoveryCase::HostCrashWarm => FaultPlan::node_crash(at, NodeSelector::Host(0), host_boot, NodeState::Warm),
-            RecoveryCase::HostCrashCold => FaultPlan::node_crash(at, NodeSelector::Host(0), host_boot, NodeState::Cold),
+            RecoveryCase::TorReboot => FaultPlan::node_crash(at, NodeSelector::Leaf(1), switch_boot, true),
+            RecoveryCase::SpineReboot => FaultPlan::node_crash(at, NodeSelector::Spine(1), switch_boot, true),
+            RecoveryCase::HostCrashWarm => FaultPlan::node_crash(at, NodeSelector::Host(0), host_boot, false),
+            RecoveryCase::HostCrashCold => FaultPlan::node_crash(at, NodeSelector::Host(0), host_boot, true),
             RecoveryCase::RollingTor => {
-                let mut plan = FaultPlan::node_crash(at, NodeSelector::Leaf(0), host_boot, NodeState::Cold);
-                plan.extend(FaultPlan::node_crash(at + host_boot + Duration::from_millis(5), NodeSelector::Leaf(1), host_boot, NodeState::Cold));
+                let mut plan = FaultPlan::node_crash(at, NodeSelector::Leaf(0), host_boot, true);
+                plan.extend(FaultPlan::node_crash(at + host_boot + Duration::from_millis(5), NodeSelector::Leaf(1), host_boot, true));
                 plan
             }
         }
@@ -1062,6 +1062,11 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_fault_run_entries_decode_or_miss() {
+        journal::tests::assert_corruptions_decode_or_miss(&fault_run(0.1));
+    }
+
+    #[test]
     fn rpc_point_panics_with_the_seed_and_the_original_message() {
         // `conns_per_client: 0` fails `Scenario::validate`, so the point's
         // one cell panics inside `run_rpc`, deterministically.
@@ -1097,7 +1102,7 @@ mod tests {
         // The warm and cold host crashes differ only in restart state.
         let warm = RecoveryCase::HostCrashWarm.plan(RESILIENCE_FAULT_AT);
         let cold = RecoveryCase::HostCrashCold.plan(RESILIENCE_FAULT_AT);
-        assert!(!warm.node_specs[0].is_cold() && cold.node_specs[0].is_cold());
+        assert!(!warm.node_specs[0].cold && cold.node_specs[0].cold);
         assert_eq!(warm.node_specs[0].window(), cold.node_specs[0].window());
     }
 

@@ -49,7 +49,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 }
 
 /// FNV-1a 64-bit hash of a key string; names journal entry files.
-fn fnv1a64(key: &str) -> u64 {
+pub(crate) fn fnv1a64(key: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.as_bytes() {
         h ^= u64::from(*b);
@@ -222,7 +222,7 @@ pub fn summary_from_json(v: &Json) -> Result<Summary, String> {
             }
             buckets.push((deu64(&pair[0])? as usize, deu64(&pair[1])?));
         }
-        let hist = Histogram::from_parts(&buckets, sum, parse_u64_str("hist_min")?, parse_u64_str("hist_max")?);
+        let hist = Histogram::from_parts(&buckets, sum, parse_u64_str("hist_min")?, parse_u64_str("hist_max")?).ok_or("bucket counts overflow u64")?;
         return Ok(Summary::from_streaming_parts(
             deu64(field(st, "count")?)?,
             denum(field(st, "mean")?)?,
@@ -312,8 +312,77 @@ pub fn opt_duration_from_json(v: &Json) -> Result<Option<clove_sim::Duration>, S
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use clove_sim::SimRng;
+
+    /// Decode `value`'s entry and a few hundred corruptions of it as `V`:
+    /// the rendered entry with one bit flipped, and the entry with random
+    /// subtrees swapped for values no encoder writes (negative,
+    /// fractional, past `u64`, of the wrong type). Each must decode to a
+    /// value or to an `Err` — a journal miss — and never panic.
+    pub(crate) fn assert_corruptions_decode_or_miss<V: JournalValue>(value: &V) {
+        let entry = value.to_journal();
+        assert!(V::from_journal(&entry).is_ok(), "an intact entry decodes");
+        let text = entry.render();
+        let mut rng = SimRng::new(fnv1a64(&text));
+        for _ in 0..400 {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] ^= 1 << rng.below(8);
+            if let Ok(flipped) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = V::from_journal(&flipped);
+            }
+            let _ = V::from_journal(&corrupt(&entry, &mut rng));
+        }
+    }
+
+    fn corrupt(v: &Json, rng: &mut SimRng) -> Json {
+        const HOSTILE: [f64; 5] = [-1.0, 2.5, 1e19, 1e300, f64::MAX];
+        if rng.chance(0.1) {
+            return match rng.below(4) {
+                0 => Json::Num(HOSTILE[rng.below(HOSTILE.len() as u64) as usize]),
+                1 => Json::Str("x".into()),
+                2 => Json::Null,
+                _ => Json::Arr(Vec::new()),
+            };
+        }
+        match v {
+            Json::Arr(items) => Json::Arr(items.iter().map(|x| corrupt(x, rng)).collect()),
+            Json::Obj(fields) => Json::Obj(fields.iter().map(|(k, x)| (k.clone(), corrupt(x, rng))).collect()),
+            leaf => leaf.clone(),
+        }
+    }
+
+    /// Retained and streaming summaries side by side.
+    fn fct_sample() -> FctSummary {
+        let mut fct = FctSummary { all: Summary::new(), mice: Summary::new(), elephants: Summary::new(), incomplete: 2 };
+        for x in [0.25, 0.5, 0.125] {
+            fct.all.add(x);
+            fct.mice.add(x / 2.0);
+        }
+        fct.elephants.add(3.0);
+        fct.elephants.spill_to_streaming();
+        fct
+    }
+
+    #[test]
+    fn corrupt_entries_decode_or_miss() {
+        assert_corruptions_decode_or_miss(&1.25f64);
+        assert_corruptions_decode_or_miss(&42u64);
+        assert_corruptions_decode_or_miss(&"cell".to_string());
+        assert_corruptions_decode_or_miss(&fct_sample());
+        assert_corruptions_decode_or_miss(&(fct_sample(), 7u64));
+    }
+
+    #[test]
+    fn bucket_counts_past_u64_are_a_miss_not_a_panic() {
+        // Two buckets of 1e19 each: their total does not fit a u64.
+        let all =
+            r#"{"streaming":{"count":2,"mean":0.5,"m2":0,"min":0.5,"max":0.5,"hist_sum":"1","hist_min":"1","hist_max":"1","buckets":[[1,1e19],[2,1e19]]}}"#;
+        let entry = Json::parse(&format!(r#"{{"all":{all},"mice":[],"elephants":[],"incomplete":0}}"#)).expect("test JSON");
+        assert!(FctSummary::from_journal(&entry).unwrap_err().contains("overflow"));
+    }
 
     fn tmp_root(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);

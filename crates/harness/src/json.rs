@@ -77,6 +77,22 @@ impl Json {
         }
     }
 
+    /// Reject a member of this object that `rendered` — the object the
+    /// decoded value's own `to_json` produces — does not carry, the `extra`
+    /// keys aside. A misspelt or misplaced key must not run the default in
+    /// its place, and since the accepted keys are what the encoder writes,
+    /// decoder and encoder cannot drift apart.
+    pub(crate) fn reject_unknown_keys(&self, rendered: &Json, extra: &[&str]) -> Result<(), String> {
+        let (Json::Obj(members), Json::Obj(known)) = (self, rendered) else { return Ok(()) };
+        match members.iter().find(|(key, _)| !extra.contains(&key.as_str()) && known.iter().all(|(name, _)| name != key)) {
+            None => Ok(()),
+            Some((key, _)) => {
+                let want: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
+                Err(format!("unknown key '{key}' (want {})", want.join(" | ")))
+            }
+        }
+    }
+
     /// Boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

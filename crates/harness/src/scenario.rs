@@ -65,20 +65,23 @@ impl TopologyKind {
         Json::Obj(fields)
     }
 
-    /// Parse the tagged-object form; whether `k` is a buildable arity is
-    /// [`Scenario::validate`]'s call.
+    /// Parse the tagged-object form (a key the parsed variant does not
+    /// render, such as `"k"` on `symmetric`, is an error); whether `k` is a
+    /// buildable arity is [`Scenario::validate`]'s call.
     pub fn from_json(v: &Json) -> Result<TopologyKind, String> {
         let kind = v.get("kind").and_then(Json::as_str).ok_or_else(|| "topology: missing string field 'kind'".to_string())?;
         let all = TopologyKind::all();
         let Some(topology) = all.iter().find(|t| t.spec_kind() == kind) else {
             return Err(format!("topology: unknown kind '{kind}' (want {})", all.map(|t| t.spec_kind()).join(" | ")));
         };
-        Ok(match topology {
+        let topology = match topology {
             TopologyKind::FatTree { .. } => {
                 TopologyKind::FatTree { k: v.uint_field("k")?.ok_or_else(|| format!("topology: {kind}: missing integer field 'k'"))? }
             }
             plain => *plain,
-        })
+        };
+        v.reject_unknown_keys(&topology.to_json(), &[]).map_err(|e| format!("topology: {kind}: {e}"))?;
+        Ok(topology)
     }
 }
 

@@ -125,7 +125,8 @@ impl Scheme {
     /// Parse the tagged-object form. Payload integers are range-checked
     /// into their field's type here; whether they make sense for a run
     /// (subflow count, deployed hosts) is [`crate::Scenario::validate`]'s
-    /// call.
+    /// call. A key the parsed variant does not render (`"subflows"` on
+    /// `ecmp`) and a non-boolean `adaptive_gap` are errors.
     pub fn from_json(v: &Json) -> Result<Scheme, String> {
         let name = v.get("name").and_then(Json::as_str).ok_or_else(|| "scheme: missing string field 'name'".to_string())?;
         let all = Scheme::all();
@@ -134,8 +135,13 @@ impl Scheme {
             return Err(format!("scheme: unknown name '{name}' (want {})", names.join(" | ")));
         };
         let required = |key: &str| format!("scheme: {name}: missing integer field '{key}'");
-        Ok(match scheme {
-            Scheme::CloveLatency { .. } => Scheme::CloveLatency { adaptive_gap: v.get("adaptive_gap").and_then(Json::as_bool).unwrap_or(false) },
+        let scheme = match scheme {
+            Scheme::CloveLatency { .. } => Scheme::CloveLatency {
+                adaptive_gap: match v.get("adaptive_gap") {
+                    None | Some(Json::Null) => false,
+                    Some(x) => x.as_bool().ok_or_else(|| format!("scheme: {name}: 'adaptive_gap' must be a boolean"))?,
+                },
+            },
             Scheme::Presto { .. } => Scheme::Presto {
                 oracle_weights: match v.get("weights") {
                     None | Some(Json::Null) => None,
@@ -152,7 +158,9 @@ impl Scheme {
             Scheme::Mptcp { .. } => Scheme::Mptcp { subflows: usize::from(v.uint_field::<u16>("subflows")?.ok_or_else(|| required("subflows"))?) },
             Scheme::Incremental { .. } => Scheme::Incremental { clove_hosts: v.uint_field("clove_hosts")?.ok_or_else(|| required("clove_hosts"))? },
             plain => plain.clone(),
-        })
+        };
+        v.reject_unknown_keys(&scheme.to_json(), &[]).map_err(|e| format!("scheme: {name}: {e}"))?;
+        Ok(scheme)
     }
 
     /// Short label used in tables.

@@ -80,15 +80,23 @@ impl Mood {
         }
     }
 
-    /// A tagged object (`scheme` or `topology`) over one of `names`.
-    fn tagged(&mut self, tag: &str, names: &[&str], payload: &[(&str, &[&str])]) -> String {
+    /// A tagged object (`scheme` or `topology`): one of `forms` — the
+    /// codec's rendering of every variant — or the unknown name `stray`. A
+    /// calm object carries exactly its variant's payload keys, each with a
+    /// value from `payload`; in a wild one the tag may be missing or any
+    /// value, and each payload key may be dropped or borrowed from another
+    /// variant.
+    fn tagged(&mut self, tag: &str, forms: &[Json], stray: &str, payload: &[(&str, &[&str])]) -> String {
+        let form = forms.get(self.rng.below(forms.len() as u64 + 1) as usize);
+        let name = form.and_then(|f| f.get(tag)).and_then(Json::as_str).unwrap_or(stray);
         let mut fields = Vec::new();
         if !self.slips(8) {
-            let name = if self.slips(8) { pick(&mut self.rng, &VALUES).to_string() } else { format!("\"{}\"", pick(&mut self.rng, names)) };
-            fields.push(format!("\"{tag}\":{name}"));
+            let value = if self.slips(8) { pick(&mut self.rng, &VALUES).to_string() } else { format!("\"{name}\"") };
+            fields.push(format!("\"{tag}\":{value}"));
         }
         for (key, good) in payload {
-            if !self.slips(2) {
+            let own = form.is_some_and(|f| f.get(key).is_some());
+            if own != self.slips(2) {
                 fields.push(format!("\"{key}\":{}", self.value(good)));
             }
         }
@@ -101,16 +109,16 @@ fn spec_text(seed: u64) -> String {
     let mut rng = TestRng::new(seed);
     let wild = rng.below(3) == 0;
     let m = &mut Mood { rng, wild };
-    let schemes: Vec<&str> = Scheme::all().iter().map(Scheme::spec_name).chain(["nope"]).collect();
-    let kinds: Vec<&str> = TopologyKind::all().iter().map(TopologyKind::spec_kind).chain(["torus"]).collect();
+    let schemes: Vec<Json> = Scheme::all().iter().map(Scheme::to_json).collect();
+    let topologies: Vec<Json> = TopologyKind::all().iter().map(TopologyKind::to_json).collect();
     let scheme_payload: [(&str, &[&str]); 4] =
         [("subflows", &["1", "4", "16", "17"]), ("clove_hosts", &["0", "16", "32", "33"]), ("weights", &["null", "[0.5,0.5]"]), ("adaptive_gap", &["true"])];
     let mut fields = Vec::new();
     if !m.slips(8) {
-        fields.push(format!("\"scheme\":{}", m.tagged("name", &schemes, &scheme_payload)));
+        fields.push(format!("\"scheme\":{}", m.tagged("name", &schemes, "nope", &scheme_payload)));
     }
     if !m.slips(8) {
-        fields.push(format!("\"topology\":{}", m.tagged("kind", &kinds, &[("k", &["3", "4", "8", "20"])])));
+        fields.push(format!("\"topology\":{}", m.tagged("kind", &topologies, "torus", &[("k", &["3", "4", "8", "20"])])));
     }
     if !m.slips(8) {
         fields.push(format!("\"load\":{}", m.value(&["0.3", "0.7", "1.5", "0"])));
@@ -254,6 +262,28 @@ fn an_unknown_top_level_key_is_rejected_by_name() {
     let snapshot = format!(r#"{},"quarantine":{{"scope":"fig4c","seed":1001,"reason":"panicked: boom"}}}}"#, rendered.trim_end_matches('}'));
     let replay = ScenarioSpec::from_json_str(&snapshot).unwrap_or_else(|e| panic!("{snapshot}: {e}"));
     assert_eq!(replay.to_json().render(), rendered, "the quarantine object changes nothing about the run");
+}
+
+/// Nested objects used to ignore keys they did not read: `"stat":"warm"`
+/// ran a cold reboot, `"adaptive_gap":"yes"` ran without the adaptive gap,
+/// and a payload key on a variant that has none ran as if absent. Each
+/// object accepts the keys its own `to_json` renders for the parsed
+/// variant.
+#[test]
+fn an_unknown_nested_key_or_a_mistyped_flag_is_rejected_by_name() {
+    let spec = |scheme: &str, topology: &str, rest: &str| format!(r#"{{"scheme":{scheme},"topology":{topology},"load":0.5{rest}}}"#);
+    let (ecmp, sym) = (r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#);
+    for (text, error) in [
+        (
+            spec(ecmp, sym, r#","node_crash":{"node":"leaf1","at_ms":20,"down_ms":15,"stat":"warm"}"#),
+            "node_crash: unknown key 'stat' (want node | at_ms | down_ms | state)",
+        ),
+        (spec(r#"{"name":"clove-latency","adaptive_gap":"yes"}"#, sym, ""), "scheme: clove-latency: 'adaptive_gap' must be a boolean"),
+        (spec(ecmp, r#"{"kind":"symmetric","k":8}"#, ""), "topology: symmetric: unknown key 'k' (want kind)"),
+        (spec(r#"{"name":"ecmp","subflows":4}"#, sym, ""), "scheme: ecmp: unknown key 'subflows' (want name)"),
+    ] {
+        assert_eq!(ScenarioSpec::from_json_str(&text).err().as_deref(), Some(error), "{text}");
+    }
 }
 
 #[test]

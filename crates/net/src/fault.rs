@@ -1,12 +1,14 @@
-//! Fault injection: declarative timelines of link faults.
+//! Fault injection: declarative timelines of link, node and control-plane
+//! faults.
 //!
 //! A [`FaultPlan`] is an ordered list of [`FaultSpec`]s — "at time T, do X
 //! to cable C". Cables are named by a topology-level [`CableSelector`]
 //! (e.g. "the first trunk cable between leaf 1 and spine 1") rather than by
 //! raw link ids, so scenarios stay readable and re-usable across topology
-//! scales. [`FaultPlan::expand`] lowers the plan into a timestamp-sorted
-//! list of atomic [`FaultAction`]s — in particular a [`FaultKind::Flap`]
-//! becomes its individual down/up pairs — which the harness resolves
+//! scales. A spec names the atomic [`LinkAction`] its event applies
+//! ([`FaultKind::Set`]) or is a [`FaultKind::Flap`]; [`FaultPlan::expand`]
+//! lowers the plan into a timestamp-sorted list of [`FaultAction`]s — a
+//! flap becomes its individual down/up pairs — which the harness resolves
 //! against a built [`crate::topology::Topology`] and schedules as
 //! [`crate::fabric::Event::Fault`] events.
 //!
@@ -51,6 +53,13 @@
 //! 3. **`faults_applied` counts atomic actions**, including each
 //!    node-derived per-cable action — it measures injection activity, not
 //!    distinct outages.
+//!
+//! ## Control-plane faults
+//!
+//! A [`ControlFaultPlan`] is the same idiom for the edge control loop: each
+//! [`ControlFaultSpec`] carries the one [`ControlAction`] its
+//! [`crate::fabric::Event::ControlFault`] applies fabric-wide, so expanding
+//! the plan is a stable sort by time.
 
 use clove_sim::{Duration, Time};
 
@@ -86,23 +95,9 @@ impl CableSelector {
 /// What happens to the selected cable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// Both directions go down (queues flush, subsequent packets drop).
-    LinkDown,
-    /// Both directions come back up.
-    LinkUp,
-    /// Line rate drops to `fraction` of nominal (0 < fraction ≤ 1;
-    /// 1.0 restores full rate). Models a flapping optic renegotiating a
-    /// lower speed or a mis-seated cable.
-    RateDegrade {
-        /// Fraction of nominal line rate that remains.
-        fraction: f64,
-    },
-    /// Independent per-packet stochastic drop at `rate` (0 ≤ rate < 1;
-    /// 0.0 turns loss back off). Models a dirty optic / failing laser.
-    RandomLoss {
-        /// Probability each offered packet is dropped.
-        rate: f64,
-    },
+    /// Apply one atomic action at the spec time (the ranges a rate or loss
+    /// must lie in are [`FaultPlan::validate`]'s).
+    Set(LinkAction),
     /// `count` down/up cycles: down for `period × duty`, then up for the
     /// remainder of each `period`.
     Flap {
@@ -129,16 +124,20 @@ pub struct FaultSpec {
     pub announced: bool,
 }
 
-/// An atomic, expanded link operation (no compound kinds).
+/// An atomic link operation: what a [`FaultKind::Set`] spec applies and
+/// what every expanded [`FaultAction`] carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkAction {
-    /// Take the link down.
+    /// Take the link down (its queue flushes, later packets drop).
     Down,
-    /// Bring the link up.
+    /// Bring the link back up.
     Up,
-    /// Set the remaining rate fraction (1.0 = nominal).
+    /// Set the fraction of nominal line rate that remains (0 < fraction ≤
+    /// 1; 1.0 restores full rate). Models a flapping optic renegotiating a
+    /// lower speed or a mis-seated cable.
     SetRate(f64),
-    /// Set the stochastic loss rate (0.0 = none).
+    /// Set the independent per-packet drop probability (0 ≤ rate < 1; 0.0
+    /// turns loss back off). Models a dirty optic / failing laser.
     SetLoss(f64),
 }
 
@@ -198,48 +197,23 @@ impl NodeSelector {
     }
 }
 
-/// Whether soft state survives a node's crash-restart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeState {
-    /// State survives the reboot (battery-backed tables, a fast supervisor
-    /// restart, a live-migrated VM): flowlet/CONGA/HULA tables on a switch,
-    /// vswitch + discovery state on a host, all come back intact.
-    Warm,
-    /// State is lost (power-cycle, hypervisor crash): the switch returns
-    /// with empty tables; the host's vswitch flushes flowlet/WRR/ECN/INT
-    /// state and the probe daemon cold-starts re-discovery.
-    Cold,
-}
-
-impl NodeState {
-    /// True for [`NodeState::Cold`].
-    pub fn is_cold(self) -> bool {
-        matches!(self, NodeState::Cold)
-    }
-}
-
-/// What happens to the selected node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NodeFaultKind {
-    /// The node goes dark at the spec time — every incident cable drops —
-    /// and returns `down_for` later with `state` semantics.
-    CrashRestart {
-        /// How long the node stays down before restarting.
-        down_for: Duration,
-        /// Warm (state kept) or cold (state lost) return.
-        state: NodeState,
-    },
-}
-
-/// One timed fault against one node.
+/// One timed crash-restart of one node: it goes dark at `at` — every
+/// incident cable drops — and returns `down_for` later.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFaultSpec {
     /// When the node crashes.
     pub at: Time,
     /// Which node.
     pub node: NodeSelector,
-    /// What happens.
-    pub kind: NodeFaultKind,
+    /// How long the node stays down before restarting (must be positive).
+    pub down_for: Duration,
+    /// Whether soft state is lost across the restart. A cold return
+    /// (power-cycle, hypervisor crash) brings a switch back with empty
+    /// tables, and a host's vswitch flushes its flowlet/WRR/ECN/INT state
+    /// while its probe daemon re-discovers from scratch; a warm one
+    /// (battery-backed tables, a fast supervisor restart, a live-migrated
+    /// VM) keeps all of it.
+    pub cold: bool,
     /// Whether the fabric control plane notices each incident-cable flip
     /// and reroutes (a dead ToR trips link-layer alarms; a silent node
     /// fault models a hung dataplane that keeps link lights on).
@@ -249,14 +223,7 @@ pub struct NodeFaultSpec {
 impl NodeFaultSpec {
     /// The `(crash, restart)` window.
     pub fn window(&self) -> (Time, Time) {
-        let NodeFaultKind::CrashRestart { down_for, .. } = self.kind;
-        (self.at, self.at + down_for)
-    }
-
-    /// True when the node returns cold (state lost).
-    pub fn is_cold(&self) -> bool {
-        let NodeFaultKind::CrashRestart { state, .. } = self.kind;
-        state.is_cold()
+        (self.at, self.at + self.down_for)
     }
 
     /// Lower onto the node's incident cable set (resolved by the caller,
@@ -265,11 +232,8 @@ impl NodeFaultSpec {
     pub fn cable_specs(&self, incident: &[CableSelector]) -> Vec<FaultSpec> {
         let (down_at, up_at) = self.window();
         let mut out = Vec::with_capacity(incident.len() * 2);
-        for &cable in incident {
-            out.push(FaultSpec { at: down_at, cable, kind: FaultKind::LinkDown, announced: self.announced });
-        }
-        for &cable in incident {
-            out.push(FaultSpec { at: up_at, cable, kind: FaultKind::LinkUp, announced: self.announced });
+        for (at, action) in [(down_at, LinkAction::Down), (up_at, LinkAction::Up)] {
+            out.extend(incident.iter().map(|&cable| FaultSpec { at, cable, kind: FaultKind::Set(action), announced: self.announced }));
         }
         out
     }
@@ -289,19 +253,6 @@ pub struct NodeFaultAction {
     /// Whether the return is cold (state lost). Carried on both phases so
     /// traces can show the eventual semantics at crash time.
     pub cold: bool,
-    /// Whether the incident-cable flips are announced.
-    pub announced: bool,
-}
-
-impl NodeFaultAction {
-    /// Stable schema name for trace output.
-    pub fn action_name(&self) -> &'static str {
-        if self.up {
-            "up"
-        } else {
-            "down"
-        }
-    }
 }
 
 /// An ordered timeline of faults for one experiment run.
@@ -341,7 +292,7 @@ impl FaultPlan {
     /// A single announced cut of `cable` at `at`, never restored — the
     /// classic asymmetry experiment (and what `fail_at` used to hard-code).
     pub fn cut(at: Time, cable: CableSelector) -> FaultPlan {
-        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::LinkDown, announced: true }], node_specs: Vec::new() }
+        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::Set(LinkAction::Down), announced: true }], node_specs: Vec::new() }
     }
 
     /// A silent flap of `cable`: `count` cycles of `period`, down for
@@ -353,19 +304,19 @@ impl FaultPlan {
     /// A silent rate degrade of `cable` to `fraction` of nominal at `at`,
     /// never restored.
     pub fn degrade(at: Time, cable: CableSelector, fraction: f64) -> FaultPlan {
-        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::RateDegrade { fraction }, announced: false }], node_specs: Vec::new() }
+        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::Set(LinkAction::SetRate(fraction)), announced: false }], node_specs: Vec::new() }
     }
 
     /// Silent stochastic loss on `cable` at `rate` from `at` on, never
     /// cleared.
     pub fn loss(at: Time, cable: CableSelector, rate: f64) -> FaultPlan {
-        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::RandomLoss { rate }, announced: false }], node_specs: Vec::new() }
+        FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::Set(LinkAction::SetLoss(rate)), announced: false }], node_specs: Vec::new() }
     }
 
     /// An announced crash-restart of `node` at `at`, returning `down_for`
-    /// later with `state` semantics.
-    pub fn node_crash(at: Time, node: NodeSelector, down_for: Duration, state: NodeState) -> FaultPlan {
-        FaultPlan { specs: Vec::new(), node_specs: vec![NodeFaultSpec { at, node, kind: NodeFaultKind::CrashRestart { down_for, state }, announced: true }] }
+    /// later, `cold` (state lost) or warm.
+    pub fn node_crash(at: Time, node: NodeSelector, down_for: Duration, cold: bool) -> FaultPlan {
+        FaultPlan { specs: Vec::new(), node_specs: vec![NodeFaultSpec { at, node, down_for, cold, announced: true }] }
     }
 
     /// Merge another plan's specs into this one.
@@ -377,20 +328,20 @@ impl FaultPlan {
 
     /// Check every spec's parameters without expanding: degrade fractions
     /// in (0, 1], loss rates in [0, 1), flap duty cycles in (0, 1) with a
-    /// positive period. A plan that validates will not panic in
-    /// [`FaultPlan::expand`]. Cable names are *not* checked here — they
-    /// only resolve against a built topology (`Scenario::validate` in the
-    /// harness does both).
+    /// positive period, positive reboot windows. [`FaultPlan::expand`]
+    /// panics on exactly the plans this rejects. Cable names are *not*
+    /// checked here — they only resolve against a built topology
+    /// (`Scenario::validate` in the harness does both).
     pub fn validate(&self) -> Result<(), String> {
         for (i, spec) in self.specs.iter().enumerate() {
             match spec.kind {
-                FaultKind::LinkDown | FaultKind::LinkUp => {}
-                FaultKind::RateDegrade { fraction } => {
+                FaultKind::Set(LinkAction::Down | LinkAction::Up) => {}
+                FaultKind::Set(LinkAction::SetRate(fraction)) => {
                     if !(fraction > 0.0 && fraction <= 1.0) {
                         return Err(format!("spec {i}: degrade fraction {fraction} must be in (0, 1]"));
                     }
                 }
-                FaultKind::RandomLoss { rate } => {
+                FaultKind::Set(LinkAction::SetLoss(rate)) => {
                     if !(0.0..1.0).contains(&rate) {
                         return Err(format!("spec {i}: loss rate {rate} must be in [0, 1)"));
                     }
@@ -406,8 +357,7 @@ impl FaultPlan {
             }
         }
         for (i, spec) in self.node_specs.iter().enumerate() {
-            let NodeFaultKind::CrashRestart { down_for, .. } = spec.kind;
-            if down_for.is_zero() {
+            if spec.down_for.is_zero() {
                 return Err(format!("node spec {i}: crash-restart down_for must be positive"));
             }
         }
@@ -435,9 +385,8 @@ impl FaultPlan {
         let mut out = Vec::with_capacity(self.node_specs.len() * 2);
         for spec in &self.node_specs {
             let (down_at, up_at) = spec.window();
-            let cold = spec.is_cold();
-            out.push(NodeFaultAction { at: down_at, node: spec.node, up: false, cold, announced: spec.announced });
-            out.push(NodeFaultAction { at: up_at, node: spec.node, up: true, cold, announced: spec.announced });
+            out.push(NodeFaultAction { at: down_at, node: spec.node, up: false, cold: spec.cold });
+            out.push(NodeFaultAction { at: up_at, node: spec.node, up: true, cold: spec.cold });
         }
         out.sort_by_key(|a| a.at);
         out
@@ -446,26 +395,23 @@ impl FaultPlan {
     /// Lower the cable plan into atomic actions sorted by timestamp
     /// (stable: ties keep spec order, and a flap's down precedes its up).
     /// Node specs are *not* included — they only lower against a topology
-    /// (see [`FaultPlan::lower_nodes`]).
+    /// (see [`FaultPlan::lower_nodes`]). A plan [`FaultPlan::validate`]
+    /// rejects panics here, at plan time, rather than mid-run.
     pub fn expand(&self) -> Vec<FaultAction> {
+        if let Err(e) = self.validate() {
+            panic!("invalid fault plan: {e}");
+        }
         let mut out = Vec::new();
         for spec in &self.specs {
+            let action_at = |at, action| FaultAction { at, cable: spec.cable, action, announced: spec.announced };
             match spec.kind {
-                FaultKind::LinkDown => out.push(FaultAction { at: spec.at, cable: spec.cable, action: LinkAction::Down, announced: spec.announced }),
-                FaultKind::LinkUp => out.push(FaultAction { at: spec.at, cable: spec.cable, action: LinkAction::Up, announced: spec.announced }),
-                FaultKind::RateDegrade { fraction } => {
-                    out.push(FaultAction { at: spec.at, cable: spec.cable, action: LinkAction::SetRate(fraction), announced: spec.announced })
-                }
-                FaultKind::RandomLoss { rate } => {
-                    out.push(FaultAction { at: spec.at, cable: spec.cable, action: LinkAction::SetLoss(rate), announced: spec.announced })
-                }
+                FaultKind::Set(action) => out.push(action_at(spec.at, action)),
                 FaultKind::Flap { period, duty, count } => {
-                    assert!(duty > 0.0 && duty < 1.0, "flap duty must be in (0, 1)");
                     let down_span = period.mul_f64(duty);
                     for i in 0..count {
                         let cycle_start = spec.at + period * i as u64;
-                        out.push(FaultAction { at: cycle_start, cable: spec.cable, action: LinkAction::Down, announced: spec.announced });
-                        out.push(FaultAction { at: cycle_start + down_span, cable: spec.cable, action: LinkAction::Up, announced: spec.announced });
+                        out.push(action_at(cycle_start, LinkAction::Down));
+                        out.push(action_at(cycle_start + down_span, LinkAction::Up));
                     }
                 }
             }
@@ -475,70 +421,31 @@ impl FaultPlan {
     }
 }
 
-/// What happens to the control plane (probes and feedback relays).
+/// A control-plane setting change, applied fabric-wide by an
+/// [`crate::fabric::Event::ControlFault`].
 ///
-/// Unlike [`FaultKind`], these target the *edge control loop* rather than
+/// Unlike [`LinkAction`], these target the *edge control loop* rather than
 /// a cable: Clove's congestion awareness rides on TTL-stepped probes, the
 /// ICMP time-exceeded replies they elicit, and (sport, CE/util) feedback
 /// piggybacked on reverse traffic. A production deployment must keep
 /// making reasonable decisions when those signals are lossy, delayed, or
 /// corrupted — this is what the feedback-degradation experiment injects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ControlFaultKind {
-    /// Drop each outbound probe packet with probability `rate`
-    /// (0 ≤ rate < 1; 0.0 turns the fault off).
-    ProbeLoss {
-        /// Per-probe drop probability.
-        rate: f64,
-    },
-    /// Drop each ICMP time-exceeded (probe reply) with probability `rate`
-    /// at the moment of generation.
-    ReplyLoss {
-        /// Per-reply drop probability.
-        rate: f64,
-    },
-    /// Strip each piggybacked feedback entry with probability `rate`.
-    FeedbackLoss {
-        /// Per-entry strip probability.
-        rate: f64,
-    },
-    /// Detach piggybacked feedback from its carrier and deliver it `delay`
-    /// later as a standalone relay packet (models a slow relay path).
-    /// `Duration::ZERO` turns delaying off.
-    FeedbackDelay {
-        /// Extra one-way delay applied to every feedback entry.
-        delay: Duration,
-    },
-    /// Corrupt each feedback entry with probability `rate`: the congested
-    /// bit flips, the utilization inverts, the latency doubles.
-    FeedbackCorrupt {
-        /// Per-entry corruption probability.
-        rate: f64,
-    },
-}
-
-/// One timed control-plane fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlFaultSpec {
-    /// When the fault takes effect.
-    pub at: Time,
-    /// What happens.
-    pub kind: ControlFaultKind,
-}
-
-/// An atomic expanded control-plane setting change, applied by the fabric
-/// as an `Event::ControlFault`.
+/// Every rate is a probability in [0, 1); 0.0 (or a zero delay) turns the
+/// fault off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlAction {
-    /// Set the probe drop probability.
+    /// Drop each outbound probe packet with this probability.
     SetProbeLoss(f64),
-    /// Set the probe-reply drop probability.
+    /// Drop each ICMP time-exceeded (probe reply) with this probability at
+    /// the moment of generation.
     SetReplyLoss(f64),
-    /// Set the feedback strip probability.
+    /// Strip each piggybacked feedback entry with this probability.
     SetFeedbackLoss(f64),
-    /// Set the extra feedback relay delay.
+    /// Detach piggybacked feedback from its carrier and deliver it this
+    /// much later as a standalone relay packet (models a slow relay path).
     SetFeedbackDelay(Duration),
-    /// Set the feedback corruption probability.
+    /// Corrupt each feedback entry with this probability: the congested
+    /// bit flips, the utilization inverts, the latency doubles.
     SetFeedbackCorrupt(f64),
 }
 
@@ -555,11 +462,11 @@ impl ControlAction {
     }
 }
 
-/// One scheduled control-plane action, produced by
-/// [`ControlFaultPlan::expand`].
+/// One timed control-plane fault: from `at` on, the fabric applies
+/// `action`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlFaultAction {
-    /// When to apply it.
+pub struct ControlFaultSpec {
+    /// When the fault takes effect.
     pub at: Time,
     /// The setting change.
     pub action: ControlAction,
@@ -589,57 +496,24 @@ impl ControlFaultPlan {
         self
     }
 
-    /// Probe loss at `rate` from `at` on.
-    pub fn probe_loss(at: Time, rate: f64) -> ControlFaultPlan {
-        ControlFaultPlan { specs: vec![ControlFaultSpec { at, kind: ControlFaultKind::ProbeLoss { rate } }] }
-    }
-
-    /// Probe-reply loss at `rate` from `at` on.
-    pub fn reply_loss(at: Time, rate: f64) -> ControlFaultPlan {
-        ControlFaultPlan { specs: vec![ControlFaultSpec { at, kind: ControlFaultKind::ReplyLoss { rate } }] }
-    }
-
-    /// Feedback strip at `rate` from `at` on.
-    pub fn feedback_loss(at: Time, rate: f64) -> ControlFaultPlan {
-        ControlFaultPlan { specs: vec![ControlFaultSpec { at, kind: ControlFaultKind::FeedbackLoss { rate } }] }
-    }
-
-    /// Extra feedback relay delay from `at` on.
-    pub fn feedback_delay(at: Time, delay: Duration) -> ControlFaultPlan {
-        ControlFaultPlan { specs: vec![ControlFaultSpec { at, kind: ControlFaultKind::FeedbackDelay { delay } }] }
-    }
-
-    /// Feedback corruption at `rate` from `at` on.
-    pub fn feedback_corrupt(at: Time, rate: f64) -> ControlFaultPlan {
-        ControlFaultPlan { specs: vec![ControlFaultSpec { at, kind: ControlFaultKind::FeedbackCorrupt { rate } }] }
-    }
-
     /// The paper-matrix composite: probe, reply *and* feedback loss all at
     /// `rate` from `at` on — "the control loop is `rate` lossy".
     pub fn lossy_control(at: Time, rate: f64) -> ControlFaultPlan {
-        let mut plan = ControlFaultPlan::probe_loss(at, rate);
-        plan.extend(ControlFaultPlan::reply_loss(at, rate));
-        plan.extend(ControlFaultPlan::feedback_loss(at, rate));
-        plan
+        let actions = [ControlAction::SetProbeLoss(rate), ControlAction::SetReplyLoss(rate), ControlAction::SetFeedbackLoss(rate)];
+        ControlFaultPlan { specs: actions.into_iter().map(|action| ControlFaultSpec { at, action }).collect() }
     }
 
-    /// Merge another plan's specs into this one.
-    pub fn extend(&mut self, other: ControlFaultPlan) -> &mut Self {
-        self.specs.extend(other.specs);
-        self
-    }
-
-    /// Check every spec's rate without expanding: loss/corruption rates in
-    /// [0, 1). A plan that validates will not panic in
-    /// [`ControlFaultPlan::expand`].
+    /// Check every spec's rate: loss/corruption rates in [0, 1).
+    /// [`ControlFaultPlan::expand`] panics on exactly the plans this
+    /// rejects.
     pub fn validate(&self) -> Result<(), String> {
         for (i, spec) in self.specs.iter().enumerate() {
-            let (name, rate) = match spec.kind {
-                ControlFaultKind::ProbeLoss { rate } => ("probe loss", rate),
-                ControlFaultKind::ReplyLoss { rate } => ("reply loss", rate),
-                ControlFaultKind::FeedbackLoss { rate } => ("feedback loss", rate),
-                ControlFaultKind::FeedbackCorrupt { rate } => ("feedback corrupt", rate),
-                ControlFaultKind::FeedbackDelay { .. } => continue,
+            let (name, rate) = match spec.action {
+                ControlAction::SetProbeLoss(rate) => ("probe loss", rate),
+                ControlAction::SetReplyLoss(rate) => ("reply loss", rate),
+                ControlAction::SetFeedbackLoss(rate) => ("feedback loss", rate),
+                ControlAction::SetFeedbackCorrupt(rate) => ("feedback corrupt", rate),
+                ControlAction::SetFeedbackDelay(_) => continue,
             };
             if !(0.0..1.0).contains(&rate) {
                 return Err(format!("spec {i}: {name} rate {rate} must be in [0, 1)"));
@@ -648,34 +522,16 @@ impl ControlFaultPlan {
         Ok(())
     }
 
-    /// Lower into atomic actions sorted by timestamp (stable: ties keep
-    /// spec order). Rates outside [0, 1) panic here, at plan time, rather
-    /// than mid-run.
-    pub fn expand(&self) -> Vec<ControlFaultAction> {
-        let mut out = Vec::new();
-        for spec in &self.specs {
-            let action = match spec.kind {
-                ControlFaultKind::ProbeLoss { rate } => {
-                    assert!((0.0..1.0).contains(&rate), "probe loss rate must be in [0, 1)");
-                    ControlAction::SetProbeLoss(rate)
-                }
-                ControlFaultKind::ReplyLoss { rate } => {
-                    assert!((0.0..1.0).contains(&rate), "reply loss rate must be in [0, 1)");
-                    ControlAction::SetReplyLoss(rate)
-                }
-                ControlFaultKind::FeedbackLoss { rate } => {
-                    assert!((0.0..1.0).contains(&rate), "feedback loss rate must be in [0, 1)");
-                    ControlAction::SetFeedbackLoss(rate)
-                }
-                ControlFaultKind::FeedbackDelay { delay } => ControlAction::SetFeedbackDelay(delay),
-                ControlFaultKind::FeedbackCorrupt { rate } => {
-                    assert!((0.0..1.0).contains(&rate), "feedback corrupt rate must be in [0, 1)");
-                    ControlAction::SetFeedbackCorrupt(rate)
-                }
-            };
-            out.push(ControlFaultAction { at: spec.at, action });
+    /// The timeline sorted by timestamp (stable: ties keep spec order) —
+    /// each spec already is the one action its event applies. A plan
+    /// [`ControlFaultPlan::validate`] rejects panics here, at plan time,
+    /// rather than mid-run.
+    pub fn expand(&self) -> Vec<ControlFaultSpec> {
+        if let Err(e) = self.validate() {
+            panic!("invalid control fault plan: {e}");
         }
-        out.sort_by_key(|a| a.at);
+        let mut out = self.specs.clone();
+        out.sort_by_key(|s| s.at);
         out
     }
 }
@@ -777,9 +633,9 @@ mod tests {
     #[test]
     fn expansion_sorts_by_time_stably() {
         let mut plan = FaultPlan::none();
-        plan.push(FaultSpec { at: Time::from_millis(20), cable: CableSelector::Index(3), kind: FaultKind::RandomLoss { rate: 0.01 }, announced: false });
-        plan.push(FaultSpec { at: Time::from_millis(5), cable: CableSelector::S2_L2, kind: FaultKind::RateDegrade { fraction: 0.5 }, announced: false });
-        plan.push(FaultSpec { at: Time::from_millis(20), cable: CableSelector::Access { host: 7 }, kind: FaultKind::LinkDown, announced: true });
+        plan.push(FaultSpec { at: Time::from_millis(20), cable: CableSelector::Index(3), kind: FaultKind::Set(LinkAction::SetLoss(0.01)), announced: false });
+        plan.push(FaultSpec { at: Time::from_millis(5), cable: CableSelector::S2_L2, kind: FaultKind::Set(LinkAction::SetRate(0.5)), announced: false });
+        plan.push(FaultSpec { at: Time::from_millis(20), cable: CableSelector::Access { host: 7 }, kind: FaultKind::Set(LinkAction::Down), announced: true });
         let actions = plan.expand();
         assert_eq!(actions.len(), 3);
         assert_eq!(actions[0].action, LinkAction::SetRate(0.5));
@@ -840,28 +696,40 @@ mod tests {
     fn validate_catches_what_expand_would_panic_on() {
         assert!(FaultPlan::none().validate().is_ok());
         assert!(FaultPlan::cut(Time::ZERO, CableSelector::S2_L2).validate().is_ok());
-        assert!(FaultPlan::flap(Time::ZERO, CableSelector::S2_L2, Duration::from_millis(1), 1.5, 1).validate().unwrap_err().contains("duty"));
-        assert!(FaultPlan::flap(Time::ZERO, CableSelector::S2_L2, Duration::ZERO, 0.5, 1).validate().unwrap_err().contains("period"));
-        assert!(FaultPlan::degrade(Time::ZERO, CableSelector::S2_L2, 0.0).validate().unwrap_err().contains("fraction"));
-        assert!(FaultPlan::loss(Time::ZERO, CableSelector::S2_L2, 1.0).validate().unwrap_err().contains("rate"));
         assert!(FaultPlan::loss(Time::ZERO, CableSelector::S2_L2, 0.99).validate().is_ok());
+        for (plan, field) in [
+            (FaultPlan::flap(Time::ZERO, CableSelector::S2_L2, Duration::from_millis(1), 1.5, 1), "duty"),
+            (FaultPlan::flap(Time::ZERO, CableSelector::S2_L2, Duration::ZERO, 0.5, 1), "period"),
+            (FaultPlan::degrade(Time::ZERO, CableSelector::S2_L2, 0.0), "fraction"),
+            (FaultPlan::loss(Time::ZERO, CableSelector::S2_L2, 1.0), "rate"),
+            (FaultPlan::node_crash(Time::ZERO, NodeSelector::Leaf(0), Duration::ZERO, false), "down_for"),
+        ] {
+            assert!(plan.validate().unwrap_err().contains(field));
+            // `expand` rejects exactly what `validate` rejects.
+            assert!(std::panic::catch_unwind(|| plan.expand()).is_err(), "{field}");
+        }
+    }
+
+    /// A one-spec control plan at 3 ms.
+    fn control(action: ControlAction) -> ControlFaultPlan {
+        ControlFaultPlan { specs: vec![ControlFaultSpec { at: Time::from_millis(3), action }] }
     }
 
     #[test]
     fn control_validate_catches_bad_rates() {
         assert!(ControlFaultPlan::none().validate().is_ok());
         assert!(ControlFaultPlan::lossy_control(Time::ZERO, 0.5).validate().is_ok());
-        assert!(ControlFaultPlan::probe_loss(Time::ZERO, 1.5).validate().unwrap_err().contains("probe loss"));
-        assert!(ControlFaultPlan::feedback_corrupt(Time::ZERO, -0.1).validate().unwrap_err().contains("feedback corrupt"));
-        assert!(ControlFaultPlan::feedback_delay(Time::ZERO, Duration::from_secs(100)).validate().is_ok());
+        assert!(control(ControlAction::SetProbeLoss(1.5)).validate().unwrap_err().contains("probe loss"));
+        assert!(control(ControlAction::SetFeedbackCorrupt(-0.1)).validate().unwrap_err().contains("feedback corrupt"));
+        assert!(control(ControlAction::SetFeedbackDelay(Duration::from_secs(100))).validate().is_ok());
     }
 
     #[test]
     fn control_plan_expands_sorted_and_stable() {
         let mut plan = ControlFaultPlan::none();
-        plan.push(ControlFaultSpec { at: Time::from_millis(20), kind: ControlFaultKind::FeedbackLoss { rate: 0.5 } });
-        plan.push(ControlFaultSpec { at: Time::from_millis(5), kind: ControlFaultKind::ProbeLoss { rate: 0.1 } });
-        plan.push(ControlFaultSpec { at: Time::from_millis(20), kind: ControlFaultKind::ReplyLoss { rate: 0.2 } });
+        plan.push(ControlFaultSpec { at: Time::from_millis(20), action: ControlAction::SetFeedbackLoss(0.5) });
+        plan.push(ControlFaultSpec { at: Time::from_millis(5), action: ControlAction::SetProbeLoss(0.1) });
+        plan.push(ControlFaultSpec { at: Time::from_millis(20), action: ControlAction::SetReplyLoss(0.2) });
         let actions = plan.expand();
         assert_eq!(actions.len(), 3);
         assert_eq!(actions[0].action, ControlAction::SetProbeLoss(0.1));
@@ -883,23 +751,23 @@ mod tests {
 
     #[test]
     fn control_delay_and_corrupt_expand() {
-        let d = ControlFaultPlan::feedback_delay(Time::from_millis(3), Duration::from_micros(250)).expand();
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].action, ControlAction::SetFeedbackDelay(Duration::from_micros(250)));
-        let c = ControlFaultPlan::feedback_corrupt(Time::from_millis(3), 0.05).expand();
+        // A delay has no range to check; a corruption rate in range passes.
+        let d = control(ControlAction::SetFeedbackDelay(Duration::from_micros(250)));
+        assert_eq!(d.expand(), d.specs);
+        let c = control(ControlAction::SetFeedbackCorrupt(0.05)).expand();
         assert_eq!(c[0].action, ControlAction::SetFeedbackCorrupt(0.05));
     }
 
     #[test]
     #[should_panic(expected = "probe loss rate")]
     fn control_plan_rejects_bad_rate() {
-        ControlFaultPlan::probe_loss(Time::ZERO, 1.5).expand();
+        control(ControlAction::SetProbeLoss(1.5)).expand();
     }
 
     #[test]
     fn node_crash_lowers_to_downs_then_ups_after_cable_specs() {
         let mut plan = FaultPlan::cut(Time::from_millis(1), CableSelector::S2_L2);
-        plan.extend(FaultPlan::node_crash(Time::from_millis(10), NodeSelector::Spine(1), Duration::from_millis(5), NodeState::Cold));
+        plan.extend(FaultPlan::node_crash(Time::from_millis(10), NodeSelector::Spine(1), Duration::from_millis(5), true));
         assert!(!plan.is_empty());
         let incident = vec![CableSelector::LeafSpine { leaf: 0, spine: 1, which: 0 }, CableSelector::S2_L2];
         let lowered = plan.lower_nodes(|_| Some(incident.clone())).expect("resolves");
@@ -919,29 +787,22 @@ mod tests {
 
     #[test]
     fn node_actions_give_crash_and_restart_sorted() {
-        let mut plan = FaultPlan::node_crash(Time::from_millis(20), NodeSelector::Leaf(0), Duration::from_millis(10), NodeState::Cold);
-        plan.extend(FaultPlan::node_crash(Time::from_millis(5), NodeSelector::Host(3), Duration::from_millis(40), NodeState::Warm));
+        let mut plan = FaultPlan::node_crash(Time::from_millis(20), NodeSelector::Leaf(0), Duration::from_millis(10), true);
+        plan.extend(FaultPlan::node_crash(Time::from_millis(5), NodeSelector::Host(3), Duration::from_millis(40), false));
         let actions = plan.node_actions();
         assert_eq!(actions.len(), 4);
         assert_eq!((actions[0].at, actions[0].node, actions[0].up, actions[0].cold), (Time::from_millis(5), NodeSelector::Host(3), false, false));
         assert_eq!((actions[1].at, actions[1].up, actions[1].cold), (Time::from_millis(20), false, true));
         assert_eq!((actions[2].at, actions[2].node, actions[2].up), (Time::from_millis(30), NodeSelector::Leaf(0), true));
         assert_eq!((actions[3].at, actions[3].node, actions[3].up), (Time::from_millis(45), NodeSelector::Host(3), true));
-        assert_eq!(actions[0].action_name(), "down");
-        assert_eq!(actions[3].action_name(), "up");
     }
 
     #[test]
     fn node_validate_and_lowering_errors() {
         let mut bad = FaultPlan::none();
-        bad.push_node(NodeFaultSpec {
-            at: Time::ZERO,
-            node: NodeSelector::Leaf(0),
-            kind: NodeFaultKind::CrashRestart { down_for: Duration::ZERO, state: NodeState::Warm },
-            announced: true,
-        });
+        bad.push_node(NodeFaultSpec { at: Time::ZERO, node: NodeSelector::Leaf(0), down_for: Duration::ZERO, cold: false, announced: true });
         assert!(bad.validate().unwrap_err().contains("down_for"));
-        let plan = FaultPlan::node_crash(Time::ZERO, NodeSelector::Leaf(9), Duration::from_millis(1), NodeState::Warm);
+        let plan = FaultPlan::node_crash(Time::ZERO, NodeSelector::Leaf(9), Duration::from_millis(1), false);
         assert!(plan.validate().is_ok());
         assert!(plan.lower_nodes(|_| None).unwrap_err().contains("Leaf(9)"));
     }
@@ -952,8 +813,6 @@ mod tests {
         assert_eq!(NodeSelector::Spine(0).tier(), "spine");
         assert_eq!(NodeSelector::Host(7).tier(), "host");
         assert_eq!(NodeSelector::Host(7).index(), 7);
-        assert!(NodeState::Cold.is_cold());
-        assert!(!NodeState::Warm.is_cold());
     }
 
     #[test]

@@ -27,13 +27,16 @@
 //! * [`topology`] — builders for the paper's 2-tier leaf-spine testbed and
 //!   for k-ary fat-trees ("works on any topology"), link-failure helpers,
 //!   and shortest-path ECMP route computation.
+//! * [`fault`] — declarative fault timelines over those topologies: cable
+//!   faults, node crash-restarts and control-plane faults, each spec
+//!   carrying the action its event applies (the seeded chaos generator
+//!   that draws them lives in `clove_harness::chaos`).
 //!
 //! Packets are the structured [`packet::Packet`], never byte buffers — a
 //! deliberate simulator trade-off documented in DESIGN.md: sizes are
 //! counted, and every header field the algorithms manipulate is a typed
 //! field.
 
-pub mod chaos;
 pub mod dre;
 pub mod fabric;
 pub mod fault;
@@ -44,12 +47,8 @@ pub mod switch;
 pub mod topology;
 pub mod types;
 
-pub use chaos::{ChaosPlan, ChaosSpace};
 pub use fabric::{Event, Fabric, HostCtx, HostLogic, Network};
-pub use fault::{
-    CableSelector, ControlAction, ControlFaultAction, ControlFaultKind, ControlFaultPlan, ControlFaultSpec, ControlFaultStats, FaultKind, FaultPlan, FaultSpec,
-    FaultStats, LinkAction,
-};
+pub use fault::{CableSelector, ControlAction, ControlFaultPlan, ControlFaultSpec, ControlFaultStats, FaultKind, FaultPlan, FaultSpec, FaultStats, LinkAction};
 pub use link::{Link, LinkConfig};
 pub use packet::{Encap, Feedback, Packet, PacketKind};
 pub use switch::{FabricScheme, Switch};

@@ -6,8 +6,7 @@
 
 use clove_net::fabric::Event;
 use clove_net::fault::{
-    CableSelector, ControlFaultKind, ControlFaultPlan, ControlFaultSpec, FaultKind, FaultPlan, FaultSpec, LinkAction, NodeFaultKind, NodeFaultSpec,
-    NodeSelector, NodeState,
+    CableSelector, ControlAction, ControlFaultPlan, ControlFaultSpec, FaultKind, FaultPlan, FaultSpec, LinkAction, NodeFaultSpec, NodeSelector,
 };
 use clove_net::packet::{Feedback, Packet, PacketKind};
 use clove_net::topology::LeafSpine;
@@ -38,10 +37,10 @@ const CABLES: [CableSelector; 4] = [
 fn make_spec(i: usize, cable_i: usize, kind_i: u32, period_us: u64, count: u32, param: f64) -> FaultSpec {
     let at = Time::from_micros(i as u64 * 10_000);
     let kind = match kind_i {
-        0 => FaultKind::LinkDown,
-        1 => FaultKind::LinkUp,
-        2 => FaultKind::RateDegrade { fraction: param },
-        3 => FaultKind::RandomLoss { rate: param * 0.9 },
+        0 => FaultKind::Set(LinkAction::Down),
+        1 => FaultKind::Set(LinkAction::Up),
+        2 => FaultKind::Set(LinkAction::SetRate(param)),
+        3 => FaultKind::Set(LinkAction::SetLoss(param * 0.9)),
         _ => FaultKind::Flap { period: Duration::from_micros(period_us), duty: param, count },
     };
     FaultSpec { at, cable: CABLES[cable_i % CABLES.len()], kind, announced: period_us.is_multiple_of(2) }
@@ -78,14 +77,14 @@ impl LinkModel {
 /// disjoint 10 ms time grid as [`make_spec`].
 fn make_control_spec(i: usize, kind_i: u32, param: f64) -> ControlFaultSpec {
     let at = Time::from_micros(i as u64 * 10_000);
-    let kind = match kind_i {
-        0 => ControlFaultKind::ProbeLoss { rate: param * 0.9 },
-        1 => ControlFaultKind::ReplyLoss { rate: param * 0.9 },
-        2 => ControlFaultKind::FeedbackLoss { rate: param * 0.9 },
-        3 => ControlFaultKind::FeedbackDelay { delay: Duration::from_micros((param * 1000.0) as u64) },
-        _ => ControlFaultKind::FeedbackCorrupt { rate: param * 0.9 },
+    let action = match kind_i {
+        0 => ControlAction::SetProbeLoss(param * 0.9),
+        1 => ControlAction::SetReplyLoss(param * 0.9),
+        2 => ControlAction::SetFeedbackLoss(param * 0.9),
+        3 => ControlAction::SetFeedbackDelay(Duration::from_micros((param * 1000.0) as u64)),
+        _ => ControlAction::SetFeedbackCorrupt(param * 0.9),
     };
-    ControlFaultSpec { at, kind }
+    ControlFaultSpec { at, action }
 }
 
 /// The node pool fold-equivalence draws from: every switch of the paper
@@ -100,7 +99,8 @@ fn make_node_spec(i: usize, node_i: usize, down_us: u64, cold: bool) -> NodeFaul
     NodeFaultSpec {
         at: Time::from_micros(i as u64 * 10_000),
         node: NODES[node_i % NODES.len()],
-        kind: NodeFaultKind::CrashRestart { down_for: Duration::from_micros(down_us), state: if cold { NodeState::Cold } else { NodeState::Warm } },
+        down_for: Duration::from_micros(down_us),
+        cold,
         announced: down_us.is_multiple_of(2),
     }
 }
@@ -230,12 +230,8 @@ proptest! {
             for action in ControlFaultPlan::lossy_control(Time::ZERO, probe_loss).expand() {
                 fabric.apply_control_fault(action.action);
             }
-            fabric.apply_control_fault(
-                ControlFaultPlan::feedback_loss(Time::ZERO, feedback_loss).expand()[0].action,
-            );
-            fabric.apply_control_fault(
-                ControlFaultPlan::feedback_corrupt(Time::ZERO, feedback_corrupt).expand()[0].action,
-            );
+            fabric.apply_control_fault(ControlAction::SetFeedbackLoss(feedback_loss));
+            fabric.apply_control_fault(ControlAction::SetFeedbackCorrupt(feedback_corrupt));
             let mut queue: EventQueue<Event> = EventQueue::new();
             for (i, &(is_probe, sport)) in schedule.iter().enumerate() {
                 let now = Time::from_micros(i as u64);
@@ -285,10 +281,10 @@ proptest! {
             let (down_at, up_at) = spec.window();
             let cables = topo.incident_cables(spec.node).expect("the testbed resolves every pool node");
             for &cable in &cables {
-                hand.push(FaultSpec { at: down_at, cable, kind: FaultKind::LinkDown, announced: spec.announced });
+                hand.push(FaultSpec { at: down_at, cable, kind: FaultKind::Set(LinkAction::Down), announced: spec.announced });
             }
             for &cable in &cables {
-                hand.push(FaultSpec { at: up_at, cable, kind: FaultKind::LinkUp, announced: spec.announced });
+                hand.push(FaultSpec { at: up_at, cable, kind: FaultKind::Set(LinkAction::Up), announced: spec.announced });
             }
         }
         prop_assert_eq!(lowered.expand(), hand.expand());
@@ -348,7 +344,7 @@ fn overlapping_node_and_cable_outages_count_their_union_once() {
     assert!(incident.contains(&CableSelector::S2_L2), "the paper cable is incident to leaf 1");
 
     // Leaf 1 is dark over [20 ms, 35 ms): 2 links per incident cable.
-    let node_only = FaultPlan::node_crash(Time::from_millis(20), NodeSelector::Leaf(1), Duration::from_millis(15), NodeState::Cold);
+    let node_only = FaultPlan::node_crash(Time::from_millis(20), NodeSelector::Leaf(1), Duration::from_millis(15), true);
     let base = damage_of(&node_only);
     assert_eq!(base.down_time, Duration(incident.len() as u64 * 2 * 15_000_000));
 

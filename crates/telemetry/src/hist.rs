@@ -219,13 +219,15 @@ impl Histogram {
     /// Rebuild a histogram from serialized parts: sparse
     /// `(bucket_index, count)` pairs plus the exact sum/min/max that bucket
     /// counts alone cannot reproduce. Inverse of [`Histogram::nonzero_indexed`]
-    /// + the stat accessors; out-of-range indices are ignored.
-    pub fn from_parts(buckets: &[(usize, u64)], sum: u128, min: u64, max: u64) -> Histogram {
+    /// and the stat accessors. Out-of-range indices are ignored; counts that
+    /// sum past `u64` (a corrupt encoding) give `None`.
+    pub fn from_parts(buckets: &[(usize, u64)], sum: u128, min: u64, max: u64) -> Option<Histogram> {
         let mut h = Histogram::new();
         for &(idx, c) in buckets {
             if idx < NUM_BUCKETS {
+                // No bucket exceeds the total, so checking it checks both.
+                h.count = h.count.checked_add(c)?;
                 h.counts[idx] += c;
-                h.count += c;
             }
         }
         if h.count > 0 {
@@ -233,7 +235,7 @@ impl Histogram {
             h.min = min;
             h.max = max;
         }
-        h
+        Some(h)
     }
 }
 
