@@ -128,11 +128,13 @@ impl ChaosReport {
         out
     }
 
-    /// Machine-readable form, written atomically by `clove-run chaos`.
+    /// Machine-readable form, written atomically by `clove-run chaos`. Seeds
+    /// are decimal strings: a JSON number is an `f64`, which would round a
+    /// 64-bit seed past 2^53 and so record one that does not reproduce.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("runs".into(), Json::Num(self.runs as f64)),
-            ("seed".into(), Json::Num(self.seed as f64)),
+            ("seed".into(), Json::Str(self.seed.to_string())),
             (
                 "findings".into(),
                 Json::Arr(
@@ -141,7 +143,7 @@ impl ChaosReport {
                         .map(|f| {
                             Json::Obj(vec![
                                 ("run".into(), Json::Num(f.run as f64)),
-                                ("seed".into(), Json::Num(f.seed as f64)),
+                                ("seed".into(), Json::Str(f.seed.to_string())),
                                 ("scheme".into(), Json::Str(f.scheme.clone())),
                                 ("violation".into(), Json::Str(f.violation.clone())),
                                 ("original_len".into(), Json::Num(f.original_len as f64)),
@@ -607,5 +609,26 @@ mod tests {
         let json = report.to_json().render();
         assert!(json.contains("\"shrunk_len\""));
         assert!(Json::parse(&json).is_ok());
+    }
+
+    /// A derived seed is any `u64`; written as a JSON number it came back
+    /// rounded to the nearest `f64` and reproduced nothing.
+    #[test]
+    fn report_seeds_keep_every_digit() {
+        let seed = (1u64 << 53) + 1;
+        let finding = ChaosFinding {
+            run: 0,
+            seed,
+            scheme: "Clove-ECN".into(),
+            plan: ChaosPlan::default(),
+            original_len: 1,
+            shrink_calls: 1,
+            violation: "invariant violation".into(),
+        };
+        let report = ChaosReport { runs: 1, seed: u64::MAX, findings: vec![finding] };
+        let json = Json::parse(&report.to_json().render()).expect("the report parses");
+        assert_eq!(json.get("seed").and_then(Json::as_str), Some("18446744073709551615"));
+        let findings = json.get("findings").and_then(Json::as_array).expect("findings");
+        assert_eq!(findings[0].get("seed").and_then(Json::as_str), Some("9007199254740993"));
     }
 }

@@ -18,11 +18,9 @@
 //! leave stray `.tmp` files but never a torn CSV or a half-written entry.
 //!
 //! [`ExpConfig`]: crate::experiments::ExpConfig
-//! [`Summary`]: clove_sim::stats::Summary
 
 use crate::json::Json;
-use clove_sim::stats::Summary;
-use clove_telemetry::Histogram;
+use clove_workload::fct::Summary;
 use clove_workload::FctSummary;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,74 +162,23 @@ pub(crate) fn denum(v: &Json) -> Result<f64, String> {
 }
 
 pub(crate) fn deu64(v: &Json) -> Result<u64, String> {
-    v.as_u64().ok_or_else(|| format!("expected unsigned integer, got {v:?}"))
+    v.as_u64().ok_or_else(|| format!("expected unsigned integer below 2^53, got {v:?}"))
 }
 
 pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field '{key}'"))
 }
 
-/// Encode a [`Summary`]. A sample-retaining summary encodes as its sample
-/// list in the summary's current sample order (callers must encode before
-/// any quantile/CDF call sorts it if they need the reconstructed Welford
-/// state to match a fresh run — in practice every journaled summary comes
-/// straight out of `summarize()`). A streaming-mode summary encodes as an
-/// object carrying the exact Welford moments plus the sparse histogram
-/// buckets; the histogram's `u128` sum travels as a decimal string because
-/// the JSON number path is `f64`-backed.
+/// Encode a [`Summary`] as its sample list in the summary's current sample
+/// order (callers must encode before any quantile/CDF call sorts it if they
+/// need the reconstructed mean to match a fresh run — in practice every
+/// journaled summary comes straight out of `summarize()`).
 pub fn summary_to_json(s: &Summary) -> Json {
-    match s.export_streaming() {
-        None => Json::Arr(s.samples().iter().map(|&x| num(x)).collect()),
-        Some((count, mean, m2, min, max, hist)) => Json::Obj(vec![(
-            "streaming".into(),
-            Json::Obj(vec![
-                ("count".into(), Json::Num(count as f64)),
-                ("mean".into(), num(mean)),
-                ("m2".into(), num(m2)),
-                ("min".into(), num(min)),
-                ("max".into(), num(max)),
-                ("hist_sum".into(), Json::Str(hist.sum().to_string())),
-                ("hist_min".into(), Json::Str(hist.min().to_string())),
-                ("hist_max".into(), Json::Str(hist.max().to_string())),
-                (
-                    "buckets".into(),
-                    Json::Arr(hist.nonzero_indexed().into_iter().map(|(i, c)| Json::Arr(vec![Json::Num(i as f64), Json::Num(c as f64)])).collect()),
-                ),
-            ]),
-        )]),
-    }
+    Json::Arr(s.samples().iter().map(|&x| num(x)).collect())
 }
 
-/// Rebuild a [`Summary`]: re-add stored samples in order (retained form) or
-/// reassemble the streaming parts (streaming form).
+/// Rebuild a [`Summary`] by re-adding the stored samples in order.
 pub fn summary_from_json(v: &Json) -> Result<Summary, String> {
-    if let Some(st) = v.get("streaming") {
-        let parse_u64_str = |key: &str| -> Result<u64, String> {
-            let s = field(st, key)?.as_str().ok_or_else(|| format!("'{key}' must be a string"))?;
-            s.parse::<u64>().map_err(|_| format!("bad integer '{s}' in '{key}'"))
-        };
-        let sum = {
-            let s = field(st, "hist_sum")?.as_str().ok_or("'hist_sum' must be a string")?;
-            s.parse::<u128>().map_err(|_| format!("bad integer '{s}' in 'hist_sum'"))?
-        };
-        let mut buckets = Vec::new();
-        for pair in field(st, "buckets")?.as_array().ok_or("'buckets' must be an array")? {
-            let pair = pair.as_array().ok_or("bucket must be an [index, count] pair")?;
-            if pair.len() != 2 {
-                return Err("bucket must be an [index, count] pair".into());
-            }
-            buckets.push((deu64(&pair[0])? as usize, deu64(&pair[1])?));
-        }
-        let hist = Histogram::from_parts(&buckets, sum, parse_u64_str("hist_min")?, parse_u64_str("hist_max")?).ok_or("bucket counts overflow u64")?;
-        return Ok(Summary::from_streaming_parts(
-            deu64(field(st, "count")?)?,
-            denum(field(st, "mean")?)?,
-            denum(field(st, "m2")?)?,
-            denum(field(st, "min")?)?,
-            denum(field(st, "max")?)?,
-            hist,
-        ));
-    }
     let items = v.as_array().ok_or("summary must be an array")?;
     let mut s = Summary::new();
     for item in items {
@@ -354,7 +301,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Retained and streaming summaries side by side.
     fn fct_sample() -> FctSummary {
         let mut fct = FctSummary { all: Summary::new(), mice: Summary::new(), elephants: Summary::new(), incomplete: 2 };
         for x in [0.25, 0.5, 0.125] {
@@ -362,7 +308,6 @@ pub(crate) mod tests {
             fct.mice.add(x / 2.0);
         }
         fct.elephants.add(3.0);
-        fct.elephants.spill_to_streaming();
         fct
     }
 
@@ -375,13 +320,32 @@ pub(crate) mod tests {
         assert_corruptions_decode_or_miss(&(fct_sample(), 7u64));
     }
 
+    /// A summary is journaled one way, as its sample array: the histogram
+    /// form earlier builds wrote past 65,536 samples no longer decodes, so
+    /// such an entry is a miss and its cell re-executes.
     #[test]
-    fn bucket_counts_past_u64_are_a_miss_not_a_panic() {
-        // Two buckets of 1e19 each: their total does not fit a u64.
-        let all =
-            r#"{"streaming":{"count":2,"mean":0.5,"m2":0,"min":0.5,"max":0.5,"hist_sum":"1","hist_min":"1","hist_max":"1","buckets":[[1,1e19],[2,1e19]]}}"#;
+    fn a_streaming_form_entry_is_a_miss() {
+        let all = r#"{"streaming":{"count":2,"mean":0.5,"m2":0,"min":0.5,"max":0.5,"hist_sum":"1","hist_min":"1","hist_max":"1","buckets":[[1,1],[2,1]]}}"#;
         let entry = Json::parse(&format!(r#"{{"all":{all},"mice":[],"elephants":[],"incomplete":0}}"#)).expect("test JSON");
-        assert!(FctSummary::from_journal(&entry).unwrap_err().contains("overflow"));
+        assert!(FctSummary::from_journal(&entry).is_err());
+        assert!(summary_from_json(&Json::parse(all).expect("test JSON")).is_err());
+    }
+
+    /// The wire form of a cell's `(FctSummary, events)` entry, pinned: a
+    /// journal written by an earlier build resumes under this one only
+    /// while this text stays the same.
+    #[test]
+    fn a_cell_entry_renders_as_pinned() {
+        let mut fct = FctSummary { all: Summary::new(), mice: Summary::new(), elephants: Summary::new(), incomplete: 1 };
+        for x in [0.5, 1e-9, 0.1, 12.375] {
+            fct.all.add(x);
+        }
+        fct.mice.add(1e-9);
+        fct.elephants.add(12.375);
+        assert_eq!(
+            (fct, 42u64).to_journal().render(),
+            r#"{"fct":{"all":[0.5,0.000000001,0.1,12.375],"mice":[0.000000001],"elephants":[12.375],"incomplete":1},"events":42}"#
+        );
     }
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -440,30 +404,11 @@ pub(crate) mod tests {
         for x in [0.1, 0.7, 1e-9, 3.7415926535, 0.2, 123456.789] {
             s.add(x);
         }
-        let back = summary_from_json(&Json::parse(&summary_to_json(&s).render()).unwrap()).unwrap();
+        let mut back = summary_from_json(&Json::parse(&summary_to_json(&s).render()).unwrap()).unwrap();
         assert_eq!(back.count(), s.count());
         assert_eq!(back.mean().to_bits(), s.mean().to_bits());
-        assert_eq!(back.std_dev().to_bits(), s.std_dev().to_bits());
-        assert_eq!(back.min().to_bits(), s.min().to_bits());
-        assert_eq!(back.max().to_bits(), s.max().to_bits());
-    }
-
-    #[test]
-    fn streaming_summary_round_trips_exactly() {
-        let mut s = Summary::new();
-        for x in [0.1, 0.7, 1e-9, 3.7415926535, 0.2, 123456.789] {
-            s.add(x);
-        }
-        s.spill_to_streaming();
-        let back = summary_from_json(&Json::parse(&summary_to_json(&s).render()).unwrap()).unwrap();
-        assert!(back.is_streaming());
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.mean().to_bits(), s.mean().to_bits());
-        assert_eq!(back.std_dev().to_bits(), s.std_dev().to_bits());
-        assert_eq!(back.min().to_bits(), s.min().to_bits());
-        assert_eq!(back.max().to_bits(), s.max().to_bits());
-        let (mut back, mut s) = (back, s);
-        for q in [0.5, 0.99, 0.999] {
+        assert_eq!(back.samples(), s.samples());
+        for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(back.quantile(q).to_bits(), s.quantile(q).to_bits());
         }
     }

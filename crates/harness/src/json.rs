@@ -11,6 +11,11 @@
 /// overflow in the recursive descent.
 const MAX_DEPTH: usize = 128;
 
+/// 2^53: below it a whole [`Json::Num`] is exactly the integer literal that
+/// was written; from it up, neighbouring literals parse to the same `f64`
+/// (`9007199254740993` reads as `…992`, `1e20` is no `u64` at all).
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -56,22 +61,24 @@ impl Json {
         }
     }
 
-    /// Non-negative integer value, if this is a whole number.
+    /// Non-negative integer value, if this is a whole number below 2^53 —
+    /// the range where the value is the literal that was written, never a
+    /// rounded or saturated neighbour.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if (0.0..EXACT_INT_LIMIT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
 
-    /// Unsigned-integer field `key` of an object, range-checked into `T`
-    /// (a checked conversion, never a wrapping `as`); `Ok(None)` when the
+    /// Unsigned-integer field `key` of an object: a whole number below 2^53
+    /// (see [`Json::as_u64`]), range-checked into `T`; `Ok(None)` when the
     /// field is absent or `null`.
     pub fn uint_field<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
         match self.get(key) {
             None | Some(Json::Null) => Ok(None),
             Some(x) => {
-                let n = x.as_u64().ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
+                let n = x.as_u64().ok_or_else(|| format!("'{key}' must be a non-negative integer below 2^53"))?;
                 T::try_from(n).map(Some).map_err(|_| format!("'{key}': {n} is out of range"))
             }
         }
@@ -390,6 +397,29 @@ mod tests {
         assert_eq!(arr[1], Json::Null);
         assert_eq!(arr[2].as_f64(), Some(-2.5));
         assert_eq!(v.get("c").unwrap().as_str(), Some("x\ny"));
+    }
+
+    /// A `u64` is read only where the number is the literal written: 2^53
+    /// and up used to saturate (`1e20`, `1e300`) or round (`…993` → `…992`).
+    #[test]
+    fn as_u64_takes_only_integers_below_2_pow_53() {
+        for (text, want) in [
+            ("0", Some(0)),
+            ("1e15", Some(1_000_000_000_000_000)),
+            ("9007199254740991", Some(9_007_199_254_740_991)),
+            ("9007199254740992", None),
+            ("9007199254740993", None),
+            ("18446744073709551615", None),
+            ("1e20", None),
+            ("1e300", None),
+            ("-1", None),
+            ("2.5", None),
+            ("\"7\"", None),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), want, "{text}");
+        }
+        let err = Json::parse(r#"{"seed":1e20}"#).unwrap().uint_field::<u64>("seed").unwrap_err();
+        assert_eq!(err, "'seed' must be a non-negative integer below 2^53");
     }
 
     #[test]

@@ -378,7 +378,6 @@ impl Scenario {
         net.hosts.aggregate_transport_stats();
         let window = fct_window_for(self.profile.probe_interval);
         let (rate, base) = (self.profile.access_bps, self.profile.loaded_rtt);
-        let windows = fct_windows(net.hosts.fct.records(), window, rate, base);
         let recovery = first_fault.and_then(|at| recovery_time(net.hosts.fct.records(), at, window, RECOVERY_FACTOR, rate, base));
         let (trace_events, trace_dropped) = trace.take();
         Ok(RpcOutcome {
@@ -395,9 +394,7 @@ impl Scenario {
             path_evictions: net.hosts.stats.path_evictions,
             fault_stats: net.fabric.fault_stats(end),
             control_stats: net.fabric.control_stats(),
-            fct_windows: windows,
             recovery,
-            stalled: net.hosts.stalled_report(),
             link_report: link_report(&net.fabric),
             violations,
             queue_profile: queue.profile().clone(),
@@ -516,16 +513,11 @@ pub struct RpcOutcome {
     /// Control-plane fault damage: probes/replies/feedback lost, delayed
     /// or corrupted by the injected control faults.
     pub control_stats: ControlFaultStats,
-    /// Mean FCT slowdown (FCT over the flow's unloaded ideal) per window
-    /// of completion time — the resilience experiments' time series.
-    pub fct_windows: Vec<(Time, f64)>,
     /// Time from the first mid-run fault until the windowed slowdown
     /// returned within [`RECOVERY_FACTOR`]× of the pre-fault mean; `None`
     /// when no mid-run fault was injected or it never came back within
     /// bound.
     pub recovery: Option<Duration>,
-    /// Diagnostic lines for connections that never drained.
-    pub stalled: Vec<String>,
     /// Per-fabric-link utilization diagnostics.
     pub link_report: Vec<String>,
     /// Invariant violations detected by the strict-mode monitor (empty
@@ -562,7 +554,7 @@ fn ideal_fct_secs(bytes: u64, rate_bps: u64, base: Duration) -> f64 {
 /// Mean FCT slowdown (FCT over the flow's unloaded ideal at `rate_bps`
 /// with `base` latency) of flows grouped by completion-time window.
 /// Windows with no completions are omitted.
-pub fn fct_windows(records: &[FlowRecord], window: Duration, rate_bps: u64, base: Duration) -> Vec<(Time, f64)> {
+fn fct_windows(records: &[FlowRecord], window: Duration, rate_bps: u64, base: Duration) -> Vec<(Time, f64)> {
     if records.is_empty() || window.is_zero() {
         return Vec::new();
     }

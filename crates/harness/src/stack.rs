@@ -321,48 +321,6 @@ impl HostStack {
         self.stats.spurious_undos = undo;
     }
 
-    /// Diagnostic: describe all senders that still hold unacked or unsent
-    /// bytes (used to debug stalls; exposed for tests).
-    pub fn stalled_report(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for host in &self.hosts {
-            for (i, s) in host.senders.iter().enumerate() {
-                if !s.idle() {
-                    out.push(format!(
-                        "{} conn{} flight={} backlog={} una={} nxt={} cwnd={} rto={} deadline={:?} armed={} rtx={} to={}",
-                        host.id,
-                        i,
-                        s.flight(),
-                        s.backlog(),
-                        s.snd_una(),
-                        s.snd_nxt(),
-                        s.cwnd(),
-                        s.rto(),
-                        s.rto_deadline(),
-                        host.rto_armed[i],
-                        s.stats.retransmits,
-                        s.stats.acks_beyond_nxt,
-                    ));
-                }
-            }
-            for (ci, c) in host.mptcp.iter().enumerate() {
-                if !c.idle() {
-                    let subs: Vec<String> = c.subflows.iter().map(|sf| format!("[una={} cwnd={} dl={:?}]", sf.snd_una(), sf.cwnd(), sf.rto_deadline)).collect();
-                    out.push(format!(
-                        "{} mptcp{} data_una={} to={} rtxfail={} subs={}",
-                        host.id,
-                        ci,
-                        c.data_una(),
-                        c.stats.timeouts,
-                        c.stats.rtx_lookup_failures,
-                        subs.join(" ")
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     // ---- internal helpers ------------------------------------------------
 
     fn fresh_job_id(&mut self) -> u64 {

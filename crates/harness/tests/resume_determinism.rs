@@ -115,3 +115,40 @@ fn clove_run_spec_resume_reproduces_the_report_exactly() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A journaled counter written as a number past 2^53 (`"events": 1e300`)
+/// used to decode as `u64::MAX`, and summing two such seeds overflowed in
+/// the report fold. Such an entry is now a miss: the seed re-executes and
+/// the report equals a fresh run's.
+#[test]
+fn clove_run_resume_reruns_a_seed_whose_counter_is_past_2_pow_53() {
+    use clove_harness::json::Json;
+    let root = tmp_root("huge-counter");
+    let spec = ScenarioSpec {
+        jobs_per_conn: 2,
+        conns_per_client: 1,
+        seed: 3,
+        seeds: 2,
+        horizon_secs: 10,
+        ..ScenarioSpec::new(Scheme::Ecmp, TopologyKind::Symmetric, 0.5)
+    };
+
+    let journal = Journal::open(&root, false).expect("journal opens");
+    let (fresh, _, _) = spec.run(1, Some(&journal)).expect("spec runs");
+    let scope = root.join("clove-run");
+    for entry in std::fs::read_dir(&scope).expect("clove-run scope exists") {
+        let path = entry.expect("readable entry").path();
+        let Ok(Json::Obj(mut doc)) = Json::parse(&std::fs::read_to_string(&path).expect("readable entry")) else { panic!("{}: an object", path.display()) };
+        let Some((_, Json::Obj(fields))) = doc.iter_mut().find(|(key, _)| key == "value") else { panic!("{}: a value object", path.display()) };
+        let (_, events) = fields.iter_mut().find(|(name, _)| name == "events").expect("a journaled seed carries its event count");
+        *events = Json::Num(1e300);
+        std::fs::write(&path, Json::Obj(doc).render()).expect("entry rewritten");
+    }
+
+    let resumed_journal = Journal::open(&root, true).expect("journal reopens");
+    let (resumed, _, _) = spec.run(2, Some(&resumed_journal)).expect("spec resumes");
+    assert_eq!(resumed_journal.hits(), 0, "an unrepresentable counter is a miss");
+    assert_eq!(fresh.to_json().render_pretty(), resumed.to_json().render_pretty());
+
+    let _ = std::fs::remove_dir_all(&root);
+}

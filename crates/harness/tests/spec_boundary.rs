@@ -2,11 +2,14 @@
 //! [`ScenarioSpec::validate`] answers with a value or an error — never a
 //! panic, an abort or a worker started on a bad run description — and the
 //! spec files and name lists the repository ships stay in step with the
-//! codec.
+//! codec. The same holds for the other text `clove-run` reads, a
+//! `trace-check` dump.
 
 use clove_harness::config::ScenarioSpec;
 use clove_harness::json::Json;
+use clove_harness::trace_check::{check_trace_jsonl, TRACE_KIND_FIELDS};
 use clove_harness::{Scheme, TopologyKind};
+use clove_telemetry::TRACE_SCHEMA_VERSION;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::path::{Path, PathBuf};
@@ -214,6 +217,72 @@ fn json_parse_is_one_pass_over_megabyte_documents() {
     }
 }
 
+/// Values a trace line's field might be retyped to: every JSON type, plus
+/// the negative, fractional and past-2^53 numbers no writer emits.
+const HOSTILE: [&str; 9] = ["\"x\"", "null", "[]", "{}", "true", "-1", "2.5", "1e300", "18446744073709551616"];
+
+/// A JSONL dump over the trace schema: lines of every kind, stamped with
+/// the version that introduced the kind or the current one. In a wild dump
+/// (two in three) each line may lose a field, have one retyped or
+/// duplicated, carry `v` 0, 3, −1 or 1e300, lose a byte, or give way to a
+/// blank line.
+fn trace_soup(seed: u64) -> String {
+    let mut rng = TestRng::new(seed);
+    let wild = rng.below(3) != 0;
+    let mut text = String::new();
+    for _ in 0..rng.below(8) + 1 {
+        let (kind, since, fields) = TRACE_KIND_FIELDS[rng.below(TRACE_KIND_FIELDS.len() as u64) as usize];
+        let v = if rng.below(2) == 0 { since } else { TRACE_SCHEMA_VERSION };
+        let mut members: Vec<(String, String)> =
+            vec![("v".into(), v.to_string()), ("kind".into(), format!("\"{kind}\"")), ("t_ns".into(), rng.below(1 << 40).to_string())];
+        members.extend(fields.iter().map(|&field| (field.to_string(), "1".to_string())));
+        if wild && rng.below(2) == 0 {
+            let at = rng.below(members.len() as u64) as usize;
+            match rng.below(5) {
+                0 => {
+                    members.remove(at);
+                }
+                1 => members[at].1 = pick(&mut rng, &HOSTILE).to_string(),
+                2 => members.push(members[at].clone()),
+                3 => members[0].1 = pick(&mut rng, &["0", "3", "-1", "1e300"]).to_string(),
+                _ => members[1].1 = "\"nope\"".to_string(),
+            }
+        }
+        let mut line = format!("{{{}}}", members.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect::<Vec<_>>().join(","));
+        if wild && rng.below(8) == 0 {
+            line.remove(rng.below(line.len() as u64) as usize);
+        }
+        text.push_str(&line);
+        text.push_str(if wild && rng.below(8) == 0 { "\n\n" } else { "\n" });
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// `clove-run trace-check` reads files it did not write: on any bytes it
+    /// returns a report or an error naming a line, never panics.
+    #[test]
+    fn trace_check_of_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = check_trace_jsonl(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn trace_check_of_schema_line_soup_never_panics(seed in any::<u64>()) {
+        let text = trace_soup(seed);
+        if let Ok(report) = check_trace_jsonl(&text) {
+            prop_assert_eq!(report.lines, text.lines().filter(|line| !line.is_empty()).count() as u64, "{}", text);
+        }
+    }
+}
+
+#[test]
+fn the_trace_soup_reaches_both_verdicts() {
+    let ok = (0..1000).filter(|&seed| check_trace_jsonl(&trace_soup(seed)).is_ok()).count();
+    assert!(ok > 200 && ok < 800, "{ok} of 1000 dumps valid");
+}
+
 #[test]
 fn the_generator_reaches_both_sides_of_the_gate() {
     let verdicts: Vec<Option<bool>> = (0..1000).map(|seed| ScenarioSpec::from_json_str(&spec_text(seed)).ok().map(|spec| spec.validate().is_ok())).collect();
@@ -321,6 +390,10 @@ fn clove_run_rejects_a_bad_spec_with_one_line_and_no_worker() {
         (spec(r#"{"name":"mptcp","subflows":4294967297}"#, sym, r#""load":0.5"#), "subflows"),
         (spec(ecmp, sym, r#""load":0.5,"jobs_per_conn":4294967298"#), "jobs_per_conn"),
         (spec(ecmp, sym, r#""load":0.5,"seedz":7"#), "unknown key 'seedz'"),
+        // Past 2^53 a seed used to run saturated (1e20 → u64::MAX) or rounded
+        // (…993 → …992).
+        (spec(ecmp, sym, r#""load":0.5,"seed":1e20"#), "'seed' must be a non-negative integer below 2^53"),
+        (spec(ecmp, sym, r#""load":0.5,"seed":9007199254740993"#), "'seed' must be a non-negative integer below 2^53"),
     ]
     .into_iter()
     .enumerate()

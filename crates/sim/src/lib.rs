@@ -15,8 +15,6 @@
 //! * [`SimRng`] — a small, fast, fully deterministic PRNG (splitmix64 seeded
 //!   xoshiro256**) with the handful of distributions the experiments need
 //!   (uniform, exponential, empirical CDFs live in `clove-workload`).
-//! * [`stats`] — streaming summary statistics, percentiles and CDFs used to
-//!   report flow completion times.
 //!
 //! ## Determinism contract
 //!
@@ -28,7 +26,6 @@
 
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use queue::{EventQueue, QueueProfile, ScheduledEvent};

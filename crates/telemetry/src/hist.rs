@@ -89,16 +89,6 @@ impl Histogram {
         }
     }
 
-    /// Record a non-negative duration in seconds, quantized to whole
-    /// nanoseconds. Negative and non-finite inputs clamp to zero so a
-    /// garbage sample can never panic or poison min/max.
-    #[inline]
-    pub fn record_secs(&mut self, secs: f64) {
-        let ns = secs * 1e9;
-        let v = if ns.is_finite() && ns > 0.0 { ns.round() as u64 } else { 0 };
-        self.record(v);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -157,12 +147,6 @@ impl Histogram {
         self.max
     }
 
-    /// [`Histogram::quantile`] for second-denominated samples recorded via
-    /// [`Histogram::record_secs`].
-    pub fn quantile_secs(&self, q: f64) -> f64 {
-        self.quantile(q) as f64 * 1e-9
-    }
-
     /// Merge another histogram into this one. Elementwise addition, so the
     /// operation is exactly associative and commutative.
     pub fn merge(&mut self, other: &Histogram) {
@@ -203,39 +187,8 @@ impl Histogram {
     }
 
     /// Non-empty buckets in index order, as `(bucket_high, count)` pairs.
-    /// This is the compact wire form used by snapshots and the journal.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (bucket_high(i), c)).collect()
-    }
-
-    /// Non-empty buckets as `(bucket_index, count)` pairs — the exact
-    /// internal representation, for lossless serialization (bucket indices
-    /// are small integers, so they survive number encodings that `u64`
-    /// bucket bounds would not).
-    pub fn nonzero_indexed(&self) -> Vec<(usize, u64)> {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect()
-    }
-
-    /// Rebuild a histogram from serialized parts: sparse
-    /// `(bucket_index, count)` pairs plus the exact sum/min/max that bucket
-    /// counts alone cannot reproduce. Inverse of [`Histogram::nonzero_indexed`]
-    /// and the stat accessors. Out-of-range indices are ignored; counts that
-    /// sum past `u64` (a corrupt encoding) give `None`.
-    pub fn from_parts(buckets: &[(usize, u64)], sum: u128, min: u64, max: u64) -> Option<Histogram> {
-        let mut h = Histogram::new();
-        for &(idx, c) in buckets {
-            if idx < NUM_BUCKETS {
-                // No bucket exceeds the total, so checking it checks both.
-                h.count = h.count.checked_add(c)?;
-                h.counts[idx] += c;
-            }
-        }
-        if h.count > 0 {
-            h.sum = sum;
-            h.min = min;
-            h.max = max;
-        }
-        Some(h)
     }
 }
 
@@ -304,17 +257,6 @@ mod tests {
         assert_eq!(h.min(), 100);
         assert_eq!(h.max(), 1_000_000);
         assert_eq!(h.sum(), 1_001_000);
-    }
-
-    #[test]
-    fn record_secs_quantizes_and_survives_garbage() {
-        let mut h = Histogram::new();
-        h.record_secs(1.5e-6);
-        h.record_secs(-4.0);
-        h.record_secs(f64::NAN);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 1500);
-        assert_eq!(h.min(), 0);
     }
 
     #[test]

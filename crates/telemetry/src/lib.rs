@@ -4,9 +4,9 @@
 //!
 //! * [`Histogram`] — HDR-style log-linear streaming histogram with bounded
 //!   memory, exact merge semantics, and an exact log2 aggregation view
-//!   (replaces per-flow sample vectors and the ad-hoc queue-delay profile);
+//!   (the event queue's push-to-pop delay profile);
 //! * [`Trace`] / [`TraceEvent`] — sim-time-stamped structured decision
-//!   tracing into a bounded ring buffer, rendered as JSONL with a stable,
+//!   tracing into a capped buffer, rendered as JSONL with a stable,
 //!   versioned schema.
 //!
 //! ## Determinism rules

@@ -3,7 +3,7 @@
 //! weight updates, ECN marks, INT readings, degradation-ladder rung changes,
 //! path eviction, fault activation.
 //!
-//! Events land in a bounded ring buffer behind a cheap cloneable handle
+//! Events land in a capped buffer behind a cheap cloneable handle
 //! ([`Trace`]). A disabled handle is a single `Option` check per call site,
 //! and a run with tracing enabled must produce byte-identical simulation
 //! output to one without — recording never mutates simulation state.

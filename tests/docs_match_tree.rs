@@ -197,7 +197,9 @@ fn the_scanner_finds_what_it_should() {
     {
         assert!(crate_has(root, krate, name), "clove-{krate}::{name}");
     }
-    for (krate, name) in [("net", "wire"), ("net", "codec"), ("net", "chaos"), ("workload", "websearch"), ("baselines", "conga"), ("ecn", "on_path_dead")] {
+    for (krate, name) in
+        [("net", "wire"), ("net", "codec"), ("net", "chaos"), ("sim", "stats"), ("workload", "websearch"), ("baselines", "conga"), ("ecn", "on_path_dead")]
+    {
         assert!(!crate_has(root, krate, name), "clove-{krate}::{name}");
     }
 }
