@@ -1,4 +1,4 @@
-//! Clove-INT and Clove-Latency: utilization-aware variants.
+//! Clove-INT: the utilization-aware variant.
 //!
 //! Clove-INT (paper §3.2) asks every fabric hop to stamp egress link
 //! utilization into packets (In-band Network Telemetry); the destination
@@ -6,12 +6,6 @@
 //! flowlet on the least-utilized path. Unlike Clove-ECN — which only reacts
 //! once queues cross the marking threshold — this is *proactive*: the
 //! simulations show it captures ~95% of CONGA's gain (paper §6.2).
-//!
-//! Clove-Latency is the paper's §7 sketch ("Use of path latency"): with
-//! NIC timestamping and synchronized clocks, one-way path delay replaces
-//! utilization as the signal. It also powers the adaptive flowlet-gap
-//! extension: the gap stretches with the observed inter-path latency
-//! spread, reducing reorder probability when paths diverge.
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
 use crate::paths::{Ladder, PathSet};
@@ -22,7 +16,7 @@ use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
 
-/// Shared configuration for the utilization/latency variants.
+/// Clove-INT configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CloveUtilConfig {
     /// Flowlet detection parameters.
@@ -30,9 +24,6 @@ pub struct CloveUtilConfig {
     /// Utilization reports older than this count as zero (stale paths get
     /// probed again rather than shunned forever).
     pub stale_after: Duration,
-    /// Adaptive flowlet gap (latency variant only): when enabled, the gap
-    /// becomes `base_gap + latency_spread` across paths.
-    pub adaptive_gap: bool,
     /// When the *freshest* feedback for a destination is older than this,
     /// Clove-INT stops trusting utilization entirely and hash-spreads new
     /// flowlets uniformly (bottom of the degradation ladder). Between
@@ -48,28 +39,21 @@ pub struct CloveUtilConfig {
 impl CloveUtilConfig {
     /// Defaults scaled for a base RTT.
     pub fn for_rtt(rtt: Duration) -> CloveUtilConfig {
-        CloveUtilConfig {
-            flowlet: FlowletConfig::with_gap(rtt),
-            stale_after: rtt * 8,
-            adaptive_gap: false,
-            dead_horizon: rtt * 64,
-            stale_rho: 0.1,
-            stale_decay_interval: rtt * 2,
-        }
+        CloveUtilConfig { flowlet: FlowletConfig::with_gap(rtt), stale_after: rtt * 8, dead_horizon: rtt * 64, stale_rho: 0.1, stale_decay_interval: rtt * 2 }
     }
 }
 
-/// Counters shared by both variants.
+/// Clove-INT counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CloveUtilStats {
-    /// Utilization / latency feedback entries processed.
+    /// Utilization feedback entries processed.
     pub feedback: u64,
     /// New flowlets routed.
     pub flowlets_routed: u64,
-    /// Stale-decay steps applied to the fallback WRR (INT variant).
+    /// Stale-decay steps applied to the fallback WRR.
     pub stale_decays: u64,
     /// Flowlet picks made below the fresh tier: WRR fallback while stale,
-    /// or uniform hash-spread once dead (INT variant).
+    /// or uniform hash-spread once dead.
     pub degraded_picks: u64,
 }
 
@@ -177,85 +161,6 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
     fn set_trace(&mut self, trace: Trace) {
         self.flowlets.set_trace(trace.clone());
         self.trace = trace;
-    }
-}
-
-/// Clove-Latency (paper §7): least one-way-latency path per new flowlet,
-/// with optional adaptive flowlet gap.
-pub struct CloveLatencyPolicy {
-    cfg: CloveUtilConfig,
-    base_gap: Duration,
-    flowlets: FlowletTable,
-    dsts: FxHashMap<HostId, PathSet>,
-    /// Counters.
-    pub stats: CloveUtilStats,
-}
-
-impl CloveLatencyPolicy {
-    /// Build the policy.
-    pub fn new(cfg: CloveUtilConfig) -> CloveLatencyPolicy {
-        CloveLatencyPolicy {
-            base_gap: cfg.flowlet.gap,
-            flowlets: FlowletTable::new(cfg.flowlet),
-            dsts: FxHashMap::default(),
-            stats: CloveUtilStats::default(),
-            cfg,
-        }
-    }
-
-    /// The flowlet gap currently in force (tests the adaptive extension).
-    pub fn current_gap(&self) -> Duration {
-        self.flowlets.gap()
-    }
-}
-
-impl clove_overlay::EdgePolicy for CloveLatencyPolicy {
-    fn name(&self) -> &'static str {
-        "clove-latency"
-    }
-
-    fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
-        let paths = self.dsts.entry(dst_hv).or_default();
-        let flow = pkt.flow;
-        let stats = &mut self.stats;
-        self.flowlets.on_packet(now, flow, |flowlet_id| {
-            stats.flowlets_routed += 1;
-            paths.least_latency().unwrap_or_else(|| 49152 + (clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0x1A7) % 64) as u16)
-        })
-    }
-
-    fn on_feedback(&mut self, now: Time, dst_hv: HostId, fb: &Feedback) {
-        let Feedback::Latency { sport, one_way } = *fb else {
-            return;
-        };
-        self.stats.feedback += 1;
-        let paths = self.dsts.entry(dst_hv).or_default();
-        paths.record_latency(now, sport, one_way);
-        if self.cfg.adaptive_gap {
-            // Stretch the gap by the worst-case inter-path skew so a
-            // re-routed flowlet cannot overtake its predecessor.
-            let spread = paths.latency_spread().unwrap_or(Duration::ZERO);
-            self.flowlets.set_gap(self.base_gap + spread);
-        }
-    }
-
-    fn on_paths_updated(&mut self, _now: Time, dst_hv: HostId, ports: &[u16]) {
-        self.dsts.entry(dst_hv).or_default().set_ports(ports);
-    }
-
-    fn on_cold_restart(&mut self, _now: Time) {
-        self.flowlets.clear();
-        self.dsts.clear();
-        // The adaptive gap is learned from latency spreads: reset to base.
-        self.flowlets.set_gap(self.base_gap);
-    }
-
-    fn set_trace(&mut self, trace: Trace) {
-        self.flowlets.set_trace(trace);
-    }
-
-    fn flowlet_len(&self) -> Option<usize> {
-        Some(self.flowlets.len())
     }
 }
 
@@ -389,31 +294,6 @@ mod tests {
         let mut a = pkt(9999);
         assert_eq!(p.select_port(t, HostId(1), &mut a), 20);
         assert_eq!(p.stats.degraded_picks, degraded);
-    }
-
-    #[test]
-    fn latency_routes_to_fastest_path() {
-        let mut p = CloveLatencyPolicy::new(CloveUtilConfig::for_rtt(RTT));
-        p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30]);
-        let t = Time::from_micros(10);
-        p.on_feedback(t, HostId(1), &Feedback::Latency { sport: 10, one_way: Duration::from_micros(90) });
-        p.on_feedback(t, HostId(1), &Feedback::Latency { sport: 20, one_way: Duration::from_micros(40) });
-        p.on_feedback(t, HostId(1), &Feedback::Latency { sport: 30, one_way: Duration::from_micros(70) });
-        let mut a = pkt(4);
-        assert_eq!(p.select_port(t, HostId(1), &mut a), 20);
-    }
-
-    #[test]
-    fn adaptive_gap_stretches_with_spread() {
-        let mut cfg = CloveUtilConfig::for_rtt(RTT);
-        cfg.adaptive_gap = true;
-        let mut p = CloveLatencyPolicy::new(cfg);
-        p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20]);
-        assert_eq!(p.current_gap(), RTT);
-        let t = Time::from_micros(10);
-        p.on_feedback(t, HostId(1), &Feedback::Latency { sport: 10, one_way: Duration::from_micros(50) });
-        p.on_feedback(t, HostId(1), &Feedback::Latency { sport: 20, one_way: Duration::from_micros(250) });
-        assert_eq!(p.current_gap(), RTT + Duration::from_micros(200));
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl ProbeDaemon {
     /// ports are always among the candidates — re-probing them is what
     /// lets [`ProbeDaemon::finish_round`] detect a selected port that has
     /// started black-holing traffic.
-    pub fn start_round(&mut self, now: Time, dst: HostId) -> Vec<Packet> {
+    pub fn start_round(&mut self, dst: HostId) -> Vec<Packet> {
         {
             let round = self.rounds.entry(dst).or_default();
             // Probes of the superseded round will never be answered:
@@ -302,7 +302,6 @@ impl ProbeDaemon {
                 );
                 pkt.outer = Some(Encap { src: self.host, dst, sport });
                 pkt.ttl = ttl;
-                pkt.sent_at = now;
                 out.push(pkt);
             }
         }
@@ -534,7 +533,7 @@ mod tests {
     /// Drive a complete round: every probe is answered (or not) by
     /// `reply(sport, ttl)`, mimicking the fabric.
     fn run_round(d: &mut ProbeDaemon, dst: HostId, t: Time, reply: impl Fn(u16, u8) -> Option<Hop>) -> Vec<DiscoveryEvent> {
-        let probes = d.start_round(t, dst);
+        let probes = d.start_round(dst);
         for p in &probes {
             let PacketKind::Probe { probe_id, ttl_sent } = p.kind else { unreachable!() };
             let sport = p.outer.unwrap().sport;
@@ -567,7 +566,7 @@ mod tests {
     #[test]
     fn round_produces_candidates_times_ttl_probes() {
         let mut d = daemon();
-        let probes = d.start_round(Time::ZERO, HostId(1));
+        let probes = d.start_round(HostId(1));
         assert_eq!(probes.len(), 24 * 4);
         // All probes are encapsulated toward the destination with stepped TTL.
         for p in &probes {
@@ -588,7 +587,7 @@ mod tests {
     #[test]
     fn replies_assemble_into_selection() {
         let mut d = daemon();
-        let probes = d.start_round(Time::ZERO, HostId(1));
+        let probes = d.start_round(HostId(1));
         // Simulate: sport parity decides path A or B (two distinct paths).
         for p in &probes {
             let PacketKind::Probe { probe_id, ttl_sent } = p.kind else { unreachable!() };
@@ -610,7 +609,7 @@ mod tests {
     #[test]
     fn no_replies_yields_none() {
         let mut d = daemon();
-        d.start_round(Time::ZERO, HostId(1));
+        d.start_round(HostId(1));
         assert!(d.finish_round(Time::from_millis(2), HostId(1)).is_empty());
     }
 
@@ -623,7 +622,7 @@ mod tests {
     #[test]
     fn stale_replies_ignored() {
         let mut d = daemon();
-        let probes = d.start_round(Time::ZERO, HostId(1));
+        let probes = d.start_round(HostId(1));
         d.finish_round(Time::from_millis(2), HostId(1));
         let PacketKind::Probe { probe_id, ttl_sent } = probes[0].kind else { unreachable!() };
         d.on_reply(probe_id, ttl_sent, SwitchId(1), Some(LinkId(1)));
@@ -664,11 +663,11 @@ mod tests {
     #[test]
     fn new_round_resets_traces() {
         let mut d = daemon();
-        let probes = d.start_round(Time::ZERO, HostId(1));
+        let probes = d.start_round(HostId(1));
         let PacketKind::Probe { probe_id, ttl_sent } = probes[0].kind else { unreachable!() };
         d.on_reply(probe_id, ttl_sent, SwitchId(1), Some(LinkId(1)));
         // Restart before finishing: old replies are discarded.
-        d.start_round(Time::from_millis(10), HostId(1));
+        d.start_round(HostId(1));
         assert!(d.finish_round(Time::from_millis(12), HostId(1)).is_empty());
     }
 
@@ -680,7 +679,7 @@ mod tests {
         let DiscoveryEvent::PathsUpdated { ports, .. } = evs[0].clone() else { panic!() };
         assert_eq!(ports.len(), 2);
         // The next round re-probes the selected ports...
-        let probes = d.start_round(Time::from_millis(50), dst);
+        let probes = d.start_round(dst);
         let sports: Vec<u16> = probes.iter().map(|p| p.outer.unwrap().sport).collect();
         for &p in &ports {
             assert!(sports.contains(&p), "selected port {p} not re-probed");
@@ -760,21 +759,21 @@ mod tests {
         let mut d = daemon();
         let dst = HostId(1);
         // All probes vanish: the first two closes ask for a retry.
-        d.start_round(Time::ZERO, dst);
+        d.start_round(dst);
         let b1 = d.finish_round_or_retry(Time::from_millis(2), dst).expect_err("first retry");
-        d.start_round(Time::from_millis(3), dst);
+        d.start_round(dst);
         let b2 = d.finish_round_or_retry(Time::from_millis(5), dst).expect_err("second retry");
         // Exponential: the second backoff's floor is twice the first's.
         let base = DiscoveryConfig::default().retry_backoff;
         assert!(b1 >= base && b1 <= base.mul_f64(1.25), "b1 = {b1:?}");
         assert!(b2 >= base * 2 && b2 <= (base * 2).mul_f64(1.25), "b2 = {b2:?}");
         // Retry budget (max_retries = 2) exhausted: the round completes.
-        d.start_round(Time::from_millis(8), dst);
+        d.start_round(dst);
         let evs = d.finish_round_or_retry(Time::from_millis(10), dst).expect("gives up after max_retries");
         assert!(evs.is_empty());
         assert_eq!(d.stats.round_retries, 2);
         // A fresh interval starts the ladder over.
-        d.start_round(Time::from_millis(50), dst);
+        d.start_round(dst);
         assert!(d.finish_round_or_retry(Time::from_millis(52), dst).is_err());
         assert_eq!(d.stats.round_retries, 3);
     }
@@ -783,7 +782,7 @@ mod tests {
     fn round_with_replies_never_retries() {
         let mut d = daemon();
         let dst = HostId(1);
-        let probes = d.start_round(Time::ZERO, dst);
+        let probes = d.start_round(dst);
         let PacketKind::Probe { probe_id, ttl_sent } = probes[0].kind else { unreachable!() };
         d.on_reply(probe_id, ttl_sent, SwitchId(1), Some(LinkId(1)));
         assert!(d.finish_round_or_retry(Time::from_millis(2), dst).is_ok());
@@ -817,7 +816,7 @@ mod tests {
     fn outstanding_budget_caps_probes_in_flight() {
         let cfg = DiscoveryConfig { max_outstanding: 40, ..DiscoveryConfig::default() };
         let mut d = ProbeDaemon::new(HostId(0), cfg, 7);
-        let probes = d.start_round(Time::ZERO, HostId(1));
+        let probes = d.start_round(HostId(1));
         assert_eq!(probes.len(), 40, "emission stops at the budget");
         assert_eq!(d.outstanding(), 40);
         assert_eq!(d.stats.probes_suppressed, (24 * 4 - 40) as u64);
@@ -828,7 +827,7 @@ mod tests {
         }
         assert_eq!(d.outstanding(), 0);
         // ...and closing a round writes off its unanswered probes.
-        d.start_round(Time::from_millis(50), HostId(1));
+        d.start_round(HostId(1));
         assert_eq!(d.outstanding(), 40);
         d.finish_round(Time::from_millis(52), HostId(1));
         assert_eq!(d.outstanding(), 0);
@@ -838,10 +837,10 @@ mod tests {
     fn superseded_round_returns_its_budget() {
         let cfg = DiscoveryConfig { max_outstanding: 200, ..DiscoveryConfig::default() };
         let mut d = ProbeDaemon::new(HostId(0), cfg, 7);
-        d.start_round(Time::ZERO, HostId(1));
+        d.start_round(HostId(1));
         assert_eq!(d.outstanding(), 96);
         // Restarting without finishing must not leak the old budget.
-        d.start_round(Time::from_millis(50), HostId(1));
+        d.start_round(HostId(1));
         assert_eq!(d.outstanding(), 96);
     }
 
@@ -851,7 +850,7 @@ mod tests {
         let dst = HostId(1);
         run_round(&mut d, dst, Time::ZERO, parity_fabric(None));
         assert!(d.selection(dst).is_some());
-        let probes_before = d.start_round(Time::from_millis(50), dst);
+        let probes_before = d.start_round(dst);
         let max_id_before = probes_before
             .iter()
             .map(|p| match p.kind {
@@ -866,7 +865,7 @@ mod tests {
         assert_eq!(d.outstanding(), 0);
         // ...but probe ids never go backwards: a stale pre-crash reply can
         // never be mistaken for a post-crash probe's answer.
-        let probes_after = d.start_round(Time::from_millis(100), dst);
+        let probes_after = d.start_round(dst);
         for p in &probes_after {
             let PacketKind::Probe { probe_id, .. } = p.kind else { unreachable!() };
             assert!(probe_id > max_id_before, "probe id reused across restart");

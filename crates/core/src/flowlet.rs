@@ -101,16 +101,6 @@ impl<S: BuildHasher> FlowletTable<S> {
         self.trace = trace;
     }
 
-    /// Change the gap at runtime (adaptive-gap extension, paper §7).
-    pub fn set_gap(&mut self, gap: Duration) {
-        self.cfg.gap = gap;
-    }
-
-    /// The current gap.
-    pub fn gap(&self) -> Duration {
-        self.cfg.gap
-    }
-
     /// Classify a packet: returns the port its flowlet is pinned to.
     /// `pick` runs exactly when a new flowlet opens and chooses its port;
     /// it receives the fresh flowlet id.
@@ -305,15 +295,6 @@ mod tests {
         let id2 = t.current_flowlet_id(&flow(1)).unwrap();
         assert!(id2 > id1);
         assert_eq!(t.current_flowlet_id(&flow(9)), None);
-    }
-
-    #[test]
-    fn set_gap_takes_effect() {
-        let mut t = table(100);
-        t.on_packet(Time::ZERO, flow(1), |_| 1);
-        t.set_gap(Duration::from_micros(1000));
-        let port = t.on_packet(Time::from_micros(500), flow(1), |_| 2);
-        assert_eq!(port, 1, "larger gap keeps the flowlet alive");
     }
 
     /// Determinism regression (clove-lint `std-hash-collections`): the

@@ -21,8 +21,7 @@
 //!    * [`CloveEcnPolicy`] — weighted round-robin whose weights are cut by
 //!      ⅓ on ECN feedback and redistributed to uncongested paths;
 //!    * [`CloveIntPolicy`] — new flowlets take the least-utilized path
-//!      (INT telemetry), the proactive upper bound of the deployable set;
-//!    * [`CloveLatencyPolicy`] — §7 extension using one-way path latency.
+//!      (INT telemetry), the proactive upper bound of the deployable set.
 //!
 //! All policies implement `clove_overlay::EdgePolicy`, so a deployment is
 //! just `VSwitch::new(host, cfg, Box::new(policy))`.
@@ -35,7 +34,7 @@ pub mod paths;
 pub mod wrr;
 
 pub use clove_ecn::{CloveEcnConfig, CloveEcnPolicy};
-pub use clove_int::{CloveIntPolicy, CloveLatencyPolicy, CloveUtilConfig};
+pub use clove_int::{CloveIntPolicy, CloveUtilConfig};
 pub use discovery::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
 pub use flowlet::{FlowletConfig, FlowletTable};
 pub use paths::PathSet;

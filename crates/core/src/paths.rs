@@ -2,8 +2,8 @@
 //!
 //! Each hypervisor keeps, for every destination it actively talks to, the
 //! set of discovered outer source ports and per-port network state: the
-//! last time ECN feedback marked the path congested, the latest relayed
-//! utilization (INT) and one-way latency. The paper sizes this at `k`
+//! last time ECN feedback marked the path congested and the latest relayed
+//! utilization (INT). The paper sizes this at `k`
 //! paths × `N` destinations and argues it is trivially cheap on x86 (§4
 //! "Scalability") — here it is a small `Vec` per destination.
 
@@ -22,16 +22,14 @@ pub struct PathInfo {
     pub util_pm: Option<u16>,
     /// When the utilization was last refreshed.
     pub util_at: Option<Time>,
-    /// Latest relayed one-way latency, if latency feedback is on.
-    pub latency: Option<Duration>,
-    /// Last time *any* feedback (ECN, utilization or latency) arrived for
+    /// Last time *any* feedback (ECN or utilization) arrived for
     /// this path — the staleness clock for the degradation ladder.
     pub last_feedback: Option<Time>,
 }
 
 impl PathInfo {
     fn new(port: u16) -> PathInfo {
-        PathInfo { port, last_congested: None, util_pm: None, util_at: None, latency: None, last_feedback: None }
+        PathInfo { port, last_congested: None, util_pm: None, util_at: None, last_feedback: None }
     }
 }
 
@@ -118,14 +116,6 @@ impl PathSet {
         }
     }
 
-    /// Record latency feedback for `port`.
-    pub fn record_latency(&mut self, now: Time, port: u16, latency: Duration) {
-        if let Some(p) = self.get_mut(port) {
-            p.latency = Some(latency);
-            p.last_feedback = Some(now);
-        }
-    }
-
     /// The most recent feedback timestamp across all paths, or `None` if
     /// no feedback has ever arrived for this destination. Drives the
     /// staleness degradation ladder: a destination whose *freshest* entry
@@ -172,28 +162,6 @@ impl PathSet {
             })
             .min()
             .map(|(_, port)| port)
-    }
-
-    /// The port with the least one-way latency (unknown = zero).
-    pub fn least_latency(&self) -> Option<u16> {
-        self.paths.iter().map(|p| (p.latency.unwrap_or(Duration::ZERO), p.port)).min().map(|(_, port)| port)
-    }
-
-    /// Latency spread across paths (adaptive flowlet-gap extension §7):
-    /// `max - min` over paths with known latency.
-    pub fn latency_spread(&self) -> Option<Duration> {
-        let mut known = self.paths.iter().filter_map(|p| p.latency);
-        let first = known.next()?;
-        let (mut min, mut max, mut rest) = (first, first, 0usize);
-        for d in known {
-            min = min.min(d);
-            max = max.max(d);
-            rest += 1;
-        }
-        if rest == 0 {
-            return None;
-        }
-        Some(max - min)
     }
 }
 
@@ -326,27 +294,15 @@ mod tests {
     }
 
     #[test]
-    fn least_latency() {
-        let mut s = set();
-        let t = Time::from_micros(100);
-        s.record_latency(t, 10, Duration::from_micros(80));
-        s.record_latency(t, 20, Duration::from_micros(40));
-        s.record_latency(t, 30, Duration::from_micros(120));
-        s.record_latency(t, 40, Duration::from_micros(60));
-        assert_eq!(s.least_latency(), Some(20));
-        assert_eq!(s.latency_spread(), Some(Duration::from_micros(80)));
-    }
-
-    #[test]
     fn feedback_age_tracks_freshest_path() {
         let mut s = set();
         // Never heard anything: no age at all.
         assert_eq!(s.freshest_feedback(), None);
         assert_eq!(s.feedback_age(Time::from_micros(500)), None);
-        // All three feedback kinds bump the clock.
+        // Both feedback kinds bump the clock.
         s.record_ecn(Time::from_micros(100), 10, false);
         s.record_util(Time::from_micros(200), 20, 500);
-        s.record_latency(Time::from_micros(300), 30, Duration::from_micros(50));
+        s.record_ecn(Time::from_micros(300), 30, true);
         assert_eq!(s.freshest_feedback(), Some(Time::from_micros(300)));
         assert_eq!(s.feedback_age(Time::from_micros(450)), Some(Duration::from_micros(150)));
         // Feedback for an unknown port does not count.
@@ -388,7 +344,5 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.all_congested(Time::ZERO, W));
         assert_eq!(s.least_utilized(Time::ZERO, W), None);
-        assert_eq!(s.least_latency(), None);
-        assert_eq!(s.latency_spread(), None);
     }
 }

@@ -10,8 +10,8 @@
 //!   defaults mirror the paper's testbed (§5) at full 10G/40G rates.
 //! * [`scheme`] — the scheme matrix: every load balancer the paper
 //!   evaluates (ECMP, Edge-Flowlet, Clove-ECN, Clove-INT, MPTCP, Presto,
-//!   CONGA, LetFlow) plus the §7 extensions (Clove-Latency, DCTCP hosts,
-//!   non-overlay mode).
+//!   CONGA, LetFlow) plus HULA (§8) and the §7 extensions (DCTCP hosts,
+//!   incremental deployment).
 //! * [`stack`] — the per-hypervisor host stack implementing
 //!   `clove_net::HostLogic`: guest transports, the vswitch, the probe
 //!   daemon, application models, timers.

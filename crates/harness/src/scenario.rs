@@ -179,13 +179,14 @@ impl Scenario {
     /// The single gate between a run description and a run: scalar ranges
     /// the model otherwise asserts deep inside a run (load, connection and
     /// job counts, fat-tree arity, MPTCP subflows, partial-deployment
-    /// size), fault-plan, control-plan and discovery parameters (flap duty
-    /// cycles, loss rates, probe counts), and — against the topology this
-    /// scenario builds — every named node lowering onto an incident cable
-    /// set and every named cable resolving. Errors lead with the offending
-    /// field (`load: …`, `topology.k: …`) or selector, the latter with the
-    /// valid selectors for the topology, so a mis-written scenario is a
-    /// diagnosis rather than a panic deep inside a run.
+    /// size), the scheme/topology pairs the model covers (CONGA is
+    /// leaf-spine only), fault-plan, control-plan and discovery parameters
+    /// (flap duty cycles, loss rates, probe counts), and — against the
+    /// topology this scenario builds — every named node lowering onto an
+    /// incident cable set and every named cable resolving. Errors lead with
+    /// the offending field (`load: …`, `topology.k: …`) or selector, the
+    /// latter with the valid selectors for the topology, so a mis-written
+    /// scenario is a diagnosis rather than a panic deep inside a run.
     pub fn validate(&self) -> Result<(), String> {
         self.checked_topology().map(|_| ())
     }
@@ -201,6 +202,9 @@ impl Scenario {
         check(self.jobs_per_conn >= 1, "jobs_per_conn", "must be at least 1".to_string())?;
         if let TopologyKind::FatTree { k } = self.topology {
             check(k % 2 == 0 && (4..=MAX_FAT_TREE_K).contains(&k), "topology.k", format!("fat-tree arity {k} must be even and in 4..={MAX_FAT_TREE_K}"))?;
+            // Above the source ToR `conga_choice` makes a local least-loaded
+            // pick, so a fat-tree run would not be CONGA's.
+            check(self.scheme != Scheme::Conga, "scheme", format!("'conga' models the 2-tier leaf-spine only, not topology 'fat-tree' (k={k})"))?;
         }
         if let Scheme::Mptcp { subflows } = self.scheme {
             check((1..=MAX_MPTCP_SUBFLOWS).contains(&subflows), "scheme.subflows", format!("{subflows} is outside 1..={MAX_MPTCP_SUBFLOWS}"))?;

@@ -3,7 +3,7 @@
 use crate::json::Json;
 use crate::profile::Profile;
 use clove_baselines::{fabric_schemes, EcmpPolicy, PrestoConfig, PrestoPolicy};
-use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveLatencyPolicy, CloveUtilConfig, EdgeFlowletPolicy};
+use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy};
 use clove_net::switch::FabricScheme;
 use clove_overlay::{EdgePolicy, VSwitchConfig};
 use clove_tcp::CongestionControl;
@@ -20,12 +20,6 @@ pub enum Scheme {
     CloveEcn,
     /// Clove with INT utilization feedback.
     CloveInt,
-    /// Clove with one-way latency feedback (§7 extension). `adaptive_gap`
-    /// stretches the flowlet gap with inter-path latency spread.
-    CloveLatency {
-        /// Enable the adaptive flowlet-gap extension.
-        adaptive_gap: bool,
-    },
     /// Presto over L3 ECMP with optional oracle path weights.
     Presto {
         /// Static per-path weights (the paper's oracle configuration for
@@ -47,8 +41,6 @@ pub enum Scheme {
     EcmpDctcp,
     /// Ablation (§7): DCTCP guests over Clove-ECN.
     CloveEcnDctcp,
-    /// Extension (§7): Clove-ECN in non-overlay (five-tuple swap) mode.
-    CloveEcnNonOverlay,
     /// Extension (§7 "Incremental Deployment"): only `clove_hosts` of the
     /// hypervisors run Clove-ECN; the rest are plain ECMP. Flows whose
     /// peer is not Clove-capable see no feedback and degrade gracefully to
@@ -69,7 +61,6 @@ impl Scheme {
             Scheme::EdgeFlowlet,
             Scheme::CloveEcn,
             Scheme::CloveInt,
-            Scheme::CloveLatency { adaptive_gap: false },
             Scheme::Presto { oracle_weights: None },
             Scheme::Mptcp { subflows: 4 },
             Scheme::Conga,
@@ -77,7 +68,6 @@ impl Scheme {
             Scheme::Hula,
             Scheme::EcmpDctcp,
             Scheme::CloveEcnDctcp,
-            Scheme::CloveEcnNonOverlay,
             Scheme::Incremental { clove_hosts: 16 },
         ]
     }
@@ -92,7 +82,6 @@ impl Scheme {
             Scheme::EdgeFlowlet => "edge-flowlet",
             Scheme::CloveEcn => "clove-ecn",
             Scheme::CloveInt => "clove-int",
-            Scheme::CloveLatency { .. } => "clove-latency",
             Scheme::Presto { .. } => "presto",
             Scheme::Mptcp { .. } => "mptcp",
             Scheme::Conga => "conga",
@@ -100,17 +89,15 @@ impl Scheme {
             Scheme::Hula => "hula",
             Scheme::EcmpDctcp => "ecmp-dctcp",
             Scheme::CloveEcnDctcp => "clove-ecn-dctcp",
-            Scheme::CloveEcnNonOverlay => "clove-ecn-non-overlay",
             Scheme::Incremental { .. } => "incremental",
         }
     }
 
     /// Render to the tagged-object form: `"name"`, then the variant's payload
-    /// (`"subflows"`, `"clove_hosts"`, `"weights"`, `"adaptive_gap"`).
+    /// (`"subflows"`, `"clove_hosts"`, `"weights"`).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![("name".to_string(), Json::Str(self.spec_name().to_string()))];
         match self {
-            Scheme::CloveLatency { adaptive_gap } => fields.push(("adaptive_gap".to_string(), Json::Bool(*adaptive_gap))),
             Scheme::Presto { oracle_weights } => {
                 let weights = oracle_weights.as_ref().map(|ws| Json::Arr(ws.iter().map(|&w| Json::Num(w)).collect()));
                 fields.push(("weights".to_string(), weights.unwrap_or(Json::Null)));
@@ -126,7 +113,7 @@ impl Scheme {
     /// into their field's type here; whether they make sense for a run
     /// (subflow count, deployed hosts) is [`crate::Scenario::validate`]'s
     /// call. A key the parsed variant does not render (`"subflows"` on
-    /// `ecmp`) and a non-boolean `adaptive_gap` are errors.
+    /// `ecmp`) is an error.
     pub fn from_json(v: &Json) -> Result<Scheme, String> {
         let name = v.get("name").and_then(Json::as_str).ok_or_else(|| "scheme: missing string field 'name'".to_string())?;
         let all = Scheme::all();
@@ -136,12 +123,6 @@ impl Scheme {
         };
         let required = |key: &str| format!("scheme: {name}: missing integer field '{key}'");
         let scheme = match scheme {
-            Scheme::CloveLatency { .. } => Scheme::CloveLatency {
-                adaptive_gap: match v.get("adaptive_gap") {
-                    None | Some(Json::Null) => false,
-                    Some(x) => x.as_bool().ok_or_else(|| format!("scheme: {name}: 'adaptive_gap' must be a boolean"))?,
-                },
-            },
             Scheme::Presto { .. } => Scheme::Presto {
                 oracle_weights: match v.get("weights") {
                     None | Some(Json::Null) => None,
@@ -170,7 +151,6 @@ impl Scheme {
             Scheme::EdgeFlowlet => "Edge-Flowlet",
             Scheme::CloveEcn => "Clove-ECN",
             Scheme::CloveInt => "Clove-INT",
-            Scheme::CloveLatency { .. } => "Clove-Latency",
             Scheme::Presto { .. } => "Presto",
             Scheme::Mptcp { .. } => "MPTCP",
             Scheme::Conga => "CONGA",
@@ -178,7 +158,6 @@ impl Scheme {
             Scheme::Hula => "HULA",
             Scheme::EcmpDctcp => "ECMP+DCTCP",
             Scheme::CloveEcnDctcp => "Clove-ECN+DCTCP",
-            Scheme::CloveEcnNonOverlay => "Clove-ECN (no overlay)",
             Scheme::Incremental { .. } => "Clove-ECN (partial)",
         }
     }
@@ -197,7 +176,7 @@ impl Scheme {
             Scheme::Ecmp => 1.0,
             Scheme::EcmpDctcp => 1.1,
             Scheme::EdgeFlowlet | Scheme::LetFlow => 1.2,
-            Scheme::CloveEcn | Scheme::CloveEcnDctcp | Scheme::CloveEcnNonOverlay | Scheme::CloveLatency { .. } | Scheme::Incremental { .. } => 1.3,
+            Scheme::CloveEcn | Scheme::CloveEcnDctcp | Scheme::Incremental { .. } => 1.3,
             Scheme::Presto { .. } => 1.4,
             Scheme::CloveInt => 1.5,
             Scheme::Hula => 1.8,
@@ -281,9 +260,7 @@ impl Scheme {
         match self {
             Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::LetFlow | Scheme::Hula | Scheme::EdgeFlowlet => VSwitchConfig::plain(),
             Scheme::CloveEcn | Scheme::CloveEcnDctcp => VSwitchConfig::clove_ecn(profile.relay_interval),
-            Scheme::CloveEcnNonOverlay => VSwitchConfig { non_overlay: true, ..VSwitchConfig::clove_ecn(profile.relay_interval) },
             Scheme::CloveInt => VSwitchConfig::clove_int(profile.relay_interval),
-            Scheme::CloveLatency { .. } => VSwitchConfig::clove_latency(profile.relay_interval),
             Scheme::Presto { .. } => VSwitchConfig::presto(),
             // DCTCP over ECMP needs ECT set so switches mark, and the CE
             // must reach the guest (plain mode passes it through).
@@ -298,7 +275,7 @@ impl Scheme {
         match self {
             Scheme::Ecmp | Scheme::EcmpDctcp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::LetFlow | Scheme::Hula => Box::new(EcmpPolicy::default()),
             Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(clove_core::FlowletConfig::with_gap(gap), seed)),
-            Scheme::CloveEcn | Scheme::CloveEcnDctcp | Scheme::CloveEcnNonOverlay => {
+            Scheme::CloveEcn | Scheme::CloveEcnDctcp => {
                 let mut cfg = CloveEcnConfig::for_rtt(profile.loaded_rtt);
                 cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
                 cfg.recovery_rho = profile.clove_recovery_rho;
@@ -311,12 +288,6 @@ impl Scheme {
                 cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
                 cfg.dead_horizon = profile.loaded_rtt * profile.dead_horizon_rtts;
                 Box::new(CloveIntPolicy::new(cfg))
-            }
-            Scheme::CloveLatency { adaptive_gap } => {
-                let mut cfg = CloveUtilConfig::for_rtt(profile.loaded_rtt);
-                cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
-                cfg.adaptive_gap = *adaptive_gap;
-                Box::new(CloveLatencyPolicy::new(cfg))
             }
             Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone(), ..PrestoConfig::default() })),
             // Uniform call sites never reach here for Incremental (the
@@ -341,21 +312,19 @@ mod tests {
                 Scheme::EdgeFlowlet => 1,
                 Scheme::CloveEcn => 2,
                 Scheme::CloveInt => 3,
-                Scheme::CloveLatency { .. } => 4,
-                Scheme::Presto { .. } => 5,
-                Scheme::Mptcp { .. } => 6,
-                Scheme::Conga => 7,
-                Scheme::LetFlow => 8,
-                Scheme::Hula => 9,
-                Scheme::EcmpDctcp => 10,
-                Scheme::CloveEcnDctcp => 11,
-                Scheme::CloveEcnNonOverlay => 12,
-                Scheme::Incremental { .. } => 13,
+                Scheme::Presto { .. } => 4,
+                Scheme::Mptcp { .. } => 5,
+                Scheme::Conga => 6,
+                Scheme::LetFlow => 7,
+                Scheme::Hula => 8,
+                Scheme::EcmpDctcp => 9,
+                Scheme::CloveEcnDctcp => 10,
+                Scheme::Incremental { .. } => 11,
             };
             assert_eq!(slot, i, "{}", s.label());
         }
-        assert_eq!(all.len(), 14);
-        let with_payloads = [Scheme::CloveLatency { adaptive_gap: true }, Scheme::Presto { oracle_weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }];
+        assert_eq!(all.len(), 12);
+        let with_payloads = [Scheme::Presto { oracle_weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }];
         for s in all.iter().chain(&with_payloads) {
             assert_eq!(Scheme::from_json(&s.to_json()).as_ref(), Ok(s), "{}", s.to_json().render());
             assert_eq!(Json::parse(&s.to_json().render()).map(|v| Scheme::from_json(&v)), Ok(Ok(s.clone())), "through text");
@@ -416,12 +385,5 @@ mod tests {
         assert!(!s.vswitch_config_for(&p, HostId(31)).set_ect);
         assert_eq!(s.build_policy_for(&p, HostId(0), 1).name(), "clove-ecn");
         assert_eq!(s.build_policy_for(&p, HostId(31), 1).name(), "ecmp");
-    }
-
-    #[test]
-    fn non_overlay_flag_set() {
-        let p = Profile::default();
-        assert!(Scheme::CloveEcnNonOverlay.vswitch_config(&p).non_overlay);
-        assert!(!Scheme::CloveEcn.vswitch_config(&p).non_overlay);
     }
 }

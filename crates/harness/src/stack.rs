@@ -407,7 +407,7 @@ impl HostStack {
                 let host = &mut self.hosts[hi];
                 // MPTCP subflow?
                 if let Some(&rx_idx) = host.mptcp_rx_idx.get(&pkt.flow) {
-                    if let Some(ack) = host.mptcp_rx[rx_idx].on_data(now, pkt.flow, seq, len, dsn, ce_visible) {
+                    if let Some(ack) = host.mptcp_rx[rx_idx].on_data(pkt.flow, seq, len, dsn, ce_visible) {
                         Self::ship_one(host, now, ack, ctx);
                     }
                     return;
@@ -562,7 +562,7 @@ impl HostLogic for HostStack {
                 let peers = host_state.peers.clone();
                 let mut probes = Vec::new();
                 for dst in &peers {
-                    probes.extend(daemon.start_round(now, *dst));
+                    probes.extend(daemon.start_round(*dst));
                 }
                 let timeout = daemon.round_timeout();
                 let interval = daemon.probe_interval();
@@ -608,7 +608,7 @@ impl HostLogic for HostStack {
                 let host_state = &mut self.hosts[hi];
                 let Some(daemon) = host_state.daemon.as_mut() else { return };
                 let dst = HostId(payload as u32);
-                let probes = daemon.start_round(now, dst);
+                let probes = daemon.start_round(dst);
                 let timeout = daemon.round_timeout();
                 let any = !probes.is_empty();
                 for p in probes {

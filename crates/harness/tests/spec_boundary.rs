@@ -114,8 +114,8 @@ fn spec_text(seed: u64) -> String {
     let m = &mut Mood { rng, wild };
     let schemes: Vec<Json> = Scheme::all().iter().map(Scheme::to_json).collect();
     let topologies: Vec<Json> = TopologyKind::all().iter().map(TopologyKind::to_json).collect();
-    let scheme_payload: [(&str, &[&str]); 4] =
-        [("subflows", &["1", "4", "16", "17"]), ("clove_hosts", &["0", "16", "32", "33"]), ("weights", &["null", "[0.5,0.5]"]), ("adaptive_gap", &["true"])];
+    let scheme_payload: [(&str, &[&str]); 3] =
+        [("subflows", &["1", "4", "16", "17"]), ("clove_hosts", &["0", "16", "32", "33"]), ("weights", &["null", "[0.5,0.5]"])];
     let mut fields = Vec::new();
     if !m.slips(8) {
         fields.push(format!("\"scheme\":{}", m.tagged("name", &schemes, "nope", &scheme_payload)));
@@ -334,20 +334,25 @@ fn an_unknown_top_level_key_is_rejected_by_name() {
 }
 
 /// Nested objects used to ignore keys they did not read: `"stat":"warm"`
-/// ran a cold reboot, `"adaptive_gap":"yes"` ran without the adaptive gap,
-/// and a payload key on a variant that has none ran as if absent. Each
-/// object accepts the keys its own `to_json` renders for the parsed
-/// variant.
+/// ran a cold reboot, and a payload key on a variant that has none ran as
+/// if absent. Each object accepts the keys its own `to_json` renders for
+/// the parsed variant. A scheme name the codec no longer has fails by name
+/// rather than running something else.
 #[test]
 fn an_unknown_nested_key_or_a_mistyped_flag_is_rejected_by_name() {
     let spec = |scheme: &str, topology: &str, rest: &str| format!(r#"{{"scheme":{scheme},"topology":{topology},"load":0.5{rest}}}"#);
     let (ecmp, sym) = (r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#);
+    let unknown = |name: &str| {
+        format!("scheme: unknown name '{name}' (want ecmp | edge-flowlet | clove-ecn | clove-int | presto | mptcp | conga | let-flow | hula | ecmp-dctcp | clove-ecn-dctcp | incremental)")
+    };
+    let (latency, swap) = (unknown("clove-latency"), unknown("clove-ecn-non-overlay"));
     for (text, error) in [
         (
             spec(ecmp, sym, r#","node_crash":{"node":"leaf1","at_ms":20,"down_ms":15,"stat":"warm"}"#),
             "node_crash: unknown key 'stat' (want node | at_ms | down_ms | state)",
         ),
-        (spec(r#"{"name":"clove-latency","adaptive_gap":"yes"}"#, sym, ""), "scheme: clove-latency: 'adaptive_gap' must be a boolean"),
+        (spec(r#"{"name":"clove-latency"}"#, sym, ""), latency.as_str()),
+        (spec(r#"{"name":"clove-ecn-non-overlay"}"#, sym, ""), swap.as_str()),
         (spec(ecmp, r#"{"kind":"symmetric","k":8}"#, ""), "topology: symmetric: unknown key 'k' (want kind)"),
         (spec(r#"{"name":"ecmp","subflows":4}"#, sym, ""), "scheme: ecmp: unknown key 'subflows' (want name)"),
     ] {
@@ -387,6 +392,12 @@ fn clove_run_rejects_a_bad_spec_with_one_line_and_no_worker() {
         (spec(ecmp, sym, r#""load":-0.5"#), "load"),
         (spec(ecmp, sym, r#""load":0.5,"conns_per_client":0"#), "conns_per_client"),
         (spec(ecmp, r#"{"kind":"fat-tree","k":3}"#, r#""load":0.5"#), "topology.k"),
+        // CONGA on a fat-tree used to run, labelled "CONGA", on local picks
+        // above the source ToR.
+        (
+            spec(r#"{"name":"conga"}"#, r#"{"kind":"fat-tree","k":4}"#, r#""load":0.5"#),
+            "scheme: 'conga' models the 2-tier leaf-spine only, not topology 'fat-tree' (k=4)",
+        ),
         (spec(r#"{"name":"mptcp","subflows":4294967297}"#, sym, r#""load":0.5"#), "subflows"),
         (spec(ecmp, sym, r#""load":0.5,"jobs_per_conn":4294967298"#), "jobs_per_conn"),
         (spec(ecmp, sym, r#""load":0.5,"seedz":7"#), "unknown key 'seedz'"),

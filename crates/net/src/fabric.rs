@@ -270,7 +270,7 @@ impl Fabric {
         if self.control.feedback_delay > Duration::ZERO {
             if let Some(fb) = pkt.feedback.take() {
                 self.stats.control.feedback_delayed += 1;
-                let carrier = self.feedback_carrier(now, pkt, fb);
+                let carrier = self.feedback_carrier(pkt, fb);
                 let dst = carrier.routed_dst();
                 let downlink = self.hosts[dst.0 as usize].downlink;
                 q.push(now + self.control.feedback_delay, Event::Arrive { node: NodeId::Host(dst), via: downlink, pkt: carrier });
@@ -282,12 +282,11 @@ impl Fabric {
     /// A standalone relay packet carrying feedback detached from `orig`,
     /// addressed so the destination vswitch attributes it to the right
     /// source hypervisor.
-    fn feedback_carrier(&mut self, now: Time, orig: &Packet, fb: Feedback) -> Packet {
+    fn feedback_carrier(&mut self, orig: &Packet, fb: Feedback) -> Packet {
         let key = orig.routed_key();
         let mut carrier = Packet::new(self.fresh_uid(), PROBE_REPLY_SIZE, FlowKey::tcp(key.src, key.dst, key.sport, key.dport), PacketKind::FeedbackOnly);
         carrier.outer = orig.outer;
         carrier.feedback = Some(fb);
-        carrier.sent_at = now;
         carrier
     }
 
@@ -297,7 +296,6 @@ impl Fabric {
         match fb {
             Feedback::Ecn { sport, congested } => Feedback::Ecn { sport, congested: !congested },
             Feedback::Util { sport, util_pm } => Feedback::Util { sport, util_pm: 1000 - util_pm.min(1000) },
-            Feedback::Latency { sport, one_way } => Feedback::Latency { sport, one_way: one_way * 2 },
         }
     }
 
@@ -397,7 +395,6 @@ impl Fabric {
                     FlowKey::tcp(HostId(u32::MAX - sw.0), src, 0, 0),
                     reply_kind,
                 );
-                reply.sent_at = now;
                 self.forward_from_switch(now, sw, &mut reply, q);
             }
             // Expired packets (probe or not) are dropped.
@@ -644,7 +641,6 @@ impl Fabric {
                 FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
                 PacketKind::HulaProbe { tor, util_pm: path_util },
             );
-            probe.sent_at = now;
             self.enqueue_on(now, l, &mut probe, q);
         }
     }
@@ -670,7 +666,6 @@ impl Fabric {
                     FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
                     PacketKind::HulaProbe { tor, util_pm: 0 },
                 );
-                probe.sent_at = now;
                 self.enqueue_on(now, l, &mut probe, q);
             }
         }

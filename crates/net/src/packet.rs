@@ -19,7 +19,6 @@
 //!   fabric scheme.
 
 use crate::types::{FlowKey, HostId, LinkId, SwitchId, PROTO_TCP, STT_PORT};
-use clove_sim::{Duration, Time};
 
 /// The STT-like overlay encapsulation header (the fields ECMP hashes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,20 +122,13 @@ pub enum Feedback {
         /// Maximum per-mille link utilization observed along the path.
         util_pm: u16,
     },
-    /// Clove-Latency extension (paper §7): measured one-way forward delay.
-    Latency {
-        /// The outer source port (path) this feedback describes.
-        sport: u16,
-        /// Measured one-way forward delay.
-        one_way: Duration,
-    },
 }
 
 impl Feedback {
     /// The outer source port this feedback describes.
     pub fn sport(&self) -> u16 {
         match *self {
-            Feedback::Ecn { sport, .. } | Feedback::Util { sport, .. } | Feedback::Latency { sport, .. } => sport,
+            Feedback::Ecn { sport, .. } | Feedback::Util { sport, .. } => sport,
         }
     }
 }
@@ -164,8 +156,8 @@ pub struct Packet {
     pub size: u32,
     /// Inner (guest VM) five-tuple.
     pub flow: FlowKey,
-    /// Overlay encapsulation; `None` runs the packet natively (non-overlay
-    /// mode rewrites `flow` instead — see `clove-overlay`).
+    /// Overlay encapsulation; `None` until the source vswitch encapsulates
+    /// (and for fabric-generated packets).
     pub outer: Option<Encap>,
     /// Remaining IP TTL (outer header if encapsulated).
     pub ttl: u8,
@@ -183,11 +175,6 @@ pub struct Packet {
     pub conga: Option<CongaTag>,
     /// Presto flowcell index within the flow (0 when unused).
     pub flowcell: u32,
-    /// Non-overlay mode: the original inner source port, stashed in a TCP
-    /// option so the peer vswitch can restore it (paper §7).
-    pub orig_sport: Option<u16>,
-    /// When the packet left the source hypervisor (latency feedback).
-    pub sent_at: Time,
 }
 
 /// Default IP TTL for data traffic — large enough to never expire in a
@@ -203,22 +190,7 @@ pub const PROBE_REPLY_SIZE: u32 = 100;
 impl Packet {
     /// Build a packet with the common defaults; callers adjust fields.
     pub fn new(uid: u64, size: u32, flow: FlowKey, kind: PacketKind) -> Packet {
-        Packet {
-            uid,
-            size,
-            flow,
-            outer: None,
-            ttl: DATA_TTL,
-            ect: false,
-            ce: false,
-            kind,
-            int_util_pm: None,
-            feedback: None,
-            conga: None,
-            flowcell: 0,
-            orig_sport: None,
-            sent_at: Time::ZERO,
-        }
+        Packet { uid, size, flow, outer: None, ttl: DATA_TTL, ect: false, ce: false, kind, int_util_pm: None, feedback: None, conga: None, flowcell: 0 }
     }
 
     /// The five-tuple the *fabric* routes and hashes on: the outer header
@@ -263,7 +235,16 @@ mod tests {
     fn feedback_sport_accessor() {
         assert_eq!(Feedback::Ecn { sport: 7, congested: true }.sport(), 7);
         assert_eq!(Feedback::Util { sport: 8, util_pm: 500 }.sport(), 8);
-        assert_eq!(Feedback::Latency { sport: 9, one_way: Duration::from_micros(50) }.sport(), 9);
+    }
+
+    /// Every hop copies the whole packet and the event queue holds one
+    /// event per packet in flight, so a new per-packet field is a reviewed
+    /// change to these numbers, not a side effect.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn per_packet_footprint_is_pinned() {
+        assert_eq!(std::mem::size_of::<Packet>(), 112);
+        assert_eq!(std::mem::size_of::<clove_sim::ScheduledEvent<crate::Event>>(), 144);
     }
 
     #[test]

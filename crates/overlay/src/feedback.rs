@@ -1,12 +1,12 @@
 //! Receiver-side feedback collection and rate-limited relay.
 //!
 //! The destination hypervisor observes, per (source hypervisor, outer
-//! source port): CE marks (Clove-ECN), the max INT utilization along the
-//! forward path (Clove-INT), or the one-way latency (Clove-Latency, paper
-//! §7). It relays one observation at a time in the STT context bits of
-//! reverse traffic, rate-limited per path by `relay_interval` — the paper's
-//! "ECN relay frequency", recommended at half the RTT, and deliberately
-//! coarser than per-packet to avoid over-reacting to bursts (paper §3.2).
+//! source port): CE marks (Clove-ECN) or the max INT utilization along the
+//! forward path (Clove-INT). It relays one observation at a time in the STT
+//! context bits of reverse traffic, rate-limited per path by
+//! `relay_interval` — the paper's "ECN relay frequency", recommended at half
+//! the RTT, and deliberately coarser than per-packet to avoid over-reacting
+//! to bursts (paper §3.2).
 
 use clove_net::packet::Feedback;
 use clove_sim::{Duration, Time};
@@ -21,8 +21,6 @@ pub enum FeedbackMode {
     Ecn,
     /// Relay per-path max INT utilization (Clove-INT).
     Util,
-    /// Relay per-path one-way latency (Clove-Latency extension).
-    Latency,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -31,8 +29,6 @@ struct PathObservation {
     congested: bool,
     /// Max utilization per-mille since the last relay.
     util_pm: u16,
-    /// Latest one-way latency.
-    latency: Duration,
     /// When this path last had an observation relayed (`None`: never —
     /// a new path's first observation relays immediately).
     last_relay: Option<Time>,
@@ -60,16 +56,15 @@ impl FeedbackCollector {
     }
 
     /// Record an arriving data packet's observations for path `sport`.
-    pub fn observe(&mut self, _now: Time, sport: u16, ce: bool, util_pm: Option<u16>, one_way: Duration) {
+    pub fn observe(&mut self, sport: u16, ce: bool, util_pm: Option<u16>) {
         if self.mode == FeedbackMode::None {
             return;
         }
-        let obs = self.paths.entry(sport).or_insert(PathObservation { congested: false, util_pm: 0, latency: Duration::ZERO, last_relay: None, dirty: false });
+        let obs = self.paths.entry(sport).or_insert(PathObservation { congested: false, util_pm: 0, last_relay: None, dirty: false });
         obs.congested |= ce;
         if let Some(u) = util_pm {
             obs.util_pm = obs.util_pm.max(u);
         }
-        obs.latency = one_way;
         obs.dirty = true;
     }
 
@@ -129,7 +124,6 @@ impl FeedbackCollector {
         let fb = match mode {
             FeedbackMode::Ecn => Feedback::Ecn { sport: port, congested: obs.congested },
             FeedbackMode::Util => Feedback::Util { sport: port, util_pm: obs.util_pm },
-            FeedbackMode::Latency => Feedback::Latency { sport: port, one_way: obs.latency },
             FeedbackMode::None => unreachable!(),
         };
         obs.last_relay = Some(now);
@@ -157,7 +151,7 @@ mod tests {
     #[test]
     fn none_mode_collects_nothing() {
         let mut c = collector(FeedbackMode::None);
-        c.observe(Time::ZERO, 5, true, None, Duration::ZERO);
+        c.observe(5, true, None);
         assert_eq!(c.tracked_paths(), 0);
         assert!(c.take_due(Time::from_secs(1)).is_none());
     }
@@ -165,14 +159,14 @@ mod tests {
     #[test]
     fn ecn_relayed_once_per_interval() {
         let mut c = collector(FeedbackMode::Ecn);
-        c.observe(Time::from_micros(200), 5, true, None, Duration::ZERO);
+        c.observe(5, true, None);
         // First take: due (never relayed).
         let fb = c.take_due(Time::from_micros(200)).unwrap();
         assert_eq!(fb, Feedback::Ecn { sport: 5, congested: true });
         // Immediately after: nothing dirty.
         assert!(c.take_due(Time::from_micros(201)).is_none());
         // New observation, but inside the relay interval: suppressed.
-        c.observe(Time::from_micros(210), 5, true, None, Duration::ZERO);
+        c.observe(5, true, None);
         assert!(c.take_due(Time::from_micros(210)).is_none());
         // After the interval: relayed.
         let fb2 = c.take_due(Time::from_micros(301)).unwrap();
@@ -183,7 +177,7 @@ mod tests {
     fn uncongested_state_also_relayed() {
         // The ecnSet bit can be false — "path is fine" is information too.
         let mut c = collector(FeedbackMode::Ecn);
-        c.observe(Time::ZERO, 9, false, None, Duration::ZERO);
+        c.observe(9, false, None);
         let fb = c.take_due(Time::from_micros(100)).unwrap();
         assert_eq!(fb, Feedback::Ecn { sport: 9, congested: false });
     }
@@ -191,13 +185,13 @@ mod tests {
     #[test]
     fn congested_bit_accumulates_until_relay() {
         let mut c = collector(FeedbackMode::Ecn);
-        c.observe(Time::ZERO, 5, true, None, Duration::ZERO);
-        c.observe(Time::from_micros(1), 5, false, None, Duration::ZERO);
+        c.observe(5, true, None);
+        c.observe(5, false, None);
         // A single CE inside the window marks the whole relay.
         let fb = c.take_due(Time::from_micros(150)).unwrap();
         assert_eq!(fb, Feedback::Ecn { sport: 5, congested: true });
         // After relay, the bit resets.
-        c.observe(Time::from_micros(200), 5, false, None, Duration::ZERO);
+        c.observe(5, false, None);
         let fb2 = c.take_due(Time::from_micros(300)).unwrap();
         assert_eq!(fb2, Feedback::Ecn { sport: 5, congested: false });
     }
@@ -205,27 +199,18 @@ mod tests {
     #[test]
     fn util_relays_running_max() {
         let mut c = collector(FeedbackMode::Util);
-        c.observe(Time::ZERO, 7, false, Some(300), Duration::ZERO);
-        c.observe(Time::from_micros(1), 7, false, Some(800), Duration::ZERO);
-        c.observe(Time::from_micros(2), 7, false, Some(500), Duration::ZERO);
+        c.observe(7, false, Some(300));
+        c.observe(7, false, Some(800));
+        c.observe(7, false, Some(500));
         let fb = c.take_due(Time::from_micros(100)).unwrap();
         assert_eq!(fb, Feedback::Util { sport: 7, util_pm: 800 });
-    }
-
-    #[test]
-    fn latency_relays_latest() {
-        let mut c = collector(FeedbackMode::Latency);
-        c.observe(Time::ZERO, 7, false, None, Duration::from_micros(50));
-        c.observe(Time::from_micros(1), 7, false, None, Duration::from_micros(90));
-        let fb = c.take_due(Time::from_micros(100)).unwrap();
-        assert_eq!(fb, Feedback::Latency { sport: 7, one_way: Duration::from_micros(90) });
     }
 
     #[test]
     fn round_robin_across_paths() {
         let mut c = collector(FeedbackMode::Ecn);
         for p in [1u16, 2, 3] {
-            c.observe(Time::ZERO, p, false, None, Duration::ZERO);
+            c.observe(p, false, None);
         }
         let mut seen = Vec::new();
         for _ in 0..3 {

@@ -4,8 +4,7 @@
 //!
 //! * outbound guest segments pass through [`VSwitch::encap`], which asks
 //!   the configured [`EdgePolicy`] for an outer source port, wraps the
-//!   packet in the STT-like encapsulation, sets ECT, stamps the send time,
-//!   and piggybacks any feedback owed to the destination hypervisor;
+//!   packet in the STT-like encapsulation, sets ECT, and piggybacks any feedback owed to the destination hypervisor;
 //! * inbound packets pass through [`VSwitch::decap_into`], which strips the
 //!   encapsulation, hands relayed feedback to the policy, records this
 //!   packet's own observations for the reverse relay, and (for Presto)
@@ -23,7 +22,7 @@ use clove_telemetry::Trace;
 use rustc_hash::FxHashMap;
 
 /// The pluggable path-selection policy: where ECMP, Presto, Edge-Flowlet,
-/// Clove-ECN, Clove-INT and Clove-Latency differ.
+/// Clove-ECN and Clove-INT differ.
 ///
 /// Implementations live in `clove-core` (the paper's contribution) and
 /// `clove-baselines`.
@@ -93,36 +92,22 @@ pub struct VSwitchConfig {
     pub relay_interval: Duration,
     /// Enable Presto receive-side flowcell reassembly.
     pub presto_reassembly: Option<ReassemblyConfig>,
-    /// Non-overlay mode: rewrite the inner five-tuple instead of
-    /// encapsulating (paper §7).
-    pub non_overlay: bool,
 }
 
 impl VSwitchConfig {
     /// Plain ECMP deployment: no feedback, no ECT.
     pub fn plain() -> VSwitchConfig {
-        VSwitchConfig {
-            set_ect: false,
-            feedback_mode: FeedbackMode::None,
-            relay_interval: Duration::from_micros(50),
-            presto_reassembly: None,
-            non_overlay: false,
-        }
+        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: None }
     }
 
     /// Clove-ECN deployment.
     pub fn clove_ecn(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { set_ect: true, feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: None, non_overlay: false }
+        VSwitchConfig { set_ect: true, feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: None }
     }
 
     /// Clove-INT deployment.
     pub fn clove_int(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: None, non_overlay: false }
-    }
-
-    /// Clove-Latency deployment (paper §7 extension).
-    pub fn clove_latency(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::Latency, relay_interval, presto_reassembly: None, non_overlay: false }
+        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: None }
     }
 
     /// Presto deployment: reassembly on, no feedback.
@@ -132,7 +117,6 @@ impl VSwitchConfig {
             feedback_mode: FeedbackMode::None,
             relay_interval: Duration::from_micros(50),
             presto_reassembly: Some(ReassemblyConfig::default()),
-            non_overlay: false,
         }
     }
 }
@@ -162,8 +146,6 @@ pub struct VSwitch {
     /// Receive-side feedback state per source hypervisor.
     collectors: FxHashMap<HostId, FeedbackCollector>,
     presto: Option<PrestoReassembly>,
-    /// Non-overlay restoration map is implicit (the original port rides in
-    /// a TCP option, `Packet::orig_sport`).
     /// Counters.
     pub stats: VSwitchStats,
     /// Decision-trace handle (disabled by default); records INT readings
@@ -206,17 +188,9 @@ impl VSwitch {
     pub fn encap(&mut self, now: Time, dst_hv: HostId, mut pkt: Packet) -> Packet {
         self.stats.encapped += 1;
         let sport = self.policy.select_port(now, dst_hv, &mut pkt);
-        if self.cfg.non_overlay {
-            // Five-tuple swap: keep the packet native, hide the original
-            // source port in a TCP option (paper §7).
-            pkt.orig_sport = Some(pkt.flow.sport);
-            pkt.flow.sport = sport;
-        } else {
-            pkt.outer = Some(Encap { src: self.host, dst: dst_hv, sport });
-        }
+        pkt.outer = Some(Encap { src: self.host, dst: dst_hv, sport });
         pkt.ect = self.cfg.set_ect;
         pkt.ce = false;
-        pkt.sent_at = now;
         // Piggyback one due feedback entry for this destination.
         if let Some(collector) = self.collectors.get_mut(&dst_hv) {
             if let Some(fb) = collector.take_due(now) {
@@ -254,29 +228,23 @@ impl VSwitch {
             self.stats.ce_intercepted += 1;
         }
         if pkt.is_data() && self.cfg.feedback_mode != FeedbackMode::None {
-            let one_way = now.saturating_since(pkt.sent_at);
             self.collectors.entry(src_hv).or_insert_with(|| FeedbackCollector::new(self.cfg.feedback_mode, self.cfg.relay_interval)).observe(
-                now,
                 sport,
                 pkt.ce,
                 pkt.int_util_pm,
-                one_way,
             );
             if let Some(util) = pkt.int_util_pm {
                 self.trace.int_reading(now.0, sport, util as u64);
             }
         }
-        // 3. Strip the encapsulation / restore the five-tuple.
+        // 3. Strip the encapsulation.
         let ce_on_wire = pkt.ce;
         pkt.ce = false;
         pkt.int_util_pm = None;
         pkt.outer = None;
-        if let Some(orig) = pkt.orig_sport.take() {
-            pkt.flow.sport = orig;
-        }
         // 4. ECN masking: the guest sees CE only when the source reports
-        //    all paths congested. In overlay mode the *sender's* vswitch
-        //    makes that call; the receiver masks unconditionally and the
+        //    all paths congested. The *sender's* vswitch makes that
+        //    call; the receiver masks unconditionally and the
         //    sender re-injects congestion via ACK `ece` when needed (the
         //    harness consults `all_paths_congested` on the ACK path).
         let ce_visible = ce_on_wire && self.cfg.feedback_mode == FeedbackMode::None && self.cfg.set_ect;
@@ -369,7 +337,6 @@ mod tests {
         assert_eq!(e.sport, 5555);
         assert_eq!(p.routed_key().dport, STT_PORT);
         assert!(p.ect);
-        assert_eq!(p.sent_at, Time::from_micros(9));
     }
 
     #[test]
@@ -437,31 +404,6 @@ mod tests {
         // INT stamp is stripped before guest delivery.
         let (deliver, _) = decap(&mut b, Time::from_micros(80), a.encap(Time::from_micros(70), HostId(1), data_pkt(HostId(0), HostId(1), 1)));
         assert!(deliver[0].int_util_pm.is_none());
-    }
-
-    #[test]
-    fn latency_mode_relays_one_way_delay() {
-        let relay = Duration::from_micros(50);
-        let mut a = vswitch(HostId(0), VSwitchConfig::clove_latency(relay));
-        let mut b = vswitch(HostId(1), VSwitchConfig::clove_latency(relay));
-        let p = a.encap(Time::from_micros(100), HostId(1), data_pkt(HostId(0), HostId(1), 0));
-        decap(&mut b, Time::from_micros(180), p);
-        let rev = b.encap(Time::from_micros(200), HostId(0), data_pkt(HostId(1), HostId(0), 0));
-        assert_eq!(rev.feedback, Some(Feedback::Latency { sport: 5555, one_way: Duration::from_micros(80) }));
-    }
-
-    #[test]
-    fn non_overlay_swaps_and_restores_five_tuple() {
-        let cfg = VSwitchConfig { non_overlay: true, ..VSwitchConfig::plain() };
-        let mut a = vswitch(HostId(0), cfg);
-        let mut b = vswitch(HostId(1), cfg);
-        let p = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
-        assert!(p.outer.is_none());
-        assert_eq!(p.flow.sport, 5555, "rewritten for ECMP steering");
-        assert_eq!(p.orig_sport, Some(1000));
-        let (deliver, _) = decap(&mut b, Time::from_micros(10), p);
-        assert_eq!(deliver[0].flow.sport, 1000, "restored for the guest");
-        assert_eq!(deliver[0].orig_sport, None);
     }
 
     #[test]

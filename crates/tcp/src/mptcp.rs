@@ -113,8 +113,7 @@ impl Subflow {
     #[allow(clippy::too_many_arguments)]
     fn emit(&mut self, now: Time, cfg: &TcpConfig, seq: u64, dsn: u64, len: u32, is_rtx: bool, out: &mut Vec<Packet>) {
         self.uid_counter += 1;
-        let mut pkt = Packet::new(self.uid_base.wrapping_add(self.uid_counter), cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn });
-        pkt.sent_at = now;
+        let pkt = Packet::new(self.uid_base.wrapping_add(self.uid_counter), cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn });
         // Karn: sample RTT only on never-retransmitted byte ranges.
         if self.rtt_probe.is_none() && !is_rtx {
             self.rtt_probe = Some((seq + len as u64, now));
@@ -434,7 +433,7 @@ impl MptcpReceiver {
     }
 
     /// Accept a data segment on any subflow; returns the ACK.
-    pub fn on_data(&mut self, now: Time, flow: FlowKey, seq: u64, len: u32, dsn: u64, ce_visible: bool) -> Option<Packet> {
+    pub fn on_data(&mut self, flow: FlowKey, seq: u64, len: u32, dsn: u64, ce_visible: bool) -> Option<Packet> {
         let sf = self.subflows.iter_mut().find(|(k, _, _)| *k == flow)?;
         let (_, rcv_nxt, ooo) = sf;
         let end = seq + len as u64;
@@ -467,14 +466,12 @@ impl MptcpReceiver {
             self.data_ooo.insert(dsn, len);
         }
         self.uid_counter += 1;
-        let mut ack = Packet::new(
+        Some(Packet::new(
             self.uid_base.wrapping_add(self.uid_counter),
             self.cfg.header_overhead,
             flow.reversed(),
             PacketKind::Ack { ackno: sub_ack, dack: self.data_rcv_nxt, ece: ce_visible, dup },
-        );
-        ack.sent_at = now;
-        Some(ack)
+        ))
     }
 }
 
@@ -538,7 +535,7 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let (seq, len, dsn) = data_fields(&p);
-                if let Some(a) = r.on_data(now, p.flow, seq, len, dsn, false) {
+                if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
                     acks.push(a);
                 }
             }
@@ -611,7 +608,7 @@ mod tests {
         let mut last_dack = 0;
         for p in &out {
             let (seq, len, dsn) = data_fields(p);
-            let a = r.on_data(Time::ZERO, p.flow, seq, len, dsn, false).unwrap();
+            let a = r.on_data(p.flow, seq, len, dsn, false).unwrap();
             let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
             last_dack = dack;
         }
@@ -643,7 +640,7 @@ mod tests {
                 skipped_first_sf0 = true;
                 continue; // drop the first chunk of subflow 0
             }
-            if let Some(a) = r.on_data(Time::ZERO, p.flow, seq, len, dsn, false) {
+            if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
                 let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
                 last_dack = last_dack.max(dack);
             }
@@ -673,7 +670,7 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let PacketKind::Data { seq, len, dsn } = p.kind else { continue };
-                if let Some(a) = r.on_data(now, p.flow, seq, len, dsn, false) {
+                if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
                     acks.push(a);
                 }
             }

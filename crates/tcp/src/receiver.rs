@@ -70,7 +70,9 @@ impl TcpReceiver {
     /// `ce_visible` is what the hypervisor let the VM see of the CE mark —
     /// under Clove the vswitch masks outer CE unless all paths are
     /// congested (paper §3.2), so this is a parameter, not `pkt.ce`.
-    pub fn on_data(&mut self, now: Time, seq: u64, len: u32, ce_visible: bool) -> Packet {
+    /// The ACK depends on no clock; `_now` stays because `benchmark/`
+    /// calls this, and removing it belongs to a `benchmark` PR.
+    pub fn on_data(&mut self, _now: Time, seq: u64, len: u32, ce_visible: bool) -> Packet {
         if ce_visible {
             self.stats.ce_seen += 1;
         }
@@ -82,7 +84,7 @@ impl TcpReceiver {
         } else {
             self.absorb(seq, len);
         }
-        self.make_ack(now, ce_visible, dup)
+        self.make_ack(ce_visible, dup)
     }
 
     /// Advance receive state for a non-duplicate segment.
@@ -114,16 +116,14 @@ impl TcpReceiver {
         }
     }
 
-    fn make_ack(&mut self, now: Time, ece: bool, dup: Option<u64>) -> Packet {
+    fn make_ack(&mut self, ece: bool, dup: Option<u64>) -> Packet {
         self.uid_counter += 1;
-        let mut ack = Packet::new(
+        Packet::new(
             self.uid_base.wrapping_add(self.uid_counter),
             crate::config::DEFAULT_HEADER_OVERHEAD.max(self.cfg.header_overhead),
             self.key.reversed(),
             PacketKind::Ack { ackno: self.rcv_nxt, dack: self.rcv_nxt, ece, dup },
-        );
-        ack.sent_at = now;
-        ack
+        )
     }
 }
 

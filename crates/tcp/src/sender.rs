@@ -241,8 +241,7 @@ impl TcpSender {
     }
 
     fn emit_segment(&mut self, now: Time, seq: u64, len: u32, out: &mut Vec<Packet>) {
-        let mut pkt = Packet::new(self.fresh_uid(), self.cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
-        pkt.sent_at = now;
+        let pkt = Packet::new(self.fresh_uid(), self.cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
         self.stats.segments_sent += 1;
         self.last_send = now;
         // One Karn-valid RTT probe at a time, never on retransmitted byte

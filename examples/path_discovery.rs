@@ -38,7 +38,7 @@ impl HostLogic for ProbeOnly {
 
 fn discover(net: &mut Network<ProbeOnly>, now: Time, dst: HostId) -> Vec<u16> {
     let mut queue: EventQueue<Event> = EventQueue::new();
-    let probes = net.hosts.daemon.start_round(now, dst);
+    let probes = net.hosts.daemon.start_round(dst);
     println!("  sent {} probes ({} candidate ports x TTL 1..4)", probes.len(), probes.len() / 4);
     for p in probes {
         net.fabric.host_transmit(now, HostId(0), p, &mut queue);

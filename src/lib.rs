@@ -12,7 +12,7 @@
 //! clove::net       packet-level fabric (ECMP switches, links, topologies)
 //! clove::tcp       guest transports (NewReno, DCTCP, MPTCP)
 //! clove::overlay   hypervisor vswitch (STT encap, feedback relay, Presto rx)
-//! clove::algo      the Clove algorithms (flowlets, discovery, ECN/INT/latency)
+//! clove::algo      the Clove algorithms (flowlets, discovery, ECN/INT)
 //! clove::baselines ECMP, Presto; CONGA/LetFlow fabric configs
 //! clove::workload  web-search CDF, RPC model, incast, FCT accounting
 //! clove::harness   ready-made experiments for every paper figure

@@ -125,3 +125,27 @@ fn incast_mptcp_degrades_with_fanout() {
     let _ = SwitchId(0);
     let _ = NodeId::Host(clove::net::types::HostId(0));
 }
+
+#[test]
+fn partial_deployment_at_either_extreme_is_the_uniform_scheme() {
+    // §7 "Incremental Deployment" at its ends: with no Clove hypervisor
+    // every vswitch is plain ECMP, and with all 32 of the testbed's it is
+    // Clove-ECN. An `RpcOutcome` carries no scheme label, so each pair must
+    // agree on every field. A half deployment must differ from both, or
+    // the comparison could not tell the schemes apart.
+    let outcome = |scheme: Scheme, topology: TopologyKind| {
+        let mut s = Scenario::new(scheme, topology, 0.6, 11);
+        s.jobs_per_conn = 6;
+        s.conns_per_client = 1;
+        s.horizon = Time::from_secs(5);
+        format!("{:?}", s.run_rpc(&web_search()))
+    };
+    let partial = |clove_hosts| Scheme::Incremental { clove_hosts };
+    for topology in [TopologyKind::Asymmetric, TopologyKind::Symmetric] {
+        let (none, all) = (outcome(partial(0), topology), outcome(partial(32), topology));
+        assert!(none == outcome(Scheme::Ecmp, topology), "{topology:?}: no Clove host differs from ECMP");
+        assert!(all == outcome(Scheme::CloveEcn, topology), "{topology:?}: every host Clove differs from Clove-ECN");
+        let half = outcome(partial(16), topology);
+        assert!(half != none && half != all, "{topology:?}: 16 Clove hosts matches an extreme");
+    }
+}

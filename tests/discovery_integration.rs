@@ -29,7 +29,7 @@ impl HostLogic for ProbeSink {
 
 fn run_discovery(net: &mut Network<ProbeSink>, now: Time, dst: HostId) -> Option<Vec<u16>> {
     let mut queue: EventQueue<Event> = EventQueue::new();
-    let probes = net.hosts.daemon.start_round(now, dst);
+    let probes = net.hosts.daemon.start_round(dst);
     let src = net.hosts.daemon.host;
     for p in probes {
         net.fabric.host_transmit(now, src, p, &mut queue);

@@ -174,6 +174,19 @@ fn docs_name_only_targets_and_paths_that_exist() {
     assert!(stale.is_empty(), "docs name things that are not in the checkout:\n{}", stale.join("\n"));
 }
 
+/// Items deleted with the one-way-latency scheme and the five-tuple-swap
+/// mode. Plain words, not paths, so the scan above cannot see them.
+#[test]
+fn docs_name_no_deleted_scheme_item() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for name in ["CloveLatency", "clove_latency", "clove-latency", "adaptive_gap", "CloveEcnNonOverlay", "non_overlay", "clove-ecn-non-overlay"] {
+            assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
+        }
+    }
+}
+
 #[test]
 fn the_scanner_finds_what_it_should() {
     let text = "see `crates/net/src/fabric.rs`, tests/smoke_rpc.rs. Not ../crates/x, crates/*/src, crates/<name> or benchmark/tests/a.rs; run --bin figures -- all, `--example  quickstart`.";

@@ -67,16 +67,6 @@ fn letflow_completes_symmetric() {
 }
 
 #[test]
-fn clove_latency_completes_symmetric() {
-    assert_completes(Scheme::CloveLatency { adaptive_gap: true }, TopologyKind::Symmetric);
-}
-
-#[test]
-fn non_overlay_completes_symmetric() {
-    assert_completes(Scheme::CloveEcnNonOverlay, TopologyKind::Symmetric);
-}
-
-#[test]
 fn dctcp_ablations_complete() {
     assert_completes(Scheme::EcmpDctcp, TopologyKind::Symmetric);
     assert_completes(Scheme::CloveEcnDctcp, TopologyKind::Asymmetric);
