@@ -12,7 +12,7 @@
 //!   (the paper grants Presto ideal, oracle-configured weights under
 //!   asymmetry); the receiving vswitch reassembles out-of-order flowcells
 //!   (`clove_overlay::presto_rx`).
-//! * CONGA and LetFlow live in the fabric (`clove_net::switch`), since
+//! * CONGA and HULA live in the fabric (`clove_net::switch`), since
 //!   they replace switch behaviour; [`fabric_schemes`] provides the
 //!   configurations used by the experiments.
 //! * MPTCP is a transport, not a vswitch policy: see `clove_tcp::mptcp`.
@@ -26,7 +26,7 @@ pub use presto::{PrestoConfig, PrestoPolicy};
 /// Ready-made fabric-scheme configurations for the paper's in-network
 /// comparison points.
 pub mod fabric_schemes {
-    use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig, LetFlowConfig};
+    use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
     use clove_sim::Duration;
 
     /// Plain ECMP fabric (what every edge scheme runs over).
@@ -37,11 +37,6 @@ pub mod fabric_schemes {
     /// CONGA with the given flowlet gap (CONGA uses ~500 µs at 10/40G).
     pub fn conga(flowlet_gap: Duration) -> FabricScheme {
         FabricScheme::Conga(CongaConfig { flowlet_gap, quant_bits: 3, metric_age: flowlet_gap * 20 })
-    }
-
-    /// LetFlow with the given flowlet gap.
-    pub fn letflow(flowlet_gap: Duration) -> FabricScheme {
-        FabricScheme::LetFlow(LetFlowConfig { flowlet_gap })
     }
 
     /// HULA with the given probe interval and flowlet gap (paper §8).

@@ -70,7 +70,7 @@ struct Shared {
     quick: bool,
     /// 4c/5a/5b/5c share testbed-asymmetric runs.
     testbed_cache: PointCache,
-    /// 8b/9 share sim-asymmetric runs.
+    /// 8b/9 and the headline share sim-asymmetric runs.
     sim_cache: PointCache,
 }
 
@@ -118,7 +118,7 @@ const FIGURES: &[(&str, Figure)] = &[
     ("resilience", |s| emit_sweep("resilience", experiments::resilience, &s.cfg)),
     ("feedback", |s| emit_sweep("feedback", experiments::feedback_degradation, &s.cfg)),
     ("recovery", |s| emit_sweep("recovery", experiments::recovery, &s.cfg)),
-    ("headline", |s| headline(&s.cfg)),
+    ("headline", headline),
 ];
 
 /// Names that select several figures at once: every figure whose name
@@ -186,13 +186,22 @@ fn fig9(s: &mut Shared) {
 
 /// The paper's headline ratios (§5.1/5.2, §6): how much better Clove-ECN
 /// is than ECMP, and what fraction of the ECMP→CONGA gap it captures.
-fn headline(cfg: &ExpConfig) {
-    let load = 0.7;
+/// Its points are fig8b's at 70 % load, so `all` serves them from the
+/// shared cache.
+fn headline(s: &mut Shared) {
+    let (topology, load) = (TopologyKind::Asymmetric, 0.7);
+    let schemes = [Scheme::Ecmp, Scheme::EdgeFlowlet, Scheme::CloveEcn, Scheme::Conga];
     println!("## Headline ratios at {:.0}% load, asymmetric topology", load * 100.0);
-    let ecmp = experiments::rpc_point(&Scheme::Ecmp, TopologyKind::Asymmetric, load, cfg).avg();
-    let ef = experiments::rpc_point(&Scheme::EdgeFlowlet, TopologyKind::Asymmetric, load, cfg).avg();
-    let clove = experiments::rpc_point(&Scheme::CloveEcn, TopologyKind::Asymmetric, load, cfg).avg();
-    let conga = experiments::rpc_point(&Scheme::Conga, TopologyKind::Asymmetric, load, cfg).avg();
+    s.sim_cache.prefetch(&schemes, topology, &[load], &s.cfg);
+    let avgs: Option<Vec<f64>> = schemes.iter().map(|scheme| s.sim_cache.point(scheme, topology, load, &s.cfg).map(|fct| fct.avg())).collect();
+    let Some(&[ecmp, ef, clove, conga]) = avgs.as_deref() else {
+        println!("QUARANTINED cells (no ratios computed):");
+        for line in schemes.iter().flat_map(|scheme| s.sim_cache.quarantine_lines(scheme, topology, load)) {
+            println!("  ! {line}");
+        }
+        SAW_QUARANTINE.store(true, Ordering::Release);
+        return;
+    };
     println!("avg FCT (s): ECMP={ecmp:.3} Edge-Flowlet={ef:.3} Clove-ECN={clove:.3} CONGA={conga:.3}");
     println!("Clove-ECN vs ECMP speedup: {:.2}x (paper: ~3-7.5x at high load)", ecmp / clove);
     println!("Edge-Flowlet vs ECMP speedup: {:.2}x (paper: ~4.2x at 80%)", ecmp / ef);

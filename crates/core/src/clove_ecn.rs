@@ -9,9 +9,9 @@
 //! * ECN feedback for a port cuts its weight by a configurable proportion
 //!   (default ⅓) and spreads the removed weight equally over the paths not
 //!   recently congested;
-//! * when *every* path is congested, weights stay put and the policy
-//!   reports `all_paths_congested` so the vswitch stops masking ECN from
-//!   the guest — the one case where the guest should throttle.
+//! * when *every* path is congested, weights stay put: there is no
+//!   better path to move traffic to (counted in
+//!   [`CloveEcnStats::all_congested_events`]).
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
 use crate::paths::{Ladder, PathSet};
@@ -31,7 +31,7 @@ pub struct CloveEcnConfig {
     /// (paper: "e.g., by a third").
     pub weight_cut: f64,
     /// How long a path stays "congested" after an ECN indication, for the
-    /// purposes of redistribution and guest-ECN masking.
+    /// purposes of redistribution.
     pub congested_window: Duration,
     /// Optional slow drift of weights back toward uniform (per feedback
     /// event); 0 disables. Documented implementation choice: without it a
@@ -166,8 +166,7 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
         if congested {
             let receivers = dst.paths.uncongested_ports(now, self.cfg.congested_window);
             if receivers.is_empty() {
-                // All paths congested: no point shuffling weights; the
-                // vswitch will stop masking ECN from the guest instead.
+                // All paths congested: no point shuffling weights.
                 self.stats.all_congested_events += 1;
             } else {
                 dst.wrr.cut_and_redistribute(sport, self.cfg.weight_cut, &receivers);
@@ -221,10 +220,6 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
         self.stats.paths_dropped += 1;
     }
 
-    fn all_paths_congested(&self, now: Time, dst_hv: HostId) -> bool {
-        self.dsts.get(&dst_hv).map(|d| d.paths.all_congested(now, self.cfg.congested_window)).unwrap_or(false)
-    }
-
     fn debug_weights(&self, dst_hv: HostId) -> Option<Vec<(u16, f64)>> {
         self.dsts.get(&dst_hv).map(|d| d.wrr.ports().into_iter().map(|p| (p, d.wrr.weight(p).unwrap_or(0.0))).collect())
     }
@@ -250,6 +245,15 @@ mod tests {
 
     fn policy() -> CloveEcnPolicy {
         let mut p = CloveEcnPolicy::new(CloveEcnConfig::for_rtt(RTT));
+        p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
+        p
+    }
+
+    /// `policy()` without the recovery drift, so weights move only on a cut.
+    fn policy_without_drift() -> CloveEcnPolicy {
+        let mut cfg = CloveEcnConfig::for_rtt(RTT);
+        cfg.recovery_rho = 0.0;
+        let mut p = CloveEcnPolicy::new(cfg);
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
         p
     }
@@ -317,33 +321,42 @@ mod tests {
 
     #[test]
     fn all_congested_reported_and_no_cut() {
-        let mut p = policy();
+        let mut p = policy_without_drift();
         let t = Time::from_micros(5);
         for port in [10, 20, 30] {
             p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: port, congested: true });
         }
-        assert!(!p.all_paths_congested(t, HostId(1)));
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (3, 0));
         p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: 40, congested: true });
-        assert!(p.all_paths_congested(t, HostId(1)));
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (3, 1));
         // Another congested indication cannot redistribute anywhere.
-        let cuts_before = p.stats.weight_cuts;
+        let before = p.debug_weights(HostId(1));
         p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: 10, congested: true });
-        assert_eq!(p.stats.weight_cuts, cuts_before);
-        assert!(p.stats.all_congested_events >= 1);
-        // The window expires.
-        assert!(!p.all_paths_congested(t + RTT * 4, HostId(1)));
+        assert_eq!(p.debug_weights(HostId(1)), before);
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (3, 2));
+        // The window expires: the other paths reopen and a mark cuts again.
+        let w10 = p.weight(HostId(1), 10).unwrap();
+        p.on_feedback(t + RTT * 4, HostId(1), &Feedback::Ecn { sport: 10, congested: true });
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (4, 2));
+        assert!(p.weight(HostId(1), 10).unwrap() < w10);
     }
 
     #[test]
     fn explicit_clear_reopens_path() {
-        let mut p = policy();
+        let mut p = policy_without_drift();
         let t = Time::from_micros(5);
         for port in [10, 20, 30, 40] {
             p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: port, congested: true });
         }
-        assert!(p.all_paths_congested(t, HostId(1)));
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (3, 1));
         p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: 30, congested: false });
-        assert!(!p.all_paths_congested(t, HostId(1)));
+        let w = |p: &CloveEcnPolicy, port| p.weight(HostId(1), port).unwrap();
+        let (w10, w20, w30, w40) = (w(&p, 10), w(&p, 20), w(&p, 30), w(&p, 40));
+        // 30 is the one open path: 10's cut goes there and nowhere else.
+        p.on_feedback(t, HostId(1), &Feedback::Ecn { sport: 10, congested: true });
+        assert_eq!((p.stats.weight_cuts, p.stats.all_congested_events), (4, 1));
+        assert!(w(&p, 10) < w10 && w(&p, 30) > w30, "{:?}", p.debug_weights(HostId(1)));
+        assert_eq!((w(&p, 20), w(&p, 40)), (w20, w40));
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl PathSet {
         self.paths.iter().filter(|p| p.last_congested.map(|t| now.saturating_since(t) > window).unwrap_or(true)).map(|p| p.port).collect()
     }
 
-    /// True when every path is congested (paper: the only case where ECN
-    /// is relayed to the guest).
-    pub fn all_congested(&self, now: Time, window: Duration) -> bool {
-        !self.paths.is_empty() && self.uncongested_ports(now, window).is_empty()
-    }
-
     /// The port with the least utilization; unknown utilization counts as
     /// zero (encourages probing fresh paths). `stale_after` ages out old
     /// reports the same way. Ties break to the lowest port for determinism.
@@ -260,11 +254,10 @@ mod tests {
             s.record_ecn(t, p, true);
         }
         assert_eq!(s.uncongested_ports(t, W), vec![40]);
-        assert!(!s.all_congested(t, W));
         s.record_ecn(t, 40, true);
-        assert!(s.all_congested(t, W));
+        assert!(s.uncongested_ports(t, W).is_empty());
         // The window ages them out again.
-        assert!(!s.all_congested(Time::from_micros(500), W));
+        assert_eq!(s.uncongested_ports(Time::from_micros(500), W), vec![10, 20, 30, 40]);
     }
 
     #[test]
@@ -342,7 +335,7 @@ mod tests {
     fn empty_set_edge_cases() {
         let s = PathSet::new();
         assert!(s.is_empty());
-        assert!(!s.all_congested(Time::ZERO, W));
+        assert!(s.uncongested_ports(Time::ZERO, W).is_empty());
         assert_eq!(s.least_utilized(Time::ZERO, W), None);
     }
 }

@@ -265,7 +265,7 @@ impl ScenarioSpec {
         s.conns_per_client = self.conns_per_client;
         s.horizon = Time::from_secs(self.horizon_secs);
         if let Some(ms) = self.fail_at_ms {
-            s.fail_at(Time::from_millis(ms));
+            s.faults.extend(clove_net::fault::FaultPlan::cut(Time::from_millis(ms), clove_net::fault::CableSelector::S2_L2));
         }
         if let Some(crash) = &self.node_crash {
             s.faults.extend(crash.plan());

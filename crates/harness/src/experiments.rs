@@ -15,7 +15,7 @@
 //! [`orchestrator::run_journaled`]; it hands each point back as all of its
 //! seeds' results in seed order, or as quarantine footer lines
 //! (`fold_point`).
-//! [`PointCache::prefetch`] (every FCT-vs-load figure, and [`rpc_point`]),
+//! [`PointCache::prefetch`] (every FCT-vs-load figure and the headline),
 //! [`fig6`], [`fig7`] and `fault_sweep` (behind [`resilience`],
 //! [`recovery`] and [`feedback_degradation`]) add only their own reduce;
 //! `pool_fct` is the one seed-pooling loop.
@@ -315,19 +315,6 @@ fn per_mille(load: f64) -> u64 {
 
 /// First seed of every RPC point (figures 4, 5, 8, 9 and the headline).
 const RPC_SEED_BASE: u64 = 1000;
-
-/// Run one (scheme, topology, load) point over the configured seeds and
-/// pool the FCT samples. This is the *loud* path — the cache with the
-/// journal off — used by `shape_check` and headline runs that want a value
-/// or nothing: a quarantined point panics with its footer lines (seed and
-/// original message).
-pub fn rpc_point(scheme: &Scheme, topology: TopologyKind, load: f64, cfg: &ExpConfig) -> FctSummary {
-    let mut cache = PointCache::new();
-    match cache.point(scheme, topology, load, &cfg.clone().with_journal(None)) {
-        Some(fct) => fct,
-        None => panic!("{}", cache.quarantine_lines(scheme, topology, load).join("\n")),
-    }
-}
 
 type PointKey = (String, String, u64);
 
@@ -830,7 +817,7 @@ pub fn resilience(schemes: &[Scheme], cfg: &ExpConfig) -> FaultTable {
 pub enum RecoveryCase {
     /// No fault — the per-scheme baseline the others are normalized to.
     Clean,
-    /// ToR (leaf 1) crash-restart, cold: its CONGA/LetFlow/HULA soft state
+    /// ToR (leaf 1) crash-restart, cold: its CONGA/HULA soft state
     /// is gone when it boots back.
     TorReboot,
     /// Spine 1 crash-restart, cold — half the fabric's middle stage.
@@ -1067,21 +1054,22 @@ mod tests {
     }
 
     #[test]
-    fn rpc_point_panics_with_the_seed_and_the_original_message() {
+    fn a_quarantined_point_names_the_seed_and_the_original_message() {
         // `conns_per_client: 0` fails `Scenario::validate`, so the point's
         // one cell panics inside `run_rpc`, deterministically.
         let cfg = ExpConfig { conns_per_client: 0, ..ExpConfig::quick() };
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rpc_point(&Scheme::Ecmp, TopologyKind::Symmetric, 0.5, &cfg)))
-            .expect_err("a quarantined point has no value to return");
+        let mut cache = PointCache::new();
+        let point = cache.point(&Scheme::Ecmp, TopologyKind::Symmetric, 0.5, &cfg);
         // The quarantine wrote its replay snapshot under the test's working
         // directory; take it away again before asserting anything.
         let snapshot = format!("{TELEMETRY_SNAPSHOT_DIR}/rpc-ECMP-50-load-sym-seed1000.json");
         let written = std::fs::remove_file(&snapshot).is_ok();
         let _ = std::fs::remove_dir(TELEMETRY_SNAPSHOT_DIR);
         let _ = std::fs::remove_dir("results");
+        assert!(point.is_none(), "a quarantined point has no value to return");
         assert_eq!(
-            orchestrator::panic_message(payload),
-            format!("ECMP @ 50% load (sym) seed 1000: panicked: invalid scenario: conns_per_client: 0 is outside 1..=64 (snapshot: {snapshot})")
+            cache.quarantine_lines(&Scheme::Ecmp, TopologyKind::Symmetric, 0.5),
+            [format!("ECMP @ 50% load (sym) seed 1000: panicked: invalid scenario: conns_per_client: 0 is outside 1..=64 (snapshot: {snapshot})")]
         );
         assert!(written, "the quarantined cell's snapshot must have been written");
     }
@@ -1112,10 +1100,10 @@ mod tests {
         // clove-run, so the embedded spec (plus the extra `quarantine`
         // object, the one non-field key the parser accepts) has to parse
         // back into a single-seed ScenarioSpec for the failed cell — for
-        // figure and ablation schemes alike.
+        // figure and extension schemes alike.
         let cfg = ExpConfig::quick();
         let presto = Scheme::Presto { oracle_weights: presto_oracle_weights(TopologyKind::Asymmetric) };
-        for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, presto, Scheme::EcmpDctcp] {
+        for scheme in [Scheme::CloveEcn, Scheme::Mptcp { subflows: 4 }, presto, Scheme::Incremental { clove_hosts: 16 }] {
             let Json::Obj(mut fields) = cell_spec(&scheme, TopologyKind::Asymmetric, 0.7, 1001, &cfg).to_json() else { panic!("spec must be an object") };
             fields.push(("quarantine".to_string(), Json::Obj(vec![("reason".to_string(), Json::Str("panicked".to_string()))])));
             let parsed = ScenarioSpec::from_json_str(&Json::Obj(fields).render()).expect("snapshot parses as a clove-run spec");

@@ -10,8 +10,7 @@
 //!   defaults mirror the paper's testbed (§5) at full 10G/40G rates.
 //! * [`scheme`] — the scheme matrix: every load balancer the paper
 //!   evaluates (ECMP, Edge-Flowlet, Clove-ECN, Clove-INT, MPTCP, Presto,
-//!   CONGA, LetFlow) plus HULA (§8) and the §7 extensions (DCTCP hosts,
-//!   incremental deployment).
+//!   CONGA) plus HULA (§8) and the §7 incremental-deployment extension.
 //! * [`stack`] — the per-hypervisor host stack implementing
 //!   `clove_net::HostLogic`: guest transports, the vswitch, the probe
 //!   daemon, application models, timers.

@@ -31,9 +31,6 @@ pub struct Profile {
     pub flowlet_gap: Duration,
     /// CONGA's in-switch flowlet gap (sweep-calibrated; see EXPERIMENTS.md).
     pub conga_flowlet_gap: Duration,
-    /// LetFlow's in-switch flowlet gap. LetFlow favours *small* gaps — big
-    /// ones pin elephant collisions in place (its own paper's argument).
-    pub letflow_flowlet_gap: Duration,
     /// HULA probe flood interval (paper §8 extension).
     pub hula_probe_interval: Duration,
     /// Switch ECN marking threshold in MTU-sized packets (paper: 20).
@@ -94,7 +91,6 @@ impl Default for Profile {
             rtt,
             flowlet_gap: Duration::from_micros(100),
             conga_flowlet_gap: Duration::from_micros(200),
-            letflow_flowlet_gap: Duration::from_micros(100),
             hula_probe_interval: Duration::from_micros(200),
             ecn_threshold_pkts: 20,
             loaded_rtt: Duration::from_micros(100),

@@ -157,13 +157,6 @@ impl Scenario {
         }
     }
 
-    /// Back-compat constructor for the classic dynamic-failure experiment:
-    /// an announced, never-restored cut of one S2–L2 cable at `at`.
-    pub fn fail_at(&mut self, at: Time) -> &mut Self {
-        self.faults.extend(FaultPlan::cut(at, CableSelector::S2_L2));
-        self
-    }
-
     /// The full fault timeline for this run: the `Asymmetric` topology is
     /// itself expressed as an announced cut at t=0 (same named cable the
     /// paper fails), merged ahead of any scenario-specific faults.

@@ -6,10 +6,9 @@ use clove_baselines::{fabric_schemes, EcmpPolicy, PrestoConfig, PrestoPolicy};
 use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy};
 use clove_net::switch::FabricScheme;
 use clove_overlay::{EdgePolicy, VSwitchConfig};
-use clove_tcp::CongestionControl;
 
 /// Which load balancer a run deploys. Edge schemes ride a plain-ECMP
-/// fabric; CONGA and LetFlow replace switch behaviour instead.
+/// fabric; CONGA and HULA replace switch behaviour instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Scheme {
     /// Static flow hashing (the baseline everything beats).
@@ -33,14 +32,8 @@ pub enum Scheme {
     },
     /// CONGA in the fabric (hardware upper bound).
     Conga,
-    /// LetFlow in the fabric.
-    LetFlow,
     /// HULA in the fabric (paper §8: summarized-state per-hop routing).
     Hula,
-    /// Ablation: DCTCP guests over plain ECMP.
-    EcmpDctcp,
-    /// Ablation (§7): DCTCP guests over Clove-ECN.
-    CloveEcnDctcp,
     /// Extension (§7 "Incremental Deployment"): only `clove_hosts` of the
     /// hypervisors run Clove-ECN; the rest are plain ECMP. Flows whose
     /// peer is not Clove-capable see no feedback and degrade gracefully to
@@ -64,10 +57,7 @@ impl Scheme {
             Scheme::Presto { oracle_weights: None },
             Scheme::Mptcp { subflows: 4 },
             Scheme::Conga,
-            Scheme::LetFlow,
             Scheme::Hula,
-            Scheme::EcmpDctcp,
-            Scheme::CloveEcnDctcp,
             Scheme::Incremental { clove_hosts: 16 },
         ]
     }
@@ -85,10 +75,7 @@ impl Scheme {
             Scheme::Presto { .. } => "presto",
             Scheme::Mptcp { .. } => "mptcp",
             Scheme::Conga => "conga",
-            Scheme::LetFlow => "let-flow",
             Scheme::Hula => "hula",
-            Scheme::EcmpDctcp => "ecmp-dctcp",
-            Scheme::CloveEcnDctcp => "clove-ecn-dctcp",
             Scheme::Incremental { .. } => "incremental",
         }
     }
@@ -154,10 +141,7 @@ impl Scheme {
             Scheme::Presto { .. } => "Presto",
             Scheme::Mptcp { .. } => "MPTCP",
             Scheme::Conga => "CONGA",
-            Scheme::LetFlow => "LetFlow",
             Scheme::Hula => "HULA",
-            Scheme::EcmpDctcp => "ECMP+DCTCP",
-            Scheme::CloveEcnDctcp => "Clove-ECN+DCTCP",
             Scheme::Incremental { .. } => "Clove-ECN (partial)",
         }
     }
@@ -174,9 +158,8 @@ impl Scheme {
     pub fn cost_weight(&self) -> f64 {
         match self {
             Scheme::Ecmp => 1.0,
-            Scheme::EcmpDctcp => 1.1,
-            Scheme::EdgeFlowlet | Scheme::LetFlow => 1.2,
-            Scheme::CloveEcn | Scheme::CloveEcnDctcp | Scheme::Incremental { .. } => 1.3,
+            Scheme::EdgeFlowlet => 1.2,
+            Scheme::CloveEcn | Scheme::Incremental { .. } => 1.3,
             Scheme::Presto { .. } => 1.4,
             Scheme::CloveInt => 1.5,
             Scheme::Hula => 1.8,
@@ -216,7 +199,6 @@ impl Scheme {
     pub fn fabric_scheme(&self, profile: &Profile) -> FabricScheme {
         match self {
             Scheme::Conga => fabric_schemes::conga(profile.conga_flowlet_gap),
-            Scheme::LetFlow => fabric_schemes::letflow(profile.letflow_flowlet_gap),
             Scheme::Hula => fabric_schemes::hula(profile.hula_probe_interval, profile.conga_flowlet_gap),
             _ => fabric_schemes::ecmp(),
         }
@@ -231,7 +213,7 @@ impl Scheme {
     /// incremental deployment: on Clove hosts only — see
     /// [`Scheme::host_needs_discovery`]).
     pub fn needs_discovery(&self) -> bool {
-        !matches!(self, Scheme::Ecmp | Scheme::EcmpDctcp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::LetFlow | Scheme::Hula)
+        !matches!(self, Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula)
     }
 
     /// Per-host discovery decision.
@@ -247,24 +229,13 @@ impl Scheme {
         }
     }
 
-    /// Guest congestion control.
-    pub fn congestion_control(&self) -> CongestionControl {
-        match self {
-            Scheme::EcmpDctcp | Scheme::CloveEcnDctcp => CongestionControl::Dctcp { g: 1.0 / 16.0 },
-            _ => CongestionControl::NewReno,
-        }
-    }
-
     /// The vswitch deployment configuration.
     pub fn vswitch_config(&self, profile: &Profile) -> VSwitchConfig {
         match self {
-            Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::LetFlow | Scheme::Hula | Scheme::EdgeFlowlet => VSwitchConfig::plain(),
-            Scheme::CloveEcn | Scheme::CloveEcnDctcp => VSwitchConfig::clove_ecn(profile.relay_interval),
+            Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula | Scheme::EdgeFlowlet => VSwitchConfig::plain(),
+            Scheme::CloveEcn => VSwitchConfig::clove_ecn(profile.relay_interval),
             Scheme::CloveInt => VSwitchConfig::clove_int(profile.relay_interval),
             Scheme::Presto { .. } => VSwitchConfig::presto(),
-            // DCTCP over ECMP needs ECT set so switches mark, and the CE
-            // must reach the guest (plain mode passes it through).
-            Scheme::EcmpDctcp => VSwitchConfig { set_ect: true, ..VSwitchConfig::plain() },
             Scheme::Incremental { .. } => VSwitchConfig::clove_ecn(profile.relay_interval),
         }
     }
@@ -273,9 +244,9 @@ impl Scheme {
     pub fn build_policy(&self, profile: &Profile, seed: u64) -> Box<dyn EdgePolicy> {
         let gap = profile.flowlet_gap;
         match self {
-            Scheme::Ecmp | Scheme::EcmpDctcp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::LetFlow | Scheme::Hula => Box::new(EcmpPolicy::default()),
+            Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula => Box::new(EcmpPolicy::default()),
             Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(clove_core::FlowletConfig::with_gap(gap), seed)),
-            Scheme::CloveEcn | Scheme::CloveEcnDctcp => {
+            Scheme::CloveEcn => {
                 let mut cfg = CloveEcnConfig::for_rtt(profile.loaded_rtt);
                 cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
                 cfg.recovery_rho = profile.clove_recovery_rho;
@@ -315,15 +286,12 @@ mod tests {
                 Scheme::Presto { .. } => 4,
                 Scheme::Mptcp { .. } => 5,
                 Scheme::Conga => 6,
-                Scheme::LetFlow => 7,
-                Scheme::Hula => 8,
-                Scheme::EcmpDctcp => 9,
-                Scheme::CloveEcnDctcp => 10,
-                Scheme::Incremental { .. } => 11,
+                Scheme::Hula => 7,
+                Scheme::Incremental { .. } => 8,
             };
             assert_eq!(slot, i, "{}", s.label());
         }
-        assert_eq!(all.len(), 12);
+        assert_eq!(all.len(), 9);
         let with_payloads = [Scheme::Presto { oracle_weights: Some(vec![0.33, 0.33, 0.17, 0.17]) }];
         for s in all.iter().chain(&with_payloads) {
             assert_eq!(Scheme::from_json(&s.to_json()).as_ref(), Ok(s), "{}", s.to_json().render());
@@ -361,19 +329,14 @@ mod tests {
     fn fabric_scheme_matrix() {
         let p = Profile::default();
         assert!(matches!(Scheme::Conga.fabric_scheme(&p), FabricScheme::Conga(_)));
-        assert!(matches!(Scheme::LetFlow.fabric_scheme(&p), FabricScheme::LetFlow(_)));
+        assert!(matches!(Scheme::Hula.fabric_scheme(&p), FabricScheme::Hula(_)));
         assert!(matches!(Scheme::CloveEcn.fabric_scheme(&p), FabricScheme::Ecmp));
-    }
-
-    #[test]
-    fn dctcp_schemes_use_dctcp() {
-        assert!(matches!(Scheme::EcmpDctcp.congestion_control(), CongestionControl::Dctcp { .. }));
-        assert!(matches!(Scheme::CloveEcn.congestion_control(), CongestionControl::NewReno));
     }
 
     #[test]
     fn incremental_splits_hosts() {
         use clove_net::types::HostId;
+        use clove_overlay::FeedbackMode;
         let s = Scheme::Incremental { clove_hosts: 16 };
         assert!(s.host_is_clove(HostId(0)));
         assert!(s.host_is_clove(HostId(15)));
@@ -381,8 +344,8 @@ mod tests {
         assert!(s.host_needs_discovery(HostId(3)));
         assert!(!s.host_needs_discovery(HostId(30)));
         let p = Profile::default();
-        assert!(s.vswitch_config_for(&p, HostId(0)).set_ect);
-        assert!(!s.vswitch_config_for(&p, HostId(31)).set_ect);
+        assert_eq!(s.vswitch_config_for(&p, HostId(0)).feedback_mode, FeedbackMode::Ecn);
+        assert_eq!(s.vswitch_config_for(&p, HostId(31)).feedback_mode, FeedbackMode::None);
         assert_eq!(s.build_policy_for(&p, HostId(0), 1).name(), "clove-ecn");
         assert_eq!(s.build_policy_for(&p, HostId(31), 1).name(), "ecmp");
     }

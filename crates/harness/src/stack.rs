@@ -162,7 +162,7 @@ pub struct HostStack {
 impl HostStack {
     /// Build the stack for `num_hosts` hypervisors deploying `scheme`.
     pub fn new(num_hosts: u32, scheme: &Scheme, profile: Profile, seed: u64) -> HostStack {
-        let tcp_cfg = TcpConfig { cc: scheme.congestion_control(), ..profile.tcp_config() };
+        let tcp_cfg = profile.tcp_config();
         let mut hosts = Vec::with_capacity(num_hosts as usize);
         for h in 0..num_hosts {
             let host = HostId(h);
@@ -399,7 +399,7 @@ impl HostStack {
     }
 
     /// Deliver one decapped guest packet to the local transport.
-    fn deliver_to_guest(&mut self, hi: usize, pkt: Packet, ce_visible: bool, ctx: &mut HostCtx<'_>) {
+    fn deliver_to_guest(&mut self, hi: usize, pkt: Packet, ctx: &mut HostCtx<'_>) {
         let now = ctx.now;
         match pkt.kind {
             PacketKind::Data { seq, len, dsn } => {
@@ -407,23 +407,20 @@ impl HostStack {
                 let host = &mut self.hosts[hi];
                 // MPTCP subflow?
                 if let Some(&rx_idx) = host.mptcp_rx_idx.get(&pkt.flow) {
-                    if let Some(ack) = host.mptcp_rx[rx_idx].on_data(pkt.flow, seq, len, dsn, ce_visible) {
+                    if let Some(ack) = host.mptcp_rx[rx_idx].on_data(pkt.flow, seq, len, dsn) {
                         Self::ship_one(host, now, ack, ctx);
                     }
                     return;
                 }
                 let cfg = self.tcp_cfg;
                 let rx = host.receivers.entry(pkt.flow).or_insert_with(|| TcpReceiver::new(pkt.flow, cfg));
-                let ack = rx.on_data(now, seq, len, ce_visible);
+                // The vswitch masked any CE mark: the guest sees none.
+                let ack = rx.on_data(now, seq, len, false);
                 Self::ship_one(host, now, ack, ctx);
             }
             PacketKind::Ack { ackno, dack, ece, dup } => {
                 let data_key = pkt.flow.reversed();
                 let host = &mut self.hosts[hi];
-                // DCTCP masking rule (§3.2): the sender-side vswitch relays
-                // congestion to its guest only when all paths to the peer
-                // are congested.
-                let ece_for_vm = ece || host.vswitch.should_relay_ecn_to_guest(now, data_key.dst);
                 if let Some(&(conn, _sub)) = host.mptcp_sub_idx.get(&data_key) {
                     let out = &mut self.tx_scratch;
                     debug_assert!(out.is_empty());
@@ -438,7 +435,7 @@ impl HostStack {
                 if let Some(&idx) = host.sender_idx.get(&data_key) {
                     let out = &mut self.tx_scratch;
                     debug_assert!(out.is_empty());
-                    let completions = host.senders[idx].on_ack(now, ackno, ece_for_vm, dup, out);
+                    let completions = host.senders[idx].on_ack(now, ackno, ece, dup, out);
                     Self::ship(host, now, out, ctx);
                     Self::arm_tcp_rto(host, idx, ctx);
                     for c in completions {
@@ -490,9 +487,9 @@ impl HostLogic for HostStack {
         // needs `&mut self`, so the buffer is temporarily taken out.
         let mut deliver = std::mem::take(&mut self.rx_scratch);
         debug_assert!(deliver.is_empty());
-        let ce_visible = self.hosts[hi].vswitch.decap_into(now, pkt, &mut deliver);
+        self.hosts[hi].vswitch.decap_into(now, pkt, &mut deliver);
         for inner in deliver.drain(..) {
-            self.deliver_to_guest(hi, inner, ce_visible, ctx);
+            self.deliver_to_guest(hi, inner, ctx);
         }
         self.rx_scratch = deliver;
     }
@@ -622,7 +619,7 @@ impl HostLogic for HostStack {
                 let host_state = &mut self.hosts[hi];
                 let flushed = host_state.vswitch.presto_poll(now);
                 for pkt in flushed {
-                    self.deliver_to_guest(hi, pkt, false, ctx);
+                    self.deliver_to_guest(hi, pkt, ctx);
                 }
                 ctx.timer_in(self.profile.presto_poll, token(T_PRESTO_POLL, 0));
             }

@@ -342,21 +342,22 @@ fn an_unknown_top_level_key_is_rejected_by_name() {
 fn an_unknown_nested_key_or_a_mistyped_flag_is_rejected_by_name() {
     let spec = |scheme: &str, topology: &str, rest: &str| format!(r#"{{"scheme":{scheme},"topology":{topology},"load":0.5{rest}}}"#);
     let (ecmp, sym) = (r#"{"name":"ecmp"}"#, r#"{"kind":"symmetric"}"#);
-    let unknown = |name: &str| {
-        format!("scheme: unknown name '{name}' (want ecmp | edge-flowlet | clove-ecn | clove-int | presto | mptcp | conga | let-flow | hula | ecmp-dctcp | clove-ecn-dctcp | incremental)")
-    };
-    let (latency, swap) = (unknown("clove-latency"), unknown("clove-ecn-non-overlay"));
+    let unknown =
+        |name: &str| format!("scheme: unknown name '{name}' (want ecmp | edge-flowlet | clove-ecn | clove-int | presto | mptcp | conga | hula | incremental)");
+    let deleted = ["clove-latency", "clove-ecn-non-overlay", "let-flow", "ecmp-dctcp", "clove-ecn-dctcp"]
+        .map(|name| (spec(&format!(r#"{{"name":"{name}"}}"#), sym, ""), unknown(name)));
     for (text, error) in [
         (
             spec(ecmp, sym, r#","node_crash":{"node":"leaf1","at_ms":20,"down_ms":15,"stat":"warm"}"#),
             "node_crash: unknown key 'stat' (want node | at_ms | down_ms | state)",
         ),
-        (spec(r#"{"name":"clove-latency"}"#, sym, ""), latency.as_str()),
-        (spec(r#"{"name":"clove-ecn-non-overlay"}"#, sym, ""), swap.as_str()),
         (spec(ecmp, r#"{"kind":"symmetric","k":8}"#, ""), "topology: symmetric: unknown key 'k' (want kind)"),
         (spec(r#"{"name":"ecmp","subflows":4}"#, sym, ""), "scheme: ecmp: unknown key 'subflows' (want name)"),
     ] {
         assert_eq!(ScenarioSpec::from_json_str(&text).err().as_deref(), Some(error), "{text}");
+    }
+    for (text, error) in &deleted {
+        assert_eq!(ScenarioSpec::from_json_str(text).err().as_ref(), Some(error), "{text}");
     }
 }
 

@@ -17,7 +17,7 @@
 //!   `TxDone` event, so a backlog of N packets costs N events, not 2N.
 //! * `Arrive` at a switch → [`Fabric::switch_receive`]: TTL handling
 //!   (probe expiry → ProbeReply), scheme-specific egress selection (ECMP /
-//!   LetFlow / CONGA), enqueue on the chosen egress link.
+//!   CONGA / HULA), enqueue on the chosen egress link.
 //! * `Arrive` at a host → handed to [`HostLogic::on_packet`].
 //! * `HostTimer` → handed to [`HostLogic::on_timer`].
 //! * `Fault` → [`Fabric::apply_fault`]: the link's state changes, and an
@@ -186,7 +186,8 @@ pub struct Fabric {
     pub scheme: FabricScheme,
     /// Counters.
     pub stats: FabricStats,
-    /// Deterministic randomness for in-switch decisions (LetFlow).
+    /// Deterministic randomness for in-switch decisions (CONGA's random
+    /// tie-breaks among least-loaded members).
     pub rng: SimRng,
     /// Active control-plane fault settings.
     pub control: ControlPlaneFaults,
@@ -447,7 +448,6 @@ impl Fabric {
         } else {
             match self.scheme {
                 FabricScheme::Ecmp => ecmp_select(&pkt.routed_key(), self.switches[swi].seed, n),
-                FabricScheme::LetFlow(cfg) => self.letflow_choice(now, swi, pkt, n, cfg.flowlet_gap),
                 FabricScheme::Conga(cfg) => self.conga_choice(now, swi, dst, pkt, cfg),
                 FabricScheme::Hula(cfg) => self.hula_choice(now, swi, dst, pkt, cfg),
             }
@@ -469,18 +469,6 @@ impl Fabric {
         self.enqueue_on(now, egress, pkt, q);
     }
 
-    /// LetFlow: per-switch flowlet table; random member per new flowlet.
-    /// (`fresh` is drawn for every packet, pinned or not: the RNG stream is
-    /// part of every digest.)
-    fn letflow_choice(&mut self, now: Time, swi: usize, pkt: &Packet, n: usize, gap: Duration) -> usize {
-        let key = pkt.routed_key();
-        let fresh = self.rng.below(n as u64) as usize;
-        let table = &mut self.switches[swi].letflow_table;
-        let choice = pinned_choice(table, &key, now, gap).unwrap_or(fresh);
-        pin(table, key, choice, now);
-        choice % n
-    }
-
     /// CONGA source-leaf / spine egress choice among the group toward host
     /// index `dst`.
     fn conga_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &mut Packet, cfg: CongaConfig) -> usize {
@@ -491,11 +479,11 @@ impl Fabric {
             // members — least-loaded by local DRE, but pinned per flowlet
             // so parallel cables don't reorder a flowlet's packets.
             let key = pkt.routed_key();
-            let choice = match pinned_choice(&self.switches[swi].letflow_table, &key, now, cfg.flowlet_gap) {
+            let choice = match pinned_choice(&self.switches[swi].hop_flowlets, &key, now, cfg.flowlet_gap) {
                 Some(pinned) => pinned % n,
                 None => self.least_loaded_member(now, swi, dst, cfg.quant_bits),
             };
-            pin(&mut self.switches[swi].letflow_table, key, choice, now);
+            pin(&mut self.switches[swi].hop_flowlets, key, choice, now);
             return choice;
         }
         // Source leaf: flowlet table + congestion-to-leaf table.
@@ -579,7 +567,7 @@ impl Fabric {
         let key = pkt.routed_key();
         let sw = &self.switches[swi];
         let group = &sw.routes[dst];
-        let choice = match pinned_choice(&sw.letflow_table, &key, now, cfg.flowlet_gap) {
+        let choice = match pinned_choice(&sw.hop_flowlets, &key, now, cfg.flowlet_gap) {
             Some(pinned) => pinned % group.len(),
             None => {
                 let tor = self.leaf_of(pkt.routed_dst()).0;
@@ -592,7 +580,7 @@ impl Fabric {
                 best.unwrap_or_else(|| ecmp_select(&key, sw.seed, group.len()))
             }
         };
-        pin(&mut self.switches[swi].letflow_table, key, choice, now);
+        pin(&mut self.switches[swi].hop_flowlets, key, choice, now);
         choice
     }
 
@@ -708,7 +696,7 @@ impl Fabric {
     }
 
     /// Cold-restart semantics for a switch: every soft forwarding table the
-    /// reboot would lose — the LetFlow/HULA flowlet table, all four CONGA
+    /// reboot would lose — the per-hop flowlet table, all four CONGA
     /// maps, and the HULA best-hop table — is flushed. Routes themselves
     /// are rebuilt by the announced incident-cable `Up`s; warm restarts
     /// skip this entirely (state survives in the model, as it would in a
@@ -742,7 +730,7 @@ fn arrivals(q: &mut EventQueue<Event>, node: NodeId, via: LinkId) -> impl FnMut(
     move |at, pkt| q.push(at, Event::Arrive { node, via, pkt: pkt.clone() })
 }
 
-/// The switch-flowlet rule LetFlow, CONGA and HULA share: a flow whose table
+/// The switch-flowlet rule CONGA and HULA share: a flow whose table
 /// entry has been idle for at most `gap` stays on the egress it is pinned
 /// to; with no entry, or once a new flowlet starts, the caller picks afresh.
 fn pinned_choice(table: &FlowletTable, key: &FlowKey, now: Time, gap: Duration) -> Option<usize> {

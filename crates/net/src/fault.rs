@@ -290,7 +290,7 @@ impl FaultPlan {
     }
 
     /// A single announced cut of `cable` at `at`, never restored — the
-    /// classic asymmetry experiment (and what `fail_at` used to hard-code).
+    /// classic asymmetry experiment, and the spec key `fail_at_ms`'s cut.
     pub fn cut(at: Time, cable: CableSelector) -> FaultPlan {
         FaultPlan { specs: vec![FaultSpec { at, cable, kind: FaultKind::Set(LinkAction::Down), announced: true }], node_specs: Vec::new() }
     }
@@ -445,7 +445,7 @@ pub enum ControlAction {
     /// much later as a standalone relay packet (models a slow relay path).
     SetFeedbackDelay(Duration),
     /// Corrupt each feedback entry with this probability: the congested
-    /// bit flips, the utilization inverts, the latency doubles.
+    /// bit flips, the utilization inverts.
     SetFeedbackCorrupt(f64),
 }
 

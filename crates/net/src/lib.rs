@@ -7,7 +7,7 @@
 //! an IP fabric of store-and-forward switches running standard ECMP, links
 //! with finite drop-tail buffers, ECN marking at a configurable queue
 //! threshold, and (optionally) In-band Network Telemetry stamping and the
-//! in-switch schemes the paper compares against (CONGA, LetFlow).
+//! in-switch schemes the paper compares against (CONGA, and HULA from §8).
 //!
 //! Layering (bottom to top):
 //!
@@ -20,7 +20,7 @@
 //! * [`link`] — a directed link: serialization + propagation delay, FIFO
 //!   drop-tail queue, ECN marking, DRE.
 //! * [`switch`] — switch state: ports, ECMP route table, optional CONGA /
-//!   LetFlow state.
+//!   HULA state.
 //! * [`fabric`] — the assembled network plus all forwarding logic, the
 //!   event type, and the [`fabric::Network`] driver that plugs host logic
 //!   (hypervisors, implemented in higher crates) into the event loop.

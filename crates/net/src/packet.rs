@@ -54,7 +54,8 @@ pub enum PacketKind {
     },
     /// A cumulative TCP acknowledgement for subflow bytes below `ackno`.
     /// `dack` is the MPTCP data-level cumulative ack (equals `ackno` for
-    /// plain TCP). `ece` relays inner-header congestion (DCTCP extension).
+    /// plain TCP). `ece` is the guest's ECN echo; the vswitch never lets a
+    /// guest see a CE mark, so the host stack's ACKs carry `false`.
     /// `dup` is the DSACK-style signal: when the segment that triggered
     /// this ACK was an already-received duplicate, it carries that
     /// segment's start sequence (lets senders undo spurious
@@ -65,7 +66,7 @@ pub enum PacketKind {
         ackno: u64,
         /// Cumulative MPTCP data-level acknowledgement.
         dack: u64,
-        /// DCTCP-style ECN echo toward the guest stack.
+        /// ECN echo toward the sending guest (always `false`; see above).
         ece: bool,
         /// DSACK: start seq of a duplicate segment, when one triggered
         /// this ACK.

@@ -10,8 +10,6 @@
 //! here as [`FabricScheme`]s:
 //!
 //! * [`FabricScheme::Ecmp`] — standard static hashing (what Clove runs on).
-//! * [`FabricScheme::LetFlow`] — per-switch flowlet table with uniform
-//!   random next-hop per new flowlet (Vanini et al., NSDI '17).
 //! * [`FabricScheme::Conga`] — leaf-to-leaf congestion-aware flowlet
 //!   routing with DRE metrics piggybacked in packet headers (Alizadeh et
 //!   al., SIGCOMM '14), the "best-of-breed hardware" upper bound.
@@ -19,13 +17,6 @@
 use crate::types::{FlowKey, HostId, LinkId, SwitchId};
 use clove_sim::{Duration, Time};
 use rustc_hash::FxHashMap;
-
-/// Configuration for LetFlow's in-switch flowlet table.
-#[derive(Debug, Clone, Copy)]
-pub struct LetFlowConfig {
-    /// Inter-packet gap that opens a new flowlet.
-    pub flowlet_gap: Duration,
-}
 
 /// Configuration for CONGA.
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +57,6 @@ impl Default for HulaConfig {
 pub enum FabricScheme {
     /// Congestion-oblivious static hashing (default; Clove's substrate).
     Ecmp,
-    /// Flowlet switching with random next-hop, in every switch.
-    LetFlow(LetFlowConfig),
     /// Leaf-based congestion-aware flowlet routing (leaf-spine only).
     Conga(CongaConfig),
     /// Per-hop best-path routing from summarized INT state, flooded by
@@ -75,7 +64,7 @@ pub enum FabricScheme {
     Hula(HulaConfig),
 }
 
-/// One flowlet-table entry (LetFlow and CONGA).
+/// One flowlet-table entry (CONGA and HULA).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowletEntry {
     /// Port index within the ECMP group chosen for the current flowlet.
@@ -115,8 +104,9 @@ pub struct Switch {
     pub seed: u64,
     /// True for ToR/leaf switches (CONGA's decision points).
     pub is_leaf: bool,
-    /// LetFlow flowlet table (lazily used when the scheme is LetFlow).
-    pub letflow_table: FxHashMap<FlowKey, FlowletEntry>,
+    /// Per-hop flowlet table: pins a flowlet to its egress at a CONGA
+    /// spine or transit leaf, and at every HULA switch.
+    pub hop_flowlets: FxHashMap<FlowKey, FlowletEntry>,
     /// CONGA state (used when the scheme is CONGA and `is_leaf`).
     pub conga: CongaState,
     /// HULA best-hop table: ToR id → (local port, path utilization ‰,
@@ -133,7 +123,7 @@ impl Switch {
             routes: Vec::new(),
             seed,
             is_leaf,
-            letflow_table: FxHashMap::default(),
+            hop_flowlets: FxHashMap::default(),
             conga: CongaState::default(),
             hula_best: FxHashMap::default(),
         }
@@ -144,11 +134,11 @@ impl Switch {
         self.routes.get(dst.0 as usize).filter(|v| !v.is_empty()).map(|v| v.as_slice())
     }
 
-    /// Flush every soft table a power-cycle would lose: the LetFlow/HULA
+    /// Flush every soft table a power-cycle would lose: the per-hop
     /// flowlet table, all CONGA maps, the HULA best-hop table. Ports,
     /// routes, and the hash seed are hardware/config state and survive.
     pub fn cold_clear(&mut self) {
-        self.letflow_table.clear();
+        self.hop_flowlets.clear();
         self.conga.to_leaf.clear();
         self.conga.from_leaf.clear();
         self.conga.fb_cursor.clear();
@@ -166,14 +156,14 @@ mod tests {
         let mut sw = Switch::new(SwitchId(0), 99, true);
         sw.ports = vec![LinkId(0)];
         sw.routes = vec![vec![0]];
-        sw.letflow_table.insert(FlowKey::tcp(HostId(0), HostId(1), 1, 2), FlowletEntry { port_choice: 0, last_seen: Time::ZERO });
+        sw.hop_flowlets.insert(FlowKey::tcp(HostId(0), HostId(1), 1, 2), FlowletEntry { port_choice: 0, last_seen: Time::ZERO });
         sw.conga.to_leaf.insert(1, vec![(3, Time::ZERO)]);
         sw.conga.from_leaf.insert(1, vec![(3, Time::ZERO)]);
         sw.conga.fb_cursor.insert(1, 1);
         sw.conga.flowlets.insert(FlowKey::tcp(HostId(0), HostId(1), 1, 2), FlowletEntry { port_choice: 0, last_seen: Time::ZERO });
         sw.hula_best.insert(0, (0, 10, Time::ZERO));
         sw.cold_clear();
-        assert!(sw.letflow_table.is_empty());
+        assert!(sw.hop_flowlets.is_empty());
         assert!(sw.conga.to_leaf.is_empty());
         assert!(sw.conga.from_leaf.is_empty());
         assert!(sw.conga.fb_cursor.is_empty());

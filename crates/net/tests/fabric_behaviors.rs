@@ -1,11 +1,11 @@
 //! Fabric-level integration tests: probe expiry, ECMP path stability,
-//! LetFlow flowlet switching, CONGA metric plumbing, and dynamic link
+//! CONGA metric plumbing, HULA probe tables, and dynamic link
 //! administration — all against the real leaf-spine build.
 
 use clove_net::fabric::Event;
 use clove_net::fault::LinkAction;
 use clove_net::packet::{Encap, Packet, PacketKind};
-use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig, LetFlowConfig};
+use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
 use clove_net::topology::LeafSpine;
 use clove_net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId, STT_PORT};
 use clove_net::{HostCtx, HostLogic, Network};
@@ -119,28 +119,6 @@ fn probe_with_large_ttl_reaches_destination_host() {
     let (host, pkt) = &net.hosts.delivered[0];
     assert_eq!(*host, HostId(16));
     assert!(matches!(pkt.kind, PacketKind::Probe { .. }));
-}
-
-#[test]
-fn letflow_pins_within_flowlet_and_can_move_after_gap() {
-    let gap = Duration::from_micros(100);
-    let mut net = build(FabricScheme::LetFlow(LetFlowConfig { flowlet_gap: gap }));
-    let mut q = EventQueue::new();
-    // Burst 1: packets 0..20 back-to-back; then a 10 ms silence; burst 2.
-    for i in 0..20 {
-        net.fabric.host_transmit(Time::from_nanos(i * 1300), HostId(0), data_packet(i, HostId(0), HostId(16), 5555), &mut q);
-    }
-    for i in 20..40 {
-        net.fabric.host_transmit(Time::from_millis(10) + Duration::from_nanos(i * 1300), HostId(0), data_packet(i, HostId(0), HostId(16), 5555), &mut q);
-    }
-    run_all(&mut net, &mut q);
-    assert_eq!(net.hosts.delivered.len(), 40);
-    // Within each burst: in-order delivery (single path per flowlet).
-    let uids: Vec<u64> = net.hosts.delivered.iter().map(|(_, p)| p.uid).collect();
-    let first: Vec<u64> = uids.iter().copied().filter(|&u| u < 20).collect();
-    let second: Vec<u64> = uids.iter().copied().filter(|&u| u >= 20).collect();
-    assert!(first.windows(2).all(|w| w[0] < w[1]), "burst 1 reordered: {first:?}");
-    assert!(second.windows(2).all(|w| w[0] < w[1]), "burst 2 reordered: {second:?}");
 }
 
 #[test]
@@ -419,7 +397,6 @@ fn by_value_handle_wrapper_is_the_same_simulation() {
     let horizon = Time::from_millis(3);
     let schemes = [
         FabricScheme::Ecmp,
-        FabricScheme::LetFlow(LetFlowConfig { flowlet_gap: Duration::from_micros(50) }),
         FabricScheme::Conga(CongaConfig { flowlet_gap: Duration::from_micros(50), quant_bits: 3, metric_age: Duration::from_millis(10) }),
         FabricScheme::Hula(HulaConfig::default()),
     ];

@@ -75,63 +75,21 @@ impl FeedbackCollector {
         if self.mode == FeedbackMode::None || self.paths.is_empty() {
             return None;
         }
-        // BTreeMap iteration is already in port order; rotate the start
-        // point with `cursor` for round-robin fairness.
+        // BTreeMap iteration is in port order; for round-robin fairness
+        // the first due path at or after `cursor`, cyclically, goes next.
         let n = self.paths.len();
-        let mode = self.mode;
-        let relay_interval = self.relay_interval;
         let start = self.cursor % n;
-        let mut result = None;
-        // Two ordered passes emulate a cycle starting at `start`.
-        for (k, (&port, obs)) in self.paths.iter_mut().enumerate().skip(start).chain(std::iter::empty()) {
-            if Self::try_take(now, relay_interval, mode, port, obs, &mut result, k) {
-                break;
-            }
-        }
-        if result.is_none() {
-            for (k, (&port, obs)) in self.paths.iter_mut().enumerate().take(start) {
-                if Self::try_take(now, relay_interval, mode, port, obs, &mut result, k) {
-                    break;
-                }
-            }
-        }
-        match result {
-            Some((taken_at, fb)) => {
-                self.cursor = (taken_at + 1) % n;
-                Some(fb)
-            }
-            None => None,
-        }
-    }
-
-    /// Relay `port`'s observation if due; records `(index, feedback)`.
-    fn try_take(
-        now: Time,
-        relay_interval: Duration,
-        mode: FeedbackMode,
-        port: u16,
-        obs: &mut PathObservation,
-        result: &mut Option<(usize, Feedback)>,
-        k: usize,
-    ) -> bool {
-        let suppressed = match obs.last_relay {
-            Some(t) => now.saturating_since(t) < relay_interval,
-            None => false,
-        };
-        if !obs.dirty || suppressed {
-            return false;
-        }
-        let fb = match mode {
+        let relay_interval = self.relay_interval;
+        let due = |obs: &PathObservation| obs.dirty && obs.last_relay.is_none_or(|t| now.saturating_since(t) >= relay_interval);
+        let (k, (&port, obs)) = self.paths.iter_mut().enumerate().filter(|(_, (_, obs))| due(obs)).min_by_key(|&(k, _)| (k + n - start) % n)?;
+        let fb = match self.mode {
             FeedbackMode::Ecn => Feedback::Ecn { sport: port, congested: obs.congested },
             FeedbackMode::Util => Feedback::Util { sport: port, util_pm: obs.util_pm },
-            FeedbackMode::None => unreachable!(),
+            FeedbackMode::None => unreachable!("checked on entry"),
         };
-        obs.last_relay = Some(now);
-        obs.congested = false;
-        obs.util_pm = 0;
-        obs.dirty = false;
-        *result = Some((k, fb));
-        true
+        *obs = PathObservation { congested: false, util_pm: 0, last_relay: Some(now), dirty: false };
+        self.cursor = (k + 1) % n;
+        Some(fb)
     }
 
     /// Number of paths with observations.
@@ -219,5 +177,27 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
         assert!(c.take_due(Time::from_micros(101)).is_none());
+    }
+
+    #[test]
+    fn relay_order_rotates_from_the_cursor_and_wraps() {
+        let mut c = collector(FeedbackMode::Ecn);
+        let mut order = Vec::new();
+        let take = |c: &mut FeedbackCollector, us: u64| c.take_due(Time::from_micros(us)).map(|fb| fb.sport());
+        for p in [10u16, 20, 30, 40] {
+            c.observe(p, false, None);
+        }
+        order.extend([take(&mut c, 100), take(&mut c, 100)]);
+        // 10 is dirty again but inside its relay interval: 30 goes next.
+        c.observe(10, false, None);
+        order.push(take(&mut c, 150));
+        c.observe(20, false, None);
+        // Due: 10, 20 (before the cursor) and 40 (at it). 40 first, then wrap.
+        order.extend([take(&mut c, 250), take(&mut c, 250), take(&mut c, 250), take(&mut c, 250)]);
+        // The cursor now sits on 30; the only due path is behind it.
+        c.observe(10, false, None);
+        order.push(take(&mut c, 400));
+        let want = [Some(10), Some(20), Some(30), Some(40), Some(10), Some(20), None, Some(10)];
+        assert_eq!(order, want);
     }
 }

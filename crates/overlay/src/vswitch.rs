@@ -4,11 +4,13 @@
 //!
 //! * outbound guest segments pass through [`VSwitch::encap`], which asks
 //!   the configured [`EdgePolicy`] for an outer source port, wraps the
-//!   packet in the STT-like encapsulation, sets ECT, and piggybacks any feedback owed to the destination hypervisor;
+//!   packet in the STT-like encapsulation, sets ECT (Clove-ECN), and
+//!   piggybacks any feedback owed to the destination hypervisor;
 //! * inbound packets pass through [`VSwitch::decap_into`], which strips the
-//!   encapsulation, hands relayed feedback to the policy, records this
-//!   packet's own observations for the reverse relay, and (for Presto)
-//!   runs flowcell reassembly before delivering to the guest.
+//!   encapsulation and any CE mark (the guest never sees fabric ECN),
+//!   hands relayed feedback to the policy, records this packet's own
+//!   observations for the reverse relay, and (for Presto) runs flowcell
+//!   reassembly before delivering to the guest.
 //!
 //! The vswitch is the deployment seam the paper argues for: everything
 //! here runs in the hypervisor, with unmodified guests and fabric.
@@ -46,12 +48,6 @@ pub trait EdgePolicy {
     /// the surviving paths without resetting their learned state.
     fn on_path_dead(&mut self, _now: Time, _dst_hv: HostId, _port: u16) {}
 
-    /// True when every known path toward `dst_hv` is congested — the one
-    /// case where Clove stops masking ECN from the guest (paper §3.2).
-    fn all_paths_congested(&self, _now: Time, _dst_hv: HostId) -> bool {
-        false
-    }
-
     /// Introspection: the current per-port weights toward `dst_hv`, when
     /// the policy is weight-based (Clove-ECN). Used by the stability
     /// analysis (paper §7) and tests; `None` for weightless policies.
@@ -84,9 +80,8 @@ pub trait EdgePolicy {
 /// Deployment-wide vswitch configuration (identical on every hypervisor).
 #[derive(Debug, Clone, Copy)]
 pub struct VSwitchConfig {
-    /// Set ECT on outer headers so switches can CE-mark (Clove-ECN).
-    pub set_ect: bool,
-    /// What the receive side measures and relays.
+    /// What the receive side measures and relays. [`FeedbackMode::Ecn`]
+    /// also sets ECT on outer headers so switches can CE-mark.
     pub feedback_mode: FeedbackMode,
     /// Minimum spacing between relays for one path (≈ RTT/2 per paper).
     pub relay_interval: Duration,
@@ -97,27 +92,22 @@ pub struct VSwitchConfig {
 impl VSwitchConfig {
     /// Plain ECMP deployment: no feedback, no ECT.
     pub fn plain() -> VSwitchConfig {
-        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: None }
     }
 
     /// Clove-ECN deployment.
     pub fn clove_ecn(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { set_ect: true, feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: None }
     }
 
     /// Clove-INT deployment.
     pub fn clove_int(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { set_ect: false, feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: None }
     }
 
     /// Presto deployment: reassembly on, no feedback.
     pub fn presto() -> VSwitchConfig {
-        VSwitchConfig {
-            set_ect: false,
-            feedback_mode: FeedbackMode::None,
-            relay_interval: Duration::from_micros(50),
-            presto_reassembly: Some(ReassemblyConfig::default()),
-        }
+        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: Some(ReassemblyConfig::default()) }
     }
 }
 
@@ -189,7 +179,7 @@ impl VSwitch {
         self.stats.encapped += 1;
         let sport = self.policy.select_port(now, dst_hv, &mut pkt);
         pkt.outer = Some(Encap { src: self.host, dst: dst_hv, sport });
-        pkt.ect = self.cfg.set_ect;
+        pkt.ect = self.cfg.feedback_mode == FeedbackMode::Ecn;
         pkt.ce = false;
         // Piggyback one due feedback entry for this destination.
         if let Some(collector) = self.collectors.get_mut(&dst_hv) {
@@ -203,14 +193,12 @@ impl VSwitch {
 
     /// Decapsulate an inbound packet from the fabric, appending any
     /// guest-deliverable inner packets to `out` in order (none while Presto
-    /// holds segments, more than one when a hole just filled). Returns
-    /// whether the guest should see a CE mark on this delivery (Clove masks
-    /// outer CE unless all paths are congested).
+    /// holds segments, more than one when a hole just filled).
     ///
     /// `out` is a caller-owned scratch buffer: it is *not* cleared here, so
     /// the caller controls reuse and the common one-packet delivery costs no
     /// allocation once the buffer has warmed up.
-    pub fn decap_into(&mut self, now: Time, mut pkt: Packet, out: &mut Vec<Packet>) -> bool {
+    pub fn decap_into(&mut self, now: Time, mut pkt: Packet, out: &mut Vec<Packet>) {
         self.stats.decapped += 1;
         // 1. Absorb piggybacked feedback about *our* forward paths.
         if let Some(fb) = pkt.feedback.take() {
@@ -237,23 +225,16 @@ impl VSwitch {
                 self.trace.int_reading(now.0, sport, util as u64);
             }
         }
-        // 3. Strip the encapsulation.
-        let ce_on_wire = pkt.ce;
+        // 3. Strip the encapsulation, CE mark included: the guest never
+        //    sees fabric ECN.
         pkt.ce = false;
         pkt.int_util_pm = None;
         pkt.outer = None;
-        // 4. ECN masking: the guest sees CE only when the source reports
-        //    all paths congested. The *sender's* vswitch makes that
-        //    call; the receiver masks unconditionally and the
-        //    sender re-injects congestion via ACK `ece` when needed (the
-        //    harness consults `all_paths_congested` on the ACK path).
-        let ce_visible = ce_on_wire && self.cfg.feedback_mode == FeedbackMode::None && self.cfg.set_ect;
-        // 5. Presto reassembly.
+        // 4. Presto reassembly.
         match (&mut self.presto, pkt.is_data()) {
             (Some(engine), true) => out.extend(engine.on_data(now, pkt)),
             _ => out.push(pkt),
         }
-        ce_visible
     }
 
     /// Hypervisor cold-restart: flush everything a crash would lose — the
@@ -271,12 +252,6 @@ impl VSwitch {
     /// periodic host timer).
     pub fn presto_poll(&mut self, now: Time) -> Vec<Packet> {
         self.presto.as_mut().map(|p| p.poll(now)).unwrap_or_default()
-    }
-
-    /// True when the policy reports every path to `dst_hv` congested — the
-    /// harness uses this to stop masking ECN toward the guest (DCTCP VMs).
-    pub fn should_relay_ecn_to_guest(&self, now: Time, dst_hv: HostId) -> bool {
-        self.policy.all_paths_congested(now, dst_hv)
     }
 
     /// The remote hypervisor a fabric packet came from / goes to.
@@ -316,11 +291,11 @@ mod tests {
         Packet::new(seq, 1500, FlowKey::tcp(src, dst, 1000, 80), PacketKind::Data { seq, len: 1400, dsn: seq })
     }
 
-    /// `decap_into` a fresh buffer: `(guest deliveries, CE visible to the guest)`.
-    fn decap(vs: &mut VSwitch, now: Time, pkt: Packet) -> (Vec<Packet>, bool) {
+    /// `decap_into` a fresh buffer: the guest deliveries.
+    fn decap(vs: &mut VSwitch, now: Time, pkt: Packet) -> Vec<Packet> {
         let mut deliver = Vec::new();
-        let ce_visible = vs.decap_into(now, pkt, &mut deliver);
-        (deliver, ce_visible)
+        vs.decap_into(now, pkt, &mut deliver);
+        deliver
     }
 
     fn vswitch(host: HostId, cfg: VSwitchConfig) -> VSwitch {
@@ -337,6 +312,10 @@ mod tests {
         assert_eq!(e.sport, 5555);
         assert_eq!(p.routed_key().dport, STT_PORT);
         assert!(p.ect);
+        // Only Clove-ECN asks the fabric to mark.
+        for cfg in [VSwitchConfig::plain(), VSwitchConfig::clove_int(Duration::from_micros(50)), VSwitchConfig::presto()] {
+            assert!(!vswitch(HostId(0), cfg).encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0)).ect, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -345,13 +324,12 @@ mod tests {
         let mut receiver = vswitch(HostId(1), VSwitchConfig::clove_ecn(Duration::from_micros(50)));
         let mut p = sender.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         p.ce = true; // marked in the fabric
-        let (deliver, ce_visible) = decap(&mut receiver, Time::from_micros(40), p);
+        let deliver = decap(&mut receiver, Time::from_micros(40), p);
         assert_eq!(deliver.len(), 1);
         let inner = &deliver[0];
         assert!(inner.outer.is_none());
-        assert!(!inner.ce);
         // Clove masks CE from the guest.
-        assert!(!ce_visible);
+        assert!(!inner.ce);
         assert_eq!(receiver.stats.ce_intercepted, 1);
     }
 
@@ -402,7 +380,7 @@ mod tests {
         let rev = b.encap(Time::from_micros(60), HostId(0), data_pkt(HostId(1), HostId(0), 0));
         assert_eq!(rev.feedback, Some(Feedback::Util { sport: 5555, util_pm: 912 }));
         // INT stamp is stripped before guest delivery.
-        let (deliver, _) = decap(&mut b, Time::from_micros(80), a.encap(Time::from_micros(70), HostId(1), data_pkt(HostId(0), HostId(1), 1)));
+        let deliver = decap(&mut b, Time::from_micros(80), a.encap(Time::from_micros(70), HostId(1), data_pkt(HostId(0), HostId(1), 1)));
         assert!(deliver[0].int_util_pm.is_none());
     }
 
@@ -413,20 +391,8 @@ mod tests {
         let p1 = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 1400));
         let p0 = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
         // Out-of-order arrival: held.
-        assert!(decap(&mut b, Time::from_micros(10), p1).0.is_empty());
+        assert!(decap(&mut b, Time::from_micros(10), p1).is_empty());
         // Hole filled: both released in order.
-        assert_eq!(decap(&mut b, Time::from_micros(11), p0).0.len(), 2);
-    }
-
-    #[test]
-    fn plain_mode_shows_ce_to_guest_if_ect() {
-        // Without Clove feedback (e.g. a DCTCP-over-ECMP ablation), CE
-        // passes through to the guest.
-        let cfg = VSwitchConfig { set_ect: true, ..VSwitchConfig::plain() };
-        let mut a = vswitch(HostId(0), cfg);
-        let mut b = vswitch(HostId(1), cfg);
-        let mut p = a.encap(Time::ZERO, HostId(1), data_pkt(HostId(0), HostId(1), 0));
-        p.ce = true;
-        assert!(decap(&mut b, Time::from_micros(10), p).1);
+        assert_eq!(decap(&mut b, Time::from_micros(11), p0).len(), 2);
     }
 }

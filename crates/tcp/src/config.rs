@@ -2,19 +2,6 @@
 
 use clove_sim::Duration;
 
-/// Which congestion-control algorithm a sender runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CongestionControl {
-    /// Loss-based NewReno (the unmodified guest stack of the testbed).
-    NewReno,
-    /// DCTCP: ECN-fraction-proportional window reduction (paper §7
-    /// extension). `g` is the EWMA gain for the marked fraction.
-    Dctcp {
-        /// EWMA gain for the marking-fraction estimate (DCTCP uses 1/16).
-        g: f64,
-    },
-}
-
 /// Static transport parameters, shared by plain TCP and MPTCP subflows.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
@@ -33,8 +20,6 @@ pub struct TcpConfig {
     pub min_rto: Duration,
     /// Upper bound on the RTO (caps exponential backoff).
     pub max_rto: Duration,
-    /// Congestion-control variant.
-    pub cc: CongestionControl,
     /// Advertised receive window in bytes; senders cap their effective
     /// window at `min(cwnd, rwnd)`. `None` models an unbounded (auto-tuned
     /// huge) receive buffer, the default for modern stacks.
@@ -54,7 +39,6 @@ impl Default for TcpConfig {
             init_rto: Duration::from_millis(10),
             min_rto: Duration::from_millis(1),
             max_rto: Duration::from_secs(2),
-            cc: CongestionControl::NewReno,
             rwnd_bytes: None,
             dsack_undo: true,
         }

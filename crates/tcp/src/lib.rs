@@ -15,12 +15,10 @@
 //!   congestion avoidance, fast retransmit / fast recovery with NewReno
 //!   partial-ACK handling, RTO with Karn-sampled Jacobson estimation and
 //!   exponential backoff, idle-restart to the initial window.
-//! * [`receiver::TcpReceiver`] — cumulative ACKs, out-of-order buffering
-//!   (so reordering produces dup-acks exactly as a real stack would), and
-//!   DCTCP-style per-packet ECN echo for the DCTCP extension.
-//! * [`config`] — transport tunables, including the DCTCP variant (paper
-//!   §7 discusses DCTCP as complementary to Clove; we implement it as an
-//!   ablation).
+//! * [`receiver::TcpReceiver`] — cumulative ACKs and out-of-order
+//!   buffering (so reordering produces dup-acks exactly as a real stack
+//!   would).
+//! * [`config`] — transport tunables.
 //! * [`mptcp`] — Multipath TCP: k subflows with distinct five-tuples,
 //!   data-level sequencing, lowest-RTT-first scheduling and LIA coupled
 //!   congestion control — the paper's strongest deployable-at-host
@@ -35,7 +33,7 @@ pub mod mptcp;
 pub mod receiver;
 pub mod sender;
 
-pub use config::{CongestionControl, TcpConfig};
+pub use config::TcpConfig;
 pub use mptcp::{MptcpConnection, MptcpReceiver};
 pub use receiver::TcpReceiver;
 pub use sender::{JobCompletion, TcpSender};

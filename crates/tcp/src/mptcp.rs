@@ -433,7 +433,7 @@ impl MptcpReceiver {
     }
 
     /// Accept a data segment on any subflow; returns the ACK.
-    pub fn on_data(&mut self, flow: FlowKey, seq: u64, len: u32, dsn: u64, ce_visible: bool) -> Option<Packet> {
+    pub fn on_data(&mut self, flow: FlowKey, seq: u64, len: u32, dsn: u64) -> Option<Packet> {
         let sf = self.subflows.iter_mut().find(|(k, _, _)| *k == flow)?;
         let (_, rcv_nxt, ooo) = sf;
         let end = seq + len as u64;
@@ -470,7 +470,7 @@ impl MptcpReceiver {
             self.uid_base.wrapping_add(self.uid_counter),
             self.cfg.header_overhead,
             flow.reversed(),
-            PacketKind::Ack { ackno: sub_ack, dack: self.data_rcv_nxt, ece: ce_visible, dup },
+            PacketKind::Ack { ackno: sub_ack, dack: self.data_rcv_nxt, ece: false, dup },
         ))
     }
 }
@@ -535,7 +535,7 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let (seq, len, dsn) = data_fields(&p);
-                if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
+                if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
                     acks.push(a);
                 }
             }
@@ -608,7 +608,7 @@ mod tests {
         let mut last_dack = 0;
         for p in &out {
             let (seq, len, dsn) = data_fields(p);
-            let a = r.on_data(p.flow, seq, len, dsn, false).unwrap();
+            let a = r.on_data(p.flow, seq, len, dsn).unwrap();
             let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
             last_dack = dack;
         }
@@ -640,7 +640,7 @@ mod tests {
                 skipped_first_sf0 = true;
                 continue; // drop the first chunk of subflow 0
             }
-            if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
+            if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
                 let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
                 last_dack = last_dack.max(dack);
             }
@@ -670,7 +670,7 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let PacketKind::Data { seq, len, dsn } = p.kind else { continue };
-                if let Some(a) = r.on_data(p.flow, seq, len, dsn, false) {
+                if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
                     acks.push(a);
                 }
             }

@@ -67,11 +67,11 @@ impl TcpReceiver {
 
     /// Accept a data segment; returns the ACK to send back.
     ///
-    /// `ce_visible` is what the hypervisor let the VM see of the CE mark —
-    /// under Clove the vswitch masks outer CE unless all paths are
-    /// congested (paper §3.2), so this is a parameter, not `pkt.ce`.
-    /// The ACK depends on no clock; `_now` stays because `benchmark/`
-    /// calls this, and removing it belongs to a `benchmark` PR.
+    /// `ce_visible` is what the hypervisor let the VM see of the CE mark;
+    /// the vswitch always masks outer CE (paper §3.2), so the host stack
+    /// passes `false`. The ACK depends on no clock. `_now` and `ce_visible`
+    /// stay because `benchmark/` calls this form; removing them is a change
+    /// to the benchmark as well.
     pub fn on_data(&mut self, _now: Time, seq: u64, len: u32, ce_visible: bool) -> Packet {
         if ce_visible {
             self.stats.ce_seen += 1;

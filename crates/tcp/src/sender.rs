@@ -1,4 +1,4 @@
-//! The TCP sender: NewReno / DCTCP congestion control over a byte stream.
+//! The TCP sender: NewReno congestion control over a byte stream.
 //!
 //! A [`TcpSender`] models one simplex data pipe of a persistent connection.
 //! Applications enqueue *jobs* (flows, in the paper's workload sense) onto
@@ -11,7 +11,7 @@
 //! arms timers from [`TcpSender::rto_deadline`] (generation-checked, so
 //! stale timer events are ignored without cancellation support).
 
-use crate::config::{CongestionControl, TcpConfig};
+use crate::config::TcpConfig;
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::FlowKey;
 use clove_sim::{Duration, Time};
@@ -52,8 +52,6 @@ pub struct SenderStats {
     pub timeouts: u64,
     /// Fast-retransmit events.
     pub fast_retransmits: u64,
-    /// ECN-echo-driven window reductions (DCTCP).
-    pub ecn_reductions: u64,
     /// Spurious fast retransmissions undone via the DSACK signal.
     pub spurious_undos: u64,
 }
@@ -94,13 +92,6 @@ pub struct TcpSender {
     /// reordering over-penalizes every path-switching scheme.
     undo: Option<(u64, u64, u64)>,
 
-    // --- DCTCP ---
-    dctcp_alpha: f64,
-    dctcp_acked: u64,
-    dctcp_marked: u64,
-    dctcp_window_end: u64,
-    dctcp_cut_done: bool,
-
     // --- RTT / RTO ---
     srtt: Option<Duration>,
     rttvar: Duration,
@@ -140,11 +131,6 @@ impl TcpSender {
             dup_threshold: 3,
             recover: 0,
             undo: None,
-            dctcp_alpha: 0.0,
-            dctcp_acked: 0,
-            dctcp_marked: 0,
-            dctcp_window_end: 0,
-            dctcp_cut_done: false,
             srtt: None,
             rttvar: Duration::ZERO,
             rto: cfg.init_rto,
@@ -283,10 +269,11 @@ impl TcpSender {
         self.backoff = 0;
     }
 
-    /// Process a cumulative acknowledgement. `ece` carries the DCTCP ECN
-    /// echo; `dup` the receiver's duplicate-segment (DSACK) report.
+    /// Process a cumulative acknowledgement. `dup` is the receiver's
+    /// duplicate-segment (DSACK) report; the ECN echo `_ece` is ignored,
+    /// as a NewReno guest ignores it.
     /// Completed jobs are returned; new segments are pushed to `out`.
-    pub fn on_ack(&mut self, now: Time, ackno: u64, ece: bool, dup: Option<u64>, out: &mut Vec<Packet>) -> Vec<JobCompletion> {
+    pub fn on_ack(&mut self, now: Time, ackno: u64, _ece: bool, dup: Option<u64>, out: &mut Vec<Packet>) -> Vec<JobCompletion> {
         let mut completions = Vec::new();
         // DSACK undo: exactly the segment we fast-retransmitted arrived as
         // a duplicate — the original was merely reordered, not lost.
@@ -322,11 +309,6 @@ impl TcpSender {
                 self.rtt_probe = None;
             }
         }
-        // DCTCP bookkeeping (counts every ack, new or duplicate).
-        if let CongestionControl::Dctcp { .. } = self.cfg.cc {
-            self.dctcp_on_ack(now, ackno, ece);
-        }
-
         if ackno > self.snd_una {
             let acked = ackno - self.snd_una;
             self.snd_una = ackno;
@@ -438,37 +420,6 @@ impl TcpSender {
         self.snd_nxt = self.snd_una;
         self.pump(now, out);
         self.arm_rto(now);
-    }
-
-    /// DCTCP per-ack processing: track the marked fraction, refresh alpha
-    /// once per window, cut the window proportionally once per window when
-    /// marks are seen.
-    fn dctcp_on_ack(&mut self, _now: Time, ackno: u64, ece: bool) {
-        // Close out the previous observation window *before* processing
-        // this ack, so the once-per-window cut flag covers a full window.
-        if ackno >= self.dctcp_window_end {
-            let CongestionControl::Dctcp { g } = self.cfg.cc else { return };
-            let frac = if self.dctcp_acked > 0 { self.dctcp_marked as f64 / self.dctcp_acked as f64 } else { 0.0 };
-            self.dctcp_alpha = (1.0 - g) * self.dctcp_alpha + g * frac;
-            self.dctcp_acked = 0;
-            self.dctcp_marked = 0;
-            self.dctcp_window_end = self.snd_nxt;
-            self.dctcp_cut_done = false;
-        }
-        let bytes = ackno.saturating_sub(self.snd_una).max(self.cfg.mss as u64 / 2);
-        self.dctcp_acked += bytes;
-        if ece {
-            self.dctcp_marked += bytes;
-            if !self.dctcp_cut_done {
-                // React once per window.
-                let shrink = 1.0 - self.dctcp_alpha.max(0.06) / 2.0;
-                self.cwnd = ((self.cwnd as f64 * shrink) as u64).max(2 * self.cfg.mss as u64);
-                self.ssthresh = self.cwnd;
-                self.phase = Phase::CongestionAvoidance;
-                self.dctcp_cut_done = true;
-                self.stats.ecn_reductions += 1;
-            }
-        }
     }
 }
 
@@ -691,24 +642,6 @@ mod tests {
         out.clear();
         s.enqueue_job(t + Duration::from_secs(1), 2, 100_000, &mut out);
         assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn dctcp_cuts_proportionally_and_once_per_window() {
-        let cfg = TcpConfig { cc: CongestionControl::Dctcp { g: 1.0 / 16.0 }, ..TcpConfig::default() };
-        let mut s = TcpSender::new(key(), cfg, Time::ZERO);
-        let mut out = Vec::new();
-        s.enqueue_job(Time::ZERO, 1, 1_000_000, &mut out);
-        let before = s.cwnd();
-        out.clear();
-        s.on_ack(Time::from_micros(100), 1400, true, None, &mut out);
-        let after1 = s.cwnd();
-        assert!(after1 < before, "ECE must shrink the window");
-        // Second marked ack in the same window must not cut again.
-        s.on_ack(Time::from_micros(110), 2800, true, None, &mut out);
-        let after2 = s.cwnd();
-        assert!(after2 >= after1, "second cut within a window happened");
-        assert_eq!(s.stats.ecn_reductions, 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! says, inside a full live simulation?
 
 use clove::harness::{Scenario, Scheme, TopologyKind};
+use clove::net::fault::{CableSelector, FaultPlan};
 use clove::net::types::{NodeId, SwitchId};
 use clove::sim::Time;
 use clove::workload::web_search;
@@ -95,7 +96,7 @@ fn mid_run_failure_is_survived_and_rediscovered() {
     // (in-flight packets on the dead cable are lost; TCP recovers) and
     // the probe daemon must keep installing fresh path selections.
     let mut s = scenario(Scheme::CloveEcn, TopologyKind::Symmetric, 0.4);
-    s.fail_at(Time::from_millis(50));
+    s.faults.extend(FaultPlan::cut(Time::from_millis(50), CableSelector::S2_L2));
     s.horizon = Time::from_secs(30);
     let out = s.run_rpc(&web_search());
     assert_eq!(out.fct.incomplete, 0, "jobs lost after mid-run failure");

@@ -181,7 +181,22 @@ fn docs_name_no_deleted_scheme_item() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
-        for name in ["CloveLatency", "clove_latency", "clove-latency", "adaptive_gap", "CloveEcnNonOverlay", "non_overlay", "clove-ecn-non-overlay"] {
+        for name in [
+            "CloveLatency",
+            "clove_latency",
+            "clove-latency",
+            "adaptive_gap",
+            "CloveEcnNonOverlay",
+            "non_overlay",
+            "clove-ecn-non-overlay",
+            "let-flow",
+            "ecmp-dctcp",
+            "clove-ecn-dctcp",
+            "EcmpDctcp",
+            "CloveEcnDctcp",
+            "LetFlowConfig",
+            "shape_check",
+        ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }
     }

@@ -62,17 +62,6 @@ fn conga_completes_asymmetric() {
 }
 
 #[test]
-fn letflow_completes_symmetric() {
-    assert_completes(Scheme::LetFlow, TopologyKind::Symmetric);
-}
-
-#[test]
-fn dctcp_ablations_complete() {
-    assert_completes(Scheme::EcmpDctcp, TopologyKind::Symmetric);
-    assert_completes(Scheme::CloveEcnDctcp, TopologyKind::Asymmetric);
-}
-
-#[test]
 fn hula_completes_asymmetric() {
     assert_completes(Scheme::Hula, TopologyKind::Asymmetric);
 }
