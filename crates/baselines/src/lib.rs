@@ -13,8 +13,8 @@
 //!   asymmetry); the receiving vswitch reassembles out-of-order flowcells
 //!   (`clove_overlay::presto_rx`).
 //! * CONGA and HULA live in the fabric (`clove_net::switch`), since
-//!   they replace switch behaviour; [`fabric_schemes`] provides the
-//!   configurations used by the experiments.
+//!   they replace switch behaviour; `CongaConfig::default` and
+//!   `HulaConfig::default` there are the configurations the experiments run.
 //! * MPTCP is a transport, not a vswitch policy: see `clove_tcp::mptcp`.
 
 pub mod ecmp;
@@ -22,25 +22,3 @@ pub mod presto;
 
 pub use ecmp::EcmpPolicy;
 pub use presto::{PrestoConfig, PrestoPolicy};
-
-/// Ready-made fabric-scheme configurations for the paper's in-network
-/// comparison points.
-pub mod fabric_schemes {
-    use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
-    use clove_sim::Duration;
-
-    /// Plain ECMP fabric (what every edge scheme runs over).
-    pub fn ecmp() -> FabricScheme {
-        FabricScheme::Ecmp
-    }
-
-    /// CONGA with the given flowlet gap (CONGA uses ~500 µs at 10/40G).
-    pub fn conga(flowlet_gap: Duration) -> FabricScheme {
-        FabricScheme::Conga(CongaConfig { flowlet_gap, quant_bits: 3, metric_age: flowlet_gap * 20 })
-    }
-
-    /// HULA with the given probe interval and flowlet gap (paper §8).
-    pub fn hula(probe_interval: Duration, flowlet_gap: Duration) -> FabricScheme {
-        FabricScheme::Hula(HulaConfig { probe_interval, flowlet_gap, entry_age: probe_interval * 20 })
-    }
-}

@@ -68,8 +68,8 @@ impl Default for DiscoveryConfig {
             candidates: 24,
             k_paths: 4,
             max_ttl: 4,
-            probe_interval: Duration::from_millis(50),
-            round_timeout: Duration::from_millis(2),
+            probe_interval: Duration::from_millis(100),
+            round_timeout: Duration::from_millis(1),
             port_base: 49152,
             port_span: 16000,
             blackhole_rounds: 3,

@@ -197,7 +197,7 @@ impl ScenarioSpec {
             jobs_per_conn: v.uint_field("jobs_per_conn")?.unwrap_or(d.jobs_per_conn),
             conns_per_client: v.uint_field("conns_per_client")?.unwrap_or(d.conns_per_client),
             seed: v.uint_field("seed")?.unwrap_or(d.seed),
-            seeds: v.uint_field("seeds")?.unwrap_or(d.seeds).max(1),
+            seeds: v.uint_field("seeds")?.unwrap_or(d.seeds),
             horizon_secs: time_field(&v, "horizon_secs")?.unwrap_or(d.horizon_secs),
             fail_at_ms: time_field(&v, "fail_at_ms")?,
             node_crash: match v.get("node_crash") {
@@ -290,6 +290,13 @@ impl ScenarioSpec {
     /// [`Scenario::validate`] gates — before any worker starts. Errors lead
     /// with the offending field.
     pub fn validate(&self) -> Result<(), String> {
+        // Two keys a run would otherwise ignore without a word.
+        if self.seeds == 0 {
+            return Err("seeds: must be at least 1".to_string());
+        }
+        if self.control_loss_at_ms.is_some() && self.control_loss.is_none() {
+            return Err("control_loss_at_ms: set without 'control_loss', so no loss would start".to_string());
+        }
         self.distribution()?;
         self.to_scenario().validate()
     }
@@ -310,7 +317,7 @@ impl ScenarioSpec {
     pub fn run(&self, jobs: usize, journal: Option<&Journal>) -> Result<(RunReport, String, u64), String> {
         self.validate()?;
         let dist = self.distribution()?;
-        let seeds: Vec<u64> = (0..u64::from(self.seeds.max(1))).map(|i| self.seed.wrapping_add(i)).collect();
+        let seeds: Vec<u64> = (0..u64::from(self.seeds)).map(|i| self.seed.wrapping_add(i)).collect();
         let spec_key = self.to_json().render();
         let outcomes = orchestrator::run_journaled(
             &seeds,

@@ -5,8 +5,8 @@
 //!
 //! This crate assembles the substrates into runnable experiments:
 //!
-//! * [`profile`] — the parameter profile (link rates, ECN threshold,
-//!   flowlet gap, relay interval, RTO floors) used by all experiments;
+//! * [`profile`] — the knobs experiments vary (link rates, ECN threshold,
+//!   flowlet gap, relay and probe intervals, two ablation switches);
 //!   defaults mirror the paper's testbed (§5) at full 10G/40G rates.
 //! * [`scheme`] — the scheme matrix: every load balancer the paper
 //!   evaluates (ECMP, Edge-Flowlet, Clove-ECN, Clove-INT, MPTCP, Presto,

@@ -9,7 +9,7 @@
 
 use crate::invariants::InvariantMonitor;
 use crate::json::Json;
-use crate::profile::Profile;
+use crate::profile::{Profile, LOADED_RTT};
 use crate::scheme::Scheme;
 use crate::stack::HostStack;
 use clove_net::fabric::Event;
@@ -374,8 +374,8 @@ impl Scenario {
         let marks: u64 = net.fabric.links.iter().map(|l| l.stats.ecn_marks).sum();
         net.hosts.aggregate_transport_stats();
         let window = fct_window_for(self.profile.probe_interval);
-        let (rate, base) = (self.profile.access_bps, self.profile.loaded_rtt);
-        let recovery = first_fault.and_then(|at| recovery_time(net.hosts.fct.records(), at, window, RECOVERY_FACTOR, rate, base));
+        let rate = self.profile.access_bps;
+        let recovery = first_fault.and_then(|at| recovery_time(net.hosts.fct.records(), at, window, RECOVERY_FACTOR, rate, LOADED_RTT));
         let (trace_events, trace_dropped) = trace.take();
         Ok(RpcOutcome {
             fct: net.hosts.fct.summarize(),
@@ -669,7 +669,7 @@ mod tests {
         let topo = s.build_topology();
         for l in &topo.fabric.links {
             assert!(l.cfg.int_enabled, "Clove-INT needs every link to stamp INT: {:?}", l.id);
-            assert_eq!((l.cfg.ecn_threshold_bytes, l.cfg.prop_delay), (7 * Profile::MTU, s.profile.prop_delay));
+            assert_eq!((l.cfg.ecn_threshold_bytes, l.cfg.prop_delay), (7 * Profile::MTU, Duration::from_micros(1)));
         }
         s.jobs_per_conn = 8;
         s.conns_per_client = 1;

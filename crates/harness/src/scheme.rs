@@ -1,10 +1,10 @@
 //! The scheme matrix: every load balancer the paper evaluates.
 
 use crate::json::Json;
-use crate::profile::Profile;
-use clove_baselines::{fabric_schemes, EcmpPolicy, PrestoConfig, PrestoPolicy};
-use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy};
-use clove_net::switch::FabricScheme;
+use crate::profile::{Profile, LOADED_RTT};
+use clove_baselines::{EcmpPolicy, PrestoConfig, PrestoPolicy};
+use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy, FlowletConfig};
+use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
 use clove_overlay::{EdgePolicy, VSwitchConfig};
 
 /// Which load balancer a run deploys. Edge schemes ride a plain-ECMP
@@ -195,12 +195,13 @@ impl Scheme {
         }
     }
 
-    /// What the fabric switches run.
-    pub fn fabric_scheme(&self, profile: &Profile) -> FabricScheme {
+    /// What the fabric switches run. No profile knob reaches the fabric
+    /// scheme; the parameter stays because `benchmark/` calls this form.
+    pub fn fabric_scheme(&self, _profile: &Profile) -> FabricScheme {
         match self {
-            Scheme::Conga => fabric_schemes::conga(profile.conga_flowlet_gap),
-            Scheme::Hula => fabric_schemes::hula(profile.hula_probe_interval, profile.conga_flowlet_gap),
-            _ => fabric_schemes::ecmp(),
+            Scheme::Conga => FabricScheme::Conga(CongaConfig::default()),
+            Scheme::Hula => FabricScheme::Hula(HulaConfig::default()),
+            _ => FabricScheme::Ecmp,
         }
     }
 
@@ -242,24 +243,14 @@ impl Scheme {
 
     /// Build the edge policy instance for one hypervisor.
     pub fn build_policy(&self, profile: &Profile, seed: u64) -> Box<dyn EdgePolicy> {
-        let gap = profile.flowlet_gap;
+        let flowlet = FlowletConfig::with_gap(profile.flowlet_gap);
         match self {
             Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula => Box::new(EcmpPolicy::default()),
-            Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(clove_core::FlowletConfig::with_gap(gap), seed)),
+            Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(flowlet, seed)),
             Scheme::CloveEcn => {
-                let mut cfg = CloveEcnConfig::for_rtt(profile.loaded_rtt);
-                cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
-                cfg.recovery_rho = profile.clove_recovery_rho;
-                cfg.stale_horizon = profile.loaded_rtt * profile.stale_horizon_rtts;
-                cfg.dead_horizon = profile.loaded_rtt * profile.dead_horizon_rtts;
-                Box::new(CloveEcnPolicy::new(cfg))
+                Box::new(CloveEcnPolicy::new(CloveEcnConfig { flowlet, recovery_rho: profile.clove_recovery_rho, ..CloveEcnConfig::for_rtt(LOADED_RTT) }))
             }
-            Scheme::CloveInt => {
-                let mut cfg = CloveUtilConfig::for_rtt(profile.loaded_rtt);
-                cfg.flowlet = clove_core::FlowletConfig::with_gap(gap);
-                cfg.dead_horizon = profile.loaded_rtt * profile.dead_horizon_rtts;
-                Box::new(CloveIntPolicy::new(cfg))
-            }
+            Scheme::CloveInt => Box::new(CloveIntPolicy::new(CloveUtilConfig { flowlet, ..CloveUtilConfig::for_rtt(LOADED_RTT) })),
             Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone(), ..PrestoConfig::default() })),
             // Uniform call sites never reach here for Incremental (the
             // harness uses the *_for variants), but default to Clove-ECN.

@@ -43,6 +43,15 @@ const T_PRESTO_POLL: u64 = 6;
 const T_INCAST_SERVE: u64 = 7;
 const T_PROBE_RETRY: u64 = 8; // payload = destination HostId
 
+/// Warm-up before application traffic starts: the first probe round
+/// finishes, so policies have discovered paths.
+const WARMUP: Duration = Duration::from_millis(3);
+/// Presto receive-side reassembly poll period.
+const PRESTO_POLL: Duration = Duration::from_micros(250);
+/// Incast "request packets" are a control delay of half the unloaded RTT
+/// (20 µs) from the client to each chosen server.
+const INCAST_REQUEST_DELAY: Duration = Duration::from_micros(10);
+
 fn token(kind: u64, payload: u64) -> u64 {
     (payload << 8) | kind
 }
@@ -135,8 +144,6 @@ pub struct StackStats {
 pub struct HostStack {
     /// All hosts, indexed by `HostId.0`.
     pub hosts: Vec<Host>,
-    /// Profile in force.
-    pub profile: Profile,
     /// TCP parameters.
     pub tcp_cfg: TcpConfig,
     /// FCT records for the whole run.
@@ -174,7 +181,6 @@ impl HostStack {
         }
         HostStack {
             hosts,
-            profile,
             tcp_cfg,
             fct: FctCollector::new(),
             stats: StackStats::default(),
@@ -277,12 +283,12 @@ impl HostStack {
                 ctx_builder(HostId(h as u32), token(T_PROBE_START, 0), at);
             }
             if self.hosts[h].vswitch.cfg.presto_reassembly.is_some() {
-                ctx_builder(HostId(h as u32), token(T_PRESTO_POLL, 0), Time::from_nanos(self.profile.presto_poll.as_nanos()));
+                ctx_builder(HostId(h as u32), token(T_PRESTO_POLL, 0), Time::from_nanos(PRESTO_POLL.as_nanos()));
             }
             // First RPC arrival per connection (after warmup).
             for (ci, jobs) in self.hosts[h].jobs.iter().enumerate() {
                 if let Some(first) = jobs.front() {
-                    let at = Time::from_nanos(self.profile.warmup.as_nanos() + first.at.as_nanos());
+                    let at = Time::from_nanos(WARMUP.as_nanos() + first.at.as_nanos());
                     ctx_builder(HostId(h as u32), token(T_APP_ARRIVAL, ci as u64), at);
                 }
             }
@@ -291,7 +297,7 @@ impl HostStack {
         // client's serve-timers).
         if let Some(inc) = &self.incast {
             let client = inc.spec.client;
-            ctx_builder(client, token(T_INCAST_SERVE, 0), Time::from_nanos(self.profile.warmup.as_nanos()));
+            ctx_builder(client, token(T_INCAST_SERVE, 0), Time::from_nanos(WARMUP.as_nanos()));
         }
     }
 
@@ -385,13 +391,10 @@ impl HostStack {
                 inc.rounds_done += 1;
                 inc.finished = now;
                 if inc.rounds_done < inc.spec.requests {
-                    // Next request: the "request packets" are modeled as a
-                    // half-RTT control delay to each chosen server.
-                    let delay = self.profile.rtt / 2;
                     let servers = inc.spec.pick_servers(&mut inc.rng);
                     inc.outstanding = servers.len() as u32;
                     for s in servers {
-                        ctx.timer_for(s, delay, token(T_INCAST_SERVE, 1));
+                        ctx.timer_for(s, INCAST_REQUEST_DELAY, token(T_INCAST_SERVE, 1));
                     }
                 }
             }
@@ -507,7 +510,7 @@ impl HostLogic for HostStack {
                 self.launch_job(hi, conn_idx, job.bytes, ctx);
                 // Chain the next arrival (absolute schedule + warmup).
                 if let Some(next) = self.hosts[hi].jobs[conn_idx].front() {
-                    let at = Time::from_nanos(self.profile.warmup.as_nanos() + next.at.as_nanos());
+                    let at = Time::from_nanos(WARMUP.as_nanos() + next.at.as_nanos());
                     ctx.timer_in(at.saturating_since(now), token(T_APP_ARRIVAL, payload));
                 }
             }
@@ -621,18 +624,17 @@ impl HostLogic for HostStack {
                 for pkt in flushed {
                     self.deliver_to_guest(hi, pkt, ctx);
                 }
-                ctx.timer_in(self.profile.presto_poll, token(T_PRESTO_POLL, 0));
+                ctx.timer_in(PRESTO_POLL, token(T_PRESTO_POLL, 0));
             }
             T_INCAST_SERVE => {
                 if payload == 0 {
                     // Round zero: the client kicks off the first request.
                     let Some(inc) = self.incast.as_mut() else { return };
                     inc.started = now;
-                    let delay = self.profile.rtt / 2;
                     let servers = inc.spec.pick_servers(&mut inc.rng);
                     inc.outstanding = servers.len() as u32;
                     for s in servers {
-                        ctx.timer_for(s, delay, token(T_INCAST_SERVE, 1));
+                        ctx.timer_for(s, INCAST_REQUEST_DELAY, token(T_INCAST_SERVE, 1));
                     }
                 } else {
                     // A server received the "request": send its part.

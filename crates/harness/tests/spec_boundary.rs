@@ -402,6 +402,10 @@ fn clove_run_rejects_a_bad_spec_with_one_line_and_no_worker() {
         (spec(r#"{"name":"mptcp","subflows":4294967297}"#, sym, r#""load":0.5"#), "subflows"),
         (spec(ecmp, sym, r#""load":0.5,"jobs_per_conn":4294967298"#), "jobs_per_conn"),
         (spec(ecmp, sym, r#""load":0.5,"seedz":7"#), "unknown key 'seedz'"),
+        // Both used to run as if absent: a loss start with no loss rate, and
+        // zero seeds as one.
+        (spec(ecmp, sym, r#""load":0.5,"control_loss_at_ms":5"#), "control_loss_at_ms: set without 'control_loss'"),
+        (spec(ecmp, sym, r#""load":0.5,"seeds":0"#), "seeds: must be at least 1"),
         // Past 2^53 a seed used to run saturated (1e20 → u64::MAX) or rounded
         // (…993 → …992).
         (spec(ecmp, sym, r#""load":0.5,"seed":1e20"#), "'seed' must be a non-negative integer below 2^53"),

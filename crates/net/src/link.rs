@@ -62,17 +62,19 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A sensible default for a given rate: 256 KB buffer, 30 KB ECN
-    /// threshold (20 × 1500 B), DRE window ≈ 500 µs.
+    /// The link every run uses at `rate_bps`: 1 µs propagation, a 256 KB
+    /// buffer, a 30 KB ECN threshold (20 × 1500 B), no INT, and a DRE with
+    /// gain 0.1 decayed every 40 µs (time constant ≈ 400 µs). The harness
+    /// sets only the buffer, the ECN threshold and the INT flag.
     pub fn for_rate(rate_bps: u64) -> LinkConfig {
         LinkConfig {
             rate_bps,
-            prop_delay: Duration::from_micros(2),
+            prop_delay: Duration::from_micros(1),
             buffer_bytes: 256 * 1024,
             ecn_threshold_bytes: 30_000,
             int_enabled: false,
             dre_alpha: 0.1,
-            dre_period: Duration::from_micros(50),
+            dre_period: Duration::from_micros(40),
         }
     }
 }

@@ -30,8 +30,10 @@ pub struct CongaConfig {
 }
 
 impl Default for CongaConfig {
+    /// The runs' CONGA: a 200 µs flowlet gap (two loaded RTTs) and metrics
+    /// aged out after 20 gaps.
     fn default() -> Self {
-        CongaConfig { flowlet_gap: Duration::from_micros(200), quant_bits: 3, metric_age: Duration::from_millis(10) }
+        CongaConfig { flowlet_gap: Duration::from_micros(200), quant_bits: 3, metric_age: Duration::from_millis(4) }
     }
 }
 
@@ -47,8 +49,10 @@ pub struct HulaConfig {
 }
 
 impl Default for HulaConfig {
+    /// The runs' HULA: probes every 200 µs, CONGA's 200 µs flowlet gap, and
+    /// best-hop entries aged out after 20 probe intervals.
     fn default() -> Self {
-        HulaConfig { probe_interval: Duration::from_micros(100), flowlet_gap: Duration::from_micros(200), entry_age: Duration::from_millis(2) }
+        HulaConfig { probe_interval: Duration::from_micros(200), flowlet_gap: Duration::from_micros(200), entry_age: Duration::from_millis(4) }
     }
 }
 

@@ -16,7 +16,8 @@ pub struct TcpConfig {
     pub max_cwnd_bytes: u64,
     /// Retransmission timeout before any RTT sample exists.
     pub init_rto: Duration,
-    /// Lower bound on the RTO.
+    /// Lower bound on the RTO: 2 ms, not Linux's 200 ms, so a timeout stays
+    /// ≫ RTT without making short runs unrecoverable (DESIGN.md §7).
     pub min_rto: Duration,
     /// Upper bound on the RTO (caps exponential backoff).
     pub max_rto: Duration,
@@ -36,8 +37,8 @@ impl Default for TcpConfig {
             header_overhead: crate::config::DEFAULT_HEADER_OVERHEAD,
             init_window_pkts: 10,
             max_cwnd_bytes: 4 * 1024 * 1024,
-            init_rto: Duration::from_millis(10),
-            min_rto: Duration::from_millis(1),
+            init_rto: Duration::from_millis(5),
+            min_rto: Duration::from_millis(2),
             max_rto: Duration::from_secs(2),
             rwnd_bytes: None,
             dsack_undo: true,

@@ -607,10 +607,10 @@ mod tests {
         let mut s = sender();
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 1400, &mut out);
-        s.on_ack(Time::from_micros(500), 1400, false, None, &mut out);
-        assert_eq!(s.srtt(), Some(Duration::from_micros(500)));
-        // rto = srtt + 4*rttvar = 500 + 4*250 = 1500us, below min 1ms → 1500us.
-        assert_eq!(s.rto, Duration::from_micros(1500));
+        s.on_ack(Time::from_micros(1000), 1400, false, None, &mut out);
+        assert_eq!(s.srtt(), Some(Duration::from_micros(1000)));
+        // rto = srtt + 4*rttvar = 1000 + 4*500 = 3000us, above the 2ms floor.
+        assert_eq!(s.rto, Duration::from_micros(3000));
     }
 
     #[test]

@@ -175,7 +175,9 @@ fn docs_name_only_targets_and_paths_that_exist() {
 }
 
 /// Items deleted with the one-way-latency scheme and the five-tuple-swap
-/// mode. Plain words, not paths, so the scan above cannot see them.
+/// mode, and the scheme parameters that left `Profile` for the component
+/// that reads them. Plain words, not paths, so the scan above cannot see
+/// them.
 #[test]
 fn docs_name_no_deleted_scheme_item() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -196,6 +198,12 @@ fn docs_name_no_deleted_scheme_item() {
             "CloveEcnDctcp",
             "LetFlowConfig",
             "shape_check",
+            "stale_horizon_rtts",
+            "dead_horizon_rtts",
+            "conga_flowlet_gap",
+            "hula_probe_interval",
+            "fabric_schemes",
+            "Profile::quick",
         ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }
@@ -221,13 +229,18 @@ fn the_scanner_finds_what_it_should() {
         assert!(!root_names(&top).contains(&name), "{name}: {top}");
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for (krate, name) in [("net", "fault"), ("sim", "Time"), ("sim", "run"), ("workload", "web_search"), ("baselines", "fabric_schemes"), ("core", "clove_ecn")]
-    {
+    for (krate, name) in [("net", "fault"), ("sim", "Time"), ("sim", "run"), ("workload", "web_search"), ("baselines", "PrestoPolicy"), ("core", "clove_ecn")] {
         assert!(crate_has(root, krate, name), "clove-{krate}::{name}");
     }
-    for (krate, name) in
-        [("net", "wire"), ("net", "codec"), ("net", "chaos"), ("sim", "stats"), ("workload", "websearch"), ("baselines", "conga"), ("ecn", "on_path_dead")]
-    {
+    for (krate, name) in [
+        ("net", "wire"),
+        ("net", "codec"),
+        ("net", "chaos"),
+        ("sim", "stats"),
+        ("workload", "websearch"),
+        ("baselines", "fabric_schemes"),
+        ("ecn", "on_path_dead"),
+    ] {
         assert!(!crate_has(root, krate, name), "clove-{krate}::{name}");
     }
 }
