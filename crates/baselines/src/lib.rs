@@ -12,9 +12,9 @@
 //!   (the paper grants Presto ideal, oracle-configured weights under
 //!   asymmetry); the receiving vswitch reassembles out-of-order flowcells
 //!   (`clove_overlay::presto_rx`).
-//! * CONGA and HULA live in the fabric (`clove_net::switch`), since
-//!   they replace switch behaviour; `CongaConfig::default` and
-//!   `HulaConfig::default` there are the configurations the experiments run.
+//! * CONGA and HULA live in the fabric (`clove_net::switch`,
+//!   `clove_net::fabric`), since they replace switch behaviour; their
+//!   parameters are the constants beside their reader in `clove_net::fabric`.
 //! * MPTCP is a transport, not a vswitch policy: see `clove_tcp::mptcp`.
 
 pub mod ecmp;

@@ -19,21 +19,16 @@ use clove_overlay::EdgePolicy;
 use clove_sim::Time;
 use rustc_hash::FxHashMap;
 
+/// Flowcell size in payload bytes (Presto: 64 KB, one TSO segment).
+pub const FLOWCELL_BYTES: u64 = 64 * 1024;
+
 /// Presto tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrestoConfig {
-    /// Flowcell size in payload bytes (Presto: 64 KB).
-    pub flowcell_bytes: u64,
     /// Static path weights applied to every destination's port set, in
     /// port order; `None` = uniform. (The oracle weights for asymmetric
     /// topologies.)
     pub weights: Option<Vec<f64>>,
-}
-
-impl Default for PrestoConfig {
-    fn default() -> Self {
-        PrestoConfig { flowcell_bytes: 64 * 1024, weights: None }
-    }
 }
 
 #[derive(Default)]
@@ -73,7 +68,7 @@ impl EdgePolicy for PrestoPolicy {
             _ => 0,
         };
         let st = self.flows.entry(pkt.flow).or_default();
-        let cell = (st.bytes_seen / self.cfg.flowcell_bytes) as u32;
+        let cell = (st.bytes_seen / FLOWCELL_BYTES) as u32;
         // +1 so cell ids start at 1 and 0 means "no cell assigned".
         if cell + 1 != st.current_cell {
             st.current_cell = cell + 1;
@@ -147,13 +142,11 @@ mod tests {
 
     #[test]
     fn static_weights_respected() {
-        let mut p = PrestoPolicy::new(PrestoConfig {
-            flowcell_bytes: 1400, // one packet per cell for the test
-            weights: Some(vec![0.33, 0.33, 0.17, 0.17]),
-        });
+        let mut p = PrestoPolicy::new(PrestoConfig { weights: Some(vec![0.33, 0.33, 0.17, 0.17]) });
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
         let mut counts: FxHashMap<u16, usize> = FxHashMap::default();
-        for i in 0..1000u64 {
+        // 1000 flowcells of 1400 B packets.
+        for i in 0..1000 * FLOWCELL_BYTES / 1400 {
             let mut a = pkt(1000, i * 1400);
             *counts.entry(p.select_port(Time::ZERO, HostId(1), &mut a)).or_insert(0) += 1;
         }

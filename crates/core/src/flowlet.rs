@@ -21,22 +21,21 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
+/// Soft cap on table entries: a packet that finds more tracked flows than
+/// this first sweeps out the idle ones.
+pub const MAX_ENTRIES: usize = 65_536;
+
 /// Flowlet detection parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowletConfig {
     /// Idle gap that opens a new flowlet.
     pub gap: Duration,
-    /// Entries idle longer than this are evicted (keeps the table at the
-    /// "order of destinations actively talked to" size the paper cites).
-    pub idle_evict: Duration,
-    /// Soft cap on entries; a sweep runs when exceeded.
-    pub max_entries: usize,
 }
 
 impl FlowletConfig {
-    /// A config with the given gap and proportionate eviction.
+    /// A config with the given gap.
     pub fn with_gap(gap: Duration) -> FlowletConfig {
-        FlowletConfig { gap, idle_evict: gap * 64, max_entries: 65_536 }
+        FlowletConfig { gap }
     }
 }
 
@@ -110,7 +109,7 @@ impl<S: BuildHasher> FlowletTable<S> {
     /// expired paths reuse the same slot instead of a second probe.
     pub fn on_packet(&mut self, now: Time, flow: FlowKey, pick: impl FnOnce(u64) -> u16) -> u16 {
         self.stats.packets += 1;
-        if self.entries.len() > self.cfg.max_entries {
+        if self.entries.len() > MAX_ENTRIES {
             self.sweep(now);
         }
         let gap = self.cfg.gap;
@@ -179,7 +178,9 @@ impl<S: BuildHasher> FlowletTable<S> {
     }
 
     fn sweep(&mut self, now: Time) {
-        let evict = self.cfg.idle_evict;
+        // Entries idle longer than 64 gaps go, which keeps the table at the
+        // "order of destinations actively talked to" size the paper cites.
+        let evict = self.cfg.gap * 64;
         let before = self.entries.len();
         let trace = &self.trace;
         // `retain` walks the map in its (deterministic, Fx-hashed) iteration
@@ -276,14 +277,17 @@ mod tests {
 
     #[test]
     fn eviction_sweep_trims_idle_flows() {
-        let mut t = FlowletTable::new(FlowletConfig { gap: Duration::from_micros(100), idle_evict: Duration::from_micros(1000), max_entries: 10 });
-        for s in 0..11 {
-            t.on_packet(Time::ZERO, flow(s), |_| 1);
+        // More flows than one host pair's source ports: spread over dsts.
+        let key = |i: u32| FlowKey::tcp(HostId(0), HostId(1 + (i >> 16)), i as u16, 80);
+        let mut t = table(100);
+        let n = MAX_ENTRIES as u32 + 1;
+        for i in 0..n {
+            t.on_packet(Time::ZERO, key(i), |_| 1);
         }
-        // Next packet at a much later time triggers the sweep first.
-        t.on_packet(Time::from_millis(10), flow(100), |_| 1);
+        // Next packet after the 6.4 ms idle eviction triggers the sweep first.
+        t.on_packet(Time::from_millis(10), key(n), |_| 1);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.stats.evictions, 11);
+        assert_eq!(t.stats.evictions, n as u64);
     }
 
     #[test]

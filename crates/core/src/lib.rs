@@ -35,7 +35,7 @@ pub mod wrr;
 
 pub use clove_ecn::{CloveEcnConfig, CloveEcnPolicy};
 pub use clove_int::{CloveIntPolicy, CloveUtilConfig};
-pub use discovery::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
+pub use discovery::{DiscoveryEvent, ProbeDaemon};
 pub use flowlet::{FlowletConfig, FlowletTable};
 pub use paths::PathSet;
 pub use wrr::Wrr;

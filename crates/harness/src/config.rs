@@ -152,18 +152,20 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// A spec with every field but the three required ones at its default —
-    /// the values an omitted JSON key takes.
+    /// the values an omitted JSON key takes. The job and connection counts
+    /// and the horizon are [`Scenario::new`]'s.
     pub fn new(scheme: Scheme, topology: TopologyKind, load: f64) -> ScenarioSpec {
+        let s = Scenario::new(scheme.clone(), topology, load, 0);
         ScenarioSpec {
             scheme,
             topology,
             load,
             workload: "web-search".to_string(),
-            jobs_per_conn: 60,
-            conns_per_client: 2,
+            jobs_per_conn: s.jobs_per_conn,
+            conns_per_client: s.conns_per_client,
             seed: 0,
             seeds: 1,
-            horizon_secs: 30,
+            horizon_secs: s.horizon.as_nanos() / 1_000_000_000,
             fail_at_ms: None,
             node_crash: None,
             flowlet_gap_us: None,
@@ -689,6 +691,13 @@ mod tests {
         assert!(spec.fail_at_ms.is_none());
         let s = spec.to_scenario();
         assert_eq!(s.load, 0.5);
+    }
+
+    #[test]
+    fn a_spec_omitting_counts_and_horizon_builds_scenario_new() {
+        let spec = ScenarioSpec::from_json_str(&ecmp_spec("")).unwrap();
+        let want = Scenario::new(Scheme::Ecmp, TopologyKind::Symmetric, spec.load, spec.seed);
+        assert_eq!(format!("{:?}", spec.to_scenario()), format!("{want:?}"));
     }
 
     #[test]

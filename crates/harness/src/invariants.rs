@@ -18,12 +18,14 @@
 //! when any are present.
 
 use crate::stack::HostStack;
+use clove_core::discovery::MAX_OUTSTANDING;
+use clove_core::flowlet::MAX_ENTRIES;
 use clove_net::Network;
 use clove_sim::Time;
 
-/// Flowlet tables evict past `max_entries` (65 536 by default); allow 2×
-/// headroom so the check flags leaks, not transient overshoot.
-const FLOWLET_TABLE_BOUND: usize = 131_072;
+/// Flowlet tables sweep past [`MAX_ENTRIES`]; allow 2× headroom so the
+/// check flags leaks, not transient overshoot.
+const FLOWLET_TABLE_BOUND: usize = 2 * MAX_ENTRIES;
 
 /// Tolerance on the per-destination weight sum (weights normalize to 1).
 const WEIGHT_SUM_TOL: f64 = 1e-6;
@@ -104,11 +106,8 @@ impl InvariantMonitor {
                 }
             }
             if let Some(daemon) = &host.daemon {
-                if daemon.outstanding() > daemon.max_outstanding() {
-                    self.violation(
-                        now,
-                        format!("host {} probe daemon has {} outstanding probes (budget {})", host.id, daemon.outstanding(), daemon.max_outstanding()),
-                    );
+                if daemon.outstanding() > MAX_OUTSTANDING {
+                    self.violation(now, format!("host {} probe daemon has {} outstanding probes (budget {MAX_OUTSTANDING})", host.id, daemon.outstanding()));
                 }
             }
         }

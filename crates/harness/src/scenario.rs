@@ -12,6 +12,7 @@ use crate::json::Json;
 use crate::profile::{Profile, LOADED_RTT};
 use crate::scheme::Scheme;
 use crate::stack::HostStack;
+use clove_core::discovery::ROUND_TIMEOUT;
 use clove_net::fabric::Event;
 use clove_net::fault::{CableSelector, ControlFaultPlan, ControlFaultStats, FaultAction, FaultPlan, FaultStats};
 use clove_net::topology::{LeafSpine, Topology};
@@ -145,7 +146,7 @@ impl Scenario {
             scheme,
             topology,
             load,
-            jobs_per_conn: 40,
+            jobs_per_conn: 60,
             conns_per_client: 2,
             seed,
             profile: Profile::default(),
@@ -173,13 +174,14 @@ impl Scenario {
     /// the model otherwise asserts deep inside a run (load, connection and
     /// job counts, fat-tree arity, MPTCP subflows, partial-deployment
     /// size), the scheme/topology pairs the model covers (CONGA is
-    /// leaf-spine only), fault-plan, control-plan and discovery parameters
-    /// (flap duty cycles, loss rates, probe counts), and — against the
-    /// topology this scenario builds — every named node lowering onto an
-    /// incident cable set and every named cable resolving. Errors lead with
-    /// the offending field (`load: …`, `topology.k: …`) or selector, the
-    /// latter with the valid selectors for the topology, so a mis-written
-    /// scenario is a diagnosis rather than a panic deep inside a run.
+    /// leaf-spine only), fault-plan and control-plan parameters (flap duty
+    /// cycles, loss rates), the probe interval against the discovery round
+    /// timeout, and — against the topology this scenario builds — every
+    /// named node lowering onto an incident cable set and every named cable
+    /// resolving. Errors lead with the offending field (`load: …`,
+    /// `topology.k: …`) or selector, the latter with the valid selectors
+    /// for the topology, so a mis-written scenario is a diagnosis rather
+    /// than a panic deep inside a run.
     pub fn validate(&self) -> Result<(), String> {
         self.checked_topology().map(|_| ())
     }
@@ -204,7 +206,12 @@ impl Scenario {
         }
         self.faults.validate().map_err(|e| format!("fault plan: {e}"))?;
         self.control_faults.validate().map_err(|e| format!("control fault plan: {e}"))?;
-        self.profile.discovery_config().validate().map_err(|e| format!("discovery configuration: {e}"))?;
+        let interval = self.profile.probe_interval;
+        check(
+            ROUND_TIMEOUT < interval,
+            "profile.probe_interval",
+            format!("{} ns must exceed the {} ns probe round timeout: a probing round must close before the next one opens", interval.0, ROUND_TIMEOUT.0),
+        )?;
         let topo = self.build_topology();
         if let Scheme::Incremental { clove_hosts } = self.scheme {
             check(
@@ -663,13 +670,22 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_interval_inside_the_round_timeout_is_rejected() {
+        let mut s = Scenario::new(Scheme::CloveEcn, TopologyKind::Symmetric, 0.5, 1);
+        s.profile.probe_interval = ROUND_TIMEOUT;
+        assert!(s.validate().unwrap_err().starts_with("profile.probe_interval:"));
+        s.profile.probe_interval = Duration(ROUND_TIMEOUT.0 + 1);
+        assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
     fn fat_tree_links_take_the_profile_so_clove_int_sees_utilisation() {
         let mut s = Scenario::new(Scheme::CloveInt, TopologyKind::FatTree { k: 4 }, 0.5, 7);
         s.profile.ecn_threshold_pkts = 7;
         let topo = s.build_topology();
         for l in &topo.fabric.links {
             assert!(l.cfg.int_enabled, "Clove-INT needs every link to stamp INT: {:?}", l.id);
-            assert_eq!((l.cfg.ecn_threshold_bytes, l.cfg.prop_delay), (7 * Profile::MTU, Duration::from_micros(1)));
+            assert_eq!(l.cfg.ecn_threshold_bytes, 7 * Profile::MTU);
         }
         s.jobs_per_conn = 8;
         s.conns_per_client = 1;

@@ -4,7 +4,7 @@ use crate::json::Json;
 use crate::profile::{Profile, LOADED_RTT};
 use clove_baselines::{EcmpPolicy, PrestoConfig, PrestoPolicy};
 use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy, FlowletConfig};
-use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
+use clove_net::switch::FabricScheme;
 use clove_overlay::{EdgePolicy, VSwitchConfig};
 
 /// Which load balancer a run deploys. Edge schemes ride a plain-ECMP
@@ -199,8 +199,8 @@ impl Scheme {
     /// scheme; the parameter stays because `benchmark/` calls this form.
     pub fn fabric_scheme(&self, _profile: &Profile) -> FabricScheme {
         match self {
-            Scheme::Conga => FabricScheme::Conga(CongaConfig::default()),
-            Scheme::Hula => FabricScheme::Hula(HulaConfig::default()),
+            Scheme::Conga => FabricScheme::Conga,
+            Scheme::Hula => FabricScheme::Hula,
             _ => FabricScheme::Ecmp,
         }
     }
@@ -251,7 +251,7 @@ impl Scheme {
                 Box::new(CloveEcnPolicy::new(CloveEcnConfig { flowlet, recovery_rho: profile.clove_recovery_rho, ..CloveEcnConfig::for_rtt(LOADED_RTT) }))
             }
             Scheme::CloveInt => Box::new(CloveIntPolicy::new(CloveUtilConfig { flowlet, ..CloveUtilConfig::for_rtt(LOADED_RTT) })),
-            Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone(), ..PrestoConfig::default() })),
+            Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone() })),
             // Uniform call sites never reach here for Incremental (the
             // harness uses the *_for variants), but default to Clove-ECN.
             Scheme::Incremental { .. } => Scheme::CloveEcn.build_policy(profile, seed),
@@ -319,9 +319,9 @@ mod tests {
     #[test]
     fn fabric_scheme_matrix() {
         let p = Profile::default();
-        assert!(matches!(Scheme::Conga.fabric_scheme(&p), FabricScheme::Conga(_)));
-        assert!(matches!(Scheme::Hula.fabric_scheme(&p), FabricScheme::Hula(_)));
-        assert!(matches!(Scheme::CloveEcn.fabric_scheme(&p), FabricScheme::Ecmp));
+        assert_eq!(Scheme::Conga.fabric_scheme(&p), FabricScheme::Conga);
+        assert_eq!(Scheme::Hula.fabric_scheme(&p), FabricScheme::Hula);
+        assert_eq!(Scheme::CloveEcn.fabric_scheme(&p), FabricScheme::Ecmp);
     }
 
     #[test]

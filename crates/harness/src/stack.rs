@@ -20,6 +20,7 @@
 
 use crate::profile::Profile;
 use crate::scheme::Scheme;
+use clove_core::discovery::ROUND_TIMEOUT;
 use clove_core::{DiscoveryEvent, ProbeDaemon};
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::{FlowKey, HostId};
@@ -176,7 +177,7 @@ impl HostStack {
             let vcfg = scheme.vswitch_config_for(&profile, host);
             let policy = scheme.build_policy_for(&profile, host, seed ^ ((h as u64) << 16));
             let vswitch = VSwitch::new(host, vcfg, policy);
-            let daemon = scheme.host_needs_discovery(host).then(|| ProbeDaemon::new(host, profile.discovery_config(), seed));
+            let daemon = scheme.host_needs_discovery(host).then(|| ProbeDaemon::new(host, profile.probe_interval, seed));
             hosts.push(Host::new(host, vswitch, daemon));
         }
         HostStack {
@@ -221,7 +222,7 @@ impl HostStack {
             Some(k) => {
                 let client = &mut self.hosts[plan.client.0 as usize];
                 let idx = client.mptcp.len();
-                let conn = MptcpConnection::new(plan.client, plan.server, plan.sport, plan.dport, k, self.tcp_cfg);
+                let conn = MptcpConnection::new(plan.client, plan.server, plan.sport, plan.dport, k);
                 for (si, sf) in conn.subflows.iter().enumerate() {
                     client.mptcp_sub_idx.insert(sf.key, (idx, si));
                 }
@@ -230,7 +231,7 @@ impl HostStack {
                 client.jobs.push(VecDeque::new());
                 // Receiver at the server.
                 let server = &mut self.hosts[plan.server.0 as usize];
-                let rx = MptcpReceiver::new(plan.client, plan.server, plan.sport, plan.dport, k, self.tcp_cfg);
+                let rx = MptcpReceiver::new(plan.client, plan.server, plan.sport, plan.dport, k);
                 let rx_idx = server.mptcp_rx.len();
                 for i in 0..k {
                     let key = FlowKey::tcp(plan.client, plan.server, plan.sport + i as u16, plan.dport);
@@ -282,7 +283,7 @@ impl HostStack {
                 let at = Time::from_nanos(1000 + h as u64 * 5_000);
                 ctx_builder(HostId(h as u32), token(T_PROBE_START, 0), at);
             }
-            if self.hosts[h].vswitch.cfg.presto_reassembly.is_some() {
+            if self.hosts[h].vswitch.cfg.presto_reassembly {
                 ctx_builder(HostId(h as u32), token(T_PRESTO_POLL, 0), Time::from_nanos(PRESTO_POLL.as_nanos()));
             }
             // First RPC arrival per connection (after warmup).
@@ -564,13 +565,12 @@ impl HostLogic for HostStack {
                 for dst in &peers {
                     probes.extend(daemon.start_round(*dst));
                 }
-                let timeout = daemon.round_timeout();
                 let interval = daemon.probe_interval();
                 for p in probes {
                     ctx.send(p);
                 }
                 if !peers.is_empty() {
-                    ctx.timer_in(timeout, token(T_PROBE_FINISH, 0));
+                    ctx.timer_in(ROUND_TIMEOUT, token(T_PROBE_FINISH, 0));
                 }
                 ctx.timer_in(interval, token(T_PROBE_START, 0));
             }
@@ -609,13 +609,12 @@ impl HostLogic for HostStack {
                 let Some(daemon) = host_state.daemon.as_mut() else { return };
                 let dst = HostId(payload as u32);
                 let probes = daemon.start_round(dst);
-                let timeout = daemon.round_timeout();
                 let any = !probes.is_empty();
                 for p in probes {
                     ctx.send(p);
                 }
                 if any {
-                    ctx.timer_in(timeout, token(T_PROBE_FINISH, 0));
+                    ctx.timer_in(ROUND_TIMEOUT, token(T_PROBE_FINISH, 0));
                 }
             }
             T_PRESTO_POLL => {

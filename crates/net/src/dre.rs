@@ -12,24 +12,27 @@
 
 use clove_sim::{Duration, Time};
 
+/// DRE gain α.
+pub const DRE_ALPHA: f64 = 0.1;
+
+/// DRE decay period: with [`DRE_ALPHA`] a time constant of ≈ 400 µs.
+pub const DRE_PERIOD: Duration = Duration::from_micros(40);
+
+const _: () = assert!(DRE_ALPHA > 0.0 && DRE_ALPHA <= 1.0 && !DRE_PERIOD.is_zero());
+
 /// A discounting rate estimator for one link direction.
 #[derive(Debug, Clone)]
 pub struct Dre {
     x_bytes: f64,
-    alpha: f64,
-    period: Duration,
     last_decay: Time,
     capacity_bps: u64,
 }
 
 impl Dre {
-    /// `alpha` in `(0, 1]`, `period` > 0, `capacity_bps` is the link rate
-    /// used to normalize utilization.
-    pub fn new(alpha: f64, period: Duration, capacity_bps: u64) -> Dre {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(!period.is_zero(), "period must be positive");
+    /// `capacity_bps` is the link rate used to normalize utilization.
+    pub fn new(capacity_bps: u64) -> Dre {
         assert!(capacity_bps > 0, "capacity must be positive");
-        Dre { x_bytes: 0.0, alpha, period, last_decay: Time::ZERO, capacity_bps }
+        Dre { x_bytes: 0.0, last_decay: Time::ZERO, capacity_bps }
     }
 
     /// Apply all decay steps that elapsed up to `now`.
@@ -37,7 +40,7 @@ impl Dre {
         if now <= self.last_decay {
             return;
         }
-        let steps = now.saturating_since(self.last_decay).as_nanos() / self.period.as_nanos();
+        let steps = now.saturating_since(self.last_decay).as_nanos() / DRE_PERIOD.as_nanos();
         if steps == 0 {
             return;
         }
@@ -46,9 +49,9 @@ impl Dre {
         if steps > 4096 {
             self.x_bytes = 0.0;
         } else {
-            self.x_bytes *= (1.0 - self.alpha).powi(steps as i32);
+            self.x_bytes *= (1.0 - DRE_ALPHA).powi(steps as i32);
         }
-        self.last_decay += Duration::from_nanos(steps * self.period.as_nanos());
+        self.last_decay += Duration::from_nanos(steps * DRE_PERIOD.as_nanos());
     }
 
     /// Account `bytes` transmitted at `now`.
@@ -60,7 +63,7 @@ impl Dre {
     /// Estimated transmit rate in bits per second.
     pub fn rate_bps(&mut self, now: Time) -> f64 {
         self.decay_to(now);
-        self.x_bytes * 8.0 * self.alpha / self.period.as_secs_f64()
+        self.x_bytes * 8.0 * DRE_ALPHA / DRE_PERIOD.as_secs_f64()
     }
 
     /// Estimated utilization in `[0, ~]` of link capacity (can transiently
@@ -87,18 +90,18 @@ mod tests {
     use super::*;
 
     fn dre() -> Dre {
-        // alpha = 0.1, period = 100us => window ~ 1ms, 1 Gbps capacity
-        Dre::new(0.1, Duration::from_micros(100), 1_000_000_000)
+        // alpha = 0.1, period = 40us => window ~ 400us, 1 Gbps capacity
+        Dre::new(1_000_000_000)
     }
 
     #[test]
     fn steady_stream_estimates_rate() {
         let mut d = dre();
-        // Send 12.5 KB per 100us = 1 Gbps for 10 ms.
+        // Send 5 KB per 40us = 1 Gbps for 4 ms.
         let mut t = Time::ZERO;
         for _ in 0..100 {
-            d.on_transmit(t, 12_500);
-            t += Duration::from_micros(100);
+            d.on_transmit(t, 5_000);
+            t += DRE_PERIOD;
         }
         let u = d.utilization(t);
         assert!((0.8..1.2).contains(&u), "utilization {u}");
@@ -107,8 +110,8 @@ mod tests {
     #[test]
     fn idle_decays_to_zero() {
         let mut d = dre();
-        d.on_transmit(Time::ZERO, 125_000);
-        let u0 = d.utilization(Time::from_micros(100));
+        d.on_transmit(Time::ZERO, 50_000);
+        let u0 = d.utilization(Time::from_micros(40));
         let u1 = d.utilization(Time::from_millis(10));
         assert!(u1 < u0 * 0.01, "u0={u0} u1={u1}");
     }
@@ -126,9 +129,9 @@ mod tests {
         let mut half = dre();
         let mut t = Time::ZERO;
         for _ in 0..200 {
-            full.on_transmit(t, 12_500);
-            half.on_transmit(t, 6_250);
-            t += Duration::from_micros(100);
+            full.on_transmit(t, 5_000);
+            half.on_transmit(t, 2_500);
+            t += DRE_PERIOD;
         }
         let r = half.utilization(t) / full.utilization(t);
         assert!((r - 0.5).abs() < 0.01, "ratio {r}");
@@ -139,8 +142,8 @@ mod tests {
         let mut d = dre();
         let mut t = Time::ZERO;
         for _ in 0..200 {
-            d.on_transmit(t, 12_500);
-            t += Duration::from_micros(100);
+            d.on_transmit(t, 5_000);
+            t += DRE_PERIOD;
         }
         let pm = d.utilization_pm(t);
         assert!((900..=1100).contains(&pm), "pm {pm}");

@@ -46,10 +46,23 @@ use crate::fault::{ControlAction, ControlFaultStats, FaultStats, LinkAction, Nod
 use crate::hash::ecmp_select;
 use crate::link::Link;
 use crate::packet::{CongaTag, Feedback, Packet, PacketKind, PROBE_REPLY_SIZE, PROBE_SIZE};
-use crate::switch::{CongaConfig, FabricScheme, FlowletEntry, Switch};
+use crate::switch::{FabricScheme, FlowletEntry, Switch};
 use crate::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove_sim::{Duration, EventQueue, SimRng, Time, World};
 use clove_telemetry::Trace;
+
+/// CONGA: the inter-packet gap that opens a new flowlet (two loaded RTTs).
+pub const CONGA_FLOWLET_GAP: Duration = Duration::from_micros(200);
+/// CONGA: bits of congestion-metric quantization (CONGA uses 3).
+pub const CONGA_QUANT_BITS: u8 = 3;
+/// CONGA: congestion-to-leaf entries age out after this long (20 gaps).
+pub const CONGA_METRIC_AGE: Duration = Duration::from_millis(4);
+/// HULA: how often each ToR floods probes.
+pub const HULA_PROBE_INTERVAL: Duration = Duration::from_micros(200);
+/// HULA: the inter-packet gap that opens a new flowlet (CONGA's).
+pub const HULA_FLOWLET_GAP: Duration = Duration::from_micros(200);
+/// HULA: best-hop entries older than this are ignored (20 probe intervals).
+pub const HULA_ENTRY_AGE: Duration = Duration::from_millis(4);
 
 /// A switch's flowlet table, keyed by the routed five-tuple.
 type FlowletTable = rustc_hash::FxHashMap<FlowKey, FlowletEntry>;
@@ -370,8 +383,8 @@ impl Fabric {
     /// A packet arrives at a switch: forward it.
     pub fn switch_receive(&mut self, now: Time, sw: SwitchId, via: LinkId, pkt: &mut Packet, q: &mut EventQueue<Event>) {
         if let PacketKind::HulaProbe { tor, util_pm } = pkt.kind {
-            if let FabricScheme::Hula(cfg) = self.scheme {
-                self.hula_probe(now, sw, via, tor, util_pm, cfg, q);
+            if self.scheme == FabricScheme::Hula {
+                self.hula_probe(now, sw, via, tor, util_pm, q);
             }
             return;
         }
@@ -431,7 +444,7 @@ impl Fabric {
         // CONGA reads every member's DRE at choice time (and folds the
         // chosen egress DRE into the tag): bring those transmitters up to
         // date first so the estimates include all traffic up to `now`.
-        if matches!(self.scheme, FabricScheme::Conga(_)) {
+        if self.scheme == FabricScheme::Conga {
             for i in 0..n {
                 let member = self.group_link(swi, dst, i);
                 self.settle_link(now, member, q);
@@ -448,22 +461,22 @@ impl Fabric {
         } else {
             match self.scheme {
                 FabricScheme::Ecmp => ecmp_select(&pkt.routed_key(), self.switches[swi].seed, n),
-                FabricScheme::Conga(cfg) => self.conga_choice(now, swi, dst, pkt, cfg),
-                FabricScheme::Hula(cfg) => self.hula_choice(now, swi, dst, pkt, cfg),
+                FabricScheme::Conga => self.conga_choice(now, swi, dst, pkt),
+                FabricScheme::Hula => self.hula_choice(now, swi, dst, pkt),
             }
         };
 
         // CONGA: processing at the destination leaf (packet exits fabric).
         if last_hop {
-            if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga) {
-                self.conga_dest_leaf(now, swi, pkt, tag, cfg);
+            if let (FabricScheme::Conga, Some(tag)) = (self.scheme, pkt.conga) {
+                self.conga_dest_leaf(now, swi, pkt, tag);
             }
         }
 
         let egress = self.group_link(swi, dst, choice % n);
         // CONGA: every hop folds its chosen egress DRE into the metric.
-        if let (FabricScheme::Conga(cfg), Some(tag)) = (self.scheme, pkt.conga.as_mut()) {
-            let qz = self.links[egress.0 as usize].dre.quantized(now, cfg.quant_bits);
+        if let (FabricScheme::Conga, Some(tag)) = (self.scheme, pkt.conga.as_mut()) {
+            let qz = self.links[egress.0 as usize].dre.quantized(now, CONGA_QUANT_BITS);
             tag.ce = tag.ce.max(qz);
         }
         self.enqueue_on(now, egress, pkt, q);
@@ -471,7 +484,7 @@ impl Fabric {
 
     /// CONGA source-leaf / spine egress choice among the group toward host
     /// index `dst`.
-    fn conga_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &mut Packet, cfg: CongaConfig) -> usize {
+    fn conga_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &mut Packet) -> usize {
         let n = self.switches[swi].routes[dst].len();
         let is_leaf = self.switches[swi].is_leaf;
         if !is_leaf || pkt.conga.is_some() {
@@ -479,9 +492,9 @@ impl Fabric {
             // members — least-loaded by local DRE, but pinned per flowlet
             // so parallel cables don't reorder a flowlet's packets.
             let key = pkt.routed_key();
-            let choice = match pinned_choice(&self.switches[swi].hop_flowlets, &key, now, cfg.flowlet_gap) {
+            let choice = match pinned_choice(&self.switches[swi].hop_flowlets, &key, now, CONGA_FLOWLET_GAP) {
                 Some(pinned) => pinned % n,
-                None => self.least_loaded_member(now, swi, dst, cfg.quant_bits),
+                None => self.least_loaded_member(now, swi, dst),
             };
             pin(&mut self.switches[swi].hop_flowlets, key, choice, now);
             return choice;
@@ -489,9 +502,9 @@ impl Fabric {
         // Source leaf: flowlet table + congestion-to-leaf table.
         let dst_leaf = self.leaf_of(pkt.routed_dst()).0;
         let key = pkt.routed_key();
-        let choice = match pinned_choice(&self.switches[swi].conga.flowlets, &key, now, cfg.flowlet_gap) {
+        let choice = match pinned_choice(&self.switches[swi].conga.flowlets, &key, now, CONGA_FLOWLET_GAP) {
             Some(pinned) => pinned,
-            None => self.conga_best_uplink(now, swi, dst, dst_leaf, cfg),
+            None => self.conga_best_uplink(now, swi, dst, dst_leaf),
         };
         pin(&mut self.switches[swi].conga.flowlets, key, choice, now);
         // Stamp the forward tag; attach pending feedback for the reverse
@@ -504,23 +517,23 @@ impl Fabric {
     /// Least-loaded member with *random* tie-breaking — CONGA picks
     /// uniformly among minima; a deterministic tie-break would herd every
     /// flowlet in a DRE period onto one member and oscillate.
-    fn least_loaded_member(&mut self, now: Time, swi: usize, dst: usize, bits: u8) -> usize {
+    fn least_loaded_member(&mut self, now: Time, swi: usize, dst: usize) -> usize {
         let sw = &self.switches[swi];
         let group = &sw.routes[dst];
         let links = &mut self.links;
-        random_argmin(&mut self.rng, group.len(), |i| links[sw.ports[group[i]].0 as usize].dre.quantized(now, bits) as u16)
+        random_argmin(&mut self.rng, group.len(), |i| links[sw.ports[group[i]].0 as usize].dre.quantized(now, CONGA_QUANT_BITS) as u16)
     }
 
     /// CONGA's argmin over uplinks of max(local DRE, remote metric), with
     /// random tie-breaking among minima (as in the CONGA paper).
-    fn conga_best_uplink(&mut self, now: Time, swi: usize, dst: usize, dst_leaf: u32, cfg: CongaConfig) -> usize {
+    fn conga_best_uplink(&mut self, now: Time, swi: usize, dst: usize, dst_leaf: u32) -> usize {
         let sw = &self.switches[swi];
         let group = &sw.routes[dst];
         let remote = sw.conga.to_leaf.get(&dst_leaf);
         let links = &mut self.links;
         random_argmin(&mut self.rng, group.len(), |i| {
-            let local = links[sw.ports[group[i]].0 as usize].dre.quantized(now, cfg.quant_bits);
-            let remote = remote.and_then(|v| v.get(i)).filter(|(_, t)| now.saturating_since(*t) < cfg.metric_age).map_or(0, |&(m, _)| m);
+            let local = links[sw.ports[group[i]].0 as usize].dre.quantized(now, CONGA_QUANT_BITS);
+            let remote = remote.and_then(|v| v.get(i)).filter(|(_, t)| now.saturating_since(*t) < CONGA_METRIC_AGE).map_or(0, |&(m, _)| m);
             local.max(remote) as u16
         })
     }
@@ -540,7 +553,7 @@ impl Fabric {
 
     /// Destination-leaf CONGA processing: record the arriving metric and
     /// absorb any piggybacked feedback.
-    fn conga_dest_leaf(&mut self, now: Time, swi: usize, pkt: &Packet, tag: CongaTag, _cfg: CongaConfig) {
+    fn conga_dest_leaf(&mut self, now: Time, swi: usize, pkt: &Packet, tag: CongaTag) {
         let src_leaf = self.leaf_of(pkt.routed_key().src).0;
         let sw = &mut self.switches[swi];
         // from_leaf[src_leaf][lbtag] = ce — metrics we owe back to src_leaf.
@@ -563,18 +576,18 @@ impl Fabric {
 
     /// HULA data plane: route the flowlet on the best next hop toward the
     /// destination's ToR; fall back to ECMP when no fresh entry exists.
-    fn hula_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &Packet, cfg: crate::switch::HulaConfig) -> usize {
+    fn hula_choice(&mut self, now: Time, swi: usize, dst: usize, pkt: &Packet) -> usize {
         let key = pkt.routed_key();
         let sw = &self.switches[swi];
         let group = &sw.routes[dst];
-        let choice = match pinned_choice(&sw.hop_flowlets, &key, now, cfg.flowlet_gap) {
+        let choice = match pinned_choice(&sw.hop_flowlets, &key, now, HULA_FLOWLET_GAP) {
             Some(pinned) => pinned % group.len(),
             None => {
                 let tor = self.leaf_of(pkt.routed_dst()).0;
                 // The best hop is a port index; map into the ECMP group if
                 // it is fresh and present there, else fall back.
                 let best = match sw.hula_best.get(&tor) {
-                    Some(&(port, _, at)) if now.saturating_since(at) <= cfg.entry_age => group.iter().position(|&g| g == port),
+                    Some(&(port, _, at)) if now.saturating_since(at) <= HULA_ENTRY_AGE => group.iter().position(|&g| g == port),
                     _ => None,
                 };
                 best.unwrap_or_else(|| ecmp_select(&key, sw.seed, group.len()))
@@ -587,8 +600,7 @@ impl Fabric {
     /// HULA control plane: absorb a probe and re-flood it with the updated
     /// max-utilization if it improved our best entry (split-horizon: never
     /// back out the ingress port).
-    #[allow(clippy::too_many_arguments)]
-    fn hula_probe(&mut self, now: Time, sw: SwitchId, via: LinkId, tor: u32, util_pm: u16, cfg: crate::switch::HulaConfig, q: &mut EventQueue<Event>) {
+    fn hula_probe(&mut self, now: Time, sw: SwitchId, via: LinkId, tor: u32, util_pm: u16, q: &mut EventQueue<Event>) {
         let swi = sw.0 as usize;
         // A ToR's own advertisement coming back is a routing loop: drop.
         if self.switches[swi].is_leaf && self.switches[swi].id.0 == tor {
@@ -606,7 +618,7 @@ impl Fabric {
         };
         let best = self.switches[swi].hula_best.get(&tor).copied();
         let improved = match best {
-            Some((bport, butil, at)) => bport == port || path_util < butil || now.saturating_since(at) > cfg.entry_age,
+            Some((bport, butil, at)) => bport == port || path_util < butil || now.saturating_since(at) > HULA_ENTRY_AGE,
             None => true,
         };
         if !improved {
@@ -636,7 +648,9 @@ impl Fabric {
     /// Start a HULA probe round: every leaf advertises itself on all its
     /// fabric uplinks with utilization 0 (refined hop by hop).
     pub fn hula_tick(&mut self, now: Time, q: &mut EventQueue<Event>) {
-        let FabricScheme::Hula(cfg) = self.scheme else { return };
+        if self.scheme != FabricScheme::Hula {
+            return;
+        }
         for swi in 0..self.switches.len() {
             if !self.switches[swi].is_leaf {
                 continue;
@@ -657,7 +671,7 @@ impl Fabric {
                 self.enqueue_on(now, l, &mut probe, q);
             }
         }
-        q.push(now + cfg.probe_interval, Event::HulaTick);
+        q.push(now + HULA_PROBE_INTERVAL, Event::HulaTick);
     }
 
     /// Apply one expanded fault action (see [`crate::fault`]). Routes are

@@ -9,7 +9,7 @@
 //! The link itself schedules no events — [`crate::fabric`] drives it with
 //! `offer` / `settle_into` calls and owns the event queue. Transmission is
 //! *arrive-driven*: when a packet's serialization starts, its delivery event
-//! (`done + prop_delay`) is emitted immediately, and the rest of the queue is
+//! (`done + PROP_DELAY`) is emitted immediately, and the rest of the queue is
 //! committed lazily by [`Link::settle_into`], which drains every packet whose
 //! serialization has started by `now` in one back-to-back batch. No per-packet
 //! `TxDone` event exists; a queue of N packets costs N arrival events total
@@ -41,13 +41,14 @@ use crate::types::{LinkId, NodeId};
 use clove_sim::{Duration, Time};
 use std::collections::VecDeque;
 
-/// Static configuration for a link direction.
+/// Propagation delay of every link.
+pub const PROP_DELAY: Duration = Duration::from_micros(1);
+
+/// The parameters of a link direction that runs vary.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
     /// Line rate in bits per second.
     pub rate_bps: u64,
-    /// Propagation delay.
-    pub prop_delay: Duration,
     /// Drop-tail buffer capacity in bytes.
     pub buffer_bytes: u32,
     /// ECN marking threshold in bytes of standing queue (the paper and
@@ -55,27 +56,14 @@ pub struct LinkConfig {
     pub ecn_threshold_bytes: u32,
     /// Whether this link's switch stamps INT utilization into packets.
     pub int_enabled: bool,
-    /// DRE gain.
-    pub dre_alpha: f64,
-    /// DRE decay period.
-    pub dre_period: Duration,
 }
 
 impl LinkConfig {
-    /// The link every run uses at `rate_bps`: 1 µs propagation, a 256 KB
-    /// buffer, a 30 KB ECN threshold (20 × 1500 B), no INT, and a DRE with
-    /// gain 0.1 decayed every 40 µs (time constant ≈ 400 µs). The harness
-    /// sets only the buffer, the ECN threshold and the INT flag.
+    /// A link at `rate_bps` with a 256 KB buffer, a 30 KB ECN threshold
+    /// (20 × 1500 B) and no INT. The harness sets the buffer, the ECN
+    /// threshold and the INT flag.
     pub fn for_rate(rate_bps: u64) -> LinkConfig {
-        LinkConfig {
-            rate_bps,
-            prop_delay: Duration::from_micros(1),
-            buffer_bytes: 256 * 1024,
-            ecn_threshold_bytes: 30_000,
-            int_enabled: false,
-            dre_alpha: 0.1,
-            dre_period: Duration::from_micros(40),
-        }
+        LinkConfig { rate_bps, buffer_bytes: 256 * 1024, ecn_threshold_bytes: 30_000, int_enabled: false }
     }
 }
 
@@ -171,7 +159,7 @@ impl Link {
             to,
             up: true,
             reverse: None,
-            dre: Dre::new(cfg.dre_alpha, cfg.dre_period, cfg.rate_bps),
+            dre: Dre::new(cfg.rate_bps),
             stats: LinkStats::default(),
             queue: VecDeque::new(),
             queue_bytes: 0,
@@ -262,7 +250,7 @@ impl Link {
             self.queue_bytes -= next.size;
             self.dre.on_transmit(done, next.size);
             self.in_flight = Some((next_done, next.size));
-            commit(next_done + self.cfg.prop_delay, next);
+            commit(next_done + PROP_DELAY, next);
             self.queue.pop_front();
         }
     }
@@ -309,7 +297,7 @@ impl Link {
             let done_at = now + self.ser_time(pkt.size);
             self.dre.on_transmit(now, pkt.size);
             self.in_flight = Some((done_at, pkt.size));
-            commit(done_at + self.cfg.prop_delay, pkt);
+            commit(done_at + PROP_DELAY, pkt);
             EnqueueOutcome::StartedTx { done_at }
         } else {
             self.queue_bytes += pkt.size;
@@ -401,12 +389,9 @@ mod tests {
     fn cfg() -> LinkConfig {
         LinkConfig {
             rate_bps: 1_000_000_000, // 1 Gbps: 1500 B = 12 us
-            prop_delay: Duration::from_micros(2),
             buffer_bytes: 6000,
             ecn_threshold_bytes: 3000,
             int_enabled: false,
-            dre_alpha: 0.1,
-            dre_period: Duration::from_micros(50),
         }
     }
 
@@ -432,7 +417,7 @@ mod tests {
         assert_eq!(l.queue_len(), 0);
         // The delivery (done + prop) is emitted at start time.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, Time::from_micros(14));
+        assert_eq!(out[0].0, Time::from_micros(13));
         assert_eq!(out[0].1.uid, 1);
     }
 
@@ -443,16 +428,16 @@ mod tests {
         assert!(matches!(l.enqueue(Time::ZERO, pkt(1, 1500), &mut out), EnqueueOutcome::StartedTx { .. }));
         assert_eq!(l.enqueue(Time::ZERO, pkt(2, 1500), &mut out), EnqueueOutcome::Queued);
         assert_eq!(l.queue_bytes(), 1500);
-        // Packet 1 arrives at 14 us; settling there retires it and commits
-        // packet 2 back-to-back (starts at 12, done 24, arrives 26).
+        // Packet 1 arrives at 13 us; settling there retires it and commits
+        // packet 2 back-to-back (starts at 12, done 24, arrives 25).
         out.clear();
-        l.settle(Time::from_micros(14), &mut out);
+        l.settle(Time::from_micros(13), &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, Time::from_micros(26));
+        assert_eq!(out[0].0, Time::from_micros(25));
         assert_eq!(out[0].1.uid, 2);
         assert_eq!(l.queue_bytes(), 0);
         out.clear();
-        l.settle(Time::from_micros(26), &mut out);
+        l.settle(Time::from_micros(25), &mut out);
         assert!(out.is_empty());
         assert!(!l.busy());
         assert_eq!(l.stats.tx_packets, 2);
@@ -468,11 +453,11 @@ mod tests {
         }
         assert_eq!(out.len(), 1, "only the started packet is committed");
         // One settle far in the future commits the whole chain: packets
-        // depart every 12 us, arrivals 2 us after each departure.
+        // depart every 12 us, arrivals 1 us after each departure.
         out.clear();
         l.settle(Time::from_millis(1), &mut out);
         let got: Vec<(u64, u64)> = out.iter().map(|(t, p)| (t.as_nanos() / 1000, p.uid)).collect();
-        assert_eq!(got, vec![(26, 1), (38, 2), (50, 3)]);
+        assert_eq!(got, vec![(25, 1), (37, 2), (49, 3)]);
         assert_eq!(l.stats.tx_packets, 4);
         assert!(!l.busy());
         assert_eq!(l.queue_bytes(), 0);
@@ -645,7 +630,7 @@ mod tests {
         l.settle_into(Time::from_millis(1), &mut sink);
         assert_eq!(l.queue_len(), 0);
         let us = Time::from_micros;
-        assert_eq!(delivered, vec![(us(14), 0, false), (us(26), 1, false), (us(38), 2, false), (us(50), 3, true)]);
+        assert_eq!(delivered, vec![(us(13), 0, false), (us(25), 1, false), (us(37), 2, false), (us(49), 3, true)]);
     }
 
     #[test]
@@ -658,7 +643,7 @@ mod tests {
                                                        // at 12, under the old full rate) is committed with done = 24 ...
         out.clear();
         l.settle(Time::from_micros(15), &mut out);
-        assert_eq!(out[0].0, Time::from_micros(26));
+        assert_eq!(out[0].0, Time::from_micros(25));
         l.set_rate_fraction(Time::from_micros(15), 0.5);
         // ... and only a packet starting after the change is stretched.
         out.clear();

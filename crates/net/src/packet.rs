@@ -183,7 +183,7 @@ pub struct Packet {
 pub const DATA_TTL: u8 = 64;
 
 /// Wire size of a traceroute probe (the nominal 100-byte per-packet
-/// overhead; see `clove_tcp::config::DEFAULT_HEADER_OVERHEAD`).
+/// overhead; see `clove_tcp::config::HEADER_OVERHEAD`).
 pub const PROBE_SIZE: u32 = 100;
 /// Wire size of a probe reply (ICMP time-exceeded analogue).
 pub const PROBE_REPLY_SIZE: u32 = 100;

@@ -15,57 +15,20 @@
 //!   al., SIGCOMM '14), the "best-of-breed hardware" upper bound.
 
 use crate::types::{FlowKey, HostId, LinkId, SwitchId};
-use clove_sim::{Duration, Time};
+use clove_sim::Time;
 use rustc_hash::FxHashMap;
 
-/// Configuration for CONGA.
-#[derive(Debug, Clone, Copy)]
-pub struct CongaConfig {
-    /// Inter-packet gap that opens a new flowlet at the source leaf.
-    pub flowlet_gap: Duration,
-    /// Bits of congestion-metric quantization (CONGA uses 3).
-    pub quant_bits: u8,
-    /// Entries of the congestion-to-leaf table aged out after this long.
-    pub metric_age: Duration,
-}
-
-impl Default for CongaConfig {
-    /// The runs' CONGA: a 200 µs flowlet gap (two loaded RTTs) and metrics
-    /// aged out after 20 gaps.
-    fn default() -> Self {
-        CongaConfig { flowlet_gap: Duration::from_micros(200), quant_bits: 3, metric_age: Duration::from_millis(4) }
-    }
-}
-
-/// Configuration for HULA (paper §8; Katta et al., SOSR '16).
-#[derive(Debug, Clone, Copy)]
-pub struct HulaConfig {
-    /// How often each ToR floods probes.
-    pub probe_interval: Duration,
-    /// Inter-packet gap that opens a new flowlet.
-    pub flowlet_gap: Duration,
-    /// Best-hop entries older than this are ignored (failure hygiene).
-    pub entry_age: Duration,
-}
-
-impl Default for HulaConfig {
-    /// The runs' HULA: probes every 200 µs, CONGA's 200 µs flowlet gap, and
-    /// best-hop entries aged out after 20 probe intervals.
-    fn default() -> Self {
-        HulaConfig { probe_interval: Duration::from_micros(200), flowlet_gap: Duration::from_micros(200), entry_age: Duration::from_millis(4) }
-    }
-}
-
-/// Which algorithm the physical switches run.
-#[derive(Debug, Clone, Copy)]
+/// Which algorithm the physical switches run. CONGA's and HULA's
+/// parameters are constants beside their reader in [`crate::fabric`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricScheme {
     /// Congestion-oblivious static hashing (default; Clove's substrate).
     Ecmp,
     /// Leaf-based congestion-aware flowlet routing (leaf-spine only).
-    Conga(CongaConfig),
+    Conga,
     /// Per-hop best-path routing from summarized INT state, flooded by
     /// probes (scales to any topology — paper §8).
-    Hula(HulaConfig),
+    Hula,
 }
 
 /// One flowlet-table entry (CONGA and HULA).

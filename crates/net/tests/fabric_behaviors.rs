@@ -5,7 +5,7 @@
 use clove_net::fabric::Event;
 use clove_net::fault::LinkAction;
 use clove_net::packet::{Encap, Packet, PacketKind};
-use clove_net::switch::{CongaConfig, FabricScheme, HulaConfig};
+use clove_net::switch::FabricScheme;
 use clove_net::topology::LeafSpine;
 use clove_net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId, STT_PORT};
 use clove_net::{HostCtx, HostLogic, Network};
@@ -123,8 +123,7 @@ fn probe_with_large_ttl_reaches_destination_host() {
 
 #[test]
 fn conga_stamps_and_feeds_back_metrics() {
-    let cfg = CongaConfig { flowlet_gap: Duration::from_micros(100), quant_bits: 3, metric_age: Duration::from_millis(10) };
-    let mut net = build(FabricScheme::Conga(cfg));
+    let mut net = build(FabricScheme::Conga);
     let mut q = EventQueue::new();
     // Forward traffic 0 → 16 so the dest leaf learns metrics.
     for i in 0..50 {
@@ -147,8 +146,7 @@ fn conga_stamps_and_feeds_back_metrics() {
 
 #[test]
 fn hula_probes_build_best_hop_tables() {
-    let cfg = HulaConfig::default();
-    let mut net = build(FabricScheme::Hula(cfg));
+    let mut net = build(FabricScheme::Hula);
     let mut q = EventQueue::new();
     q.push(Time::ZERO, Event::HulaTick);
     // Run a few probe rounds with no data traffic.
@@ -176,8 +174,7 @@ fn hula_probes_build_best_hop_tables() {
 
 #[test]
 fn hula_routes_data_and_delivers_in_order() {
-    let cfg = HulaConfig::default();
-    let mut net = build(FabricScheme::Hula(cfg));
+    let mut net = build(FabricScheme::Hula);
     let mut q = EventQueue::new();
     q.push(Time::ZERO, Event::HulaTick);
     for i in 0..50 {
@@ -370,7 +367,7 @@ fn chatter_world(scheme: FabricScheme) -> (Network<Chatter>, EventQueue<Event>) 
     spec.scheme = scheme;
     let net = Network::new(spec.build().fabric, Chatter::default());
     let mut q = EventQueue::new();
-    if matches!(scheme, FabricScheme::Hula(_)) {
+    if scheme == FabricScheme::Hula {
         q.push(Time::ZERO, Event::HulaTick);
     }
     for i in 0..400u64 {
@@ -395,11 +392,7 @@ fn chatter_fingerprint(net: &Network<Chatter>) -> Vec<String> {
 fn by_value_handle_wrapper_is_the_same_simulation() {
     use clove_sim::World;
     let horizon = Time::from_millis(3);
-    let schemes = [
-        FabricScheme::Ecmp,
-        FabricScheme::Conga(CongaConfig { flowlet_gap: Duration::from_micros(50), quant_bits: 3, metric_age: Duration::from_millis(10) }),
-        FabricScheme::Hula(HulaConfig::default()),
-    ];
+    let schemes = [FabricScheme::Ecmp, FabricScheme::Conga, FabricScheme::Hula];
     for scheme in schemes {
         // The engine's loop: events handled in place in the popped batch.
         let (mut by_ref, mut q) = chatter_world(scheme);
@@ -439,9 +432,7 @@ fn by_value_handle_wrapper_is_the_same_simulation() {
 #[test]
 fn ecmp_groups_wider_than_16_use_every_member() {
     // 20 spines × trunk 1: leaf 0 has 20 equal-cost uplinks toward leaf 1.
-    for scheme in
-        [FabricScheme::Ecmp, FabricScheme::Conga(CongaConfig { flowlet_gap: Duration::from_micros(100), quant_bits: 3, metric_age: Duration::from_millis(10) })]
-    {
+    for scheme in [FabricScheme::Ecmp, FabricScheme::Conga] {
         let mut spec = LeafSpine::paper_testbed(1.0, 77);
         spec.spines = 20;
         spec.trunk = 1;

@@ -15,21 +15,12 @@ use clove_sim::{Duration, Time};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
-/// Reassembly configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ReassemblyConfig {
-    /// Deliver buffered segments anyway after the head has waited this long.
-    pub flush_timeout: Duration,
-    /// Maximum buffered segments per flow before a forced flush
-    /// (loss recovery: the hole is declared lost and TCP takes over).
-    pub max_buffered: usize,
-}
+/// Deliver buffered segments anyway after the head has waited this long.
+pub const FLUSH_TIMEOUT: Duration = Duration::from_micros(500);
 
-impl Default for ReassemblyConfig {
-    fn default() -> Self {
-        ReassemblyConfig { flush_timeout: Duration::from_micros(500), max_buffered: 128 }
-    }
-}
+/// Maximum buffered segments per flow before a forced flush (loss
+/// recovery: the hole is declared lost and TCP takes over).
+pub const MAX_BUFFERED: usize = 128;
 
 #[derive(Debug, Default)]
 struct FlowBuf {
@@ -51,21 +42,15 @@ pub struct ReassemblyStats {
     pub flushes: u64,
 }
 
-/// Per-host Presto reassembly engine.
-#[derive(Debug)]
+/// Per-host Presto reassembly engine; `default()` is a fresh one.
+#[derive(Debug, Default)]
 pub struct PrestoReassembly {
-    cfg: ReassemblyConfig,
     flows: FxHashMap<FlowKey, FlowBuf>,
     /// Counters.
     pub stats: ReassemblyStats,
 }
 
 impl PrestoReassembly {
-    /// A fresh engine.
-    pub fn new(cfg: ReassemblyConfig) -> PrestoReassembly {
-        PrestoReassembly { cfg, flows: FxHashMap::default(), stats: ReassemblyStats::default() }
-    }
-
     /// Accept a data segment; returns the segments now deliverable to the
     /// VM, in order. Non-data packets should not be passed here.
     pub fn on_data(&mut self, now: Time, pkt: Packet) -> Vec<Packet> {
@@ -94,7 +79,7 @@ impl PrestoReassembly {
             // Timeout or overflow: give up on the hole — deliver buffered
             // segments in order and let the guest TCP see the gap.
             let blocked_for = buf.blocked_since.map(|t| now.saturating_since(t)).unwrap_or(Duration::ZERO);
-            if buf.buffered.len() > self.cfg.max_buffered || blocked_for >= self.cfg.flush_timeout {
+            if buf.buffered.len() > MAX_BUFFERED || blocked_for >= FLUSH_TIMEOUT {
                 self.stats.flushes += 1;
                 Self::flush(buf, &mut out);
             }
@@ -108,7 +93,7 @@ impl PrestoReassembly {
         let mut out = Vec::new();
         for buf in self.flows.values_mut() {
             if let Some(since) = buf.blocked_since {
-                if now.saturating_since(since) >= self.cfg.flush_timeout && !buf.buffered.is_empty() {
+                if now.saturating_since(since) >= FLUSH_TIMEOUT && !buf.buffered.is_empty() {
                     self.stats.flushes += 1;
                     Self::flush(buf, &mut out);
                 }
@@ -165,7 +150,7 @@ mod tests {
     }
 
     fn engine() -> PrestoReassembly {
-        PrestoReassembly::new(ReassemblyConfig::default())
+        PrestoReassembly::default()
     }
 
     #[test]
@@ -212,14 +197,18 @@ mod tests {
 
     #[test]
     fn overflow_flush() {
-        let cfg = ReassemblyConfig { flush_timeout: Duration::from_secs(1), max_buffered: 3 };
-        let mut e = PrestoReassembly::new(cfg);
-        assert!(e.on_data(Time::ZERO, data(1400)).is_empty());
-        assert!(e.on_data(Time::ZERO, data(2800)).is_empty());
-        assert!(e.on_data(Time::ZERO, data(4200)).is_empty());
-        // Fourth buffered segment exceeds the cap: everything flushes.
-        let out = e.on_data(Time::ZERO, data(5600));
-        assert_eq!(seqs(&out), vec![1400, 2800, 4200, 5600]);
+        let mut e = engine();
+        // Segments 1..=MAX_BUFFERED wait behind the hole at 0 ...
+        let held: Vec<u64> = (1..=MAX_BUFFERED as u64).map(|i| i * 1400).collect();
+        for &seq in &held {
+            assert!(e.on_data(Time::ZERO, data(seq)).is_empty());
+        }
+        assert_eq!(e.held(), MAX_BUFFERED);
+        // ... and one more exceeds the cap: everything flushes, in order.
+        let next = (MAX_BUFFERED as u64 + 1) * 1400;
+        let out = e.on_data(Time::ZERO, data(next));
+        assert_eq!(seqs(&out), held.iter().copied().chain([next]).collect::<Vec<_>>());
+        assert_eq!(e.held(), 0);
     }
 
     #[test]

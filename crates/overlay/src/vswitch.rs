@@ -16,7 +16,7 @@
 //! here runs in the hypervisor, with unmodified guests and fabric.
 
 use crate::feedback::{FeedbackCollector, FeedbackMode};
-use crate::presto_rx::{PrestoReassembly, ReassemblyConfig};
+use crate::presto_rx::PrestoReassembly;
 use clove_net::packet::{Encap, Feedback, Packet};
 use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
@@ -86,28 +86,28 @@ pub struct VSwitchConfig {
     /// Minimum spacing between relays for one path (≈ RTT/2 per paper).
     pub relay_interval: Duration,
     /// Enable Presto receive-side flowcell reassembly.
-    pub presto_reassembly: Option<ReassemblyConfig>,
+    pub presto_reassembly: bool,
 }
 
 impl VSwitchConfig {
     /// Plain ECMP deployment: no feedback, no ECT.
     pub fn plain() -> VSwitchConfig {
-        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: false }
     }
 
     /// Clove-ECN deployment.
     pub fn clove_ecn(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::Ecn, relay_interval, presto_reassembly: false }
     }
 
     /// Clove-INT deployment.
     pub fn clove_int(relay_interval: Duration) -> VSwitchConfig {
-        VSwitchConfig { feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: None }
+        VSwitchConfig { feedback_mode: FeedbackMode::Util, relay_interval, presto_reassembly: false }
     }
 
     /// Presto deployment: reassembly on, no feedback.
     pub fn presto() -> VSwitchConfig {
-        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: Some(ReassemblyConfig::default()) }
+        VSwitchConfig { feedback_mode: FeedbackMode::None, relay_interval: Duration::from_micros(50), presto_reassembly: true }
     }
 }
 
@@ -151,7 +151,7 @@ impl VSwitch {
             cfg,
             policy,
             collectors: FxHashMap::default(),
-            presto: cfg.presto_reassembly.map(PrestoReassembly::new),
+            presto: cfg.presto_reassembly.then(PrestoReassembly::default),
             stats: VSwitchStats::default(),
             trace: Trace::disabled(),
         }
@@ -245,7 +245,7 @@ impl VSwitch {
     pub fn cold_restart(&mut self, now: Time) {
         self.policy.on_cold_restart(now);
         self.collectors.clear();
-        self.presto = self.cfg.presto_reassembly.map(PrestoReassembly::new);
+        self.presto = self.cfg.presto_reassembly.then(PrestoReassembly::default);
     }
 
     /// Presto: flush reassembly buffers whose timeout expired (driven by a

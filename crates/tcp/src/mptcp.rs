@@ -21,7 +21,7 @@
 //! three dup-acks, go-back-N on RTO) over the subflow sequence space, with
 //! a subflow-seq → data-seq map so retransmissions carry the same data.
 
-use crate::config::TcpConfig;
+use crate::config::{wire_size, HEADER_OVERHEAD, INIT_CWND, INIT_RTO, MAX_CWND_BYTES, MAX_RTO, MIN_RTO, MSS};
 use crate::sender::JobCompletion;
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::FlowKey;
@@ -64,19 +64,19 @@ pub struct Subflow {
 }
 
 impl Subflow {
-    fn new(key: FlowKey, cfg: &TcpConfig) -> Subflow {
+    fn new(key: FlowKey) -> Subflow {
         Subflow {
             key,
             snd_una: 0,
             snd_nxt: 0,
-            cwnd: cfg.init_cwnd(),
+            cwnd: INIT_CWND,
             ssthresh: u64::MAX / 2,
             in_recovery: false,
             recover: 0,
             dup_acks: 0,
             srtt: None,
             rttvar: Duration::ZERO,
-            rto: cfg.init_rto,
+            rto: INIT_RTO,
             rtt_probe: None,
             map: BTreeMap::new(),
             rto_deadline: None,
@@ -110,10 +110,9 @@ impl Subflow {
         self.snd_nxt
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit(&mut self, now: Time, cfg: &TcpConfig, seq: u64, dsn: u64, len: u32, is_rtx: bool, out: &mut Vec<Packet>) {
+    fn emit(&mut self, now: Time, seq: u64, dsn: u64, len: u32, is_rtx: bool, out: &mut Vec<Packet>) {
         self.uid_counter += 1;
-        let pkt = Packet::new(self.uid_base.wrapping_add(self.uid_counter), cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn });
+        let pkt = Packet::new(self.uid_base.wrapping_add(self.uid_counter), wire_size(len), self.key, PacketKind::Data { seq, len, dsn });
         // Karn: sample RTT only on never-retransmitted byte ranges.
         if self.rtt_probe.is_none() && !is_rtx {
             self.rtt_probe = Some((seq + len as u64, now));
@@ -121,7 +120,7 @@ impl Subflow {
         out.push(pkt);
     }
 
-    fn update_rtt(&mut self, cfg: &TcpConfig, sample: Duration) {
+    fn update_rtt(&mut self, sample: Duration) {
         let srtt = match self.srtt {
             None => {
                 self.rttvar = sample / 2;
@@ -134,7 +133,7 @@ impl Subflow {
             }
         };
         self.srtt = Some(srtt);
-        self.rto = (srtt + self.rttvar * 4).max(cfg.min_rto).min(cfg.max_rto);
+        self.rto = (srtt + self.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
     }
 
     /// Restart the RTO (on progress for this subflow).
@@ -161,11 +160,11 @@ impl Subflow {
 
     /// Retransmit the mapped chunk covering `seq`. Returns false when no
     /// mapping covers it (nothing is sent).
-    fn retransmit_at(&mut self, now: Time, cfg: &TcpConfig, seq: u64, out: &mut Vec<Packet>) -> bool {
+    fn retransmit_at(&mut self, now: Time, seq: u64, out: &mut Vec<Packet>) -> bool {
         if let Some((&mseq, &(dsn, len))) = self.map.range(..=seq).next_back() {
             // The mapping entry covering `seq` (chunks are contiguous).
             if mseq <= seq && seq < mseq + len as u64 {
-                self.emit(now, cfg, mseq, dsn, len, true, out);
+                self.emit(now, mseq, dsn, len, true, out);
                 return true;
             }
         }
@@ -189,7 +188,6 @@ pub struct MptcpStats {
 pub struct MptcpConnection {
     /// All subflows.
     pub subflows: Vec<Subflow>,
-    cfg: TcpConfig,
     data_next: u64, // next dsn to assign to a subflow
     data_una: u64,  // cumulative data-level ack
     stream_len: u64,
@@ -201,10 +199,10 @@ pub struct MptcpConnection {
 impl MptcpConnection {
     /// Create a connection with `k` subflows. Subflow `i` uses inner source
     /// port `base_sport + i`, so ECMP assigns each an independent path.
-    pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize, cfg: TcpConfig) -> MptcpConnection {
+    pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize) -> MptcpConnection {
         assert!(k >= 1, "need at least one subflow");
-        let subflows = (0..k).map(|i| Subflow::new(FlowKey::tcp(src, dst, base_sport + i as u16, dport), &cfg)).collect();
-        MptcpConnection { subflows, cfg, data_next: 0, data_una: 0, stream_len: 0, jobs: VecDeque::new(), stats: MptcpStats::default() }
+        let subflows = (0..k).map(|i| Subflow::new(FlowKey::tcp(src, dst, base_sport + i as u16, dport))).collect();
+        MptcpConnection { subflows, data_next: 0, data_una: 0, stream_len: 0, jobs: VecDeque::new(), stats: MptcpStats::default() }
     }
 
     /// True when all enqueued data is acknowledged at the data level.
@@ -264,14 +262,14 @@ impl MptcpConnection {
                 }
             }
             let Some(i) = best else { return };
-            let len = (self.stream_len - self.data_next).min(self.cfg.mss as u64) as u32;
+            let len = (self.stream_len - self.data_next).min(MSS as u64) as u32;
             let dsn = self.data_next;
             self.data_next += len as u64;
             let sf = &mut self.subflows[i];
             let seq = sf.snd_nxt;
             sf.map.insert(seq, (dsn, len));
             sf.snd_nxt += len as u64;
-            sf.emit(now, &self.cfg, seq, dsn, len, false, out);
+            sf.emit(now, seq, dsn, len, false, out);
             self.stats.segments_sent += 1;
         }
     }
@@ -289,15 +287,14 @@ impl MptcpConnection {
         };
         let alpha = self.lia_alpha();
         let total_cwnd: u64 = self.subflows.iter().map(|s| s.cwnd).sum();
-        let mss = self.cfg.mss as u64;
-        let cfg = self.cfg;
+        let mss = MSS as u64;
         let sf = &mut self.subflows[i];
         if ackno > sf.snd_nxt {
             return Vec::new();
         }
         if let Some((probe, sent)) = sf.rtt_probe {
             if ackno >= probe {
-                sf.update_rtt(&cfg, now.saturating_since(sent));
+                sf.update_rtt(now.saturating_since(sent));
                 sf.rtt_probe = None;
             }
         }
@@ -319,7 +316,7 @@ impl MptcpConnection {
                     sf.in_recovery = false;
                 } else {
                     // Partial ack: retransmit the hole.
-                    if sf.retransmit_at(now, &cfg, ackno, out) {
+                    if sf.retransmit_at(now, ackno, out) {
                         self.stats.retransmits += 1;
                     }
                 }
@@ -332,7 +329,7 @@ impl MptcpConnection {
                 let uncoupled = acked.min(mss) * mss / sf.cwnd.max(1);
                 sf.cwnd += coupled.min(uncoupled).max(1);
             }
-            sf.cwnd = sf.cwnd.min(cfg.max_cwnd_bytes);
+            sf.cwnd = sf.cwnd.min(MAX_CWND_BYTES);
         } else if sf.flight() > 0 && ackno == sf.snd_una {
             sf.dup_acks += 1;
             if sf.in_recovery {
@@ -343,7 +340,7 @@ impl MptcpConnection {
                 sf.recover = sf.snd_nxt;
                 sf.in_recovery = true;
                 sf.rtt_probe = None;
-                if sf.retransmit_at(now, &cfg, sf.snd_una, out) {
+                if sf.retransmit_at(now, sf.snd_una, out) {
                     self.stats.retransmits += 1;
                 }
             }
@@ -372,8 +369,7 @@ impl MptcpConnection {
 
     /// An RTO fired for subflow `idx`; stale generations are ignored.
     pub fn on_rto_timer(&mut self, now: Time, idx: usize, generation: u64, out: &mut Vec<Packet>) {
-        let cfg = self.cfg;
-        let mss = cfg.mss as u64;
+        let mss = MSS as u64;
         let Some(sf) = self.subflows.get_mut(idx) else { return };
         if generation != sf.rto_generation {
             return;
@@ -384,7 +380,7 @@ impl MptcpConnection {
         }
         self.stats.timeouts += 1;
         self.stats.retransmits += 1;
-        sf.rto = (sf.rto * 2).min(cfg.max_rto);
+        sf.rto = (sf.rto * 2).min(MAX_RTO);
         sf.ssthresh = (sf.flight() / 2).max(2 * mss);
         sf.cwnd = mss;
         // Timeout recovery: treat everything outstanding as lost and let
@@ -395,7 +391,7 @@ impl MptcpConnection {
         sf.dup_acks = 0;
         sf.rtt_probe = None;
         // Resend the first unacked chunk; partial acks chain the rest.
-        sf.retransmit_at(now, &cfg, sf.snd_una, out);
+        sf.retransmit_at(now, sf.snd_una, out);
         sf.arm_rto(now);
     }
 }
@@ -404,7 +400,6 @@ impl MptcpConnection {
 /// plus a connection-level (data sequence) reassembly cursor.
 #[derive(Debug)]
 pub struct MptcpReceiver {
-    cfg: TcpConfig,
     /// Per-subflow receive state, keyed by the subflow's data-direction key.
     subflows: Vec<(FlowKey, u64, BTreeMap<u64, u32>)>, // (key, rcv_nxt, ooo)
     data_rcv_nxt: u64,
@@ -415,10 +410,9 @@ pub struct MptcpReceiver {
 
 impl MptcpReceiver {
     /// Build the receiver for a connection created with the same params.
-    pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize, cfg: TcpConfig) -> MptcpReceiver {
+    pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize) -> MptcpReceiver {
         let subflows = (0..k).map(|i| (FlowKey::tcp(src, dst, base_sport + i as u16, dport), 0u64, BTreeMap::new())).collect();
         MptcpReceiver {
-            cfg,
             subflows,
             data_rcv_nxt: 0,
             data_ooo: BTreeMap::new(),
@@ -468,7 +462,7 @@ impl MptcpReceiver {
         self.uid_counter += 1;
         Some(Packet::new(
             self.uid_base.wrapping_add(self.uid_counter),
-            self.cfg.header_overhead,
+            HEADER_OVERHEAD,
             flow.reversed(),
             PacketKind::Ack { ackno: sub_ack, dack: self.data_rcv_nxt, ece: false, dup },
         ))
@@ -481,8 +475,7 @@ mod tests {
     use clove_net::types::HostId;
 
     fn conn(k: usize) -> (MptcpConnection, MptcpReceiver) {
-        let cfg = TcpConfig::default();
-        (MptcpConnection::new(HostId(0), HostId(1), 20_000, 80, k, cfg), MptcpReceiver::new(HostId(0), HostId(1), 20_000, 80, k, cfg))
+        (MptcpConnection::new(HostId(0), HostId(1), 20_000, 80, k), MptcpReceiver::new(HostId(0), HostId(1), 20_000, 80, k))
     }
 
     fn data_fields(p: &Packet) -> (u64, u32, u64) {
@@ -652,9 +645,8 @@ mod tests {
     fn recovery_after_blackhole_window() {
         // 2 subflows; the entire first window of subflow 1 is lost. Drive RTOs
         // and verify the connection eventually completes.
-        let cfg = TcpConfig::default();
-        let mut c = MptcpConnection::new(HostId(0), HostId(1), 20_000, 80, 2, cfg);
-        let mut r = MptcpReceiver::new(HostId(0), HostId(1), 20_000, 80, 2, cfg);
+        let mut c = MptcpConnection::new(HostId(0), HostId(1), 20_000, 80, 2);
+        let mut r = MptcpReceiver::new(HostId(0), HostId(1), 20_000, 80, 2);
         let size = 60 * 1400u64;
         let mut wire = Vec::new();
         c.enqueue_job(Time::ZERO, 1, size, &mut wire);

@@ -32,7 +32,6 @@ pub struct ReceiverStats {
 pub struct TcpReceiver {
     /// The five-tuple of the *incoming* data (src = remote host).
     pub key: FlowKey,
-    cfg: TcpConfig,
     rcv_nxt: u64,
     ooo: BTreeMap<u64, u32>, // seq -> len of buffered segments
     uid_base: u64,
@@ -42,11 +41,12 @@ pub struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    /// A fresh receiver for data arriving on `key`.
-    pub fn new(key: FlowKey, cfg: TcpConfig) -> TcpReceiver {
+    /// A fresh receiver for data arriving on `key`. The receiver has no
+    /// parameter of its own; `_cfg` stays because `benchmark/` calls this
+    /// form.
+    pub fn new(key: FlowKey, _cfg: TcpConfig) -> TcpReceiver {
         TcpReceiver {
             key,
-            cfg,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             uid_base: clove_net::hash::hash_tuple(&key, 0xACE) << 20,
@@ -120,7 +120,7 @@ impl TcpReceiver {
         self.uid_counter += 1;
         Packet::new(
             self.uid_base.wrapping_add(self.uid_counter),
-            crate::config::DEFAULT_HEADER_OVERHEAD.max(self.cfg.header_overhead),
+            crate::config::HEADER_OVERHEAD,
             self.key.reversed(),
             PacketKind::Ack { ackno: self.rcv_nxt, dack: self.rcv_nxt, ece, dup },
         )

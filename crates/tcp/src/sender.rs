@@ -11,7 +11,7 @@
 //! arms timers from [`TcpSender::rto_deadline`] (generation-checked, so
 //! stale timer events are ignored without cancellation support).
 
-use crate::config::TcpConfig;
+use crate::config::{wire_size, TcpConfig, INIT_CWND, INIT_RTO, MAX_CWND_BYTES, MAX_RTO, MIN_RTO, MSS};
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::FlowKey;
 use clove_sim::{Duration, Time};
@@ -124,7 +124,7 @@ impl TcpSender {
             snd_max: 0,
             stream_len: 0,
             jobs: VecDeque::new(),
-            cwnd: cfg.init_cwnd(),
+            cwnd: INIT_CWND,
             ssthresh: u64::MAX / 2,
             phase: Phase::SlowStart,
             dup_acks: 0,
@@ -133,7 +133,7 @@ impl TcpSender {
             undo: None,
             srtt: None,
             rttvar: Duration::ZERO,
-            rto: cfg.init_rto,
+            rto: INIT_RTO,
             backoff: 0,
             rtt_probe: None,
             rto_deadline: None,
@@ -194,7 +194,7 @@ impl TcpSender {
         // than one RTO, restart from the initial window rather than
         // blasting a stale window into the network.
         if self.idle() && now.saturating_since(self.last_send) > self.rto {
-            self.cwnd = self.cfg.init_cwnd().min(self.cwnd);
+            self.cwnd = INIT_CWND.min(self.cwnd);
             self.phase = Phase::SlowStart;
         }
         self.stream_len += bytes;
@@ -203,22 +203,14 @@ impl TcpSender {
         self.arm_rto(now);
     }
 
-    /// The effective send window: cwnd capped by the peer's receive window.
-    fn effective_window(&self) -> u64 {
-        match self.cfg.rwnd_bytes {
-            Some(rwnd) => self.cwnd.min(rwnd),
-            None => self.cwnd,
-        }
-    }
-
     /// Transmit as many new segments as the window and backlog allow.
     fn pump(&mut self, now: Time, out: &mut Vec<Packet>) {
-        while self.snd_nxt < self.stream_len && self.flight() < self.effective_window() {
-            let remaining_window = self.effective_window() - self.flight();
-            let len = (self.stream_len - self.snd_nxt).min(self.cfg.mss as u64).min(remaining_window.max(1)) as u32;
+        while self.snd_nxt < self.stream_len && self.flight() < self.cwnd {
+            let remaining_window = self.cwnd - self.flight();
+            let len = (self.stream_len - self.snd_nxt).min(MSS as u64).min(remaining_window.max(1)) as u32;
             // Do not send runt segments mid-stream while a full MSS worth
             // of window is unavailable (Nagle-ish; avoids silly windows).
-            if (len as u64) < self.cfg.mss as u64 && self.stream_len - self.snd_nxt > len as u64 && self.flight() > 0 {
+            if (len as u64) < MSS as u64 && self.stream_len - self.snd_nxt > len as u64 && self.flight() > 0 {
                 break;
             }
             self.emit_segment(now, self.snd_nxt, len, out);
@@ -227,7 +219,7 @@ impl TcpSender {
     }
 
     fn emit_segment(&mut self, now: Time, seq: u64, len: u32, out: &mut Vec<Packet>) {
-        let pkt = Packet::new(self.fresh_uid(), self.cfg.wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
+        let pkt = Packet::new(self.fresh_uid(), wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
         self.stats.segments_sent += 1;
         self.last_send = now;
         // One Karn-valid RTT probe at a time, never on retransmitted byte
@@ -265,7 +257,7 @@ impl TcpSender {
         };
         self.srtt = Some(srtt);
         let base = srtt + self.rttvar * 4;
-        self.rto = base.max(self.cfg.min_rto).min(self.cfg.max_rto);
+        self.rto = base.max(MIN_RTO).min(MAX_RTO);
         self.backoff = 0;
     }
 
@@ -317,7 +309,7 @@ impl TcpSender {
                 Phase::FastRecovery => {
                     if ackno >= self.recover {
                         // Full ack: leave recovery.
-                        self.cwnd = self.ssthresh.max(2 * self.cfg.mss as u64);
+                        self.cwnd = self.ssthresh.max(2 * MSS as u64);
                         self.phase = Phase::CongestionAvoidance;
                     } else {
                         // NewReno partial ack: retransmit the next hole,
@@ -327,25 +319,25 @@ impl TcpSender {
                         // fires — the price of modeling NewReno rather
                         // than SACK; see DESIGN.md §7.)
                         self.stats.retransmits += 1;
-                        let len = ((self.recover - ackno).min(self.cfg.mss as u64)) as u32;
+                        let len = ((self.recover - ackno).min(MSS as u64)) as u32;
                         self.emit_segment(now, ackno, len, out);
-                        self.cwnd = self.cwnd.saturating_sub(acked).max(self.cfg.mss as u64) + self.cfg.mss as u64;
+                        self.cwnd = self.cwnd.saturating_sub(acked).max(MSS as u64) + MSS as u64;
                     }
                 }
                 Phase::SlowStart => {
                     // Appropriate Byte Counting (RFC 3465, L=2).
-                    self.cwnd += acked.min(2 * self.cfg.mss as u64);
+                    self.cwnd += acked.min(2 * MSS as u64);
                     if self.cwnd >= self.ssthresh {
                         self.phase = Phase::CongestionAvoidance;
                     }
                 }
                 Phase::CongestionAvoidance => {
                     // Byte-counting additive increase: mss²/cwnd per mss acked.
-                    let inc = (self.cfg.mss as u64 * self.cfg.mss as u64) / self.cwnd.max(1);
+                    let inc = (MSS as u64 * MSS as u64) / self.cwnd.max(1);
                     self.cwnd += inc.max(1);
                 }
             }
-            self.cwnd = self.cwnd.min(self.cfg.max_cwnd_bytes);
+            self.cwnd = self.cwnd.min(MAX_CWND_BYTES);
             // Job completions.
             while let Some(job) = self.jobs.front() {
                 if self.snd_una >= job.end_seq {
@@ -361,13 +353,13 @@ impl TcpSender {
             match self.phase {
                 Phase::FastRecovery => {
                     // Window inflation keeps the pipe full during recovery.
-                    self.cwnd += self.cfg.mss as u64;
+                    self.cwnd += MSS as u64;
                 }
                 _ => {
                     // Early-retransmit cap (RFC 5827 flavour): with a
                     // small flight there will never be many dupacks, so
                     // the adaptive threshold is capped at flight-1.
-                    let flight_pkts = (self.flight() / self.cfg.mss as u64).max(2) as u32;
+                    let flight_pkts = (self.flight() / MSS as u64).max(2) as u32;
                     let threshold = self.dup_threshold.min(flight_pkts.saturating_sub(1)).max(2);
                     if self.dup_acks == threshold {
                         self.enter_fast_recovery(now, out);
@@ -384,11 +376,11 @@ impl TcpSender {
         self.stats.fast_retransmits += 1;
         self.stats.retransmits += 1;
         self.undo = Some((self.cwnd, self.ssthresh, self.snd_una));
-        self.ssthresh = (self.flight() / 2).max(2 * self.cfg.mss as u64);
-        self.cwnd = self.ssthresh + 3 * self.cfg.mss as u64;
+        self.ssthresh = (self.flight() / 2).max(2 * MSS as u64);
+        self.cwnd = self.ssthresh + 3 * MSS as u64;
         self.recover = self.snd_nxt;
         self.phase = Phase::FastRecovery;
-        let len = ((self.snd_nxt - self.snd_una).min(self.cfg.mss as u64)) as u32;
+        let len = ((self.snd_nxt - self.snd_una).min(MSS as u64)) as u32;
         self.emit_segment(now, self.snd_una, len, out);
         // The retransmission restarts the RTT probe invalid state.
         self.rtt_probe = None;
@@ -410,9 +402,9 @@ impl TcpSender {
         self.undo = None;
         // Multiplicative backoff and full go-back-N restart.
         self.backoff = (self.backoff + 1).min(12);
-        self.rto = (self.rto * 2).min(self.cfg.max_rto);
-        self.ssthresh = (self.flight() / 2).max(2 * self.cfg.mss as u64);
-        self.cwnd = self.cfg.mss as u64;
+        self.rto = (self.rto * 2).min(MAX_RTO);
+        self.ssthresh = (self.flight() / 2).max(2 * MSS as u64);
+        self.cwnd = MSS as u64;
         self.phase = Phase::SlowStart;
         self.dup_acks = 0;
         self.dup_threshold = 3; // real loss: restore prompt recovery
@@ -619,7 +611,7 @@ mod tests {
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 1400, &mut out);
         s.on_ack(Time::from_nanos(100), 1400, false, None, &mut out);
-        assert_eq!(s.rto, TcpConfig::default().min_rto);
+        assert_eq!(s.rto, MIN_RTO);
     }
 
     #[test]
@@ -637,7 +629,7 @@ mod tests {
                 break;
             }
         }
-        assert!(s.cwnd() > TcpConfig::default().init_cwnd());
+        assert!(s.cwnd() > INIT_CWND);
         // A long idle, then a new job: window restarts.
         out.clear();
         s.enqueue_job(t + Duration::from_secs(1), 2, 100_000, &mut out);
@@ -678,20 +670,6 @@ mod tests {
         s.on_ack(Time::from_micros(200), 1400, false, Some(2800), &mut out);
         assert_eq!(s.stats.spurious_undos, 0);
         assert!(s.cwnd() <= cut + 2 * 1400, "undo fired for unrelated dup");
-    }
-
-    #[test]
-    fn rwnd_caps_effective_window() {
-        // rwnd = 3 segments
-        let cfg = TcpConfig { rwnd_bytes: Some(4200), ..TcpConfig::default() };
-        let mut s = TcpSender::new(key(), cfg, Time::ZERO);
-        let mut out = Vec::new();
-        s.enqueue_job(Time::ZERO, 1, 1_000_000, &mut out);
-        assert_eq!(out.len(), 3, "rwnd must cap the initial burst");
-        // Even as cwnd grows, flight stays under rwnd.
-        out.clear();
-        s.on_ack(Time::from_micros(100), 1400, false, None, &mut out);
-        assert!(s.flight() <= 4200);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example path_discovery`
 
-use clove::algo::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
+use clove::algo::{DiscoveryEvent, ProbeDaemon};
 use clove::net::fabric::Event;
 use clove::net::fault::LinkAction;
 use clove::net::packet::PacketKind;
@@ -60,7 +60,7 @@ fn discover(net: &mut Network<ProbeOnly>, now: Time, dst: HostId) -> Vec<u16> {
 fn main() {
     let topo = LeafSpine::paper_testbed(1.0, 7).build();
     println!("topology: {}", topo.name);
-    let daemon = ProbeDaemon::new(HostId(0), DiscoveryConfig::default(), 99);
+    let daemon = ProbeDaemon::new(HostId(0), clove::sim::Duration::from_millis(100), 99);
     let dst = HostId(16); // a host on the other leaf
     let mut net = Network::new(topo.fabric, ProbeOnly { daemon, replies: 0 });
 

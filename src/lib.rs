@@ -13,7 +13,7 @@
 //! clove::tcp       guest transports (NewReno, MPTCP)
 //! clove::overlay   hypervisor vswitch (STT encap, feedback relay, Presto rx)
 //! clove::algo      the Clove algorithms (flowlets, discovery, ECN/INT)
-//! clove::baselines ECMP, Presto; CONGA/HULA fabric configs
+//! clove::baselines ECMP, Presto
 //! clove::workload  web-search CDF, RPC model, incast, FCT accounting
 //! clove::harness   ready-made experiments for every paper figure
 //! ```

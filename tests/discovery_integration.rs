@@ -2,7 +2,7 @@
 //! fabric — discovered ports must actually map to distinct paths, and
 //! topology changes must be re-learned.
 
-use clove::algo::{DiscoveryConfig, DiscoveryEvent, ProbeDaemon};
+use clove::algo::{DiscoveryEvent, ProbeDaemon};
 use clove::net::fabric::Event;
 use clove::net::fault::LinkAction;
 use clove::net::link::LinkConfig;
@@ -11,6 +11,9 @@ use clove::net::topology::{FatTree, LeafSpine, Topology};
 use clove::net::types::{FlowKey, HostId, LinkId, NodeId, SwitchId};
 use clove::net::{switch::FabricScheme, HostCtx, HostLogic, Network};
 use clove::sim::{Duration, EventQueue, Time};
+
+/// The default profile's probe interval (rounds here are driven by hand).
+const PROBE_INTERVAL: Duration = Duration::from_millis(100);
 
 struct ProbeSink {
     daemon: ProbeDaemon,
@@ -57,7 +60,7 @@ fn first_hop_port(net: &Network<ProbeSink>, src: HostId, dst: HostId, sport: u16
 #[test]
 fn discovers_four_distinct_paths_on_healthy_testbed() {
     let topo = testbed();
-    let daemon = ProbeDaemon::new(HostId(0), DiscoveryConfig::default(), 11);
+    let daemon = ProbeDaemon::new(HostId(0), PROBE_INTERVAL, 11);
     let mut net = Network::new(topo.fabric, ProbeSink { daemon });
     let ports = run_discovery(&mut net, Time::ZERO, HostId(16)).expect("selection");
     // Four disjoint fabric paths exist; discovery should find all four.
@@ -84,7 +87,7 @@ fn probes_equal_data_hashing() {
 #[test]
 fn rediscovery_after_failure_shrinks_selection() {
     let topo = testbed();
-    let daemon = ProbeDaemon::new(HostId(0), DiscoveryConfig::default(), 11);
+    let daemon = ProbeDaemon::new(HostId(0), PROBE_INTERVAL, 11);
     let mut net = Network::new(topo.fabric, ProbeSink { daemon });
     let before = run_discovery(&mut net, Time::ZERO, HostId(16)).expect("selection");
     assert_eq!(before.len(), 4);
@@ -113,9 +116,8 @@ fn discovery_works_on_fat_tree() {
     let cfg = LinkConfig::for_rate(10_000_000_000);
     let ft =
         FatTree { k: 4, access_bps: cfg.rate_bps, fabric_bps: cfg.rate_bps, access_cfg: cfg, fabric_cfg: cfg, scheme: FabricScheme::Ecmp, seed: 5 }.build();
-    // deeper fabric: raise the TTL ceiling and widen the candidate pool
-    let cfg = DiscoveryConfig { max_ttl: 5, candidates: 48, ..DiscoveryConfig::default() };
-    let daemon = ProbeDaemon::new(HostId(0), cfg, 13);
+    // The runs' probe daemon: 24 candidates traced to TTL 4.
+    let daemon = ProbeDaemon::new(HostId(0), PROBE_INTERVAL, 13);
     let mut net = Network::new(ft.fabric, ProbeSink { daemon });
     // Host 15 is in another pod: 4 distinct edge→agg→core paths exist.
     let ports = run_discovery(&mut net, Time::ZERO, HostId(15)).expect("selection");
@@ -128,7 +130,7 @@ fn discovery_works_on_fat_tree() {
 #[test]
 fn probe_overhead_is_modest() {
     let topo = testbed();
-    let daemon = ProbeDaemon::new(HostId(0), DiscoveryConfig::default(), 11);
+    let daemon = ProbeDaemon::new(HostId(0), PROBE_INTERVAL, 11);
     let mut net = Network::new(topo.fabric, ProbeSink { daemon });
     run_discovery(&mut net, Time::ZERO, HostId(16));
     let probes = net.hosts.daemon.stats.probes_sent;

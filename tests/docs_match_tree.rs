@@ -204,6 +204,12 @@ fn docs_name_no_deleted_scheme_item() {
             "hula_probe_interval",
             "fabric_schemes",
             "Profile::quick",
+            "CongaConfig",
+            "HulaConfig",
+            "ReassemblyConfig",
+            "DiscoveryConfig",
+            "discovery_config",
+            "rwnd_bytes",
         ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }
@@ -239,6 +245,7 @@ fn the_scanner_finds_what_it_should() {
         ("sim", "stats"),
         ("workload", "websearch"),
         ("baselines", "fabric_schemes"),
+        ("core", "DiscoveryConfig"),
         ("ecn", "on_path_dead"),
     ] {
         assert!(!crate_has(root, krate, name), "clove-{krate}::{name}");
