@@ -48,8 +48,6 @@ impl CloveUtilConfig {
 pub struct CloveUtilStats {
     /// Utilization feedback entries processed.
     pub feedback: u64,
-    /// New flowlets routed.
-    pub flowlets_routed: u64,
     /// Stale-decay steps applied to the fallback WRR.
     pub stale_decays: u64,
     /// Flowlet picks made below the fresh tier: WRR fallback while stale,
@@ -109,7 +107,6 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
         let IntDstState { paths, wrr, .. } = dst;
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
-            stats.flowlets_routed += 1;
             if dead && !paths.is_empty() {
                 let ports = paths.ports();
                 stats.degraded_picks += 1;

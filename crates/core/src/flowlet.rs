@@ -12,12 +12,16 @@
 //! needs only a `HashMap`, but the aging/eviction behaviour is modeled so
 //! the state-space claims of §4 hold.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "generic over BuildHasher for the counting-hasher tests; the default is FxBuildHasher, so RandomState is unreachable from production code"
+)]
+
 use clove_net::types::FlowKey;
 use clove_sim::{Duration, Time};
 use clove_telemetry::Trace;
 use rustc_hash::FxBuildHasher;
 use std::collections::hash_map::Entry as MapEntry;
-// clove-lint: allow(std-hash-collections): generic over BuildHasher for the counting-hasher tests; the default is FxBuildHasher, so RandomState is unreachable from production code
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
@@ -50,8 +54,6 @@ struct Entry {
 /// Table statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlowletStats {
-    /// Packets classified.
-    pub packets: u64,
     /// New flowlets opened (including the first of each flow).
     pub flowlets: u64,
     /// Entries evicted by aging.
@@ -108,7 +110,6 @@ impl<S: BuildHasher> FlowletTable<S> {
     /// common no-new-flowlet case updates in place, and even the miss/
     /// expired paths reuse the same slot instead of a second probe.
     pub fn on_packet(&mut self, now: Time, flow: FlowKey, pick: impl FnOnce(u64) -> u16) -> u16 {
-        self.stats.packets += 1;
         if self.entries.len() > MAX_ENTRIES {
             self.sweep(now);
         }
@@ -301,7 +302,7 @@ mod tests {
         assert_eq!(t.current_flowlet_id(&flow(9)), None);
     }
 
-    /// Determinism regression (clove-lint `std-hash-collections`): the
+    /// Determinism regression (the `clippy.toml` `HashMap` ban): the
     /// table's iteration order must not depend on per-instance hasher
     /// state. With std's `RandomState` every instance draws a fresh seed
     /// and this test fails; with the unseeded `FxBuildHasher` default the

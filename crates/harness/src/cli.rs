@@ -76,8 +76,8 @@ pub fn positional<'a>(args: &'a [String], valued: &[&str]) -> Option<&'a str> {
 pub fn open_journal(scope: &str, resume: bool) -> Option<Journal> {
     match Journal::open(format!("results/.journal/{scope}"), resume) {
         Ok(journal) => Some(journal),
+        #[expect(clippy::print_stderr, reason = "best-effort stderr warning; the run proceeds unjournaled")]
         Err(e) => {
-            // clove-lint: allow(stdout-in-lib): best-effort stderr warning; the run proceeds unjournaled
             eprintln!("{scope}: warning: no checkpoint journal ({e}); running without one");
             None
         }

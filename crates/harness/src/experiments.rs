@@ -208,8 +208,8 @@ fn quarantine_snapshot(scope: &str, cell: &str, seed: u64, reason: &str, spec: O
     fields.push((QUARANTINE_KEY.to_string(), meta));
     match journal::write_atomic(std::path::Path::new(&path), &(Json::Obj(fields).render_pretty() + "\n")) {
         Ok(()) => format!(" (snapshot: {path})"),
+        #[expect(clippy::print_stderr, reason = "best-effort stderr warning on an already-failing path")]
         Err(e) => {
-            // clove-lint: allow(stdout-in-lib): best-effort stderr warning on an already-failing path
             eprintln!("telemetry: cannot write quarantine snapshot {path}: {e}");
             String::new()
         }

@@ -137,7 +137,10 @@ impl Journal {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
             }
-            // clove-lint: allow(stdout-in-lib): best-effort I/O warning to stderr; journal entries are an optimization and never part of the byte-identical result output
+            #[expect(
+                clippy::print_stderr,
+                reason = "best-effort I/O warning to stderr; journal entries are an optimization and never part of the byte-identical result output"
+            )]
             Err(e) => eprintln!("warning: journal write failed for {}: {e}", path.display()),
         }
     }

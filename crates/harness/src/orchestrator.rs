@@ -139,7 +139,7 @@ fn schedule(costs: Option<&[f64]>, n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     if let Some(costs) = costs {
         debug_assert_eq!(costs.len(), n, "one cost estimate per cell");
-        order.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b)));
+        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
     }
     order
 }
@@ -346,8 +346,9 @@ mod tests {
     fn schedule_sorts_by_descending_cost_with_stable_ties() {
         assert_eq!(schedule(None, 4), vec![0, 1, 2, 3]);
         assert_eq!(schedule(Some(&[1.0, 3.0, 2.0, 3.0]), 4), vec![1, 3, 2, 0]);
-        // NaN costs compare as equal: cell order preserved among them.
-        assert_eq!(schedule(Some(&[f64::NAN, 1.0, f64::NAN]), 3), vec![0, 1, 2]);
+        // The order is total: NaN sorts above every cost, cell order
+        // preserved among the NaNs.
+        assert_eq!(schedule(Some(&[f64::NAN, 1.0, f64::NAN]), 3), vec![0, 2, 1]);
     }
 
     #[test]

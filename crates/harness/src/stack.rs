@@ -125,8 +125,6 @@ struct IncastState {
 pub struct StackStats {
     /// Data segments handed to guests.
     pub delivered_segments: u64,
-    /// Probes that reached a destination host (TTL exceeded path length).
-    pub probes_reached_host: u64,
     /// Path updates installed into policies.
     pub path_updates: u64,
     /// Black-holed paths evicted by discovery and dropped from policies.
@@ -447,11 +445,8 @@ impl HostStack {
                     }
                 }
             }
-            PacketKind::Probe { .. } => {
-                // A probe whose TTL outlived the path: absorbed here.
-                self.stats.probes_reached_host += 1;
-            }
-            PacketKind::ProbeReply { .. } | PacketKind::FeedbackOnly | PacketKind::HulaProbe { .. } => {}
+            // A probe whose TTL outlived the path is absorbed here.
+            PacketKind::Probe { .. } | PacketKind::ProbeReply { .. } | PacketKind::FeedbackOnly | PacketKind::HulaProbe { .. } => {}
         }
     }
 

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::print_stdout, clippy::print_stderr, clippy::exit))]
 
 //! # clove-overlay — the hypervisor vswitch dataplane
 //!

@@ -175,8 +175,6 @@ impl Subflow {
 /// MPTCP connection counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MptcpStats {
-    /// Segments sent across all subflows (incl. retransmissions).
-    pub segments_sent: u64,
     /// Retransmissions across all subflows.
     pub retransmits: u64,
     /// RTO firings across all subflows.
@@ -270,7 +268,6 @@ impl MptcpConnection {
             sf.map.insert(seq, (dsn, len));
             sf.snd_nxt += len as u64;
             sf.emit(now, seq, dsn, len, false, out);
-            self.stats.segments_sent += 1;
         }
     }
 

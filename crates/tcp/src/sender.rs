@@ -44,8 +44,6 @@ struct PendingJob {
 /// Sender-side counters (tests and diagnostics).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SenderStats {
-    /// Segments transmitted (including retransmissions).
-    pub segments_sent: u64,
     /// Retransmitted segments.
     pub retransmits: u64,
     /// RTO firings.
@@ -220,7 +218,6 @@ impl TcpSender {
 
     fn emit_segment(&mut self, now: Time, seq: u64, len: u32, out: &mut Vec<Packet>) {
         let pkt = Packet::new(self.fresh_uid(), wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
-        self.stats.segments_sent += 1;
         self.last_send = now;
         // One Karn-valid RTT probe at a time, never on retransmitted byte
         // ranges (anything at or below snd_max has been sent before).

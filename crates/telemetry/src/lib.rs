@@ -16,10 +16,10 @@
 //! must never influence simulation state — enabling a trace has to leave
 //! every simulation output byte-identical (the harness enforces this with
 //! an identity test). Sim-time event timestamps are always deterministic;
-//! wall clocks are banned here as everywhere in the workspace (clove-lint's
-//! `wall-clock` rule has no exception).
+//! wall clocks are banned here as everywhere in the workspace (`clippy.toml`
+//! bans `Instant` and `SystemTime`, and no site may except itself).
 
-#![deny(clippy::unwrap_used)]
+#![deny(clippy::unwrap_used, clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 mod hist;
 mod trace;

@@ -1,6 +1,7 @@
 //! The prose docs may only name targets, files and modules that exist: a
-//! `--bin`, `--example` or `--bench` name, a back-ticked name the next word
-//! calls a bench, bin or binary, any `cargo bench`, a path under `crates/`,
+//! `--bin`, `--example` or `--bench` name, a `-p` package that is not in the
+//! workspace, a back-ticked name the next word calls a bench, bin or binary,
+//! any `cargo bench`, a path under `crates/`,
 //! `tests/`, `examples/`, `vendor/` or `.github/` that is not in the
 //! checkout, or a `clove-<crate>::<name>` / `clove_<crate>::<name>` whose
 //! crate has no such module or root item fails here, so deleting or
@@ -125,6 +126,19 @@ fn crate_has(root: &Path, dir: &str, name: &str) -> bool {
         || std::fs::read_to_string(src.join("lib.rs")).is_ok_and(|lib| root_names(&top_level(&lib)).contains(&name))
 }
 
+/// Every workspace package: the root `clove` and the `name` of each
+/// `crates/*` and `vendor/*` manifest.
+fn packages(root: &Path) -> Vec<String> {
+    let mut names = vec!["clove".to_string()];
+    for dir in ["crates", "vendor"] {
+        for member in std::fs::read_dir(root.join(dir)).expect("member dir is readable").filter_map(Result::ok) {
+            let manifest = std::fs::read_to_string(member.path().join("Cargo.toml")).unwrap_or_default();
+            names.extend(manifest.lines().find_map(|l| l.strip_prefix("name = \"")).map(|n| n.trim_end_matches('"').to_string()));
+        }
+    }
+    names
+}
+
 /// Whether some workspace crate has the target file `<crate>/<dir>/<name>.rs`.
 fn crate_target_exists(root: &Path, dir: &str, name: &str) -> bool {
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
@@ -134,6 +148,7 @@ fn crate_target_exists(root: &Path, dir: &str, name: &str) -> bool {
 #[test]
 fn docs_name_only_targets_and_paths_that_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let packages = packages(root);
     let mut stale = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
@@ -147,6 +162,11 @@ fn docs_name_only_targets_and_paths_that_exist() {
                 if !crate_target_exists(root, dir, name) {
                     stale.push(format!("{doc}: `{flag}{name}`"));
                 }
+            }
+        }
+        for name in names_after(&text, "-p ") {
+            if !packages.iter().any(|p| p == name) {
+                stale.push(format!("{doc}: `-p {name}`"));
             }
         }
         for (name, label) in labelled_targets(&text) {
@@ -175,9 +195,9 @@ fn docs_name_only_targets_and_paths_that_exist() {
 }
 
 /// Items deleted with the one-way-latency scheme and the five-tuple-swap
-/// mode, and the scheme parameters that left `Profile` for the component
-/// that reads them. Plain words, not paths, so the scan above cannot see
-/// them.
+/// mode, the scheme parameters that left `Profile` for the component that
+/// reads them, and the token-level analyzer `clippy.toml` replaced. Plain
+/// words, not paths, so the scan above cannot see them.
 #[test]
 fn docs_name_no_deleted_scheme_item() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -210,6 +230,8 @@ fn docs_name_no_deleted_scheme_item() {
             "DiscoveryConfig",
             "discovery_config",
             "rwnd_bytes",
+            "clove-lint",
+            "clove_lint",
         ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }
@@ -224,7 +246,7 @@ fn the_scanner_finds_what_it_should() {
     assert_eq!(names_after(text, "--example "), ["quickstart"]);
     let prose = "the `micro` bench and the `clove-run`\nbinary, not `cargo test` bin, `x` benchmarks, `y`bin or a bare bench.";
     assert_eq!(labelled_targets(prose), [("micro", "bench"), ("clove-run", "binary")]);
-    let code = "`clove-net::gone`, clove_sim::Time, (`clove_core::clove_ecn::on_path_dead`), clove-run, clove-lint: x, my_clove_x::y, clove::net";
+    let code = "`clove-net::gone`, clove_sim::Time, (`clove_core::clove_ecn::on_path_dead`), clove-run, clove-bench: x, my_clove_x::y, clove::net";
     assert_eq!(crate_paths_in(code), [("net", "gone"), ("sim", "Time"), ("core", "clove_ecn")]);
     let lib = "//! pub fn doc() {\npub mod a;\nmod hidden;\npub use x::{B, c::{D as E}};\npub fn f<T>() { pub fn body() {} }\npub(crate) fn g() {}\npub mod inline {\n    pub fn inner() {}\n}\npub struct S;";
     let top = top_level(lib);
@@ -250,4 +272,6 @@ fn the_scanner_finds_what_it_should() {
     ] {
         assert!(!crate_has(root, krate, name), "clove-{krate}::{name}");
     }
+    let packages = packages(root);
+    assert!(["clove", "clove-harness", "clove-bench", "rustc-hash"].iter().all(|p| packages.iter().any(|q| q == p)), "{packages:?}");
 }
