@@ -6,8 +6,8 @@
 //!
 //! * flowlets are scheduled over the discovered ports by weighted round
 //!   robin;
-//! * ECN feedback for a port cuts its weight by a configurable proportion
-//!   (default ⅓) and spreads the removed weight equally over the paths not
+//! * ECN feedback for a port cuts its weight by [`WEIGHT_CUT`] (⅓) and
+//!   spreads the removed weight equally over the paths not
 //!   recently congested;
 //! * when *every* path is congested, weights stay put: there is no
 //!   better path to move traffic to (counted in
@@ -22,56 +22,41 @@ use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
 
-/// Clove-ECN tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CloveEcnConfig {
-    /// Flowlet detection parameters (gap ≈ 1–2 RTT).
-    pub flowlet: FlowletConfig,
-    /// Weight fraction removed from a congested path per ECN indication
-    /// (paper: "e.g., by a third").
-    pub weight_cut: f64,
-    /// How long a path stays "congested" after an ECN indication, for the
-    /// purposes of redistribution.
-    pub congested_window: Duration,
-    /// Optional slow drift of weights back toward uniform (per feedback
-    /// event); 0 disables. Documented implementation choice: without it a
-    /// path cut during a transient can only recover when *other* paths get
-    /// cut.
-    pub recovery_rho: f64,
-    /// When the freshest feedback for a destination is older than this,
-    /// learned weights are considered stale and start decaying toward
-    /// uniform on the data path (degradation ladder, first rung).
-    pub stale_horizon: Duration,
-    /// When the freshest feedback is older than this, weights are not
-    /// trusted at all: new flowlets hash-spread uniformly over the
-    /// discovered ports (Edge-Flowlet behaviour, bottom rung).
-    pub dead_horizon: Duration,
-    /// Decay rate applied while stale (per decay step).
-    pub stale_rho: f64,
-    /// Minimum spacing between stale-decay steps — the decay is applied
-    /// lazily on the data path, so this bounds how fast it can run.
-    pub stale_decay_interval: Duration,
-}
+// The windows and horizons below are multiples of the 100 µs loaded RTT
+// the runs operate at. Feedback normally arrives every ~RTT, so 16×RTT of
+// silence means the control loop is broken, and 64×RTT means it has been
+// broken long enough to forget everything.
 
-impl CloveEcnConfig {
-    /// Defaults scaled for a base RTT: gap = 1×RTT (the paper's best
-    /// testbed setting, Figure 6), window = 2×RTT. Staleness horizons are
-    /// generous multiples of RTT: feedback normally arrives every ~RTT, so
-    /// 16×RTT of silence means the control loop is broken, and 64×RTT
-    /// means it has been broken long enough to forget everything.
-    pub fn for_rtt(rtt: Duration) -> CloveEcnConfig {
-        CloveEcnConfig {
-            flowlet: FlowletConfig::with_gap(rtt),
-            weight_cut: 1.0 / 3.0,
-            congested_window: rtt * 2,
-            recovery_rho: 0.01,
-            stale_horizon: rtt * 16,
-            dead_horizon: rtt * 64,
-            stale_rho: 0.1,
-            stale_decay_interval: rtt * 2,
-        }
-    }
-}
+/// Weight fraction removed from a congested path per ECN indication
+/// (paper: "e.g., by a third").
+pub const WEIGHT_CUT: f64 = 1.0 / 3.0;
+
+/// How long a path stays "congested" after an ECN indication, for the
+/// purposes of redistribution (2×RTT).
+pub const CONGESTED_WINDOW: Duration = Duration::from_micros(200);
+
+/// Default slow drift of weights back toward uniform per feedback event
+/// (`Profile::clove_recovery_rho`; 0 disables). Documented implementation
+/// choice: without it a path cut during a transient can only recover when
+/// *other* paths get cut.
+pub const RECOVERY_RHO: f64 = 0.01;
+
+/// When the freshest feedback for a destination is older than this,
+/// learned weights are considered stale and start decaying toward uniform
+/// on the data path (degradation ladder, first rung; 16×RTT).
+pub const STALE_HORIZON: Duration = Duration::from_micros(1600);
+
+/// When the freshest feedback is older than this, weights are not trusted
+/// at all: new flowlets hash-spread uniformly over the discovered ports
+/// (Edge-Flowlet behaviour, bottom rung; 64×RTT).
+pub const DEAD_HORIZON: Duration = Duration::from_micros(6400);
+
+/// Decay rate applied while stale (per decay step).
+pub const STALE_RHO: f64 = 0.1;
+
+/// Minimum spacing between stale-decay steps — the decay is applied lazily
+/// on the data path, so this bounds how fast it can run (2×RTT).
+pub const STALE_DECAY_INTERVAL: Duration = Duration::from_micros(200);
 
 #[derive(Default)]
 struct DstState {
@@ -100,7 +85,7 @@ pub struct CloveEcnStats {
 
 /// The Clove-ECN edge policy. See module docs.
 pub struct CloveEcnPolicy {
-    cfg: CloveEcnConfig,
+    recovery_rho: f64,
     flowlets: FlowletTable,
     dsts: FxHashMap<HostId, DstState>,
     /// Counters.
@@ -110,9 +95,16 @@ pub struct CloveEcnPolicy {
 }
 
 impl CloveEcnPolicy {
-    /// Build the policy.
-    pub fn new(cfg: CloveEcnConfig) -> CloveEcnPolicy {
-        CloveEcnPolicy { flowlets: FlowletTable::new(cfg.flowlet), dsts: FxHashMap::default(), stats: CloveEcnStats::default(), cfg, trace: Trace::disabled() }
+    /// Build the policy: flowlets detected by `flowlet`, weights drifting
+    /// back toward uniform by `recovery_rho` per feedback event.
+    pub fn new(flowlet: FlowletConfig, recovery_rho: f64) -> CloveEcnPolicy {
+        CloveEcnPolicy {
+            recovery_rho,
+            flowlets: FlowletTable::new(flowlet),
+            dsts: FxHashMap::default(),
+            stats: CloveEcnStats::default(),
+            trace: Trace::disabled(),
+        }
     }
 
     /// Fallback port (pre-discovery): hash-spread like plain ECMP.
@@ -134,10 +126,10 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let dst = self.dsts.entry(dst_hv).or_default();
         let flow = pkt.flow;
-        let dead = dst.ladder.on_tx(now, &dst.paths, self.cfg.stale_horizon, self.cfg.dead_horizon, &self.trace, dst_hv) == LadderRung::Dead;
-        if dst.ladder.stale_decay_due(now, self.cfg.stale_decay_interval) {
+        let dead = dst.ladder.on_tx(now, &dst.paths, STALE_HORIZON, DEAD_HORIZON, &self.trace, dst_hv) == LadderRung::Dead;
+        if dst.ladder.stale_decay_due(now, STALE_DECAY_INTERVAL) {
             // Stale rung: forget toward uniform.
-            dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
+            dst.wrr.decay_toward_uniform(STALE_RHO);
             self.stats.stale_decays += 1;
         }
         let DstState { paths, wrr, .. } = dst;
@@ -164,12 +156,12 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
         };
         dst.paths.record_ecn(now, sport, congested);
         if congested {
-            let receivers = dst.paths.uncongested_ports(now, self.cfg.congested_window);
+            let receivers = dst.paths.uncongested_ports(now, CONGESTED_WINDOW);
             if receivers.is_empty() {
                 // All paths congested: no point shuffling weights.
                 self.stats.all_congested_events += 1;
             } else {
-                dst.wrr.cut_and_redistribute(sport, self.cfg.weight_cut, &receivers);
+                dst.wrr.cut_and_redistribute(sport, WEIGHT_CUT, &receivers);
                 self.stats.weight_cuts += 1;
                 if self.trace.is_enabled() {
                     let ppm = (dst.wrr.weight(sport).unwrap_or(0.0) * 1e6).round() as u64;
@@ -177,8 +169,8 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
                 }
             }
         }
-        if self.cfg.recovery_rho > 0.0 {
-            dst.wrr.decay_toward_uniform(self.cfg.recovery_rho);
+        if self.recovery_rho > 0.0 {
+            dst.wrr.decay_toward_uniform(self.recovery_rho);
         }
     }
 
@@ -244,16 +236,14 @@ mod tests {
     const RTT: Duration = Duration(100_000); // 100us
 
     fn policy() -> CloveEcnPolicy {
-        let mut p = CloveEcnPolicy::new(CloveEcnConfig::for_rtt(RTT));
+        let mut p = CloveEcnPolicy::new(FlowletConfig::with_gap(RTT), RECOVERY_RHO);
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
         p
     }
 
     /// `policy()` without the recovery drift, so weights move only on a cut.
     fn policy_without_drift() -> CloveEcnPolicy {
-        let mut cfg = CloveEcnConfig::for_rtt(RTT);
-        cfg.recovery_rho = 0.0;
-        let mut p = CloveEcnPolicy::new(cfg);
+        let mut p = CloveEcnPolicy::new(FlowletConfig::with_gap(RTT), 0.0);
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
         p
     }
@@ -431,7 +421,7 @@ mod tests {
 
     #[test]
     fn fallback_port_before_discovery() {
-        let mut p = CloveEcnPolicy::new(CloveEcnConfig::for_rtt(RTT));
+        let mut p = CloveEcnPolicy::new(FlowletConfig::with_gap(RTT), RECOVERY_RHO);
         let mut a = pkt(77);
         let port = p.select_port(Time::ZERO, HostId(3), &mut a);
         assert!(port >= 49152);
@@ -446,8 +436,8 @@ mod tests {
         }
         let skewed = p.weight(HostId(1), 10).unwrap();
         assert!(skewed < 0.1, "precondition: skew learned ({skewed})");
-        // stale_horizon = 16×RTT = 1.6ms; drive flowlets from 2ms to 5.3ms
-        // (still inside dead_horizon = 6.4ms) spaced past the decay interval.
+        // STALE_HORIZON = 1.6ms; drive flowlets from 2ms to 5.3ms (still
+        // inside DEAD_HORIZON = 6.4ms) spaced past the decay interval.
         let mut t = Time::from_micros(2000);
         for i in 0..12u16 {
             let mut a = pkt(6000 + i);
@@ -466,7 +456,7 @@ mod tests {
         for i in 0..8 {
             p.on_feedback(Time::from_micros(i), HostId(1), &Feedback::Ecn { sport: 10, congested: true });
         }
-        // dead_horizon = 64×RTT = 6.4ms; at 10ms the weights are ancient.
+        // DEAD_HORIZON = 6.4ms; at 10ms the weights are ancient.
         // Traffic keeps flowing the whole time, so the silence is real.
         keep_transmitting(&mut p, Time::from_micros(100), Time::from_micros(10_000));
         let m = spread(&mut p, 400, Time::from_micros(10_000));

@@ -16,32 +16,25 @@ use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
 
-/// Clove-INT configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CloveUtilConfig {
-    /// Flowlet detection parameters.
-    pub flowlet: FlowletConfig,
-    /// Utilization reports older than this count as zero (stale paths get
-    /// probed again rather than shunned forever).
-    pub stale_after: Duration,
-    /// When the *freshest* feedback for a destination is older than this,
-    /// Clove-INT stops trusting utilization entirely and hash-spreads new
-    /// flowlets uniformly (bottom of the degradation ladder). Between
-    /// `stale_after` and this horizon it falls back to ECN-style weighted
-    /// round-robin over the last-known utilizations.
-    pub dead_horizon: Duration,
-    /// Decay rate of the fallback WRR weights toward uniform while stale.
-    pub stale_rho: f64,
-    /// Minimum spacing between lazy stale-decay steps on the data path.
-    pub stale_decay_interval: Duration,
-}
+// Multiples of the 100 µs loaded RTT the runs operate at.
 
-impl CloveUtilConfig {
-    /// Defaults scaled for a base RTT.
-    pub fn for_rtt(rtt: Duration) -> CloveUtilConfig {
-        CloveUtilConfig { flowlet: FlowletConfig::with_gap(rtt), stale_after: rtt * 8, dead_horizon: rtt * 64, stale_rho: 0.1, stale_decay_interval: rtt * 2 }
-    }
-}
+/// Utilization reports older than this count as zero (stale paths get
+/// probed again rather than shunned forever; 8×RTT).
+pub const STALE_AFTER: Duration = Duration::from_micros(800);
+
+/// When the *freshest* feedback for a destination is older than this,
+/// Clove-INT stops trusting utilization entirely and hash-spreads new
+/// flowlets uniformly (bottom of the degradation ladder; 64×RTT). Between
+/// [`STALE_AFTER`] and this horizon it falls back to ECN-style weighted
+/// round-robin over the last-known utilizations.
+pub const DEAD_HORIZON: Duration = Duration::from_micros(6400);
+
+/// Decay rate of the fallback WRR weights toward uniform while stale.
+pub const STALE_RHO: f64 = 0.1;
+
+/// Minimum spacing between lazy stale-decay steps on the data path
+/// (2×RTT).
+pub const STALE_DECAY_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Clove-INT counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -66,7 +59,6 @@ struct IntDstState {
 
 /// Clove-INT: new flowlets take the least-utilized discovered path.
 pub struct CloveIntPolicy {
-    cfg: CloveUtilConfig,
     flowlets: FlowletTable,
     dsts: FxHashMap<HostId, IntDstState>,
     /// Counters.
@@ -76,9 +68,9 @@ pub struct CloveIntPolicy {
 }
 
 impl CloveIntPolicy {
-    /// Build the policy.
-    pub fn new(cfg: CloveUtilConfig) -> CloveIntPolicy {
-        CloveIntPolicy { flowlets: FlowletTable::new(cfg.flowlet), dsts: FxHashMap::default(), stats: CloveUtilStats::default(), cfg, trace: Trace::disabled() }
+    /// Build the policy with flowlets detected by `flowlet`.
+    pub fn new(flowlet: FlowletConfig) -> CloveIntPolicy {
+        CloveIntPolicy { flowlets: FlowletTable::new(flowlet), dsts: FxHashMap::default(), stats: CloveUtilStats::default(), trace: Trace::disabled() }
     }
 
     fn fallback_port(flow: &FlowKey, flowlet_id: u64) -> u16 {
@@ -93,15 +85,14 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
 
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
         let dst = self.dsts.entry(dst_hv).or_default();
-        let stale = self.cfg.stale_after;
         let flow = pkt.flow;
         // Degradation ladder: fresh → least-utilized; stale → ECN-style WRR
         // over the last-known utilizations; dead → uniform hash-spread,
         // Edge-Flowlet behaviour.
-        let rung = dst.ladder.on_tx(now, &dst.paths, stale, self.cfg.dead_horizon, &self.trace, dst_hv);
+        let rung = dst.ladder.on_tx(now, &dst.paths, STALE_AFTER, DEAD_HORIZON, &self.trace, dst_hv);
         let (dead, wrr_tier) = (rung == LadderRung::Dead, rung == LadderRung::Stale);
-        if dst.ladder.stale_decay_due(now, self.cfg.stale_decay_interval) {
-            dst.wrr.decay_toward_uniform(self.cfg.stale_rho);
+        if dst.ladder.stale_decay_due(now, STALE_DECAY_INTERVAL) {
+            dst.wrr.decay_toward_uniform(STALE_RHO);
             self.stats.stale_decays += 1;
         }
         let IntDstState { paths, wrr, .. } = dst;
@@ -118,7 +109,7 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
                     return port;
                 }
             }
-            paths.least_utilized(now, stale).unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
+            paths.least_utilized(now, STALE_AFTER).unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
         })
     }
 
@@ -175,7 +166,7 @@ mod tests {
 
     #[test]
     fn int_routes_new_flowlets_to_least_utilized() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30]);
         let t = Time::from_micros(10);
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 10, util_pm: 900 });
@@ -193,7 +184,7 @@ mod tests {
 
     #[test]
     fn int_stale_reports_age_out() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20]);
         p.on_feedback(Time::from_micros(10), HostId(1), &Feedback::Util { sport: 10, util_pm: 900 });
         p.on_feedback(Time::from_millis(5), HostId(1), &Feedback::Util { sport: 20, util_pm: 100 });
@@ -205,7 +196,7 @@ mod tests {
 
     #[test]
     fn int_ignores_ecn_feedback() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20]);
         p.on_feedback(Time::ZERO, HostId(1), &Feedback::Ecn { sport: 10, congested: true });
         assert_eq!(p.stats.feedback, 0);
@@ -236,14 +227,14 @@ mod tests {
 
     #[test]
     fn int_stale_tier_uses_weighted_round_robin() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30]);
         let t = Time::from_micros(10);
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 10, util_pm: 950 });
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 20, util_pm: 50 });
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 30, util_pm: 500 });
-        // stale_after = 8×RTT = 800µs; at 2ms the reports are stale but not
-        // dead (dead_horizon = 6.4ms): ECN-style WRR over last-known utils.
+        // STALE_AFTER = 800µs; at 2ms the reports are stale but not dead
+        // (DEAD_HORIZON = 6.4ms): ECN-style WRR over last-known utils.
         // Traffic keeps flowing so the silence clock keeps running.
         keep_transmitting(&mut p, Time::from_micros(50), Time::from_micros(2000));
         let m = spread(&mut p, 300, Time::from_micros(2000));
@@ -259,7 +250,7 @@ mod tests {
 
     #[test]
     fn int_dead_tier_hash_spreads_uniformly() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20, 30, 40]);
         let t = Time::from_micros(10);
         p.on_feedback(t, HostId(1), &Feedback::Util { sport: 10, util_pm: 990 });
@@ -277,7 +268,7 @@ mod tests {
 
     #[test]
     fn int_fresh_feedback_restores_least_utilized() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         p.on_paths_updated(Time::ZERO, HostId(1), &[10, 20]);
         p.on_feedback(Time::from_micros(10), HostId(1), &Feedback::Util { sport: 10, util_pm: 900 });
         keep_transmitting(&mut p, Time::from_micros(100), Time::from_millis(20));
@@ -295,7 +286,7 @@ mod tests {
 
     #[test]
     fn fallback_when_no_paths_known() {
-        let mut p = CloveIntPolicy::new(CloveUtilConfig::for_rtt(RTT));
+        let mut p = CloveIntPolicy::new(FlowletConfig::with_gap(RTT));
         let mut a = pkt(9);
         let port = p.select_port(Time::ZERO, HostId(5), &mut a);
         assert!(port >= 49152);

@@ -136,7 +136,6 @@ pub struct ProbeDaemon {
     /// Unanswered probes in flight across all destinations.
     outstanding: usize,
     next_probe_id: u64,
-    uid_counter: u64,
     /// Counters.
     pub stats: DiscoveryStats,
 }
@@ -154,7 +153,6 @@ impl ProbeDaemon {
             silence: FxHashMap::default(),
             outstanding: 0,
             next_probe_id: (host.0 as u64) << 40,
-            uid_counter: 0,
             stats: DiscoveryStats::default(),
         }
     }
@@ -162,9 +160,9 @@ impl ProbeDaemon {
     /// The hypervisor cold-restarted: drop every learned selection, open
     /// round, and black-hole counter — the daemon starts re-discovery from
     /// scratch on its next scheduled round. Deliberately *kept*: the RNG
-    /// stream and the probe-id/uid counters (replies to pre-crash probes
-    /// may still be in flight, and reusing a probe id or packet uid would
-    /// let them corrupt post-crash rounds), plus the cumulative stats.
+    /// stream and the probe-id counter (replies to pre-crash probes may
+    /// still be in flight, and reusing a probe id would let them corrupt
+    /// post-crash rounds), plus the cumulative stats.
     pub fn cold_restart(&mut self) {
         self.rounds.clear();
         self.selections.clear();
@@ -223,13 +221,8 @@ impl ProbeDaemon {
                 self.next_probe_id += 1;
                 let probe_id = self.next_probe_id;
                 entries.push((probe_id, sport));
-                self.uid_counter += 1;
-                let mut pkt = Packet::new(
-                    ((self.host.0 as u64) << 44) | self.uid_counter,
-                    PROBE_SIZE,
-                    FlowKey::tcp(self.host, dst, sport, clove_net::types::STT_PORT),
-                    PacketKind::Probe { probe_id, ttl_sent: ttl },
-                );
+                let mut pkt =
+                    Packet::new(0, PROBE_SIZE, FlowKey::tcp(self.host, dst, sport, clove_net::types::STT_PORT), PacketKind::Probe { probe_id, ttl_sent: ttl });
                 pkt.outer = Some(Encap { src: self.host, dst, sport });
                 pkt.ttl = ttl;
                 out.push(pkt);

@@ -33,8 +33,8 @@ pub mod flowlet;
 pub mod paths;
 pub mod wrr;
 
-pub use clove_ecn::{CloveEcnConfig, CloveEcnPolicy};
-pub use clove_int::{CloveIntPolicy, CloveUtilConfig};
+pub use clove_ecn::CloveEcnPolicy;
+pub use clove_int::CloveIntPolicy;
 pub use discovery::{DiscoveryEvent, ProbeDaemon};
 pub use flowlet::{FlowletConfig, FlowletTable};
 pub use paths::PathSet;

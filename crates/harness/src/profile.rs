@@ -10,11 +10,12 @@
 //! CONGA's and HULA's in `clove_net::fabric`; Presto's flowcell size in
 //! `clove_baselines::presto` and its reassembly timeout and cap in
 //! `clove_overlay::presto_rx`; the access/fabric buffers here; Clove's
-//! windows and degradation-ladder horizons in `CloveEcnConfig::for_rtt` /
-//! `CloveUtilConfig::for_rtt` at `LOADED_RTT`; the warm-up, Presto poll and
-//! incast request delay in [`crate::stack`].
+//! weight cut, windows and degradation-ladder horizons in
+//! `clove_core::clove_ecn` / `clove_core::clove_int`, sized for the 100 µs
+//! `LOADED_RTT`; the warm-up, Presto poll and incast request delay in
+//! [`crate::stack`].
 
-use clove_core::CloveEcnConfig;
+use clove_core::clove_ecn::RECOVERY_RHO;
 use clove_net::link::LinkConfig;
 use clove_sim::Duration;
 use clove_tcp::TcpConfig;
@@ -61,7 +62,7 @@ impl Default for Profile {
             relay_interval: LOADED_RTT / 2,
             probe_interval: Duration::from_millis(100),
             dsack_undo: TcpConfig::default().dsack_undo,
-            clove_recovery_rho: CloveEcnConfig::for_rtt(LOADED_RTT).recovery_rho,
+            clove_recovery_rho: RECOVERY_RHO,
         }
     }
 }
@@ -111,7 +112,7 @@ mod tests {
     #[test]
     fn component_parameters_are_pinned() {
         use crate::Scheme;
-        use clove_core::{CloveEcnConfig, CloveUtilConfig};
+        use clove_core::{clove_ecn as ecn, clove_int as int};
         use clove_net::types::HostId;
         let p = Profile::default();
         let mut lines = vec![format!("{:?}", p.tcp_config()), format!("probe interval {:?}", p.probe_interval)];
@@ -122,9 +123,21 @@ mod tests {
         for s in Scheme::all() {
             lines.push(format!("{}: {:?} {:?}", s.label(), s.fabric_scheme(&p), s.vswitch_config_for(&p, HostId(0))));
         }
-        let loaded_rtt = Duration::from_micros(100);
-        let (ecn, int) = (CloveEcnConfig::for_rtt(loaded_rtt), CloveUtilConfig::for_rtt(loaded_rtt));
-        lines.push(format!("horizons: ecn {:?} {:?}, int {:?} {:?}", ecn.stale_horizon, ecn.dead_horizon, int.stale_after, int.dead_horizon));
+        lines.push(format!(
+            "clove-ecn: WEIGHT_CUT={} CONGESTED_WINDOW={:?} RECOVERY_RHO={} STALE_HORIZON={:?} DEAD_HORIZON={:?} STALE_RHO={} STALE_DECAY_INTERVAL={:?}\n\
+             clove-int: STALE_AFTER={:?} DEAD_HORIZON={:?} STALE_RHO={} STALE_DECAY_INTERVAL={:?}",
+            ecn::WEIGHT_CUT,
+            ecn::CONGESTED_WINDOW,
+            ecn::RECOVERY_RHO,
+            ecn::STALE_HORIZON,
+            ecn::DEAD_HORIZON,
+            ecn::STALE_RHO,
+            ecn::STALE_DECAY_INTERVAL,
+            int::STALE_AFTER,
+            int::DEAD_HORIZON,
+            int::STALE_RHO,
+            int::STALE_DECAY_INTERVAL
+        ));
         {
             use clove_baselines::presto::FLOWCELL_BYTES;
             use clove_core::discovery::*;
@@ -164,7 +177,9 @@ mod tests {
              CONGA: Conga VSwitchConfig { feedback_mode: None, relay_interval: Duration(50000), presto_reassembly: false }\n\
              HULA: Hula VSwitchConfig { feedback_mode: None, relay_interval: Duration(50000), presto_reassembly: false }\n\
              Clove-ECN (partial): Ecmp VSwitchConfig { feedback_mode: Ecn, relay_interval: Duration(50000), presto_reassembly: false }\n\
-             horizons: ecn Duration(1600000) Duration(6400000), int Duration(800000) Duration(6400000)\n\
+             clove-ecn: WEIGHT_CUT=0.3333333333333333 CONGESTED_WINDOW=Duration(200000) RECOVERY_RHO=0.01 STALE_HORIZON=Duration(1600000) \
+             DEAD_HORIZON=Duration(6400000) STALE_RHO=0.1 STALE_DECAY_INTERVAL=Duration(200000)\n\
+             clove-int: STALE_AFTER=Duration(800000) DEAD_HORIZON=Duration(6400000) STALE_RHO=0.1 STALE_DECAY_INTERVAL=Duration(200000)\n\
              tcp: MSS=1400 HEADER_OVERHEAD=100 INIT_WINDOW_PKTS=10 MAX_CWND_BYTES=4194304 \
              INIT_RTO=Duration(5000000) MIN_RTO=Duration(2000000) MAX_RTO=Duration(2000000000)\n\
              discovery: CANDIDATES=24 K_PATHS=4 MAX_TTL=4 ROUND_TIMEOUT=Duration(1000000) \

@@ -416,7 +416,7 @@ impl Scenario {
     /// Run the incast workload at the given fan-in, returning a validation
     /// error for a mis-written scenario instead of panicking.
     pub fn try_run_incast(&self, fanout: u32, requests: u32, object_bytes: u64) -> Result<IncastOutcome, String> {
-        let FinishedWorld { net, end, events, violations, .. } = self.run_world(|stack, _| {
+        let FinishedWorld { mut net, end, events, violations, .. } = self.run_world(|stack, _| {
             // Client is host 0 (leaf 0); servers are the 16 hosts of leaf 1 —
             // responses cross the fabric and converge on the client's access
             // downlink, as in the paper's testbed.
@@ -438,6 +438,7 @@ impl Scenario {
             let spec = IncastSpec { client, servers, object_bytes, fanout, requests };
             stack.set_incast(spec, server_conn, self.seed);
         })?;
+        net.hosts.aggregate_transport_stats();
         let (rounds, elapsed) = net.hosts.incast_result().expect("incast configured");
         let bytes = rounds as u64 * object_bytes;
         let goodput_bps = if elapsed.is_zero() { 0.0 } else { bytes as f64 * 8.0 / elapsed.as_secs_f64() };

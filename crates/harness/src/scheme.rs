@@ -1,9 +1,9 @@
 //! The scheme matrix: every load balancer the paper evaluates.
 
 use crate::json::Json;
-use crate::profile::{Profile, LOADED_RTT};
+use crate::profile::Profile;
 use clove_baselines::{EcmpPolicy, PrestoConfig, PrestoPolicy};
-use clove_core::{CloveEcnConfig, CloveEcnPolicy, CloveIntPolicy, CloveUtilConfig, EdgeFlowletPolicy, FlowletConfig};
+use clove_core::{CloveEcnPolicy, CloveIntPolicy, EdgeFlowletPolicy, FlowletConfig};
 use clove_net::switch::FabricScheme;
 use clove_overlay::{EdgePolicy, VSwitchConfig};
 
@@ -247,10 +247,8 @@ impl Scheme {
         match self {
             Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula => Box::new(EcmpPolicy::default()),
             Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(flowlet, seed)),
-            Scheme::CloveEcn => {
-                Box::new(CloveEcnPolicy::new(CloveEcnConfig { flowlet, recovery_rho: profile.clove_recovery_rho, ..CloveEcnConfig::for_rtt(LOADED_RTT) }))
-            }
-            Scheme::CloveInt => Box::new(CloveIntPolicy::new(CloveUtilConfig { flowlet, ..CloveUtilConfig::for_rtt(LOADED_RTT) })),
+            Scheme::CloveEcn => Box::new(CloveEcnPolicy::new(flowlet, profile.clove_recovery_rho)),
+            Scheme::CloveInt => Box::new(CloveIntPolicy::new(flowlet)),
             Scheme::Presto { oracle_weights } => Box::new(PrestoPolicy::new(PrestoConfig { weights: oracle_weights.clone() })),
             // Uniform call sites never reach here for Incremental (the
             // harness uses the *_for variants), but default to Clove-ECN.

@@ -14,9 +14,10 @@
 //!
 //! Host timers carry a packed `u64`: low 8 bits select the timer type,
 //! upper bits the payload. RTO timers use the lazy re-arm pattern: at most
-//! one outstanding timer per sender; when it fires early, it re-arms at
-//! the sender's current deadline (a late RTO by one re-arm period mirrors
-//! the coarse timers of real kernels).
+//! one outstanding timer per (connection, subflow) — a plain TCP sender is
+//! subflow 0 of its connection; when it fires early, it re-arms at the
+//! subflow's current deadline (a late RTO by one re-arm period mirrors the
+//! coarse timers of real kernels).
 
 use crate::profile::Profile;
 use crate::scheme::Scheme;
@@ -27,7 +28,7 @@ use clove_net::types::{FlowKey, HostId};
 use clove_net::{HostCtx, HostLogic};
 use clove_overlay::VSwitch;
 use clove_sim::{Duration, SimRng, Time};
-use clove_tcp::{MptcpConnection, MptcpReceiver, TcpConfig, TcpReceiver, TcpSender};
+use clove_tcp::{MptcpConnection, MptcpReceiver, RtoTimer, TcpConfig, TcpReceiver, TcpSender};
 use clove_telemetry::Trace;
 use clove_workload::rpc::{ConnectionPlan, JobSpec};
 use clove_workload::{FctCollector, IncastSpec};
@@ -36,8 +37,7 @@ use std::collections::VecDeque;
 
 // Timer token types (low 8 bits).
 const T_APP_ARRIVAL: u64 = 1;
-const T_TCP_RTO: u64 = 2;
-const T_MPTCP_RTO: u64 = 3;
+const T_RTO: u64 = 2; // payload = connection << 20 | subflow
 const T_PROBE_START: u64 = 4;
 const T_PROBE_FINISH: u64 = 5;
 const T_PRESTO_POLL: u64 = 6;
@@ -70,16 +70,18 @@ pub struct Host {
 
     // --- plain TCP ---
     senders: Vec<TcpSender>,
-    sender_idx: FxHashMap<FlowKey, usize>, // TX key -> index
-    rto_armed: Vec<bool>,
+    sender_idx: FxHashMap<FlowKey, usize>,      // TX key -> index
     receivers: FxHashMap<FlowKey, TcpReceiver>, // incoming-data key -> receiver
 
     // --- MPTCP ---
     mptcp: Vec<MptcpConnection>,
     mptcp_sub_idx: FxHashMap<FlowKey, (usize, usize)>, // subflow TX key -> (conn, subflow)
-    mptcp_rto_armed: Vec<Vec<bool>>,
     mptcp_rx: Vec<MptcpReceiver>,
-    mptcp_rx_idx: FxHashMap<FlowKey, usize>, // subflow data key -> rx index
+    mptcp_rx_idx: FxHashMap<FlowKey, (usize, usize)>, // subflow data key -> (rx, subflow)
+
+    /// `[connection][subflow]`: an RTO timer event is pending. A host's
+    /// connections are all plain TCP (one subflow each) or all MPTCP.
+    rto_armed: Vec<Vec<bool>>,
 
     // --- RPC application (client side) ---
     /// Per-sender-connection job queues (absolute arrival times).
@@ -95,13 +97,12 @@ impl Host {
             peers: Vec::new(),
             senders: Vec::new(),
             sender_idx: FxHashMap::default(),
-            rto_armed: Vec::new(),
             receivers: FxHashMap::default(),
             mptcp: Vec::new(),
             mptcp_sub_idx: FxHashMap::default(),
-            mptcp_rto_armed: Vec::new(),
             mptcp_rx: Vec::new(),
             mptcp_rx_idx: FxHashMap::default(),
+            rto_armed: Vec::new(),
             jobs: Vec::new(),
         }
     }
@@ -131,7 +132,7 @@ pub struct StackStats {
     pub path_evictions: u64,
     /// Total TCP retransmissions across hosts.
     pub retransmits: u64,
-    /// Total TCP timeouts across hosts.
+    /// Total TCP timeouts across hosts (filled at run end).
     pub timeouts: u64,
     /// Fast retransmissions across hosts (filled at run end).
     pub fast_retransmits: u64,
@@ -213,7 +214,7 @@ impl HostStack {
                 let idx = client.senders.len();
                 client.senders.push(TcpSender::new(key, self.tcp_cfg, now));
                 client.sender_idx.insert(key, idx);
-                client.rto_armed.push(false);
+                client.rto_armed.push(vec![false]);
                 client.jobs.push(VecDeque::new());
                 idx
             }
@@ -225,7 +226,7 @@ impl HostStack {
                     client.mptcp_sub_idx.insert(sf.key, (idx, si));
                 }
                 client.mptcp.push(conn);
-                client.mptcp_rto_armed.push(vec![false; k]);
+                client.rto_armed.push(vec![false; k]);
                 client.jobs.push(VecDeque::new());
                 // Receiver at the server.
                 let server = &mut self.hosts[plan.server.0 as usize];
@@ -233,7 +234,7 @@ impl HostStack {
                 let rx_idx = server.mptcp_rx.len();
                 for i in 0..k {
                     let key = FlowKey::tcp(plan.client, plan.server, plan.sport + i as u16, plan.dport);
-                    server.mptcp_rx_idx.insert(key, rx_idx);
+                    server.mptcp_rx_idx.insert(key, (rx_idx, i));
                 }
                 server.mptcp_rx.push(rx);
                 idx
@@ -309,19 +310,23 @@ impl HostStack {
     /// Sum per-sender transport counters into `stats` (call at run end).
     pub fn aggregate_transport_stats(&mut self) {
         let mut rtx = 0;
+        let mut timeouts = 0;
         let mut fr = 0;
         let mut undo = 0;
         for host in &self.hosts {
             for s in &host.senders {
                 rtx += s.stats.retransmits;
+                timeouts += s.stats.timeouts;
                 fr += s.stats.fast_retransmits;
                 undo += s.stats.spurious_undos;
             }
             for c in &host.mptcp {
                 rtx += c.stats.retransmits;
+                timeouts += c.stats.timeouts;
             }
         }
         self.stats.retransmits = rtx;
+        self.stats.timeouts = timeouts;
         self.stats.fast_retransmits = fr;
         self.stats.spurious_undos = undo;
     }
@@ -351,33 +356,29 @@ impl HostStack {
         ctx.send(enc);
     }
 
-    /// Arm (if not already armed) the RTO timer for a plain TCP sender.
-    fn arm_tcp_rto(host: &mut Host, idx: usize, ctx: &mut HostCtx<'_>) {
-        if host.rto_armed[idx] {
-            return;
-        }
-        if let Some(deadline) = host.senders[idx].rto_deadline() {
-            host.rto_armed[idx] = true;
-            let delay = deadline.saturating_since(ctx.now);
-            ctx.timer_in(delay, token(T_TCP_RTO, idx as u64));
+    /// The retransmission timer of subflow `sub` of connection `conn`.
+    fn rto_timer(host: &Host, conn: usize, sub: usize) -> &RtoTimer {
+        if host.mptcp.is_empty() {
+            host.senders[conn].timer()
+        } else {
+            host.mptcp[conn].subflows[sub].timer()
         }
     }
 
-    /// Arm the RTO timer for one MPTCP subflow.
-    fn arm_mptcp_rto(host: &mut Host, conn: usize, sub: usize, ctx: &mut HostCtx<'_>) {
-        if host.mptcp_rto_armed[conn][sub] {
-            return;
-        }
-        if let Some(deadline) = host.mptcp[conn].subflows[sub].rto_deadline {
-            host.mptcp_rto_armed[conn][sub] = true;
-            let delay = deadline.saturating_since(ctx.now);
-            ctx.timer_in(delay, token(T_MPTCP_RTO, (conn as u64) << 20 | sub as u64));
-        }
-    }
-
-    fn arm_all_mptcp_subflows(host: &mut Host, conn: usize, ctx: &mut HostCtx<'_>) {
-        for sub in 0..host.mptcp_rto_armed[conn].len() {
-            Self::arm_mptcp_rto(host, conn, sub, ctx);
+    /// Arm an RTO timer event, in subflow order, for every subflow of
+    /// connection `conn` that has a deadline and no event pending. Every
+    /// path that moves a deadline ends here, so a subflow with a deadline
+    /// always has an event pending once it returns.
+    fn arm_rto(host: &mut Host, conn: usize, ctx: &mut HostCtx<'_>) {
+        for sub in 0..host.rto_armed[conn].len() {
+            if host.rto_armed[conn][sub] {
+                continue;
+            }
+            if let Some(deadline) = Self::rto_timer(host, conn, sub).deadline() {
+                host.rto_armed[conn][sub] = true;
+                let delay = deadline.saturating_since(ctx.now);
+                ctx.timer_in(delay, token(T_RTO, (conn as u64) << 20 | sub as u64));
+            }
         }
     }
 
@@ -408,10 +409,9 @@ impl HostStack {
                 self.stats.delivered_segments += 1;
                 let host = &mut self.hosts[hi];
                 // MPTCP subflow?
-                if let Some(&rx_idx) = host.mptcp_rx_idx.get(&pkt.flow) {
-                    if let Some(ack) = host.mptcp_rx[rx_idx].on_data(pkt.flow, seq, len, dsn) {
-                        Self::ship_one(host, now, ack, ctx);
-                    }
+                if let Some(&(rx_idx, sub)) = host.mptcp_rx_idx.get(&pkt.flow) {
+                    let ack = host.mptcp_rx[rx_idx].on_data(sub, seq, len, dsn);
+                    Self::ship_one(host, now, ack, ctx);
                     return;
                 }
                 let cfg = self.tcp_cfg;
@@ -423,12 +423,12 @@ impl HostStack {
             PacketKind::Ack { ackno, dack, ece, dup } => {
                 let data_key = pkt.flow.reversed();
                 let host = &mut self.hosts[hi];
-                if let Some(&(conn, _sub)) = host.mptcp_sub_idx.get(&data_key) {
+                if let Some(&(conn, sub)) = host.mptcp_sub_idx.get(&data_key) {
                     let out = &mut self.tx_scratch;
                     debug_assert!(out.is_empty());
-                    let completions = host.mptcp[conn].on_ack(now, pkt.flow, ackno, dack, out);
+                    let completions = host.mptcp[conn].on_ack(now, sub, ackno, dack, out);
                     Self::ship(host, now, out, ctx);
-                    Self::arm_all_mptcp_subflows(host, conn, ctx);
+                    Self::arm_rto(host, conn, ctx);
                     for c in completions {
                         self.on_job_done(c.job_id, now, ctx);
                     }
@@ -439,7 +439,7 @@ impl HostStack {
                     debug_assert!(out.is_empty());
                     let completions = host.senders[idx].on_ack(now, ackno, ece, dup, out);
                     Self::ship(host, now, out, ctx);
-                    Self::arm_tcp_rto(host, idx, ctx);
+                    Self::arm_rto(host, idx, ctx);
                     for c in completions {
                         self.on_job_done(c.job_id, now, ctx);
                     }
@@ -460,13 +460,11 @@ impl HostStack {
         debug_assert!(out.is_empty());
         if host.mptcp.is_empty() {
             host.senders[conn_idx].enqueue_job(now, job_id, bytes, out);
-            Self::ship(host, now, out, ctx);
-            Self::arm_tcp_rto(host, conn_idx, ctx);
         } else {
             host.mptcp[conn_idx].enqueue_job(now, job_id, bytes, out);
-            Self::ship(host, now, out, ctx);
-            Self::arm_all_mptcp_subflows(host, conn_idx, ctx);
         }
+        Self::ship(host, now, out, ctx);
+        Self::arm_rto(host, conn_idx, ctx);
         job_id
     }
 }
@@ -510,45 +508,27 @@ impl HostLogic for HostStack {
                     ctx.timer_in(at.saturating_since(now), token(T_APP_ARRIVAL, payload));
                 }
             }
-            T_TCP_RTO => {
-                let idx = payload as usize;
-                let host_state = &mut self.hosts[hi];
-                host_state.rto_armed[idx] = false;
-                let sender = &mut host_state.senders[idx];
-                match sender.rto_deadline() {
-                    None => {}
-                    Some(deadline) if now < deadline => {
-                        // Re-arm at the true deadline (lazy timer).
-                        Self::arm_tcp_rto(host_state, idx, ctx);
-                    }
-                    Some(_) => {
-                        let out = &mut self.tx_scratch;
-                        debug_assert!(out.is_empty());
-                        let generation = sender.rto_generation;
-                        sender.on_rto_timer(now, generation, out);
-                        self.stats.timeouts += 1;
-                        Self::ship(host_state, now, out, ctx);
-                        Self::arm_tcp_rto(host_state, idx, ctx);
-                    }
-                }
-            }
-            T_MPTCP_RTO => {
+            T_RTO => {
                 let conn = (payload >> 20) as usize;
                 let sub = (payload & 0xFFFFF) as usize;
                 let host_state = &mut self.hosts[hi];
-                host_state.mptcp_rto_armed[conn][sub] = false;
-                let deadline = host_state.mptcp[conn].subflows[sub].rto_deadline;
-                match deadline {
+                host_state.rto_armed[conn][sub] = false;
+                let timer = Self::rto_timer(host_state, conn, sub);
+                match timer.deadline() {
                     None => {}
-                    Some(d) if now < d => Self::arm_mptcp_rto(host_state, conn, sub, ctx),
+                    // Re-arm at the true deadline (lazy timer).
+                    Some(deadline) if now < deadline => Self::arm_rto(host_state, conn, ctx),
                     Some(_) => {
+                        let generation = timer.generation();
                         let out = &mut self.tx_scratch;
                         debug_assert!(out.is_empty());
-                        let generation = host_state.mptcp[conn].subflows[sub].rto_generation;
-                        host_state.mptcp[conn].on_rto_timer(now, sub, generation, out);
-                        self.stats.timeouts += 1;
+                        if host_state.mptcp.is_empty() {
+                            host_state.senders[conn].on_rto_timer(now, generation, out);
+                        } else {
+                            host_state.mptcp[conn].on_rto_timer(now, sub, generation, out);
+                        }
                         Self::ship(host_state, now, out, ctx);
-                        Self::arm_mptcp_rto(host_state, conn, sub, ctx);
+                        Self::arm_rto(host_state, conn, ctx);
                     }
                 }
             }

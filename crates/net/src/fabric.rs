@@ -207,8 +207,6 @@ pub struct Fabric {
     /// Decision-trace handle for fabric-level events (ECN marks, faults).
     /// Disabled by default; recording never alters forwarding behaviour.
     trace: Trace,
-    /// Packet uid source for switch-originated packets (probe replies).
-    next_uid: u64,
 }
 
 impl Fabric {
@@ -223,8 +221,6 @@ impl Fabric {
             rng: SimRng::new(seed ^ 0xFAB0_5EED),
             control: ControlPlaneFaults::default(),
             trace: Trace::disabled(),
-            // High bit set: never collides with host-assigned uids.
-            next_uid: 1 << 63,
         }
     }
 
@@ -241,11 +237,6 @@ impl Fabric {
     /// Borrow a link.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0 as usize]
-    }
-
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
     }
 
     /// Transmit a host-originated packet onto the host's access uplink.
@@ -284,7 +275,7 @@ impl Fabric {
         if self.control.feedback_delay > Duration::ZERO {
             if let Some(fb) = pkt.feedback.take() {
                 self.stats.control.feedback_delayed += 1;
-                let carrier = self.feedback_carrier(pkt, fb);
+                let carrier = Self::feedback_carrier(pkt, fb);
                 let dst = carrier.routed_dst();
                 let downlink = self.hosts[dst.0 as usize].downlink;
                 q.push(now + self.control.feedback_delay, Event::Arrive { node: NodeId::Host(dst), via: downlink, pkt: carrier });
@@ -296,9 +287,9 @@ impl Fabric {
     /// A standalone relay packet carrying feedback detached from `orig`,
     /// addressed so the destination vswitch attributes it to the right
     /// source hypervisor.
-    fn feedback_carrier(&mut self, orig: &Packet, fb: Feedback) -> Packet {
+    fn feedback_carrier(orig: &Packet, fb: Feedback) -> Packet {
         let key = orig.routed_key();
-        let mut carrier = Packet::new(self.fresh_uid(), PROBE_REPLY_SIZE, FlowKey::tcp(key.src, key.dst, key.sport, key.dport), PacketKind::FeedbackOnly);
+        let mut carrier = Packet::new(0, PROBE_REPLY_SIZE, FlowKey::tcp(key.src, key.dst, key.sport, key.dport), PacketKind::FeedbackOnly);
         carrier.outer = orig.outer;
         carrier.feedback = Some(fb);
         carrier
@@ -403,7 +394,7 @@ impl Fabric {
                 let src = pkt.routed_key().src;
                 let reply_kind = PacketKind::ProbeReply { probe_id, ttl_sent, switch: sw, ingress: Some(via) };
                 let mut reply = Packet::new(
-                    self.fresh_uid(),
+                    0,
                     PROBE_REPLY_SIZE,
                     // Replies are routed on their own (switch→prober) key.
                     FlowKey::tcp(HostId(u32::MAX - sw.0), src, 0, 0),
@@ -635,12 +626,8 @@ impl Fabric {
             if !link.up || !matches!(link.to, NodeId::Switch(_)) {
                 continue;
             }
-            let mut probe = Packet::new(
-                self.fresh_uid(),
-                PROBE_SIZE,
-                FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
-                PacketKind::HulaProbe { tor, util_pm: path_util },
-            );
+            let mut probe =
+                Packet::new(0, PROBE_SIZE, FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0), PacketKind::HulaProbe { tor, util_pm: path_util });
             self.enqueue_on(now, l, &mut probe, q);
         }
     }
@@ -662,12 +649,8 @@ impl Fabric {
                 if !link.up || !matches!(link.to, NodeId::Switch(_)) {
                     continue;
                 }
-                let mut probe = Packet::new(
-                    self.fresh_uid(),
-                    PROBE_SIZE,
-                    FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0),
-                    PacketKind::HulaProbe { tor, util_pm: 0 },
-                );
+                let mut probe =
+                    Packet::new(0, PROBE_SIZE, FlowKey::tcp(HostId(u32::MAX - 1), HostId(u32::MAX - 1), 0, 0), PacketKind::HulaProbe { tor, util_pm: 0 });
                 self.enqueue_on(now, l, &mut probe, q);
             }
         }

@@ -399,10 +399,18 @@ mod tests {
         Link::new(LinkId(0), NodeId::Switch(SwitchId(0)), NodeId::Host(HostId(0)), cfg())
     }
 
-    fn pkt(uid: u64, size: u32) -> Packet {
-        let mut p = Packet::new(uid, size, FlowKey::tcp(HostId(0), HostId(1), 1, 2), PacketKind::Data { seq: 0, len: size, dsn: 0 });
+    /// A data packet identified by its sequence number.
+    fn pkt(seq: u64, size: u32) -> Packet {
+        let mut p = Packet::new(0, size, FlowKey::tcp(HostId(0), HostId(1), 1, 2), PacketKind::Data { seq, len: size, dsn: seq });
         p.ect = true;
         p
+    }
+
+    fn seq(p: &Packet) -> u64 {
+        match p.kind {
+            PacketKind::Data { seq, .. } => seq,
+            _ => panic!("not data"),
+        }
     }
 
     #[test]
@@ -418,7 +426,7 @@ mod tests {
         // The delivery (done + prop) is emitted at start time.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Time::from_micros(13));
-        assert_eq!(out[0].1.uid, 1);
+        assert_eq!(seq(&out[0].1), 1);
     }
 
     #[test]
@@ -434,7 +442,7 @@ mod tests {
         l.settle(Time::from_micros(13), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Time::from_micros(25));
-        assert_eq!(out[0].1.uid, 2);
+        assert_eq!(seq(&out[0].1), 2);
         assert_eq!(l.queue_bytes(), 0);
         out.clear();
         l.settle(Time::from_micros(25), &mut out);
@@ -456,7 +464,7 @@ mod tests {
         // depart every 12 us, arrivals 1 us after each departure.
         out.clear();
         l.settle(Time::from_millis(1), &mut out);
-        let got: Vec<(u64, u64)> = out.iter().map(|(t, p)| (t.as_nanos() / 1000, p.uid)).collect();
+        let got: Vec<(u64, u64)> = out.iter().map(|(t, p)| (t.as_nanos() / 1000, seq(p))).collect();
         assert_eq!(got, vec![(25, 1), (37, 2), (49, 3)]);
         assert_eq!(l.stats.tx_packets, 4);
         assert!(!l.busy());
@@ -491,7 +499,7 @@ mod tests {
         l.enqueue(Time::ZERO, non_ect, &mut out);
         out.clear();
         l.settle(Time::from_millis(1), &mut out);
-        let marked: Vec<(u64, bool)> = out.iter().map(|(_, p)| (p.uid, p.ce)).collect();
+        let marked: Vec<(u64, bool)> = out.iter().map(|(_, p)| (seq(p), p.ce)).collect();
         assert_eq!(marked, vec![(1, false), (2, false), (3, true), (4, false)]);
         assert_eq!(l.stats.ecn_marks, 1);
     }
@@ -616,11 +624,11 @@ mod tests {
     fn offer_marks_the_callers_packet_and_settle_lends_in_fifo_order() {
         let mut l = link();
         let mut delivered = Vec::new();
-        let mut sink = |at: Time, p: &Packet| delivered.push((at, p.uid, p.ce));
+        let mut sink = |at: Time, p: &Packet| delivered.push((at, seq(p), p.ce));
         // One on the wire, two queued: the standing queue reaches the ECN
         // threshold, so the fourth offer is marked — in the caller's copy.
-        for uid in 0..3 {
-            l.offer(Time::ZERO, &mut pkt(uid, 1500), &mut sink);
+        for n in 0..3 {
+            l.offer(Time::ZERO, &mut pkt(n, 1500), &mut sink);
         }
         let mut fourth = pkt(3, 1500);
         assert_eq!(l.offer(Time::ZERO, &mut fourth, &mut sink), EnqueueOutcome::Queued);

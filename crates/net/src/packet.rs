@@ -151,8 +151,6 @@ pub struct CongaTag {
 /// A simulated packet. See the module docs for field semantics.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Unique id (diagnostics and tests).
-    pub uid: u64,
     /// Total size on the wire in bytes, headers included.
     pub size: u32,
     /// Inner (guest VM) five-tuple.
@@ -190,8 +188,10 @@ pub const PROBE_REPLY_SIZE: u32 = 100;
 
 impl Packet {
     /// Build a packet with the common defaults; callers adjust fields.
-    pub fn new(uid: u64, size: u32, flow: FlowKey, kind: PacketKind) -> Packet {
-        Packet { uid, size, flow, outer: None, ttl: DATA_TTL, ect: false, ce: false, kind, int_util_pm: None, feedback: None, conga: None, flowcell: 0 }
+    /// The first argument is ignored: packets carry no id, and `_uid`
+    /// stays only because `benchmark/` calls this four-argument form.
+    pub fn new(_uid: u64, size: u32, flow: FlowKey, kind: PacketKind) -> Packet {
+        Packet { size, flow, outer: None, ttl: DATA_TTL, ect: false, ce: false, kind, int_util_pm: None, feedback: None, conga: None, flowcell: 0 }
     }
 
     /// The five-tuple the *fabric* routes and hashes on: the outer header
@@ -244,8 +244,8 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn per_packet_footprint_is_pinned() {
-        assert_eq!(std::mem::size_of::<Packet>(), 112);
-        assert_eq!(std::mem::size_of::<clove_sim::ScheduledEvent<crate::Event>>(), 144);
+        assert_eq!(std::mem::size_of::<Packet>(), 104);
+        assert_eq!(std::mem::size_of::<clove_sim::ScheduledEvent<crate::Event>>(), 136);
     }
 
     #[test]

@@ -31,10 +31,18 @@ fn build(scheme: FabricScheme) -> Network<Recorder> {
     Network::new(spec.build().fabric, Recorder::default())
 }
 
-fn data_packet(uid: u64, src: HostId, dst: HostId, sport: u16) -> Packet {
-    let mut p = Packet::new(uid, 1500, FlowKey::tcp(src, dst, 1000, 80), PacketKind::Data { seq: 0, len: 1400, dsn: 0 });
+/// A data packet identified by its sequence number `seq`.
+fn data_packet(seq: u64, src: HostId, dst: HostId, sport: u16) -> Packet {
+    let mut p = Packet::new(0, 1500, FlowKey::tcp(src, dst, 1000, 80), PacketKind::Data { seq, len: 1400, dsn: seq });
     p.outer = Some(Encap { src, dst, sport });
     p
+}
+
+fn seq(p: &Packet) -> u64 {
+    match p.kind {
+        PacketKind::Data { seq, .. } => seq,
+        _ => panic!("not data"),
+    }
 }
 
 fn run_all(net: &mut Network<Recorder>, queue: &mut EventQueue<Event>) {
@@ -50,7 +58,7 @@ fn cross_leaf_delivery_works() {
     assert_eq!(net.hosts.delivered.len(), 1);
     let (host, pkt) = &net.hosts.delivered[0];
     assert_eq!(*host, HostId(16));
-    assert_eq!(pkt.uid, 1);
+    assert_eq!(seq(pkt), 1);
     // TTL decremented once per switch hop (leaf, spine, leaf).
     assert_eq!(pkt.ttl, clove_net::packet::DATA_TTL - 3);
 }
@@ -66,10 +74,10 @@ fn same_sport_same_path_different_sport_can_differ() {
     }
     run_all(&mut net, &mut q);
     assert_eq!(net.hosts.delivered.len(), 100);
-    let uids: Vec<u64> = net.hosts.delivered.iter().map(|(_, p)| p.uid).collect();
-    let mut sorted = uids.clone();
+    let seqs: Vec<u64> = net.hosts.delivered.iter().map(|(_, p)| seq(p)).collect();
+    let mut sorted = seqs.clone();
     sorted.sort_unstable();
-    assert_eq!(uids, sorted, "single-path packets must not reorder");
+    assert_eq!(seqs, sorted, "single-path packets must not reorder");
     // Distinct sports spread over multiple uplinks.
     let mut used = rustc_hash::FxHashSet::default();
     for sport in 40_000u16..40_064 {
@@ -181,7 +189,7 @@ fn hula_routes_data_and_delivers_in_order() {
         net.fabric.host_transmit(Time::from_micros(500) + Duration::from_nanos(i * 1300), HostId(0), data_packet(i, HostId(0), HostId(16), 5555), &mut q);
     }
     clove_sim::run(&mut net, &mut q, Time::from_millis(2));
-    let data: Vec<u64> = net.hosts.delivered.iter().filter(|(h, p)| *h == HostId(16) && p.is_data()).map(|(_, p)| p.uid).collect();
+    let data: Vec<u64> = net.hosts.delivered.iter().filter(|(h, p)| *h == HostId(16) && p.is_data()).map(|(_, p)| seq(p)).collect();
     assert_eq!(data.len(), 50);
     let mut sorted = data.clone();
     sorted.sort_unstable();
@@ -335,7 +343,7 @@ fn no_route_packets_counted_not_panicking() {
 /// traffic directions.
 #[derive(Default)]
 struct Chatter {
-    next_uid: u64,
+    next_seq: u64,
     delivered: Vec<(HostId, Packet)>,
 }
 
@@ -343,17 +351,16 @@ impl HostLogic for Chatter {
     fn on_packet(&mut self, host: HostId, pkt: Packet, ctx: &mut HostCtx<'_>) {
         if pkt.is_data() {
             let peer = pkt.flow.src;
-            self.next_uid += 1;
-            let mut ack =
-                Packet::new(self.next_uid, 64, FlowKey::tcp(host, peer, 80, 1000), PacketKind::Ack { ackno: pkt.uid, dack: pkt.uid, ece: pkt.ce, dup: None });
+            let ackno = seq(&pkt);
+            let mut ack = Packet::new(0, 64, FlowKey::tcp(host, peer, 80, 1000), PacketKind::Ack { ackno, dack: ackno, ece: pkt.ce, dup: None });
             ack.outer = Some(Encap { src: host, dst: peer, sport: pkt.outer.map_or(0, |o| o.sport) });
             ctx.send(ack);
         }
         self.delivered.push((host, pkt));
     }
     fn on_timer(&mut self, host: HostId, token: u64, ctx: &mut HostCtx<'_>) {
-        self.next_uid += 1;
-        let mut p = data_packet(self.next_uid, host, HostId((token >> 16) as u32), token as u16);
+        self.next_seq += 1;
+        let mut p = data_packet(self.next_seq, host, HostId((token >> 16) as u32), token as u16);
         p.ect = true;
         ctx.send(p);
     }

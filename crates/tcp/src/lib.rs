@@ -13,8 +13,7 @@
 //!
 //! * [`sender::TcpSender`] — NewReno-style congestion control: slow start,
 //!   congestion avoidance, fast retransmit / fast recovery with NewReno
-//!   partial-ACK handling, RTO with Karn-sampled Jacobson estimation and
-//!   exponential backoff, idle-restart to the initial window.
+//!   partial-ACK handling, idle-restart to the initial window.
 //! * [`receiver::TcpReceiver`] — cumulative ACKs and out-of-order
 //!   buffering (so reordering produces dup-acks exactly as a real stack
 //!   would).
@@ -23,6 +22,12 @@
 //!   data-level sequencing, lowest-RTT-first scheduling and LIA coupled
 //!   congestion control — the paper's strongest deployable-at-host
 //!   baseline (and its incast weak spot, Figure 7).
+//!
+//! Both transports run one copy of each mechanism: [`sender::RtoTimer`]
+//! (Karn-sampled Jacobson/Karels RTT, backed-off RTO, generation-checked
+//! deadline), [`receiver::ReceiveCursor`] (cumulative point plus
+//! out-of-order buffer; MPTCP keeps one per subflow and one over the data
+//! sequence space) and the sender module's `JobQueue` (FIFO completion).
 //!
 //! Endpoints are sans-IO: they consume segments and emit segments into
 //! caller-provided buffers and expose timer deadlines; the hypervisor
@@ -35,5 +40,5 @@ pub mod sender;
 
 pub use config::TcpConfig;
 pub use mptcp::{MptcpConnection, MptcpReceiver};
-pub use receiver::TcpReceiver;
-pub use sender::{JobCompletion, TcpSender};
+pub use receiver::{ReceiveCursor, TcpReceiver};
+pub use sender::{JobCompletion, RtoTimer, TcpSender};

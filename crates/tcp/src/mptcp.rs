@@ -21,19 +21,13 @@
 //! three dup-acks, go-back-N on RTO) over the subflow sequence space, with
 //! a subflow-seq → data-seq map so retransmissions carry the same data.
 
-use crate::config::{wire_size, HEADER_OVERHEAD, INIT_CWND, INIT_RTO, MAX_CWND_BYTES, MAX_RTO, MIN_RTO, MSS};
-use crate::sender::JobCompletion;
+use crate::config::{wire_size, HEADER_OVERHEAD, INIT_CWND, MAX_CWND_BYTES, MSS};
+use crate::receiver::{Arrival, ReceiveCursor};
+use crate::sender::{JobCompletion, JobQueue, RtoTimer};
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::FlowKey;
 use clove_sim::{Duration, Time};
-use std::collections::{BTreeMap, VecDeque};
-
-#[derive(Debug, Clone, Copy)]
-struct PendingJob {
-    job_id: u64,
-    end_dsn: u64,
-    bytes: u64,
-}
+use std::collections::BTreeMap;
 
 /// Per-subflow sender state.
 #[derive(Debug)]
@@ -49,18 +43,9 @@ pub struct Subflow {
     /// `snd_nxt` when recovery was entered (NewReno exit point).
     pub recover: u64,
     dup_acks: u32,
-    srtt: Option<Duration>,
-    rttvar: Duration,
-    rto: Duration,
-    rtt_probe: Option<(u64, Time)>,
     /// subflow_seq → (dsn, len): what data each subflow byte range carries.
     map: BTreeMap<u64, (u64, u32)>,
-    /// RTO deadline + generation (see `TcpSender` for the pattern).
-    pub rto_deadline: Option<Time>,
-    /// Bumped each re-arm.
-    pub rto_generation: u64,
-    uid_base: u64,
-    uid_counter: u64,
+    timer: RtoTimer,
 }
 
 impl Subflow {
@@ -74,15 +59,8 @@ impl Subflow {
             in_recovery: false,
             recover: 0,
             dup_acks: 0,
-            srtt: None,
-            rttvar: Duration::ZERO,
-            rto: INIT_RTO,
-            rtt_probe: None,
             map: BTreeMap::new(),
-            rto_deadline: None,
-            rto_generation: 0,
-            uid_base: clove_net::hash::hash_tuple(&key, 0x3177) << 20,
-            uid_counter: 0,
+            timer: RtoTimer::new(),
         }
     }
 
@@ -90,9 +68,9 @@ impl Subflow {
         self.snd_nxt - self.snd_una
     }
 
-    /// Current smoothed RTT (used by the scheduler).
-    pub fn srtt(&self) -> Option<Duration> {
-        self.srtt
+    /// RTT estimate (the scheduler's key) and retransmission timer.
+    pub fn timer(&self) -> &RtoTimer {
+        &self.timer
     }
 
     /// Current congestion window in bytes.
@@ -111,51 +89,8 @@ impl Subflow {
     }
 
     fn emit(&mut self, now: Time, seq: u64, dsn: u64, len: u32, is_rtx: bool, out: &mut Vec<Packet>) {
-        self.uid_counter += 1;
-        let pkt = Packet::new(self.uid_base.wrapping_add(self.uid_counter), wire_size(len), self.key, PacketKind::Data { seq, len, dsn });
-        // Karn: sample RTT only on never-retransmitted byte ranges.
-        if self.rtt_probe.is_none() && !is_rtx {
-            self.rtt_probe = Some((seq + len as u64, now));
-        }
-        out.push(pkt);
-    }
-
-    fn update_rtt(&mut self, sample: Duration) {
-        let srtt = match self.srtt {
-            None => {
-                self.rttvar = sample / 2;
-                sample
-            }
-            Some(s) => {
-                let err = if sample > s { sample - s } else { s - sample };
-                self.rttvar = Duration::from_nanos((self.rttvar.as_nanos() * 3 + err.as_nanos()) / 4);
-                Duration::from_nanos((s.as_nanos() * 7 + sample.as_nanos()) / 8)
-            }
-        };
-        self.srtt = Some(srtt);
-        self.rto = (srtt + self.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
-    }
-
-    /// Restart the RTO (on progress for this subflow).
-    fn arm_rto(&mut self, now: Time) {
-        if self.flight() > 0 {
-            self.rto_deadline = Some(now + self.rto);
-            self.rto_generation += 1;
-        } else {
-            self.rto_deadline = None;
-        }
-    }
-
-    /// Ensure an RTO exists without postponing one already pending —
-    /// acknowledgements on *other* subflows must not push this subflow's
-    /// timeout into the future.
-    fn ensure_rto(&mut self, now: Time) {
-        if self.flight() == 0 {
-            self.rto_deadline = None;
-        } else if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
-            self.rto_generation += 1;
-        }
+        self.timer.on_send(now, seq + len as u64, is_rtx);
+        out.push(Packet::new(0, wire_size(len), self.key, PacketKind::Data { seq, len, dsn }));
     }
 
     /// Retransmit the mapped chunk covering `seq`. Returns false when no
@@ -189,7 +124,7 @@ pub struct MptcpConnection {
     data_next: u64, // next dsn to assign to a subflow
     data_una: u64,  // cumulative data-level ack
     stream_len: u64,
-    jobs: VecDeque<PendingJob>,
+    jobs: JobQueue,
     /// Counters.
     pub stats: MptcpStats,
 }
@@ -200,7 +135,7 @@ impl MptcpConnection {
     pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize) -> MptcpConnection {
         assert!(k >= 1, "need at least one subflow");
         let subflows = (0..k).map(|i| Subflow::new(FlowKey::tcp(src, dst, base_sport + i as u16, dport))).collect();
-        MptcpConnection { subflows, data_next: 0, data_una: 0, stream_len: 0, jobs: VecDeque::new(), stats: MptcpStats::default() }
+        MptcpConnection { subflows, data_next: 0, data_una: 0, stream_len: 0, jobs: JobQueue::default(), stats: MptcpStats::default() }
     }
 
     /// True when all enqueued data is acknowledged at the data level.
@@ -212,10 +147,10 @@ impl MptcpConnection {
     pub fn enqueue_job(&mut self, now: Time, job_id: u64, bytes: u64, out: &mut Vec<Packet>) {
         assert!(bytes > 0);
         self.stream_len += bytes;
-        self.jobs.push_back(PendingJob { job_id, end_dsn: self.stream_len, bytes });
+        self.jobs.push(job_id, self.stream_len, bytes);
         self.pump(now, out);
         for sf in &mut self.subflows {
-            sf.ensure_rto(now);
+            sf.timer.ensure(now, sf.flight());
         }
     }
 
@@ -225,7 +160,7 @@ impl MptcpConnection {
         let mut max_term: f64 = 0.0;
         let mut sum_term: f64 = 0.0;
         for s in &self.subflows {
-            let rtt = s.srtt.map(|d| d.as_secs_f64()).unwrap_or(1e-4).max(1e-9);
+            let rtt = s.timer.srtt().map(|d| d.as_secs_f64()).unwrap_or(1e-4).max(1e-9);
             max_term = max_term.max(s.cwnd as f64 / (rtt * rtt));
             sum_term += s.cwnd as f64 / rtt;
         }
@@ -251,8 +186,8 @@ impl MptcpConnection {
                 match best {
                     None => best = Some(i),
                     Some(b) => {
-                        let rb = self.subflows[b].srtt.unwrap_or(Duration::ZERO);
-                        let ri = sf.srtt.unwrap_or(Duration::ZERO);
+                        let rb = self.subflows[b].timer.srtt().unwrap_or(Duration::ZERO);
+                        let ri = sf.timer.srtt().unwrap_or(Duration::ZERO);
                         if ri < rb {
                             best = Some(i);
                         }
@@ -271,17 +206,8 @@ impl MptcpConnection {
         }
     }
 
-    /// Which subflow receives packets with reverse key `rkey`.
-    fn subflow_index(&self, data_key: &FlowKey) -> Option<usize> {
-        self.subflows.iter().position(|s| s.key == *data_key)
-    }
-
-    /// Process an ACK arriving on some subflow. Returns completed jobs.
-    pub fn on_ack(&mut self, now: Time, ack_flow: FlowKey, ackno: u64, dack: u64, out: &mut Vec<Packet>) -> Vec<JobCompletion> {
-        let data_key = ack_flow.reversed();
-        let Some(i) = self.subflow_index(&data_key) else {
-            return Vec::new();
-        };
+    /// Process an ACK arriving on subflow `i`. Returns completed jobs.
+    pub fn on_ack(&mut self, now: Time, i: usize, ackno: u64, dack: u64, out: &mut Vec<Packet>) -> Vec<JobCompletion> {
         let alpha = self.lia_alpha();
         let total_cwnd: u64 = self.subflows.iter().map(|s| s.cwnd).sum();
         let mss = MSS as u64;
@@ -289,12 +215,7 @@ impl MptcpConnection {
         if ackno > sf.snd_nxt {
             return Vec::new();
         }
-        if let Some((probe, sent)) = sf.rtt_probe {
-            if ackno >= probe {
-                sf.update_rtt(now.saturating_since(sent));
-                sf.rtt_probe = None;
-            }
-        }
+        sf.timer.on_ack(now, ackno);
         if ackno > sf.snd_una {
             let acked = ackno - sf.snd_una;
             sf.snd_una = ackno;
@@ -336,7 +257,7 @@ impl MptcpConnection {
                 sf.cwnd = sf.ssthresh + 3 * mss;
                 sf.recover = sf.snd_nxt;
                 sf.in_recovery = true;
-                sf.rtt_probe = None;
+                sf.timer.drop_probe();
                 if sf.retransmit_at(now, sf.snd_una, out) {
                     self.stats.retransmits += 1;
                 }
@@ -346,20 +267,13 @@ impl MptcpConnection {
         if dack > self.data_una {
             self.data_una = dack;
         }
-        let mut completions = Vec::new();
-        while let Some(job) = self.jobs.front() {
-            if self.data_una >= job.end_dsn {
-                completions.push(JobCompletion { job_id: job.job_id, bytes: job.bytes });
-                self.jobs.pop_front();
-            } else {
-                break;
-            }
-        }
+        let completions = self.jobs.complete(self.data_una);
         self.pump(now, out);
         // Restart the acked subflow's RTO; only *ensure* the others'.
-        self.subflows[i].arm_rto(now);
+        let sf = &mut self.subflows[i];
+        sf.timer.restart(now, sf.flight());
         for sf in &mut self.subflows {
-            sf.ensure_rto(now);
+            sf.timer.ensure(now, sf.flight());
         }
         completions
     }
@@ -368,16 +282,12 @@ impl MptcpConnection {
     pub fn on_rto_timer(&mut self, now: Time, idx: usize, generation: u64, out: &mut Vec<Packet>) {
         let mss = MSS as u64;
         let Some(sf) = self.subflows.get_mut(idx) else { return };
-        if generation != sf.rto_generation {
-            return;
-        }
-        let Some(deadline) = sf.rto_deadline else { return };
-        if now < deadline || sf.flight() == 0 {
+        if !sf.timer.expired(now, generation) || sf.flight() == 0 {
             return;
         }
         self.stats.timeouts += 1;
         self.stats.retransmits += 1;
-        sf.rto = (sf.rto * 2).min(MAX_RTO);
+        sf.timer.back_off();
         sf.ssthresh = (sf.flight() / 2).max(2 * mss);
         sf.cwnd = mss;
         // Timeout recovery: treat everything outstanding as lost and let
@@ -386,83 +296,41 @@ impl MptcpConnection {
         sf.in_recovery = true;
         sf.recover = sf.snd_nxt;
         sf.dup_acks = 0;
-        sf.rtt_probe = None;
         // Resend the first unacked chunk; partial acks chain the rest.
         sf.retransmit_at(now, sf.snd_una, out);
-        sf.arm_rto(now);
+        sf.timer.restart(now, sf.flight());
     }
 }
 
-/// The receiver side of an MPTCP connection: per-subflow cumulative ACKs
-/// plus a connection-level (data sequence) reassembly cursor.
+/// The receiver side of an MPTCP connection: one [`ReceiveCursor`] per
+/// subflow sequence space (the subflow's cumulative ACK) plus one over the
+/// data sequence space (the connection-level reassembly point).
 #[derive(Debug)]
 pub struct MptcpReceiver {
-    /// Per-subflow receive state, keyed by the subflow's data-direction key.
-    subflows: Vec<(FlowKey, u64, BTreeMap<u64, u32>)>, // (key, rcv_nxt, ooo)
-    data_rcv_nxt: u64,
-    data_ooo: BTreeMap<u64, u32>,
-    uid_base: u64,
-    uid_counter: u64,
+    /// Per-subflow `(data-direction key, cursor)`, in subflow order.
+    subflows: Vec<(FlowKey, ReceiveCursor)>,
+    data: ReceiveCursor,
 }
 
 impl MptcpReceiver {
     /// Build the receiver for a connection created with the same params.
     pub fn new(src: clove_net::types::HostId, dst: clove_net::types::HostId, base_sport: u16, dport: u16, k: usize) -> MptcpReceiver {
-        let subflows = (0..k).map(|i| (FlowKey::tcp(src, dst, base_sport + i as u16, dport), 0u64, BTreeMap::new())).collect();
-        MptcpReceiver {
-            subflows,
-            data_rcv_nxt: 0,
-            data_ooo: BTreeMap::new(),
-            uid_base: 0x3177_7700_0000_0000 ^ ((src.0 as u64) << 32 | dst.0 as u64) << 8,
-            uid_counter: 0,
-        }
+        let subflows = (0..k).map(|i| (FlowKey::tcp(src, dst, base_sport + i as u16, dport), ReceiveCursor::default())).collect();
+        MptcpReceiver { subflows, data: ReceiveCursor::default() }
     }
 
     /// Cumulative in-order data-level bytes received.
     pub fn data_rcv_nxt(&self) -> u64 {
-        self.data_rcv_nxt
+        self.data.rcv_nxt()
     }
 
-    /// Accept a data segment on any subflow; returns the ACK.
-    pub fn on_data(&mut self, flow: FlowKey, seq: u64, len: u32, dsn: u64) -> Option<Packet> {
-        let sf = self.subflows.iter_mut().find(|(k, _, _)| *k == flow)?;
-        let (_, rcv_nxt, ooo) = sf;
-        let end = seq + len as u64;
-        let dup = if end <= *rcv_nxt { Some(seq) } else { None };
-        if seq <= *rcv_nxt && end > *rcv_nxt {
-            *rcv_nxt = end;
-            while let Some((&s, &l)) = ooo.first_key_value() {
-                if s > *rcv_nxt {
-                    break;
-                }
-                ooo.pop_first();
-                *rcv_nxt = (*rcv_nxt).max(s + l as u64);
-            }
-        } else if seq > *rcv_nxt {
-            ooo.insert(seq, len);
-        }
-        let sub_ack = *rcv_nxt;
-        // Data-level reassembly.
-        let dend = dsn + len as u64;
-        if dsn <= self.data_rcv_nxt && dend > self.data_rcv_nxt {
-            self.data_rcv_nxt = dend;
-            while let Some((&s, &l)) = self.data_ooo.first_key_value() {
-                if s > self.data_rcv_nxt {
-                    break;
-                }
-                self.data_ooo.pop_first();
-                self.data_rcv_nxt = self.data_rcv_nxt.max(s + l as u64);
-            }
-        } else if dsn > self.data_rcv_nxt {
-            self.data_ooo.insert(dsn, len);
-        }
-        self.uid_counter += 1;
-        Some(Packet::new(
-            self.uid_base.wrapping_add(self.uid_counter),
-            HEADER_OVERHEAD,
-            flow.reversed(),
-            PacketKind::Ack { ackno: sub_ack, dack: self.data_rcv_nxt, ece: false, dup },
-        ))
+    /// Accept a data segment on subflow `i`; returns the ACK.
+    pub fn on_data(&mut self, i: usize, seq: u64, len: u32, dsn: u64) -> Packet {
+        let (key, cursor) = &mut self.subflows[i];
+        let dup = (cursor.accept(seq, len) == Arrival::Duplicate).then_some(seq);
+        self.data.accept(dsn, len);
+        let kind = PacketKind::Ack { ackno: cursor.rcv_nxt(), dack: self.data.rcv_nxt(), ece: false, dup };
+        Packet::new(0, HEADER_OVERHEAD, key.reversed(), kind)
     }
 }
 
@@ -473,6 +341,11 @@ mod tests {
 
     fn conn(k: usize) -> (MptcpConnection, MptcpReceiver) {
         (MptcpConnection::new(HostId(0), HostId(1), 20_000, 80, k), MptcpReceiver::new(HostId(0), HostId(1), 20_000, 80, k))
+    }
+
+    /// The index of the subflow sending on `data_key`.
+    fn sub(c: &MptcpConnection, data_key: FlowKey) -> usize {
+        c.subflows.iter().position(|s| s.key == data_key).unwrap()
     }
 
     fn data_fields(p: &Packet) -> (u64, u32, u64) {
@@ -525,14 +398,12 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let (seq, len, dsn) = data_fields(&p);
-                if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
-                    acks.push(a);
-                }
+                acks.push(r.on_data(sub(&c, p.flow), seq, len, dsn));
             }
             now += Duration::from_micros(50);
             for a in acks {
                 let PacketKind::Ack { ackno, dack, .. } = a.kind else { unreachable!() };
-                completions.extend(c.on_ack(now, a.flow, ackno, dack, &mut wire));
+                completions.extend(c.on_ack(now, sub(&c, a.flow.reversed()), ackno, dack, &mut wire));
             }
         }
         assert_eq!(completions.len(), 1);
@@ -549,8 +420,8 @@ mod tests {
         let first_sf_key = c.subflows[0].key;
         let first_chunk: Vec<_> = out.iter().filter(|p| p.flow == first_sf_key).collect();
         let (seq0, _, dsn0) = data_fields(first_chunk[0]);
-        let generation = c.subflows[0].rto_generation;
-        let deadline = c.subflows[0].rto_deadline.unwrap();
+        let generation = c.subflows[0].timer().generation();
+        let deadline = c.subflows[0].timer().deadline().unwrap();
         out.clear();
         c.on_rto_timer(deadline, 0, generation, &mut out);
         assert_eq!(out.len(), 1);
@@ -577,9 +448,8 @@ mod tests {
         let mut out = Vec::new();
         c.enqueue_job(Time::ZERO, 1, 200_000, &mut out);
         out.clear();
-        let akey = c.subflows[0].key.reversed();
         for _ in 0..3 {
-            c.on_ack(Time::from_micros(100), akey, 0, 0, &mut out);
+            c.on_ack(Time::from_micros(100), 0, 0, 0, &mut out);
         }
         assert!(c.stats.retransmits >= 1);
         let (seq, _, dsn) = data_fields(&out[0]);
@@ -598,7 +468,7 @@ mod tests {
         let mut last_dack = 0;
         for p in &out {
             let (seq, len, dsn) = data_fields(p);
-            let a = r.on_data(p.flow, seq, len, dsn).unwrap();
+            let a = r.on_data(sub(&c, p.flow), seq, len, dsn);
             let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
             last_dack = dack;
         }
@@ -630,10 +500,9 @@ mod tests {
                 skipped_first_sf0 = true;
                 continue; // drop the first chunk of subflow 0
             }
-            if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
-                let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
-                last_dack = last_dack.max(dack);
-            }
+            let a = r.on_data(sub(&c, p.flow), seq, len, dsn);
+            let PacketKind::Ack { dack, .. } = a.kind else { unreachable!() };
+            last_dack = last_dack.max(dack);
         }
         assert!(last_dack < 40 * 1400, "data ack should stall at the hole");
     }
@@ -659,22 +528,20 @@ mod tests {
             let mut acks = Vec::new();
             for p in batch {
                 let PacketKind::Data { seq, len, dsn } = p.kind else { continue };
-                if let Some(a) = r.on_data(p.flow, seq, len, dsn) {
-                    acks.push(a);
-                }
+                acks.push(r.on_data(sub(&c, p.flow), seq, len, dsn));
             }
             now += Duration::from_micros(100);
             for a in acks {
                 let PacketKind::Ack { ackno, dack, .. } = a.kind else { unreachable!() };
-                if !c.on_ack(now, a.flow, ackno, dack, &mut wire).is_empty() {
+                if !c.on_ack(now, sub(&c, a.flow.reversed()), ackno, dack, &mut wire).is_empty() {
                     done = true;
                 }
             }
             // fire due RTOs
             for i in 0..2 {
-                if let Some(d) = c.subflows[i].rto_deadline {
+                if let Some(d) = c.subflows[i].timer().deadline() {
                     if now >= d {
-                        let g = c.subflows[i].rto_generation;
+                        let g = c.subflows[i].timer().generation();
                         c.on_rto_timer(now, i, g, &mut wire);
                     }
                 }
@@ -689,7 +556,7 @@ mod tests {
             c.stats.timeouts,
             c.subflows[0].snd_una(),
             c.subflows[1].snd_una(),
-            c.subflows[1].rto_deadline,
+            c.subflows[1].timer().deadline(),
             wire.len()
         );
         assert!(c.stats.timeouts <= 3, "too many timeouts: {}", c.stats.timeouts);

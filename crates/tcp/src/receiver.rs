@@ -7,8 +7,13 @@
 //! This receiver reproduces that behaviour: every data segment triggers an
 //! ACK carrying the current cumulative `rcv_nxt`, so out-of-order arrivals
 //! produce duplicates.
+//!
+//! The reassembly itself is a [`ReceiveCursor`], the one implementation of
+//! "advance `rcv_nxt`, buffer out of order, drain" — a [`TcpReceiver`] runs
+//! one, an MPTCP receiver one per subflow plus one over the data sequence
+//! space.
 
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, HEADER_OVERHEAD};
 use clove_net::packet::{Packet, PacketKind};
 use clove_net::types::FlowKey;
 use clove_sim::Time;
@@ -27,15 +32,73 @@ pub struct ReceiverStats {
     pub ce_seen: u64,
 }
 
+/// What a segment did to a [`ReceiveCursor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// It started at or below `rcv_nxt` and advanced it.
+    InOrder,
+    /// A hole precedes it: buffered until the hole fills.
+    OutOfOrder,
+    /// Every byte was already covered: discarded.
+    Duplicate,
+}
+
+/// The cumulative receive point of one sequence space, with the segments
+/// that arrived above a hole buffered until it fills.
+///
+/// A buffered sequence number keeps the longest length seen for it: a
+/// NewReno sender may re-send a range from the same start with a
+/// different length. An MPTCP sender never does — a chunk's `(seq, len)`
+/// and `(dsn, len)` are fixed when the subflow scheduler maps it and a
+/// retransmission re-sends the mapped chunk — so for its cursors keeping
+/// the longest and keeping the last agree.
+#[derive(Debug, Default)]
+pub struct ReceiveCursor {
+    rcv_nxt: u64,
+    ooo: BTreeMap<u64, u32>, // seq -> len of buffered segments
+}
+
+impl ReceiveCursor {
+    /// The lowest byte not yet received in order.
+    pub fn rcv_nxt(&self) -> u64 {
+        self.rcv_nxt
+    }
+
+    /// Number of segments buffered out of order.
+    pub fn buffered(&self) -> usize {
+        self.ooo.len()
+    }
+
+    /// Take in the segment `[seq, seq + len)`.
+    pub fn accept(&mut self, seq: u64, len: u32) -> Arrival {
+        let end = seq + len as u64;
+        if end <= self.rcv_nxt {
+            return Arrival::Duplicate;
+        }
+        if seq > self.rcv_nxt {
+            let entry = self.ooo.entry(seq).or_insert(0);
+            *entry = (*entry).max(len);
+            return Arrival::OutOfOrder;
+        }
+        // In order (possibly partially duplicate): advance and drain.
+        self.rcv_nxt = end;
+        while let Some((&seq, &len)) = self.ooo.first_key_value() {
+            if seq > self.rcv_nxt {
+                break;
+            }
+            self.ooo.pop_first();
+            self.rcv_nxt = self.rcv_nxt.max(seq + len as u64);
+        }
+        Arrival::InOrder
+    }
+}
+
 /// One simplex TCP receiving endpoint.
 #[derive(Debug)]
 pub struct TcpReceiver {
     /// The five-tuple of the *incoming* data (src = remote host).
     pub key: FlowKey,
-    rcv_nxt: u64,
-    ooo: BTreeMap<u64, u32>, // seq -> len of buffered segments
-    uid_base: u64,
-    uid_counter: u64,
+    cursor: ReceiveCursor,
     /// Counters.
     pub stats: ReceiverStats,
 }
@@ -45,24 +108,17 @@ impl TcpReceiver {
     /// parameter of its own; `_cfg` stays because `benchmark/` calls this
     /// form.
     pub fn new(key: FlowKey, _cfg: TcpConfig) -> TcpReceiver {
-        TcpReceiver {
-            key,
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            uid_base: clove_net::hash::hash_tuple(&key, 0xACE) << 20,
-            uid_counter: 0,
-            stats: ReceiverStats::default(),
-        }
+        TcpReceiver { key, cursor: ReceiveCursor::default(), stats: ReceiverStats::default() }
     }
 
     /// Cumulative bytes delivered in order.
     pub fn rcv_nxt(&self) -> u64 {
-        self.rcv_nxt
+        self.cursor.rcv_nxt()
     }
 
     /// Number of segments currently buffered out of order.
     pub fn ooo_segments(&self) -> usize {
-        self.ooo.len()
+        self.cursor.buffered()
     }
 
     /// Accept a data segment; returns the ACK to send back.
@@ -76,54 +132,17 @@ impl TcpReceiver {
         if ce_visible {
             self.stats.ce_seen += 1;
         }
-        let end = seq + len as u64;
         let mut dup = None;
-        if end <= self.rcv_nxt {
-            self.stats.duplicates += 1;
-            dup = Some(seq);
-        } else {
-            self.absorb(seq, len);
-        }
-        self.make_ack(ce_visible, dup)
-    }
-
-    /// Advance receive state for a non-duplicate segment.
-    fn absorb(&mut self, seq: u64, len: u32) {
-        let end = seq + len as u64;
-        if seq <= self.rcv_nxt {
-            // In order (possibly partially duplicate): advance and drain.
-            self.rcv_nxt = end;
-            self.stats.in_order += 1;
-            self.drain_ooo();
-        } else {
-            // A hole precedes this segment: buffer it.
-            self.stats.out_of_order += 1;
-            let entry = self.ooo.entry(seq).or_insert(0);
-            *entry = (*entry).max(len);
-        }
-    }
-
-    fn drain_ooo(&mut self) {
-        while let Some((&seq, &len)) = self.ooo.first_key_value() {
-            if seq > self.rcv_nxt {
-                break;
-            }
-            self.ooo.pop_first();
-            let end = seq + len as u64;
-            if end > self.rcv_nxt {
-                self.rcv_nxt = end;
+        match self.cursor.accept(seq, len) {
+            Arrival::InOrder => self.stats.in_order += 1,
+            Arrival::OutOfOrder => self.stats.out_of_order += 1,
+            Arrival::Duplicate => {
+                self.stats.duplicates += 1;
+                dup = Some(seq);
             }
         }
-    }
-
-    fn make_ack(&mut self, ece: bool, dup: Option<u64>) -> Packet {
-        self.uid_counter += 1;
-        Packet::new(
-            self.uid_base.wrapping_add(self.uid_counter),
-            crate::config::HEADER_OVERHEAD,
-            self.key.reversed(),
-            PacketKind::Ack { ackno: self.rcv_nxt, dack: self.rcv_nxt, ece, dup },
-        )
+        let rcv_nxt = self.cursor.rcv_nxt();
+        Packet::new(0, HEADER_OVERHEAD, self.key.reversed(), PacketKind::Ack { ackno: rcv_nxt, dack: rcv_nxt, ece: ce_visible, dup })
     }
 }
 

@@ -8,8 +8,12 @@
 //!
 //! The sender is sans-IO: `on_ack` / `on_rto_timer` / `enqueue_job` push
 //! outgoing segments into a caller-provided `Vec<Packet>`, and the caller
-//! arms timers from [`TcpSender::rto_deadline`] (generation-checked, so
+//! arms timers from the sender's [`RtoTimer`] (generation-checked, so
 //! stale timer events are ignored without cancellation support).
+//!
+//! Two mechanisms here are shared with the MPTCP subflows: [`RtoTimer`]
+//! (RTT estimation and the retransmission timer) and `JobQueue` (FIFO
+//! job completion on a byte stream).
 
 use crate::config::{wire_size, TcpConfig, INIT_CWND, INIT_RTO, MAX_CWND_BYTES, MAX_RTO, MIN_RTO, MSS};
 use clove_net::packet::{Packet, PacketKind};
@@ -34,14 +38,153 @@ pub struct JobCompletion {
     pub bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingJob {
-    job_id: u64,
-    end_seq: u64,
-    bytes: u64,
+/// The jobs queued on one byte stream (plain TCP's sequence space or
+/// MPTCP's data sequence space), in FIFO order: a job completes when the
+/// cumulative ack covers its last byte.
+#[derive(Debug, Default)]
+pub(crate) struct JobQueue {
+    /// `(job_id, end, bytes)`: `end` is the stream offset past the job's
+    /// last byte.
+    jobs: VecDeque<(u64, u64, u64)>,
 }
 
-/// Sender-side counters (tests and diagnostics).
+impl JobQueue {
+    /// Queue a job of `bytes` bytes ending at stream offset `end`.
+    pub(crate) fn push(&mut self, job_id: u64, end: u64, bytes: u64) {
+        self.jobs.push_back((job_id, end, bytes));
+    }
+
+    /// Pop every job whose last byte the cumulative ack `una` covers.
+    pub(crate) fn complete(&mut self, una: u64) -> Vec<JobCompletion> {
+        let mut done = Vec::new();
+        while let Some(&(job_id, end, bytes)) = self.jobs.front() {
+            if una < end {
+                break;
+            }
+            done.push(JobCompletion { job_id, bytes });
+            self.jobs.pop_front();
+        }
+        done
+    }
+}
+
+/// Round-trip estimation and the retransmission timer of one sequence
+/// space, shared by [`TcpSender`] and the MPTCP subflows: Jacobson/Karels
+/// smoothing of Karn-valid samples (one probe at a time, never on a
+/// retransmitted range), a timeout clamped to `[MIN_RTO, MAX_RTO]` that
+/// doubles on every firing, and a deadline with a generation counter so
+/// the host can ignore stale timer events instead of cancelling them.
+#[derive(Debug)]
+pub struct RtoTimer {
+    srtt: Option<Duration>,
+    rttvar: Duration,
+    rto: Duration,
+    /// `(end, sent)`: the ack covering `end` yields an RTT sample.
+    probe: Option<(u64, Time)>,
+    deadline: Option<Time>,
+    generation: u64,
+}
+
+impl RtoTimer {
+    pub(crate) fn new() -> RtoTimer {
+        RtoTimer { srtt: None, rttvar: Duration::ZERO, rto: INIT_RTO, probe: None, deadline: None, generation: 0 }
+    }
+
+    /// Current smoothed RTT estimate.
+    pub fn srtt(&self) -> Option<Duration> {
+        self.srtt
+    }
+
+    /// Current retransmission timeout.
+    pub fn timeout(&self) -> Duration {
+        self.rto
+    }
+
+    /// The pending deadline, if packets are outstanding.
+    pub fn deadline(&self) -> Option<Time> {
+        self.deadline
+    }
+
+    /// Bumped whenever the deadline is re-armed; a timer event carries the
+    /// value it was armed with.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// A segment ending at `end` left at `now`. It becomes the RTT probe
+    /// unless one is outstanding or the range was sent before (Karn).
+    pub(crate) fn on_send(&mut self, now: Time, end: u64, retransmission: bool) {
+        if self.probe.is_none() && !retransmission {
+            self.probe = Some((end, now));
+        }
+    }
+
+    /// A cumulative ack of `ackno` arrived: sample the RTT if it covers
+    /// the probe.
+    pub(crate) fn on_ack(&mut self, now: Time, ackno: u64) {
+        if let Some((end, sent)) = self.probe {
+            if ackno >= end {
+                self.update(now.saturating_since(sent));
+                self.probe = None;
+            }
+        }
+    }
+
+    fn update(&mut self, sample: Duration) {
+        let srtt = match self.srtt {
+            None => {
+                self.rttvar = sample / 2;
+                sample
+            }
+            Some(srtt) => {
+                // Jacobson/Karels: rttvar = 3/4 rttvar + 1/4 |srtt - sample|
+                let err = if sample > srtt { sample - srtt } else { srtt - sample };
+                self.rttvar = Duration::from_nanos((self.rttvar.as_nanos() * 3 + err.as_nanos()) / 4);
+                Duration::from_nanos((srtt.as_nanos() * 7 + sample.as_nanos()) / 8)
+            }
+        };
+        self.srtt = Some(srtt);
+        self.rto = (srtt + self.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
+    }
+
+    /// Karn: a retransmission invalidates the outstanding probe.
+    pub(crate) fn drop_probe(&mut self) {
+        self.probe = None;
+    }
+
+    /// The timer fired: double the timeout and take no sample across it.
+    pub(crate) fn back_off(&mut self) {
+        self.rto = (self.rto * 2).min(MAX_RTO);
+        self.probe = None;
+    }
+
+    /// Restart the deadline one timeout from `now` while `flight` bytes
+    /// are outstanding; clear it when none are.
+    pub(crate) fn restart(&mut self, now: Time, flight: u64) {
+        self.deadline = None;
+        self.ensure(now, flight);
+    }
+
+    /// Like [`RtoTimer::restart`], but without postponing a pending
+    /// deadline — acknowledgements on *other* MPTCP subflows must not push
+    /// this subflow's timeout into the future.
+    pub(crate) fn ensure(&mut self, now: Time, flight: u64) {
+        if flight == 0 {
+            self.deadline = None;
+        } else if self.deadline.is_none() {
+            self.deadline = Some(now + self.rto);
+            self.generation += 1;
+        }
+    }
+
+    /// True when a timer event armed with `generation` fires at `now` on
+    /// the current deadline.
+    pub(crate) fn expired(&self, now: Time, generation: u64) -> bool {
+        generation == self.generation && self.deadline.is_some_and(|d| now >= d)
+    }
+}
+
+/// Sender-side counters; the host stack sums them at run end.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SenderStats {
     /// Retransmitted segments.
@@ -69,7 +212,7 @@ pub struct TcpSender {
     /// pre-timeout transmissions that survived).
     snd_max: u64,
     stream_len: u64, // total bytes enqueued by the application
-    jobs: VecDeque<PendingJob>,
+    jobs: JobQueue,
 
     // --- congestion control ---
     cwnd: u64,
@@ -90,22 +233,8 @@ pub struct TcpSender {
     /// reordering over-penalizes every path-switching scheme.
     undo: Option<(u64, u64, u64)>,
 
-    // --- RTT / RTO ---
-    srtt: Option<Duration>,
-    rttvar: Duration,
-    rto: Duration,
-    backoff: u32,
-    rtt_probe: Option<(u64, Time)>, // (seq that, when acked, yields a sample)
-
-    /// Deadline of the pending RTO, with a generation counter so the host
-    /// can ignore stale timer events instead of cancelling them.
-    rto_deadline: Option<Time>,
-    /// Bumped whenever the deadline is re-armed.
-    pub rto_generation: u64,
-
+    timer: RtoTimer,
     last_send: Time,
-    uid_base: u64,
-    uid_counter: u64,
 
     /// Counters.
     pub stats: SenderStats,
@@ -114,14 +243,13 @@ pub struct TcpSender {
 impl TcpSender {
     /// A fresh, idle sender for `key`.
     pub fn new(key: FlowKey, cfg: TcpConfig, now: Time) -> TcpSender {
-        let uid_base = clove_net::hash::hash_tuple(&key, 0x7C9) << 20;
         TcpSender {
             key,
             snd_una: 0,
             snd_nxt: 0,
             snd_max: 0,
             stream_len: 0,
-            jobs: VecDeque::new(),
+            jobs: JobQueue::default(),
             cwnd: INIT_CWND,
             ssthresh: u64::MAX / 2,
             phase: Phase::SlowStart,
@@ -129,16 +257,8 @@ impl TcpSender {
             dup_threshold: 3,
             recover: 0,
             undo: None,
-            srtt: None,
-            rttvar: Duration::ZERO,
-            rto: INIT_RTO,
-            backoff: 0,
-            rtt_probe: None,
-            rto_deadline: None,
-            rto_generation: 0,
+            timer: RtoTimer::new(),
             last_send: now,
-            uid_base,
-            uid_counter: 0,
             stats: SenderStats::default(),
             cfg,
         }
@@ -169,19 +289,9 @@ impl TcpSender {
         self.snd_nxt
     }
 
-    /// The pending RTO deadline, if packets are outstanding.
-    pub fn rto_deadline(&self) -> Option<Time> {
-        self.rto_deadline
-    }
-
-    /// Current smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<Duration> {
-        self.srtt
-    }
-
-    fn fresh_uid(&mut self) -> u64 {
-        self.uid_counter += 1;
-        self.uid_base.wrapping_add(self.uid_counter)
+    /// RTT estimate and retransmission timer.
+    pub fn timer(&self) -> &RtoTimer {
+        &self.timer
     }
 
     /// Append a job of `bytes` payload bytes to the stream and transmit
@@ -191,14 +301,14 @@ impl TcpSender {
         // Idle restart (RFC 2861 flavour): after an idle period longer
         // than one RTO, restart from the initial window rather than
         // blasting a stale window into the network.
-        if self.idle() && now.saturating_since(self.last_send) > self.rto {
+        if self.idle() && now.saturating_since(self.last_send) > self.timer.timeout() {
             self.cwnd = INIT_CWND.min(self.cwnd);
             self.phase = Phase::SlowStart;
         }
         self.stream_len += bytes;
-        self.jobs.push_back(PendingJob { job_id, end_seq: self.stream_len, bytes });
+        self.jobs.push(job_id, self.stream_len, bytes);
         self.pump(now, out);
-        self.arm_rto(now);
+        self.timer.restart(now, self.flight());
     }
 
     /// Transmit as many new segments as the window and backlog allow.
@@ -217,45 +327,13 @@ impl TcpSender {
     }
 
     fn emit_segment(&mut self, now: Time, seq: u64, len: u32, out: &mut Vec<Packet>) {
-        let pkt = Packet::new(self.fresh_uid(), wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
+        let pkt = Packet::new(0, wire_size(len), self.key, PacketKind::Data { seq, len, dsn: seq });
         self.last_send = now;
-        // One Karn-valid RTT probe at a time, never on retransmitted byte
-        // ranges (anything at or below snd_max has been sent before).
+        // Anything at or below snd_max has been sent before.
         let end = seq + len as u64;
-        let is_rtx = end <= self.snd_max;
-        if self.rtt_probe.is_none() && !is_rtx {
-            self.rtt_probe = Some((end, now));
-        }
+        self.timer.on_send(now, end, end <= self.snd_max);
         self.snd_max = self.snd_max.max(end);
         out.push(pkt);
-    }
-
-    fn arm_rto(&mut self, now: Time) {
-        if self.flight() > 0 {
-            self.rto_deadline = Some(now + self.rto);
-            self.rto_generation += 1;
-        } else {
-            self.rto_deadline = None;
-        }
-    }
-
-    fn update_rtt(&mut self, sample: Duration) {
-        let srtt = match self.srtt {
-            None => {
-                self.rttvar = sample / 2;
-                sample
-            }
-            Some(srtt) => {
-                // Jacobson/Karels: rttvar = 3/4 rttvar + 1/4 |srtt - sample|
-                let err = if sample > srtt { sample - srtt } else { srtt - sample };
-                self.rttvar = Duration::from_nanos((self.rttvar.as_nanos() * 3 + err.as_nanos()) / 4);
-                Duration::from_nanos((srtt.as_nanos() * 7 + sample.as_nanos()) / 8)
-            }
-        };
-        self.srtt = Some(srtt);
-        let base = srtt + self.rttvar * 4;
-        self.rto = base.max(MIN_RTO).min(MAX_RTO);
-        self.backoff = 0;
     }
 
     /// Process a cumulative acknowledgement. `dup` is the receiver's
@@ -263,7 +341,6 @@ impl TcpSender {
     /// as a NewReno guest ignores it.
     /// Completed jobs are returned; new segments are pushed to `out`.
     pub fn on_ack(&mut self, now: Time, ackno: u64, _ece: bool, dup: Option<u64>, out: &mut Vec<Packet>) -> Vec<JobCompletion> {
-        let mut completions = Vec::new();
         // DSACK undo: exactly the segment we fast-retransmitted arrived as
         // a duplicate — the original was merely reordered, not lost.
         // Revert the window cut. (Go-back-N overlap duplicates report
@@ -284,7 +361,7 @@ impl TcpSender {
         if ackno > self.snd_max {
             // Ack for data never sent — ignore (cannot happen without
             // simulator bugs; be robust rather than corrupt state).
-            return completions;
+            return Vec::new();
         }
         // After a go-back-N rewind, an ACK above snd_nxt covers surviving
         // pre-timeout transmissions: fast-forward instead of resending.
@@ -292,12 +369,7 @@ impl TcpSender {
             self.snd_nxt = ackno;
         }
         // RTT sampling (Karn: probe invalidated by RTO, see on_rto_timer).
-        if let Some((probe_seq, sent)) = self.rtt_probe {
-            if ackno >= probe_seq {
-                self.update_rtt(now.saturating_since(sent));
-                self.rtt_probe = None;
-            }
-        }
+        self.timer.on_ack(now, ackno);
         if ackno > self.snd_una {
             let acked = ackno - self.snd_una;
             self.snd_una = ackno;
@@ -335,15 +407,6 @@ impl TcpSender {
                 }
             }
             self.cwnd = self.cwnd.min(MAX_CWND_BYTES);
-            // Job completions.
-            while let Some(job) = self.jobs.front() {
-                if self.snd_una >= job.end_seq {
-                    completions.push(JobCompletion { job_id: job.job_id, bytes: job.bytes });
-                    self.jobs.pop_front();
-                } else {
-                    break;
-                }
-            }
         } else if self.flight() > 0 && ackno == self.snd_una {
             // Duplicate ack.
             self.dup_acks += 1;
@@ -364,8 +427,9 @@ impl TcpSender {
                 }
             }
         }
+        let completions = self.jobs.complete(self.snd_una);
         self.pump(now, out);
-        self.arm_rto(now);
+        self.timer.restart(now, self.flight());
         completions
     }
 
@@ -380,35 +444,30 @@ impl TcpSender {
         let len = ((self.snd_nxt - self.snd_una).min(MSS as u64)) as u32;
         self.emit_segment(now, self.snd_una, len, out);
         // The retransmission restarts the RTT probe invalid state.
-        self.rtt_probe = None;
+        self.timer.drop_probe();
     }
 
     /// The host's RTO timer fired. `generation` must match the value the
     /// timer was armed with; stale timers are ignored.
     pub fn on_rto_timer(&mut self, now: Time, generation: u64, out: &mut Vec<Packet>) {
-        if generation != self.rto_generation {
-            return;
-        }
-        let Some(deadline) = self.rto_deadline else { return };
-        if now < deadline || self.flight() == 0 {
+        if !self.timer.expired(now, generation) || self.flight() == 0 {
             return;
         }
         self.stats.timeouts += 1;
         self.stats.retransmits += 1;
         // A timeout is unambiguous congestion: no undo across it.
         self.undo = None;
-        // Multiplicative backoff and full go-back-N restart.
-        self.backoff = (self.backoff + 1).min(12);
-        self.rto = (self.rto * 2).min(MAX_RTO);
+        // Multiplicative backoff (Karn: no sampling across a timeout) and
+        // full go-back-N restart.
+        self.timer.back_off();
         self.ssthresh = (self.flight() / 2).max(2 * MSS as u64);
         self.cwnd = MSS as u64;
         self.phase = Phase::SlowStart;
         self.dup_acks = 0;
         self.dup_threshold = 3; // real loss: restore prompt recovery
-        self.rtt_probe = None; // Karn: no sampling across a timeout
         self.snd_nxt = self.snd_una;
         self.pump(now, out);
-        self.arm_rto(now);
+        self.timer.restart(now, self.flight());
     }
 }
 
@@ -444,7 +503,7 @@ mod tests {
         assert_eq!(seqs(&out)[0], (0, 1400));
         assert_eq!(seqs(&out)[9], (9 * 1400, 1400));
         assert_eq!(s.flight(), 14_000);
-        assert!(s.rto_deadline().is_some());
+        assert!(s.timer().deadline().is_some());
     }
 
     #[test]
@@ -477,7 +536,7 @@ mod tests {
         let done = s.on_ack(Time::from_micros(50), 1400, false, None, &mut out);
         assert_eq!(done, vec![JobCompletion { job_id: 7, bytes: 1400 }]);
         assert!(s.idle());
-        assert!(s.rto_deadline().is_none());
+        assert!(s.timer().deadline().is_none());
         // Re-acking yields nothing.
         let done2 = s.on_ack(Time::from_micros(60), 1400, false, None, &mut out);
         assert!(done2.is_empty());
@@ -553,8 +612,8 @@ mod tests {
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 1_000_000, &mut out);
         out.clear();
-        let generation = s.rto_generation;
-        let deadline = s.rto_deadline().unwrap();
+        let generation = s.timer().generation();
+        let deadline = s.timer().deadline().unwrap();
         s.on_rto_timer(deadline, generation, &mut out);
         assert_eq!(s.stats.timeouts, 1);
         assert_eq!(s.cwnd(), 1400);
@@ -567,7 +626,7 @@ mod tests {
         let mut s = sender();
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 100_000, &mut out);
-        let old_generation = s.rto_generation;
+        let old_generation = s.timer().generation();
         out.clear();
         // An ack re-arms the timer, bumping the generation.
         s.on_ack(Time::from_micros(100), 1400, false, None, &mut out);
@@ -582,13 +641,13 @@ mod tests {
         let mut s = sender();
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 100_000, &mut out);
-        let r0 = s.rto;
-        let generation = s.rto_generation;
-        s.on_rto_timer(s.rto_deadline().unwrap(), generation, &mut out);
-        assert_eq!(s.rto, r0 * 2);
-        let g2 = s.rto_generation;
-        s.on_rto_timer(s.rto_deadline().unwrap(), g2, &mut out);
-        assert_eq!(s.rto, r0 * 4);
+        let r0 = s.timer().timeout();
+        let generation = s.timer().generation();
+        s.on_rto_timer(s.timer().deadline().unwrap(), generation, &mut out);
+        assert_eq!(s.timer().timeout(), r0 * 2);
+        let g2 = s.timer().generation();
+        s.on_rto_timer(s.timer().deadline().unwrap(), g2, &mut out);
+        assert_eq!(s.timer().timeout(), r0 * 4);
     }
 
     #[test]
@@ -597,9 +656,9 @@ mod tests {
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 1400, &mut out);
         s.on_ack(Time::from_micros(1000), 1400, false, None, &mut out);
-        assert_eq!(s.srtt(), Some(Duration::from_micros(1000)));
+        assert_eq!(s.timer().srtt(), Some(Duration::from_micros(1000)));
         // rto = srtt + 4*rttvar = 1000 + 4*500 = 3000us, above the 2ms floor.
-        assert_eq!(s.rto, Duration::from_micros(3000));
+        assert_eq!(s.timer().timeout(), Duration::from_micros(3000));
     }
 
     #[test]
@@ -608,7 +667,7 @@ mod tests {
         let mut out = Vec::new();
         s.enqueue_job(Time::ZERO, 1, 1400, &mut out);
         s.on_ack(Time::from_nanos(100), 1400, false, None, &mut out);
-        assert_eq!(s.rto, MIN_RTO);
+        assert_eq!(s.timer().timeout(), MIN_RTO);
     }
 
     #[test]

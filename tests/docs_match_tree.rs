@@ -196,7 +196,8 @@ fn docs_name_only_targets_and_paths_that_exist() {
 
 /// Items deleted with the one-way-latency scheme and the five-tuple-swap
 /// mode, the scheme parameters that left `Profile` for the component that
-/// reads them, and the token-level analyzer `clippy.toml` replaced. Plain
+/// reads them, the token-level analyzer `clippy.toml` replaced, and the
+/// Clove policy configs whose fields became constants. Plain
 /// words, not paths, so the scan above cannot see them.
 #[test]
 fn docs_name_no_deleted_scheme_item() {
@@ -232,6 +233,9 @@ fn docs_name_no_deleted_scheme_item() {
             "rwnd_bytes",
             "clove-lint",
             "clove_lint",
+            "CloveEcnConfig",
+            "CloveUtilConfig",
+            "for_rtt",
         ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }

@@ -4,7 +4,7 @@ use clove::algo::{FlowletConfig, FlowletTable, Wrr};
 use clove::net::packet::{Packet, PacketKind};
 use clove::net::types::{FlowKey, HostId};
 use clove::sim::{Duration, SimRng, Time};
-use clove::tcp::{TcpConfig, TcpReceiver, TcpSender};
+use clove::tcp::{ReceiveCursor, TcpConfig, TcpReceiver, TcpSender};
 use clove::workload::fct::Summary;
 use proptest::prelude::*;
 
@@ -27,9 +27,9 @@ fn lossy_loopback(total_bytes: u64, loss_seed: u64, loss_rate: f64) -> bool {
             // Nothing on the wire: only the RTO moves the transfer on, so
             // the clock jumps straight to it — a long backoff costs one
             // iteration, not one per 40 µs.
-            let Some(deadline) = tx.rto_deadline() else { break };
+            let Some(deadline) = tx.timer().deadline() else { break };
             now = now.max(deadline);
-            let generation = tx.rto_generation;
+            let generation = tx.timer().generation();
             tx.on_rto_timer(now, generation, &mut wire);
             continue;
         }
@@ -54,9 +54,9 @@ fn lossy_loopback(total_bytes: u64, loss_seed: u64, loss_rate: f64) -> bool {
                 done = true;
             }
         }
-        if let Some(deadline) = tx.rto_deadline() {
+        if let Some(deadline) = tx.timer().deadline() {
             if now >= deadline {
-                let generation = tx.rto_generation;
+                let generation = tx.timer().generation();
                 tx.on_rto_timer(now, generation, &mut wire);
             }
         }
@@ -81,6 +81,46 @@ proptest! {
 }
 
 proptest! {
+    /// The shared receive cursor against a naive model: a stream cut into
+    /// segments, delivered in a random order with duplicates and re-sends
+    /// from a segment's start with another length. After every arrival
+    /// `rcv_nxt` is the lowest byte no segment so far has covered.
+    #[test]
+    fn receive_cursor_matches_lowest_uncovered_byte(
+        sizes in prop::collection::vec(1u32..3000, 1..40),
+        dups in prop::collection::vec(any::<u64>(), 0..20),
+        resend in prop::collection::vec((any::<u64>(), 1u32..3000), 0..20),
+        seed in any::<u64>(),
+    ) {
+        let mut segs: Vec<(u64, u32)> = Vec::new();
+        let mut total = 0u64;
+        for &len in &sizes {
+            segs.push((total, len));
+            total += len as u64;
+        }
+        let n = segs.len() as u64;
+        let dup_segs: Vec<(u64, u32)> = dups.iter().map(|&i| segs[(i % n) as usize]).collect();
+        let resends: Vec<(u64, u32)> = resend.iter().map(|&(i, len)| (segs[(i % n) as usize].0, len)).collect();
+        segs.extend(dup_segs);
+        segs.extend(resends);
+        let mut rng = SimRng::new(seed);
+        for i in (1..segs.len()).rev() {
+            segs.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut cursor = ReceiveCursor::default();
+        let mut covered = vec![false; total as usize + 3000];
+        let mut model = 0usize;
+        for &(seq, len) in &segs {
+            cursor.accept(seq, len);
+            covered[seq as usize..(seq + len as u64) as usize].fill(true);
+            while covered[model] {
+                model += 1;
+            }
+            prop_assert_eq!(cursor.rcv_nxt(), model as u64, "after ({}, {})", seq, len);
+        }
+        prop_assert!(cursor.rcv_nxt() >= total);
+        prop_assert_eq!(cursor.buffered(), 0);
+    }
     #[test]
     fn flowlet_port_stable_within_gap(
         gap_us in 1u64..10_000,
