@@ -5,20 +5,14 @@ use clove_net::types::HostId;
 use clove_overlay::EdgePolicy;
 use clove_sim::Time;
 
+/// Port span the hash spreads over (≫ number of paths so ECMP sees an
+/// effectively random port per flow).
+pub const SPAN: u16 = 4096;
+
 /// Outer source port = hash(inner five-tuple): each flow takes one path
 /// for its entire lifetime, however long and however congested — the
 /// behaviour every other scheme improves on.
-pub struct EcmpPolicy {
-    /// Port span the hash spreads over (≫ number of paths so ECMP sees an
-    /// effectively random port per flow).
-    pub span: u16,
-}
-
-impl Default for EcmpPolicy {
-    fn default() -> Self {
-        EcmpPolicy { span: 4096 }
-    }
-}
+pub struct EcmpPolicy;
 
 impl EdgePolicy for EcmpPolicy {
     fn name(&self) -> &'static str {
@@ -27,7 +21,7 @@ impl EdgePolicy for EcmpPolicy {
 
     fn select_port(&mut self, _now: Time, _dst: HostId, pkt: &mut Packet) -> u16 {
         let h = clove_net::hash::hash_tuple(&pkt.flow, 0xEC3B);
-        49152 + (h % self.span as u64) as u16
+        49152 + (h % SPAN as u64) as u16
     }
 }
 
@@ -43,7 +37,7 @@ mod tests {
 
     #[test]
     fn stable_per_flow_forever() {
-        let mut p = EcmpPolicy::default();
+        let mut p = EcmpPolicy;
         let mut a = pkt(1000);
         let port = p.select_port(Time::ZERO, HostId(1), &mut a);
         for t in [1u64, 1000, 1_000_000_000] {
@@ -53,7 +47,7 @@ mod tests {
 
     #[test]
     fn different_flows_spread() {
-        let mut p = EcmpPolicy::default();
+        let mut p = EcmpPolicy;
         let mut seen = rustc_hash::FxHashSet::default();
         for s in 0..256 {
             let mut a = pkt(s);

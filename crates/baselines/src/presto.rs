@@ -2,17 +2,18 @@
 //!
 //! The source vswitch chops each flow into fixed-size flowcells (64 KB —
 //! one TSO segment) and assigns each flowcell the next encapsulation source
-//! port from a weighted round-robin over a pre-computed port set. Weights
-//! are *static*: under asymmetry the paper grants Presto ideal
-//! oracle-configured weights (e.g. 0.33/0.33/0.17/0.17 when one of four
-//! paths halves), and still shows it losing to congestion-aware schemes —
-//! reproducing that requires honouring the same oracle here, via
-//! [`PrestoConfig::weights`].
+//! port from a weighted round-robin over a pre-computed port set: the same
+//! per-destination [`PathSet`] the Clove policies keep, of which Presto
+//! uses only the ports and their weights. Weights are *static*: under
+//! asymmetry the paper grants Presto ideal oracle-configured weights (e.g.
+//! 0.33/0.33/0.17/0.17 when one of four paths halves), and still shows it
+//! losing to congestion-aware schemes — reproducing that requires
+//! honouring the same oracle here, via [`PrestoConfig::weights`].
 //!
 //! Reordering caused by the spraying is hidden from the guest by the
 //! receive-side reassembly in `clove_overlay::presto_rx`.
 
-use clove_core::Wrr;
+use clove_core::{fallback_port, PathSet};
 use clove_net::packet::Packet;
 use clove_net::types::{FlowKey, HostId};
 use clove_overlay::EdgePolicy;
@@ -41,19 +42,15 @@ struct FlowState {
 /// The Presto sender policy. See module docs.
 pub struct PrestoPolicy {
     cfg: PrestoConfig,
-    /// Per-destination WRR over discovered ports.
-    wrr: FxHashMap<HostId, Wrr>,
+    /// Per-destination weighted round-robin over discovered ports.
+    paths: FxHashMap<HostId, PathSet>,
     flows: FxHashMap<FlowKey, FlowState>,
 }
 
 impl PrestoPolicy {
     /// Build the policy.
     pub fn new(cfg: PrestoConfig) -> PrestoPolicy {
-        PrestoPolicy { cfg, wrr: FxHashMap::default(), flows: FxHashMap::default() }
-    }
-
-    fn fallback_port(flow: &FlowKey, cell: u32) -> u16 {
-        49152 + (clove_net::hash::hash_tuple(flow, cell as u64 ^ 0x9E57) % 64) as u16
+        PrestoPolicy { cfg, paths: FxHashMap::default(), flows: FxHashMap::default() }
     }
 }
 
@@ -72,9 +69,9 @@ impl EdgePolicy for PrestoPolicy {
         // +1 so cell ids start at 1 and 0 means "no cell assigned".
         if cell + 1 != st.current_cell {
             st.current_cell = cell + 1;
-            st.current_port = match self.wrr.get_mut(&dst).and_then(|w| w.pick()) {
+            st.current_port = match self.paths.get_mut(&dst).and_then(PathSet::pick) {
                 Some(p) => p,
-                None => Self::fallback_port(&pkt.flow, cell),
+                None => fallback_port(&pkt.flow, cell as u64 ^ 0x9E57),
             };
         }
         st.bytes_seen += payload;
@@ -83,12 +80,12 @@ impl EdgePolicy for PrestoPolicy {
     }
 
     fn on_paths_updated(&mut self, _now: Time, dst: HostId, ports: &[u16]) {
-        let wrr = self.wrr.entry(dst).or_default();
-        wrr.set_ports(ports);
+        let paths = self.paths.entry(dst).or_default();
+        paths.set_ports(ports);
         if let Some(weights) = &self.cfg.weights {
             for (i, &p) in ports.iter().enumerate() {
                 if let Some(&w) = weights.get(i) {
-                    wrr.set_weight(p, w);
+                    paths.set_weight(p, w);
                 }
             }
         }

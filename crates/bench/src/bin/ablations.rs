@@ -25,7 +25,7 @@
 //! serves them from disk after an interrupted run. An ablation that panics
 //! is quarantined and reported in place of its result line.
 
-use clove_harness::orchestrator::{self, CellOutcome};
+use clove_harness::orchestrator;
 use clove_harness::scenario::{Scenario, TopologyKind};
 use clove_harness::{cli, Scheme};
 use clove_sim::{Duration, Time};
@@ -113,9 +113,9 @@ fn main() {
     let mut quarantined = 0u32;
     for (cell, outcome) in cells.iter().zip(outcomes) {
         match outcome {
-            CellOutcome::Ok(line) => println!("{line}"),
-            bad => {
-                println!("{:<34} QUARANTINED ({})", cell.label, bad.describe());
+            Ok(line) => println!("{line}"),
+            Err(reason) => {
+                println!("{:<34} QUARANTINED ({reason})", cell.label);
                 quarantined += 1;
             }
         }

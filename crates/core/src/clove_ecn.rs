@@ -14,10 +14,9 @@
 //!   [`CloveEcnStats::all_congested_events`]).
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
-use crate::paths::{Ladder, PathSet};
-use crate::wrr::Wrr;
+use crate::paths::{fallback_port, PathSet};
 use clove_net::packet::{Feedback, Packet};
-use clove_net::types::{FlowKey, HostId};
+use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
@@ -43,27 +42,11 @@ pub const RECOVERY_RHO: f64 = 0.01;
 
 /// When the freshest feedback for a destination is older than this,
 /// learned weights are considered stale and start decaying toward uniform
-/// on the data path (degradation ladder, first rung; 16×RTT).
+/// on the data path (degradation ladder, stale rung; 16×RTT). The dead
+/// rung and the decay step are shared with Clove-INT:
+/// [`crate::paths::DEAD_HORIZON`], [`crate::paths::STALE_RHO`] and
+/// [`crate::paths::STALE_DECAY_INTERVAL`].
 pub const STALE_HORIZON: Duration = Duration::from_micros(1600);
-
-/// When the freshest feedback is older than this, weights are not trusted
-/// at all: new flowlets hash-spread uniformly over the discovered ports
-/// (Edge-Flowlet behaviour, bottom rung; 64×RTT).
-pub const DEAD_HORIZON: Duration = Duration::from_micros(6400);
-
-/// Decay rate applied while stale (per decay step).
-pub const STALE_RHO: f64 = 0.1;
-
-/// Minimum spacing between stale-decay steps — the decay is applied lazily
-/// on the data path, so this bounds how fast it can run (2×RTT).
-pub const STALE_DECAY_INTERVAL: Duration = Duration::from_micros(200);
-
-#[derive(Default)]
-struct DstState {
-    paths: PathSet,
-    wrr: Wrr,
-    ladder: Ladder,
-}
 
 /// Policy counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +70,7 @@ pub struct CloveEcnStats {
 pub struct CloveEcnPolicy {
     recovery_rho: f64,
     flowlets: FlowletTable,
-    dsts: FxHashMap<HostId, DstState>,
+    dsts: FxHashMap<HostId, PathSet>,
     /// Counters.
     pub stats: CloveEcnStats,
     /// Decision-trace handle (disabled by default).
@@ -107,14 +90,9 @@ impl CloveEcnPolicy {
         }
     }
 
-    /// Fallback port (pre-discovery): hash-spread like plain ECMP.
-    fn fallback_port(flow: &FlowKey, flowlet_id: u64) -> u16 {
-        49152 + (clove_net::hash::hash_tuple(flow, flowlet_id ^ 0xEC4) % 64) as u16
-    }
-
     /// Current weight of `port` toward `dst` (tests/diagnostics).
     pub fn weight(&self, dst: HostId, port: u16) -> Option<f64> {
-        self.dsts.get(&dst).and_then(|d| d.wrr.weight(port))
+        self.dsts.get(&dst).and_then(|d| d.weight(port))
     }
 }
 
@@ -124,25 +102,23 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
     }
 
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
-        let dst = self.dsts.entry(dst_hv).or_default();
+        let paths = self.dsts.entry(dst_hv).or_default();
         let flow = pkt.flow;
-        let dead = dst.ladder.on_tx(now, &dst.paths, STALE_HORIZON, DEAD_HORIZON, &self.trace, dst_hv) == LadderRung::Dead;
-        if dst.ladder.stale_decay_due(now, STALE_DECAY_INTERVAL) {
-            // Stale rung: forget toward uniform.
-            dst.wrr.decay_toward_uniform(STALE_RHO);
+        let dead = paths.on_tx(now, STALE_HORIZON, &self.trace, dst_hv) == LadderRung::Dead;
+        if paths.stale_decay(now) {
             self.stats.stale_decays += 1;
         }
-        let DstState { paths, wrr, .. } = dst;
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
-            if dead && !paths.is_empty() {
+            if dead {
                 // Bottom rung: weights are ancient — hash-spread uniformly
                 // over the discovered ports (Edge-Flowlet behaviour).
-                let ports = paths.ports();
-                stats.degraded_picks += 1;
-                return ports[(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0xDEAD) % ports.len() as u64) as usize];
+                if let Some(port) = paths.spread(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0xDEAD)) {
+                    stats.degraded_picks += 1;
+                    return port;
+                }
             }
-            wrr.pick().unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
+            paths.pick().unwrap_or_else(|| fallback_port(&flow, flowlet_id ^ 0xEC4))
         })
     }
 
@@ -151,44 +127,42 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
             return;
         };
         self.stats.ecn_feedback += 1;
-        let Some(dst) = self.dsts.get_mut(&dst_hv) else {
+        let Some(paths) = self.dsts.get_mut(&dst_hv) else {
             return;
         };
-        dst.paths.record_ecn(now, sport, congested);
+        paths.record_ecn(now, sport, congested);
         if congested {
-            let receivers = dst.paths.uncongested_ports(now, CONGESTED_WINDOW);
+            let receivers = paths.uncongested_ports(now, CONGESTED_WINDOW);
             if receivers.is_empty() {
                 // All paths congested: no point shuffling weights.
                 self.stats.all_congested_events += 1;
             } else {
-                dst.wrr.cut_and_redistribute(sport, WEIGHT_CUT, &receivers);
+                paths.cut_and_redistribute(sport, WEIGHT_CUT, &receivers);
                 self.stats.weight_cuts += 1;
                 if self.trace.is_enabled() {
-                    let ppm = (dst.wrr.weight(sport).unwrap_or(0.0) * 1e6).round() as u64;
+                    let ppm = (paths.weight(sport).unwrap_or(0.0) * 1e6).round() as u64;
                     self.trace.weight_update(now.0, dst_hv.0, sport, ppm, "ecn_cut");
                 }
             }
         }
         if self.recovery_rho > 0.0 {
-            dst.wrr.decay_toward_uniform(self.recovery_rho);
+            paths.decay_toward_uniform(self.recovery_rho);
         }
     }
 
     fn on_paths_updated(&mut self, _now: Time, dst_hv: HostId, ports: &[u16]) {
-        let dst = self.dsts.entry(dst_hv).or_default();
+        let paths = self.dsts.entry(dst_hv).or_default();
         // Diff against the current set instead of rebuilding: surviving
         // paths keep their learned weights *and* their smooth-WRR rotation
         // state, so a refresh that changes nothing is a true no-op and a
         // re-added path slots in at a uniform share.
-        for port in dst.wrr.ports() {
+        for port in paths.ports() {
             if !ports.contains(&port) {
-                dst.wrr.remove_port(port);
-                dst.paths.remove_port(port);
+                paths.remove_port(port);
             }
         }
         for &port in ports {
-            dst.wrr.add_port(port);
-            dst.paths.add_port(port);
+            paths.add_port(port);
         }
     }
 
@@ -204,16 +178,15 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
     }
 
     fn on_path_dead(&mut self, _now: Time, dst_hv: HostId, port: u16) {
-        let Some(dst) = self.dsts.get_mut(&dst_hv) else {
+        let Some(paths) = self.dsts.get_mut(&dst_hv) else {
             return;
         };
-        dst.paths.remove_port(port);
-        dst.wrr.remove_port(port);
+        paths.remove_port(port);
         self.stats.paths_dropped += 1;
     }
 
     fn debug_weights(&self, dst_hv: HostId) -> Option<Vec<(u16, f64)>> {
-        self.dsts.get(&dst_hv).map(|d| d.wrr.ports().into_iter().map(|p| (p, d.wrr.weight(p).unwrap_or(0.0))).collect())
+        self.dsts.get(&dst_hv).map(|paths| paths.weights().collect())
     }
 
     fn flowlet_len(&self) -> Option<usize> {
@@ -230,6 +203,7 @@ impl clove_overlay::EdgePolicy for CloveEcnPolicy {
 mod tests {
     use super::*;
     use clove_net::packet::PacketKind;
+    use clove_net::types::FlowKey;
     use clove_overlay::EdgePolicy;
     use rustc_hash::FxHashMap;
 

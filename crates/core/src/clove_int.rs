@@ -8,10 +8,9 @@
 //! simulations show it captures ~95% of CONGA's gain (paper §6.2).
 
 use crate::flowlet::{FlowletConfig, FlowletTable};
-use crate::paths::{Ladder, PathSet};
-use crate::wrr::Wrr;
+use crate::paths::{fallback_port, PathSet};
 use clove_net::packet::{Feedback, Packet};
-use clove_net::types::{FlowKey, HostId};
+use clove_net::types::HostId;
 use clove_sim::{Duration, Time};
 use clove_telemetry::{LadderRung, Trace};
 use rustc_hash::FxHashMap;
@@ -19,22 +18,13 @@ use rustc_hash::FxHashMap;
 // Multiples of the 100 µs loaded RTT the runs operate at.
 
 /// Utilization reports older than this count as zero (stale paths get
-/// probed again rather than shunned forever; 8×RTT).
+/// probed again rather than shunned forever; 8×RTT). It is also the
+/// ladder's stale horizon: when the *freshest* feedback for a destination
+/// is older than this, Clove-INT falls back to ECN-style smooth weighted
+/// round-robin over `1.05 − utilization` weights from the last reports,
+/// decaying toward uniform; past [`crate::paths::DEAD_HORIZON`] it
+/// hash-spreads new flowlets uniformly.
 pub const STALE_AFTER: Duration = Duration::from_micros(800);
-
-/// When the *freshest* feedback for a destination is older than this,
-/// Clove-INT stops trusting utilization entirely and hash-spreads new
-/// flowlets uniformly (bottom of the degradation ladder; 64×RTT). Between
-/// [`STALE_AFTER`] and this horizon it falls back to ECN-style weighted
-/// round-robin over the last-known utilizations.
-pub const DEAD_HORIZON: Duration = Duration::from_micros(6400);
-
-/// Decay rate of the fallback WRR weights toward uniform while stale.
-pub const STALE_RHO: f64 = 0.1;
-
-/// Minimum spacing between lazy stale-decay steps on the data path
-/// (2×RTT).
-pub const STALE_DECAY_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Clove-INT counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -48,19 +38,12 @@ pub struct CloveUtilStats {
     pub degraded_picks: u64,
 }
 
-#[derive(Default)]
-struct IntDstState {
-    paths: PathSet,
-    /// ECN-style fallback scheduler fed from utilization reports — the
-    /// middle rung of the degradation ladder.
-    wrr: Wrr,
-    ladder: Ladder,
-}
-
 /// Clove-INT: new flowlets take the least-utilized discovered path.
 pub struct CloveIntPolicy {
     flowlets: FlowletTable,
-    dsts: FxHashMap<HostId, IntDstState>,
+    /// Per-destination paths; the weights are the stale rung's fallback
+    /// scheduler, fed from utilization reports.
+    dsts: FxHashMap<HostId, PathSet>,
     /// Counters.
     pub stats: CloveUtilStats,
     /// Decision-trace handle (disabled by default).
@@ -72,10 +55,6 @@ impl CloveIntPolicy {
     pub fn new(flowlet: FlowletConfig) -> CloveIntPolicy {
         CloveIntPolicy { flowlets: FlowletTable::new(flowlet), dsts: FxHashMap::default(), stats: CloveUtilStats::default(), trace: Trace::disabled() }
     }
-
-    fn fallback_port(flow: &FlowKey, flowlet_id: u64) -> u16 {
-        49152 + (clove_net::hash::hash_tuple(flow, flowlet_id ^ 0x147) % 64) as u16
-    }
 }
 
 impl clove_overlay::EdgePolicy for CloveIntPolicy {
@@ -84,45 +63,40 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
     }
 
     fn select_port(&mut self, now: Time, dst_hv: HostId, pkt: &mut Packet) -> u16 {
-        let dst = self.dsts.entry(dst_hv).or_default();
+        let paths = self.dsts.entry(dst_hv).or_default();
         let flow = pkt.flow;
         // Degradation ladder: fresh → least-utilized; stale → ECN-style WRR
         // over the last-known utilizations; dead → uniform hash-spread,
         // Edge-Flowlet behaviour.
-        let rung = dst.ladder.on_tx(now, &dst.paths, STALE_AFTER, DEAD_HORIZON, &self.trace, dst_hv);
-        let (dead, wrr_tier) = (rung == LadderRung::Dead, rung == LadderRung::Stale);
-        if dst.ladder.stale_decay_due(now, STALE_DECAY_INTERVAL) {
-            dst.wrr.decay_toward_uniform(STALE_RHO);
+        let rung = paths.on_tx(now, STALE_AFTER, &self.trace, dst_hv);
+        if paths.stale_decay(now) {
             self.stats.stale_decays += 1;
         }
-        let IntDstState { paths, wrr, .. } = dst;
         let stats = &mut self.stats;
         self.flowlets.on_packet(now, flow, |flowlet_id| {
-            if dead && !paths.is_empty() {
-                let ports = paths.ports();
+            let degraded = match rung {
+                LadderRung::Dead => paths.spread(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0x1DEAD)),
+                LadderRung::Stale => paths.pick(),
+                LadderRung::Fresh => None,
+            };
+            if let Some(port) = degraded {
                 stats.degraded_picks += 1;
-                return ports[(clove_net::hash::hash_tuple(&flow, flowlet_id ^ 0x1DEAD) % ports.len() as u64) as usize];
+                return port;
             }
-            if wrr_tier {
-                if let Some(port) = wrr.pick() {
-                    stats.degraded_picks += 1;
-                    return port;
-                }
-            }
-            paths.least_utilized(now, STALE_AFTER).unwrap_or_else(|| Self::fallback_port(&flow, flowlet_id))
+            paths.least_utilized(now, STALE_AFTER).unwrap_or_else(|| fallback_port(&flow, flowlet_id ^ 0x147))
         })
     }
 
     fn on_feedback(&mut self, now: Time, dst_hv: HostId, fb: &Feedback) {
         if let Feedback::Util { sport, util_pm } = *fb {
             self.stats.feedback += 1;
-            if let Some(dst) = self.dsts.get_mut(&dst_hv) {
-                dst.paths.record_util(now, sport, util_pm);
+            if let Some(paths) = self.dsts.get_mut(&dst_hv) {
+                paths.record_util(now, sport, util_pm);
                 // Keep the fallback WRR primed: a lightly loaded path earns
                 // a proportionally larger share should the loop go quiet.
-                dst.wrr.set_weight(sport, f64::from(1050 - util_pm.min(1000)) / 1000.0);
+                paths.set_weight(sport, f64::from(1050 - util_pm.min(1000)) / 1000.0);
                 if self.trace.is_enabled() {
-                    let ppm = (dst.wrr.weight(sport).unwrap_or(0.0) * 1e6).round() as u64;
+                    let ppm = (paths.weight(sport).unwrap_or(0.0) * 1e6).round() as u64;
                     self.trace.weight_update(now.0, dst_hv.0, sport, ppm, "util_report");
                 }
             }
@@ -130,9 +104,7 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
     }
 
     fn on_paths_updated(&mut self, _now: Time, dst_hv: HostId, ports: &[u16]) {
-        let dst = self.dsts.entry(dst_hv).or_default();
-        dst.paths.set_ports(ports);
-        dst.wrr.set_ports(ports);
+        self.dsts.entry(dst_hv).or_default().set_ports(ports);
     }
 
     fn on_cold_restart(&mut self, _now: Time) {
@@ -156,6 +128,7 @@ impl clove_overlay::EdgePolicy for CloveIntPolicy {
 mod tests {
     use super::*;
     use clove_net::packet::PacketKind;
+    use clove_net::types::FlowKey;
     use clove_overlay::EdgePolicy;
 
     const RTT: Duration = Duration(100_000);

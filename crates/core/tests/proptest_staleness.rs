@@ -1,11 +1,13 @@
-//! Property tests for the degradation ladder's building blocks: weight
-//! decay must move every weight monotonically toward uniform and never
-//! manufacture a NaN, no matter what feedback (or garbage) arrives; the
-//! staleness clock must always equal the age of the latest feedback
-//! record.
+//! Property tests for the path table and the degradation ladder built on
+//! it: weight decay must move every weight monotonically toward uniform and
+//! never manufacture a NaN, no matter what feedback (or garbage) arrives;
+//! the staleness clock must always equal the age of the latest feedback
+//! record; and the table's port order must follow the port-list operations
+//! alone.
 
-use clove_core::{PathSet, Wrr};
+use clove_core::PathSet;
 use clove_sim::{Duration, Time};
+use clove_telemetry::Trace;
 use proptest::prelude::*;
 
 proptest! {
@@ -22,7 +24,7 @@ proptest! {
         rho in 0.0f64..1.0,
     ) {
         let ports: Vec<u16> = (0..weights.len() as u16).map(|i| 100 + i).collect();
-        let mut w = Wrr::new();
+        let mut w = PathSet::new();
         w.set_ports(&ports);
         for (&p, &wt) in ports.iter().zip(&weights) {
             w.set_weight(p, wt);
@@ -53,7 +55,7 @@ proptest! {
         ops in prop::collection::vec((0u32..4, 0usize..6, -2.0f64..2.0), 1..40),
     ) {
         let ports: Vec<u16> = (1..=6).map(|i| 10 * i as u16).collect();
-        let mut w = Wrr::new();
+        let mut w = PathSet::new();
         w.set_ports(&ports);
         for (kind, pi, x) in ops {
             let p = ports[pi];
@@ -98,6 +100,59 @@ proptest! {
         match last {
             None => prop_assert!(ps.feedback_age(now).is_none()),
             Some(l) => prop_assert_eq!(ps.feedback_age(now), Some(now.saturating_since(l))),
+        }
+    }
+
+    /// The table's port order is exactly what the port-list operations
+    /// make of it — `set_ports` takes the given order, `add_port` appends
+    /// a newcomer, `remove_port` keeps the rest in place — whatever
+    /// feedback, scheduling and ladder steps run in between. WRR tie-breaks
+    /// and the dead rung's hash-spread index this order, so the run digests
+    /// depend on it.
+    #[test]
+    fn port_order_follows_the_port_list_operations(
+        ops in prop::collection::vec((0u8..10, 0u16..8, prop::collection::vec(0u16..8, 0..9)), 1..80),
+    ) {
+        let port = |i: u16| 10 * (i + 1);
+        let mut ps = PathSet::new();
+        let mut model: Vec<u16> = Vec::new();
+        let trace = Trace::disabled();
+        let mut t = Time::ZERO;
+        for (kind, i, list) in ops {
+            t += Duration::from_micros(100 * u64::from(i + 1));
+            let p = port(i);
+            match kind {
+                0 => {
+                    model = list.iter().map(|&j| port(j)).collect();
+                    ps.set_ports(&model);
+                }
+                1 => {
+                    if !model.contains(&p) {
+                        model.push(p);
+                    }
+                    ps.add_port(p);
+                }
+                2 => {
+                    model.retain(|&q| q != p);
+                    ps.remove_port(p);
+                }
+                3 => ps.record_ecn(t, p, i % 2 == 0),
+                4 => ps.record_util(t, p, 125 * i),
+                5 => {
+                    let receivers = ps.uncongested_ports(t, Duration::from_micros(200));
+                    ps.cut_and_redistribute(p, f64::from(i) / 8.0, &receivers);
+                }
+                6 => ps.set_weight(p, f64::from(i)),
+                7 => ps.decay_toward_uniform(f64::from(i) / 8.0),
+                8 => {
+                    let _ = ps.pick();
+                }
+                _ => {
+                    let _ = ps.on_tx(t, Duration::from_micros(800), &trace, clove_net::types::HostId(1));
+                    let _ = ps.stale_decay(t);
+                }
+            }
+            prop_assert_eq!(ps.ports(), model.clone(), "after op {} on port {}", kind, p);
         }
     }
 }

@@ -46,7 +46,7 @@
 use crate::config::{ScenarioSpec, QUARANTINE_KEY};
 use crate::journal::{self, JournalValue};
 use crate::json::Json;
-use crate::orchestrator::{self, CellOutcome};
+use crate::orchestrator;
 use crate::report::{FaultColumn, FaultRow, FaultTable, FigureTable, DAMAGE_COLUMNS, FEEDBACK_COLUMNS};
 use crate::scenario::{RpcOutcome, Scenario, TopologyKind};
 use crate::scheme::Scheme;
@@ -224,14 +224,14 @@ pub(crate) type PointResult<R> = Result<Vec<R>, Vec<String>>;
 /// starting at `seed_base`, become a [`PointResult`]. Pure: `snapshot`
 /// is handed each bad `(seed, reason)` and returns the footer suffix
 /// naming whatever it persisted.
-pub(crate) fn fold_point<R>(outcomes: Vec<CellOutcome<R>>, seed_base: u64, label: &str, mut snapshot: impl FnMut(u64, &str) -> String) -> PointResult<R> {
+pub(crate) fn fold_point<R>(outcomes: Vec<Result<R, String>>, seed_base: u64, label: &str, mut snapshot: impl FnMut(u64, &str) -> String) -> PointResult<R> {
     let mut ok = Vec::with_capacity(outcomes.len());
     let mut bad = Vec::new();
     for (off, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            CellOutcome::Ok(r) => ok.push(r),
-            other => {
-                let (seed, reason) = (seed_base.wrapping_add(off as u64), other.describe());
+            Ok(r) => ok.push(r),
+            Err(reason) => {
+                let seed = seed_base.wrapping_add(off as u64);
                 bad.push(format!("{label} seed {seed}: {reason}{}", snapshot(seed, &reason)));
             }
         }
@@ -984,10 +984,10 @@ mod tests {
     #[test]
     fn fold_point_keeps_seed_order_or_names_every_bad_seed() {
         let no_snapshot = |_: u64, _: &str| -> String { panic!("an all-Ok point persists nothing") };
-        assert_eq!(fold_point(vec![CellOutcome::Ok(7), CellOutcome::Ok(3), CellOutcome::Ok(5)], 2000, "p", no_snapshot), Ok(vec![7, 3, 5]));
+        assert_eq!(fold_point(vec![Ok(7), Ok(3), Ok(5)], 2000, "p", no_snapshot), Ok(vec![7, 3, 5]));
 
         let mut persisted = Vec::new();
-        let outcomes = vec![CellOutcome::Ok(1), CellOutcome::Panicked { msg: "boom".into() }, CellOutcome::Ok(2), CellOutcome::Panicked { msg: "bang".into() }];
+        let outcomes = vec![Ok(1), Err("panicked: boom".to_string()), Ok(2), Err("panicked: bang".to_string())];
         let folded = fold_point(outcomes, 4000, "ECMP / clean", |seed, reason| {
             persisted.push((seed, reason.to_string()));
             format!(" (snapshot: s{seed})")

@@ -46,7 +46,6 @@ pub mod trace_check;
 
 pub use invariants::InvariantMonitor;
 pub use journal::{write_atomic, Journal};
-pub use orchestrator::CellOutcome;
 pub use profile::Profile;
 pub use scenario::{IncastOutcome, RpcOutcome, Scenario, TopologyKind};
 pub use scheme::Scheme;

@@ -9,7 +9,7 @@
 //! time:
 //!
 //! * **Panic isolation, then quarantine.** Each cell runs once under
-//!   `catch_unwind`; a panicking cell yields [`CellOutcome::Panicked`] and
+//!   `catch_unwind`; a panicking cell yields `Err("panicked: <msg>")` and
 //!   the rest of the matrix keeps going. The catch happens *inside* the
 //!   worker closure — [`run_matrix`] otherwise re-raises a worker's panic
 //!   once its threads are joined, which is exactly the abort this module
@@ -32,49 +32,6 @@
 use crate::journal::{Journal, JournalValue};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-
-/// How one cell of a fault-tolerant matrix ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome<R> {
-    /// The cell completed and produced a result.
-    Ok(R),
-    /// The cell panicked; it is quarantined.
-    Panicked {
-        /// The panic payload, stringified.
-        msg: String,
-    },
-}
-
-impl<R> CellOutcome<R> {
-    /// The result, if the cell completed.
-    pub fn ok(&self) -> Option<&R> {
-        match self {
-            CellOutcome::Ok(r) => Some(r),
-            CellOutcome::Panicked { .. } => None,
-        }
-    }
-
-    /// Consume into the result, if the cell completed.
-    pub fn into_ok(self) -> Option<R> {
-        match self {
-            CellOutcome::Ok(r) => Some(r),
-            CellOutcome::Panicked { .. } => None,
-        }
-    }
-
-    /// Whether the cell was quarantined.
-    pub fn is_quarantined(&self) -> bool {
-        !matches!(self, CellOutcome::Ok(_))
-    }
-
-    /// Human-readable description of a quarantined outcome (empty for Ok).
-    pub fn describe(&self) -> String {
-        match self {
-            CellOutcome::Ok(_) => String::new(),
-            CellOutcome::Panicked { msg } => format!("panicked: {msg}"),
-        }
-    }
-}
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -145,8 +102,8 @@ fn schedule(costs: Option<&[f64]>, n: usize) -> Vec<usize> {
 }
 
 /// Scatter schedule-order outcomes back into cell order.
-fn unschedule<R>(order: Vec<usize>, raw: Vec<CellOutcome<R>>) -> Vec<CellOutcome<R>> {
-    let mut slots: Vec<Option<CellOutcome<R>>> = raw.into_iter().map(Some).collect();
+fn unschedule<R>(order: Vec<usize>, raw: Vec<Result<R, String>>) -> Vec<Result<R, String>> {
+    let mut slots: Vec<Option<Result<R, String>>> = raw.into_iter().map(Some).collect();
     let mut by_cell: Vec<usize> = vec![0; slots.len()];
     for (pos, &idx) in order.iter().enumerate() {
         by_cell[idx] = pos;
@@ -155,13 +112,14 @@ fn unschedule<R>(order: Vec<usize>, raw: Vec<CellOutcome<R>>) -> Vec<CellOutcome
 }
 
 /// Run a matrix, each cell once under panic isolation, returning per-cell
-/// outcomes **in cell order**.
+/// outcomes **in cell order**: the cell's result, or why it was
+/// quarantined (`"panicked: <msg>"`, the panic payload stringified).
 ///
 /// `costs`, when given, holds one wall-time estimate per cell; execution is
 /// scheduled most-expensive-first (see `schedule`) while results are
 /// scattered back into cell order, so outputs are byte-identical whether or
 /// not estimates are supplied.
-pub fn run_isolated<K, R, F>(cells: &[K], jobs: usize, costs: Option<&[f64]>, run: F) -> Vec<CellOutcome<R>>
+pub fn run_isolated<K, R, F>(cells: &[K], jobs: usize, costs: Option<&[f64]>, run: F) -> Vec<Result<R, String>>
 where
     K: Sync,
     R: Send,
@@ -172,8 +130,8 @@ where
     // scratch, so no shared state survives a panic in a form other cells
     // can observe.
     let raw = run_matrix(&indices, jobs, |&idx| match catch_unwind(AssertUnwindSafe(|| run(&cells[idx]))) {
-        Ok(r) => CellOutcome::Ok(r),
-        Err(payload) => CellOutcome::Panicked { msg: panic_message(payload) },
+        Ok(r) => Ok(r),
+        Err(payload) => Err(format!("panicked: {}", panic_message(payload))),
     });
     unschedule(indices, raw)
 }
@@ -192,7 +150,7 @@ pub fn run_journaled<K, R, F>(
     journal: Option<(&Journal, &str)>,
     key: impl Fn(&K) -> String + Send + Sync,
     run: F,
-) -> Vec<CellOutcome<R>>
+) -> Vec<Result<R, String>>
 where
     K: Sync,
     R: Send + JournalValue,
@@ -272,7 +230,7 @@ mod tests {
     fn all_ok_cells_pass_through_in_order() {
         let cells: Vec<u32> = (0..10).collect();
         let outcomes = run_isolated(&cells, 4, None, |&c| c * 2);
-        let values: Vec<u32> = outcomes.into_iter().map(|o| o.into_ok().expect("ok")).collect();
+        let values: Vec<u32> = outcomes.into_iter().map(|o| o.expect("ok")).collect();
         assert_eq!(values, (0..10).map(|c| c * 2).collect::<Vec<_>>());
     }
 
@@ -296,10 +254,9 @@ mod tests {
         assert_eq!(outcomes.len(), 8);
         for (i, o) in outcomes.iter().enumerate() {
             if i == 3 {
-                assert_eq!(*o, CellOutcome::Panicked { msg: "cell 3 exploded".into() });
-                assert_eq!(o.describe(), "panicked: cell 3 exploded");
+                assert_eq!(*o, Err("panicked: cell 3 exploded".to_string()));
             } else {
-                assert_eq!(o.ok(), Some(&(i as u32)));
+                assert_eq!(*o, Ok(i as u32));
             }
         }
     }
@@ -313,7 +270,7 @@ mod tests {
         {
             let journal = Journal::open(&root, false).expect("open journal");
             let outcomes = run_journaled(&cells, 2, None, Some((&journal, "test")), key, |&c| c as f64 * 1.5);
-            assert!(outcomes.iter().all(|o| !o.is_quarantined()));
+            assert!(outcomes.iter().all(Result::is_ok));
             assert_eq!(journal.stores(), 6);
         }
         {
@@ -325,7 +282,7 @@ mod tests {
             });
             assert_eq!(executed.load(Ordering::SeqCst), 0, "all cells must come from the journal");
             assert_eq!(journal.hits(), 6);
-            let values: Vec<f64> = outcomes.into_iter().map(|o| o.into_ok().expect("ok")).collect();
+            let values: Vec<f64> = outcomes.into_iter().map(|o| o.expect("ok")).collect();
             assert_eq!(values, (0..6).map(|c| c as f64 * 1.5).collect::<Vec<_>>());
         }
         let _ = std::fs::remove_dir_all(&root);
@@ -337,7 +294,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let journal = Journal::open(&root, false).expect("open journal");
         let outcomes = run_journaled(&[1u64], 1, None, Some((&journal, "t")), |c| format!("{c}"), |_| -> f64 { panic!("nope") });
-        assert!(outcomes[0].is_quarantined());
+        assert!(outcomes[0].is_err());
         assert_eq!(journal.stores(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -363,7 +320,7 @@ mod tests {
             c * 10
         });
         assert_eq!(*executed.lock().expect("lock"), vec![1, 3, 4, 0, 2], "longest cells must start first");
-        let values: Vec<u32> = outcomes.into_iter().map(|o| o.into_ok().expect("ok")).collect();
+        let values: Vec<u32> = outcomes.into_iter().map(|o| o.expect("ok")).collect();
         assert_eq!(values, vec![0, 10, 20, 30, 40], "outcomes must stay in cell order");
     }
 
@@ -375,7 +332,7 @@ mod tests {
         let cells: Vec<u64> = (0..4).collect();
         let costs = [1.0, 4.0, 3.0, 2.0];
         let outcomes = run_journaled(&cells, 1, Some(&costs), Some((&journal, "t")), |c| format!("{c}"), |&c| c as f64);
-        let values: Vec<f64> = outcomes.into_iter().map(|o| o.into_ok().expect("ok")).collect();
+        let values: Vec<f64> = outcomes.into_iter().map(|o| o.expect("ok")).collect();
         assert_eq!(values, vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(journal.stores(), 4);
         let _ = std::fs::remove_dir_all(&root);

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn component_parameters_are_pinned() {
         use crate::Scheme;
-        use clove_core::{clove_ecn as ecn, clove_int as int};
+        use clove_core::{clove_ecn as ecn, clove_int as int, paths};
         use clove_net::types::HostId;
         let p = Profile::default();
         let mut lines = vec![format!("{:?}", p.tcp_config()), format!("probe interval {:?}", p.probe_interval)];
@@ -124,19 +124,20 @@ mod tests {
             lines.push(format!("{}: {:?} {:?}", s.label(), s.fabric_scheme(&p), s.vswitch_config_for(&p, HostId(0))));
         }
         lines.push(format!(
-            "clove-ecn: WEIGHT_CUT={} CONGESTED_WINDOW={:?} RECOVERY_RHO={} STALE_HORIZON={:?} DEAD_HORIZON={:?} STALE_RHO={} STALE_DECAY_INTERVAL={:?}\n\
-             clove-int: STALE_AFTER={:?} DEAD_HORIZON={:?} STALE_RHO={} STALE_DECAY_INTERVAL={:?}",
+            "clove-ecn: WEIGHT_CUT={} CONGESTED_WINDOW={:?} RECOVERY_RHO={} STALE_HORIZON={:?}\n\
+             clove-int: STALE_AFTER={:?}\n\
+             paths: DEAD_HORIZON={:?} STALE_RHO={} STALE_DECAY_INTERVAL={:?} FALLBACK_SPAN={}\n\
+             ecmp: SPAN={}",
             ecn::WEIGHT_CUT,
             ecn::CONGESTED_WINDOW,
             ecn::RECOVERY_RHO,
             ecn::STALE_HORIZON,
-            ecn::DEAD_HORIZON,
-            ecn::STALE_RHO,
-            ecn::STALE_DECAY_INTERVAL,
             int::STALE_AFTER,
-            int::DEAD_HORIZON,
-            int::STALE_RHO,
-            int::STALE_DECAY_INTERVAL
+            paths::DEAD_HORIZON,
+            paths::STALE_RHO,
+            paths::STALE_DECAY_INTERVAL,
+            paths::FALLBACK_SPAN,
+            clove_baselines::ecmp::SPAN
         ));
         {
             use clove_baselines::presto::FLOWCELL_BYTES;
@@ -177,9 +178,10 @@ mod tests {
              CONGA: Conga VSwitchConfig { feedback_mode: None, relay_interval: Duration(50000), presto_reassembly: false }\n\
              HULA: Hula VSwitchConfig { feedback_mode: None, relay_interval: Duration(50000), presto_reassembly: false }\n\
              Clove-ECN (partial): Ecmp VSwitchConfig { feedback_mode: Ecn, relay_interval: Duration(50000), presto_reassembly: false }\n\
-             clove-ecn: WEIGHT_CUT=0.3333333333333333 CONGESTED_WINDOW=Duration(200000) RECOVERY_RHO=0.01 STALE_HORIZON=Duration(1600000) \
-             DEAD_HORIZON=Duration(6400000) STALE_RHO=0.1 STALE_DECAY_INTERVAL=Duration(200000)\n\
-             clove-int: STALE_AFTER=Duration(800000) DEAD_HORIZON=Duration(6400000) STALE_RHO=0.1 STALE_DECAY_INTERVAL=Duration(200000)\n\
+             clove-ecn: WEIGHT_CUT=0.3333333333333333 CONGESTED_WINDOW=Duration(200000) RECOVERY_RHO=0.01 STALE_HORIZON=Duration(1600000)\n\
+             clove-int: STALE_AFTER=Duration(800000)\n\
+             paths: DEAD_HORIZON=Duration(6400000) STALE_RHO=0.1 STALE_DECAY_INTERVAL=Duration(200000) FALLBACK_SPAN=64\n\
+             ecmp: SPAN=4096\n\
              tcp: MSS=1400 HEADER_OVERHEAD=100 INIT_WINDOW_PKTS=10 MAX_CWND_BYTES=4194304 \
              INIT_RTO=Duration(5000000) MIN_RTO=Duration(2000000) MAX_RTO=Duration(2000000000)\n\
              discovery: CANDIDATES=24 K_PATHS=4 MAX_TTL=4 ROUND_TIMEOUT=Duration(1000000) \

@@ -245,7 +245,7 @@ impl Scheme {
     pub fn build_policy(&self, profile: &Profile, seed: u64) -> Box<dyn EdgePolicy> {
         let flowlet = FlowletConfig::with_gap(profile.flowlet_gap);
         match self {
-            Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula => Box::new(EcmpPolicy::default()),
+            Scheme::Ecmp | Scheme::Mptcp { .. } | Scheme::Conga | Scheme::Hula => Box::new(EcmpPolicy),
             Scheme::EdgeFlowlet => Box::new(EdgeFlowletPolicy::new(flowlet, seed)),
             Scheme::CloveEcn => Box::new(CloveEcnPolicy::new(flowlet, profile.clove_recovery_rho)),
             Scheme::CloveInt => Box::new(CloveIntPolicy::new(flowlet)),

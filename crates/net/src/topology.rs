@@ -218,22 +218,6 @@ impl LeafSpine {
             switches.push(Switch::new(SwitchId(self.leaves + i), seed_gen.u64(), false));
         }
 
-        let add_cable = |links: &mut Vec<Link>, switches: &mut Vec<Switch>, a: NodeId, b: NodeId, cfg: LinkConfig| {
-            let ab = LinkId(links.len() as u32);
-            links.push(Link::new(ab, a, b, cfg));
-            let ba = LinkId(links.len() as u32);
-            links.push(Link::new(ba, b, a, cfg));
-            links[ab.0 as usize].reverse = Some(ba);
-            links[ba.0 as usize].reverse = Some(ab);
-            if let NodeId::Switch(s) = a {
-                switches[s.0 as usize].ports.push(ab);
-            }
-            if let NodeId::Switch(s) = b {
-                switches[s.0 as usize].ports.push(ba);
-            }
-            (ab, ba)
-        };
-
         // Fabric cables: leaf <-> spine, `trunk` parallel cables each.
         let mut fcfg = self.fabric_cfg;
         fcfg.rate_bps = self.fabric_bps;
@@ -281,6 +265,25 @@ impl LeafSpine {
             trunk: self.trunk,
         }
     }
+}
+
+/// Lay one duplex cable between `a` and `b`: two links, `a→b` then `b→a`,
+/// each the other's reverse, appended to `links`, and each appended to the
+/// port list of its sending switch. Returns `(a→b, b→a)`.
+fn add_cable(links: &mut Vec<Link>, switches: &mut [Switch], a: NodeId, b: NodeId, cfg: LinkConfig) -> (LinkId, LinkId) {
+    let ab = LinkId(links.len() as u32);
+    links.push(Link::new(ab, a, b, cfg));
+    let ba = LinkId(links.len() as u32);
+    links.push(Link::new(ba, b, a, cfg));
+    links[ab.0 as usize].reverse = Some(ba);
+    links[ba.0 as usize].reverse = Some(ab);
+    if let NodeId::Switch(s) = a {
+        switches[s.0 as usize].ports.push(ab);
+    }
+    if let NodeId::Switch(s) = b {
+        switches[s.0 as usize].ports.push(ba);
+    }
+    (ab, ba)
 }
 
 /// Builder for k-ary fat-trees (k pods; k²/4 cores; k/2 aggs + k/2 edges
@@ -331,21 +334,6 @@ impl FatTree {
         let mut links: Vec<Link> = Vec::new();
         let mut cables = Vec::new();
         let mut hosts = Vec::new();
-        let add_cable = |links: &mut Vec<Link>, switches: &mut Vec<Switch>, a: NodeId, b: NodeId, cfg: LinkConfig| {
-            let ab = LinkId(links.len() as u32);
-            links.push(Link::new(ab, a, b, cfg));
-            let ba = LinkId(links.len() as u32);
-            links.push(Link::new(ba, b, a, cfg));
-            links[ab.0 as usize].reverse = Some(ba);
-            links[ba.0 as usize].reverse = Some(ab);
-            if let NodeId::Switch(s) = a {
-                switches[s.0 as usize].ports.push(ab);
-            }
-            if let NodeId::Switch(s) = b {
-                switches[s.0 as usize].ports.push(ba);
-            }
-            (ab, ba)
-        };
 
         let fcfg = LinkConfig { rate_bps: self.fabric_bps, ..self.fabric_cfg };
         let acfg = LinkConfig { rate_bps: self.access_bps, ..self.access_cfg };

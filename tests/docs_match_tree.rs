@@ -196,8 +196,9 @@ fn docs_name_only_targets_and_paths_that_exist() {
 
 /// Items deleted with the one-way-latency scheme and the five-tuple-swap
 /// mode, the scheme parameters that left `Profile` for the component that
-/// reads them, the token-level analyzer `clippy.toml` replaced, and the
-/// Clove policy configs whose fields became constants. Plain
+/// reads them, the token-level analyzer `clippy.toml` replaced, the
+/// Clove policy configs whose fields became constants, and the scheduler
+/// and per-policy destination records the one path table replaced. Plain
 /// words, not paths, so the scan above cannot see them.
 #[test]
 fn docs_name_no_deleted_scheme_item() {
@@ -236,6 +237,10 @@ fn docs_name_no_deleted_scheme_item() {
             "CloveEcnConfig",
             "CloveUtilConfig",
             "for_rtt",
+            "Wrr",
+            "DstState",
+            "IntDstState",
+            "fallback_span",
         ] {
             assert!(!text.contains(name), "{doc} names `{name}`, which is not in the checkout");
         }

@@ -1,6 +1,6 @@
 //! Property tests on the transport and algorithm invariants.
 
-use clove::algo::{FlowletConfig, FlowletTable, Wrr};
+use clove::algo::{FlowletConfig, FlowletTable, PathSet};
 use clove::net::packet::{Packet, PacketKind};
 use clove::net::types::{FlowKey, HostId};
 use clove::sim::{Duration, SimRng, Time};
@@ -152,7 +152,7 @@ proptest! {
         cuts in prop::collection::vec((0usize..4, 0.0f64..1.0), 0..64),
     ) {
         let ports = [10u16, 20, 30, 40];
-        let mut w = Wrr::new();
+        let mut w = PathSet::new();
         w.set_ports(&ports);
         for (idx, frac) in cuts {
             let receivers: Vec<u16> = ports.iter().copied().filter(|&p| p != ports[idx]).collect();
@@ -169,7 +169,7 @@ proptest! {
     fn wrr_long_run_frequencies_match_weights(
         w1 in 1u32..10, w2 in 1u32..10, w3 in 1u32..10,
     ) {
-        let mut w = Wrr::new();
+        let mut w = PathSet::new();
         w.set_ports(&[1, 2, 3]);
         w.set_weight(1, w1 as f64);
         w.set_weight(2, w2 as f64);
